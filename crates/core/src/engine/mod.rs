@@ -218,27 +218,37 @@ struct Engine {
     disk_cold_starts: AtomicU64,
 }
 
+impl Engine {
+    /// An engine with empty caches, zeroed counters and no disk tier. The
+    /// process has one ([`engine`]); the tests that assert exact counter
+    /// deltas each make their own, so no sibling test's lookup can land in
+    /// their window.
+    fn new() -> Self {
+        Engine {
+            runs: Mutex::new(BoundedCache::new()),
+            runs_done: Condvar::new(),
+            lints: Mutex::new(BoundedCache::new()),
+            traces: Mutex::new(BoundedCache::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            sim_cycles: AtomicU64::new(0),
+            skipped_cycles: AtomicU64::new(0),
+            fault_bypasses: AtomicU64::new(0),
+            deadline_fallbacks: AtomicU64::new(0),
+            trace_hits: AtomicU64::new(0),
+            batched_replays: AtomicU64::new(0),
+            disk: Mutex::new(None),
+            disk_hits: AtomicU64::new(0),
+            warm_start_entries: AtomicU64::new(0),
+            disk_cold_starts: AtomicU64::new(0),
+        }
+    }
+}
+
 fn engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
-    ENGINE.get_or_init(|| Engine {
-        runs: Mutex::new(BoundedCache::new()),
-        runs_done: Condvar::new(),
-        lints: Mutex::new(BoundedCache::new()),
-        traces: Mutex::new(BoundedCache::new()),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-        evictions: AtomicU64::new(0),
-        sim_cycles: AtomicU64::new(0),
-        skipped_cycles: AtomicU64::new(0),
-        fault_bypasses: AtomicU64::new(0),
-        deadline_fallbacks: AtomicU64::new(0),
-        trace_hits: AtomicU64::new(0),
-        batched_replays: AtomicU64::new(0),
-        disk: Mutex::new(None),
-        disk_hits: AtomicU64::new(0),
-        warm_start_entries: AtomicU64::new(0),
-        disk_cold_starts: AtomicU64::new(0),
-    })
+    ENGINE.get_or_init(Engine::new)
 }
 
 /// Worker-thread count: 0 means "auto" (one per available core).
@@ -389,8 +399,18 @@ pub(crate) fn run_cached_deadline(
     batch: bool,
     deadline: Option<Instant>,
 ) -> Result<WorkloadRun, SimError> {
+    run_cached_deadline_on(engine(), bench, cfg, batch, deadline)
+}
+
+/// [`run_cached_deadline`] against the caches and counters of `e`.
+fn run_cached_deadline_on(
+    e: &Engine,
+    bench: Bench,
+    cfg: &BuildCfg,
+    batch: bool,
+    deadline: Option<Instant>,
+) -> Result<WorkloadRun, SimError> {
     let key = RunKey { bench, cfg: *cfg, batch: batch && bench.batch_build_differs() };
-    let e = engine();
     let opts = SimOptions { wall_deadline: deadline, ..cfg.sim_options() };
 
     // Phase 1: hit, claim the key, or wait out another claimant.
@@ -664,7 +684,17 @@ pub fn run_batched_with(
     seeds: &[u64],
     opts: SimOptions,
 ) -> Result<BatchRun, SimError> {
-    let e = engine();
+    run_batched_on(engine(), bench, cfg, seeds, opts)
+}
+
+/// [`run_batched_with`] against the caches and counters of `e`.
+fn run_batched_on(
+    e: &Engine,
+    bench: Bench,
+    cfg: &BuildCfg,
+    seeds: &[u64],
+    opts: SimOptions,
+) -> Result<BatchRun, SimError> {
     let perturbed = opts.fault_plan.is_some() || opts.fabric_mask != FabricMask::HEALTHY;
     let full_batch = |count_bypasses: bool| -> Result<BatchRun, SimError> {
         let mut runs = Vec::with_capacity(seeds.len());
@@ -865,7 +895,10 @@ impl std::fmt::Display for CacheStats {
 
 /// Snapshot of the engine's cache counters.
 pub fn stats() -> CacheStats {
-    let e = engine();
+    stats_of(engine())
+}
+
+fn stats_of(e: &Engine) -> CacheStats {
     let (run_entries, oblivious_entries) = {
         let runs = e.runs.lock().expect("run cache lock");
         (runs.ready_len(), runs.ready_matching(|r| r.oblivious))
@@ -1022,21 +1055,20 @@ mod tests {
     #[test]
     fn single_flight_dedups_concurrent_misses() {
         // 8 threads race one cold key; single-flight must simulate it once.
+        // Its own engine: the process-wide one counts sibling tests' misses.
+        let e = Engine::new();
         let b = Bench::Solver { n: 16 };
         let cfg = BuildCfg::dataflow_baseline(1);
-        let before = stats();
         let items: Vec<u32> = (0..8).collect();
-        let runs = par_map_jobs(&items, 8, |_| run_cached(b, &cfg, false).expect("runs"));
-        let after = stats();
+        let runs = par_map_jobs(&items, 8, |_| {
+            run_cached_deadline_on(&e, b, &cfg, false, None).expect("runs")
+        });
+        let after = stats_of(&e);
         for r in &runs {
             assert_eq!(r.cycles, runs[0].cycles);
         }
-        assert_eq!(
-            after.misses,
-            before.misses + 1,
-            "exactly one simulation for eight concurrent requests"
-        );
-        assert!(after.hits >= before.hits + 7, "the other seven are hits");
+        assert_eq!(after.misses, 1, "exactly one simulation for eight concurrent requests");
+        assert_eq!(after.hits, 7, "the other seven are hits");
     }
 
     #[test]
@@ -1143,27 +1175,19 @@ mod tests {
         );
     }
 
-    /// Serializes the tests that assert exact deltas on the batch counters
-    /// (`batched_replays`, `trace_hits`): the counters are process-global,
-    /// so two batch tests interleaving would see each other's bumps.
-    static BATCH_COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn batched_replay_matches_independent_full_simulations() {
-        let _serial = BATCH_COUNTER_LOCK.lock().expect("batch counter lock");
+        // Exact counter deltas: this test's own engine (see `Engine::new`).
+        let e = Engine::new();
         let b = Bench::Fft { n: 64 };
         let cfg = BuildCfg::revel(1);
         let seeds = [2u64, 3, 4];
-        let before = stats();
-        let batch = run_batched(b, &cfg, &seeds).expect("batched run");
-        let after = stats();
+        let batch = run_batched_on(&e, b, &cfg, &seeds, cfg.sim_options()).expect("batched run");
+        let after = stats_of(&e);
         assert!(batch.replayed, "a certified cell must take the replay path");
         assert_eq!(batch.runs.len(), seeds.len());
-        assert_eq!(
-            after.batched_replays,
-            before.batched_replays + seeds.len() as u64,
-            "one replay per dataset: {before:?} -> {after:?}"
-        );
+        assert_eq!(after.batched_replays, seeds.len() as u64, "one replay per dataset: {after:?}");
+        assert_eq!(after.trace_hits, 0, "the first batch records the trace");
         for (seed, run) in seeds.iter().zip(&batch.runs) {
             run.assert_ok(&format!("fft batched seed {seed}"));
             let full =
@@ -1178,42 +1202,35 @@ mod tests {
             );
         }
         // A second batch of the same cell reuses the cached trace.
-        let mid = stats();
-        let again = run_batched(b, &cfg, &seeds).expect("batched rerun");
-        let last = stats();
+        let again = run_batched_on(&e, b, &cfg, &seeds, cfg.sim_options()).expect("batched rerun");
         assert!(again.replayed);
-        assert!(last.trace_hits > mid.trace_hits, "second batch must hit the trace cache");
+        assert_eq!(stats_of(&e).trace_hits, 1, "second batch must hit the trace cache");
     }
 
     #[test]
     fn perturbed_batches_never_take_the_replay_path() {
         use revel_sim::FaultPlan;
-        let _serial = BATCH_COUNTER_LOCK.lock().expect("batch counter lock");
+        let e = Engine::new();
         let b = Bench::Fft { n: 64 };
         let cfg = BuildCfg::revel(1);
         let seeds = [5u64, 6];
         let opts = SimOptions { fault_plan: Some(FaultPlan::new(7, 2, 4096)), ..cfg.sim_options() };
-        let before = stats();
-        let batch = run_batched_with(b, &cfg, &seeds, opts).expect("perturbed batch");
-        let after = stats();
+        let batch = run_batched_on(&e, b, &cfg, &seeds, opts).expect("perturbed batch");
+        let after = stats_of(&e);
         assert!(!batch.replayed, "fault injection must force full simulation");
-        // `>=`: the fault/degraded bypass tests in this binary bump the
-        // same counter concurrently.
-        assert!(
-            after.fault_bypasses >= before.fault_bypasses + seeds.len() as u64,
-            "each perturbed dataset counts as a bypass: {before:?} -> {after:?}"
-        );
         assert_eq!(
-            after.batched_replays, before.batched_replays,
-            "no perturbed dataset may reach the replayer"
+            after.fault_bypasses,
+            seeds.len() as u64,
+            "each perturbed dataset counts as a bypass: {after:?}"
         );
+        assert_eq!(after.batched_replays, 0, "no perturbed dataset may reach the replayer");
         let degraded = SimOptions {
             fabric_mask: FabricMask { dead_pes: 1, dead_links: 0 },
             ..cfg.sim_options()
         };
-        let batch = run_batched_with(b, &cfg, &seeds, degraded).expect("degraded batch");
+        let batch = run_batched_on(&e, b, &cfg, &seeds, degraded).expect("degraded batch");
         assert!(!batch.replayed, "a degraded fabric must force full simulation");
-        assert_eq!(stats().batched_replays, after.batched_replays);
+        assert_eq!(stats_of(&e).batched_replays, 0);
     }
 
     #[test]

@@ -52,10 +52,12 @@ impl VecVal {
     }
 
     /// A fully predicated-off value (no valid lanes).
+    ///
+    /// # Panics
+    /// Panics if `width` is 0 or exceeds [`MAX_VEC_WIDTH`].
     pub fn invalid(width: usize) -> Self {
-        let mut v = Self::splat(0.0, width);
-        v.pred = 0;
-        v
+        assert!((1..=MAX_VEC_WIDTH).contains(&width), "bad vector width {width}");
+        VecVal { vals: [0.0; MAX_VEC_WIDTH], pred: 0, width: width as u8 }
     }
 
     /// Vector width.
@@ -117,11 +119,18 @@ fn mask_all(width: usize) -> u8 {
     ((1u16 << width) - 1) as u8
 }
 
+/// The widest [`OpCode`] arity (`Select`).
+const MAX_ARITY: usize = 3;
+
 /// Functional evaluator of a [`Dfg`] at a fixed vector width.
 ///
 /// The evaluator owns the accumulator state, so one evaluator corresponds
 /// to one *configured instance* of the region on the fabric. Create it with
 /// [`Dfg::evaluator`].
+///
+/// [`DfgEvaluator::fire`] is the simulator's innermost loop: it touches the
+/// heap nowhere. Node values and output vectors live in scratch buffers
+/// sized here, once per configured instance.
 #[derive(Debug, Clone)]
 pub struct DfgEvaluator {
     dfg: Dfg,
@@ -133,6 +142,10 @@ pub struct DfgEvaluator {
     /// Runtime-configured emission length (overrides the DFG's rate).
     accum_len_override: Option<revel_isa::RateFsm>,
     input_nodes: Vec<NodeId>,
+    /// Scratch: the value of every node in the fire in progress.
+    values: Vec<VecVal>,
+    /// Scratch: the last fire's output vectors, in output-node order.
+    outputs: Vec<(OutPortId, VecVal)>,
 }
 
 #[derive(Debug, Clone)]
@@ -162,6 +175,7 @@ impl DfgEvaluator {
         let mut accum = Vec::new();
         let mut accum_index = vec![usize::MAX; dfg.len()];
         let mut input_nodes = Vec::new();
+        let mut num_outputs = 0;
         for (id, node) in dfg.iter() {
             match node {
                 Node::Accum { len, .. } | Node::AccumVec { len, .. } => {
@@ -169,6 +183,7 @@ impl DfgEvaluator {
                     accum.push(AccumState::fresh(len.count_at(0)));
                 }
                 Node::Input { .. } => input_nodes.push(id),
+                Node::Output { .. } => num_outputs += 1,
                 _ => {}
             }
         }
@@ -179,6 +194,8 @@ impl DfgEvaluator {
             accum_index,
             accum_len_override: None,
             input_nodes,
+            values: vec![VecVal::invalid(width); dfg.len()],
+            outputs: Vec::with_capacity(num_outputs),
         }
     }
 
@@ -214,7 +231,8 @@ impl DfgEvaluator {
 
     /// Executes one firing of the region: consumes one vector per input
     /// node (in input-node order) and returns the vectors produced at each
-    /// output port (in output-node order).
+    /// output port (in output-node order). The slice is the evaluator's own
+    /// buffer, overwritten by the next fire.
     ///
     /// Accumulator nodes emit a fully-predicated-off value on non-emitting
     /// fires; callers (the simulator's output ports) drop values with no
@@ -222,70 +240,72 @@ impl DfgEvaluator {
     ///
     /// # Panics
     /// Panics if `inputs.len()` differs from [`DfgEvaluator::num_inputs`].
-    pub fn fire(&mut self, inputs: &[VecVal]) -> Vec<(OutPortId, VecVal)> {
+    pub fn fire(&mut self, inputs: &[VecVal]) -> &[(OutPortId, VecVal)] {
+        let DfgEvaluator {
+            dfg,
+            width,
+            accum,
+            accum_index,
+            accum_len_override,
+            values,
+            outputs,
+            ..
+        } = self;
+        let width = *width;
         assert_eq!(
             inputs.len(),
             self.input_nodes.len(),
             "region {} expects {} inputs",
-            self.dfg.name(),
+            dfg.name(),
             self.input_nodes.len()
         );
-        let mut values: Vec<VecVal> = Vec::with_capacity(self.dfg.len());
         let mut next_input = 0;
-        let mut outputs = Vec::new();
-        for (idx, node) in self.dfg.nodes().iter().enumerate() {
+        outputs.clear();
+        for (idx, node) in dfg.nodes().iter().enumerate() {
             let v = match node {
                 Node::Input { .. } => {
                     let v = inputs[next_input];
                     next_input += 1;
-                    assert_eq!(
-                        v.width(),
-                        self.width,
-                        "input width mismatch in region {}",
-                        self.dfg.name()
-                    );
+                    assert_eq!(v.width(), width, "input width mismatch in region {}", dfg.name());
                     v
                 }
-                Node::Const { value } => VecVal::splat(*value, self.width),
-                Node::Op { op, args } => self.eval_op(*op, args, &values),
+                Node::Const { value } => VecVal::splat(*value, width),
+                Node::Op { op, args } => eval_op(*op, args, values, width),
                 Node::Accum { arg, len } => {
-                    let len = self.accum_len_override.unwrap_or(*len);
+                    let len = accum_len_override.unwrap_or(*len);
                     let input = values[arg.0 as usize];
-                    let state = &mut self.accum[self.accum_index[idx]];
+                    let state = &mut accum[accum_index[idx]];
                     state.sum += input.sum_valid();
                     state.remaining -= 1;
+                    let mut out = VecVal::invalid(width);
                     if state.remaining <= 0 {
-                        let mut out = VecVal::invalid(self.width);
                         out.vals[0] = state.sum;
                         out.pred = 1;
                         state.sum = 0.0;
                         state.j += 1;
                         state.remaining = len.count_at(state.j);
-                        out
-                    } else {
-                        VecVal::invalid(self.width)
                     }
+                    out
                 }
                 Node::AccumVec { arg, len } => {
-                    let len = self.accum_len_override.unwrap_or(*len);
+                    let len = accum_len_override.unwrap_or(*len);
                     let input = values[arg.0 as usize];
-                    let state = &mut self.accum[self.accum_index[idx]];
+                    let state = &mut accum[accum_index[idx]];
                     for (k, v) in input.iter_valid() {
                         state.lanes[k] += v;
                     }
                     state.pred |= input.pred();
                     state.remaining -= 1;
                     if state.remaining <= 0 {
-                        let mut out = VecVal::splat(0.0, self.width);
-                        out.vals = state.lanes;
-                        out.pred = state.pred;
+                        let out =
+                            VecVal { vals: state.lanes, pred: state.pred, width: width as u8 };
                         state.lanes = [0.0; MAX_VEC_WIDTH];
                         state.pred = 0;
                         state.j += 1;
                         state.remaining = len.count_at(state.j);
                         out
                     } else {
-                        VecVal::invalid(self.width)
+                        VecVal::invalid(width)
                     }
                 }
                 Node::Output { arg, port } => {
@@ -294,29 +314,32 @@ impl DfgEvaluator {
                     v
                 }
             };
-            values.push(v);
+            values[idx] = v;
         }
         outputs
     }
+}
 
-    fn eval_op(&self, op: OpCode, args: &[NodeId], values: &[VecVal]) -> VecVal {
-        if op == OpCode::ReduceAdd {
-            let a = values[args[0].0 as usize];
-            return VecVal::splat(a.sum_valid(), self.width);
-        }
-        let mut out = VecVal::splat(0.0, self.width);
-        // Result lane valid iff every argument lane is valid.
-        let mut pred = mask_all(self.width);
-        for a in args {
-            pred &= values[a.0 as usize].pred;
-        }
-        for k in 0..self.width {
-            let scalar_args: Vec<f64> = args.iter().map(|a| values[a.0 as usize].vals[k]).collect();
-            out.vals[k] = op.apply(&scalar_args);
-        }
-        out.pred = pred;
-        out
+/// One op node over the values computed so far. A result lane is valid iff
+/// every argument lane is valid.
+fn eval_op(op: OpCode, args: &[NodeId], values: &[VecVal], width: usize) -> VecVal {
+    if op == OpCode::ReduceAdd {
+        return VecVal::splat(values[args[0].0 as usize].sum_valid(), width);
     }
+    // `OpCode::apply` reads at most `MAX_ARITY` arguments.
+    let args = &args[..args.len().min(MAX_ARITY)];
+    let mut out = VecVal { vals: [0.0; MAX_VEC_WIDTH], pred: mask_all(width), width: width as u8 };
+    for a in args {
+        out.pred &= values[a.0 as usize].pred;
+    }
+    let mut scalars = [0.0; MAX_ARITY];
+    for k in 0..width {
+        for (s, a) in scalars.iter_mut().zip(args) {
+            *s = values[a.0 as usize].vals[k];
+        }
+        out.vals[k] = op.apply(&scalars[..args.len()]);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ fn accum_vec_lanes_independent() {
         for _ in 0..fires {
             for (_, out) in ev.fire(&[v]) {
                 if out.any_valid() {
-                    result = Some(out);
+                    result = Some(*out);
                 }
             }
         }

@@ -191,6 +191,32 @@ pub struct PatternIter {
     i: i64,
 }
 
+impl PatternIter {
+    /// True if an element the iterator has yet to yield has word offset
+    /// `addr`. Row by row in closed form — O(rows left), no iteration over
+    /// elements — so stream engines can ask it on every access.
+    pub fn will_visit(&self, addr: i64) -> bool {
+        let p = &self.pat;
+        let mut first_i = self.i;
+        for j in self.j..p.len_j {
+            let n = p.row_len(j);
+            if first_i < n {
+                let d = addr - (p.start + j * p.stride_j);
+                let hit = if p.stride_i == 0 {
+                    d == 0
+                } else {
+                    d % p.stride_i == 0 && (first_i..n).contains(&(d / p.stride_i))
+                };
+                if hit {
+                    return true;
+                }
+            }
+            first_i = 0;
+        }
+        false
+    }
+}
+
 impl Iterator for PatternIter {
     type Item = PatternElem;
 
@@ -309,6 +335,32 @@ mod tests {
     fn empty_pattern() {
         assert!(AffinePattern::linear(0, 0).is_empty());
         assert!(AffinePattern::linear(0, 0).iter().next().is_none());
+    }
+
+    #[test]
+    fn will_visit_matches_a_scan_of_the_remaining_elements() {
+        let patterns = [
+            AffinePattern::linear(3, 5),
+            AffinePattern::strided(9, -3, 4),
+            AffinePattern::two_d(0, 1, 5, 4, 4, -1),
+            AffinePattern::two_d(2, 2, 3, 1, 4, 1),
+            AffinePattern::two_d(0, 1, 10, 2, 4, -1), // trailing empty rows
+            AffinePattern::two_d(4, 0, 1, 3, 3, 0),   // stride 0: a row rewrites one word
+            AffinePattern::two_d(0, 1, 0, 3, 3, -1),  // rows overlap
+            AffinePattern::linear(0, 0),
+        ];
+        for p in patterns {
+            let mut it = p.iter();
+            loop {
+                for addr in -2..24 {
+                    let scanned = it.clone().any(|e| e.offset == addr);
+                    assert_eq!(it.will_visit(addr), scanned, "{p:?} at {it:?}, addr {addr}");
+                }
+                if it.next().is_none() {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -133,13 +133,12 @@ impl Machine {
             return true;
         }
         // All destination queues must have space.
-        let targets: Vec<usize> =
-            vc.lanes.iter().map(|l| l.0 as usize).filter(|l| *l < self.lanes.len()).collect();
-        if targets.iter().any(|&l| self.lanes[l].cmd_queue.len() >= self.cfg.lane.cmd_queue_entries)
-        {
+        let num_lanes = self.lanes.len();
+        let targets = || vc.lanes.iter().map(|l| l.0 as usize).filter(move |l| *l < num_lanes);
+        if targets().any(|l| self.lanes[l].cmd_queue.len() >= self.cfg.lane.cmd_queue_entries) {
             return progress; // retry next cycle
         }
-        for &l in &targets {
+        for l in targets() {
             let specialized = vc.specialize(LaneId(l as u8));
             self.lanes[l].cmd_queue.push_back(specialized);
         }

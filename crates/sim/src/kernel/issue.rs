@@ -1,7 +1,7 @@
 //! Command issue: from per-lane command queues into the stream table,
 //! fabric configuration, barriers, and accumulator-length updates.
 
-use crate::lane::{ActiveStream, PatternWalker, RowTracker, StreamBody};
+use crate::lane::{ActiveStream, PatternWalker, RowTracker, StreamBody, WrittenSet};
 use crate::machine::Machine;
 use crate::trace::TraceOp;
 use revel_isa::{LaneHop, MemTarget, ProdMode, StreamCommand};
@@ -22,9 +22,13 @@ impl Machine {
     ) -> bool {
         let mut progress = false;
         for li in 0..self.lanes.len() {
+            // The scan borrows commands out of the queue while it mutates
+            // the rest of the lane, so the queue steps aside for the scan
+            // (nothing in this phase reads `lane.cmd_queue`).
+            let mut queue = std::mem::take(&mut self.lanes[li].cmd_queue);
             let mut issued = 0usize;
-            let mut blocked_in: Vec<u8> = Vec::new();
-            let mut blocked_out: Vec<u8> = Vec::new();
+            let mut blocked_in = PortSet::default();
+            let mut blocked_out = PortSet::default();
             // Loads may not bypass an earlier *unissued* store to the same
             // scratchpad: once a store issues it is visible to the
             // store→load ordering guard, but a store still in the queue is
@@ -32,9 +36,9 @@ impl Machine {
             let mut store_pending_private = false;
             let mut store_pending_shared = false;
             let mut qi = 0usize;
-            while issued < 2 && qi < self.lanes[li].cmd_queue.len() {
-                let cmd = self.lanes[li].cmd_queue[qi].clone();
-                match &cmd {
+            while issued < 2 && qi < queue.len() {
+                let cmd = &queue[qi];
+                match cmd {
                     StreamCommand::Configure { config } => {
                         if qi != 0 {
                             break; // configure serializes the queue
@@ -61,7 +65,7 @@ impl Machine {
                         }
                         lane.reconfig_until = 0;
                         lane.draining = false;
-                        lane.cmd_queue.pop_front();
+                        queue.pop_front();
                         issued += 1;
                         progress = true;
                         continue;
@@ -74,7 +78,7 @@ impl Machine {
                             self.lanes[li].barrier_blocked = true;
                             break;
                         }
-                        self.lanes[li].cmd_queue.pop_front();
+                        queue.pop_front();
                         issued += 1;
                         progress = true;
                         continue;
@@ -102,14 +106,14 @@ impl Machine {
                                 });
                             }
                         }
-                        lane.cmd_queue.pop_front();
+                        queue.pop_front();
                         issued += 1;
                         progress = true;
                         continue;
                     }
                     StreamCommand::Wait => {
                         // Wait is control-core level; drop if it leaked here.
-                        self.lanes[li].cmd_queue.remove(qi);
+                        queue.remove(qi);
                         progress = true;
                         continue;
                     }
@@ -120,26 +124,26 @@ impl Machine {
                 // unissued stores to the same scratchpad.
                 let in_p = cmd.dst_in_port().map(|p| p.0);
                 let out_p = cmd.src_out_port().map(|p| p.0);
-                let mem_conflict = match &cmd {
+                let mem_conflict = match cmd {
                     StreamCommand::Load { target: MemTarget::Private, .. } => store_pending_private,
                     StreamCommand::Load { target: MemTarget::Shared, .. } => store_pending_shared,
                     _ => false,
                 };
                 let conflicts = mem_conflict
-                    || in_p.map(|p| blocked_in.contains(&p)).unwrap_or(false)
-                    || out_p.map(|p| blocked_out.contains(&p)).unwrap_or(false);
-                if !conflicts && self.try_issue_stream(li, &cmd) {
-                    self.lanes[li].cmd_queue.remove(qi);
+                    || in_p.is_some_and(|p| blocked_in.contains(p))
+                    || out_p.is_some_and(|p| blocked_out.contains(p));
+                if !conflicts && self.try_issue_stream(li, cmd) {
+                    queue.remove(qi);
                     issued += 1;
                     progress = true;
                 } else {
                     if let Some(p) = in_p {
-                        blocked_in.push(p);
+                        blocked_in.insert(p);
                     }
                     if let Some(p) = out_p {
-                        blocked_out.push(p);
+                        blocked_out.insert(p);
                     }
-                    if let StreamCommand::Store { target, .. } = &cmd {
+                    if let StreamCommand::Store { target, .. } = cmd {
                         match target {
                             MemTarget::Private => store_pending_private = true,
                             MemTarget::Shared => store_pending_shared = true,
@@ -148,6 +152,7 @@ impl Machine {
                     qi += 1;
                 }
             }
+            self.lanes[li].cmd_queue = queue;
         }
         progress
     }
@@ -169,8 +174,6 @@ impl Machine {
                 if let Some(t) = &mut self.trace {
                     t.record(TraceOp::BindIn { lane: li as u8, port: dst.0, reuse: *reuse });
                 }
-                let seq = lane.next_seq;
-                lane.next_seq += 1;
                 lane.streams.push(ActiveStream {
                     body: StreamBody::Load {
                         target: *target,
@@ -178,7 +181,6 @@ impl Machine {
                         dst: dst.0,
                         flushed: false,
                     },
-                    seq,
                 });
                 true
             }
@@ -200,10 +202,7 @@ impl Machine {
                     });
                 }
                 let values = pattern.expand().into_iter().map(f64::from_bits).collect();
-                let seq = lane.next_seq;
-                lane.next_seq += 1;
-                lane.streams
-                    .push(ActiveStream { body: StreamBody::Const { dst: dst.0, values }, seq });
+                lane.streams.push(ActiveStream { body: StreamBody::Const { dst: dst.0, values } });
                 true
             }
             StreamCommand::Store { src, target, pattern, discard } => {
@@ -222,16 +221,17 @@ impl Machine {
                         mode: ProdMode::KeepFirst,
                     });
                 }
-                let seq = lane.next_seq;
-                lane.next_seq += 1;
+                let spad_words = match target {
+                    MemTarget::Private => lane.spad.len(),
+                    MemTarget::Shared => self.shared.len(),
+                };
                 lane.streams.push(ActiveStream {
                     body: StreamBody::Store {
                         src: src.0,
                         target: *target,
                         walker: PatternWalker::new(*pattern),
-                        written: std::collections::HashSet::new(),
+                        written: WrittenSet::new(spad_words),
                     },
-                    seq,
                 });
                 true
             }
@@ -269,8 +269,6 @@ impl Machine {
                                 reuse: *consumption,
                             });
                         }
-                        let seq = lane.next_seq;
-                        lane.next_seq += 1;
                         lane.streams.push(ActiveStream {
                             body: StreamBody::XferLocal {
                                 src: route.src.0,
@@ -278,7 +276,6 @@ impl Machine {
                                 remaining: *outer,
                                 rows: RowTracker::new(*rows),
                             },
-                            seq,
                         });
                         true
                     }
@@ -307,8 +304,6 @@ impl Machine {
                                 reuse: *consumption,
                             });
                         }
-                        let seq = self.lanes[li].next_seq;
-                        self.lanes[li].next_seq += 1;
                         self.lanes[li].streams.push(ActiveStream {
                             body: StreamBody::XferRight {
                                 src: route.src.0,
@@ -316,7 +311,6 @@ impl Machine {
                                 remaining: *outer,
                                 rows: RowTracker::new(*rows),
                             },
-                            seq,
                         });
                         true
                     }
@@ -327,6 +321,20 @@ impl Machine {
             | StreamCommand::BarrierScratch
             | StreamCommand::Wait => unreachable!("handled in issue_commands"),
         }
+    }
+}
+
+/// A set of port indices (ports are `u8`-indexed), held on the stack.
+#[derive(Default)]
+struct PortSet([u64; 4]);
+
+impl PortSet {
+    fn insert(&mut self, port: u8) {
+        self.0[port as usize / 64] |= 1 << (port % 64);
+    }
+
+    fn contains(&self, port: u8) -> bool {
+        self.0[port as usize / 64] & (1 << (port % 64)) != 0
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! [`OutPort::pop_kept`]: crate::port::OutPort::pop_kept
 
-use crate::lane::{Lane, PatternWalker, StreamBody};
+use crate::lane::{Lane, StreamBody};
 use crate::machine::Machine;
 use crate::trace::TraceOp;
 use revel_isa::MemTarget;
@@ -27,27 +27,16 @@ impl Machine {
             let lane = &mut self.lanes[li];
             let mut priv_budget = lane.cfg.spad_bw_words;
             let mut const_budget = lane.cfg.xfer_bw_words;
-            // Snapshot of active store streams for store→load ordering: a
-            // load may not read an address an *older* store has yet to
-            // write (fine-grain scratchpad dependence tracking, which is
-            // what lets the paper's solver/Cholesky recirculate vectors
-            // through memory without full barriers).
-            let store_guards: Vec<(u64, MemTarget, PatternWalker, std::collections::HashSet<i64>)> =
-                lane.streams
-                    .iter()
-                    .filter_map(|s| match &s.body {
-                        StreamBody::Store { target, walker, written, .. } => {
-                            Some((s.seq, *target, walker.clone(), written.clone()))
-                        }
-                        _ => None,
-                    })
-                    .collect();
             let Lane { streams, in_ports, spad, events, .. } = lane;
             let mut starved = false;
             let mut sync_blocked = false;
-            for stream in streams.iter_mut() {
-                let seq = stream.seq;
-                match &mut stream.body {
+            for si in 0..streams.len() {
+                // The stream table is in issue order, so the streams before
+                // this one are exactly the older ones — the store→load
+                // guard below reads them in place. (Stores only move in the
+                // drain phase, so they hold still while sources run.)
+                let (older, rest) = streams.split_at_mut(si);
+                match &mut rest[0].body {
                     StreamBody::Load { target, walker, dst, flushed } => {
                         let budget: &mut usize = match target {
                             MemTarget::Private => &mut priv_budget,
@@ -63,24 +52,30 @@ impl Machine {
                                 break;
                             }
                             // Store→load ordering: a load may not read an
-                            // address an older store has yet to write. For
-                            // write-once (producer→consumer) streams the
-                            // load releases per element as soon as the
-                            // address is written; for in-place multi-pass
-                            // streams (the address was already written once
-                            // and will be rewritten) the load synchronizes
-                            // at row granularity — later rewrites are
+                            // address an older store has yet to write
+                            // (fine-grain scratchpad dependence tracking,
+                            // which is what lets the paper's solver/Cholesky
+                            // recirculate vectors through memory without
+                            // full barriers). For write-once
+                            // (producer→consumer) streams the load releases
+                            // per element as soon as the address is written;
+                            // for in-place multi-pass streams (the address
+                            // was already written once and will be
+                            // rewritten) the load synchronizes at row
+                            // granularity — later rewrites are
                             // anti-dependences ordered by the dataflow
                             // itself.
-                            let blocked =
-                                store_guards.iter().any(|(sseq, starget, sw, written)| {
-                                    let mut sw = sw.clone();
-                                    *sseq < seq
-                                        && *starget == *target
+                            let blocked = older.iter().any(|s| match &s.body {
+                                StreamBody::Store {
+                                    target: starget, walker: sw, written, ..
+                                } => {
+                                    *starget == *target
                                         && sw.remaining_contains(elem.offset)
-                                        && (!written.contains(&elem.offset)
+                                        && (!written.contains(elem.offset)
                                             || sw.current_row() <= elem.j)
-                                });
+                                }
+                                _ => false,
+                            });
                             if blocked {
                                 sync_blocked = true;
                                 break;

@@ -7,61 +7,90 @@ use crate::memory::Scratchpad;
 use crate::port::{InPort, OutPort};
 use crate::stats::{CycleBreakdown, CycleClass};
 use crate::trace::{TraceOp, TraceRecorder};
-use revel_dfg::{Dfg, DfgEvaluator, Node, OpCode, Region, RegionKind, VecVal};
+use revel_dfg::{Dfg, DfgEvaluator, FuClass, Node, OpCode, Region, RegionKind, VecVal};
 use revel_fabric::{EventCounts, LaneConfig};
 use revel_isa::{AffinePattern, MemTarget, OutPortId, PatternElem, PatternIter, RateFsm};
 use revel_scheduler::RegionSchedule;
 use std::collections::VecDeque;
 
 /// A memory pattern walker with one-element lookahead (streams need to
-/// retry an element when the destination stalls).
+/// retry an element when the destination stalls). The lookahead is always
+/// filled, so every query is a `&self` read: the store→load guard asks
+/// older streams' walkers without copying them.
 #[derive(Debug, Clone)]
 pub(crate) struct PatternWalker {
     iter: PatternIter,
-    pending: Option<PatternElem>,
+    /// The element the stream is at; `None` once the pattern is exhausted.
+    head: Option<PatternElem>,
 }
 
 impl PatternWalker {
     pub(crate) fn new(pattern: AffinePattern) -> Self {
-        PatternWalker { iter: pattern.iter(), pending: None }
+        let mut iter = pattern.iter();
+        let head = iter.next();
+        PatternWalker { iter, head }
     }
 
-    pub(crate) fn peek(&mut self) -> Option<PatternElem> {
-        if self.pending.is_none() {
-            self.pending = self.iter.next();
-        }
-        self.pending
+    pub(crate) fn peek(&self) -> Option<PatternElem> {
+        self.head
     }
 
     pub(crate) fn advance(&mut self) {
-        self.pending = None;
+        self.head = self.iter.next();
     }
 
-    pub(crate) fn exhausted(&mut self) -> bool {
-        self.peek().is_none()
+    pub(crate) fn exhausted(&self) -> bool {
+        self.head.is_none()
     }
 
     /// True if the remaining (unvisited) part of the pattern will touch
     /// `addr`. Used for scratchpad store→load ordering.
-    pub(crate) fn remaining_contains(&mut self, addr: i64) -> bool {
-        if self.pending.is_none() {
-            self.pending = self.iter.next();
-        }
-        if let Some(p) = self.pending {
-            if p.offset == addr {
-                return true;
-            }
-        }
-        self.iter.clone().any(|e| e.offset == addr)
+    pub(crate) fn remaining_contains(&self, addr: i64) -> bool {
+        self.head.is_some_and(|e| e.offset == addr) || self.iter.will_visit(addr)
     }
 
     /// The outer-row index the walker is currently writing/reading, or
     /// `i64::MAX` when exhausted.
-    pub(crate) fn current_row(&mut self) -> i64 {
-        match self.peek() {
-            Some(e) => e.j,
-            None => i64::MAX,
+    pub(crate) fn current_row(&self) -> i64 {
+        self.head.map_or(i64::MAX, |e| e.j)
+    }
+}
+
+/// The set of word addresses a store stream has written so far: a dense
+/// bitset over its scratchpad's words, so the store→load guard's
+/// membership test is one shift and mask.
+#[derive(Debug, Clone)]
+pub(crate) struct WrittenSet {
+    bits: Vec<u64>,
+}
+
+impl WrittenSet {
+    /// An empty set over a scratchpad of `spad_words` words.
+    pub(crate) fn new(spad_words: usize) -> Self {
+        WrittenSet { bits: vec![0; spad_words.div_ceil(64)] }
+    }
+
+    /// Word index and bit of `addr`, or `None` outside the scratchpad.
+    fn slot(&self, addr: i64) -> Option<(usize, u64)> {
+        let addr = usize::try_from(addr).ok()?;
+        (addr / 64 < self.bits.len()).then_some((addr / 64, 1 << (addr % 64)))
+    }
+
+    /// Records a written address. One outside the scratchpad is not
+    /// recorded: the write itself panics on it.
+    pub(crate) fn insert(&mut self, addr: i64) {
+        if let Some((word, bit)) = self.slot(addr) {
+            self.bits[word] |= bit;
         }
+    }
+
+    pub(crate) fn contains(&self, addr: i64) -> bool {
+        self.slot(addr).is_some_and(|(word, bit)| self.bits[word] & bit != 0)
+    }
+
+    /// Number of distinct addresses written.
+    pub(crate) fn len(&self) -> usize {
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -109,7 +138,7 @@ pub(crate) enum StreamBody {
         /// Addresses written so far (distinguishes write-once
         /// producer→consumer streams from in-place multi-version rewrites
         /// in the store→load ordering guard).
-        written: std::collections::HashSet<i64>,
+        written: WrittenSet,
     },
     /// Immediate values → input port.
     Const { dst: u8, values: VecDeque<f64> },
@@ -120,12 +149,11 @@ pub(crate) enum StreamBody {
     XferRight { src: u8, dst: u8, remaining: i64, rows: RowTracker },
 }
 
+/// An entry of a lane's stream table. The table is kept in program-order
+/// issue order, which the store→load scratchpad guard relies on.
 #[derive(Debug, Clone)]
 pub(crate) struct ActiveStream {
     pub body: StreamBody,
-    /// Program-order issue sequence within the lane (for store→load
-    /// scratchpad ordering).
-    pub seq: u64,
 }
 
 impl ActiveStream {
@@ -154,25 +182,27 @@ impl ActiveStream {
     }
 }
 
-/// Per-instruction state of a temporal (dataflow) region instance.
+/// One instruction of a temporal (dataflow) region's instruction graph.
 #[derive(Debug, Clone)]
 struct TempNode {
     /// Index into the lane's dPE array this instruction is resident on.
     dpe: usize,
     latency: u64,
-    /// Indices (into the instance's `nodes`) of argument instructions;
+    /// Indices (into the shape's `nodes`) of argument instructions;
     /// Input/Const arguments are ready at instance creation.
     args: Vec<usize>,
-    /// Completion cycle once issued.
-    done_at: Option<u64>,
 }
 
-/// A firing of a temporal region in flight on the dataflow PEs.
+/// A firing of a temporal region in flight on the dataflow PEs. Its
+/// instruction graph is the region's [`TemporalShape`] and its output
+/// vectors are the oldest unretired set in the region's `results` (a
+/// region's instances retire in fire order), so an instance owns only its
+/// per-instruction progress.
 #[derive(Debug, Clone)]
 pub(crate) struct TempInstance {
     region: usize,
-    nodes: Vec<TempNode>,
-    outputs: Vec<(OutPortId, VecVal)>,
+    /// Per instruction of the shape: completion cycle once issued.
+    done_at: Vec<Option<u64>>,
 }
 
 impl TempInstance {
@@ -185,8 +215,7 @@ impl TempInstance {
 /// per configuration.
 #[derive(Debug, Clone)]
 struct TemporalShape {
-    /// For each instruction: (dpe index, latency, arg instruction indices).
-    nodes: Vec<(usize, u64, Vec<usize>)>,
+    nodes: Vec<TempNode>,
 }
 
 /// One configured program region resident on the lane fabric.
@@ -197,10 +226,24 @@ pub(crate) struct RegionState {
     pub sched: RegionSchedule,
     in_ports: Vec<u8>,
     out_ports: Vec<u8>,
+    /// Functional units one systolic fire occupies, per class (the DFG's
+    /// demand times the unroll), for event accounting.
+    fu_ops: Vec<(FuClass, u64)>,
     next_fire: u64,
-    /// Matured systolic results waiting for delivery: (ready, outputs).
-    inflight: VecDeque<(u64, Vec<(OutPortId, VecVal)>)>,
+    /// Scratch: the input vectors of the fire in progress.
+    inputs: Vec<VecVal>,
+    /// One entry per fired result set not yet delivered, oldest first: the
+    /// cycle a systolic result matures. (Temporal fires wait in
+    /// `Lane::instances` instead; the trace replayer, which has no cycles,
+    /// enters every fire here as 0.)
+    inflight: VecDeque<u64>,
+    /// The output vectors of every undelivered fire, oldest first:
+    /// `out_ports.len()` entries per fire, in output-node order.
+    results: VecDeque<(OutPortId, VecVal)>,
     temporal_shape: Option<TemporalShape>,
+    /// Scratch of the temporal retire pass: an older instance of this
+    /// region could not retire, so younger ones must wait behind it.
+    retire_blocked: bool,
     /// Injected dead-PE fault: the pipeline never fires again (matured
     /// in-flight results still deliver).
     dead: bool,
@@ -233,7 +276,22 @@ impl RegionState {
     }
 
     pub(crate) fn idle(&self) -> bool {
-        self.inflight.is_empty()
+        self.inflight.is_empty() && self.results.is_empty()
+    }
+
+    /// Replay: enters the fire whose outputs [`Lane::gather_and_fire`] just
+    /// queued as awaiting delivery.
+    pub(crate) fn replay_fired(&mut self) {
+        self.inflight.push_back(0);
+    }
+
+    /// Replay: the oldest undelivered fire's output vectors, removed from
+    /// the queue, or `None` when no fire is awaiting delivery.
+    pub(crate) fn replay_delivered(
+        &mut self,
+    ) -> Option<impl Iterator<Item = (OutPortId, VecVal)> + '_> {
+        self.inflight.pop_front()?;
+        Some(self.results.drain(..self.out_ports.len()))
     }
 }
 
@@ -250,8 +308,9 @@ pub(crate) struct Lane {
     pub streams: Vec<ActiveStream>,
     pub regions: Vec<RegionState>,
     pub instances: Vec<TempInstance>,
-    /// Next stream sequence number.
-    pub next_seq: u64,
+    /// Retired instances kept for their `done_at` buffers, so a temporal
+    /// fire allocates only until the in-flight bound is first reached.
+    spare_instances: Vec<TempInstance>,
     num_dpes: usize,
     /// Reconfiguration completes at this cycle (0 = not reconfiguring).
     pub reconfig_until: u64,
@@ -300,7 +359,7 @@ impl Lane {
             streams: Vec::new(),
             regions: Vec::new(),
             instances: Vec::new(),
-            next_seq: 0,
+            spare_instances: Vec::new(),
             num_dpes: cfg.num_dataflow_pes.max(1),
             reconfig_until: 0,
             breakdown: CycleBreakdown::default(),
@@ -339,15 +398,25 @@ impl Lane {
             } else {
                 None
             };
+            let in_ports: Vec<u8> = region.input_ports().iter().map(|p| p.0).collect();
             self.regions.push(RegionState {
                 eval: region.dfg.evaluator(region.unroll),
                 region: region.clone(),
                 sched: *sched,
-                in_ports: region.input_ports().iter().map(|p| p.0).collect(),
+                inputs: Vec::with_capacity(in_ports.len()),
+                in_ports,
                 out_ports: region.output_ports().iter().map(|p| p.0).collect(),
+                fu_ops: region
+                    .dfg
+                    .fu_demand()
+                    .into_iter()
+                    .map(|(class, n)| (class, (n * region.unroll) as u64))
+                    .collect(),
                 next_fire: 0,
                 inflight: VecDeque::new(),
+                results: VecDeque::new(),
                 temporal_shape,
+                retire_blocked: false,
                 dead: false,
                 stalled_until: 0,
             });
@@ -471,83 +540,69 @@ impl Lane {
     }
 
     /// The functional half of a region fire: gathers inputs from the ports
-    /// (mutating reuse FSMs) and evaluates the DFG, returning the outputs
-    /// and the minimum adapted valid-count. Shared verbatim by the timing
-    /// walk and the trace replayer — that sharing is what makes replayed
-    /// values byte-identical to full simulation.
-    pub(crate) fn gather_and_fire(
-        &mut self,
-        r: usize,
-        fire_valid: u32,
-    ) -> (Vec<(OutPortId, VecVal)>, u32) {
-        let unroll = self.regions[r].region.unroll;
-        let in_port_ids = self.regions[r].in_ports.clone();
+    /// (mutating reuse FSMs), evaluates the DFG, queues the output vectors
+    /// on the region's `results`, and returns the minimum adapted
+    /// valid-count. Shared verbatim by the timing walk and the trace
+    /// replayer — that sharing is what makes replayed values byte-identical
+    /// to full simulation.
+    pub(crate) fn gather_and_fire(&mut self, r: usize, fire_valid: u32) -> u32 {
+        let Lane { regions, in_ports, events, .. } = self;
+        let rs = &mut regions[r];
+        let unroll = rs.region.unroll;
         // Gather inputs. Scalar-broadcast ports burn `fire_valid` reuse
         // elements per fire (reuse counts are in element units); vector
         // ports consume one presentation per fire.
-        let mut inputs = Vec::with_capacity(in_port_ids.len());
+        rs.inputs.clear();
         let mut min_valid = unroll as u32;
-        for p in &in_port_ids {
-            let port = &mut self.in_ports[*p as usize];
+        for p in &rs.in_ports {
+            let port = &mut in_ports[*p as usize];
             let v = if port.width() < unroll {
                 port.take_elems(fire_valid as i64)
             } else {
                 port.take()
             };
-            self.events.port_words += v.width() as u64;
+            events.port_words += v.width() as u64;
             let adapted = adapt_width(v, unroll);
             min_valid = min_valid.min(adapted.valid_count());
-            inputs.push(adapted);
+            rs.inputs.push(adapted);
         }
-        (self.regions[r].eval.fire(&inputs), min_valid)
+        rs.results.extend(rs.eval.fire(&rs.inputs));
+        min_valid
     }
 
     fn fire_region(&mut self, r: usize, now: u64, li: u8, trace: &mut Option<TraceRecorder>) {
         self.progressed = true;
-        let unroll = self.regions[r].region.unroll;
         // The fire covers `fire_valid` logical inner-loop elements: the
         // minimum valid-lane count across full-width vector inputs.
         let fire_valid = self.compute_fire_valid(r);
         if let Some(t) = trace {
             t.record(TraceOp::Fire { lane: li, region: r as u8, fire_valid });
         }
-        let (outputs, min_valid) = self.gather_and_fire(r, fire_valid);
-        let is_temporal = self.regions[r].is_temporal();
+        let min_valid = self.gather_and_fire(r, fire_valid);
+        let rs = &mut self.regions[r];
 
-        // Event accounting.
-        if is_temporal {
+        if let Some(shape) = &rs.temporal_shape {
             // dPE instructions are counted when issued by the executor.
+            let mut inst = self
+                .spare_instances
+                .pop()
+                .unwrap_or_else(|| TempInstance { region: r, done_at: Vec::new() });
+            inst.region = r;
+            inst.done_at.clear();
+            inst.done_at.resize(shape.nodes.len(), None);
+            self.instances.push(inst);
+            rs.next_fire = now + 1;
         } else {
-            for (class, n) in self.regions[r].region.dfg.fu_demand() {
-                self.events.count_fu_op(class, (n * unroll) as u64);
+            for (class, n) in &rs.fu_ops {
+                self.events.count_fu_op(*class, *n);
             }
-            self.events.switch_hops += self.regions[r].sched.hops_per_fire as u64;
-        }
-
-        if is_temporal {
-            // `temporal_shape` is built for every temporal region at
-            // configure time, so it is always present on this branch.
-            let shape = self.regions[r].temporal_shape.clone().expect("temporal");
-            let nodes = shape
-                .nodes
-                .iter()
-                .map(|(dpe, lat, args)| TempNode {
-                    dpe: *dpe,
-                    latency: *lat,
-                    args: args.clone(),
-                    done_at: None,
-                })
-                .collect();
-            self.instances.push(TempInstance { region: r, nodes, outputs });
-            self.regions[r].next_fire = now + 1;
-        } else {
-            let rs = &mut self.regions[r];
-            let ready = now + rs.sched.latency as u64;
-            rs.inflight.push_back((ready, outputs));
+            self.events.switch_hops += rs.sched.hops_per_fire as u64;
+            rs.inflight.push_back(now + rs.sched.latency as u64);
             let mut ii = rs.sched.ii as u64;
             // Without hardware stream predication, a partially-valid vector
             // fire degenerates to scalar-remainder execution: one extra
             // cycle per valid lane beyond the first.
+            let unroll = rs.region.unroll;
             if !self.predication && (min_valid as usize) < unroll && min_valid > 0 {
                 ii += (min_valid - 1) as u64;
             }
@@ -559,29 +614,19 @@ impl Lane {
     /// Delivers matured systolic outputs to output ports (respecting
     /// FIFO space — backpressure stalls delivery).
     pub(crate) fn deliver_outputs(&mut self, now: u64, li: u8, trace: &mut Option<TraceRecorder>) {
-        for r in 0..self.regions.len() {
-            while let Some((ready, outs)) = self.regions[r].inflight.front() {
-                if *ready > now {
+        let Lane { regions, out_ports, events, progressed, .. } = self;
+        for (r, rs) in regions.iter_mut().enumerate() {
+            let n_out = rs.out_ports.len();
+            while rs.inflight.front().is_some_and(|ready| *ready <= now) {
+                if !results_fit(&rs.results, n_out, out_ports) {
                     break;
                 }
-                let all_fit = outs
-                    .iter()
-                    .all(|(p, v)| !v.any_valid() || self.out_ports[p.0 as usize].has_space());
-                if !all_fit {
-                    break;
-                }
-                // Front exists: the `while let` just matched it.
-                let (_, outs) = self.regions[r].inflight.pop_front().expect("checked");
+                rs.inflight.pop_front();
                 if let Some(t) = trace.as_mut() {
                     t.record(TraceOp::Deliver { lane: li, region: r as u8 });
                 }
-                self.progressed = true;
-                for (p, v) in outs {
-                    if v.any_valid() {
-                        self.events.port_words += v.valid_count() as u64;
-                        self.out_ports[p.0 as usize].push(v);
-                    }
-                }
+                *progressed = true;
+                push_results(&mut rs.results, n_out, out_ports, events);
             }
         }
     }
@@ -589,25 +634,27 @@ impl Lane {
     /// One cycle of the triggered-instruction executor: each dataflow PE
     /// issues at most one ready instruction.
     pub(crate) fn dpe_step(&mut self, now: u64, li: u8, trace: &mut Option<TraceRecorder>) {
+        if self.instances.is_empty() {
+            return;
+        }
+        let Lane { regions, instances, spare_instances, out_ports, events, .. } = self;
+        let done = |d: &Option<u64>| d.is_some_and(|d| d <= now);
         for dpe in 0..self.num_dpes {
-            'instances: for inst in self.instances.iter_mut() {
-                for n in 0..inst.nodes.len() {
-                    if inst.nodes[n].dpe != dpe || inst.nodes[n].done_at.is_some() {
+            'instances: for inst in instances.iter_mut() {
+                // A temporal instance's region always carries its shape.
+                let shape = regions[inst.region].temporal_shape.as_ref().expect("temporal");
+                for (n, node) in shape.nodes.iter().enumerate() {
+                    if node.dpe != dpe || inst.done_at[n].is_some() {
                         continue;
                     }
-                    let ready = inst.nodes[n]
-                        .args
-                        .iter()
-                        .all(|a| inst.nodes[*a].done_at.map(|d| d <= now).unwrap_or(false));
-                    if !ready {
+                    if !node.args.iter().all(|a| done(&inst.done_at[*a])) {
                         continue;
                     }
                     // Remote operands pay a temporal-network penalty.
-                    let remote = inst.nodes[n].args.iter().any(|a| inst.nodes[*a].dpe != dpe);
+                    let remote = node.args.iter().any(|a| shape.nodes[*a].dpe != dpe);
                     let extra = if remote { 2 } else { 0 };
-                    let lat = inst.nodes[n].latency;
-                    inst.nodes[n].done_at = Some(now + lat + extra);
-                    self.events.dpe_instrs += 1;
+                    inst.done_at[n] = Some(now + node.latency + extra);
+                    events.dpe_instrs += 1;
                     self.fired_temporal = true;
                     self.progressed = true;
                     break 'instances;
@@ -617,37 +664,28 @@ impl Lane {
         // Retire finished instances — in order per region, so dataflow
         // tag-ordering is preserved at the output ports even when a later
         // instance finishes first on another PE.
-        let out_ports = &mut self.out_ports;
-        let events = &mut self.events;
-        let mut blocked_regions: Vec<usize> = Vec::new();
-        let mut retired = false;
-        self.instances.retain(|inst| {
-            if blocked_regions.contains(&inst.region) {
-                return true;
-            }
-            let done = inst.nodes.iter().all(|n| n.done_at.map(|d| d <= now).unwrap_or(false));
-            let fits = done
-                && inst
-                    .outputs
-                    .iter()
-                    .all(|(p, v)| !v.any_valid() || out_ports[p.0 as usize].has_space());
-            if !done || !fits {
-                blocked_regions.push(inst.region);
-                return true;
+        for rs in regions.iter_mut() {
+            rs.retire_blocked = false;
+        }
+        let mut i = 0;
+        while i < instances.len() {
+            let rs = &mut regions[instances[i].region];
+            let n_out = rs.out_ports.len();
+            if rs.retire_blocked
+                || !instances[i].done_at.iter().all(done)
+                || !results_fit(&rs.results, n_out, out_ports)
+            {
+                rs.retire_blocked = true;
+                i += 1;
+                continue;
             }
             if let Some(t) = trace.as_mut() {
-                t.record(TraceOp::RetireTemp { lane: li, region: inst.region as u8 });
+                t.record(TraceOp::RetireTemp { lane: li, region: instances[i].region as u8 });
             }
-            for (p, v) in &inst.outputs {
-                if v.any_valid() {
-                    events.port_words += v.valid_count() as u64;
-                    out_ports[p.0 as usize].push(*v);
-                }
-            }
-            retired = true;
-            false
-        });
-        self.progressed |= retired;
+            push_results(&mut rs.results, n_out, out_ports, events);
+            spare_instances.push(instances.remove(i));
+            self.progressed = true;
+        }
     }
 
     /// Applies one injected fault against live lane state. Returns `true`
@@ -704,7 +742,7 @@ impl NextEvent for RegionState {
             let s = self.stalled_until;
             next = Some(next.map_or(s, |n| n.min(s)));
         }
-        if let Some((ready, _)) = self.inflight.front() {
+        if let Some(ready) = self.inflight.front() {
             if *ready > after {
                 next = Some(next.map_or(*ready, |n| n.min(*ready)));
             }
@@ -717,7 +755,7 @@ impl NextEvent for TempInstance {
     fn next_event(&self, after: u64) -> Option<u64> {
         // A dPE instruction issues when its argument instructions have
         // completed; completions are the only timers in the executor.
-        self.nodes.iter().filter_map(|n| n.done_at).filter(|d| *d > after).min()
+        self.done_at.iter().flatten().copied().filter(|d| *d > after).min()
     }
 }
 
@@ -750,6 +788,31 @@ enum ReadyState {
     NoData,
     /// Structural block: II, pipeline depth, or output backpressure.
     Blocked,
+}
+
+/// True if every valid vector of the oldest result set (the first `n_out`
+/// of `results`) has room at its output port.
+fn results_fit(
+    results: &VecDeque<(OutPortId, VecVal)>,
+    n_out: usize,
+    out_ports: &[OutPort],
+) -> bool {
+    results.iter().take(n_out).all(|(p, v)| !v.any_valid() || out_ports[p.0 as usize].has_space())
+}
+
+/// Moves the oldest result set out of `results` onto the output ports.
+fn push_results(
+    results: &mut VecDeque<(OutPortId, VecVal)>,
+    n_out: usize,
+    out_ports: &mut [OutPort],
+    events: &mut EventCounts,
+) {
+    for (p, v) in results.drain(..n_out) {
+        if v.any_valid() {
+            events.port_words += v.valid_count() as u64;
+            out_ports[p.0 as usize].push(v);
+        }
+    }
 }
 
 /// Widens or narrows a port vector to the region's unroll width:
@@ -798,7 +861,7 @@ fn build_temporal_shape(dfg: &Dfg, num_dpes: usize, unroll: usize) -> TemporalSh
                 .collect();
             instr_index[id.0 as usize] = nodes.len();
             let dpe = nodes.len() % num_dpes;
-            nodes.push((dpe, lat, arg_instrs));
+            nodes.push(TempNode { dpe, latency: lat, args: arg_instrs });
         }
     }
     TemporalShape { nodes }
@@ -822,6 +885,78 @@ mod tests {
             Region::systolic("neg", g, unroll),
             RegionSchedule { latency: 4, ii: 1, max_delay_fifo: 0, hops_per_fire: 4 },
         )
+    }
+
+    /// The walker as it was before its queries took `&self`: a lazily filled
+    /// lookahead, and a scan of a copy of the iterator.
+    struct LazyWalker {
+        iter: PatternIter,
+        pending: Option<PatternElem>,
+    }
+
+    impl LazyWalker {
+        fn peek(&mut self) -> Option<PatternElem> {
+            if self.pending.is_none() {
+                self.pending = self.iter.next();
+            }
+            self.pending
+        }
+
+        fn remaining_contains(&mut self, addr: i64) -> bool {
+            self.peek().is_some_and(|p| p.offset == addr)
+                || self.iter.clone().any(|e| e.offset == addr)
+        }
+
+        fn current_row(&mut self) -> i64 {
+            self.peek().map_or(i64::MAX, |e| e.j)
+        }
+    }
+
+    #[test]
+    fn walker_queries_match_clone_and_peek() {
+        // Row-major upper triangle a[j, j..4] of a 4x5 layout, as Cholesky
+        // and the solver store it.
+        let tri = AffinePattern::two_d(0, 1, 6, 4, 4, -1);
+        let mut new = PatternWalker::new(tri);
+        let mut old = LazyWalker { iter: tri.iter(), pending: None };
+        loop {
+            // The old walker answered the same with its element not yet
+            // pulled (fresh, or just advanced) and with it pending (after a
+            // `peek`); the new one must match both.
+            for pending in [false, true] {
+                assert!(old.pending.is_some() == pending || new.exhausted());
+                for addr in -1..24 {
+                    let mut probe = LazyWalker { iter: old.iter.clone(), pending: old.pending };
+                    assert_eq!(new.remaining_contains(addr), probe.remaining_contains(addr));
+                }
+                assert_eq!(new.current_row(), old.current_row()); // fills `old.pending`
+            }
+            assert_eq!(new.peek(), old.pending);
+            if new.exhausted() {
+                break;
+            }
+            new.advance();
+            old.pending = None;
+        }
+        assert_eq!(new.current_row(), i64::MAX);
+        assert!(!new.remaining_contains(21), "the last element is behind an exhausted walker");
+    }
+
+    #[test]
+    fn written_set_counts_distinct_words_of_its_scratchpad() {
+        let mut w = WrittenSet::new(100);
+        assert!(!w.contains(7));
+        for addr in [7, 64, 99, 7] {
+            w.insert(addr);
+        }
+        assert_eq!(w.len(), 3);
+        assert!(w.contains(7) && w.contains(64) && w.contains(99));
+        assert!(!w.contains(8), "never written");
+        // Outside the scratchpad: never a member, and not recorded.
+        w.insert(1 << 40);
+        w.insert(-3);
+        assert!(!w.contains(1 << 40) && !w.contains(-3));
+        assert_eq!(w.len(), 3);
     }
 
     #[test]
@@ -952,10 +1087,8 @@ mod tests {
         l.in_ports[5].bind_stream(RateFsm::ONCE);
         l.in_ports[5].push_word(1.0, false);
         // Pretend a stream is outstanding so the block counts as dependence.
-        l.streams.push(ActiveStream {
-            body: StreamBody::Const { dst: 4, values: VecDeque::new() },
-            seq: 0,
-        });
+        l.streams
+            .push(ActiveStream { body: StreamBody::Const { dst: 4, values: VecDeque::new() } });
         l.fire_regions(0, 0, &mut None);
         assert_eq!(l.fired_systolic, 0);
         assert!(l.dep_blocked);

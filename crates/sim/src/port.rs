@@ -20,7 +20,10 @@ pub struct InPort {
     width: usize,
     capacity: usize,
     fifo: VecDeque<VecVal>,
-    staging: Vec<f64>,
+    /// Words staged towards the next vector: `staging[..staged]`. Lanes at
+    /// and beyond `staged` hold 0.0, the value of a padded lane.
+    staging: [f64; MAX_VEC_WIDTH],
+    staged: usize,
     reuse: RateFsm,
     head_uses_left: i64,
     head_index: i64,
@@ -40,7 +43,8 @@ impl InPort {
             width,
             capacity,
             fifo: VecDeque::new(),
-            staging: Vec::with_capacity(width),
+            staging: [0.0; MAX_VEC_WIDTH],
+            staged: 0,
             reuse: RateFsm::ONCE,
             head_uses_left: 0,
             head_index: 0,
@@ -63,7 +67,7 @@ impl InPort {
         self.words_in = 0;
         // Data already in the FIFO (from a previous stream) keeps draining;
         // staging should be empty between streams.
-        debug_assert!(self.staging.is_empty(), "staging not flushed between streams");
+        debug_assert!(self.staged == 0, "staging not flushed between streams");
     }
 
     /// True if the port can accept another word this cycle.
@@ -76,7 +80,7 @@ impl InPort {
         if self.pending_flush {
             self.fifo_has_space()
         } else {
-            debug_assert!(self.staging.len() < self.width);
+            debug_assert!(self.staged < self.width);
             true
         }
     }
@@ -97,10 +101,11 @@ impl InPort {
         if !self.resolve_pending() {
             return false;
         }
-        debug_assert!(self.staging.len() < self.width);
-        self.staging.push(value);
+        debug_assert!(self.staged < self.width);
+        self.staging[self.staged] = value;
+        self.staged += 1;
         self.words_in += 1;
-        if (self.staging.len() == self.width || row_end) && !self.flush_staged() {
+        if (self.staged == self.width || row_end) && !self.flush_staged() {
             // FIFO full: the word is consumed but the vector flush is
             // deferred to a later cycle.
             self.pending_flush = true;
@@ -121,18 +126,16 @@ impl InPort {
     /// Flushes the staging buffer (padded with predicated-off lanes when
     /// partial) into the FIFO. Returns `false` if the FIFO is full.
     fn flush_staged(&mut self) -> bool {
-        if self.staging.is_empty() {
+        if self.staged == 0 {
             return true;
         }
         if !self.fifo_has_space() {
             return false;
         }
-        let valid = self.staging.len();
-        let mut lanes = self.staging.clone();
-        lanes.resize(self.width, 0.0);
-        let pred = ((1u16 << valid) - 1) as u8;
-        self.fifo.push_back(VecVal::with_pred(&lanes, pred));
-        self.staging.clear();
+        let pred = ((1u16 << self.staged) - 1) as u8;
+        self.fifo.push_back(VecVal::with_pred(&self.staging[..self.width], pred));
+        self.staging = [0.0; MAX_VEC_WIDTH];
+        self.staged = 0;
         true
     }
 
@@ -174,7 +177,7 @@ impl InPort {
 
     /// True if nothing is buffered or staged.
     pub fn is_drained(&self) -> bool {
-        self.fifo.is_empty() && self.staging.is_empty()
+        self.fifo.is_empty() && self.staged == 0
     }
 
     /// Drops the vector at the FIFO head (fault injection: a lost link

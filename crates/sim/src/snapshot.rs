@@ -12,10 +12,8 @@
 use crate::lane::{Lane, StreamBody};
 use std::fmt;
 
-/// Deterministic one-line summary of an active stream. (The raw `Debug`
-/// form is unsuitable here: a store's `written` set is a `HashSet` whose
-/// iteration order varies per instance, and snapshot equality across the
-/// two steppers requires stable text.)
+/// One-line summary of an active stream: what it moves and how far it got,
+/// without the walker and bitset internals of the raw `Debug` form.
 fn stream_brief(body: &StreamBody) -> String {
     match body {
         StreamBody::Load { target, dst, flushed, .. } => {

@@ -28,13 +28,12 @@
 //! the trace machinery itself only detects, it does not prove.
 
 use crate::kernel::MachineMem;
+use crate::lane::Lane;
 use crate::machine::{Machine, SimError};
 use crate::stats::RunReport;
-use revel_dfg::VecVal;
 use revel_fabric::FabricMask;
-use revel_isa::{MemTarget, OutPortId, ProdMode, RateFsm};
+use revel_isa::{MemTarget, ProdMode, RateFsm};
 use revel_prog::{ControlStep, RevelProgram};
-use std::collections::{HashMap, VecDeque};
 
 /// One recorded functional micro-operation of a timing run.
 ///
@@ -253,11 +252,6 @@ fn desync(op: usize, message: impl Into<String>) -> SimError {
     SimError::Replay(ReplayError { op, message: message.into() })
 }
 
-/// Fired-but-undelivered region outputs during replay, keyed by
-/// (lane, region). The timing walk bounds these queues (pipeline depth 8,
-/// temporal instance cap 4), so replay memory stays bounded too.
-type PendingOutputs = HashMap<(u8, u8), VecDeque<Vec<(OutPortId, VecVal)>>>;
-
 impl Machine {
     /// Runs `program` cycle-accurately while recording the functional
     /// micro-op sequence, returning the [`TimingTrace`] (which embeds
@@ -311,9 +305,9 @@ impl Machine {
             lane.events = Default::default();
             lane.reconfig_until = 0;
         }
-        let mut sys_q = PendingOutputs::new();
-        let mut temp_q = PendingOutputs::new();
-
+        // Fired-but-undelivered outputs wait on their region's own result
+        // queue, as in the timing walk, which bounds them (pipeline depth 8,
+        // temporal instance cap 4) — so replay memory stays bounded too.
         for (i, op) in trace.ops.iter().enumerate() {
             match *op {
                 TraceOp::Host { pc } => {
@@ -332,9 +326,7 @@ impl Machine {
                     if c >= program.configs.len() {
                         return Err(desync(i, format!("config {config} out of range")));
                     }
-                    if sys_q.iter().any(|((ll, _), q)| *ll == lane && !q.is_empty())
-                        || temp_q.iter().any(|((ll, _), q)| *ll == lane && !q.is_empty())
-                    {
+                    if self.lanes[l].regions.iter().any(|r| !r.idle()) {
                         return Err(desync(i, "reconfigure with undelivered region outputs"));
                     }
                     self.lanes[l].apply_config(&program.configs[c], &schedules[c]);
@@ -392,8 +384,9 @@ impl Machine {
                     if r >= self.lanes[l].regions.len() {
                         return Err(desync(i, format!("region {region} out of range")));
                     }
-                    for p in self.lanes[l].regions[r].input_port_ids().to_vec() {
-                        if self.lanes[l].in_ports[p as usize].peek().is_none() {
+                    let lane = &self.lanes[l];
+                    for &p in lane.regions[r].input_port_ids() {
+                        if lane.in_ports[p as usize].peek().is_none() {
                             return Err(desync(i, format!("input port {p} empty at fire")));
                         }
                     }
@@ -406,22 +399,11 @@ impl Machine {
                             ),
                         ));
                     }
-                    let (outputs, _) = self.lanes[l].gather_and_fire(r, fire_valid);
-                    let q = if self.lanes[l].regions[r].is_temporal() {
-                        temp_q.entry((lane, region)).or_default()
-                    } else {
-                        sys_q.entry((lane, region)).or_default()
-                    };
-                    q.push_back(outputs);
+                    self.lanes[l].gather_and_fire(r, fire_valid);
+                    self.lanes[l].regions[r].replay_fired();
                 }
-                TraceOp::Deliver { lane, region } => {
-                    let outs = sys_q.get_mut(&(lane, region)).and_then(VecDeque::pop_front);
-                    self.deliver(i, lane, outs)?;
-                }
-                TraceOp::RetireTemp { lane, region } => {
-                    let outs = temp_q.get_mut(&(lane, region)).and_then(VecDeque::pop_front);
-                    self.deliver(i, lane, outs)?;
-                }
+                TraceOp::Deliver { lane, region } => self.deliver(i, lane, region, false)?,
+                TraceOp::RetireTemp { lane, region } => self.deliver(i, lane, region, true)?,
                 TraceOp::PopStore { lane, port, target, addr } => {
                     let l = self.lane_index(i, lane)?;
                     let Some(v) = self.out_port(i, l, port)?.pop_kept() else {
@@ -456,7 +438,7 @@ impl Machine {
                 }
             }
         }
-        if sys_q.values().chain(temp_q.values()).any(|q| !q.is_empty()) {
+        if self.lanes.iter().flat_map(|l| &l.regions).any(|r| !r.idle()) {
             return Err(desync(trace.ops.len(), "undelivered region outputs at end of trace"));
         }
         Ok(())
@@ -487,15 +469,17 @@ impl Machine {
             .ok_or_else(|| desync(op, format!("output port {port} out of range ({n} ports)")))
     }
 
-    /// Pushes one fired result set to its output ports, checking space
-    /// the way the timing walk's delivery gate did.
-    fn deliver(
-        &mut self,
-        op: usize,
-        lane: u8,
-        outs: Option<Vec<(OutPortId, VecVal)>>,
-    ) -> Result<(), SimError> {
+    /// Pushes region `region`'s oldest fired result set to its output
+    /// ports, checking space the way the timing walk's delivery gate did.
+    /// `temporal` is the kind of region the op retires from: a systolic
+    /// `Deliver` never takes a temporal region's result, nor the reverse.
+    fn deliver(&mut self, op: usize, lane: u8, region: u8, temporal: bool) -> Result<(), SimError> {
         let l = self.lane_index(op, lane)?;
+        let Lane { regions, out_ports, .. } = &mut self.lanes[l];
+        let outs = regions
+            .get_mut(region as usize)
+            .filter(|rs| rs.is_temporal() == temporal)
+            .and_then(|rs| rs.replay_delivered());
         let Some(outs) = outs else {
             return Err(desync(op, "delivery with no fired result in flight"));
         };
@@ -503,7 +487,10 @@ impl Machine {
             if !v.any_valid() {
                 continue;
             }
-            let port = self.out_port(op, l, p.0)?;
+            let n = out_ports.len();
+            let Some(port) = out_ports.get_mut(p.0 as usize) else {
+                return Err(desync(op, format!("output port {} out of range ({n} ports)", p.0)));
+            };
             if !port.has_space() {
                 return Err(desync(op, format!("output port {} full at delivery", p.0)));
             }

@@ -146,6 +146,71 @@ fn truncated_trace_is_a_structured_error() {
     }
 }
 
+/// The three ways the replayer's per-region result queues can disagree with
+/// a trace, each reported by name.
+#[test]
+fn result_queue_desyncs_are_named() {
+    use revel_sim::TraceOp;
+    let prog = neg_prog(16);
+    let mut rec = machine();
+    rec.write_private(LaneId(0), 0, &[2.0; 16]);
+    let trace = rec.run_traced(&prog).expect("timing run");
+    let first_fire =
+        trace.ops.iter().position(|op| matches!(op, TraceOp::Fire { .. })).expect("fires");
+    let last_deliver =
+        trace.ops.iter().rposition(|op| matches!(op, TraceOp::Deliver { .. })).expect("delivers");
+    let replay_error = |ops: Vec<TraceOp>| {
+        let mut m = machine();
+        m.write_private(LaneId(0), 0, &[2.0; 16]);
+        match m.replay(&prog, &revel_sim::TimingTrace { ops, ..trace.clone() }) {
+            Err(SimError::Replay(e)) => e,
+            other => panic!("edited trace must desynchronize, got {other:?}"),
+        }
+    };
+
+    // One delivery more than there were fires.
+    let mut ops = trace.ops.clone();
+    ops.insert(last_deliver + 1, TraceOp::Deliver { lane: 0, region: 0 });
+    let e = replay_error(ops);
+    assert_eq!(
+        (e.op, e.message.as_str()),
+        (last_deliver + 1, "delivery with no fired result in flight")
+    );
+
+    // A systolic region's result is not a temporal retirement's to take,
+    // nor is a region the configuration does not have.
+    for wrong in
+        [TraceOp::RetireTemp { lane: 0, region: 0 }, TraceOp::Deliver { lane: 0, region: 9 }]
+    {
+        let mut ops = trace.ops.clone();
+        ops.insert(first_fire + 1, wrong);
+        let e = replay_error(ops);
+        assert_eq!(
+            (e.op, e.message.as_str()),
+            (first_fire + 1, "delivery with no fired result in flight"),
+            "{wrong:?}"
+        );
+    }
+
+    // Reconfiguring over a fired, undelivered result.
+    let mut ops = trace.ops.clone();
+    ops.insert(first_fire + 1, TraceOp::Configure { lane: 0, config: 0 });
+    let e = replay_error(ops);
+    assert_eq!(
+        (e.op, e.message.as_str()),
+        (first_fire + 1, "reconfigure with undelivered region outputs")
+    );
+
+    // The trace ends with a result still in flight.
+    let mut ops = trace.ops.clone();
+    ops.truncate(first_fire + 1);
+    let e = replay_error(ops);
+    assert_eq!(
+        (e.op, e.message.as_str()),
+        (first_fire + 1, "undelivered region outputs at end of trace")
+    );
+}
+
 /// The anti-vacuity pin (ISSUE 7 satellite): a program whose stream
 /// lengths are *data*-dependent (a `Dyn` bind reading a word of the
 /// dataset) must (a) be refused by the obliviousness certifier, and
