@@ -3,13 +3,14 @@
 //!
 //! A [`Context`] specializes each vector command onto every lane it
 //! targets and slices the resulting per-lane command streams into
-//! *segments* (one per `Configure`) and *epochs* (sub-slices separated by
-//! `Wait`/`BarrierScratch`, the scratchpad synchronization points).
+//! *segments* (one per `Configure`). The scratchpad hazard lint further
+//! tags each access with its *epoch* (the count of `Wait`/`BarrierScratch`
+//! synchronization points before it in its segment).
 
 use revel_fabric::RevelConfig;
-use revel_isa::{LaneHop, LaneId, MemTarget, StreamCommand};
+use revel_isa::{LaneHop, LaneId, StreamCommand};
 use revel_prog::{ControlStep, RevelProgram};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One specialized command: the control-step index it came from plus the
 /// lane-specialized form (lane address scaling applied).
@@ -32,24 +33,6 @@ pub struct Segment {
     pub configure_index: usize,
     /// Data/sync commands of the segment (the `Configure` itself excluded).
     pub cmds: Vec<Cmd>,
-}
-
-impl Segment {
-    /// Splits the segment at its synchronization commands: `Wait` drains
-    /// all streams and `BarrierScratch` orders scratchpad traffic, so
-    /// accesses in different epochs cannot race.
-    pub fn epochs(&self) -> Vec<&[Cmd]> {
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        for (i, c) in self.cmds.iter().enumerate() {
-            if matches!(c.cmd, StreamCommand::Wait | StreamCommand::BarrierScratch) {
-                out.push(&self.cmds[start..i]);
-                start = i + 1;
-            }
-        }
-        out.push(&self.cmds[start..]);
-        out
-    }
 }
 
 /// One lane's view of the control program.
@@ -179,11 +162,13 @@ fn compute_traffic(lanes: &[LaneView], num_lanes: usize) -> Vec<Vec<PortTraffic>
 
 /// The word addresses a lane-specialized load/store touches, as an exact
 /// set when the pattern is small and as a dense range otherwise. Used by
-/// the scratchpad hazard lints for overlap tests.
-#[derive(Debug, Clone)]
+/// the scratchpad hazard lints for overlap tests. Equal sets compare and
+/// hash equal, so the lint can intern them.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AddrSet {
-    /// Every distinct address (patterns up to `EXACT_ADDR_LIMIT` elems).
-    Exact(BTreeSet<i64>),
+    /// Every distinct address (patterns up to `EXACT_ADDR_LIMIT` elems),
+    /// strictly ascending: [`AddrSet::overlaps`] merges and bisects it.
+    Exact(Vec<i64>),
     /// Conservative `[lo, hi]` bounding range.
     Range(i64, i64),
 }
@@ -191,19 +176,31 @@ pub enum AddrSet {
 /// Patterns with at most this many elements get exact address sets.
 pub const EXACT_ADDR_LIMIT: i64 = 1 << 14;
 
+#[cfg(test)]
+thread_local! {
+    /// Exact (past the bounding-range rejection) set-vs-set comparisons
+    /// this thread has made; the complexity guard in `scratch` reads it.
+    pub(crate) static EXACT_OVERLAP_TESTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl AddrSet {
     /// Builds the address set of an affine pattern.
     pub fn of(pattern: &revel_isa::AffinePattern) -> Option<AddrSet> {
         let (lo, hi) = pattern.addr_range()?;
         if pattern.total_elems() <= EXACT_ADDR_LIMIT {
-            Some(AddrSet::Exact(pattern.iter().map(|e| e.offset).collect()))
+            // Stream order is not address order (negative strides, rows
+            // that interleave or revisit), so sort and drop repeats.
+            let mut addrs: Vec<i64> = pattern.iter().map(|e| e.offset).collect();
+            addrs.sort_unstable();
+            addrs.dedup();
+            Some(AddrSet::Exact(addrs))
         } else {
             Some(AddrSet::Range(lo, hi))
         }
     }
 
     /// The `[lo, hi]` bounding range (empty sets yield an empty range).
-    fn bounds(&self) -> (i64, i64) {
+    pub(crate) fn bounds(&self) -> (i64, i64) {
         match self {
             AddrSet::Exact(s) => (s.first().copied().unwrap_or(0), s.last().copied().unwrap_or(-1)),
             AddrSet::Range(lo, hi) => (*lo, *hi),
@@ -212,80 +209,41 @@ impl AddrSet {
 
     /// True if the two sets share at least one address.
     pub fn overlaps(&self, other: &AddrSet) -> bool {
-        // Cheap bounding-range rejection first: the hazard lints compare
-        // accesses pairwise, and almost all pairs (different columns,
-        // different buffers) have disjoint ranges.
+        // Cheap bounding-range rejection first: most distinct sets
+        // (different columns, different buffers) have disjoint ranges.
         let (a0, a1) = self.bounds();
         let (b0, b1) = other.bounds();
         if a0 > b1 || b0 > a1 {
             return false;
         }
+        #[cfg(test)]
+        EXACT_OVERLAP_TESTS.with(|n| n.set(n.get() + 1));
         match (self, other) {
             (AddrSet::Exact(a), AddrSet::Exact(b)) => {
-                // Iterate the smaller set.
-                let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-                small.iter().any(|x| big.contains(x))
+                let (mut i, mut j) = (0, 0);
+                while i < a.len() && j < b.len() {
+                    match a[i].cmp(&b[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => return true,
+                    }
+                }
+                false
             }
             (AddrSet::Exact(a), AddrSet::Range(lo, hi))
-            | (AddrSet::Range(lo, hi), AddrSet::Exact(a)) => a.range(*lo..=*hi).next().is_some(),
-            (AddrSet::Range(a0, a1), AddrSet::Range(b0, b1)) => a0 <= b1 && b0 <= a1,
+            | (AddrSet::Range(lo, hi), AddrSet::Exact(a)) => {
+                a.get(a.partition_point(|x| x < lo)).is_some_and(|x| x <= hi)
+            }
+            (AddrSet::Range(..), AddrSet::Range(..)) => true, // the bounds are the sets
         }
     }
-}
-
-/// A memory access extracted from a command, for the hazard lints.
-#[derive(Debug, Clone)]
-pub struct MemAccess {
-    /// Control-step index.
-    pub index: usize,
-    /// True for stores.
-    pub is_store: bool,
-    /// Which scratchpad.
-    pub target: MemTarget,
-    /// Addresses touched.
-    pub addrs: AddrSet,
-    /// For loads: the in-port fed. For stores: the out-port drained.
-    pub port: u8,
-}
-
-/// Extracts the scratchpad accesses of one epoch on one lane.
-pub fn epoch_accesses(cmds: &[Cmd]) -> Vec<MemAccess> {
-    let mut out = Vec::new();
-    for c in cmds {
-        match &c.cmd {
-            StreamCommand::Load { target, pattern, dst, .. } => {
-                if let Some(addrs) = AddrSet::of(pattern) {
-                    out.push(MemAccess {
-                        index: c.index,
-                        is_store: false,
-                        target: *target,
-                        addrs,
-                        port: dst.0,
-                    });
-                }
-            }
-            StreamCommand::Store { src, target, pattern, .. } => {
-                if let Some(addrs) = AddrSet::of(pattern) {
-                    out.push(MemAccess {
-                        index: c.index,
-                        is_store: true,
-                        target: *target,
-                        addrs,
-                        port: src.0,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use revel_isa::{
-        AffinePattern, ConfigId, InPortId, LaneMask, OutPortId, RateFsm, VectorCommand,
+        AffinePattern, ConfigId, InPortId, LaneMask, MemTarget, OutPortId, RateFsm, VectorCommand,
     };
 
     fn two_region_program() -> RevelProgram {
@@ -330,39 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn epochs_split_at_sync() {
-        let mut p = two_region_program();
-        push(&mut p, 1, StreamCommand::Configure { config: ConfigId(0) });
-        push(
-            &mut p,
-            1,
-            StreamCommand::load(
-                MemTarget::Private,
-                AffinePattern::linear(0, 4),
-                InPortId(0),
-                RateFsm::ONCE,
-            ),
-        );
-        push(&mut p, 1, StreamCommand::BarrierScratch);
-        push(
-            &mut p,
-            1,
-            StreamCommand::store(
-                OutPortId(6),
-                MemTarget::Private,
-                AffinePattern::linear(0, 4),
-                RateFsm::ONCE,
-            ),
-        );
-        let cfg = RevelConfig::single_lane();
-        let ctx = Context::new(&p, &cfg);
-        let epochs = ctx.lanes[0].segments[0].epochs();
-        assert_eq!(epochs.len(), 2);
-        assert_eq!(epochs[0].len(), 1);
-        assert_eq!(epochs[1].len(), 1);
-    }
-
-    #[test]
     fn right_xfer_credits_neighbor_lane() {
         let mut p = two_region_program();
         push(&mut p, 2, StreamCommand::Configure { config: ConfigId(0) });
@@ -389,5 +314,54 @@ mod tests {
         assert!(even.overlaps(&dense));
         let big = AddrSet::Range(0, 100);
         assert!(big.overlaps(&odd));
+        // A range bisects an exact set: between two elements is a miss.
+        assert!(!AddrSet::Range(5, 5).overlaps(&even));
+        assert!(AddrSet::Range(5, 6).overlaps(&even));
+        assert!(!AddrSet::Range(15, 40).overlaps(&even));
+        assert!(!AddrSet::Exact(Vec::new()).overlaps(&AddrSet::Range(-5, 5)));
+    }
+
+    fn exact(p: &AffinePattern) -> Vec<i64> {
+        match AddrSet::of(p).unwrap() {
+            AddrSet::Exact(v) => v,
+            AddrSet::Range(..) => panic!("{p:?} is small enough to be exact"),
+        }
+    }
+
+    #[test]
+    fn exact_sets_are_sorted_and_deduplicated() {
+        // Descending stride: stream order is the reverse of address order.
+        assert_eq!(exact(&AffinePattern::strided(10, -2, 4)), [4, 6, 8, 10]);
+        // Rows that step backwards and overlap each other.
+        assert_eq!(exact(&AffinePattern::two_d(8, 1, -2, 4, 3, 0)), [4, 5, 6, 7, 8, 9, 10, 11]);
+        // A zero outer stride revisits the same row; a zero inner stride
+        // revisits one word.
+        assert_eq!(exact(&AffinePattern::two_d(3, 1, 0, 2, 5, 0)), [3, 4]);
+        assert_eq!(exact(&AffinePattern::strided(7, 0, 9)), [7]);
+        // Triangular rows interleaved by a stride shorter than the row.
+        let tri = exact(&AffinePattern::two_d(0, 3, 1, 4, 4, -1));
+        assert!(tri.windows(2).all(|w| w[0] < w[1]), "{tri:?}");
+        let mut want: Vec<i64> =
+            AffinePattern::two_d(0, 3, 1, 4, 4, -1).iter().map(|e| e.offset).collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(tri, want);
+        // Equal contents from different patterns are equal sets.
+        assert_eq!(
+            AddrSet::of(&AffinePattern::strided(10, -2, 4)),
+            AddrSet::of(&AffinePattern::strided(4, 2, 4))
+        );
+    }
+
+    #[test]
+    fn patterns_above_the_limit_become_ranges() {
+        let at = AffinePattern::linear(0, EXACT_ADDR_LIMIT);
+        let above = AffinePattern::strided(0, 2, EXACT_ADDR_LIMIT + 1);
+        assert!(matches!(AddrSet::of(&at), Some(AddrSet::Exact(_))));
+        assert_eq!(AddrSet::of(&above), Some(AddrSet::Range(0, 2 * EXACT_ADDR_LIMIT)));
+        assert_eq!(AddrSet::of(&AffinePattern::linear(0, 0)), None);
+        // The range is conservative: it covers the odd words the stride skips.
+        let odd = AddrSet::of(&AffinePattern::strided(1, 2, 8)).unwrap();
+        assert!(AddrSet::of(&above).unwrap().overlaps(&odd));
     }
 }

@@ -59,9 +59,7 @@ mod sched;
 mod scratch;
 
 pub use conservation::Conservation;
-pub use context::{
-    epoch_accesses, AddrSet, Cmd, Context, LaneView, MemAccess, PortTraffic, Segment,
-};
+pub use context::{AddrSet, Cmd, Context, LaneView, PortTraffic, Segment};
 pub use diag::{has_errors, Code, Diagnostic, Location, Severity};
 pub use hygiene::{CommandStructure, DfgHygiene};
 pub use oblivious::{certify, Oblivious, ObliviousnessCert, Taint};
