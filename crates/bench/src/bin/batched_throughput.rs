@@ -1,28 +1,29 @@
-//! Batched-throughput benchmark: the "one timing run, N datasets" lever
-//! measured end to end.
+//! Batched-replay gate: the "one timing run, N datasets" lever checked end
+//! to end.
 //!
 //! For each certified cell the sweep runs every batch size twice — once as
 //! N independent full simulations (the baseline any cache-less server
 //! would pay) and once through `engine::run_batched` (one cycle-accurate
-//! timing walk, N functional replays) — and checks three things:
+//! timing walk, N functional replays) — and checks two things:
 //!
 //! * **byte-equality**: every replayed lane's canonical report text,
 //!   per-lane cycle breakdown, cycle count, and verification verdict match
 //!   its independent full simulation exactly;
 //! * **path proof**: the engine's `batched_replays` counter moves by
 //!   exactly the lane count (the batch really took the replay path, the
-//!   same counter-delta style as `fault_bypasses`);
-//! * **speedup**: wall-clock full/batched ratio per batch size, with an
-//!   optional `--min-speedup` floor on the best batch-64 ratio.
+//!   same counter-delta style as `fault_bypasses`).
+//!
+//! The wall-clock full/batched ratio is printed per batch size for the
+//! reader; the bounded measurement of it is the benchmark's `batch_replay`
+//! workload (`benchmark/README.md`).
 //!
 //! ```text
 //! batched_throughput                     # small suite on revel, batch {1, 8, 64}
 //! batched_throughput --subset            # two-cell CI smoke (solver + cholesky)
-//! batched_throughput --min-speedup 5.0   # gate: best batch-64 speedup >= 5x
 //! ```
 //!
-//! Any lane divergence, a batch that falls off the replay path, or a
-//! missed speedup floor prints a diagnosis and exits nonzero.
+//! Any lane divergence or a batch that falls off the replay path prints a
+//! diagnosis and exits nonzero.
 
 use revel_core::compiler::BuildCfg;
 use revel_core::engine;
@@ -127,7 +128,6 @@ fn sweep_cell(bench: Bench, cfg: &BuildCfg) -> (Vec<BatchPoint>, Vec<String>) {
 
 fn main() {
     let mut subset = false;
-    let mut min_speedup: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -135,12 +135,6 @@ fn main() {
             "--jobs" | "-j" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) => engine::set_jobs(n),
                 None => usage(),
-            },
-            "--min-speedup" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                // Same loud-rejection rule as the client's float flags: a
-                // NaN floor would make every `>=` gate silently pass.
-                Some(f) if f.is_finite() && f > 0.0 => min_speedup = Some(f),
-                _ => usage(),
             },
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -165,7 +159,6 @@ fn main() {
     );
 
     let mut all_failures = Vec::new();
-    let mut best_batch64 = 0.0f64;
     for bench in cells {
         let cfg = BuildCfg::revel(bench.lanes());
         let name = format!("{}-{} [revel]", bench.name(), bench.params());
@@ -179,9 +172,6 @@ fn main() {
                 p.speedup(),
                 p.cycles
             );
-            if p.batch == 64 {
-                best_batch64 = best_batch64.max(p.speedup());
-            }
         }
         for f in &failures {
             println!("  FAIL {name}: {f}");
@@ -189,13 +179,6 @@ fn main() {
         all_failures.extend(failures.into_iter().map(|f| format!("{name}: {f}")));
     }
 
-    println!("batched-throughput: best batch-64 speedup {best_batch64:.2}x");
-    if let Some(floor) = min_speedup {
-        if best_batch64 < floor {
-            all_failures
-                .push(format!("best batch-64 speedup {best_batch64:.2}x below floor {floor}x"));
-        }
-    }
     if !all_failures.is_empty() {
         for f in &all_failures {
             eprintln!("batched-throughput: FAIL {f}");
@@ -205,6 +188,6 @@ fn main() {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: batched_throughput [--subset] [--jobs N] [--min-speedup X]");
+    eprintln!("usage: batched_throughput [--subset] [--jobs N]");
     std::process::exit(2);
 }

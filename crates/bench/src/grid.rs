@@ -3,9 +3,9 @@
 //!
 //! Both consumers need the *same* cell list — the differential stepper gate
 //! (`sim_differential`) so its coverage claim is explicit, and the
-//! `revel_client` load generator so the serving benchmark exercises exactly
-//! the cells whose results are pinned by the batch path. Keeping one
-//! constructor here means the two can never drift.
+//! scenario runner (`{"grid": true}` mix entries) so served load exercises
+//! exactly the cells whose results are pinned by the batch path. Keeping
+//! one constructor here means the two can never drift.
 
 use revel_core::compiler::{AblationStep, BuildCfg};
 use revel_core::Bench;

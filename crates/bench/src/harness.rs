@@ -1,10 +1,10 @@
 //! A tiny wall-clock micro-benchmark harness.
 //!
 //! The workspace builds with no external crates, so Criterion is
-//! unavailable; this provides the small slice of it the `benches/` targets
-//! need: adaptive iteration counts, a warm-up pass, and a median-of-samples
-//! report. Statistical rigor is deliberately modest — these benches track
-//! infrastructure throughput across commits, not microarchitectural noise.
+//! unavailable; this provides a small slice of it for ad-hoc timing:
+//! adaptive iteration counts, a warm-up pass, and a median-of-samples
+//! report. Statistical rigor is deliberately modest. Numbers meant to be
+//! compared across commits belong in `benchmark/`, which bounds them.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -1,13 +1,14 @@
 //! # revel-bench — the experiment harness
 //!
-//! One binary per paper table/figure (see `src/bin/`) plus wall-clock
-//! microbenchmarks of the infrastructure itself (`benches/`, using the
-//! in-repo [`harness`]). Run everything with `cargo run -p revel-bench
-//! --bin all_experiments --release`.
+//! One binary per paper table/figure (see `src/bin/`); run everything with
+//! `cargo run -p revel-bench --bin all_experiments --release`. Wall-clock
+//! performance of the infrastructure itself is measured by the standalone
+//! `benchmark/` package; [`harness`] is a small stopwatch for ad-hoc
+//! timing.
 //!
 //! The [`grid`] module defines the shared evaluation grid (workload ×
 //! architecture cells) consumed by both the differential stepper gate and
-//! the `revel-serve` load generator.
+//! the `revel-serve` scenario runner.
 
 #![forbid(unsafe_code)]
 

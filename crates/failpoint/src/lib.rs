@@ -7,8 +7,8 @@
 //! single relaxed atomic load and a never-taken branch, so the
 //! instrumented binary is the shipped binary. A torture harness arms
 //! sites with an [`Action`] — return an injected [`std::io::Error`],
-//! sleep, or hard-abort the process at that exact instruction — and the
-//! same binary now fails exactly where the schedule says it must.
+//! sleep, panic, or hard-abort the process at that exact instruction —
+//! and the same binary now fails exactly where the schedule says it must.
 //!
 //! Arms are scoped three ways:
 //!
@@ -20,16 +20,17 @@
 //!   same site without tripping each other: each filters on its own
 //!   unique temp dir or port.
 //! * **by hit count** — `@N` fires on exactly the Nth hit, `@N+` on
-//!   every hit from the Nth on. The trigger is how a schedule says
-//!   "crash on the *third* append", and the `+` form is how a flapping
-//!   shard keeps crashing after every respawn.
+//!   every hit from the Nth on, `@%N` on every Nth hit. The trigger is
+//!   how a schedule says "crash on the *third* append", the `+` form is
+//!   how a flapping shard keeps crashing after every respawn, and the
+//!   `%` form is how a drill says "fail one job in ten".
 //!
 //! Cross-process arming uses the [`ENV_VAR`] environment variable: a
 //! supervisor sets `REVEL_FAILPOINTS=persist.append.mid-write=abort@2`
 //! on a spawned shard and the shard's [`init_from_env`] arms it at
 //! startup. The spec grammar is
-//! `site[#filter]=action[@N[+]] [; more]` with actions `err`, `abort`,
-//! and `delay:MS`.
+//! `site[#filter]=action[@N[+]|@%N] [; more]` with actions `err`,
+//! `panic`, `abort`, and `delay:MS`.
 //!
 //! [`FailPlan::from_seed`] derives a deterministic crash schedule from a
 //! seed — same seed, same site, same action, same trigger — which is
@@ -50,6 +51,9 @@ pub enum Action {
     InjectError,
     /// Sleep for the given number of milliseconds, then succeed.
     Delay(u64),
+    /// Panic at the site: the stand-in for a bug in the code that follows,
+    /// caught by whatever unwind fence guards the real thing.
+    Panic,
     /// Hard-abort the process at the site — no destructors, no flush;
     /// the closest safe stand-in for power loss at that instruction.
     Abort,
@@ -60,7 +64,29 @@ impl std::fmt::Display for Action {
         match self {
             Action::InjectError => write!(f, "err"),
             Action::Delay(ms) => write!(f, "delay:{ms}"),
+            Action::Panic => write!(f, "panic"),
             Action::Abort => write!(f, "abort"),
+        }
+    }
+}
+
+/// Which of an arm's (1-based) hits fire its action.
+#[derive(Clone, Copy)]
+enum Trigger {
+    /// The Nth hit exactly (`@N`).
+    At(u64),
+    /// Every hit from the Nth on (`@N+`).
+    From(u64),
+    /// Every Nth hit (`@%N`).
+    Every(u64),
+}
+
+impl Trigger {
+    fn fires(self, hit: u64) -> bool {
+        match self {
+            Trigger::At(n) => hit == n,
+            Trigger::From(n) => hit >= n,
+            Trigger::Every(n) => hit.is_multiple_of(n),
         }
     }
 }
@@ -71,11 +97,7 @@ struct Arm {
     /// Context substring filter; empty matches every context.
     filter: String,
     action: Action,
-    /// 1-based hit index at which the action fires.
-    trigger: u64,
-    /// `true`: fire on every hit ≥ `trigger`; `false`: only on the
-    /// `trigger`-th hit exactly.
-    every_hit: bool,
+    trigger: Trigger,
     hits: u64,
 }
 
@@ -95,6 +117,9 @@ fn registry() -> std::sync::MutexGuard<'static, Vec<Arm>> {
 /// Returns `Ok(())` when unarmed (the common case — one relaxed atomic
 /// load), the injected error for an armed `err` action, `Ok(())` after
 /// sleeping for `delay`, and never for `abort`.
+///
+/// # Panics
+/// When an armed `panic` action fires — that is the action.
 #[inline]
 pub fn hit(site: &str) -> io::Result<()> {
     if !ARMED.load(Ordering::Relaxed) {
@@ -125,9 +150,7 @@ fn slow_hit(site: &str, ctx: &str) -> io::Result<()> {
                 continue;
             }
             arm.hits += 1;
-            let triggered =
-                if arm.every_hit { arm.hits >= arm.trigger } else { arm.hits == arm.trigger };
-            if triggered && fire.is_none() {
+            if arm.trigger.fires(arm.hits) && fire.is_none() {
                 fire = Some(arm.action);
             }
         }
@@ -141,6 +164,7 @@ fn slow_hit(site: &str, ctx: &str) -> io::Result<()> {
             std::thread::sleep(std::time::Duration::from_millis(ms));
             Ok(())
         }
+        Some(Action::Panic) => panic!("failpoint '{site}': injected panic"),
         Some(Action::Abort) => {
             eprintln!("failpoint '{site}': hard abort");
             std::process::abort();
@@ -152,15 +176,13 @@ fn slow_hit(site: &str, ctx: &str) -> io::Result<()> {
 /// (`every_hit` keeps it firing on every later hit too). A non-empty
 /// `filter` restricts the arm to contexts containing it as a substring.
 pub fn arm(site: &str, filter: &str, action: Action, trigger: u64, every_hit: bool) {
+    let n = trigger.max(1);
+    push_arm(site, filter, action, if every_hit { Trigger::From(n) } else { Trigger::At(n) });
+}
+
+fn push_arm(site: &str, filter: &str, action: Action, trigger: Trigger) {
     let mut reg = registry();
-    reg.push(Arm {
-        site: site.to_string(),
-        filter: filter.to_string(),
-        action,
-        trigger: trigger.max(1),
-        every_hit,
-        hits: 0,
-    });
+    reg.push(Arm { site: site.to_string(), filter: filter.to_string(), action, trigger, hits: 0 });
     ARMED.store(true, Ordering::Relaxed);
 }
 
@@ -194,8 +216,8 @@ pub fn armed() -> bool {
 }
 
 /// Parse and arm a `;`-separated spec string:
-/// `site[#filter]=action[@N[+]]` with actions `err`, `abort`,
-/// `delay:MS`. Returns the number of failpoints armed.
+/// `site[#filter]=action[@N[+]|@%N]` with actions `err`, `panic`,
+/// `abort`, `delay:MS`. Returns the number of failpoints armed.
 pub fn arm_spec(spec: &str) -> Result<usize, String> {
     let mut armed = 0usize;
     for part in spec.split(';') {
@@ -218,6 +240,7 @@ pub fn arm_spec(spec: &str) -> Result<usize, String> {
         };
         let action = match action_str {
             "err" => Action::InjectError,
+            "panic" => Action::Panic,
             "abort" => Action::Abort,
             other => match other.strip_prefix("delay:") {
                 Some(ms) => {
@@ -226,21 +249,23 @@ pub fn arm_spec(spec: &str) -> Result<usize, String> {
                 None => return Err(format!("'{part}': unknown action '{other}'")),
             },
         };
-        let (trigger, every_hit) = match trigger_str {
-            None => (1, true),
+        let trigger = match trigger_str {
+            None => Trigger::From(1),
             Some(t) => {
-                let (num, every) = match t.strip_suffix('+') {
-                    Some(n) => (n, true),
-                    None => (t, false),
-                };
+                let (num, form): (&str, fn(u64) -> Trigger) =
+                    match (t.strip_prefix('%'), t.strip_suffix('+')) {
+                        (Some(n), _) => (n, Trigger::Every),
+                        (None, Some(n)) => (n, Trigger::From),
+                        (None, None) => (t, Trigger::At),
+                    };
                 let n: u64 = num.parse().map_err(|_| format!("'{part}': bad trigger '{t}'"))?;
                 if n == 0 {
                     return Err(format!("'{part}': trigger is 1-based"));
                 }
-                (n, every)
+                form(n)
             }
         };
-        arm(site, filter, action, trigger, every_hit);
+        push_arm(site, filter, action, trigger);
         armed += 1;
     }
     Ok(armed)
@@ -396,28 +421,55 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "failpoint 'test.panic.site': injected panic")]
+    fn panic_action_panics_at_the_site() {
+        let f = unique_filter("panic");
+        arm("test.panic.site", &f, Action::Panic, 1, false);
+        let _ = hit_with("test.panic.site", || f.clone());
+    }
+
+    #[test]
+    fn periodic_trigger_fires_on_every_nth_hit() {
+        let f = unique_filter("periodic");
+        arm_spec(&format!("test.periodic.site#{f}=err@%3")).expect("valid spec");
+        let fired: Vec<bool> =
+            (0..7).map(|_| hit_with("test.periodic.site", || f.clone()).is_err()).collect();
+        assert_eq!(fired, [false, false, true, false, false, true, false]);
+        disarm("test.periodic.site", &f);
+    }
+
+    #[test]
     fn spec_grammar_parses_actions_filters_and_triggers() {
         let f = unique_filter("spec");
         let n = arm_spec(&format!(
-            "test.spec.a#{f}=err@2; test.spec.b#{f}=delay:5; test.spec.c#{f}=abort@4+"
+            "test.spec.a#{f}=err@2; test.spec.b#{f}=delay:5; test.spec.c#{f}=abort@4+; \
+             test.spec.d#{f}=panic@9"
         ))
         .expect("valid spec");
-        assert_eq!(n, 3);
+        assert_eq!(n, 4);
         let ctx = || f.clone();
         assert!(hit_with("test.spec.a", ctx).is_ok());
         assert!(hit_with("test.spec.a", ctx).is_err(), "err fires at hit 2");
         assert!(hit_with("test.spec.b", ctx).is_ok(), "delay with default @1+ fires and passes");
         // test.spec.c is abort@4 — do NOT hit it four times here.
-        for site in ["test.spec.a", "test.spec.b", "test.spec.c"] {
+        for site in ["test.spec.a", "test.spec.b", "test.spec.c", "test.spec.d"] {
             disarm(site, &f);
         }
     }
 
     #[test]
     fn bad_specs_are_rejected_with_a_reason() {
-        for bad in
-            ["noequals", "site=frobnicate", "site=err@0", "site=err@x", "site=delay:y", "=err"]
-        {
+        for bad in [
+            "noequals",
+            "site=frobnicate",
+            "site=err@0",
+            "site=err@x",
+            "site=delay:y",
+            "=err",
+            "site=err@%0",
+            "site=err@%",
+            "site=err@%3+",
+        ] {
             assert!(arm_spec(bad).is_err(), "spec '{bad}' must be rejected");
         }
     }
@@ -447,7 +499,7 @@ mod tests {
                     assert!(eio.contains(&a.site.as_str()));
                     saw_err = true;
                 }
-                Action::Delay(_) => panic!("from_seed never emits delay"),
+                Action::Delay(_) | Action::Panic => panic!("from_seed never emits {}", a.action),
             }
             // spec() round-trips through the grammar.
             let spec = a.spec();

@@ -20,7 +20,7 @@
 //! The router runs in-process (so the harness can SIGKILL a shard through
 //! the supervisor); the shards are real `revel_serve` processes.
 
-use revel_serve::client::{fmt_ms, percentile, Client};
+use revel_serve::client::Client;
 use revel_serve::fleet::placement::Ring;
 use revel_serve::fleet::router::route_fingerprint;
 use revel_serve::fleet::{Fleet, FleetConfig, Supervisor};
@@ -28,6 +28,7 @@ use revel_serve::protocol::{
     decode_request, encode_response, read_all_frames, EngineStatsWire, Request, Response,
 };
 use revel_serve::server::{Server, ServerConfig};
+use revel_traffic::report::percentile_us;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -118,47 +119,24 @@ fn fatal(msg: &str) -> ! {
     teardown_and_exit(1);
 }
 
-/// True for ops whose responses must be byte-identical between a
-/// standalone server and the fleet (control-plane answers legitimately
-/// differ: depth, roster, aggregation).
-fn is_work_plane(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Simulate { .. }
-            | Request::SimulateBatch { .. }
-            | Request::Lint { .. }
-            | Request::Compare { .. }
-            | Request::Sleep { .. }
-    )
-}
-
-/// Replays `frames` once; returns `id -> encoded response frame`,
-/// retrying retryable answers (overloaded, fleet_unavailable during a
-/// kill window) until a terminal one arrives.
-fn replay_once(
+/// One pass over `frames`, each driven to its terminal answer; returns
+/// `id -> encoded response frame` and pushes each frame's latency (µs,
+/// retries included) onto `latencies_us`.
+fn replay_pass(
     addr: &str,
     frames: &[String],
-    latencies: Option<&mut Vec<Duration>>,
+    mut latencies_us: Option<&mut Vec<u64>>,
 ) -> HashMap<u64, String> {
     let mut out = HashMap::new();
     let mut client =
         Client::connect(addr).unwrap_or_else(|e| fatal(&format!("connect {addr}: {e}")));
-    let mut lat = latencies;
     for frame in frames {
         let t0 = Instant::now();
-        let mut attempts = 0u32;
-        let (id, resp) = loop {
-            match client.request_raw(frame) {
-                Ok((_, resp)) if resp.is_retryable() && attempts < 100 => {
-                    attempts += 1;
-                    std::thread::sleep(Duration::from_millis(resp.retry_after_ms().unwrap_or(10)));
-                }
-                Ok(ok) => break ok,
-                Err(e) => fatal(&format!("replay frame failed against {addr}: {e}")),
-            }
-        };
-        if let Some(lat) = lat.as_deref_mut() {
-            lat.push(t0.elapsed());
+        let (id, resp) = client
+            .request_raw_until_terminal(frame)
+            .unwrap_or_else(|e| fatal(&format!("replay frame failed against {addr}: {e}")));
+        if let Some(lat) = latencies_us.as_deref_mut() {
+            lat.push(t0.elapsed().as_micros() as u64);
         }
         out.insert(id, encode_response(id, &resp));
     }
@@ -184,7 +162,7 @@ fn main() {
         .map(|f| decode_request(f).unwrap_or_else(|e| fatal(&format!("bad replay frame: {e}"))))
         .collect();
     let work_ids: Vec<u64> =
-        decoded.iter().filter(|(_, r)| is_work_plane(r)).map(|(id, _)| *id).collect();
+        decoded.iter().filter(|(_, r)| r.is_work_plane()).map(|(id, _)| *id).collect();
     gate(!work_ids.is_empty(), "replay file holds work-plane frames");
 
     // Ground truth: a standalone in-process server (the pre-fleet serving
@@ -199,7 +177,7 @@ fn main() {
     let standalone_addr = standalone.local_addr().expect("local addr").to_string();
     let standalone_thread =
         std::thread::spawn(move || standalone.serve().expect("standalone serves"));
-    let reference = replay_once(&standalone_addr, &frames, None);
+    let reference = replay_pass(&standalone_addr, &frames, None);
     let mut c = Client::connect(&standalone_addr).expect("connect for shutdown");
     let _ = c.request(&Request::Shutdown);
     standalone_thread.join().expect("standalone thread");
@@ -221,8 +199,6 @@ fn main() {
         queue_capacity: 32,
         snapshot_dir: Some(snapshot_dir.clone()),
         cache_capacity: None,
-        chaos_rate: 0.0,
-        chaos_seed: 0,
         max_restarts: revel_serve::fleet::DEFAULT_MAX_RESTARTS,
         failpoints: None,
         binary: serve_bin,
@@ -245,7 +221,7 @@ fn main() {
 
     // Gate 1: cold replay through the fleet is byte-identical to the
     // standalone server on every work-plane frame.
-    let cold = replay_once(&router_addr, &frames, None);
+    let cold = replay_pass(&router_addr, &frames, None);
     let cold_identical = work_ids.iter().all(|id| cold.get(id) == reference.get(id));
     gate(cold_identical, "cold fleet replay byte-identical to the standalone server");
 
@@ -254,7 +230,7 @@ fn main() {
         Client::connect(&router_addr).unwrap_or_else(|e| fatal(&format!("connect router: {e}")));
     let before = engine_stats(&mut control);
     let mut latencies = Vec::new();
-    let warm = replay_once(&router_addr, &frames, Some(&mut latencies));
+    let warm = replay_pass(&router_addr, &frames, Some(&mut latencies));
     let after = engine_stats(&mut control);
     gate(
         work_ids.iter().all(|id| warm.get(id) == reference.get(id)),
@@ -266,9 +242,10 @@ fn main() {
         if d_hits + d_misses == 0 { 0.0 } else { d_hits as f64 / (d_hits + d_misses) as f64 };
     println!("fleet-smoke: warm window: {d_hits} hit(s), {d_misses} miss(es) (rate {hit_rate:.3})");
     gate(hit_rate >= 0.80, "warm hit rate >= 0.80");
-    let p99 = percentile(&latencies, 99.0);
-    println!("fleet-smoke: warm p99 {}", fmt_ms(p99));
-    gate(p99 <= Duration::from_millis(250), "warm p99 <= 250ms");
+    latencies.sort_unstable();
+    let p99_us = percentile_us(&latencies, 99.0);
+    println!("fleet-smoke: warm p99 {:.3}ms", p99_us as f64 / 1e3);
+    gate(p99_us <= 250_000, "warm p99 <= 250ms");
 
     // Pick the victim: the shard that owns the replay's first cacheable
     // simulate cell (deterministic — the ring is a pure function of the
@@ -320,7 +297,7 @@ fn main() {
         let replayer = s.spawn(|| {
             (0..KILL_PASSES)
                 .map(|_| {
-                    let r = replay_once(&router_addr, &frames, None);
+                    let r = replay_pass(&router_addr, &frames, None);
                     passes_done.fetch_add(1, Ordering::SeqCst);
                     r
                 })

@@ -1,116 +1,34 @@
-//! Load generator and replay client for `revel_serve`.
+//! The scenario runner for `revel_serve`: the one way to offer load.
 //!
 //! ```text
-//! # closed-loop load over the 42-cell evaluation grid, 4 connections, 10 s
-//! revel_client --connections 4 --duration 10
-//!
-//! # rate-paced: 50 requests/second total across 8 connections
-//! revel_client --connections 8 --rps 50 --duration 30
-//!
-//! # replay a canned JSONL request file twice (CI smoke)
-//! revel_client --replay ci/smoke.jsonl --passes 2 --assert-hit-rate 0.9
-//!
-//! # batched: each grid request simulates 16 seeded datasets of its cell
-//! revel_client --connections 2 --duration 5 --batch 16
-//!
 //! # scripted storm: phased scenario file with pinned SLOs (exit 1 on miss)
 //! revel_client --scenario ci/scenarios/thundering_herd.json --seed 7
+//!
+//! # same seed, same bytes: dump every frame sent, diff two runs
+//! revel_client --scenario ci/scenarios/smoke.json --dump-requests dump.txt
 //! ```
 //!
-//! Prints a p50/p90/p99 latency histogram plus the server-reported engine
-//! cache hit rate over the measurement window (from `stats` deltas).
-//! `--assert-p99-ms` / `--assert-hit-rate` / `--assert-success-rate` turn
-//! the report into a gate: exit 1 when the floor is missed.
+//! A scenario file (`revel_traffic::scenario`, DESIGN.md §16) names the
+//! connections, the workload mix (grid cells, `"batch": N` lanes, or the
+//! whole grid), the phased arrival processes, the retry budget, scripted
+//! shard kills and the SLOs. The runner prints one JSON line per phase
+//! plus a human table — offered/ok/retries/late sends, p50/p90/p99
+//! measured from each request's *intended* send time
+//! (coordinated-omission correct), and the server-side cache window of
+//! each phase — and exits 1 listing every violated SLO.
 //!
-//! Rate-paced mode (`--rps`) is open-loop and coordinated-omission
-//! correct: every request has an *intended* send time on an absolute
-//! arrival grid fixed at start, latency is measured from that intended
-//! time, and sends that slip more than 1 ms behind the grid are counted
-//! as late (reported, so a saturated generator is visible instead of
-//! silently under-offering).
-//!
-//! Against a `--chaos` server, run with `--retries N`: each connection
-//! drives a self-healing `RetryClient` (capped exponential backoff with
-//! deterministic jitter, consecutive-failure circuit breaker) so injected
-//! faults surface as retries, not failed requests. `--seed` pins every
-//! random choice end-to-end — scenario arrivals, workload-mix sampling,
-//! and retry jitter (unless `--retry-seed` overrides the latter).
+//! `--seed` overrides the file's seed and pins every random choice end to
+//! end: arrivals, workload-mix sampling and retry jitter.
 
-use revel_bench::grid;
-use revel_serve::client::{
-    fmt_ms, percentile, CircuitBreaker, Client, ClientError, RetryClient, RetryPolicy,
-};
-use revel_serve::protocol::{decode_request, read_all_frames, EngineStatsWire, Request, Response};
 use revel_serve::scenario::{human_table, run, RunOptions};
 use revel_traffic::scenario::Scenario;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
-/// A rate-paced send this far behind its intended grid slot counts as
-/// late (mirrors the scenario engine's default `late_threshold_ms`).
-const LATE_THRESHOLD: Duration = Duration::from_millis(1);
-
-struct Args {
-    addr: String,
-    connections: usize,
-    rps: f64,
-    duration_s: f64,
-    batch: usize,
-    replay: Option<String>,
-    scenario: Option<String>,
-    seed: Option<u64>,
-    dump_requests: Option<String>,
-    passes: usize,
-    deadline_ms: Option<u64>,
-    retries: u32,
-    backoff_base_ms: u64,
-    backoff_cap_ms: u64,
-    retry_seed: Option<u64>,
-    breaker_threshold: u32,
-    breaker_cooldown_ms: u64,
-    assert_p99_ms: Option<f64>,
-    assert_hit_rate: Option<f64>,
-    assert_success_rate: Option<f64>,
-    assert_trace_hits: Option<u64>,
-    assert_evictions: Option<u64>,
-}
-
-impl Args {
-    /// The retry-jitter seed: `--retry-seed` wins, else `--seed` pins it
-    /// too (one flag reproduces the whole run), else 0.
-    fn jitter_seed(&self) -> u64 {
-        self.retry_seed.or(self.seed).unwrap_or(0)
-    }
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        addr: String::new(),
-        connections: 4,
-        rps: 0.0,
-        duration_s: 10.0,
-        batch: 1,
-        replay: None,
-        scenario: None,
-        seed: None,
-        dump_requests: None,
-        passes: 1,
-        deadline_ms: None,
-        retries: 1,
-        backoff_base_ms: 5,
-        backoff_cap_ms: 500,
-        retry_seed: None,
-        breaker_threshold: 5,
-        breaker_cooldown_ms: 200,
-        assert_p99_ms: None,
-        assert_hit_rate: None,
-        assert_success_rate: None,
-        assert_trace_hits: None,
-        assert_evictions: None,
-    };
+fn main() {
     let mut host = "127.0.0.1".to_string();
     let mut port = 7411u16;
+    let mut scenario_path: Option<String> = None;
+    let mut seed: Option<u64> = None;
+    let mut dump_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut val =
@@ -118,374 +36,25 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--host" => host = val("--host"),
             "--port" => port = parse(&val("--port"), "--port"),
-            "--connections" => a.connections = parse(&val("--connections"), "--connections"),
-            "--rps" => a.rps = parse_float(&val("--rps"), "--rps", 0.0, f64::MAX),
-            "--duration" => {
-                a.duration_s = parse_float(&val("--duration"), "--duration", 0.0, f64::MAX)
-            }
-            "--batch" => a.batch = parse(&val("--batch"), "--batch"),
-            "--replay" => a.replay = Some(val("--replay")),
-            "--scenario" => a.scenario = Some(val("--scenario")),
-            "--seed" => a.seed = Some(parse(&val("--seed"), "--seed")),
-            "--dump-requests" => a.dump_requests = Some(val("--dump-requests")),
-            "--passes" => a.passes = parse(&val("--passes"), "--passes"),
-            "--deadline-ms" => a.deadline_ms = Some(parse(&val("--deadline-ms"), "--deadline-ms")),
-            "--retries" => a.retries = parse(&val("--retries"), "--retries"),
-            "--backoff-base-ms" => {
-                a.backoff_base_ms = parse(&val("--backoff-base-ms"), "--backoff-base-ms");
-            }
-            "--backoff-cap-ms" => {
-                a.backoff_cap_ms = parse(&val("--backoff-cap-ms"), "--backoff-cap-ms");
-            }
-            "--retry-seed" => a.retry_seed = Some(parse(&val("--retry-seed"), "--retry-seed")),
-            "--breaker-threshold" => {
-                a.breaker_threshold = parse(&val("--breaker-threshold"), "--breaker-threshold");
-            }
-            "--breaker-cooldown-ms" => {
-                a.breaker_cooldown_ms =
-                    parse(&val("--breaker-cooldown-ms"), "--breaker-cooldown-ms");
-            }
-            "--assert-p99-ms" => {
-                a.assert_p99_ms =
-                    Some(parse_float(&val("--assert-p99-ms"), "--assert-p99-ms", 0.0, f64::MAX));
-            }
-            "--assert-hit-rate" => {
-                a.assert_hit_rate =
-                    Some(parse_float(&val("--assert-hit-rate"), "--assert-hit-rate", 0.0, 1.0));
-            }
-            "--assert-success-rate" => {
-                a.assert_success_rate = Some(parse_float(
-                    &val("--assert-success-rate"),
-                    "--assert-success-rate",
-                    0.0,
-                    1.0,
-                ));
-            }
-            "--assert-trace-hits" => {
-                a.assert_trace_hits =
-                    Some(parse(&val("--assert-trace-hits"), "--assert-trace-hits"));
-            }
-            "--assert-evictions" => {
-                a.assert_evictions = Some(parse(&val("--assert-evictions"), "--assert-evictions"));
-            }
+            "--scenario" => scenario_path = Some(val("--scenario")),
+            "--seed" => seed = Some(parse(&val("--seed"), "--seed")),
+            "--dump-requests" => dump_path = Some(val("--dump-requests")),
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag '{other}'")),
         }
     }
-    a.addr = format!("{host}:{port}");
-    a.connections = a.connections.max(1);
-    if a.batch == 0 {
-        usage("--batch needs at least 1 dataset lane");
-    }
-    a
-}
+    let path = scenario_path.unwrap_or_else(|| usage("--scenario FILE is required"));
 
-/// Parses a float flag, rejecting non-finite values and anything outside
-/// `[min, max]` **at parse time** — a NaN that reaches the percentile or
-/// gate math would otherwise report nonsense (NaN comparisons are all
-/// false, so `hit_rate < NaN` silently passes every gate).
-fn parse_float(s: &str, flag: &str, min: f64, max: f64) -> f64 {
-    let v: f64 = s.parse().unwrap_or_else(|_| usage(&format!("bad value '{s}' for {flag}")));
-    if !v.is_finite() || v < min || v > max {
-        let bound =
-            if max == f64::MAX { format!(">= {min}") } else { format!("in [{min}, {max}]") };
-        usage(&format!("{flag} must be finite and {bound}, got '{s}'"));
-    }
-    v
-}
-
-#[derive(Default)]
-struct Tally {
-    latencies: Mutex<Vec<Duration>>,
-    ok: AtomicU64,
-    timed_out: AtomicU64,
-    overloaded: AtomicU64,
-    errors: AtomicU64,
-    retries: AtomicU64,
-    breaker_opens: AtomicU64,
-    late_sends: AtomicU64,
-}
-
-impl Tally {
-    fn record(&self, started: Instant, resp: &Response) {
-        self.latencies.lock().expect("latency lock").push(started.elapsed());
-        match resp {
-            Response::Overloaded { .. } => self.overloaded.fetch_add(1, Ordering::Relaxed),
-            Response::TimedOut { .. } => self.timed_out.fetch_add(1, Ordering::Relaxed),
-            Response::Error { .. } => self.errors.fetch_add(1, Ordering::Relaxed),
-            _ => self.ok.fetch_add(1, Ordering::Relaxed),
-        };
-    }
-
-    fn total(&self) -> u64 {
-        self.ok.load(Ordering::Relaxed)
-            + self.timed_out.load(Ordering::Relaxed)
-            + self.overloaded.load(Ordering::Relaxed)
-            + self.errors.load(Ordering::Relaxed)
-    }
-}
-
-fn main() {
-    let args = parse_args();
-    if let Some(path) = &args.scenario {
-        scenario_mode(&args, path);
-    }
-    let mut gate_failures: Vec<String> = Vec::new();
-
-    // The measurement window is bracketed by server-side stats snapshots,
-    // so the hit rate reported is *of this run's traffic only*.
-    let mut control = Client::connect(&args.addr)
-        .unwrap_or_else(|e| fatal(&format!("cannot connect to {}: {e}", args.addr)));
-    let before = fetch_engine_stats(&mut control);
-
-    let tally = Tally::default();
-    let started = Instant::now();
-    if let Some(path) = &args.replay {
-        replay(&args, path, &tally);
-    } else {
-        grid_load(&args, &tally);
-    }
-    let wall = started.elapsed();
-
-    let after = fetch_engine_stats(&mut control);
-
-    let lat = tally.latencies.lock().expect("latency lock").clone();
-    let (p50, p90, p99) = (percentile(&lat, 50.0), percentile(&lat, 90.0), percentile(&lat, 99.0));
-    let total = tally.total();
-    println!(
-        "revel-client: {} request(s) in {:.2}s over {} connection(s)",
-        total,
-        wall.as_secs_f64(),
-        args.connections
-    );
-    println!(
-        "  outcomes: {} ok, {} timed_out, {} overloaded, {} error(s)",
-        tally.ok.load(Ordering::Relaxed),
-        tally.timed_out.load(Ordering::Relaxed),
-        tally.overloaded.load(Ordering::Relaxed),
-        tally.errors.load(Ordering::Relaxed),
-    );
-    let success_rate =
-        if total == 0 { 0.0 } else { tally.ok.load(Ordering::Relaxed) as f64 / total as f64 };
-    println!(
-        "  self-healing: {} retry(ies), {} breaker open(s), success rate {success_rate:.3}",
-        tally.retries.load(Ordering::Relaxed),
-        tally.breaker_opens.load(Ordering::Relaxed),
-    );
-    println!("  latency: p50 {}  p90 {}  p99 {}", fmt_ms(p50), fmt_ms(p90), fmt_ms(p99));
-    if args.rps > 0.0 {
-        // Open-loop honesty counter: sends that slipped behind the
-        // absolute arrival grid. Latency is measured from the *intended*
-        // slot either way (coordinated-omission correction), so late
-        // sends inflate the tail instead of hiding it.
-        println!(
-            "  open-loop pacing: {} send(s) more than {}ms behind the arrival grid",
-            tally.late_sends.load(Ordering::Relaxed),
-            LATE_THRESHOLD.as_millis(),
-        );
-    }
-
-    let d_hits = after.hits.saturating_sub(before.hits);
-    let d_misses = after.misses.saturating_sub(before.misses);
-    let d_evictions = after.evictions.saturating_sub(before.evictions);
-    let lookups = d_hits + d_misses;
-    let hit_rate = if lookups == 0 { 0.0 } else { d_hits as f64 / lookups as f64 };
-    println!(
-        "  engine cache over this window: {d_hits} hit(s), {d_misses} miss(es) \
-         (hit rate {hit_rate:.3}); {d_evictions} eviction(s) in window, {} total",
-        after.evictions
-    );
-    let d_disk_hits = after.disk_hits.saturating_sub(before.disk_hits);
-    if after.warm_start_entries > 0 || d_disk_hits > 0 {
-        println!(
-            "  persistent tier over this window: {d_disk_hits} disk hit(s); \
-             {} warm-start entr(ies), {} cold start(s) total",
-            after.warm_start_entries, after.disk_cold_starts
-        );
-    }
-
-    // Batched requests are served by the timing-trace cache, not the run
-    // cache, so their reuse shows up here rather than in the hit rate.
-    let d_trace_hits = after.trace_hits.saturating_sub(before.trace_hits);
-    let d_replays = after.batched_replays.saturating_sub(before.batched_replays);
-    println!(
-        "  batched trace cache over this window: {d_trace_hits} hit(s), \
-         {d_replays} lane replay(s)"
-    );
-
-    if let Some(floor) = args.assert_hit_rate {
-        if hit_rate < floor {
-            gate_failures.push(format!("hit rate {hit_rate:.3} below floor {floor:.3}"));
-        }
-    }
-    if let Some(floor) = args.assert_trace_hits {
-        if d_trace_hits < floor {
-            gate_failures.push(format!("{d_trace_hits} trace hit(s) below floor {floor}"));
-        }
-    }
-    if let Some(floor) = args.assert_evictions {
-        // Pins eviction behavior against a deliberately small
-        // --cache-capacity server: the bounded cache must actually evict.
-        if d_evictions < floor {
-            gate_failures.push(format!("{d_evictions} eviction(s) below floor {floor}"));
-        }
-    }
-    if let Some(ceil_ms) = args.assert_p99_ms {
-        let p99_ms = p99.as_secs_f64() * 1e3;
-        if p99_ms > ceil_ms {
-            gate_failures.push(format!("p99 {p99_ms:.3}ms above ceiling {ceil_ms:.3}ms"));
-        }
-    }
-    if let Some(floor) = args.assert_success_rate {
-        if success_rate < floor {
-            gate_failures.push(format!("success rate {success_rate:.3} below floor {floor:.3}"));
-        }
-    } else if tally.errors.load(Ordering::Relaxed) > 0 {
-        // Without an explicit success-rate floor, any error is fatal.
-        // Under chaos + retries, the floor replaces this blanket gate (a
-        // request can legitimately exhaust its retries).
-        gate_failures.push(format!(
-            "{} request(s) answered with errors",
-            tally.errors.load(Ordering::Relaxed)
-        ));
-    }
-    if !gate_failures.is_empty() {
-        for g in &gate_failures {
-            eprintln!("revel-client: GATE FAILED: {g}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn fetch_engine_stats(c: &mut Client) -> EngineStatsWire {
-    match c.request(&Request::Stats) {
-        Ok(Response::Stats { engine, .. }) => engine,
-        Ok(other) => fatal(&format!("stats request got {other:?}")),
-        Err(e) => fatal(&format!("stats request failed: {e}")),
-    }
-}
-
-/// Closed-loop (or rate-paced) load over the evaluation grid, round-robin
-/// across cells, fanned over `connections` self-healing client threads.
-/// Transport failures reconnect, retryable responses back off and retry
-/// (per `--retries`), and a connection never aborts the run: errors are
-/// tallied and the loop keeps offering load.
-fn grid_load(args: &Args, tally: &Tally) {
-    let cells = grid::evaluation_grid();
-    let reqs: Vec<Request> = cells
-        .iter()
-        .map(|c| {
-            if args.batch > 1 {
-                // Batched mode: one request simulates `--batch` seeded
-                // datasets of the cell (certified cells replay one timing
-                // walk; the rest fall back to full per-seed simulations).
-                Request::SimulateBatch {
-                    bench: c.bench.name().to_string(),
-                    params: c.bench.params(),
-                    arch: c.arch.to_string(),
-                    seeds: (1..=args.batch as u64).collect(),
-                }
-            } else {
-                Request::Simulate {
-                    bench: c.bench.name().to_string(),
-                    params: c.bench.params(),
-                    arch: c.arch.to_string(),
-                    deadline_ms: args.deadline_ms,
-                    max_cycles: None,
-                    reference_stepper: false,
-                    fault_seed: None,
-                    fault_count: None,
-                    fault_window: None,
-                }
-            }
-        })
-        .collect();
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs_f64(args.duration_s);
-    // Open-loop mode: the arrival grid is fixed at start. Connection c's
-    // k-th request is *intended* at start + (c + k·C)/rps, never
-    // re-derived from when the previous reply landed — a stalled server
-    // cannot shrink the offered load or flatter the tail (coordinated
-    // omission). Latency is measured from the intended slot; sends that
-    // slip behind the grid are counted.
-    let open_loop = args.rps > 0.0;
-    std::thread::scope(|s| {
-        for conn in 0..args.connections {
-            let reqs = &reqs;
-            s.spawn(move || {
-                // Per-connection jitter stream: deterministic for a fixed
-                // --retry-seed (or --seed), decorrelated across connections.
-                let policy = RetryPolicy {
-                    max_attempts: args.retries.max(1),
-                    base_ms: args.backoff_base_ms,
-                    cap_ms: args.backoff_cap_ms,
-                    seed: args.jitter_seed() ^ (conn as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                };
-                let breaker = CircuitBreaker::new(
-                    args.breaker_threshold,
-                    Duration::from_millis(args.breaker_cooldown_ms),
-                );
-                let mut client = RetryClient::new(&args.addr, policy, breaker);
-                // Stagger starting cells so connections don't convoy.
-                let mut i = conn;
-                let mut k = 0u64;
-                while Instant::now() < deadline {
-                    let intended = if open_loop {
-                        let offset = (conn as f64 + k as f64 * args.connections as f64) / args.rps;
-                        let slot = start + Duration::from_secs_f64(offset);
-                        let now = Instant::now();
-                        if slot > now {
-                            std::thread::sleep(slot - now);
-                        } else if now.duration_since(slot) > LATE_THRESHOLD {
-                            tally.late_sends.fetch_add(1, Ordering::Relaxed);
-                        }
-                        slot
-                    } else {
-                        Instant::now()
-                    };
-                    match client.request(&reqs[i % reqs.len()]) {
-                        Ok(resp) => tally.record(intended, &resp),
-                        Err(ClientError::CircuitOpen) => {
-                            // Fail-fast rejection: count it. Closed-loop
-                            // lets the cooldown elapse instead of
-                            // spinning; open-loop is paced by the grid.
-                            tally.errors.fetch_add(1, Ordering::Relaxed);
-                            if !open_loop {
-                                std::thread::sleep(Duration::from_millis(
-                                    args.breaker_cooldown_ms.max(1),
-                                ));
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("revel-client: connection {conn}: {e}");
-                            tally.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    i += args.connections;
-                    k += 1;
-                }
-                tally.retries.fetch_add(client.retries(), Ordering::Relaxed);
-                tally.breaker_opens.fetch_add(client.breaker().opened_total(), Ordering::Relaxed);
-            });
-        }
-    });
-}
-
-/// `--scenario` mode: parse and validate the file, expand the plan under
-/// `--seed` (or the file's seed), execute every phase, print one JSON
-/// summary line per phase plus a human table, and exit nonzero listing
-/// every violated SLO.
-fn scenario_mode(args: &Args, path: &str) -> ! {
-    let text = std::fs::read_to_string(path)
+    let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fatal(&format!("cannot read scenario file {path}: {e}")));
     let scenario = Scenario::parse(&text).unwrap_or_else(|e| fatal(&e.to_string()));
     let opts = RunOptions {
-        addr: args.addr.clone(),
-        seed_override: args.seed,
-        dump_requests: args.dump_requests.is_some(),
+        addr: format!("{host}:{port}"),
+        seed_override: seed,
+        dump_requests: dump_path.is_some(),
     };
     let report = run(&scenario, &opts).unwrap_or_else(|e| fatal(&e));
-    if let Some(dump_path) = &args.dump_requests {
+    if let Some(dump_path) = &dump_path {
         let mut dump = report.dump.join("\n");
         dump.push('\n');
         std::fs::write(dump_path, dump)
@@ -506,120 +75,12 @@ fn scenario_mode(args: &Args, path: &str) -> ! {
     for note in &report.event_notes {
         println!("  event: {note}");
     }
-    if report.violations.is_empty() {
-        std::process::exit(0);
-    }
     for v in &report.violations {
         eprintln!("revel-client: GATE FAILED: {v}");
     }
-    std::process::exit(1);
-}
-
-/// Replays a canned JSONL request file `passes` times, requests dealt
-/// round-robin across the connections within each pass.
-fn replay(args: &Args, path: &str, tally: &Tally) {
-    let file = std::fs::File::open(path)
-        .unwrap_or_else(|e| fatal(&format!("cannot open replay file {path}: {e}")));
-    let frames =
-        read_all_frames(std::io::BufReader::new(file)).unwrap_or_else(|e| fatal(&e.to_string()));
-    if frames.is_empty() {
-        fatal(&format!("replay file {path} holds no frames"));
+    if !report.violations.is_empty() {
+        std::process::exit(1);
     }
-    // With --retries > 1 the replay self-heals like the grid load does:
-    // frames are decoded up front (a replay file is trusted input — a
-    // frame that doesn't parse is a fatal config error, not load) and
-    // driven through a RetryClient per connection.
-    let decoded: Option<Vec<Request>> = if args.retries > 1 {
-        Some(
-            frames
-                .iter()
-                .map(|f| {
-                    decode_request(f)
-                        .unwrap_or_else(|e| fatal(&format!("replay frame does not parse: {e}")))
-                        .1
-                })
-                .collect(),
-        )
-    } else {
-        None
-    };
-    for _pass in 0..args.passes.max(1) {
-        std::thread::scope(|s| {
-            for conn in 0..args.connections {
-                let (frames, decoded) = (&frames, &decoded);
-                s.spawn(move || match decoded {
-                    Some(reqs) => replay_retrying(args, conn, reqs, tally),
-                    None => replay_raw(args, conn, frames, tally),
-                });
-            }
-        });
-    }
-}
-
-/// The legacy single-shot replay path: raw frames, byte-for-byte, no
-/// retries — a transport error aborts the connection.
-fn replay_raw(args: &Args, conn: usize, frames: &[String], tally: &Tally) {
-    let mut client = match Client::connect(&args.addr) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("revel-client: connection {conn}: {e}");
-            tally.errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    };
-    let mut i = conn;
-    while i < frames.len() {
-        let t0 = Instant::now();
-        match client.request_raw(&frames[i]) {
-            Ok((_id, resp)) => tally.record(t0, &resp),
-            Err(e) => {
-                eprintln!("revel-client: connection {conn}: {e}");
-                tally.errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        i += args.connections;
-    }
-}
-
-/// The self-healing replay path: same per-connection retry policy and
-/// breaker as the grid load, so a chaos server's injected faults surface
-/// as retries rather than failed requests.
-fn replay_retrying(args: &Args, conn: usize, reqs: &[Request], tally: &Tally) {
-    let policy = RetryPolicy {
-        max_attempts: args.retries.max(1),
-        base_ms: args.backoff_base_ms,
-        cap_ms: args.backoff_cap_ms,
-        seed: args.jitter_seed() ^ (conn as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    };
-    let breaker = CircuitBreaker::new(
-        args.breaker_threshold,
-        Duration::from_millis(args.breaker_cooldown_ms),
-    );
-    let mut client = RetryClient::new(&args.addr, policy, breaker);
-    let mut i = conn;
-    while i < reqs.len() {
-        let t0 = Instant::now();
-        match client.request(&reqs[i]) {
-            Ok(resp) => {
-                tally.record(t0, &resp);
-                i += args.connections;
-            }
-            Err(ClientError::CircuitOpen) => {
-                tally.errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(args.breaker_cooldown_ms.max(1)));
-                // Same frame again after the cooldown: a replay must
-                // offer every request, even through an open circuit.
-            }
-            Err(e) => {
-                eprintln!("revel-client: connection {conn}: {e}");
-                tally.errors.fetch_add(1, Ordering::Relaxed);
-                i += args.connections;
-            }
-        }
-    }
-    tally.retries.fetch_add(client.retries(), Ordering::Relaxed);
-    tally.breaker_opens.fetch_add(client.breaker().opened_total(), Ordering::Relaxed);
 }
 
 fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
@@ -636,13 +97,8 @@ fn usage(err: &str) -> ! {
         eprintln!("revel-client: {err}");
     }
     eprintln!(
-        "usage: revel_client [--host H] [--port P] [--connections N] [--rps R] [--duration S]\n\
-         \x20                 [--batch N] [--replay FILE] [--passes N] [--deadline-ms MS]\n\
-         \x20                 [--scenario FILE] [--seed N] [--dump-requests FILE]\n\
-         \x20                 [--retries N] [--backoff-base-ms MS] [--backoff-cap-ms MS]\n\
-         \x20                 [--retry-seed SEED] [--breaker-threshold N] [--breaker-cooldown-ms MS]\n\
-         \x20                 [--assert-p99-ms MS] [--assert-hit-rate F] [--assert-success-rate F]\n\
-         \x20                 [--assert-trace-hits N] [--assert-evictions N]"
+        "usage: revel_client --scenario FILE [--host H] [--port P] [--seed N] \
+         [--dump-requests FILE]"
     );
     std::process::exit(2);
 }

@@ -3,17 +3,24 @@
 //! ```text
 //! revel_serve                          # 127.0.0.1:7411, one worker/core
 //! revel_serve --port 7500 --workers 2 --queue 16 --cache-capacity 256
-//! revel_serve --chaos 0.1 --chaos-seed 7   # inject worker faults (10%)
 //! revel_serve --snapshot-dir /var/cache/revel   # persistent result cache
 //! revel_serve --shards 3 --snapshot-dir dir    # scale-out fleet frontend
+//! REVEL_FAILPOINTS='serve.worker.pre-run=err@%10' revel_serve   # fail 1 job in 10
 //! ```
 //!
 //! Speaks the JSON-lines protocol of `revel_serve::protocol` (DESIGN.md
 //! §11). SIGTERM/ctrl-c (or a `shutdown` request) drains in-flight work
 //! and exits 0 with a final stats line on stderr; a second signal during
-//! the drain force-exits with code 3. `--chaos R` makes each worker
-//! deterministically fail a fraction `R` of jobs (panic / delay /
-//! fault-plan simulation) so client retry logic can be drilled.
+//! the drain force-exits with code 3.
+//!
+//! Faults are injected through `REVEL_FAILPOINTS` (DESIGN.md §17), armed
+//! before anything else runs. The work path's site is
+//! `serve.worker.pre-run`, hit once per popped job inside the worker's
+//! unwind fence: `err` answers a retryable `injected_fault` (counted as
+//! `injected` on the shutdown line), `delay:MS` holds the worker and then
+//! serves the job, `panic` comes back as the `internal` error a real bug
+//! would, `abort` kills the process. `@%N` fires on every Nth job, so
+//! client retry logic can be drilled at a chosen rate.
 //!
 //! `--shards N` turns this process into a fleet frontend (DESIGN.md §15):
 //! it spawns N single-shard copies of itself on the next N ports, routes
@@ -58,8 +65,6 @@ fn main() {
             "--port" => port = parse(&val("--port"), "--port"),
             "--workers" => cfg.workers = parse(&val("--workers"), "--workers"),
             "--queue" => cfg.queue_capacity = parse(&val("--queue"), "--queue"),
-            "--chaos" => cfg.chaos_rate = parse(&val("--chaos"), "--chaos"),
-            "--chaos-seed" => cfg.chaos_seed = parse(&val("--chaos-seed"), "--chaos-seed"),
             "--cache-capacity" => {
                 cache_capacity = Some(parse(&val("--cache-capacity"), "--cache-capacity"));
             }
@@ -127,8 +132,6 @@ fn main() {
             queue_capacity: cfg.queue_capacity,
             snapshot_dir: snapshot_dir.clone(),
             cache_capacity,
-            chaos_rate: cfg.chaos_rate,
-            chaos_seed: cfg.chaos_seed,
             max_restarts: DEFAULT_MAX_RESTARTS,
             failpoints: None,
             binary: std::env::current_exe().unwrap_or_else(|e| {
@@ -155,18 +158,13 @@ fn main() {
         None
     };
 
-    let chaos = if cfg.chaos_rate > 0.0 {
-        format!(", chaos rate {} seed {}", cfg.chaos_rate, cfg.chaos_seed)
-    } else {
-        String::new()
-    };
     let role = match (shards, cfg.shard_id) {
         (n, _) if n > 0 => format!(", fleet frontend over {n} shard(s)"),
         (_, Some(id)) => format!(", shard {id}"),
         _ => String::new(),
     };
     eprintln!(
-        "revel-serve: listening on {addr} ({} worker(s), queue capacity {}, cache capacity {}{chaos}{role})",
+        "revel-serve: listening on {addr} ({} worker(s), queue capacity {}, cache capacity {}{role})",
         if cfg.workers == 0 { revel_core::engine::jobs() } else { cfg.workers },
         cfg.queue_capacity,
         revel_core::engine::cache_capacity(),
@@ -202,8 +200,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: revel_serve [--host H] [--port P] [--workers N] [--queue N] [--cache-capacity N] \
-         [--chaos RATE] [--chaos-seed SEED] [--conn-timeout SECS] [--shards N] [--shard-id I] \
-         [--snapshot-dir DIR]"
+         [--conn-timeout SECS] [--shards N] [--shard-id I] [--snapshot-dir DIR]"
     );
     std::process::exit(2);
 }

@@ -28,6 +28,7 @@
 //! diagnostics (observed restarts, cold-start counts) go to stderr.
 //! Exits 0 when every gate passes, 1 otherwise.
 
+use revel_core::isa::Rng;
 use revel_failpoint::{Action, FailPlan};
 use revel_serve::client::Client;
 use revel_serve::fleet::{Fleet, FleetConfig, ShardFailpoints, Supervisor};
@@ -143,41 +144,21 @@ fn fatal(msg: &str) -> ! {
     teardown_and_exit(1);
 }
 
-/// Ops whose responses must be byte-identical between a standalone
-/// server and the fleet, under every schedule.
-fn is_work_plane(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Simulate { .. }
-            | Request::SimulateBatch { .. }
-            | Request::Lint { .. }
-            | Request::Compare { .. }
-            | Request::Sleep { .. }
-    )
-}
-
-/// Replays `frames` once against `addr`; returns `id -> encoded response
-/// frame`, retrying retryable answers (overload, fleet_unavailable
-/// during a crash window) until a terminal one arrives.
-fn replay_once(addr: &str, frames: &[String]) -> HashMap<u64, String> {
-    let mut out = HashMap::new();
+/// One pass over `frames` against `addr`, each driven to its terminal
+/// answer (through overload and the `fleet_unavailable` of a crash
+/// window); returns `id -> encoded response frame`.
+fn replay_pass(addr: &str, frames: &[String]) -> HashMap<u64, String> {
     let mut client =
         Client::connect(addr).unwrap_or_else(|e| fatal(&format!("connect {addr}: {e}")));
-    for frame in frames {
-        let mut attempts = 0u32;
-        let (id, resp) = loop {
-            match client.request_raw(frame) {
-                Ok((_, resp)) if resp.is_retryable() && attempts < 200 => {
-                    attempts += 1;
-                    std::thread::sleep(Duration::from_millis(resp.retry_after_ms().unwrap_or(10)));
-                }
-                Ok(ok) => break ok,
-                Err(e) => fatal(&format!("replay frame failed against {addr}: {e}")),
-            }
-        };
-        out.insert(id, encode_response(id, &resp));
-    }
-    out
+    frames
+        .iter()
+        .map(|frame| {
+            let (id, resp) = client
+                .request_raw_until_terminal(frame)
+                .unwrap_or_else(|e| fatal(&format!("replay frame failed against {addr}: {e}")));
+            (id, encode_response(id, &resp))
+        })
+        .collect()
 }
 
 fn wait_for(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -208,16 +189,6 @@ fn mode_of(plan: &FailPlan) -> &'static str {
     }
 }
 
-/// Same generator as the failpoint crate's plan derivation, used here on
-/// an independent stream to pick the victim shard.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One torture schedule: fresh fleet, one armed victim, replay, gates.
 /// Returns the deterministic summary line.
 #[allow(clippy::too_many_arguments)]
@@ -232,8 +203,9 @@ fn run_schedule(
     let seed = args.seed.wrapping_add(idx);
     let plan = FailPlan::from_seed(seed, CRASH_SITES, EIO_SITES, FLAP_SITE);
     let mode = mode_of(&plan);
-    let mut victim_state = seed ^ 0xd6e8_feb8_6659_fd93;
-    let victim = (splitmix64(&mut victim_state) % args.shards as u64) as usize;
+    // The victim comes from its own stream, independent of the plan's.
+    let victim =
+        (Rng::seed_from_u64(seed ^ 0xd6e8_feb8_6659_fd93).next_u64() % args.shards as u64) as usize;
     let base_port = args.port + (idx as u16) * (args.shards as u16 + 1);
     let snapshot_dir =
         std::env::temp_dir().join(format!("revel-torture-{}-{idx}", std::process::id()));
@@ -254,8 +226,6 @@ fn run_schedule(
         queue_capacity: 32,
         snapshot_dir: Some(snapshot_dir.clone()),
         cache_capacity: None,
-        chaos_rate: 0.0,
-        chaos_seed: 0,
         max_restarts: args.max_restarts,
         failpoints: Some(ShardFailpoints {
             shard: victim,
@@ -291,7 +261,7 @@ fn run_schedule(
     // Invariant 1, passes A (cold) and B (warm): byte-identity to the
     // standalone reference across whatever the plan does mid-replay.
     for pass in ["cold", "warm"] {
-        let got = replay_once(&router_addr, frames);
+        let got = replay_pass(&router_addr, frames);
         gate(
             work_ids.iter().all(|id| got.get(id) == reference.get(id)),
             idx,
@@ -363,7 +333,7 @@ fn run_schedule(
 
     // Pass C: after convergence, the settled fleet (respawned victim,
     // warm disk tiers, or reduced ring) still answers byte-identically.
-    let settled = replay_once(&router_addr, frames);
+    let settled = replay_pass(&router_addr, frames);
     gate(
         work_ids.iter().all(|id| settled.get(id) == reference.get(id)),
         idx,
@@ -402,7 +372,7 @@ fn main() {
         .map(|f| decode_request(f).unwrap_or_else(|e| fatal(&format!("bad replay frame: {e}"))))
         .collect();
     let work_ids: Vec<u64> =
-        decoded.iter().filter(|(_, r)| is_work_plane(r)).map(|(id, _)| *id).collect();
+        decoded.iter().filter(|(_, r)| r.is_work_plane()).map(|(id, _)| *id).collect();
     if work_ids.is_empty() {
         fatal("replay file holds no work-plane frames");
     }
@@ -424,7 +394,7 @@ fn main() {
     let standalone_addr = standalone.local_addr().expect("local addr").to_string();
     let standalone_thread =
         std::thread::spawn(move || standalone.serve().expect("standalone serves"));
-    let reference = replay_once(&standalone_addr, &frames);
+    let reference = replay_pass(&standalone_addr, &frames);
     let mut c = Client::connect(&standalone_addr).expect("connect for shutdown");
     let _ = c.request(&Request::Shutdown);
     standalone_thread.join().expect("standalone thread");

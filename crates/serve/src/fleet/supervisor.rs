@@ -71,11 +71,6 @@ pub struct FleetConfig {
     pub snapshot_dir: Option<PathBuf>,
     /// Memory-cache capacity per shard (`None` keeps the default).
     pub cache_capacity: Option<usize>,
-    /// Chaos rate forwarded to each shard (the router runs chaos-free;
-    /// faults belong where work executes).
-    pub chaos_rate: f64,
-    /// Chaos seed base; shard `i` gets `chaos_seed + i`.
-    pub chaos_seed: u64,
     /// Consecutive respawns without a healthy probe before the restart
     /// circuit opens and the shard is permanently evicted
     /// ([`DEFAULT_MAX_RESTARTS`] by default).
@@ -311,12 +306,6 @@ fn spawn_shard(cfg: &FleetConfig, id: usize, spawn_no: u64) -> std::io::Result<C
     }
     if let Some(cap) = cfg.cache_capacity {
         cmd.arg("--cache-capacity").arg(cap.to_string());
-    }
-    if cfg.chaos_rate > 0.0 {
-        cmd.arg("--chaos")
-            .arg(cfg.chaos_rate.to_string())
-            .arg("--chaos-seed")
-            .arg((cfg.chaos_seed + id as u64).to_string());
     }
     // Never let a spec in the frontend's own environment leak into every
     // shard; the victim (and only the victim) gets its plan explicitly.

@@ -23,10 +23,12 @@
 //!   admission, drains in-flight work, joins every worker, and emits a
 //!   final stats line; in-flight clients get their answers.
 //!
-//! The companion `revel_client` binary doubles as the load generator for
-//! the serving benchmark (EXPERIMENTS.md): closed-loop or rate-paced load
-//! over the 42-cell evaluation grid with a p50/p90/p99 latency report and
-//! the server-side cache hit rate.
+//! Load is offered one way: the companion `revel_client` binary runs a
+//! [`scenario`] file (phased arrival processes over a workload mix, with
+//! pinned SLOs) and reports per-phase coordinated-omission-correct
+//! latency plus the server-side cache window. Faults are injected one
+//! way: `REVEL_FAILPOINTS` arms named sites (`revel_failpoint`), the work
+//! path's being `serve.worker.pre-run` inside the worker's unwind fence.
 //!
 //! [`SimOptions::wall_deadline`]: revel_core::sim::SimOptions
 

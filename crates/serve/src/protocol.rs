@@ -115,6 +115,24 @@ pub enum Request {
     },
 }
 
+impl Request {
+    /// True for ops that go through the bounded queue to a worker, whose
+    /// answers are pure functions of the request — and so must be
+    /// byte-identical between a standalone server and a fleet.
+    /// Control-plane answers (depth, roster, aggregated counters)
+    /// legitimately differ.
+    pub fn is_work_plane(&self) -> bool {
+        matches!(
+            self,
+            Request::Simulate { .. }
+                | Request::SimulateBatch { .. }
+                | Request::Lint { .. }
+                | Request::Compare { .. }
+                | Request::Sleep { .. }
+        )
+    }
+}
+
 /// Engine-cache counters on the wire (mirrors
 /// `revel_core::engine::CacheStats`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -312,9 +330,9 @@ pub enum Response {
         /// Rendered diagnostics.
         diagnostics: Vec<String>,
     },
-    /// A simulation that carried a fault plan (explicit `fault_seed` or a
-    /// chaos-mode injection). Never a trusted result: the client is
-    /// expected to inspect the counts or retry without the plan.
+    /// A simulation that carried a fault plan (an explicit `fault_seed`).
+    /// Never a trusted result: the client is expected to inspect the
+    /// counts or retry without the plan.
     Faulted {
         /// Cycles executed.
         cycles: u64,

@@ -1,4 +1,4 @@
-//! The `--scenario` runner: drives a [`revel_traffic`] scenario plan
+//! The scenario runner: drives a [`revel_traffic`] scenario plan
 //! against a live `revel_serve` (standalone or fleet frontend) over the
 //! JSON-lines protocol.
 //!
@@ -232,9 +232,9 @@ fn simulate(bench: &str, params: &str, arch: &str) -> Request {
     }
 }
 
-/// Classify a protocol reply for the lane state machine. Mirrors the
-/// existing client tally: `faulted` and every structured success count as
-/// ok; retryable failures carry the server's backoff hint.
+/// Classify a protocol reply for the lane state machine: `faulted` and
+/// every structured success count as ok; retryable failures carry the
+/// server's backoff hint.
 fn classify(resp: &Response) -> ReplyClass {
     if resp.is_retryable() {
         let outcome = match resp {

@@ -1,28 +1,24 @@
-//! Chaos-mode loopback tests: a server injecting worker-side faults at a
-//! fixed rate, self-healing clients retrying through them, and the
-//! acceptance criteria — every eventually-successful response is
-//! byte-identical to the batch path, no worker dies permanently, and the
-//! circuit breaker opens under sustained overload and recovers after it.
+//! Fault-injection loopback tests: a server whose `serve.worker.pre-run`
+//! failpoint fails, delays or panics jobs on a fixed schedule, clients
+//! retrying through it, and the acceptance criteria — every eventually
+//! successful response is byte-identical to the batch path, no worker dies
+//! permanently, and a panicking job costs one `internal` answer, not a
+//! worker slot.
 
 use revel_core::Bench;
-use revel_serve::client::{CircuitBreaker, Client, ClientError, RetryClient, RetryPolicy};
-use revel_serve::protocol::{encode_response, Request, Response};
+use revel_serve::client::Client;
+use revel_serve::protocol::{encode_request, encode_response, Request, Response};
 use revel_serve::server::{response_for_run, FinalStats, Server, ServerConfig};
-use std::time::Duration;
 
-fn start_chaos(
-    workers: usize,
-    queue_capacity: usize,
-    chaos_rate: f64,
-    chaos_seed: u64,
-) -> (String, std::thread::JoinHandle<FinalStats>) {
+/// The work path's failpoint site; every arm here is filtered on its own
+/// server's port, so the tests of this binary cannot trip each other.
+const SITE: &str = "serve.worker.pre-run";
+
+fn start(workers: usize, queue_capacity: usize) -> (String, std::thread::JoinHandle<FinalStats>) {
     let cfg = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers,
         queue_capacity,
-        chaos_rate,
-        chaos_seed,
-        shard_id: None,
         ..Default::default()
     };
     let server = Server::bind(&cfg).expect("bind ephemeral port");
@@ -31,9 +27,13 @@ fn start_chaos(
     (addr, handle)
 }
 
+fn port_of(addr: &str) -> &str {
+    addr.rsplit(':').next().expect("host:port")
+}
+
 fn shutdown(addr: &str) {
     let mut c = Client::connect(addr).expect("connect for shutdown");
-    // Shutdown is answered inline (control plane): chaos never touches it.
+    // Shutdown is answered inline (control plane): no failpoint touches it.
     assert_eq!(c.request(&Request::Shutdown).expect("shutdown"), Response::ShuttingDown);
 }
 
@@ -51,15 +51,24 @@ fn simulate_req(bench: &Bench, arch: &str) -> Request {
     }
 }
 
-/// Acceptance criterion: with a fixed chaos seed and a 10% injection rate,
-/// three retrying clients against two workers converge — every request
-/// eventually succeeds, and each success is byte-identical to what
-/// `Bench::run` produces. Faults were really injected (server counter) and
-/// neither worker died permanently (the pool still serves after the storm).
+/// Sends `req` until its answer is terminal.
+fn converge(c: &mut Client, req: &Request) -> Response {
+    c.request_raw_until_terminal(&encode_request(9, req)).expect("converges").1
+}
+
+/// Acceptance criterion: with one job in ten answered `injected_fault` and
+/// one in seven delayed, three retrying clients against two workers
+/// converge — every request eventually succeeds, and each success is
+/// byte-identical to what `Bench::run` produces. Faults were really
+/// injected (server counter) and neither worker died permanently (the pool
+/// still serves after the storm).
 #[test]
 fn chaos_at_ten_percent_converges_to_byte_identical_results() {
     use revel_core::compiler::BuildCfg;
-    let (addr, handle) = start_chaos(2, 16, 0.1, 7);
+    let (addr, handle) = start(2, 16);
+    let port = port_of(&addr);
+    revel_failpoint::arm_spec(&format!("{SITE}#{port}=err@%10; {SITE}#{port}=delay:5@%7"))
+        .expect("valid spec");
 
     let cells: Vec<(Bench, &str, BuildCfg)> = vec![
         (Bench::Solver { n: 12 }, "revel", BuildCfg::revel(1)),
@@ -76,18 +85,12 @@ fn chaos_at_ten_percent_converges_to_byte_identical_results() {
         for client_no in 0..3u64 {
             let (addr, cells, expected) = (&addr, &cells, &expected);
             s.spawn(move || {
-                // Plenty of attempts: at a 10% fault rate the odds of nine
-                // consecutive injections on one request are negligible, so
-                // every request converges.
-                let policy =
-                    RetryPolicy { max_attempts: 9, base_ms: 2, cap_ms: 40, seed: client_no };
-                let breaker = CircuitBreaker::new(10, Duration::from_millis(100));
-                let mut rc = RetryClient::new(addr, policy, breaker);
+                let mut c = Client::connect(addr).expect("connect");
                 for pass in 0..3 {
                     for k in 0..cells.len() {
                         let i = (k + pass) % cells.len();
                         let (bench, arch, _) = &cells[i];
-                        let got = rc.request(&simulate_req(bench, arch)).expect("converges");
+                        let got = converge(&mut c, &simulate_req(bench, arch));
                         assert_eq!(
                             encode_response(9, &got),
                             encode_response(9, &expected[i]),
@@ -101,79 +104,51 @@ fn chaos_at_ten_percent_converges_to_byte_identical_results() {
     });
 
     // No worker died permanently: more sequential jobs than workers all
-    // complete after the chaos traffic (a dead slot would hang one).
-    let policy = RetryPolicy { max_attempts: 9, base_ms: 2, cap_ms: 40, seed: 99 };
-    let mut rc =
-        RetryClient::new(&addr, policy, CircuitBreaker::new(10, Duration::from_millis(100)));
+    // complete after the storm (a dead slot would hang one).
+    let mut c = Client::connect(&addr).expect("connect");
     for _ in 0..4 {
-        assert_eq!(
-            rc.request(&Request::Sleep { ms: 1 }).expect("pool alive"),
-            Response::Slept { ms: 1 }
-        );
+        assert_eq!(converge(&mut c, &Request::Sleep { ms: 1 }), Response::Slept { ms: 1 });
     }
 
+    revel_failpoint::disarm(SITE, port);
     shutdown(&addr);
     let stats = handle.join().expect("server thread");
-    assert!(stats.injected > 0, "chaos must actually have injected faults: {stats}");
+    assert!(stats.injected > 0, "the failpoint must actually have injected faults: {stats}");
     assert!(
         stats.completed > stats.injected,
         "most traffic still completed around the injections: {stats}"
     );
 }
 
-/// Acceptance criterion: the circuit breaker opens under sustained
-/// overload (fail-fast without touching the wire) and recovers through a
-/// half-open probe once the backlog clears.
+/// The unwind fence, pinned deterministically: on a one-worker server the
+/// second job panics at the failpoint and is answered with the same
+/// non-retryable `internal` error a real bug would get, and the third job
+/// is served by that same (only) worker slot.
 #[test]
-fn breaker_opens_under_overload_and_recovers() {
-    // No chaos here: overload is produced deterministically by occupying
-    // the single worker and the single queue slot.
-    let (addr, handle) = start_chaos(1, 1, 0.0, 0);
+fn worker_panic_answers_internal_and_the_slot_keeps_serving() {
+    let (addr, handle) = start(1, 8);
+    let port = port_of(&addr);
+    revel_failpoint::arm_spec(&format!("{SITE}#{port}=panic@2")).expect("valid spec");
 
-    let mut busy = Client::connect(&addr).expect("connect");
-    let t_busy = std::thread::spawn(move || busy.request(&Request::Sleep { ms: 900 }));
-    std::thread::sleep(Duration::from_millis(150)); // worker popped it
-
-    let mut queued = Client::connect(&addr).expect("connect");
-    let t_queued = std::thread::spawn(move || queued.request(&Request::Sleep { ms: 50 }));
-    std::thread::sleep(Duration::from_millis(150)); // queue slot taken
-
-    // max_attempts 1: each overloaded answer is a request-level failure.
-    let policy = RetryPolicy { max_attempts: 1, base_ms: 1, cap_ms: 5, seed: 0 };
-    let mut rc =
-        RetryClient::new(&addr, policy, CircuitBreaker::new(3, Duration::from_millis(250)));
-    for i in 0..3 {
-        match rc.request(&Request::Sleep { ms: 1 }).expect("served an answer") {
-            Response::Overloaded { retry_after_ms, .. } => {
-                assert!(retry_after_ms.is_some(), "overload carries a hint (attempt {i})");
-            }
-            other => panic!("expected overloaded, got {other:?}"),
+    let mut c = Client::connect(&addr).expect("connect");
+    let job = Request::Sleep { ms: 1 };
+    assert_eq!(c.request(&job).expect("job 1"), Response::Slept { ms: 1 });
+    let resp = c.request(&job).expect("job 2 is answered, not dropped");
+    assert!(!resp.is_retryable(), "a panic is a bug, not a transient: {resp:?}");
+    match resp {
+        Response::Error { kind, message, .. } => {
+            assert_eq!(kind, "internal");
+            assert!(message.contains(SITE), "the panic payload is the message: {message}");
         }
+        other => panic!("expected an internal error, got {other:?}"),
     }
-    assert!(rc.breaker().is_open(), "three consecutive failures must open the circuit");
-    assert_eq!(rc.breaker().opened_total(), 1);
+    assert_eq!(c.request(&job).expect("job 3"), Response::Slept { ms: 1 });
 
-    // While open: fail-fast, no wire traffic.
-    match rc.request(&Request::Sleep { ms: 1 }) {
-        Err(ClientError::CircuitOpen) => {}
-        other => panic!("expected CircuitOpen, got {other:?}"),
-    }
-
-    // Backlog clears; after the cooldown the half-open probe succeeds and
-    // the breaker closes again.
-    assert_eq!(t_busy.join().unwrap().expect("busy"), Response::Slept { ms: 900 });
-    assert_eq!(t_queued.join().unwrap().expect("queued"), Response::Slept { ms: 50 });
-    std::thread::sleep(Duration::from_millis(300));
-    assert_eq!(
-        rc.request(&Request::Sleep { ms: 1 }).expect("probe"),
-        Response::Slept { ms: 1 },
-        "half-open probe must reach the drained server"
-    );
-    assert!(!rc.breaker().is_open(), "a successful probe closes the circuit");
-
+    revel_failpoint::disarm(SITE, port);
     shutdown(&addr);
     let stats = handle.join().expect("server thread");
-    assert!(stats.overloaded >= 3, "{stats}");
+    assert_eq!(stats.errors, 1, "{stats}");
+    assert_eq!(stats.injected, 0, "a panic is not an injected_fault answer: {stats}");
 }
 
 /// A fault-seeded simulate request is answered with a structured `faulted`
@@ -181,7 +156,7 @@ fn breaker_opens_under_overload_and_recovers() {
 /// same snapshot — over the wire, not just in-process.
 #[test]
 fn fault_seeded_requests_report_deterministic_snapshots() {
-    let (addr, handle) = start_chaos(2, 8, 0.0, 0);
+    let (addr, handle) = start(2, 8);
     let mut c = Client::connect(&addr).expect("connect");
     let bench = Bench::Qr { n: 12 };
     let fault_req = |seed: u64| Request::Simulate {

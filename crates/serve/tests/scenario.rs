@@ -13,8 +13,6 @@ fn start(workers: usize, queue_capacity: usize) -> (String, std::thread::JoinHan
         addr: "127.0.0.1:0".to_string(),
         workers,
         queue_capacity,
-        chaos_rate: 0.0,
-        chaos_seed: 0,
         shard_id: None,
         ..Default::default()
     };
@@ -83,7 +81,7 @@ fn every_catalog_scenario_parses_and_plans() {
         // Catalog scenarios must pin at least one SLO — they are gates.
         assert!(!scenario.slos.is_empty(), "{} pins no SLOs", path.display());
     }
-    assert!(seen >= 4, "expected the four catalog scenarios, found {seen}");
+    assert!(seen >= 6, "expected the six catalog scenarios, found {seen}");
 }
 
 #[test]

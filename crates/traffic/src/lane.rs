@@ -3,7 +3,7 @@
 //! A [`Lane`] owns one connection's slice of a phase's arrival plan and
 //! decides, at every instant, whether to send, wait for a reply, sleep
 //! until the next arrival, or stop. It is pure simulated-time logic: the
-//! executor (the `revel_client --scenario` runner, or a test harness with
+//! executor (the `revel_client` scenario runner, or a test harness with
 //! a fake clock) performs the I/O and feeds observations back in.
 //!
 //! Two properties live here and nowhere else:
@@ -17,9 +17,10 @@
 //!   report instead of silently lying.
 //! * **Deterministic-jitter retries.** Retryable failures reschedule with
 //!   capped exponential backoff jittered into `[raw/2, raw]` by the lane's
-//!   seeded RNG, with any server `retry_after_ms` hint as a floor — the
-//!   same policy as `revel_serve::client`, reproduced bit-for-bit from the
-//!   lane seed.
+//!   seeded RNG, with any server `retry_after_ms` hint as a floor. This
+//!   is the serving stack's retry policy; the only other retry loop,
+//!   `revel_serve::client::Client::request_raw_until_terminal`, is its
+//!   blocking, jitter-free counterpart for replay harnesses.
 //!
 //! Replies correlate FIFO: the serving protocol answers each connection's
 //! requests strictly in arrival order (DESIGN.md §11), so the oldest
@@ -369,8 +370,8 @@ impl Lane {
     }
 
     /// Capped exponential backoff with deterministic jitter into
-    /// `[raw/2, raw]`, floored by the server hint — the `revel_serve`
-    /// client policy, driven by the lane's seeded RNG.
+    /// `[raw/2, raw]`, floored by the server hint, driven by the lane's
+    /// seeded RNG.
     fn backoff_ms(&mut self, attempt: u32, hint_ms: Option<u64>) -> u64 {
         let exp = attempt.saturating_sub(1).min(16);
         let raw = self.cfg.backoff_base_ms.saturating_mul(1u64 << exp).min(self.cfg.backoff_cap_ms);

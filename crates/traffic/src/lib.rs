@@ -4,7 +4,7 @@
 //! REVEL serving tier. The crate is deliberately transport-agnostic: it
 //! knows about *arrival times*, *lanes* (per-connection state machines),
 //! and *SLOs* — not about sockets or the wire protocol. `revel-serve`'s
-//! `revel_client --scenario` runner supplies the I/O.
+//! `revel_client` scenario runner supplies the I/O.
 //!
 //! The pieces compose bottom-up:
 //!
@@ -43,8 +43,7 @@ pub mod report;
 pub mod scenario;
 
 /// Decorrelation constant for deriving per-stream seeds from one scenario
-/// seed (the SplitMix64 golden-ratio increment — the same constant the
-/// fleet and chaos layers use for per-lane streams).
+/// seed (the SplitMix64 golden-ratio increment).
 pub const STREAM_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Derive the seed for an indexed sub-stream (lane, phase, mix) from a

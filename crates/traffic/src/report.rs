@@ -10,13 +10,21 @@ use crate::json::Value;
 use crate::lane::{Completion, Outcome};
 use crate::scenario::Slo;
 
-/// Nearest-rank percentile over a **sorted** sample slice. Returns 0 for
-/// an empty slice; `p` is clamped into `(0, 100]`.
+/// Nearest-rank percentile over a **sorted** sample slice, `p` in
+/// `[0, 100]`. Returns 0 for an empty slice.
+///
+/// # Panics
+/// On a non-finite or out-of-range `p`: clamping would turn a NaN into
+/// rank 0 and report the *minimum* as "p99", and a caller holding a bad
+/// percentile has a bug that must not pass for a latency number.
 pub fn percentile_us(sorted: &[u64], p: f64) -> u64 {
+    assert!(
+        p.is_finite() && (0.0..=100.0).contains(&p),
+        "percentile p must be finite and in [0, 100], got {p}"
+    );
     if sorted.is_empty() {
         return 0;
     }
-    let p = p.clamp(f64::MIN_POSITIVE, 100.0);
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
@@ -246,4 +254,55 @@ pub fn evaluate_slos(
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let us: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile_us(&us, 50.0), 50);
+        assert_eq!(percentile_us(&us, 90.0), 90);
+        assert_eq!(percentile_us(&us, 99.0), 99);
+        assert_eq!(percentile_us(&us, 100.0), 100);
+        assert_eq!(percentile_us(&us, 0.0), 1);
+        assert_eq!(percentile_us(&[], 99.0), 0);
+        assert_eq!(percentile_us(&[1, 2, 3], 50.0), 2);
+    }
+
+    #[test]
+    fn percentile_boundaries_are_exact() {
+        let us: Vec<u64> = (1..=10).collect();
+        // Finite edges of the valid range are legal, not near-misses.
+        assert_eq!(percentile_us(&us, 0.0), 1);
+        assert_eq!(percentile_us(&us, 100.0), 10);
+        // A single sample answers every percentile.
+        assert_eq!(percentile_us(&[7], 99.9), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite")]
+    fn percentile_rejects_nan() {
+        let _ = percentile_us(&[1, 2, 3], f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be finite")]
+    fn percentile_rejects_infinity() {
+        let _ = percentile_us(&[1, 2, 3], f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "in [0, 100]")]
+    fn percentile_rejects_out_of_range() {
+        let _ = percentile_us(&[1, 2, 3], 100.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "in [0, 100]")]
+    fn percentile_rejects_negative() {
+        let _ = percentile_us(&[1, 2, 3], -1.0);
+    }
 }
