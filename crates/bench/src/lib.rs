@@ -3,8 +3,7 @@
 //! One binary per paper table/figure (see `src/bin/`); run everything with
 //! `cargo run -p revel-bench --bin all_experiments --release`. Wall-clock
 //! performance of the infrastructure itself is measured by the standalone
-//! `benchmark/` package; [`harness`] is a small stopwatch for ad-hoc
-//! timing.
+//! `benchmark/` package.
 //!
 //! The [`grid`] module defines the shared evaluation grid (workload ×
 //! architecture cells) consumed by both the differential stepper gate and
@@ -13,4 +12,3 @@
 #![forbid(unsafe_code)]
 
 pub mod grid;
-pub mod harness;

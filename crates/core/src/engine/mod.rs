@@ -44,9 +44,12 @@
 //!   deterministic, and a poisoned entry would serve bogus timeouts
 //!   forever).
 //!
-//! The cache lives for the process (`OnceLock`), so within one
-//! `all_experiments` run, one server process, or one test binary every
-//! repeated configuration is a hit.
+//! Caches, counters, capacity and the optional disk tier are the fields of
+//! one `Engine` value. The process has one (a `OnceLock`), and every free
+//! function here, every [`Bench`] method and the server run on it — so
+//! within one `all_experiments` run, one server process, or one test
+//! binary every repeated configuration is a hit. Unit tests that assert
+//! exact counter values make their own.
 
 pub mod persist;
 
@@ -170,13 +173,16 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
     }
 }
 
-struct Engine {
+pub(crate) struct Engine {
+    /// Completed entries each cache may hold before least-recently-used
+    /// eviction kicks in (clamped to ≥ 1).
+    capacity: AtomicUsize,
     runs: Mutex<BoundedCache<RunKey, WorkloadRun>>,
     /// Signalled whenever a run completes or releases its claim, waking
     /// single-flight waiters.
     runs_done: Condvar,
     lints: Mutex<BoundedCache<(Bench, BuildCfg), Vec<revel_verify::Diagnostic>>>,
-    /// Timing traces recorded by [`run_batched_with`]'s timing walk, a
+    /// Timing traces recorded by [`Engine::run_batched`]'s timing walk, a
     /// first-class artifact cached next to the run results under the same
     /// key shape. Plain get/insert (no single-flight): a duplicated timing
     /// walk is wasted work, not a correctness hazard, and batch requests
@@ -219,12 +225,13 @@ struct Engine {
 }
 
 impl Engine {
-    /// An engine with empty caches, zeroed counters and no disk tier. The
-    /// process has one ([`engine`]); the tests that assert exact counter
-    /// deltas each make their own, so no sibling test's lookup can land in
-    /// their window.
-    fn new() -> Self {
+    /// An engine with empty caches, zeroed counters, the default capacity
+    /// and no disk tier. The process has one ([`engine`]); the tests that
+    /// assert exact counter values each make their own, so no sibling
+    /// test's lookup (or capacity change) can land in their window.
+    pub(crate) fn new() -> Self {
         Engine {
+            capacity: AtomicUsize::new(DEFAULT_CACHE_CAPACITY),
             runs: Mutex::new(BoundedCache::new()),
             runs_done: Condvar::new(),
             lints: Mutex::new(BoundedCache::new()),
@@ -244,9 +251,19 @@ impl Engine {
             disk_cold_starts: AtomicU64::new(0),
         }
     }
+
+    fn set_cache_capacity(&self, n: usize) {
+        self.capacity.store(n.max(1), Ordering::SeqCst);
+    }
+
+    fn cache_capacity(&self) -> usize {
+        self.capacity.load(Ordering::SeqCst)
+    }
 }
 
-fn engine() -> &'static Engine {
+/// The process engine: the one every free function of this module, the
+/// [`Bench`] methods and the server run on.
+pub(crate) fn engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
     ENGINE.get_or_init(Engine::new)
 }
@@ -259,20 +276,16 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 /// long-running server's memory stays flat.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// Completed entries each engine cache may hold before least-recently-used
-/// eviction kicks in (clamped to ≥ 1).
-static CACHE_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CACHE_CAPACITY);
-
 /// Sets the per-cache entry bound (`revel_serve --cache-capacity`). Takes
 /// effect on subsequent inserts; already-cached entries above the new bound
 /// are evicted lazily as new results land.
 pub fn set_cache_capacity(n: usize) {
-    CACHE_CAPACITY.store(n.max(1), Ordering::SeqCst);
+    engine().set_cache_capacity(n);
 }
 
 /// The current per-cache entry bound.
 pub fn cache_capacity() -> usize {
-    CACHE_CAPACITY.load(Ordering::SeqCst)
+    engine().cache_capacity()
 }
 
 /// Sets the worker-thread count for [`par_map`]. `0` restores the default
@@ -369,122 +382,116 @@ impl Drop for RunClaim<'_> {
     }
 }
 
-/// Runs `bench` under `cfg` through the run cache.
-///
-/// # Errors
-/// Propagates simulator errors (never cached; they fail identically on
-/// every attempt).
-pub(crate) fn run_cached(
-    bench: Bench,
-    cfg: &BuildCfg,
-    batch: bool,
-) -> Result<WorkloadRun, SimError> {
-    run_cached_deadline(bench, cfg, batch, None)
-}
+impl Engine {
+    /// Runs `bench` under `cfg` through the run cache.
+    ///
+    /// # Errors
+    /// Propagates simulator errors (never cached; they fail identically on
+    /// every attempt).
+    pub(crate) fn run_cached(
+        &self,
+        bench: Bench,
+        cfg: &BuildCfg,
+        batch: bool,
+    ) -> Result<WorkloadRun, SimError> {
+        self.run_cached_deadline(bench, cfg, batch, None)
+    }
 
-/// [`run_cached`] with an optional wall-clock deadline.
-///
-/// Cache hits are served instantly regardless of the deadline. On a miss
-/// the deadline threads into [`SimOptions::wall_deadline`]; a run the
-/// deadline cut short is returned (as `timed_out`) but never cached. A
-/// caller that finds the key in flight waits for the executing thread —
-/// but only until its own deadline, after which it simulates uncached with
-/// the (expired) deadline and reports the timeout itself.
-///
-/// # Errors
-/// Propagates simulator errors (never cached).
-pub(crate) fn run_cached_deadline(
-    bench: Bench,
-    cfg: &BuildCfg,
-    batch: bool,
-    deadline: Option<Instant>,
-) -> Result<WorkloadRun, SimError> {
-    run_cached_deadline_on(engine(), bench, cfg, batch, deadline)
-}
+    /// [`Engine::run_cached`] with an optional wall-clock deadline.
+    ///
+    /// Cache hits are served instantly regardless of the deadline. On a miss
+    /// the deadline threads into [`SimOptions::wall_deadline`]; a run the
+    /// deadline cut short is returned (as `timed_out`) but never cached. A
+    /// caller that finds the key in flight waits for the executing thread —
+    /// but only until its own deadline, after which it simulates uncached with
+    /// the (expired) deadline and reports the timeout itself.
+    ///
+    /// # Errors
+    /// Propagates simulator errors (never cached).
+    pub(crate) fn run_cached_deadline(
+        &self,
+        bench: Bench,
+        cfg: &BuildCfg,
+        batch: bool,
+        deadline: Option<Instant>,
+    ) -> Result<WorkloadRun, SimError> {
+        let key = RunKey { bench, cfg: *cfg, batch: batch && bench.batch_build_differs() };
+        let opts = SimOptions { wall_deadline: deadline, ..cfg.sim_options() };
 
-/// [`run_cached_deadline`] against the caches and counters of `e`.
-fn run_cached_deadline_on(
-    e: &Engine,
-    bench: Bench,
-    cfg: &BuildCfg,
-    batch: bool,
-    deadline: Option<Instant>,
-) -> Result<WorkloadRun, SimError> {
-    let key = RunKey { bench, cfg: *cfg, batch: batch && bench.batch_build_differs() };
-    let opts = SimOptions { wall_deadline: deadline, ..cfg.sim_options() };
-
-    // Phase 1: hit, claim the key, or wait out another claimant.
-    {
-        let mut runs = e.runs.lock().expect("run cache lock");
-        loop {
-            if let Some(run) = runs.get(&key) {
-                e.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(run);
-            }
-            if !runs.in_flight(&key) {
-                runs.claim(key);
-                e.misses.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-            match deadline {
-                None => runs = e.runs_done.wait(runs).expect("run cache lock"),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        // Budget spent waiting on someone else's run: fall
-                        // through to an uncached simulation with the expired
-                        // deadline — it returns `timed_out` almost
-                        // immediately and never touches the cache. Counted
-                        // separately: this lookup is neither a hit nor a
-                        // miss, and dropping it would break the
-                        // `hits + misses + deadline_fallbacks == lookups`
-                        // invariant the stats endpoint reports.
-                        e.deadline_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        drop(runs);
-                        let workload =
-                            if key.batch { bench.batch_workload() } else { bench.workload() };
-                        return run_workload_with(workload.as_ref(), cfg, opts);
+        // Phase 1: hit, claim the key, or wait out another claimant.
+        {
+            let mut runs = self.runs.lock().expect("run cache lock");
+            loop {
+                if let Some(run) = runs.get(&key) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(run);
+                }
+                if !runs.in_flight(&key) {
+                    runs.claim(key);
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
+                match deadline {
+                    None => runs = self.runs_done.wait(runs).expect("run cache lock"),
+                    Some(d) => {
+                        let now = Instant::now();
+                        if now >= d {
+                            // Budget spent waiting on someone else's run: fall
+                            // through to an uncached simulation with the expired
+                            // deadline — it returns `timed_out` almost
+                            // immediately and never touches the cache. Counted
+                            // separately: this lookup is neither a hit nor a
+                            // miss, and dropping it would break the
+                            // `hits + misses + deadline_fallbacks == lookups`
+                            // invariant the stats endpoint reports.
+                            self.deadline_fallbacks.fetch_add(1, Ordering::Relaxed);
+                            drop(runs);
+                            let workload =
+                                if key.batch { bench.batch_workload() } else { bench.workload() };
+                            return run_workload_with(workload.as_ref(), cfg, opts);
+                        }
+                        runs =
+                            self.runs_done.wait_timeout(runs, d - now).expect("run cache lock").0;
                     }
-                    runs = e.runs_done.wait_timeout(runs, d - now).expect("run cache lock").0;
                 }
             }
         }
-    }
 
-    // Phase 2: simulate outside the lock, claim guarded against unwinds.
-    let mut claim = RunClaim { engine: e, key, fulfilled: false };
-    let workload = if key.batch { bench.batch_workload() } else { bench.workload() };
-    let result = run_workload_with(workload.as_ref(), cfg, opts);
-    if let Ok(run) = &result {
-        // A deadline-expired run is not a property of the configuration
-        // (the wall clock fired at an arbitrary cycle); caching it would
-        // serve bogus timeouts to every later request. Leave the claim to
-        // the drop guard instead. The faulted check is defense in depth:
-        // fault-injected runs are supposed to arrive via [`run_uncached`]
-        // and never reach this path, but a corrupted result must not be
-        // served to later clean requests under any circumstances.
-        if !run.report.deadline_expired && !run.report.faulted() {
-            e.sim_cycles.fetch_add(run.report.cycles, Ordering::Relaxed);
-            e.skipped_cycles.fetch_add(run.report.stepper.skipped_cycles, Ordering::Relaxed);
-            let evicted = {
-                let mut runs = e.runs.lock().expect("run cache lock");
-                runs.insert(key, run.clone(), cache_capacity())
-            };
-            e.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-            claim.fulfilled = true;
-            e.runs_done.notify_all();
-            // Every result admitted to the memory tier is also appended
-            // to the disk tier (when one is enabled): timed-out, faulted,
-            // and degraded runs can never get here, so disk entries are
-            // always completed, trustworthy runs. Best-effort — an I/O
-            // failure degrades persistence, never the request.
-            let mut disk = e.disk.lock().expect("disk tier lock");
-            if let Some(tier) = disk.as_mut() {
-                let _ = tier.append(key_fingerprint(bench, cfg, batch), &persisted_from(run));
+        // Phase 2: simulate outside the lock, claim guarded against unwinds.
+        let mut claim = RunClaim { engine: self, key, fulfilled: false };
+        let workload = if key.batch { bench.batch_workload() } else { bench.workload() };
+        let result = run_workload_with(workload.as_ref(), cfg, opts);
+        if let Ok(run) = &result {
+            // A deadline-expired run is not a property of the configuration
+            // (the wall clock fired at an arbitrary cycle); caching it would
+            // serve bogus timeouts to every later request. Leave the claim to
+            // the drop guard instead. The faulted check is defense in depth:
+            // fault-injected runs are supposed to arrive via [`run_uncached`]
+            // and never reach this path, but a corrupted result must not be
+            // served to later clean requests under any circumstances.
+            if !run.report.deadline_expired && !run.report.faulted() {
+                self.sim_cycles.fetch_add(run.report.cycles, Ordering::Relaxed);
+                self.skipped_cycles.fetch_add(run.report.stepper.skipped_cycles, Ordering::Relaxed);
+                let evicted = {
+                    let mut runs = self.runs.lock().expect("run cache lock");
+                    runs.insert(key, run.clone(), self.cache_capacity())
+                };
+                self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
+                claim.fulfilled = true;
+                self.runs_done.notify_all();
+                // Every result admitted to the memory tier is also appended
+                // to the disk tier (when one is enabled): timed-out, faulted,
+                // and degraded runs can never get here, so disk entries are
+                // always completed, trustworthy runs. Best-effort — an I/O
+                // failure degrades persistence, never the request.
+                let mut disk = self.disk.lock().expect("disk tier lock");
+                if let Some(tier) = disk.as_mut() {
+                    let _ = tier.append(key_fingerprint(bench, cfg, batch), &persisted_from(run));
+                }
             }
         }
+        result
     }
-    result
 }
 
 /// The 128-bit, process-independent fingerprint of one run-cache key —
@@ -506,6 +513,66 @@ fn persisted_from(run: &WorkloadRun) -> PersistedRun {
     }
 }
 
+impl Engine {
+    /// [`enable_persistence`] on this engine.
+    fn enable_persistence(&self, dir: &std::path::Path) -> std::io::Result<WarmStart> {
+        let (tier, warm) = PersistentTier::open(dir)?;
+        self.warm_start_entries.store(warm.entries as u64, Ordering::SeqCst);
+        self.disk_cold_starts.fetch_add(warm.cold_starts.len() as u64, Ordering::SeqCst);
+        *self.disk.lock().expect("disk tier lock") = Some(tier);
+        Ok(warm)
+    }
+
+    /// [`persist_snapshot`] on this engine.
+    fn persist_snapshot(&self) -> std::io::Result<()> {
+        match self.disk.lock().expect("disk tier lock").as_mut() {
+            Some(tier) => tier.snapshot(),
+            None => Ok(()),
+        }
+    }
+
+    /// [`run_served`] on this engine.
+    fn run_served(
+        &self,
+        bench: Bench,
+        cfg: &BuildCfg,
+        deadline: Option<Instant>,
+    ) -> Result<Served, SimError> {
+        let key = RunKey { bench, cfg: *cfg, batch: false };
+        if let Some(run) = self.runs.lock().expect("run cache lock").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Served::Run(Box::new(run)));
+        }
+        {
+            let disk = self.disk.lock().expect("disk tier lock");
+            if let Some(tier) = disk.as_ref() {
+                // Failpoint on the served-run disk path: an injected error
+                // degrades to a cache miss (simulate instead of serving a
+                // possibly-suspect disk record); an armed abort crashes at
+                // the exact instant a reply would have come from disk.
+                if revel_failpoint::hit("engine.serve.disk-lookup").is_ok() {
+                    if let Some(run) = tier.lookup(key_fingerprint(bench, cfg, false)) {
+                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                        return Ok(Served::Disk(run.clone()));
+                    }
+                }
+            }
+        }
+        self.run_cached_deadline(bench, cfg, false, deadline).map(|run| Served::Run(Box::new(run)))
+    }
+
+    /// [`run_uncached`] on this engine.
+    fn run_uncached(
+        &self,
+        bench: Bench,
+        cfg: &BuildCfg,
+        opts: SimOptions,
+    ) -> Result<WorkloadRun, SimError> {
+        self.fault_bypasses.fetch_add(1, Ordering::Relaxed);
+        run_workload_with(bench.workload().as_ref(), cfg, opts)
+    }
+}
+
 /// Attaches a disk-backed persistence tier rooted at `dir` to the engine:
 /// every subsequent cacheable run is appended to the tier, and lookups
 /// that miss memory are answered from disk ([`run_served`]). Loads
@@ -520,12 +587,7 @@ fn persisted_from(run: &WorkloadRun) -> PersistedRun {
 /// # Errors
 /// Propagates directory-creation and file-open failures.
 pub fn enable_persistence(dir: &std::path::Path) -> std::io::Result<WarmStart> {
-    let (tier, warm) = PersistentTier::open(dir)?;
-    let e = engine();
-    e.warm_start_entries.store(warm.entries as u64, Ordering::SeqCst);
-    e.disk_cold_starts.fetch_add(warm.cold_starts.len() as u64, Ordering::SeqCst);
-    *e.disk.lock().expect("disk tier lock") = Some(tier);
-    Ok(warm)
+    engine().enable_persistence(dir)
 }
 
 /// Compacts the disk tier into a fresh atomic snapshot (no-op when
@@ -535,10 +597,7 @@ pub fn enable_persistence(dir: &std::path::Path) -> std::io::Result<WarmStart> {
 /// # Errors
 /// Propagates snapshot write/rename failures.
 pub fn persist_snapshot() -> std::io::Result<()> {
-    match engine().disk.lock().expect("disk tier lock").as_mut() {
-        Some(tier) => tier.snapshot(),
-        None => Ok(()),
-    }
+    engine().persist_snapshot()
 }
 
 /// A result served by [`run_served`]: either a live (or memory-cached)
@@ -567,28 +626,7 @@ pub fn run_served(
     cfg: &BuildCfg,
     deadline: Option<Instant>,
 ) -> Result<Served, SimError> {
-    let key = RunKey { bench, cfg: *cfg, batch: false };
-    let e = engine();
-    if let Some(run) = e.runs.lock().expect("run cache lock").get(&key) {
-        e.hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(Served::Run(Box::new(run)));
-    }
-    {
-        let disk = e.disk.lock().expect("disk tier lock");
-        if let Some(tier) = disk.as_ref() {
-            // Failpoint on the served-run disk path: an injected error
-            // degrades to a cache miss (simulate instead of serving a
-            // possibly-suspect disk record); an armed abort crashes at
-            // the exact instant a reply would have come from disk.
-            if revel_failpoint::hit("engine.serve.disk-lookup").is_ok() {
-                if let Some(run) = tier.lookup(key_fingerprint(bench, cfg, false)) {
-                    e.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Served::Disk(run.clone()));
-                }
-            }
-        }
-    }
-    run_cached_deadline(bench, cfg, false, deadline).map(|run| Served::Run(Box::new(run)))
+    engine().run_served(bench, cfg, deadline)
 }
 
 /// Runs `bench` under explicit [`SimOptions`], bypassing the run cache in
@@ -606,8 +644,7 @@ pub fn run_uncached(
     cfg: &BuildCfg,
     opts: SimOptions,
 ) -> Result<WorkloadRun, SimError> {
-    engine().fault_bypasses.fetch_add(1, Ordering::Relaxed);
-    run_workload_with(bench.workload().as_ref(), cfg, opts)
+    engine().run_uncached(bench, cfg, opts)
 }
 
 /// [`run_uncached`] with `plan` injected: the simulator applies the plan's
@@ -667,131 +704,122 @@ pub struct BatchRun {
 /// ([`revel_sim::SimError::Replay`]) — which a certified program can only
 /// hit if the certificate is wrong, so it is surfaced, never swallowed.
 pub fn run_batched(bench: Bench, cfg: &BuildCfg, seeds: &[u64]) -> Result<BatchRun, SimError> {
-    run_batched_with(bench, cfg, seeds, cfg.sim_options())
+    engine().run_batched(bench, cfg, seeds, cfg.sim_options())
 }
 
-/// [`run_batched`] under explicit [`SimOptions`]. Perturbed options (a
-/// fault plan or a degraded fabric) force every dataset through
-/// [`run_uncached`]-style full simulation — each one counted in
-/// [`CacheStats::fault_bypasses`] — because perturbation changes timing
-/// behind the certifier's back.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn run_batched_with(
-    bench: Bench,
-    cfg: &BuildCfg,
-    seeds: &[u64],
-    opts: SimOptions,
-) -> Result<BatchRun, SimError> {
-    run_batched_on(engine(), bench, cfg, seeds, opts)
-}
+impl Engine {
+    /// [`run_batched`] on this engine, under explicit [`SimOptions`].
+    /// Perturbed options (a fault plan or a degraded fabric) force every
+    /// dataset through [`run_uncached`]-style full simulation — each one
+    /// counted in [`CacheStats::fault_bypasses`] — because perturbation
+    /// changes timing behind the certifier's back.
+    fn run_batched(
+        &self,
+        bench: Bench,
+        cfg: &BuildCfg,
+        seeds: &[u64],
+        opts: SimOptions,
+    ) -> Result<BatchRun, SimError> {
+        let perturbed = opts.fault_plan.is_some() || opts.fabric_mask != FabricMask::HEALTHY;
+        let full_batch = |count_bypasses: bool| -> Result<BatchRun, SimError> {
+            let mut runs = Vec::with_capacity(seeds.len());
+            for &seed in seeds {
+                if count_bypasses {
+                    self.fault_bypasses.fetch_add(1, Ordering::Relaxed);
+                }
+                runs.push(run_workload_with(bench.workload_seeded(seed).as_ref(), cfg, opts)?);
+            }
+            Ok(BatchRun { runs, replayed: false })
+        };
+        if perturbed {
+            return full_batch(true);
+        }
+        let built = bench.workload().build(cfg);
+        if !batch_replayable(&built, cfg, &opts) {
+            return full_batch(false);
+        }
 
-/// [`run_batched_with`] against the caches and counters of `e`.
-fn run_batched_on(
-    e: &Engine,
-    bench: Bench,
-    cfg: &BuildCfg,
-    seeds: &[u64],
-    opts: SimOptions,
-) -> Result<BatchRun, SimError> {
-    let perturbed = opts.fault_plan.is_some() || opts.fabric_mask != FabricMask::HEALTHY;
-    let full_batch = |count_bypasses: bool| -> Result<BatchRun, SimError> {
+        // Certified: fetch or record the timing trace for this cell.
+        let key = RunKey { bench, cfg: *cfg, batch: false };
+        let cached = self.traces.lock().expect("trace cache lock").get(&key);
+        let trace = match cached {
+            Some(t) => {
+                self.trace_hits.fetch_add(1, Ordering::Relaxed);
+                t
+            }
+            None => {
+                let (timing, trace) = record_timing(&built, cfg, opts)?;
+                if timing.report.timed_out {
+                    // A budget- or deadline-capped timing walk is not a usable
+                    // trace (and caching it would poison every later batch).
+                    return full_batch(false);
+                }
+                let trace = Arc::new(trace);
+                let evicted = self.traces.lock().expect("trace cache lock").insert(
+                    key,
+                    trace.clone(),
+                    self.cache_capacity(),
+                );
+                self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
+                trace
+            }
+        };
+
+        // Replay the one trace over every dataset, reusing a single machine
+        // across lanes — allocating scratchpads per lane would cost more than
+        // the functional replay itself (see `replay_trace_on`).
+        let mut machine = revel_sim::Machine::new(cfg.machine_config(), opts);
         let mut runs = Vec::with_capacity(seeds.len());
         for &seed in seeds {
-            if count_bypasses {
-                e.fault_bypasses.fetch_add(1, Ordering::Relaxed);
-            }
-            runs.push(run_workload_with(bench.workload_seeded(seed).as_ref(), cfg, opts)?);
+            let built_seed = bench.workload_seeded(seed).build(cfg);
+            let run = replay_trace_on(&mut machine, &built_seed, &trace)?;
+            self.batched_replays.fetch_add(1, Ordering::Relaxed);
+            runs.push(run);
         }
-        Ok(BatchRun { runs, replayed: false })
-    };
-    if perturbed {
-        return full_batch(true);
-    }
-    let built = bench.workload().build(cfg);
-    if !batch_replayable(&built, cfg, &opts) {
-        return full_batch(false);
+        Ok(BatchRun { runs, replayed: true })
     }
 
-    // Certified: fetch or record the timing trace for this cell.
-    let key = RunKey { bench, cfg: *cfg, batch: false };
-    let cached = e.traces.lock().expect("trace cache lock").get(&key);
-    let trace = match cached {
-        Some(t) => {
-            e.trace_hits.fetch_add(1, Ordering::Relaxed);
-            t
+    /// Runs REVEL and both spatial baselines for `bench` through the cache.
+    ///
+    /// # Errors
+    /// Propagates simulator errors; panics (via `assert_ok`) if any run fails
+    /// numerical verification or timed out.
+    pub(crate) fn compare(&self, bench: Bench) -> Result<Comparison, SimError> {
+        let lanes = bench.lanes();
+        let revel = self.run_cached(bench, &BuildCfg::revel(lanes), false)?;
+        revel.assert_ok(&format!("{} revel", bench.name()));
+        let systolic = self.run_cached(bench, &BuildCfg::systolic_baseline(lanes), false)?;
+        systolic.assert_ok(&format!("{} systolic", bench.name()));
+        let dataflow = self.run_cached(bench, &BuildCfg::dataflow_baseline(lanes), false)?;
+        dataflow.assert_ok(&format!("{} dataflow", bench.name()));
+        Ok(Comparison {
+            bench,
+            revel,
+            systolic_cycles: systolic.cycles,
+            dataflow_cycles: dataflow.cycles,
+        })
+    }
+
+    /// Lints `bench`'s build for `cfg` through the lint cache (the full
+    /// verifier re-runs the spatial scheduler, so repeats are worth memoizing
+    /// across the lint CLI, the serving front-end, and the test suites).
+    pub(crate) fn lint(&self, bench: Bench, cfg: &BuildCfg) -> Vec<revel_verify::Diagnostic> {
+        let key = (bench, *cfg);
+        if let Some(diags) = self.lints.lock().expect("lint cache lock").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return diags;
         }
-        None => {
-            let (timing, trace) = record_timing(&built, cfg, opts)?;
-            if timing.report.timed_out {
-                // A budget- or deadline-capped timing walk is not a usable
-                // trace (and caching it would poison every later batch).
-                return full_batch(false);
-            }
-            let trace = Arc::new(trace);
-            let evicted = e.traces.lock().expect("trace cache lock").insert(
-                key,
-                trace.clone(),
-                cache_capacity(),
-            );
-            e.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-            trace
-        }
-    };
-
-    // Replay the one trace over every dataset, reusing a single machine
-    // across lanes — allocating scratchpads per lane would cost more than
-    // the functional replay itself (see `replay_trace_on`).
-    let mut machine = revel_sim::Machine::new(cfg.machine_config(), opts);
-    let mut runs = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let built_seed = bench.workload_seeded(seed).build(cfg);
-        let run = replay_trace_on(&mut machine, &built_seed, &trace)?;
-        e.batched_replays.fetch_add(1, Ordering::Relaxed);
-        runs.push(run);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let built = bench.workload().build(cfg);
+        let diags = revel_verify::Verifier::new().verify(&built.program, &cfg.machine_config());
+        let evicted = self.lints.lock().expect("lint cache lock").insert(
+            key,
+            diags.clone(),
+            self.cache_capacity(),
+        );
+        self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
+        diags
     }
-    Ok(BatchRun { runs, replayed: true })
-}
-
-/// Runs REVEL and both spatial baselines for `bench` through the cache.
-///
-/// # Errors
-/// Propagates simulator errors; panics (via `assert_ok`) if any run fails
-/// numerical verification or timed out.
-pub(crate) fn compare_cached(bench: Bench) -> Result<Comparison, SimError> {
-    let lanes = bench.lanes();
-    let revel = run_cached(bench, &BuildCfg::revel(lanes), false)?;
-    revel.assert_ok(&format!("{} revel", bench.name()));
-    let systolic = run_cached(bench, &BuildCfg::systolic_baseline(lanes), false)?;
-    systolic.assert_ok(&format!("{} systolic", bench.name()));
-    let dataflow = run_cached(bench, &BuildCfg::dataflow_baseline(lanes), false)?;
-    dataflow.assert_ok(&format!("{} dataflow", bench.name()));
-    Ok(Comparison {
-        bench,
-        revel,
-        systolic_cycles: systolic.cycles,
-        dataflow_cycles: dataflow.cycles,
-    })
-}
-
-/// Lints `bench`'s build for `cfg` through the lint cache (the full
-/// verifier re-runs the spatial scheduler, so repeats are worth memoizing
-/// across the lint CLI, the serving front-end, and the test suites).
-pub(crate) fn lint_cached(bench: Bench, cfg: &BuildCfg) -> Vec<revel_verify::Diagnostic> {
-    let key = (bench, *cfg);
-    let e = engine();
-    if let Some(diags) = e.lints.lock().expect("lint cache lock").get(&key) {
-        e.hits.fetch_add(1, Ordering::Relaxed);
-        return diags;
-    }
-    e.misses.fetch_add(1, Ordering::Relaxed);
-    let built = bench.workload().build(cfg);
-    let diags = revel_verify::Verifier::new().verify(&built.program, &cfg.machine_config());
-    let evicted =
-        e.lints.lock().expect("lint cache lock").insert(key, diags.clone(), cache_capacity());
-    e.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-    diags
 }
 
 /// Cache counters for the report footer and the `stats` endpoint.
@@ -895,31 +923,34 @@ impl std::fmt::Display for CacheStats {
 
 /// Snapshot of the engine's cache counters.
 pub fn stats() -> CacheStats {
-    stats_of(engine())
+    engine().stats()
 }
 
-fn stats_of(e: &Engine) -> CacheStats {
-    let (run_entries, oblivious_entries) = {
-        let runs = e.runs.lock().expect("run cache lock");
-        (runs.ready_len(), runs.ready_matching(|r| r.oblivious))
-    };
-    CacheStats {
-        hits: e.hits.load(Ordering::Relaxed),
-        misses: e.misses.load(Ordering::Relaxed),
-        evictions: e.evictions.load(Ordering::Relaxed),
-        capacity: cache_capacity(),
-        run_entries,
-        lint_entries: e.lints.lock().expect("lint cache lock").ready_len(),
-        sim_cycles: e.sim_cycles.load(Ordering::Relaxed),
-        skipped_cycles: e.skipped_cycles.load(Ordering::Relaxed),
-        fault_bypasses: e.fault_bypasses.load(Ordering::Relaxed),
-        oblivious_entries,
-        deadline_fallbacks: e.deadline_fallbacks.load(Ordering::Relaxed),
-        trace_hits: e.trace_hits.load(Ordering::Relaxed),
-        batched_replays: e.batched_replays.load(Ordering::Relaxed),
-        disk_hits: e.disk_hits.load(Ordering::Relaxed),
-        warm_start_entries: e.warm_start_entries.load(Ordering::SeqCst),
-        disk_cold_starts: e.disk_cold_starts.load(Ordering::SeqCst),
+impl Engine {
+    /// [`stats`] of this engine.
+    pub(crate) fn stats(&self) -> CacheStats {
+        let (run_entries, oblivious_entries) = {
+            let runs = self.runs.lock().expect("run cache lock");
+            (runs.ready_len(), runs.ready_matching(|r| r.oblivious))
+        };
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            capacity: self.cache_capacity(),
+            run_entries,
+            lint_entries: self.lints.lock().expect("lint cache lock").ready_len(),
+            sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
+            skipped_cycles: self.skipped_cycles.load(Ordering::Relaxed),
+            fault_bypasses: self.fault_bypasses.load(Ordering::Relaxed),
+            oblivious_entries,
+            deadline_fallbacks: self.deadline_fallbacks.load(Ordering::Relaxed),
+            trace_hits: self.trace_hits.load(Ordering::Relaxed),
+            batched_replays: self.batched_replays.load(Ordering::Relaxed),
+            disk_hits: self.disk_hits.load(Ordering::Relaxed),
+            warm_start_entries: self.warm_start_entries.load(Ordering::SeqCst),
+            disk_cold_starts: self.disk_cold_starts.load(Ordering::SeqCst),
+        }
     }
 }
 
@@ -1004,21 +1035,23 @@ mod tests {
 
     #[test]
     fn cache_capacity_is_settable_and_clamped() {
-        let prev = cache_capacity();
-        set_cache_capacity(64);
-        assert_eq!(stats().capacity, 64);
-        set_cache_capacity(0);
-        assert_eq!(cache_capacity(), 1, "capacity clamps to at least one entry");
-        set_cache_capacity(prev);
+        // Its own engine: shrinking the process engine's bound would evict
+        // the entries sibling tests are counting on.
+        let e = Engine::new();
+        assert_eq!(e.cache_capacity(), DEFAULT_CACHE_CAPACITY);
+        e.set_cache_capacity(64);
+        assert_eq!(e.stats().capacity, 64);
+        e.set_cache_capacity(0);
+        assert_eq!(e.cache_capacity(), 1, "capacity clamps to at least one entry");
     }
 
     #[test]
     fn run_cache_hits_on_repeat() {
         let b = Bench::Solver { n: 12 };
         let cfg = BuildCfg::revel(1);
-        let first = run_cached(b, &cfg, false).expect("runs");
+        let first = engine().run_cached(b, &cfg, false).expect("runs");
         let before = stats();
-        let second = run_cached(b, &cfg, false).expect("runs");
+        let second = engine().run_cached(b, &cfg, false).expect("runs");
         let after = stats();
         assert_eq!(first.cycles, second.cycles);
         assert!(after.hits > before.hits, "second lookup must hit: {before:?} -> {after:?}");
@@ -1030,12 +1063,12 @@ mod tests {
         let cfg = BuildCfg::systolic_baseline(1);
         let before = stats();
         let dead = Some(Instant::now());
-        let run = run_cached_deadline(b, &cfg, false, dead).expect("runs");
+        let run = engine().run_cached_deadline(b, &cfg, false, dead).expect("runs");
         assert!(run.report.timed_out, "expired deadline must surface as timed_out");
         assert!(run.report.deadline_expired);
         // The poisoned result must not have landed in the cache: a fresh
         // lookup with no deadline simulates and completes normally.
-        let good = run_cached(b, &cfg, false).expect("runs");
+        let good = engine().run_cached(b, &cfg, false).expect("runs");
         assert!(!good.report.timed_out, "cache must not have been poisoned");
         let after = stats();
         assert!(after.misses >= before.misses + 2, "both lookups were misses");
@@ -1045,9 +1078,9 @@ mod tests {
     fn generous_deadline_matches_undeadlined_run() {
         let b = Bench::Fft { n: 64 };
         let cfg = BuildCfg::revel(1);
-        let plain = run_cached(b, &cfg, false).expect("runs");
+        let plain = engine().run_cached(b, &cfg, false).expect("runs");
         let far = Some(Instant::now() + std::time::Duration::from_secs(600));
-        let with = run_cached_deadline(b, &cfg, false, far).expect("runs");
+        let with = engine().run_cached_deadline(b, &cfg, false, far).expect("runs");
         assert_eq!(plain.cycles, with.cycles);
         assert!(!with.report.deadline_expired);
     }
@@ -1060,10 +1093,9 @@ mod tests {
         let b = Bench::Solver { n: 16 };
         let cfg = BuildCfg::dataflow_baseline(1);
         let items: Vec<u32> = (0..8).collect();
-        let runs = par_map_jobs(&items, 8, |_| {
-            run_cached_deadline_on(&e, b, &cfg, false, None).expect("runs")
-        });
-        let after = stats_of(&e);
+        let runs =
+            par_map_jobs(&items, 8, |_| e.run_cached_deadline(b, &cfg, false, None).expect("runs"));
+        let after = e.stats();
         for r in &runs {
             assert_eq!(r.cycles, runs[0].cycles);
         }
@@ -1076,7 +1108,7 @@ mod tests {
         let before = stats();
         let b = Bench::Gemm { m: 4, k: 4, p: 8 };
         let cfg = BuildCfg::revel(1);
-        let run = run_cached(b, &cfg, false).expect("runs");
+        let run = engine().run_cached(b, &cfg, false).expect("runs");
         let after = stats();
         // Lower bounds only: other tests in this binary run concurrently
         // and may add their own cycles.
@@ -1088,7 +1120,7 @@ mod tests {
         assert!(after.skipped_pct() >= 0.0 && after.skipped_pct() <= 100.0);
         // A repeat is a hit and must not re-count cycles; assert indirectly
         // by checking the entry count didn't change for this key.
-        let again = run_cached(b, &cfg, false).expect("runs");
+        let again = engine().run_cached(b, &cfg, false).expect("runs");
         assert_eq!(run.cycles, again.cycles);
     }
 
@@ -1096,7 +1128,7 @@ mod tests {
     fn cached_runs_record_the_oblivious_certificate() {
         let b = Bench::Fft { n: 64 };
         let cfg = BuildCfg::revel(1);
-        let run = run_cached(b, &cfg, false).expect("runs");
+        let run = engine().run_cached(b, &cfg, false).expect("runs");
         assert!(run.oblivious, "suite kernels are statically data-oblivious");
         let s = stats();
         assert!(s.oblivious_entries >= 1, "certified entry must be counted: {s:?}");
@@ -1109,8 +1141,9 @@ mod tests {
     #[test]
     fn distinct_configs_do_not_collide() {
         let b = Bench::Solver { n: 12 };
-        let revel = run_cached(b, &BuildCfg::revel(1), false).expect("runs");
-        let systolic = run_cached(b, &BuildCfg::systolic_baseline(1), false).expect("runs");
+        let revel = engine().run_cached(b, &BuildCfg::revel(1), false).expect("runs");
+        let systolic =
+            engine().run_cached(b, &BuildCfg::systolic_baseline(1), false).expect("runs");
         assert_ne!(revel.cycles, systolic.cycles, "different archs must not share an entry");
     }
 
@@ -1119,9 +1152,9 @@ mod tests {
         // The determinism claim the whole engine rests on: fanned-out,
         // cache-warmed comparisons equal fresh serial ones cycle-for-cycle.
         let benches = [Bench::Solver { n: 12 }, Bench::Fft { n: 64 }];
-        let par = par_map_jobs(&benches, 2, |b| compare_cached(*b).expect("runs"));
+        let par = par_map_jobs(&benches, 2, |b| engine().compare(*b).expect("runs"));
         for (b, c) in benches.iter().zip(&par) {
-            let serial = compare_cached(*b).expect("runs");
+            let serial = engine().compare(*b).expect("runs");
             assert_eq!(c.revel.cycles, serial.revel.cycles, "{}", b.name());
             assert_eq!(c.systolic_cycles, serial.systolic_cycles, "{}", b.name());
             assert_eq!(c.dataflow_cycles, serial.dataflow_cycles, "{}", b.name());
@@ -1151,7 +1184,7 @@ mod tests {
         );
         // The faulted result must not be visible to clean lookups: the same
         // key simulates fresh and completes unfaulted.
-        let clean = run_cached(b, &cfg, false).expect("runs");
+        let clean = engine().run_cached(b, &cfg, false).expect("runs");
         assert!(clean.report.fault.is_none(), "clean run must carry no fault section");
         assert!(clean.verified.is_ok(), "cache must serve an unpoisoned result");
         assert_ne!(clean.cycles, 0);
@@ -1182,8 +1215,8 @@ mod tests {
         let b = Bench::Fft { n: 64 };
         let cfg = BuildCfg::revel(1);
         let seeds = [2u64, 3, 4];
-        let batch = run_batched_on(&e, b, &cfg, &seeds, cfg.sim_options()).expect("batched run");
-        let after = stats_of(&e);
+        let batch = e.run_batched(b, &cfg, &seeds, cfg.sim_options()).expect("batched run");
+        let after = e.stats();
         assert!(batch.replayed, "a certified cell must take the replay path");
         assert_eq!(batch.runs.len(), seeds.len());
         assert_eq!(after.batched_replays, seeds.len() as u64, "one replay per dataset: {after:?}");
@@ -1202,9 +1235,9 @@ mod tests {
             );
         }
         // A second batch of the same cell reuses the cached trace.
-        let again = run_batched_on(&e, b, &cfg, &seeds, cfg.sim_options()).expect("batched rerun");
+        let again = e.run_batched(b, &cfg, &seeds, cfg.sim_options()).expect("batched rerun");
         assert!(again.replayed);
-        assert_eq!(stats_of(&e).trace_hits, 1, "second batch must hit the trace cache");
+        assert_eq!(e.stats().trace_hits, 1, "second batch must hit the trace cache");
     }
 
     #[test]
@@ -1215,8 +1248,8 @@ mod tests {
         let cfg = BuildCfg::revel(1);
         let seeds = [5u64, 6];
         let opts = SimOptions { fault_plan: Some(FaultPlan::new(7, 2, 4096)), ..cfg.sim_options() };
-        let batch = run_batched_on(&e, b, &cfg, &seeds, opts).expect("perturbed batch");
-        let after = stats_of(&e);
+        let batch = e.run_batched(b, &cfg, &seeds, opts).expect("perturbed batch");
+        let after = e.stats();
         assert!(!batch.replayed, "fault injection must force full simulation");
         assert_eq!(
             after.fault_bypasses,
@@ -1228,38 +1261,29 @@ mod tests {
             fabric_mask: FabricMask { dead_pes: 1, dead_links: 0 },
             ..cfg.sim_options()
         };
-        let batch = run_batched_on(&e, b, &cfg, &seeds, degraded).expect("degraded batch");
+        let batch = e.run_batched(b, &cfg, &seeds, degraded).expect("degraded batch");
         assert!(!batch.replayed, "a degraded fabric must force full simulation");
-        assert_eq!(stats_of(&e).batched_replays, 0);
+        assert_eq!(e.stats().batched_replays, 0);
     }
 
     #[test]
     fn contended_deadline_fallback_keeps_lookup_accounting_exact() {
-        // Satellite fix: a waiter that gives up on someone else's in-flight
-        // run used to simulate uncached without bumping any counter,
-        // breaking `hits + misses + deadline_fallbacks == lookups`. Claim a
-        // key nobody else in this binary touches and watch a deadlined
-        // lookup fall back.
+        // A waiter that gives up on someone else's in-flight run simulates
+        // uncached; that lookup must still be counted, or
+        // `hits + misses + deadline_fallbacks == lookups` breaks. Its own
+        // engine holds a claim nobody will ever fulfil, and a deadlined
+        // lookup of that key falls back.
+        let e = Engine::new();
         let b = Bench::Svd { n: 12 };
         let cfg = BuildCfg::dataflow_baseline(1);
-        let key = RunKey { bench: b, cfg, batch: false };
-        let e = engine();
-        e.runs.lock().expect("run cache lock").claim(key);
-        let before = stats();
+        e.runs.lock().expect("run cache lock").claim(RunKey { bench: b, cfg, batch: false });
         let deadline = Some(Instant::now() + std::time::Duration::from_millis(50));
-        let run = run_cached_deadline(b, &cfg, false, deadline).expect("falls back uncached");
-        let after = stats();
-        // Release the synthetic claim before asserting, so a failure here
-        // cannot hang other tests waiting on the key.
-        e.runs.lock().expect("run cache lock").release_claim(&key);
-        e.runs_done.notify_all();
+        let run = e.run_cached_deadline(b, &cfg, false, deadline).expect("falls back uncached");
         assert!(run.report.timed_out, "expired-deadline fallback surfaces as timed_out");
         assert!(run.report.deadline_expired);
-        assert_eq!(
-            after.deadline_fallbacks,
-            before.deadline_fallbacks + 1,
-            "the fallback must be counted: {before:?} -> {after:?}"
-        );
+        let after = e.stats();
+        assert_eq!(after.deadline_fallbacks, 1, "the fallback must be counted: {after:?}");
+        assert_eq!((after.hits, after.misses), (0, 0), "neither a hit nor a miss: {after:?}");
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! seed — same seed, same site, same action, same trigger — which is
 //! what makes torture-harness reports reproducible.
 
+use revel_isa::Rng;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -309,8 +310,9 @@ impl FailPlan {
         error_sites: &[&str],
         flap_site: &str,
     ) -> FailPlan {
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        match splitmix64(&mut state) % 4 {
+        let mut rng = Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut draw = |n: usize| rng.next_u64() % n as u64;
+        match draw(4) {
             0 => FailPlan {
                 site: flap_site.to_string(),
                 action: Action::Abort,
@@ -318,17 +320,15 @@ impl FailPlan {
                 every_hit: true,
             },
             1 => FailPlan {
-                site: error_sites[(splitmix64(&mut state) % error_sites.len() as u64) as usize]
-                    .to_string(),
+                site: error_sites[draw(error_sites.len()) as usize].to_string(),
                 action: Action::InjectError,
-                trigger: 1 + splitmix64(&mut state) % 2,
+                trigger: 1 + draw(2),
                 every_hit: false,
             },
             _ => FailPlan {
-                site: crash_sites[(splitmix64(&mut state) % crash_sites.len() as u64) as usize]
-                    .to_string(),
+                site: crash_sites[draw(crash_sites.len()) as usize].to_string(),
                 action: Action::Abort,
-                trigger: 1 + splitmix64(&mut state) % 3,
+                trigger: 1 + draw(3),
                 every_hit: false,
             },
         }
@@ -344,16 +344,6 @@ impl FailPlan {
             if self.every_hit { "+" } else { "" }
         )
     }
-}
-
-/// SplitMix64 — the crate sits at the root of the dependency graph, so
-/// it carries its own tiny generator instead of pulling in `revel-isa`.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -507,5 +497,36 @@ mod tests {
             assert_eq!(lhs, a.site);
         }
         assert!(saw_flap && saw_err && saw_crash, "64 seeds cover all three plan shapes");
+    }
+
+    /// The seed → plan mapping is a published fact: CI diffs torture
+    /// summaries that embed these strings, so the generator behind
+    /// `from_seed` may change only if this table changes with it. Site
+    /// lists as the torture harness passes them.
+    #[test]
+    fn seeds_one_to_eight_derive_the_pinned_plans() {
+        let crash = [
+            "persist.append.mid-write",
+            "persist.append.before-flush",
+            "serve.reply.pre-write",
+            "engine.serve.disk-lookup",
+        ];
+        let eio = ["persist.append.before-write", "persist.append.before-flush"];
+        let specs: Vec<String> = (1..=8)
+            .map(|seed| FailPlan::from_seed(seed, &crash, &eio, "serve.reply.pre-write").spec())
+            .collect();
+        assert_eq!(
+            specs,
+            [
+                "persist.append.before-flush=err@1",
+                "engine.serve.disk-lookup=abort@1",
+                "serve.reply.pre-write=abort@3",
+                "persist.append.before-flush=err@2",
+                "serve.reply.pre-write=abort@1+",
+                "persist.append.before-flush=err@2",
+                "persist.append.before-flush=err@1",
+                "persist.append.before-flush=err@1",
+            ]
+        );
     }
 }

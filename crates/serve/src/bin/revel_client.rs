@@ -8,7 +8,7 @@
 //! revel_client --scenario ci/scenarios/smoke.json --dump-requests dump.txt
 //! ```
 //!
-//! A scenario file (`revel_traffic::scenario`, DESIGN.md §16) names the
+//! A scenario file (`revel_traffic::scenario`, DESIGN.md §11) names the
 //! connections, the workload mix (grid cells, `"batch": N` lanes, or the
 //! whole grid), the phased arrival processes, the retry budget, scripted
 //! shard kills and the SLOs. The runner prints one JSON line per phase

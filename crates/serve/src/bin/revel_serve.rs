@@ -13,33 +13,34 @@
 //! and exits 0 with a final stats line on stderr; a second signal during
 //! the drain force-exits with code 3.
 //!
-//! Faults are injected through `REVEL_FAILPOINTS` (DESIGN.md §17), armed
-//! before anything else runs. The work path's site is
-//! `serve.worker.pre-run`, hit once per popped job inside the worker's
+//! Faults are injected through `REVEL_FAILPOINTS` (DESIGN.md §11,
+//! "Failpoints"), armed before anything else runs. The work path's site
+//! is `serve.worker.pre-run`, hit once per popped job inside the worker's
 //! unwind fence: `err` answers a retryable `injected_fault` (counted as
 //! `injected` on the shutdown line), `delay:MS` holds the worker and then
 //! serves the job, `panic` comes back as the `internal` error a real bug
 //! would, `abort` kills the process. `@%N` fires on every Nth job, so
 //! client retry logic can be drilled at a chosen rate.
 //!
-//! `--shards N` turns this process into a fleet frontend (DESIGN.md §15):
+//! `--shards N` turns this process into a fleet frontend (DESIGN.md §11,
+//! "Shard fleet"), booted by `harness::attach_fleet` like every test fleet:
 //! it spawns N single-shard copies of itself on the next N ports, routes
 //! work to them by cache-key fingerprint, respawns any that die, and
 //! drains them on shutdown. With `--snapshot-dir`, each shard keeps a
 //! disk-backed result cache under `<dir>/shard-<i>` and warm-starts from
 //! it after a crash.
 
-use revel_serve::fleet::{Fleet, FleetConfig, Supervisor, DEFAULT_MAX_RESTARTS};
+use revel_serve::fleet::FleetConfig;
+use revel_serve::harness::attach_fleet;
 use revel_serve::server::{Server, ServerConfig};
 use revel_serve::signal;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
     // Fault-injection sites arm from the environment before anything
     // else runs, so a supervisor can target a shard it is about to
-    // spawn (DESIGN.md §17).
+    // spawn.
     match revel_failpoint::init_from_env() {
         Ok(0) => {}
         Ok(n) => {
@@ -123,40 +124,24 @@ fn main() {
     let bound_port = server.local_addr().map(|a| a.port()).unwrap_or(port);
 
     // Fleet mode: spawn the shards and route instead of executing.
-    let supervisor = if shards > 0 {
+    let supervisor = (shards > 0).then(|| {
+        let binary = std::env::current_exe().unwrap_or_else(|e| {
+            eprintln!("revel-serve: cannot locate own binary: {e}");
+            std::process::exit(1);
+        });
         let fleet_cfg = FleetConfig {
-            shards,
-            host: host.clone(),
-            base_port: bound_port,
+            host,
             workers: cfg.workers,
             queue_capacity: cfg.queue_capacity,
-            snapshot_dir: snapshot_dir.clone(),
+            snapshot_dir,
             cache_capacity,
-            max_restarts: DEFAULT_MAX_RESTARTS,
-            failpoints: None,
-            binary: std::env::current_exe().unwrap_or_else(|e| {
-                eprintln!("revel-serve: cannot locate own binary: {e}");
-                std::process::exit(1);
-            }),
+            ..FleetConfig::new(shards, bound_port, binary)
         };
-        let fleet = Arc::new(Fleet::new(&host, &fleet_cfg.shard_ports()));
-        let sup = match Supervisor::start(Arc::clone(&fleet), fleet_cfg) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("revel-serve: cannot spawn shards: {e}");
-                std::process::exit(1);
-            }
-        };
-        server.set_fleet(fleet);
-        // Scenario runs script shard kills over the wire; the hook hands
-        // them to this supervisor (SIGKILL + optional snapshot wipe).
-        let sup = Arc::new(sup);
-        let hook_sup = Arc::clone(&sup);
-        server.set_kill_hook(Box::new(move |id, wipe| hook_sup.kill_shard(id, wipe)));
-        Some(sup)
-    } else {
-        None
-    };
+        attach_fleet(&mut server, fleet_cfg).unwrap_or_else(|e| {
+            eprintln!("revel-serve: cannot spawn shards: {e}");
+            std::process::exit(1);
+        })
+    });
 
     let role = match (shards, cfg.shard_id) {
         (n, _) if n > 0 => format!(", fleet frontend over {n} shard(s)"),

@@ -1,7 +1,8 @@
 //! Blocking client for the JSON-lines protocol.
 
 use crate::protocol::{
-    decode_response, encode_request, Frame, FrameReader, ProtoError, Request, Response,
+    decode_response, encode_request, EngineStatsWire, Frame, FrameReader, ProtoError, Request,
+    Response,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -101,6 +102,19 @@ impl Client {
                 }
                 Ok(resp)
             }
+        }
+    }
+
+    /// The engine-cache counters of a `stats` request — what every harness
+    /// brackets a window of traffic with.
+    ///
+    /// # Errors
+    /// As [`request`](Client::request); any other answer is a protocol
+    /// violation.
+    pub fn engine_stats(&mut self) -> Result<EngineStatsWire, ClientError> {
+        match self.request(&Request::Stats)? {
+            Response::Stats { engine, .. } => Ok(engine),
+            other => Err(ClientError::Protocol(format!("stats answered {other:?}"))),
         }
     }
 

@@ -1,4 +1,4 @@
-//! The scale-out shard fleet (DESIGN.md §15).
+//! The scale-out shard fleet (DESIGN.md §11, "Shard fleet").
 //!
 //! One frontend process owns the public port and routes work-plane
 //! requests to N single-shard `revel_serve` worker processes by
@@ -16,9 +16,15 @@
 //! * [`router`] — [`Fleet`]: per-shard connection pools,
 //!   forward-with-failover along ring successors, fleet-wide stats
 //!   aggregation, and the `fleet_stats` roster;
-//! * [`supervisor`] — shard processes: spawn, health-probe, respawn on
-//!   death (the ring rebalances while the shard is down and again when
-//!   it returns), and graceful fleet shutdown.
+//! * [`supervisor`] — shard processes and the [`Fleet`] over them:
+//!   spawn, health-probe, respawn on death (the ring rebalances while
+//!   the shard is down and again when it returns), the restart circuit
+//!   that evicts a flapping shard, scripted kills, and graceful fleet
+//!   shutdown.
+//!
+//! Nothing outside this module constructs a fleet: a frontend is booted
+//! by [`crate::harness::attach_fleet`], which hands the server the
+//! [`Supervisor`].
 //!
 //! Failure model: a forward that fails over marks the shard down and
 //! retries the request on the next ring successor; when no shard can

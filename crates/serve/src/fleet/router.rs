@@ -92,9 +92,9 @@ impl Fleet {
         self.shards.is_empty()
     }
 
-    /// The port shard `id` listens on.
-    pub fn shard_port(&self, id: usize) -> Option<u16> {
-        self.shards.get(id).map(|s| s.port)
+    /// `host:port` of shard `id`, for talking to it past the router.
+    pub fn shard_addr(&self, id: usize) -> Option<&str> {
+        self.shards.get(id).map(|s| s.addr.as_str())
     }
 
     /// True while shard `id` is routable.
@@ -110,16 +110,7 @@ impl Fleet {
     /// Blocks until at least `n` shards are routable or `timeout`
     /// elapses; returns whether the quorum was reached.
     pub fn wait_alive(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if self.alive_count() >= n {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        crate::harness::wait_for(timeout, || self.alive_count() >= n)
     }
 
     /// Marks a shard routable (supervisor, after a successful health
@@ -378,23 +369,9 @@ fn cell_fingerprint(bench: &str, params: &str, arch: &str) -> u64 {
 mod tests {
     use super::*;
 
-    fn simulate_req(bench: &str, params: &str) -> Request {
-        Request::Simulate {
-            bench: bench.to_string(),
-            params: params.to_string(),
-            arch: "revel".to_string(),
-            deadline_ms: None,
-            max_cycles: None,
-            reference_stepper: false,
-            fault_seed: None,
-            fault_count: None,
-            fault_window: None,
-        }
-    }
-
     #[test]
     fn keyed_requests_share_a_fingerprint_across_ops() {
-        let sim = route_fingerprint(&simulate_req("fft", "n=64")).expect("keyed");
+        let sim = route_fingerprint(&Request::simulate("fft", "n=64", "revel")).expect("keyed");
         let lint = route_fingerprint(&Request::Lint {
             bench: "fft".to_string(),
             params: "n=64".to_string(),
@@ -402,15 +379,17 @@ mod tests {
         })
         .expect("keyed");
         assert_eq!(sim, lint, "lint co-locates with the runs it lints");
-        let other = route_fingerprint(&simulate_req("fft", "n=256")).expect("keyed");
+        let other = route_fingerprint(&Request::simulate("fft", "n=256", "revel")).expect("keyed");
         assert_ne!(sim, other, "different cells, different keys");
         assert_eq!(route_fingerprint(&Request::Sleep { ms: 1 }), None, "sleep is unkeyed");
     }
 
     #[test]
     fn unresolvable_cells_still_route_stably() {
-        let a = route_fingerprint(&simulate_req("no-such-bench", "n=1")).expect("keyed");
-        let b = route_fingerprint(&simulate_req("no-such-bench", "n=1")).expect("keyed");
+        let a =
+            route_fingerprint(&Request::simulate("no-such-bench", "n=1", "revel")).expect("keyed");
+        let b =
+            route_fingerprint(&Request::simulate("no-such-bench", "n=1", "revel")).expect("keyed");
         assert_eq!(a, b);
     }
 
@@ -418,7 +397,7 @@ mod tests {
     fn a_fleet_with_no_live_shards_answers_fleet_unavailable() {
         let fleet = Fleet::new("127.0.0.1", &[1, 2, 3]);
         assert_eq!(fleet.alive_count(), 0);
-        let resp = fleet.forward(&simulate_req("fft", "n=64"));
+        let resp = fleet.forward(&Request::simulate("fft", "n=64", "revel"));
         match &resp {
             Response::Error { kind, retry_after_ms, .. } => {
                 assert_eq!(kind, "fleet_unavailable");
@@ -453,7 +432,7 @@ mod tests {
         fleet.mark_up(0);
         fleet.mark_up(1);
         fleet.mark_up(2);
-        let fp = route_fingerprint(&simulate_req("fft", "n=64")).expect("keyed");
+        let fp = route_fingerprint(&Request::simulate("fft", "n=64", "revel")).expect("keyed");
         let owner = fleet.ring.read().expect("ring").route(fp).expect("route");
         fleet.mark_down(owner);
         let next = fleet.ring.read().expect("ring").route(fp).expect("route");

@@ -6,6 +6,7 @@
 
 use super::router::Fleet;
 use crate::client::Client;
+use crate::harness::wait_for;
 use crate::protocol::{Request, Response};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -84,14 +85,29 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
+    /// `shards` loopback shards of `binary` on the ports after
+    /// `base_port`, with the values every harness and test shares: two
+    /// workers and a 32-deep queue per shard, no disk tier, the default
+    /// cache bound and restart circuit, no failpoints. Callers override
+    /// the rest with struct-update syntax.
+    pub fn new(shards: usize, base_port: u16, binary: PathBuf) -> FleetConfig {
+        FleetConfig {
+            shards,
+            host: "127.0.0.1".to_string(),
+            base_port,
+            workers: 2,
+            queue_capacity: 32,
+            snapshot_dir: None,
+            cache_capacity: None,
+            max_restarts: DEFAULT_MAX_RESTARTS,
+            failpoints: None,
+            binary,
+        }
+    }
+
     /// The port shard `id` listens on.
     pub fn shard_port(&self, id: usize) -> u16 {
         self.base_port + 1 + id as u16
-    }
-
-    /// The ports of every shard, in id order.
-    pub fn shard_ports(&self) -> Vec<u16> {
-        (0..self.shards).map(|id| self.shard_port(id)).collect()
     }
 }
 
@@ -118,10 +134,11 @@ struct Inner {
     stop: AtomicBool,
 }
 
-/// Owns the shard processes. [`Supervisor::start`] spawns them plus a
-/// monitor thread that probes each shard healthy (flipping it routable in
-/// the [`Fleet`]), notices deaths, and respawns with capped exponential
-/// backoff — a respawned shard warm-starts from its persistent tier and
+/// Owns the shard processes and the [`Fleet`] routing table over them.
+/// [`Supervisor::start`] spawns them plus a monitor thread that probes
+/// each shard healthy (flipping it routable in the fleet), notices
+/// deaths, and respawns with capped exponential backoff — a respawned
+/// shard warm-starts from its persistent tier and
 /// reclaims its ring slice once it answers a probe, and a shard that
 /// flaps through `max_restarts` respawns without ever probing healthy is
 /// permanently evicted so the ring routes around it.
@@ -133,12 +150,15 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// Spawns every shard process and the monitor thread.
+    /// Builds the routing table for `cfg`'s shards (every shard starts
+    /// down), spawns every shard process and the monitor thread.
     ///
     /// # Errors
     /// Propagates spawn failures of the initial shard set (later respawn
     /// failures are retried on the next sweep instead).
-    pub fn start(fleet: Arc<Fleet>, cfg: FleetConfig) -> std::io::Result<Supervisor> {
+    pub fn start(cfg: FleetConfig) -> std::io::Result<Supervisor> {
+        let ports: Vec<u16> = (0..cfg.shards).map(|id| cfg.shard_port(id)).collect();
+        let fleet = Arc::new(Fleet::new(&cfg.host, &ports));
         let mut procs = Vec::with_capacity(cfg.shards);
         for id in 0..cfg.shards {
             let child = spawn_shard(&cfg, id, 0)?;
@@ -166,6 +186,11 @@ impl Supervisor {
         Ok(Supervisor { fleet, inner, monitor: Mutex::new(Some(monitor)) })
     }
 
+    /// The routing table over this supervisor's shards.
+    pub fn fleet(&self) -> &Arc<Fleet> {
+        &self.fleet
+    }
+
     /// SIGKILLs shard `id` (no drain, no flush — the failure the fleet is
     /// built to survive). Returns false when the shard has no live
     /// process. The monitor notices and respawns after its backoff.
@@ -190,9 +215,9 @@ impl Supervisor {
 
     /// Graceful teardown: stop the monitor, ask every live shard to
     /// drain via the protocol's `shutdown` op, wait bounded, then kill
-    /// stragglers. Takes `&self` so a frontend can share the supervisor
-    /// with the scripted-kill hook behind an `Arc`; extra calls are
-    /// no-ops.
+    /// stragglers. Takes `&self` because the frontend server shares the
+    /// supervisor behind an `Arc` (it answers `kill_shard` from it);
+    /// extra calls are no-ops.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         if let Some(monitor) = self.monitor.lock().expect("monitor lock").take() {
@@ -202,20 +227,10 @@ impl Supervisor {
         let mut procs = self.inner.procs.lock().expect("procs lock");
         for proc_ in procs.iter_mut() {
             let Some(mut child) = proc_.child.take() else { continue };
-            let deadline = Instant::now() + DRAIN_TIMEOUT;
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                }
+            if !wait_for(DRAIN_TIMEOUT, || !matches!(child.try_wait(), Ok(None))) {
+                let _ = child.kill();
             }
+            let _ = child.wait();
             self.fleet.mark_down(proc_.id);
         }
     }
@@ -265,7 +280,10 @@ fn sweep(fleet: &Fleet, inner: &Inner) {
                 proc_.last_spawn = Instant::now();
             }
         }
-        if proc_.child.is_some() && !fleet.is_alive(proc_.id) && probe(inner, proc_.id) {
+        if proc_.child.is_some()
+            && !fleet.is_alive(proc_.id)
+            && fleet.shard_addr(proc_.id).is_some_and(probe)
+        {
             // A healthy probe closes the strike window: the next death
             // starts the backoff ladder from the floor again.
             proc_.strikes = 0;
@@ -277,9 +295,8 @@ fn sweep(fleet: &Fleet, inner: &Inner) {
 
 /// One health probe: connect and ask; any structured answer means the
 /// shard is serving.
-fn probe(inner: &Inner, id: usize) -> bool {
-    let addr = format!("{}:{}", inner.cfg.host, inner.cfg.shard_port(id));
-    let Ok(mut client) = Client::connect(&addr) else { return false };
+fn probe(addr: &str) -> bool {
+    let Ok(mut client) = Client::connect(addr) else { return false };
     let _ = client.set_read_timeout(Some(PROBE_TIMEOUT));
     matches!(client.request(&Request::Health), Ok(Response::Health { .. }))
 }

@@ -29,6 +29,9 @@
 //! latency plus the server-side cache window. Faults are injected one
 //! way: `REVEL_FAILPOINTS` arms named sites (`revel_failpoint`), the work
 //! path's being `serve.worker.pre-run` inside the worker's unwind fence.
+//! Servers and fleets are booted, driven and torn down one way: the
+//! [`harness`] guards, which every test, the `torture` binary and the
+//! `--shards` frontend go through.
 //!
 //! [`SimOptions::wall_deadline`]: revel_core::sim::SimOptions
 
@@ -37,6 +40,7 @@
 
 pub mod client;
 pub mod fleet;
+pub mod harness;
 pub mod probe;
 pub mod protocol;
 pub mod queue;

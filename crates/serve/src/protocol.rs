@@ -116,6 +116,23 @@ pub enum Request {
 }
 
 impl Request {
+    /// The common simulate request: one cell, every optional field absent
+    /// (no deadline, default cycle budget, event-horizon stepper, no
+    /// fault plan) — the form the run cache serves.
+    pub fn simulate(bench: &str, params: &str, arch: &str) -> Request {
+        Request::Simulate {
+            bench: bench.to_string(),
+            params: params.to_string(),
+            arch: arch.to_string(),
+            deadline_ms: None,
+            max_cycles: None,
+            reference_stepper: false,
+            fault_seed: None,
+            fault_count: None,
+            fault_window: None,
+        }
+    }
+
     /// True for ops that go through the bounded queue to a worker, whose
     /// answers are pure functions of the request — and so must be
     /// byte-identical between a standalone server and a fleet.

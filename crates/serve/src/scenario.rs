@@ -2,7 +2,7 @@
 //! against a live `revel_serve` (standalone or fleet frontend) over the
 //! JSON-lines protocol.
 //!
-//! The split of responsibilities (DESIGN.md §16):
+//! The split of responsibilities (DESIGN.md §11, "Scenarios"):
 //!
 //! * `revel_traffic` owns everything deterministic — arrival grids, mix
 //!   sampling, per-lane state machines, SLO math. No sockets.
@@ -201,7 +201,7 @@ fn materialize(cell: &MixCell, grid_cursor: Option<u64>, cells: &[grid::Cell]) -
     match cell {
         MixCell::Grid => {
             let c = &cells[grid_cursor.unwrap_or(0) as usize % cells.len()];
-            simulate(c.bench.name(), &c.bench.params(), c.arch)
+            Request::simulate(c.bench.name(), &c.bench.params(), c.arch)
         }
         MixCell::Cell { bench, params, arch, batch } => {
             if *batch > 0 {
@@ -212,23 +212,9 @@ fn materialize(cell: &MixCell, grid_cursor: Option<u64>, cells: &[grid::Cell]) -
                     seeds: (1..=*batch).collect(),
                 }
             } else {
-                simulate(bench, params, arch)
+                Request::simulate(bench, params, arch)
             }
         }
-    }
-}
-
-fn simulate(bench: &str, params: &str, arch: &str) -> Request {
-    Request::Simulate {
-        bench: bench.to_string(),
-        params: params.to_string(),
-        arch: arch.to_string(),
-        deadline_ms: None,
-        max_cycles: None,
-        reference_stepper: false,
-        fault_seed: None,
-        fault_count: None,
-        fault_window: None,
     }
 }
 
@@ -454,9 +440,9 @@ fn fetch_stats(control: &mut Option<Client>, addr: &str) -> Option<EngineStatsWi
             }
         }
         let Some(c) = control.as_mut() else { continue };
-        match c.request(&Request::Stats) {
-            Ok(Response::Stats { engine, .. }) => return Some(engine),
-            _ => *control = None,
+        match c.engine_stats() {
+            Ok(engine) => return Some(engine),
+            Err(_) => *control = None,
         }
     }
     None

@@ -36,6 +36,7 @@
 //! until every pending reply is flushed, then closes the queue and
 //! joins the workers. Nothing admitted is ever dropped.
 
+use crate::fleet::Supervisor;
 use crate::probe;
 use crate::protocol::{
     encode_response, EngineStatsWire, Frame, FrameReader, Request, Response, ScheduleStatsWire,
@@ -169,13 +170,11 @@ struct Shared {
     /// a standalone server answers for itself and given to failpoint
     /// sites as their context.
     port: u16,
-    /// The shard fleet this server fronts, when routing instead of
-    /// executing locally.
-    fleet: Option<Arc<crate::fleet::Fleet>>,
-    /// Delivers a scripted `kill_shard` to the supervisor: `(shard, wipe
-    /// snapshot first)` → whether a live process was killed. Wired by the
-    /// fleet frontend binary; absent on standalone servers and shards.
-    kill_hook: Option<Box<dyn Fn(usize, bool) -> bool + Send + Sync>>,
+    /// The supervisor of the shard fleet this server fronts, when routing
+    /// instead of executing locally: work is forwarded through its
+    /// [`Fleet`](crate::fleet::Fleet), a scripted `kill_shard` is
+    /// delivered to it. Absent on standalone servers and shards.
+    supervisor: Option<Arc<Supervisor>>,
     /// Slow-loris deadline (`Duration::ZERO` disables it).
     conn_timeout: Duration,
     /// Per-connection unread-reply byte cap.
@@ -243,8 +242,7 @@ impl Server {
                 workers,
                 shard_id: cfg.shard_id,
                 port,
-                fleet: None,
-                kill_hook: None,
+                supervisor: None,
                 conn_timeout: cfg.conn_timeout,
                 wbuf_limit: cfg.wbuf_limit.max(1),
                 active_connections: AtomicU64::new(0),
@@ -260,22 +258,14 @@ impl Server {
         })
     }
 
-    /// Attaches a shard fleet: work-plane requests are routed to shards
-    /// by cache-key fingerprint instead of executed in-process, and the
-    /// `stats`/`fleet_stats` ops aggregate over the fleet. Must be called
-    /// before [`Server::serve`].
-    pub fn set_fleet(&mut self, fleet: Arc<crate::fleet::Fleet>) {
-        self.shared.fleet = Some(fleet);
-    }
-
-    /// Attaches the scripted-kill hook (fleet frontend only): a
-    /// `kill_shard` request resolves its victim and calls
-    /// `hook(shard, wipe_snapshot)`, which SIGKILLs the shard process
-    /// (and wipes its snapshot directory first when asked) and reports
-    /// whether a live process was found. Must be called before
+    /// Attaches a shard fleet by its supervisor: work-plane requests are
+    /// routed to shards by cache-key fingerprint instead of executed
+    /// in-process, the `stats`/`fleet_stats` ops aggregate over the fleet,
+    /// and a `kill_shard` request SIGKILLs the victim's process (wiping
+    /// its snapshot directory first when asked). Must be called before
     /// [`Server::serve`].
-    pub fn set_kill_hook(&mut self, hook: Box<dyn Fn(usize, bool) -> bool + Send + Sync>) {
-        self.shared.kill_hook = Some(hook);
+    pub fn set_fleet(&mut self, supervisor: Arc<Supervisor>) {
+        self.shared.supervisor = Some(supervisor);
     }
 
     /// The bound address (resolves port 0).
@@ -679,8 +669,8 @@ fn event_loop(listener: &TcpListener, shared: &Shared) -> std::io::Result<()> {
 /// Serves one popped job: forwarded to the owning shard when a fleet is
 /// attached, executed through the local engine otherwise.
 fn dispatch(shared: &Shared, job: &Job) -> Response {
-    match &shared.fleet {
-        Some(fleet) => fleet.forward(&job.req),
+    match &shared.supervisor {
+        Some(sup) => sup.fleet().forward(&job.req),
         None => execute(&job.req, job.deadline),
     }
 }
@@ -725,9 +715,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// A scripted `kill_shard`: resolve the victim (explicit id, or the ring
-/// owner of a cell) and deliver the SIGKILL through the supervisor hook.
-/// Standalone servers and bare shards answer with a structured `no_fleet`
-/// error — the op only means something on a fleet frontend.
+/// owner of a cell) and have the supervisor SIGKILL it. Standalone servers
+/// and bare shards answer with a structured `no_fleet` error — the op only
+/// means something on a fleet frontend.
 fn kill_shard_response(
     shared: &Shared,
     shard: Option<u64>,
@@ -736,7 +726,7 @@ fn kill_shard_response(
     arch: Option<&str>,
     wipe_snapshot: bool,
 ) -> Response {
-    let (Some(fleet), Some(hook)) = (&shared.fleet, &shared.kill_hook) else {
+    let Some(sup) = &shared.supervisor else {
         return Response::error(
             "no_fleet",
             "kill_shard needs a fleet frontend (--shards N); this server supervises no shards",
@@ -746,7 +736,7 @@ fn kill_shard_response(
         Some(id) => id as usize,
         None => {
             let bench = bench.unwrap_or("");
-            match fleet.owner_of_cell(bench, params.unwrap_or(""), arch.unwrap_or("")) {
+            match sup.fleet().owner_of_cell(bench, params.unwrap_or(""), arch.unwrap_or("")) {
                 Some(id) => id,
                 None => {
                     return Response::error("kill_failed", "no alive shard owns the cell");
@@ -754,7 +744,7 @@ fn kill_shard_response(
             }
         }
     };
-    if hook(victim, wipe_snapshot) {
+    if sup.kill_shard(victim, wipe_snapshot) {
         Response::ShardKilled { shard: victim as u64, wiped: wipe_snapshot }
     } else {
         Response::error("kill_failed", format!("shard {victim} has no live process"))
@@ -764,8 +754,8 @@ fn kill_shard_response(
 /// The `fleet_stats` roster: the fleet's when one is attached, a
 /// single-row answer for a standalone server (it is its own shard 0).
 fn fleet_stats_response(shared: &Shared) -> Response {
-    match &shared.fleet {
-        Some(fleet) => Response::FleetStats { shards: fleet.roster() },
+    match &shared.supervisor {
+        Some(sup) => Response::FleetStats { shards: sup.fleet().roster() },
         None => Response::FleetStats {
             shards: vec![ShardStatsWire {
                 shard: shared.shard_id.unwrap_or(0),
@@ -791,11 +781,11 @@ fn stats_response(shared: &Shared) -> Response {
         conn_timeouts: f.conn_timeouts,
         write_overflows: f.write_overflows,
     };
-    if let Some(fleet) = &shared.fleet {
+    if let Some(sup) = &shared.supervisor {
         // The frontend's own engine is idle; the counters that matter
         // live on the shards. Summing keeps client-side hit-rate windows
         // working unchanged against a fleet.
-        if let Some((engine, schedule)) = fleet.aggregate_stats() {
+        if let Some((engine, schedule)) = sup.fleet().aggregate_stats() {
             return Response::Stats { engine, schedule, server };
         }
         // No shard reachable: fall through to the (idle) local counters
@@ -1088,20 +1078,7 @@ mod tests {
 
     #[test]
     fn unknown_cells_get_structured_errors() {
-        let resp = execute(
-            &Request::Simulate {
-                bench: "qr".into(),
-                params: "n=999".into(),
-                arch: "revel".into(),
-                deadline_ms: None,
-                max_cycles: None,
-                reference_stepper: false,
-                fault_seed: None,
-                fault_count: None,
-                fault_window: None,
-            },
-            None,
-        );
+        let resp = execute(&Request::simulate("qr", "n=999", "revel"), None);
         assert!(matches!(resp, Response::Error { ref kind, .. } if kind == "unknown_bench"));
     }
 

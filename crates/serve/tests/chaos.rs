@@ -7,48 +7,16 @@
 
 use revel_core::Bench;
 use revel_serve::client::Client;
+use revel_serve::harness::{loopback, ServerGuard};
 use revel_serve::protocol::{encode_request, encode_response, Request, Response};
-use revel_serve::server::{response_for_run, FinalStats, Server, ServerConfig};
+use revel_serve::server::response_for_run;
 
 /// The work path's failpoint site; every arm here is filtered on its own
 /// server's port, so the tests of this binary cannot trip each other.
 const SITE: &str = "serve.worker.pre-run";
 
-fn start(workers: usize, queue_capacity: usize) -> (String, std::thread::JoinHandle<FinalStats>) {
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers,
-        queue_capacity,
-        ..Default::default()
-    };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
-    (addr, handle)
-}
-
 fn port_of(addr: &str) -> &str {
     addr.rsplit(':').next().expect("host:port")
-}
-
-fn shutdown(addr: &str) {
-    let mut c = Client::connect(addr).expect("connect for shutdown");
-    // Shutdown is answered inline (control plane): no failpoint touches it.
-    assert_eq!(c.request(&Request::Shutdown).expect("shutdown"), Response::ShuttingDown);
-}
-
-fn simulate_req(bench: &Bench, arch: &str) -> Request {
-    Request::Simulate {
-        bench: bench.name().to_string(),
-        params: bench.params(),
-        arch: arch.to_string(),
-        deadline_ms: None,
-        max_cycles: None,
-        reference_stepper: false,
-        fault_seed: None,
-        fault_count: None,
-        fault_window: None,
-    }
 }
 
 /// Sends `req` until its answer is terminal.
@@ -65,8 +33,9 @@ fn converge(c: &mut Client, req: &Request) -> Response {
 #[test]
 fn chaos_at_ten_percent_converges_to_byte_identical_results() {
     use revel_core::compiler::BuildCfg;
-    let (addr, handle) = start(2, 16);
-    let port = port_of(&addr);
+    let server = ServerGuard::start(&loopback(2, 16)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let port = port_of(addr);
     revel_failpoint::arm_spec(&format!("{SITE}#{port}=err@%10; {SITE}#{port}=delay:5@%7"))
         .expect("valid spec");
 
@@ -83,14 +52,17 @@ fn chaos_at_ten_percent_converges_to_byte_identical_results() {
 
     std::thread::scope(|s| {
         for client_no in 0..3u64 {
-            let (addr, cells, expected) = (&addr, &cells, &expected);
+            let (cells, expected) = (&cells, &expected);
             s.spawn(move || {
                 let mut c = Client::connect(addr).expect("connect");
                 for pass in 0..3 {
                     for k in 0..cells.len() {
                         let i = (k + pass) % cells.len();
                         let (bench, arch, _) = &cells[i];
-                        let got = converge(&mut c, &simulate_req(bench, arch));
+                        let got = converge(
+                            &mut c,
+                            &Request::simulate(bench.name(), &bench.params(), arch),
+                        );
                         assert_eq!(
                             encode_response(9, &got),
                             encode_response(9, &expected[i]),
@@ -105,14 +77,13 @@ fn chaos_at_ten_percent_converges_to_byte_identical_results() {
 
     // No worker died permanently: more sequential jobs than workers all
     // complete after the storm (a dead slot would hang one).
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(addr).expect("connect");
     for _ in 0..4 {
         assert_eq!(converge(&mut c, &Request::Sleep { ms: 1 }), Response::Slept { ms: 1 });
     }
 
     revel_failpoint::disarm(SITE, port);
-    shutdown(&addr);
-    let stats = handle.join().expect("server thread");
+    let stats = server.shutdown();
     assert!(stats.injected > 0, "the failpoint must actually have injected faults: {stats}");
     assert!(
         stats.completed > stats.injected,
@@ -126,11 +97,12 @@ fn chaos_at_ten_percent_converges_to_byte_identical_results() {
 /// is served by that same (only) worker slot.
 #[test]
 fn worker_panic_answers_internal_and_the_slot_keeps_serving() {
-    let (addr, handle) = start(1, 8);
-    let port = port_of(&addr);
+    let server = ServerGuard::start(&loopback(1, 8)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let port = port_of(addr);
     revel_failpoint::arm_spec(&format!("{SITE}#{port}=panic@2")).expect("valid spec");
 
-    let mut c = Client::connect(&addr).expect("connect");
+    let mut c = Client::connect(addr).expect("connect");
     let job = Request::Sleep { ms: 1 };
     assert_eq!(c.request(&job).expect("job 1"), Response::Slept { ms: 1 });
     let resp = c.request(&job).expect("job 2 is answered, not dropped");
@@ -145,8 +117,7 @@ fn worker_panic_answers_internal_and_the_slot_keeps_serving() {
     assert_eq!(c.request(&job).expect("job 3"), Response::Slept { ms: 1 });
 
     revel_failpoint::disarm(SITE, port);
-    shutdown(&addr);
-    let stats = handle.join().expect("server thread");
+    let stats = server.shutdown();
     assert_eq!(stats.errors, 1, "{stats}");
     assert_eq!(stats.injected, 0, "a panic is not an injected_fault answer: {stats}");
 }
@@ -156,8 +127,9 @@ fn worker_panic_answers_internal_and_the_slot_keeps_serving() {
 /// same snapshot — over the wire, not just in-process.
 #[test]
 fn fault_seeded_requests_report_deterministic_snapshots() {
-    let (addr, handle) = start(2, 8);
-    let mut c = Client::connect(&addr).expect("connect");
+    let server = ServerGuard::start(&loopback(2, 8)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let mut c = Client::connect(addr).expect("connect");
     let bench = Bench::Qr { n: 12 };
     let fault_req = |seed: u64| Request::Simulate {
         bench: bench.name().to_string(),
@@ -190,9 +162,10 @@ fn fault_seeded_requests_report_deterministic_snapshots() {
 
     // The clean path is untouched: the same cell without a fault seed
     // still verifies (the faulted runs never reached the cache).
-    let clean = c.request(&simulate_req(&bench, "revel")).expect("clean simulate");
+    let clean = c
+        .request(&Request::simulate(bench.name(), &bench.params(), "revel"))
+        .expect("clean simulate");
     assert!(matches!(clean, Response::Result { verified: true, .. }), "{clean:?}");
 
-    shutdown(&addr);
-    handle.join().expect("server thread");
+    server.shutdown();
 }

@@ -1,84 +1,43 @@
 //! Fleet-tier integration tests: a real router in front of real
 //! `revel_serve` shard processes — consistent-hash forwarding, failover
-//! across a SIGKILL, warm restart from the persistent disk tier, and the
-//! `--cache-capacity` eviction gate over the shipped server binary.
+//! across a SIGKILL, warm restart from the persistent disk tier, shard
+//! reaping by the fleet guard, and the `--cache-capacity` eviction gate
+//! over the shipped server binary.
 
 use revel_serve::client::Client;
 use revel_serve::fleet::placement::Ring;
 use revel_serve::fleet::router::route_fingerprint;
-use revel_serve::fleet::{Fleet, FleetConfig, Supervisor, DEFAULT_MAX_RESTARTS};
-use revel_serve::protocol::{encode_response, read_all_frames, Request, Response};
-use revel_serve::server::{Server, ServerConfig};
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use revel_serve::fleet::FleetConfig;
+use revel_serve::harness::{load_frames, loopback, wait_for, FleetGuard};
+use revel_serve::protocol::{encode_response, Request, Response};
+use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-fn fleet_cfg(shards: usize, base_port: u16, snapshot_dir: Option<PathBuf>) -> FleetConfig {
-    FleetConfig {
-        shards,
-        host: "127.0.0.1".to_string(),
-        base_port,
-        workers: 1,
-        queue_capacity: 8,
-        snapshot_dir,
-        cache_capacity: None,
-        max_restarts: DEFAULT_MAX_RESTARTS,
-        failpoints: None,
-        binary: PathBuf::from(env!("CARGO_BIN_EXE_revel_serve")),
-    }
+/// `shards` processes of the shipped `revel_serve` binary on the ports
+/// after `base_port`.
+fn fleet_cfg(shards: usize, base_port: u16) -> FleetConfig {
+    FleetConfig::new(shards, base_port, PathBuf::from(env!("CARGO_BIN_EXE_revel_serve")))
 }
 
-fn simulate_req(bench: &str, params: &str, arch: &str) -> Request {
-    Request::Simulate {
-        bench: bench.to_string(),
-        params: params.to_string(),
-        arch: arch.to_string(),
-        deadline_ms: None,
-        max_cycles: None,
-        reference_stepper: false,
-        fault_seed: None,
-        fault_count: None,
-        fault_window: None,
-    }
-}
-
-fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if cond() {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+/// Boots `cfg` behind an in-process router on an ephemeral port and waits
+/// for every shard to probe healthy.
+fn start_fleet(cfg: FleetConfig) -> FleetGuard {
+    let shards = cfg.shards;
+    let guard = FleetGuard::start(cfg, &loopback(2, 8)).expect("boot fleet");
+    assert!(guard.fleet().wait_alive(shards, Duration::from_secs(30)), "every shard comes up");
+    guard
 }
 
 /// The full stack: a router server forwarding to two shard processes.
 /// A keyed request is answered through the fleet, the roster is visible
-/// over the wire, and SIGKILLing the owning shard mid-session loses
-/// nothing — the retried request is byte-identical.
+/// over the wire, and SIGKILLing the owning shard mid-session — with a
+/// `kill_shard` request to the in-process router, the path scenario
+/// events take — loses nothing: the retried request is byte-identical.
 #[test]
 fn router_forwards_keyed_requests_and_survives_a_shard_kill() {
-    let cfg = fleet_cfg(2, 7520, None);
-    let fleet = Arc::new(Fleet::new(&cfg.host, &cfg.shard_ports()));
-    let sup = Supervisor::start(Arc::clone(&fleet), cfg).expect("spawn shards");
-    assert!(fleet.wait_alive(2, Duration::from_secs(30)), "both shards come up");
-
-    let mut server = Server::bind(&ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_capacity: 8,
-        ..Default::default()
-    })
-    .expect("bind router");
-    server.set_fleet(Arc::clone(&fleet));
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || server.serve().expect("router serves"));
-
-    let mut c = Client::connect(&addr).expect("connect router");
-    let req = simulate_req("solver", "n=12", "revel");
+    let guard = start_fleet(fleet_cfg(2, 7520));
+    let mut c = Client::connect(guard.addr()).expect("connect router");
+    let req = Request::simulate("solver", "n=12", "revel");
     let first = c.request(&req).expect("forwarded simulate");
     assert!(matches!(first, Response::Result { verified: true, .. }), "{first:?}");
 
@@ -96,9 +55,18 @@ fn router_forwards_keyed_requests_and_survives_a_shard_kill() {
         other => panic!("expected fleet_stats, got {other:?}"),
     }
 
-    // SIGKILL the owner: the survivor re-simulates the cell and the answer
-    // does not change by a byte.
-    assert!(sup.kill_shard(owner, false), "owner had a live process");
+    // SIGKILL the owner, named by the cell it owns: the survivor
+    // re-simulates the cell and the answer does not change by a byte.
+    let killed = c
+        .request(&Request::KillShard {
+            shard: None,
+            bench: Some("solver".to_string()),
+            params: Some("n=12".to_string()),
+            arch: Some("revel".to_string()),
+            wipe_snapshot: false,
+        })
+        .expect("kill_shard answered");
+    assert_eq!(killed, Response::ShardKilled { shard: owner as u64, wiped: false });
     let second = c.request(&req).expect("failover simulate");
     assert_eq!(
         encode_response(1, &first),
@@ -107,16 +75,10 @@ fn router_forwards_keyed_requests_and_survives_a_shard_kill() {
     );
 
     // Aggregated stats still answer while a shard is down.
-    match c.request(&Request::Stats).expect("stats") {
-        Response::Stats { engine, .. } => {
-            assert!(engine.misses >= 1, "someone simulated the cell: {engine:?}")
-        }
-        other => panic!("expected stats, got {other:?}"),
-    }
+    let engine = c.engine_stats().expect("stats");
+    assert!(engine.misses >= 1, "someone simulated the cell: {engine:?}");
 
-    assert_eq!(c.request(&Request::Shutdown).expect("shutdown"), Response::ShuttingDown);
-    handle.join().expect("router thread");
-    sup.shutdown();
+    guard.shutdown();
 }
 
 /// A killed shard warm-starts from its disk tier: the respawned process
@@ -126,27 +88,22 @@ fn router_forwards_keyed_requests_and_survives_a_shard_kill() {
 #[test]
 fn respawned_shard_warm_starts_from_its_disk_tier() {
     let dir = std::env::temp_dir().join(format!("revel-fleet-test-{}", std::process::id()));
-    let cfg = fleet_cfg(1, 7530, Some(dir.clone()));
-    let fleet = Arc::new(Fleet::new(&cfg.host, &cfg.shard_ports()));
-    let sup = Supervisor::start(Arc::clone(&fleet), cfg).expect("spawn shard");
-    assert!(fleet.wait_alive(1, Duration::from_secs(30)), "shard comes up");
+    let guard = start_fleet(FleetConfig { snapshot_dir: Some(dir.clone()), ..fleet_cfg(1, 7530) });
+    let fleet = guard.fleet();
 
-    let req = simulate_req("qr", "n=12", "revel");
+    let req = Request::simulate("qr", "n=12", "revel");
     let first = fleet.forward(&req);
     assert!(matches!(first, Response::Result { .. }), "{first:?}");
 
-    assert!(sup.kill_shard(0, false), "shard had a live process");
+    assert!(guard.supervisor().kill_shard(0, false), "shard had a live process");
     assert!(
-        wait_until(Duration::from_secs(30), || fleet.is_alive(0)),
+        wait_for(Duration::from_secs(30), || fleet.is_alive(0)),
         "shard respawns and probes healthy"
     );
 
-    let shard_addr = format!("127.0.0.1:{}", fleet.shard_port(0).expect("shard 0 exists"));
-    let mut direct = Client::connect(&shard_addr).expect("connect shard");
-    let before = match direct.request(&Request::Stats).expect("stats") {
-        Response::Stats { engine, .. } => engine,
-        other => panic!("expected stats, got {other:?}"),
-    };
+    let mut direct =
+        Client::connect(fleet.shard_addr(0).expect("shard 0 exists")).expect("connect shard");
+    let before = direct.engine_stats().expect("stats");
     assert!(before.warm_start_entries >= 1, "disk tier recovered the run: {before:?}");
 
     let again = direct.request(&req).expect("repeat simulate");
@@ -155,15 +112,33 @@ fn respawned_shard_warm_starts_from_its_disk_tier() {
         encode_response(1, &again),
         "disk-served answer must match the live one"
     );
-    let after = match direct.request(&Request::Stats).expect("stats") {
-        Response::Stats { engine, .. } => engine,
-        other => panic!("expected stats, got {other:?}"),
-    };
+    let after = direct.engine_stats().expect("stats");
     assert_eq!(after.disk_hits, before.disk_hits + 1, "served from disk: {after:?}");
     assert_eq!(after.misses, before.misses, "no re-simulation: {after:?}");
 
-    sup.shutdown();
+    guard.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The guard is what keeps a failing harness from leaking processes: a
+/// fleet guard dropped without `shutdown` (a gate failed, a test
+/// panicked) still reaps its shards — nothing is left listening on a
+/// shard port.
+#[test]
+fn dropping_a_fleet_guard_reaps_its_shards() {
+    let guard = start_fleet(fleet_cfg(2, 7570));
+    let shard_addrs: Vec<String> =
+        (0..2).map(|id| guard.fleet().shard_addr(id).expect("in the roster").to_string()).collect();
+    for addr in &shard_addrs {
+        assert!(Client::connect(addr).is_ok(), "shard at {addr} is listening before the drop");
+    }
+    drop(guard);
+    for addr in &shard_addrs {
+        assert!(
+            wait_for(Duration::from_secs(10), || Client::connect(addr).is_err()),
+            "shard at {addr} still accepts connections after its guard dropped"
+        );
+    }
 }
 
 /// The restart circuit: a shard whose respawns keep failing is struck
@@ -173,11 +148,8 @@ fn respawned_shard_warm_starts_from_its_disk_tier() {
 /// this fleet's base port) makes every respawn attempt fail.
 #[test]
 fn flapping_shard_trips_the_restart_circuit_and_is_evicted() {
-    let mut cfg = fleet_cfg(1, 7560, None);
-    cfg.max_restarts = 2;
-    let fleet = Arc::new(Fleet::new(&cfg.host, &cfg.shard_ports()));
-    let sup = Supervisor::start(Arc::clone(&fleet), cfg).expect("spawn shard");
-    assert!(fleet.wait_alive(1, Duration::from_secs(30)), "shard comes up");
+    let guard = start_fleet(FleetConfig { max_restarts: 2, ..fleet_cfg(1, 7560) });
+    let fleet = guard.fleet();
 
     revel_failpoint::arm(
         "supervisor.respawn",
@@ -186,9 +158,9 @@ fn flapping_shard_trips_the_restart_circuit_and_is_evicted() {
         1,
         true,
     );
-    assert!(sup.kill_shard(0, false), "shard had a live process");
+    assert!(guard.supervisor().kill_shard(0, false), "shard had a live process");
     assert!(
-        wait_until(Duration::from_secs(30), || fleet.is_evicted(0)),
+        wait_for(Duration::from_secs(30), || fleet.is_evicted(0)),
         "circuit opens after max_restarts failed respawns"
     );
     revel_failpoint::disarm("supervisor.respawn", "7560");
@@ -197,48 +169,29 @@ fn flapping_shard_trips_the_restart_circuit_and_is_evicted() {
     assert!(roster[0].evicted, "{roster:?}");
     assert!(!roster[0].alive, "{roster:?}");
     assert_eq!(roster[0].restarts, 2, "exactly max_restarts attempts: {roster:?}");
-    match fleet.forward(&simulate_req("solver", "n=12", "revel")) {
+    match fleet.forward(&Request::simulate("solver", "n=12", "revel")) {
         Response::Error { kind, retry_after_ms, .. } => {
             assert_eq!(kind, "fleet_unavailable");
             assert!(retry_after_ms.is_some(), "the error must be retryable");
         }
         other => panic!("expected fleet_unavailable, got {other:?}"),
     }
-    sup.shutdown();
+    guard.shutdown();
 }
 
 /// `revel_serve --cache-capacity` bounds the in-memory cache, pinned from
-/// the outside on the shipped binary: two passes of the smoke frames push
-/// 8 distinct simulate cells through a 2-entry cache, and the `stats` wire
-/// must report the evictions.
+/// the outside on the shipped binary (a one-shard fleet's supervisor passes
+/// the flag): two passes of the smoke frames push 8 distinct simulate cells
+/// through a 2-entry cache, and the `stats` wire must report the evictions.
 #[test]
 fn client_asserts_evictions_against_a_capacity_bounded_server() {
-    let port = "7541";
-    let mut server = std::process::Command::new(env!("CARGO_BIN_EXE_revel_serve"))
-        .args(["--host", "127.0.0.1", "--port", port, "--workers", "1", "--queue", "8"])
-        .args(["--cache-capacity", "2"])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .stdin(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn revel_serve");
-    let addr = format!("127.0.0.1:{port}");
-    assert!(
-        wait_until(Duration::from_secs(30), || Client::connect(&addr).is_ok()),
-        "server comes up"
-    );
-
-    let frames = read_all_frames(std::io::BufReader::new(
-        std::fs::File::open("ci/smoke.jsonl").expect("smoke frames"),
-    ))
-    .expect("read smoke frames");
-    let mut c = Client::connect(&addr).expect("connect");
-    let evictions = |c: &mut Client| match c.request(&Request::Stats).expect("stats") {
-        Response::Stats { engine, .. } => {
-            assert_eq!(engine.capacity, 2, "the flag reached the engine: {engine:?}");
-            engine.evictions
-        }
-        other => panic!("expected stats, got {other:?}"),
+    let guard = start_fleet(FleetConfig { cache_capacity: Some(2), ..fleet_cfg(1, 7540) });
+    let (frames, _) = load_frames(Path::new("ci/smoke.jsonl")).expect("smoke frames");
+    let mut c = Client::connect(guard.addr()).expect("connect");
+    let evictions = |c: &mut Client| {
+        let engine = c.engine_stats().expect("stats");
+        assert_eq!(engine.capacity, 2, "the flag reached the engine: {engine:?}");
+        engine.evictions
     };
     let before = evictions(&mut c);
     for _pass in 0..2 {
@@ -250,8 +203,5 @@ fn client_asserts_evictions_against_a_capacity_bounded_server() {
     // 8 cells cycled twice through 2 entries: at least 6 evictions in the
     // first pass and, nothing having survived, 8 more in the second.
     assert!(evicted >= 14, "a tiny cache under replay load must evict, saw {evicted}");
-
-    assert_eq!(c.request(&Request::Shutdown).expect("shutdown"), Response::ShuttingDown);
-    let status = server.wait().expect("server exits");
-    assert!(status.success(), "server exits cleanly after shutdown");
+    guard.shutdown();
 }

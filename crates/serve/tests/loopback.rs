@@ -6,48 +6,12 @@
 
 use revel_core::Bench;
 use revel_serve::client::Client;
+use revel_serve::harness::{loopback, ServerGuard};
 use revel_serve::probe;
 use revel_serve::protocol::{encode_response, Request, Response, MAX_FRAME_BYTES};
-use revel_serve::server::{response_for_run, FinalStats, Server, ServerConfig};
+use revel_serve::server::{response_for_run, ServerConfig};
 use std::io::{Read, Write};
 use std::time::Duration;
-
-/// Binds an ephemeral-port server and serves it on a background thread.
-/// Tests shut it down over the wire (a `shutdown` request) and join the
-/// handle for the final counters. The in-process signal flag is global, so
-/// these tests never touch it — each server has its own flag.
-fn start(workers: usize, queue_capacity: usize) -> (String, std::thread::JoinHandle<FinalStats>) {
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers,
-        queue_capacity,
-        ..Default::default()
-    };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
-    (addr, handle)
-}
-
-fn shutdown(addr: &str) -> FinalStats {
-    let mut c = Client::connect(addr).expect("connect for shutdown");
-    assert_eq!(c.request(&Request::Shutdown).expect("shutdown"), Response::ShuttingDown);
-    FinalStats::default() // caller joins the handle for the real counters
-}
-
-fn simulate_req(bench: &Bench, arch: &str) -> Request {
-    Request::Simulate {
-        bench: bench.name().to_string(),
-        params: bench.params(),
-        arch: arch.to_string(),
-        deadline_ms: None,
-        max_cycles: None,
-        reference_stepper: false,
-        fault_seed: None,
-        fault_count: None,
-        fault_window: None,
-    }
-}
 
 /// Acceptance criterion: responses for grid cells, served concurrently to
 /// three clients through a two-worker pool, are byte-identical to what
@@ -55,7 +19,8 @@ fn simulate_req(bench: &Bench, arch: &str) -> Request {
 #[test]
 fn three_concurrent_clients_match_bench_run_byte_for_byte() {
     use revel_core::compiler::BuildCfg;
-    let (addr, handle) = start(2, 16);
+    let server = ServerGuard::start(&loopback(2, 16)).expect("bind ephemeral port");
+    let addr = server.addr();
 
     // A 1-lane slice of the grid (debug-build friendly), three archs deep.
     let cells: Vec<(Bench, &str, BuildCfg)> = vec![
@@ -75,7 +40,7 @@ fn three_concurrent_clients_match_bench_run_byte_for_byte() {
 
     std::thread::scope(|s| {
         for client_no in 0..3 {
-            let (addr, cells, expected) = (&addr, &cells, &expected);
+            let (cells, expected) = (&cells, &expected);
             s.spawn(move || {
                 let mut c = Client::connect(addr).expect("connect");
                 // Each client walks the cells at a different phase so the
@@ -83,7 +48,9 @@ fn three_concurrent_clients_match_bench_run_byte_for_byte() {
                 for k in 0..cells.len() {
                     let i = (k + client_no * 2) % cells.len();
                     let (bench, arch, _) = &cells[i];
-                    let got = c.request(&simulate_req(bench, arch)).expect("simulate");
+                    let got = c
+                        .request(&Request::simulate(bench.name(), &bench.params(), arch))
+                        .expect("simulate");
                     assert_eq!(
                         encode_response(9, &got),
                         encode_response(9, &expected[i]),
@@ -95,8 +62,7 @@ fn three_concurrent_clients_match_bench_run_byte_for_byte() {
         }
     });
 
-    shutdown(&addr);
-    let stats = handle.join().expect("server thread");
+    let stats = server.shutdown();
     assert_eq!(stats.overloaded, 0, "no request may be rejected in this test: {stats}");
     assert_eq!(stats.errors, 0, "{stats}");
     assert!(stats.completed >= 18, "3 clients × 6 cells all served: {stats}");
@@ -107,20 +73,21 @@ fn three_concurrent_clients_match_bench_run_byte_for_byte() {
 /// client and never silently drops the request.
 #[test]
 fn full_queue_yields_structured_overload() {
-    let (addr, handle) = start(1, 1);
+    let server = ServerGuard::start(&loopback(1, 1)).expect("bind ephemeral port");
+    let addr = server.addr();
 
     // Occupy the single worker.
-    let mut busy = Client::connect(&addr).expect("connect");
+    let mut busy = Client::connect(addr).expect("connect");
     let t_busy = std::thread::spawn(move || busy.request(&Request::Sleep { ms: 600 }));
     std::thread::sleep(Duration::from_millis(150)); // worker has popped it
 
     // Fill the queue (capacity 1).
-    let mut queued = Client::connect(&addr).expect("connect");
+    let mut queued = Client::connect(addr).expect("connect");
     let t_queued = std::thread::spawn(move || queued.request(&Request::Sleep { ms: 50 }));
     std::thread::sleep(Duration::from_millis(150)); // job is parked in the queue
 
     // Third request: must be rejected *now*, not after the sleeps.
-    let mut reject = Client::connect(&addr).expect("connect");
+    let mut reject = Client::connect(addr).expect("connect");
     let t0 = std::time::Instant::now();
     let resp = reject.request(&Request::Sleep { ms: 1 }).expect("overload response");
     let waited = t0.elapsed();
@@ -150,8 +117,7 @@ fn full_queue_yields_structured_overload() {
     assert_eq!(t_busy.join().unwrap().expect("busy"), Response::Slept { ms: 600 });
     assert_eq!(t_queued.join().unwrap().expect("queued"), Response::Slept { ms: 50 });
 
-    shutdown(&addr);
-    let stats = handle.join().expect("server thread");
+    let stats = server.shutdown();
     assert_eq!(stats.overloaded, 1, "{stats}");
 }
 
@@ -159,17 +125,17 @@ fn full_queue_yields_structured_overload() {
 /// admitted is answered before the server exits.
 #[test]
 fn graceful_shutdown_drains_in_flight_requests() {
-    let (addr, handle) = start(1, 4);
+    let server = ServerGuard::start(&loopback(1, 4)).expect("bind ephemeral port");
+    let addr = server.addr();
 
-    let mut worker_client = Client::connect(&addr).expect("connect");
+    let mut worker_client = Client::connect(addr).expect("connect");
     let inflight = std::thread::spawn(move || worker_client.request(&Request::Sleep { ms: 400 }));
     std::thread::sleep(Duration::from_millis(100)); // the worker is mid-sleep
 
-    shutdown(&addr);
+    let stats = server.shutdown();
 
     // The in-flight request completes with its real answer, not an error.
     assert_eq!(inflight.join().unwrap().expect("drained"), Response::Slept { ms: 400 });
-    let stats = handle.join().expect("server exits after draining");
     assert!(stats.completed >= 2, "sleep + shutdown both completed: {stats}");
     assert_eq!(stats.errors, 0, "{stats}");
 }
@@ -180,7 +146,8 @@ fn graceful_shutdown_drains_in_flight_requests() {
 /// wall-clock deadline surfaces as `timed_out` with `deadline_expired`.
 #[test]
 fn deadlock_probe_snapshot_matches_batch_path() {
-    let (addr, handle) = start(2, 8);
+    let server = ServerGuard::start(&loopback(2, 8)).expect("bind ephemeral port");
+    let addr = server.addr();
     let budget = 50_000u64;
 
     // Batch path: the probe run exactly as a harness would do it.
@@ -189,20 +156,19 @@ fn deadlock_probe_snapshot_matches_batch_path() {
     let batch_snapshot = batch.deadlock.as_ref().expect("snapshot").to_string();
 
     // Server path: same probe, same budget, over the wire.
-    let mut c = Client::connect(&addr).expect("connect");
-    let resp = c
-        .request(&Request::Simulate {
-            bench: probe::BENCH_NAME.to_string(),
-            params: String::new(),
-            arch: String::new(),
-            deadline_ms: None,
-            max_cycles: Some(budget),
-            reference_stepper: false,
-            fault_seed: None,
-            fault_count: None,
-            fault_window: None,
-        })
-        .expect("probe over the wire");
+    let mut c = Client::connect(addr).expect("connect");
+    let probe_req = |deadline_ms, max_cycles| Request::Simulate {
+        bench: probe::BENCH_NAME.to_string(),
+        params: String::new(),
+        arch: String::new(),
+        deadline_ms,
+        max_cycles,
+        reference_stepper: false,
+        fault_seed: None,
+        fault_count: None,
+        fault_window: None,
+    };
+    let resp = c.request(&probe_req(None, Some(budget))).expect("probe over the wire");
     match resp {
         Response::TimedOut { cycles, deadline_expired, deadlock } => {
             assert_eq!(cycles, batch.cycles, "budget timeouts are cycle-deterministic");
@@ -218,19 +184,7 @@ fn deadlock_probe_snapshot_matches_batch_path() {
 
     // Wall-clock deadline through the server path: deadline_ms=0 expires
     // during the run and must be reported as deadline_expired.
-    let resp = c
-        .request(&Request::Simulate {
-            bench: probe::BENCH_NAME.to_string(),
-            params: String::new(),
-            arch: String::new(),
-            deadline_ms: Some(0),
-            max_cycles: None,
-            reference_stepper: false,
-            fault_seed: None,
-            fault_count: None,
-            fault_window: None,
-        })
-        .expect("deadline probe");
+    let resp = c.request(&probe_req(Some(0), None)).expect("deadline probe");
     match resp {
         Response::TimedOut { deadline_expired, deadlock, .. } => {
             assert!(deadline_expired, "the deadline must be the reported cause");
@@ -239,8 +193,7 @@ fn deadlock_probe_snapshot_matches_batch_path() {
         other => panic!("expected timed_out, got {other:?}"),
     }
 
-    shutdown(&addr);
-    let stats = handle.join().expect("server thread");
+    let stats = server.shutdown();
     assert_eq!(stats.timed_out, 2, "both probe runs counted: {stats}");
 }
 
@@ -249,50 +202,38 @@ fn deadlock_probe_snapshot_matches_batch_path() {
 /// must not poison the cache for later requests.
 #[test]
 fn request_deadlines_compose_with_real_cells() {
-    let (addr, handle) = start(2, 8);
-    let mut c = Client::connect(&addr).expect("connect");
+    let server = ServerGuard::start(&loopback(2, 8)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let mut c = Client::connect(addr).expect("connect");
     let bench = Bench::Cholesky { n: 12 };
 
+    let with_deadline = |ms| Request::Simulate {
+        bench: bench.name().into(),
+        params: bench.params(),
+        arch: "revel".into(),
+        deadline_ms: Some(ms),
+        max_cycles: None,
+        reference_stepper: false,
+        fault_seed: None,
+        fault_count: None,
+        fault_window: None,
+    };
+
     // Expired deadline first: the cache must not memoize the timeout.
-    let resp = c
-        .request(&Request::Simulate {
-            bench: bench.name().into(),
-            params: bench.params(),
-            arch: "revel".into(),
-            deadline_ms: Some(0),
-            max_cycles: None,
-            reference_stepper: false,
-            fault_seed: None,
-            fault_count: None,
-            fault_window: None,
-        })
-        .expect("expired-deadline simulate");
+    let resp = c.request(&with_deadline(0)).expect("expired-deadline simulate");
     match resp {
         Response::TimedOut { deadline_expired, .. } => assert!(deadline_expired),
         other => panic!("expected timed_out, got {other:?}"),
     }
 
     // Generous deadline: the answer equals the undeadlined batch result.
-    let resp = c
-        .request(&Request::Simulate {
-            bench: bench.name().into(),
-            params: bench.params(),
-            arch: "revel".into(),
-            deadline_ms: Some(600_000),
-            max_cycles: None,
-            reference_stepper: false,
-            fault_seed: None,
-            fault_count: None,
-            fault_window: None,
-        })
-        .expect("generous-deadline simulate");
+    let resp = c.request(&with_deadline(600_000)).expect("generous-deadline simulate");
     let expected = response_for_run(
         &bench.run(&revel_core::compiler::BuildCfg::revel(bench.lanes())).expect("batch"),
     );
     assert_eq!(resp, expected, "a slack deadline must be invisible");
 
-    shutdown(&addr);
-    handle.join().expect("server thread");
+    server.shutdown();
 }
 
 /// Hostile input: malformed JSON gets a structured `bad_request` and the
@@ -300,10 +241,11 @@ fn request_deadlines_compose_with_real_cells() {
 /// a close — and in both cases the server (and its workers) survive.
 #[test]
 fn malformed_and_oversized_frames_never_kill_the_server() {
-    let (addr, handle) = start(1, 4);
+    let server = ServerGuard::start(&loopback(1, 4)).expect("bind ephemeral port");
+    let addr = server.addr();
 
     // Malformed JSON on a raw socket.
-    let mut raw = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
     raw.write_all(b"this is not json\n").expect("write");
     let mut buf = [0u8; 4096];
     let n = raw.read(&mut buf).expect("read error response");
@@ -321,7 +263,7 @@ fn malformed_and_oversized_frames_never_kill_the_server() {
     // flight, so the client can observe either the structured rejection or
     // a connection reset — both prove the bound fired; neither may kill
     // the server (checked below).
-    let mut big = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut big = std::net::TcpStream::connect(addr).expect("connect");
     let huge = vec![b'z'; MAX_FRAME_BYTES + 4096];
     let _ = big.write_all(&huge);
     let _ = big.write_all(b"\n");
@@ -332,11 +274,10 @@ fn malformed_and_oversized_frames_never_kill_the_server() {
     }
 
     // The server survived both: a fresh connection works end-to-end.
-    let mut c = Client::connect(&addr).expect("connect after hostility");
+    let mut c = Client::connect(addr).expect("connect after hostility");
     assert_eq!(c.request(&Request::Sleep { ms: 1 }).expect("sleep"), Response::Slept { ms: 1 });
 
-    shutdown(&addr);
-    let stats = handle.join().expect("server thread");
+    let stats = server.shutdown();
     assert!(stats.errors >= 2, "both rejections counted: {stats}");
 }
 
@@ -346,24 +287,17 @@ fn malformed_and_oversized_frames_never_kill_the_server() {
 /// the client's) survives far past the idle deadline.
 #[test]
 fn slow_loris_connections_expire_while_inflight_work_is_exempt() {
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 1,
-        queue_capacity: 8,
-        conn_timeout: Duration::from_millis(200),
-        ..Default::default()
-    };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
+    let cfg = ServerConfig { conn_timeout: Duration::from_millis(200), ..loopback(1, 8) };
+    let server = ServerGuard::start(&cfg).expect("bind ephemeral port");
+    let addr = server.addr();
 
     // In-flight work, three times the idle deadline long.
-    let mut slow_work = Client::connect(&addr).expect("connect");
+    let mut slow_work = Client::connect(addr).expect("connect");
     let inflight = std::thread::spawn(move || slow_work.request(&Request::Sleep { ms: 600 }));
 
     // The loris: half a frame, then silence. The server must close the
     // connection instead of holding it open forever.
-    let mut loris = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut loris = std::net::TcpStream::connect(addr).expect("connect");
     loris.write_all(b"{\"id\":1,\"op\":").expect("half frame");
     loris.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
     let mut buf = Vec::new();
@@ -378,8 +312,7 @@ fn slow_loris_connections_expire_while_inflight_work_is_exempt() {
     // The exempt client's answer arrived despite outliving the deadline.
     assert_eq!(inflight.join().unwrap().expect("in-flight work"), Response::Slept { ms: 600 });
 
-    shutdown(&addr);
-    let stats = handle.join().expect("server thread");
+    let stats = server.shutdown();
     assert!(stats.conn_timeouts >= 1, "the loris was counted: {stats}");
     assert_eq!(stats.errors, 0, "a timeout is not a protocol error: {stats}");
 }
@@ -389,22 +322,15 @@ fn slow_loris_connections_expire_while_inflight_work_is_exempt() {
 /// and the drop is counted — the server never buffers without bound.
 #[test]
 fn a_peer_that_stops_draining_is_dropped_at_the_write_buffer_cap() {
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_capacity: 8,
-        wbuf_limit: 4096,
-        ..Default::default()
-    };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
+    let cfg = ServerConfig { wbuf_limit: 4096, ..loopback(2, 8) };
+    let server = ServerGuard::start(&cfg).expect("bind ephemeral port");
+    let addr = server.addr();
 
     // Pump control-plane requests (answered inline, so replies pile up
     // immediately) without ever reading; once the kernel buffers fill,
     // the server's per-connection write buffer crosses the cap and the
     // connection is dropped — our writes start failing.
-    let mut greedy = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut greedy = std::net::TcpStream::connect(addr).expect("connect");
     greedy.set_write_timeout(Some(Duration::from_secs(5))).expect("write timeout");
     let req = b"{\"id\":1,\"op\":\"stats\"}\n";
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
@@ -422,11 +348,10 @@ fn a_peer_that_stops_draining_is_dropped_at_the_write_buffer_cap() {
     drop(greedy);
 
     // The server survived: a fresh, well-behaved client works end-to-end.
-    let mut c = Client::connect(&addr).expect("connect after the flood");
+    let mut c = Client::connect(addr).expect("connect after the flood");
     assert_eq!(c.request(&Request::Sleep { ms: 1 }).expect("sleep"), Response::Slept { ms: 1 });
 
-    shutdown(&addr);
-    let stats = handle.join().expect("server thread");
+    let stats = server.shutdown();
     assert!(stats.write_overflows >= 1, "the overflow was counted: {stats}");
 }
 
@@ -438,15 +363,13 @@ fn a_peer_that_stops_draining_is_dropped_at_the_write_buffer_cap() {
 /// `Bench::run_batched` agrees with everything the server said.
 #[test]
 fn simulate_batch_replays_certified_cells_over_the_wire() {
-    let (addr, handle) = start(2, 8);
-    let mut c = Client::connect(&addr).expect("connect");
+    let server = ServerGuard::start(&loopback(2, 8)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let mut c = Client::connect(addr).expect("connect");
     let bench = Bench::Fft { n: 64 };
     let seeds = vec![21u64, 22, 23];
 
-    let before = match c.request(&Request::Stats).expect("stats") {
-        Response::Stats { engine, .. } => engine,
-        other => panic!("expected stats, got {other:?}"),
-    };
+    let before = c.engine_stats().expect("stats");
 
     let resp = c
         .request(&Request::SimulateBatch {
@@ -472,10 +395,7 @@ fn simulate_batch_replays_certified_cells_over_the_wire() {
         other => panic!("expected batch_result, got {other:?}"),
     }
 
-    let after = match c.request(&Request::Stats).expect("stats") {
-        Response::Stats { engine, .. } => engine,
-        other => panic!("expected stats, got {other:?}"),
-    };
+    let after = c.engine_stats().expect("stats");
     // The local ground-truth batch replayed too, so the counter moved by
     // at least both batches' lanes (other tests share the process).
     assert!(
@@ -499,16 +419,16 @@ fn simulate_batch_replays_certified_cells_over_the_wire() {
         "empty seeds must be bad_request, got {resp:?}"
     );
 
-    shutdown(&addr);
-    handle.join().expect("server thread");
+    server.shutdown();
 }
 
 /// The `stats` endpoint reports all three counter families, and the cache
 /// counters move the right way across a repeated simulation.
 #[test]
 fn stats_endpoint_reports_cache_and_server_counters() {
-    let (addr, handle) = start(2, 8);
-    let mut c = Client::connect(&addr).expect("connect");
+    let server = ServerGuard::start(&loopback(2, 8)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let mut c = Client::connect(addr).expect("connect");
 
     let before = match c.request(&Request::Stats).expect("stats") {
         Response::Stats { engine, schedule, .. } => (engine, schedule),
@@ -520,7 +440,9 @@ fn stats_endpoint_reports_cache_and_server_counters() {
     // lower bounds are asserted).
     let bench = Bench::Fft { n: 64 };
     for _ in 0..2 {
-        let resp = c.request(&simulate_req(&bench, "revel")).expect("simulate");
+        let resp = c
+            .request(&Request::simulate(bench.name(), &bench.params(), "revel"))
+            .expect("simulate");
         assert!(matches!(resp, Response::Result { verified: true, .. }), "{resp:?}");
     }
 
@@ -538,6 +460,5 @@ fn stats_endpoint_reports_cache_and_server_counters() {
         "schedule-cache misses are exact (one per compiled entry)"
     );
 
-    shutdown(&addr);
-    handle.join().expect("server thread");
+    server.shutdown();
 }

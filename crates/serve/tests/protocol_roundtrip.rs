@@ -16,17 +16,7 @@ fn every_request() -> Vec<Request> {
         Request::Shutdown,
         Request::FleetStats,
         Request::Sleep { ms: 250 },
-        Request::Simulate {
-            bench: "qr".into(),
-            params: "n=12".into(),
-            arch: "revel".into(),
-            deadline_ms: None,
-            max_cycles: None,
-            reference_stepper: false,
-            fault_seed: None,
-            fault_count: None,
-            fault_window: None,
-        },
+        Request::simulate("qr", "n=12", "revel"),
         Request::Simulate {
             bench: "deadlock-probe".into(),
             params: String::new(),
@@ -229,19 +219,9 @@ fn hint_free_frames_match_the_legacy_wire_format() {
         encode_response(2, &err),
         "{\"id\":2,\"type\":\"error\",\"kind\":\"bad_request\",\"message\":\"nope\"}\n"
     );
-    let req = Request::Simulate {
-        bench: "qr".into(),
-        params: "n=12".into(),
-        arch: "revel".into(),
-        deadline_ms: None,
-        max_cycles: None,
-        reference_stepper: false,
-        fault_seed: None,
-        fault_count: None,
-        fault_window: None,
-    };
+    // The common-request constructor leaves every optional field off the wire.
     assert_eq!(
-        encode_request(3, &req),
+        encode_request(3, &Request::simulate("qr", "n=12", "revel")),
         "{\"id\":3,\"op\":\"simulate\",\"bench\":\"qr\",\"params\":\"n=12\",\"arch\":\"revel\"}\n"
     );
 }

@@ -3,29 +3,10 @@
 //! and the standalone server's structured answer to `kill_shard`.
 
 use revel_serve::client::Client;
+use revel_serve::harness::{loopback, ServerGuard};
 use revel_serve::protocol::{Request, Response};
 use revel_serve::scenario::{run, RunOptions};
-use revel_serve::server::{FinalStats, Server, ServerConfig};
 use revel_traffic::scenario::Scenario;
-
-fn start(workers: usize, queue_capacity: usize) -> (String, std::thread::JoinHandle<FinalStats>) {
-    let cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers,
-        queue_capacity,
-        shard_id: None,
-        ..Default::default()
-    };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let handle = std::thread::spawn(move || server.serve().expect("serve"));
-    (addr, handle)
-}
-
-fn shutdown(addr: &str) {
-    let mut c = Client::connect(addr).expect("connect for shutdown");
-    assert_eq!(c.request(&Request::Shutdown).expect("shutdown"), Response::ShuttingDown);
-}
 
 /// A small, fast scenario: warm cells, a quiet drain, and a reconnect
 /// burst — the thundering-herd shape compressed for test wall-clock.
@@ -86,9 +67,10 @@ fn every_catalog_scenario_parses_and_plans() {
 
 #[test]
 fn runner_executes_phases_and_meets_slos_on_loopback() {
-    let (addr, handle) = start(2, 32);
+    let server = ServerGuard::start(&loopback(2, 32)).expect("bind ephemeral port");
+    let addr = server.addr();
     let scenario = quick_scenario();
-    let opts = RunOptions { addr: addr.clone(), seed_override: None, dump_requests: false };
+    let opts = RunOptions { addr: addr.to_string(), seed_override: None, dump_requests: false };
     let report = run(&scenario, &opts).expect("run");
     assert_eq!(report.seed, 7);
     assert_eq!(report.phases.len(), 3);
@@ -110,15 +92,15 @@ fn runner_executes_phases_and_meets_slos_on_loopback() {
     // The per-phase JSON line is stable and machine-parseable.
     let line = warm.json_line("quick", "warm");
     assert!(line.starts_with("{\"type\":\"scenario_phase\",\"scenario\":\"quick\""), "{line}");
-    shutdown(&addr);
-    handle.join().expect("server thread");
+    server.shutdown();
 }
 
 #[test]
 fn same_seed_produces_byte_identical_request_streams() {
-    let (addr, handle) = start(2, 32);
+    let server = ServerGuard::start(&loopback(2, 32)).expect("bind ephemeral port");
+    let addr = server.addr();
     let scenario = quick_scenario();
-    let opts = RunOptions { addr: addr.clone(), seed_override: Some(7), dump_requests: true };
+    let opts = RunOptions { addr: addr.to_string(), seed_override: Some(7), dump_requests: true };
     let a = run(&scenario, &opts).expect("first run");
     let b = run(&scenario, &opts).expect("second run");
     assert!(!a.dump.is_empty());
@@ -127,32 +109,32 @@ fn same_seed_produces_byte_identical_request_streams() {
     let opts9 = RunOptions { seed_override: Some(9), ..opts };
     let c = run(&scenario, &opts9).expect("third run");
     assert_ne!(a.dump, c.dump, "a different seed must change the stream");
-    shutdown(&addr);
-    handle.join().expect("server thread");
+    server.shutdown();
 }
 
 #[test]
 fn violated_slos_are_reported_not_panicked() {
-    let (addr, handle) = start(2, 32);
+    let server = ServerGuard::start(&loopback(2, 32)).expect("bind ephemeral port");
+    let addr = server.addr();
     let mut scenario = quick_scenario();
     // An impossible latency ceiling: the gate must trip.
     scenario.slos[0].max_p99_ms = Some(0.0);
     scenario.slos[0].min_success_rate = None;
-    let opts = RunOptions { addr: addr.clone(), seed_override: None, dump_requests: false };
+    let opts = RunOptions { addr: addr.to_string(), seed_override: None, dump_requests: false };
     let report = run(&scenario, &opts).expect("run");
     assert!(
         report.violations.iter().any(|v| v.slo == "served"),
         "expected the impossible p99 gate to trip, got {:?}",
         report.violations
     );
-    shutdown(&addr);
-    handle.join().expect("server thread");
+    server.shutdown();
 }
 
 #[test]
 fn kill_shard_on_a_standalone_server_is_a_structured_error() {
-    let (addr, handle) = start(1, 8);
-    let mut c = Client::connect(&addr).expect("connect");
+    let server = ServerGuard::start(&loopback(1, 8)).expect("bind ephemeral port");
+    let addr = server.addr();
+    let mut c = Client::connect(addr).expect("connect");
     let resp = c
         .request(&Request::KillShard {
             shard: Some(0),
@@ -169,8 +151,7 @@ fn kill_shard_on_a_standalone_server_is_a_structured_error() {
         }
         other => panic!("expected a structured no_fleet error, got {other:?}"),
     }
-    shutdown(&addr);
-    handle.join().expect("server thread");
+    server.shutdown();
 }
 
 #[test]

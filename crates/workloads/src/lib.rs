@@ -40,7 +40,7 @@ pub use gemm::Gemm;
 pub use qr::Qr;
 pub use solver::Solver;
 pub use suite::{
-    apply_init, push_cmd, replicate_for_batch, run_built, run_built_with, run_workload,
-    run_workload_with, BuiltKernel, CheckFn, MemInit, Workload, WorkloadRun,
+    apply_init, push_cmd, replicate_for_batch, run_built_with, run_workload, run_workload_with,
+    BuiltKernel, CheckFn, MemInit, Workload, WorkloadRun,
 };
 pub use svd::Svd;

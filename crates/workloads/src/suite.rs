@@ -151,14 +151,6 @@ pub fn run_workload_with(
     run_built_with(&built, cfg, opts)
 }
 
-/// Runs an already-built kernel.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn run_built(built: &BuiltKernel, cfg: &BuildCfg) -> Result<WorkloadRun, SimError> {
-    run_built_with(built, cfg, cfg.sim_options())
-}
-
 /// Runs an already-built kernel under explicit simulator options (e.g. a
 /// reduced cycle budget). A run that exhausts the budget is reported as
 /// `timed_out` with `verified: Err("timed out")` — never as a plausible
