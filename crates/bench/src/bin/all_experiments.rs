@@ -51,14 +51,16 @@ fn main() {
     println!("{}", ex::fig22_ablation());
     println!("{}", ex::fig24_dpe_sensitivity());
 
-    // Counters (cache hits, simulated/skipped cycles, schedule-cache hits)
-    // are deterministic, so stdout stays byte-identical for every --jobs
-    // setting — the schedule cache counts misses exactly at insert time
-    // (misses == entries) and the engine cache is single-flight, so the
-    // splits no longer shift with worker interleaving. The CI determinism
-    // job byte-diffs this stream across --jobs 1/4.
+    // Counters (cache hits, simulated/skipped cycles, schedule-cache and
+    // verdict-memo hits) are deterministic, so stdout stays byte-identical
+    // for every --jobs setting — the schedule cache and the verdict memo
+    // count misses exactly at insert time (misses == entries) and the
+    // engine cache is single-flight, so the splits no longer shift with
+    // worker interleaving. The CI determinism job byte-diffs this stream
+    // across --jobs 1/4.
     println!("{}", engine::stats());
     println!("{}", revel_core::sim::schedule_cache_stats());
+    println!("{}", revel_core::verify::verdict_memo_stats());
     eprintln!("({} worker(s))", engine::jobs());
 }
 

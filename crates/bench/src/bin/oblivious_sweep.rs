@@ -3,7 +3,8 @@
 //! sizes, different input values — and the two runs must be timing-
 //! indistinguishable: byte-identical canonical reports and equal per-lane
 //! cycle breakdowns. Each cell must also carry the static certificate
-//! (`revel_verify::certify`), so the sweep demonstrates the soundness
+//! (`WorkloadRun::oblivious`, read out of the memoized lint verdict the
+//! way every run reads it), so the sweep demonstrates the soundness
 //! direction end to end: statically certified ⇒ dynamically oblivious.
 //!
 //! ```text
@@ -85,7 +86,7 @@ fn main() {
         failures += 1;
         println!("  FAIL {name}");
         if !o.certified {
-            println!("    static certificate missing (certify returned diagnostics)");
+            println!("    static certificate missing (the verdict holds V015–V019 findings)");
         }
         if !o.verified {
             println!("    numeric verification failed under some seed");

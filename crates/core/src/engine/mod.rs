@@ -849,7 +849,7 @@ pub struct CacheStats {
     /// sweep prints it directly.
     pub fault_bypasses: u64,
     /// Of [`CacheStats::run_entries`], entries whose program carries an
-    /// obliviousness certificate (`revel_verify::certify`): their timing
+    /// obliviousness certificate (`WorkloadRun::oblivious`): their timing
     /// is provably data-independent, so a batched executor may reuse the
     /// cached cycle counts across datasets of the same shape.
     pub oblivious_entries: usize,

@@ -3,14 +3,16 @@
 //! A region fires every cycle, and the batch replayer is that fire path
 //! run back to back, so neither may pay the allocator per fire or per
 //! trace op (DESIGN.md, "hot-path rules"). A counting global allocator
-//! pins it: a warmed-up `DfgEvaluator::fire` allocates nothing, and a
-//! second `Machine::replay` of a trace allocates a small number of blocks
-//! that does not grow with the trace.
+//! pins it: a warmed-up `DfgEvaluator::fire` allocates nothing, a second
+//! `Machine::replay` of a trace allocates a small number of blocks that
+//! does not grow with the trace, and the run prologue's memo lookups
+//! (keyed on the program's structural identity) allocate nothing.
 
 use revel_core::compiler::BuildCfg;
 use revel_core::dfg::{Dfg, OpCode, VecVal};
 use revel_core::isa::{InPortId, OutPortId, RateFsm};
 use revel_core::sim::Machine;
+use revel_core::verify::{certified, certify, verdict};
 use revel_core::workloads::{apply_init, record_timing};
 use revel_core::Bench;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -107,8 +109,9 @@ fn second_replay(bench: Bench) -> (usize, u64) {
 
 #[test]
 fn replay_allocations_do_not_grow_with_the_trace() {
-    // What a replay still allocates is its prologue — the schedule-cache
-    // key, and per `Configure` op the regions' evaluators and port FIFOs —
+    // What a replay still allocates is its prologue — `validate`'s port
+    // sets, and per `Configure` op the regions' evaluators and port FIFOs
+    // (the schedule lookup's key is a structural id: no allocation) —
     // which a kernel's size does not change. Nothing is allocated per op.
     for (small, large) in [
         (Bench::Solver { n: 12 }, Bench::Solver { n: 32 }),
@@ -123,7 +126,26 @@ fn replay_allocations_do_not_grow_with_the_trace() {
         );
         assert!(large_ops > 5 * small_ops, "the large trace is really longer: {what}");
         assert!(small_allocs <= 256, "a replay's fixed cost stays small: {what}");
-        // A few more are the longer cache key growing its string.
-        assert!(large_allocs <= small_allocs + 8, "allocations grew with the trace: {what}");
+        assert!(large_allocs <= small_allocs + 4, "allocations grew with the trace: {what}");
     }
+}
+
+#[test]
+fn a_warm_verdict_lookup_does_not_allocate() {
+    // The run prologue's memo lookups key on the program's structural
+    // identity, recomputed from content each time: one pass over the
+    // control steps through `Hash`, no rendering, no `String`, no key to
+    // clone. Reading the certificate out of the verdict is a scan.
+    let cfg = BuildCfg::revel(1);
+    let machine_cfg = cfg.machine_config();
+    let built = Bench::Svd { n: 12 }.workload().build(&cfg);
+    let cold = verdict(&built.program, &machine_cfg);
+    let ((warm, certificate), allocations) = allocations_in(|| {
+        let warm = verdict(&built.program, &machine_cfg);
+        let certificate = certified(&warm);
+        (warm, certificate)
+    });
+    assert!(std::sync::Arc::ptr_eq(&cold, &warm));
+    assert_eq!(certificate, certify(&built.program, &machine_cfg).is_ok());
+    assert_eq!(allocations, 0, "a warm verdict lookup must not touch the heap");
 }

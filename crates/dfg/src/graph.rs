@@ -2,6 +2,7 @@ use crate::{DfgEvaluator, FuClass, OpCode};
 use revel_isa::{InPortId, OutPortId, RateFsm};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a node within a [`Dfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -75,6 +76,35 @@ impl Node {
     }
 }
 
+/// Structural identity: every field of every variant, a `Const`'s value by
+/// bit pattern — so identity is finer than `==` (`0.0` and `-0.0` differ,
+/// as do NaN payloads). Each arm names all of its variant's fields, so a
+/// field added later fails to compile here instead of escaping identity.
+impl Hash for Node {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Node::Input { port, scalar } => {
+                port.hash(state);
+                scalar.hash(state);
+            }
+            Node::Const { value } => value.to_bits().hash(state),
+            Node::Op { op, args } => {
+                op.hash(state);
+                args.hash(state);
+            }
+            Node::Accum { arg, len } | Node::AccumVec { arg, len } => {
+                arg.hash(state);
+                len.hash(state);
+            }
+            Node::Output { arg, port } => {
+                arg.hash(state);
+                port.hash(state);
+            }
+        }
+    }
+}
+
 /// Structural error detected by [`Dfg::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DfgError {
@@ -126,7 +156,7 @@ impl std::error::Error for DfgError {}
 /// [`Dfg::op`], …) which only accept already-created nodes as arguments, so
 /// a `Dfg` is topologically ordered by construction and acyclic by
 /// construction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Dfg {
     name: String,
     nodes: Vec<Node>,

@@ -32,7 +32,7 @@ impl core::fmt::Display for RegionKind {
 /// A lane configuration holds several concurrent regions (e.g. Cholesky's
 /// point, vector, and matrix regions) which fire independently, providing
 /// the paper's *inductive parallelism across regions*.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Region {
     /// Diagnostic name (e.g. `"matrix"`).
     pub name: String,

@@ -1,4 +1,5 @@
 use revel_dfg::FuClass;
+use std::hash::{Hash, Hasher};
 
 /// Functional-unit mix of one lane's fabric.
 ///
@@ -7,7 +8,7 @@ use revel_dfg::FuClass;
 /// With 24 dedicated tiles we place 12 adders, 9 multipliers and 3 div/sqrt
 /// units on systolic PEs; the remaining adder capacity lives in the dataflow
 /// PE, which can execute any op class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FuMix {
     /// Number of adder/ALU systolic PEs.
     pub adders: usize,
@@ -34,7 +35,7 @@ impl FuMix {
 }
 
 /// Configuration of a single REVEL lane (Table III, "Revel Lane ×8").
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct LaneConfig {
     /// Mesh width (PE tiles).
     pub mesh_width: usize,
@@ -176,6 +177,30 @@ pub struct RevelConfig {
     pub reconfig_cycles: u64,
     /// Clock frequency in GHz (design meets timing at 1.25 GHz).
     pub clock_ghz: f64,
+}
+
+/// Structural identity: every field, the clock by bit pattern (so identity
+/// is finer than `==` on `f64`). The destructuring names every field, so a
+/// field added later fails to compile here instead of escaping identity.
+impl Hash for RevelConfig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let RevelConfig {
+            num_lanes,
+            lane,
+            shared_spad_words,
+            shared_spad_bw_words,
+            cmd_issue_cycles,
+            reconfig_cycles,
+            clock_ghz,
+        } = self;
+        num_lanes.hash(state);
+        lane.hash(state);
+        shared_spad_words.hash(state);
+        shared_spad_bw_words.hash(state);
+        cmd_issue_cycles.hash(state);
+        reconfig_cycles.hash(state);
+        clock_ghz.to_bits().hash(state);
+    }
 }
 
 impl RevelConfig {

@@ -125,7 +125,7 @@ impl ConstPattern {
 /// Commands are constructed by the control program, shipped to lanes, and
 /// buffered in per-lane command queues until the hardware resources (port,
 /// stream-table slot) are free. They execute in program order per port.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum StreamCommand {
     /// Reconfigure the spatial fabric. The fabric must drain in-flight
     /// computation first; the config bits are fetched from scratchpad.
@@ -402,7 +402,7 @@ impl StreamCommand {
 /// A stream command plus lane selection: the unit the control core ships to
 /// the lanes. One `VectorCommand` may command many lanes at once — this is
 /// the *spatial* half of vector-stream control amortization.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct VectorCommand {
     /// The underlying stream command (as seen by lane 0 of the mask).
     pub cmd: StreamCommand,

@@ -19,7 +19,12 @@ use revel_dfg::Region;
 use revel_fabric::{LaneConfig, RevelConfig};
 use revel_isa::{MemTarget, StreamCommand, VectorCommand};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+mod identity;
+
+pub use identity::{structural_id, StructuralId};
 
 /// Host memory view passed to [`HostOp`] closures: the control core can
 /// read and write the scratchpads directly (it is a general Von Neumann
@@ -41,7 +46,7 @@ pub trait HostMem {
 /// computed purely from problem dimensions (loop trip counts, block sizes)
 /// — never from dataset words — so they remain legal sources for
 /// timing-relevant [`DynBind`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HostWrite {
     /// Target scratchpad (`None` = shared, `Some(l)` = lane `l` private).
     pub lane: Option<u8>,
@@ -64,7 +69,10 @@ pub struct HostWrite {
 pub struct HostOp {
     /// Control-core cycles consumed.
     pub cycles: u64,
-    /// The computation, applied to scratchpad memory.
+    /// The computation, applied to scratchpad memory. A closure has no
+    /// structure to compare, so it stays outside the program's
+    /// [`StructuralId`]: static analysis never looks inside it either, it
+    /// reads `cycles` and the declared `effect`.
     pub func: HostFn,
     /// Declared write set: `None` means undeclared (static analysis assumes
     /// the closure may overwrite all of memory with dataset-derived data);
@@ -82,8 +90,20 @@ impl fmt::Debug for HostOp {
     }
 }
 
+/// Structural identity: `cycles` and the declared `effect` — the two fields
+/// the simulator's timing and the obliviousness certifier read — and not
+/// `func` (see its field doc). The destructuring names every field, so a
+/// field added later fails to compile here instead of escaping identity.
+impl Hash for HostOp {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let HostOp { cycles, func: _, effect } = self;
+        cycles.hash(state);
+        effect.hash(state);
+    }
+}
+
 /// Where a [`DynBind`] reads its word at issue time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DynSrc {
     /// A word of the shared scratchpad.
     Shared {
@@ -105,7 +125,7 @@ pub enum DynSrc {
 /// of the dynamic-step ISA extension: the only program values that can
 /// change between issues of the same static program are exactly the values
 /// the obliviousness certifier must prove size-only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DynField {
     /// Predicate: the command issues only if the word is nonzero (the
     /// command is skipped — pc advances, nothing is shipped — otherwise).
@@ -127,7 +147,7 @@ pub enum DynField {
 }
 
 /// One issue-time patch: read `src`, write it into `field` of the template.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DynBind {
     /// The template field patched.
     pub field: DynField,
@@ -143,7 +163,7 @@ pub struct DynBind {
 /// therefore the complete set of taint sinks for the obliviousness
 /// certifier (`revel-verify`, codes V015–V019): a program whose dynamic
 /// binds all read provably size-only words has data-independent timing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct DynStep {
     /// The command template (lane mask/scaling included).
     pub template: VectorCommand,
@@ -255,7 +275,7 @@ fn command_kind(cmd: &StreamCommand) -> &'static str {
 }
 
 /// One step of the control program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub enum ControlStep {
     /// Ship a vector-stream command to the lanes.
     Command(VectorCommand),
@@ -271,7 +291,7 @@ pub enum ControlStep {
 /// All lanes share the same fabric configuration (they are homogeneous);
 /// per-lane behaviour comes from the lane masks and lane scaling of the
 /// commands.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct RevelProgram {
     /// Diagnostic name (usually the kernel name).
     pub name: String,

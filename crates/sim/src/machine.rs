@@ -11,7 +11,7 @@ use crate::snapshot::{DeadlockSnapshot, LaneSnapshot};
 use crate::stats::{CycleBreakdown, RunReport};
 use revel_fabric::{EventCounts, FabricMask, Mesh, RevelConfig};
 use revel_isa::LaneId;
-use revel_prog::{ProgramError, RevelProgram};
+use revel_prog::{structural_id, ProgramError, RevelProgram, StructuralId};
 use revel_scheduler::{RegionSchedule, ScheduleError, SpatialScheduler};
 use std::collections::HashMap;
 use std::fmt;
@@ -138,9 +138,9 @@ impl From<ScheduleError> for SimError {
 /// batch lanes, ablation sweeps, and repeated benchmark runs hit the same
 /// `(program configs, lane config)` pairs over and over. The scheduler is
 /// deterministic (seeded SA), so the first compile's result is *the*
-/// result. Keys are exact structural renderings — no hashing shortcuts, so
-/// no collisions.
-type ScheduleCache = Mutex<HashMap<String, Arc<Vec<Vec<RegionSchedule>>>>>;
+/// result. Keyed by the [`structural_id`] of everything scheduling reads
+/// (see [`Machine::compiled_schedules`]).
+type ScheduleCache = Mutex<HashMap<StructuralId, Arc<Vec<Vec<RegionSchedule>>>>>;
 
 static SCHEDULE_CACHE: OnceLock<ScheduleCache> = OnceLock::new();
 static SCHEDULE_HITS: AtomicU64 = AtomicU64::new(0);
@@ -183,38 +183,6 @@ pub fn schedule_cache_stats() -> ScheduleCacheStats {
         misses: SCHEDULE_MISSES.load(Ordering::Relaxed),
         entries,
     }
-}
-
-/// Process-wide cache of pre-simulation lint results.
-///
-/// The program lints are a pure function of `(program, machine config)`
-/// and cost far more than a short simulation, so repeated runs of the same
-/// program (benchmark iterations, the differential oracle's second run,
-/// batch sweeps) reuse the first verdict. Keyed by program name plus a
-/// 128-bit structural fingerprint of the full `(program, config)` Debug
-/// rendering, streamed into the hashers without materializing the dump.
-type LintCache = Mutex<HashMap<(String, u64, u64), Arc<Vec<revel_verify::Diagnostic>>>>;
-
-static LINT_CACHE: OnceLock<LintCache> = OnceLock::new();
-
-/// 128-bit structural fingerprint of a `Debug` rendering: the text is
-/// streamed into two independently-prefixed hashers, never allocated.
-fn debug_fingerprint<T: fmt::Debug + ?Sized>(value: &T) -> (u64, u64) {
-    use std::fmt::Write as _;
-    use std::hash::Hasher as _;
-    struct Fp(std::collections::hash_map::DefaultHasher, std::collections::hash_map::DefaultHasher);
-    impl fmt::Write for Fp {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0.write(s.as_bytes());
-            self.1.write(s.as_bytes());
-            Ok(())
-        }
-    }
-    let mut fp = Fp(Default::default(), Default::default());
-    fp.0.write_u8(0);
-    fp.1.write_u8(1);
-    let _ = write!(fp, "{value:?}");
-    (fp.0.finish(), fp.1.finish())
 }
 
 /// The REVEL accelerator simulator: functional *and* cycle-level.
@@ -311,7 +279,9 @@ impl Machine {
     pub fn run(&mut self, program: &RevelProgram) -> Result<RunReport, SimError> {
         program.validate(&self.cfg.lane)?;
         if self.opts.verify {
-            let diags = self.cached_lints(program);
+            // Program-level lints only (the spatial compile below already
+            // covers schedule legality), through the process-wide memo.
+            let diags = revel_verify::verdict(program, &self.cfg);
             if revel_verify::has_errors(&diags) {
                 return Err(SimError::Verify(diags.as_ref().clone()));
             }
@@ -372,17 +342,18 @@ impl Machine {
     }
 
     /// Spatially compiles every configuration of `program`, memoized
-    /// process-wide on (program name, lane config, region configs).
+    /// process-wide on (program name, lane config, region configs, fabric
+    /// mask).
     pub(crate) fn compiled_schedules(
         &self,
         program: &RevelProgram,
     ) -> Result<Arc<Vec<Vec<RegionSchedule>>>, SimError> {
-        // `Debug` renderings are full structural dumps for these types, so
-        // the key distinguishes any difference that can affect scheduling.
-        // The fabric mask is part of the key: a degraded fabric compiles a
-        // repaired placement that must never be served to a healthy run.
+        // The identity covers every field of these types, so the key
+        // distinguishes any difference that can affect scheduling. The
+        // fabric mask is part of it: a degraded fabric compiles a repaired
+        // placement that must never be served to a healthy run.
         let mask = self.opts.fabric_mask;
-        let key = format!("{}\0{:?}\0{:?}\0{mask}", program.name, self.cfg.lane, program.configs);
+        let key = structural_id(&(&program.name, &self.cfg.lane, &program.configs, mask));
         let cache = SCHEDULE_CACHE.get_or_init(Default::default);
         if let Some(hit) = cache.lock().expect("schedule cache poisoned").get(&key) {
             SCHEDULE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -414,23 +385,6 @@ impl Machine {
                 Ok(Arc::clone(o.get()))
             }
         }
-    }
-
-    /// Runs the pre-simulation program lints through the process-wide lint
-    /// cache. Program-level lints only: the spatial compile already covers
-    /// schedule legality, so the gate does not repeat it.
-    fn cached_lints(&self, program: &RevelProgram) -> Arc<Vec<revel_verify::Diagnostic>> {
-        let (a, b) = debug_fingerprint(&(program, &self.cfg));
-        let key = (program.name.clone(), a, b);
-        let cache = LINT_CACHE.get_or_init(Default::default);
-        if let Some(hit) = cache.lock().expect("lint cache poisoned").get(&key) {
-            return Arc::clone(hit);
-        }
-        // Lint outside the lock; the verifier is deterministic, so a racing
-        // duplicate inserts identical diagnostics.
-        let diags = Arc::new(revel_verify::Verifier::program_only().verify(program, &self.cfg));
-        cache.lock().expect("lint cache poisoned").entry(key).or_insert_with(|| Arc::clone(&diags));
-        diags
     }
 
     /// Captures the full machine state for a timed-out run's report.

@@ -35,6 +35,12 @@
 //! `revel-core` suite lints every workload × architecture, and the
 //! `revel_lint` binary exposes the same pass on the command line.
 //!
+//! [`Verifier::verify`] and [`certify`] are the uncached primitives. The
+//! run path goes through [`verdict`], the one process-wide memo of the
+//! program-level findings per `(program, config)` content: the gate reads
+//! its errors, and the workload layer reads the obliviousness certificate
+//! out of the same findings with [`certified`].
+//!
 //! ```
 //! use revel_fabric::RevelConfig;
 //! use revel_prog::RevelProgram;
@@ -53,6 +59,9 @@ mod conservation;
 mod context;
 mod diag;
 mod hygiene;
+#[cfg(test)]
+mod identity_oracle;
+mod memo;
 mod oblivious;
 mod rates;
 mod sched;
@@ -62,6 +71,7 @@ pub use conservation::Conservation;
 pub use context::{AddrSet, Cmd, Context, LaneView, PortTraffic, Segment};
 pub use diag::{has_errors, Code, Diagnostic, Location, Severity};
 pub use hygiene::{CommandStructure, DfgHygiene};
+pub use memo::{certified, verdict, verdict_memo_stats, VerdictMemoStats};
 pub use oblivious::{certify, Oblivious, ObliviousnessCert, Taint};
 pub use rates::{OutPortWidth, RateConsistency};
 pub use sched::ScheduleLegality;

@@ -403,8 +403,16 @@ fn mem_lane(target: MemTarget, lane: u8) -> Option<u8> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Taint walks this thread has run: what the verdict memo's tests count.
+    pub(crate) static ANALYZE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Runs the taint walk, returning (diagnostics, dyn steps, size-only binds).
 fn analyze(program: &RevelProgram, cfg: &RevelConfig) -> (Vec<Diagnostic>, usize, usize) {
+    #[cfg(test)]
+    ANALYZE_CALLS.with(|n| n.set(n.get() + 1));
     let mut st = TaintState::new(program, cfg);
     let mut out = Vec::new();
     let mut dyn_steps = 0usize;
@@ -773,6 +781,22 @@ mod tests {
                 diags.iter().any(|d| d.code == expected),
                 "seed {seed}: expected {expected}, got {diags:?}"
             );
+        }
+    }
+
+    #[test]
+    fn the_verdicts_certificate_is_certifys_answer() {
+        // The run path reads the certificate out of the memoized verdict
+        // instead of calling `certify`; over the same corpus, clean and
+        // injected, the two must never disagree.
+        let cfg = single_lane();
+        for seed in 0..64u64 {
+            let mut rng = Rng::seed_from_u64(0x0B11_0500 ^ seed);
+            let mut p = random_clean_program(&mut rng);
+            assert!(crate::certified(&crate::verdict(&p, &cfg)), "seed {seed}: clean");
+            inject_taint(&mut p, &mut rng);
+            assert!(certify(&p, &cfg).is_err());
+            assert!(!crate::certified(&crate::verdict(&p, &cfg)), "seed {seed}: injected");
         }
     }
 

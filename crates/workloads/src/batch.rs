@@ -7,19 +7,20 @@
 //! same-shape datasets, skipping the per-cycle scheduling work entirely.
 //!
 //! The split is gated, not assumed: [`batch_replayable`] admits a kernel
-//! to the replay path only when the static obliviousness certifier
-//! ([`revel_verify::certify`]) proves the program's timing
-//! data-independent *and* the run is unperturbed (no fault plan, healthy
-//! fabric). Everything else falls back to full simulation. The replayer
-//! itself is checked — a program whose structure does depend on values
-//! desynchronizes into [`revel_sim::SimError::Replay`], never silence.
+//! to the replay path only when the static obliviousness certifier proves
+//! the program's timing data-independent (the certificate is read out of
+//! the memoized lint verdict, [`revel_verify::certified`]) *and* the run is
+//! unperturbed (no fault plan, healthy fabric). Everything else falls back
+//! to full simulation. The replayer itself is checked — a program whose
+//! structure does depend on values desynchronizes into
+//! [`revel_sim::SimError::Replay`], never silence.
 //!
 //! Dataset extents are validated up front ([`validate_init`]) so a
 //! malformed batch request surfaces as a structured
 //! [`ProgramError::AddressOutOfBounds`] instead of a scratchpad panic
 //! inside the serving path's worker fence.
 
-use crate::suite::{apply_init, BuiltKernel, MemInit, WorkloadRun};
+use crate::suite::{apply_init, certified, BuiltKernel, MemInit, WorkloadRun};
 use revel_compiler::BuildCfg;
 use revel_fabric::{FabricMask, RevelConfig};
 use revel_isa::MemTarget;
@@ -77,7 +78,7 @@ pub fn validate_init(cfg: &RevelConfig, init: &[MemInit]) -> Result<(), SimError
 pub fn batch_replayable(built: &BuiltKernel, cfg: &BuildCfg, opts: &SimOptions) -> bool {
     opts.fault_plan.is_none()
         && opts.fabric_mask == FabricMask::HEALTHY
-        && revel_verify::certify(&built.program, &cfg.machine_config()).is_ok()
+        && certified(built, &cfg.machine_config())
 }
 
 /// The timing walk: runs `built` once on the full cycle-accurate
@@ -101,7 +102,7 @@ pub fn record_timing(
     let trace = machine.run_traced(&built.program)?;
     let verified =
         if trace.report.timed_out { Err("timed out".to_string()) } else { (built.check)(&machine) };
-    let oblivious = revel_verify::certify(&built.program, &cfg.machine_config()).is_ok();
+    let oblivious = certified(built, machine.config());
     let run = WorkloadRun {
         cycles: trace.report.cycles,
         report: trace.report.clone(),
@@ -192,7 +193,9 @@ mod tests {
         AffinePattern, ConfigId, InPortId, LaneId, LaneMask, OutPortId, RateFsm, StreamCommand,
         VectorCommand,
     };
-    use revel_sim::{ControlStep, DynBind, DynField, DynSrc, DynStep, FaultPlan, RevelProgram};
+    use revel_sim::{
+        ControlStep, DynBind, DynField, DynSrc, DynStep, FaultPlan, HostWrite, RevelProgram,
+    };
 
     #[test]
     fn validate_init_rejects_out_of_range_extents() {
@@ -280,6 +283,79 @@ mod tests {
             ..cfg.sim_options()
         };
         assert!(!batch_replayable(&built, &cfg, &degraded), "degraded fabric forces full sim");
+    }
+
+    /// A kernel whose load length is patched at issue time from shared[40],
+    /// which a host op writes with the size 8 — declared size-only, or not
+    /// declared at all. Nothing else differs, and `Debug for HostOp` prints
+    /// neither.
+    fn host_sized_kernel(name: &str, declared: bool) -> BuiltKernel {
+        let lane0 = LaneMask::single(LaneId(0));
+        let mut g = revel_dfg::Dfg::new("neg");
+        let a = g.input(InPortId(0));
+        let o = g.op(revel_dfg::OpCode::Neg, &[a]);
+        g.output(o, OutPortId(0));
+        let mut prog = RevelProgram::new(name);
+        let c = prog.add_config(vec![revel_dfg::Region::systolic("neg", g, 8)]);
+        let push = |prog: &mut RevelProgram, cmd| prog.push(VectorCommand::broadcast(lane0, cmd));
+        push(&mut prog, StreamCommand::Configure { config: ConfigId(c) });
+        let write = |m: &mut dyn revel_sim::HostMem| m.write(None, 40, 8.0);
+        if declared {
+            let effect = vec![HostWrite { lane: None, addr: 40, len: 1, size_only: true }];
+            prog.push_host_declared(4, effect, write);
+        } else {
+            prog.push_host(4, write);
+        }
+        let load = StreamCommand::load(
+            MemTarget::Private,
+            AffinePattern::linear(0, 1),
+            InPortId(0),
+            RateFsm::ONCE,
+        );
+        prog.push_dyn(DynStep {
+            template: VectorCommand::broadcast(lane0, load),
+            binds: vec![DynBind { field: DynField::PatternLenI, src: DynSrc::Shared { addr: 40 } }],
+        });
+        let store = StreamCommand::store(
+            OutPortId(0),
+            MemTarget::Private,
+            AffinePattern::linear(8, 8),
+            RateFsm::ONCE,
+        );
+        push(&mut prog, store);
+        push(&mut prog, StreamCommand::Wait);
+        BuiltKernel {
+            program: prog,
+            init: vec![MemInit::Private { lane: 0, addr: 0, data: vec![3.0; 8] }],
+            check: std::sync::Arc::new(|m| {
+                let got = m.read_private(LaneId(0), 8, 8);
+                (got == [-3.0; 8]).then_some(()).ok_or(format!("negated block is {got:?}"))
+            }),
+            lanes_used: 1,
+        }
+    }
+
+    #[test]
+    fn a_host_ops_declared_effect_is_part_of_the_certificates_identity() {
+        // The certificate is read out of the memoized verdict, so two
+        // programs that differ only in a host op's declared write set must
+        // not share one — whichever of them the process meets first.
+        let cfg = BuildCfg::revel(1);
+        let opts = cfg.sim_options();
+        for (name, order) in
+            [("undeclared-first", [false, true]), ("declared-first", [true, false])]
+        {
+            for declared in order {
+                let built = host_sized_kernel(name, declared);
+                let what = format!("{name}, declared: {declared}");
+                let run = run_built_with(&built, &cfg, opts).expect("runs");
+                run.assert_ok(&what);
+                assert_eq!(run.oblivious, declared, "{what}");
+                assert_eq!(batch_replayable(&built, &cfg, &opts), declared, "{what}");
+                let (timing, _) = record_timing(&built, &cfg, opts).expect("timing walk");
+                assert_eq!(timing.oblivious, declared, "{what}");
+            }
+        }
     }
 
     #[test]

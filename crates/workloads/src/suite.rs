@@ -107,7 +107,7 @@ pub struct WorkloadRun {
     /// Verification result.
     pub verified: Result<(), String>,
     /// True when the obliviousness certifier proved the program's timing
-    /// data-independent (`revel_verify::certify`): the cycle count is a
+    /// data-independent (`revel_verify::certified`): the cycle count is a
     /// function of problem sizes alone and may be reused across datasets
     /// of the same shape.
     pub oblivious: bool,
@@ -177,8 +177,16 @@ pub fn run_built_with(
     } else {
         (built.check)(&machine)
     };
-    let oblivious = revel_verify::certify(&built.program, &cfg.machine_config()).is_ok();
+    let oblivious = certified(built, machine.config());
     Ok(WorkloadRun { cycles: report.cycles, report, verified, oblivious })
+}
+
+/// True when `built`'s program holds the obliviousness certificate on
+/// `cfg`, read out of the memoized lint verdict — the one the simulator's
+/// gate just looked up, so a run adds a lookup here, never a second taint
+/// walk.
+pub(crate) fn certified(built: &BuiltKernel, cfg: &revel_fabric::RevelConfig) -> bool {
+    revel_verify::certified(&revel_verify::verdict(&built.program, cfg))
 }
 
 /// Writes a kernel's initial data into the machine.
@@ -294,6 +302,49 @@ mod tests {
         let opts = SimOptions { max_cycles: 40, ..cfg.sim_options() };
         let run = run_built_with(&built, &cfg, opts).expect("runs");
         run.assert_ok("solver");
+    }
+
+    #[test]
+    fn a_replicated_kernels_verdict_is_its_own() {
+        // `replicate_for_batch` clones the program and re-masks the clone.
+        // A single-lane kernel that stores to the *shared* scratchpad is
+        // clean; broadcast to two lanes it races with itself (V006). The
+        // re-masked clone must meet the gate as what it now is.
+        use revel_isa::{AffinePattern, ConfigId, InPortId, MemTarget, OutPortId, RateFsm};
+        let mut g = revel_dfg::Dfg::new("neg");
+        let a = g.input(InPortId(0));
+        let n = g.op(revel_dfg::OpCode::Neg, &[a]);
+        g.output(n, OutPortId(0));
+        let mut program = RevelProgram::new("shared-store");
+        let c = program.add_config(vec![revel_dfg::Region::systolic("neg", g, 8)]);
+        let linear = |start| AffinePattern::linear(start, 8);
+        for cmd in [
+            StreamCommand::Configure { config: ConfigId(c) },
+            StreamCommand::load(MemTarget::Private, linear(0), InPortId(0), RateFsm::ONCE),
+            StreamCommand::store(OutPortId(0), MemTarget::Shared, linear(0), RateFsm::ONCE),
+            StreamCommand::Wait,
+        ] {
+            program.push(VectorCommand::on_lane(LaneId(0), cmd));
+        }
+        let built = BuiltKernel {
+            program,
+            init: vec![MemInit::Private { lane: 0, addr: 0, data: vec![2.0; 8] }],
+            check: Arc::new(|m| {
+                (m.read_shared(0, 8) == [-2.0; 8]).then_some(()).ok_or("wrong".to_string())
+            }),
+            lanes_used: 1,
+        };
+        let cfg = BuildCfg::revel(2);
+        run_built_with(&built, &cfg, cfg.sim_options()).expect("runs").assert_ok("one lane");
+        let batch = replicate_for_batch(&built, 2);
+        match run_built_with(&batch, &cfg, cfg.sim_options()) {
+            Err(SimError::Verify(diags)) => {
+                assert!(diags.iter().any(|d| d.code == revel_verify::Code::V006), "{diags:?}");
+            }
+            other => panic!("the two-lane broadcast must be refused, got {other:?}"),
+        }
+        // And the original is still what it was.
+        run_built_with(&built, &cfg, cfg.sim_options()).expect("runs").assert_ok("one lane");
     }
 
     #[test]
