@@ -1,11 +1,9 @@
 //! Regenerates every table and figure of the paper's evaluation in one run.
 //!
 //! ```text
-//! all_experiments                      # auto worker count (one per core)
-//! all_experiments --jobs 4            # explicit worker count; tables are
-//!                                      # byte-identical for every setting
-//! all_experiments --reference-stepper # run every simulation on the naive
-//!                                      # cycle-by-cycle stepper (oracle mode)
+//! all_experiments            # auto worker count (one per core)
+//! all_experiments --jobs 4   # explicit worker count; tables are
+//!                            # byte-identical for every setting
 //! ```
 //!
 //! Every figure generator pulls its simulations through the evaluation
@@ -22,7 +20,6 @@ fn main() {
                 Some(n) => engine::set_jobs(n),
                 None => usage(),
             },
-            "--reference-stepper" => revel_core::sim::force_reference_stepper(true),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -65,6 +62,6 @@ fn main() {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: all_experiments [--jobs N] [--reference-stepper]");
+    eprintln!("usage: all_experiments [--jobs N]");
     std::process::exit(2);
 }

@@ -76,7 +76,7 @@ fn parse_args() -> Args {
 ///    under the trial mask than under the current mask — the curve the
 ///    sweep measures is then monotone non-improving by construction, for
 ///    any seed, while every reported point is still a real measurement of
-///    the same `run_degraded` path the sweep runs.
+///    the same masked `run_uncached` path the sweep runs.
 ///
 /// Nested prefixes of the returned order are the sweep's masks — mask
 /// `k+1` strictly contains mask `k`.
@@ -123,7 +123,8 @@ fn kill_order(
         benches
             .iter()
             .map(|b| {
-                engine::run_degraded(*b, cfg, mask).expect("probe run simulates").report.cycles
+                let opts = SimOptions { fabric_mask: mask, ..cfg.sim_options() };
+                engine::run_uncached(*b, cfg, opts).expect("probe run simulates").report.cycles
             })
             .collect()
     };
@@ -168,8 +169,8 @@ fn shuffle(xs: &mut [usize], rng: &mut Rng) {
 }
 
 /// One sweep point: a workload under a nested mask, run on both cycle
-/// loops. `run_degraded`/`run_uncached` bypass the engine cache — the
-/// counter deltas at the end prove it.
+/// loops. `run_uncached` bypasses the engine cache — the counter deltas at
+/// the end prove it.
 struct Point {
     bench: Bench,
     dead: usize,
@@ -179,8 +180,9 @@ struct Point {
 }
 
 fn run_point(bench: Bench, cfg: &BuildCfg, mask: FabricMask, dead: usize) -> Point {
-    let fast = engine::run_degraded(bench, cfg, mask).expect("degraded run simulates");
-    let ref_opts = SimOptions { reference_stepper: true, fabric_mask: mask, ..cfg.sim_options() };
+    let opts = SimOptions { fabric_mask: mask, ..cfg.sim_options() };
+    let fast = engine::run_uncached(bench, cfg, opts).expect("degraded run simulates");
+    let ref_opts = SimOptions { reference_stepper: true, ..opts };
     let reference = engine::run_uncached(bench, cfg, ref_opts).expect("reference run simulates");
     Point {
         bench,

@@ -1,9 +1,10 @@
 //! # revel-bench — the experiment harness
 //!
-//! One binary per paper table/figure (see `src/bin/`); run everything with
-//! `cargo run -p revel-bench --bin all_experiments --release`. Wall-clock
-//! performance of the infrastructure itself is measured by the standalone
-//! `benchmark/` package.
+//! `cargo run -p revel-bench --bin all_experiments --release` regenerates
+//! every paper table and figure in one run; the other binaries in
+//! `src/bin/` are the CI gates and tools. Wall-clock performance of the
+//! infrastructure itself is measured by the standalone `benchmark/`
+//! package.
 //!
 //! The [`grid`] module defines the shared evaluation grid (workload ×
 //! architecture cells) consumed by both the differential stepper gate and

@@ -18,10 +18,9 @@
 //!   land in per-item slots, so tables are byte-identical to a serial run
 //!   regardless of `--jobs`.
 //!
-//! Determinism argument: the simulator is a pure function of
-//! `(program, init, SimOptions)` — its only ambient input, the
-//! `REVEL_SIM_DEBUG` variable, is read once per run and never changes
-//! results below the clamp — so caching and reordering execution cannot
+//! No ambient input: the simulator is a pure function of
+//! `(program, init, SimOptions)` — it reads no environment variable and no
+//! process-global default — so caching and reordering execution cannot
 //! change any table cell. Workers only interleave *which* cell is computed
 //! when; each cell's value and its position in the output are fixed.
 //!
@@ -56,8 +55,7 @@ pub mod persist;
 use crate::suite::{Bench, Comparison};
 use persist::{PersistedRun, PersistentTier, WarmStart};
 use revel_compiler::BuildCfg;
-use revel_fabric::FabricMask;
-use revel_sim::{FaultPlan, SimError, SimOptions, TimingTrace};
+use revel_sim::{SimError, SimOptions, TimingTrace};
 use revel_workloads::{
     batch_replayable, record_timing, replay_trace_on, run_workload_with, WorkloadRun,
 };
@@ -196,9 +194,9 @@ pub(crate) struct Engine {
     // totals are deterministic for every --jobs setting.
     sim_cycles: AtomicU64,
     skipped_cycles: AtomicU64,
-    // Runs that went through [`run_uncached`] because they carried a fault
-    // plan or a fabric mask. The run key does not include `SimOptions`, so
-    // such runs must bypass the cache entirely; this counter is the proof
+    // Runs that went through [`run_uncached`]: every run whose options
+    // change what a run means. The run key does not include `SimOptions`,
+    // so such runs must bypass the cache entirely; this counter is the proof
     // (asserted by the degradation sweep) that none of them touched it.
     fault_bypasses: AtomicU64,
     // Deadline-expired waiters that gave up on another thread's in-flight
@@ -208,8 +206,8 @@ pub(crate) struct Engine {
     // Batched executions served by a cached timing trace (no timing walk).
     trace_hits: AtomicU64,
     // Individual datasets executed through the functional replayer instead
-    // of the full simulator. Stays zero for uncertified or perturbed
-    // batches — the counter-delta proof that the replay gate holds.
+    // of the full simulator. Stays zero for uncertified batches — the
+    // counter-delta proof that the replay gate holds.
     batched_replays: AtomicU64,
     /// The optional disk tier ([`enable_persistence`]); `None` outside
     /// server processes. Its own lock, never held while simulating.
@@ -383,7 +381,17 @@ impl Drop for RunClaim<'_> {
 }
 
 impl Engine {
-    /// Runs `bench` under `cfg` through the run cache.
+    /// Runs `bench` under `cfg` through the run cache; `batch_build` asks
+    /// for the batch-semantics build (one independent problem per lane,
+    /// Figure 20), which shares the batch-1 entry whenever the two builds
+    /// are identical.
+    ///
+    /// Cache hits are served instantly regardless of `deadline`. On a miss
+    /// the deadline threads into [`SimOptions::wall_deadline`]; a run the
+    /// deadline cut short is returned (as `timed_out`) but never cached. A
+    /// caller that finds the key in flight waits for the executing thread —
+    /// but only until its own deadline, after which it simulates uncached with
+    /// the (expired) deadline and reports the timeout itself.
     ///
     /// # Errors
     /// Propagates simulator errors (never cached; they fail identically on
@@ -392,30 +400,10 @@ impl Engine {
         &self,
         bench: Bench,
         cfg: &BuildCfg,
-        batch: bool,
-    ) -> Result<WorkloadRun, SimError> {
-        self.run_cached_deadline(bench, cfg, batch, None)
-    }
-
-    /// [`Engine::run_cached`] with an optional wall-clock deadline.
-    ///
-    /// Cache hits are served instantly regardless of the deadline. On a miss
-    /// the deadline threads into [`SimOptions::wall_deadline`]; a run the
-    /// deadline cut short is returned (as `timed_out`) but never cached. A
-    /// caller that finds the key in flight waits for the executing thread —
-    /// but only until its own deadline, after which it simulates uncached with
-    /// the (expired) deadline and reports the timeout itself.
-    ///
-    /// # Errors
-    /// Propagates simulator errors (never cached).
-    pub(crate) fn run_cached_deadline(
-        &self,
-        bench: Bench,
-        cfg: &BuildCfg,
-        batch: bool,
+        batch_build: bool,
         deadline: Option<Instant>,
     ) -> Result<WorkloadRun, SimError> {
-        let key = RunKey { bench, cfg: *cfg, batch: batch && bench.batch_build_differs() };
+        let key = RunKey { bench, cfg: *cfg, batch: batch_build && bench.batch_build_differs() };
         let opts = SimOptions { wall_deadline: deadline, ..cfg.sim_options() };
 
         // Phase 1: hit, claim the key, or wait out another claimant.
@@ -486,7 +474,8 @@ impl Engine {
                 // failure degrades persistence, never the request.
                 let mut disk = self.disk.lock().expect("disk tier lock");
                 if let Some(tier) = disk.as_mut() {
-                    let _ = tier.append(key_fingerprint(bench, cfg, batch), &persisted_from(run));
+                    let _ = tier
+                        .append(key_fingerprint(bench, cfg, batch_build), &PersistedRun::from(run));
                 }
             }
         }
@@ -502,15 +491,6 @@ impl Engine {
 pub fn key_fingerprint(bench: Bench, cfg: &BuildCfg, batch: bool) -> (u64, u64) {
     let batch = batch && bench.batch_build_differs();
     persist::fingerprint(&format!("{bench:?}|{cfg:?}|batch={batch}"))
-}
-
-fn persisted_from(run: &WorkloadRun) -> PersistedRun {
-    PersistedRun {
-        cycles: run.cycles,
-        commands_issued: run.report.commands_issued,
-        verified: run.verified.clone(),
-        canonical_text: run.report.canonical_text(),
-    }
 }
 
 impl Engine {
@@ -558,7 +538,7 @@ impl Engine {
                 }
             }
         }
-        self.run_cached_deadline(bench, cfg, false, deadline).map(|run| Served::Run(Box::new(run)))
+        self.run_cached(bench, cfg, false, deadline).map(|run| Served::Run(Box::new(run)))
     }
 
     /// [`run_uncached`] on this engine.
@@ -632,50 +612,22 @@ pub fn run_served(
 /// Runs `bench` under explicit [`SimOptions`], bypassing the run cache in
 /// both directions: no lookup, no insert. The cache key deliberately
 /// excludes `SimOptions` (clean runs are a pure function of the
-/// configuration), so any run whose options perturb results — a fault
-/// plan, a fabric mask, a reduced budget — must go through here. Each call
-/// increments [`CacheStats::fault_bypasses`], which the degradation sweep
-/// uses to prove no perturbed run touched the cache.
+/// configuration), so every run whose options change what a run means — a
+/// fault plan, a fabric mask, a reduced budget, the reference stepper —
+/// goes through here, with that one field set on `cfg.sim_options()`. Each
+/// call increments [`CacheStats::fault_bypasses`]: the counter counts
+/// exactly those runs, and the degradation sweep and the serving
+/// `bypass_accounting` test read it to prove none of them touched the cache.
 ///
 /// # Errors
-/// Propagates simulator errors.
+/// Propagates simulator errors, including `NotEnoughPes`/`Unroutable`
+/// when too little fabric survives a mask.
 pub fn run_uncached(
     bench: Bench,
     cfg: &BuildCfg,
     opts: SimOptions,
 ) -> Result<WorkloadRun, SimError> {
     engine().run_uncached(bench, cfg, opts)
-}
-
-/// [`run_uncached`] with `plan` injected: the simulator applies the plan's
-/// seeded fault events at their exact cycles and reports the outcome in
-/// [`revel_sim::RunReport::fault`]. Never cached.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn run_fault_injected(
-    bench: Bench,
-    cfg: &BuildCfg,
-    plan: FaultPlan,
-) -> Result<WorkloadRun, SimError> {
-    let opts = SimOptions { fault_plan: Some(plan), ..cfg.sim_options() };
-    run_uncached(bench, cfg, opts)
-}
-
-/// [`run_uncached`] on a degraded fabric: the scheduler re-places and
-/// re-routes around the PEs and links masked out by `mask` before the run.
-/// Never cached (the key does not carry the mask).
-///
-/// # Errors
-/// Propagates simulator errors, including `Unschedulable`/`Unroutable`
-/// when too little fabric survives the mask.
-pub fn run_degraded(
-    bench: Bench,
-    cfg: &BuildCfg,
-    mask: FabricMask,
-) -> Result<WorkloadRun, SimError> {
-    let opts = SimOptions { fabric_mask: mask, ..cfg.sim_options() };
-    run_uncached(bench, cfg, opts)
 }
 
 /// The result of a batched execution: one [`WorkloadRun`] per dataset
@@ -704,39 +656,30 @@ pub struct BatchRun {
 /// ([`revel_sim::SimError::Replay`]) — which a certified program can only
 /// hit if the certificate is wrong, so it is surfaced, never swallowed.
 pub fn run_batched(bench: Bench, cfg: &BuildCfg, seeds: &[u64]) -> Result<BatchRun, SimError> {
-    engine().run_batched(bench, cfg, seeds, cfg.sim_options())
+    engine().run_batched(bench, cfg, seeds)
 }
 
 impl Engine {
-    /// [`run_batched`] on this engine, under explicit [`SimOptions`].
-    /// Perturbed options (a fault plan or a degraded fabric) force every
-    /// dataset through [`run_uncached`]-style full simulation — each one
-    /// counted in [`CacheStats::fault_bypasses`] — because perturbation
-    /// changes timing behind the certifier's back.
+    /// [`run_batched`] on this engine. A batch always runs under
+    /// `cfg.sim_options()`: perturbed options have no way in, and
+    /// [`batch_replayable`] and `Machine::run_traced` refuse them besides.
     fn run_batched(
         &self,
         bench: Bench,
         cfg: &BuildCfg,
         seeds: &[u64],
-        opts: SimOptions,
     ) -> Result<BatchRun, SimError> {
-        let perturbed = opts.fault_plan.is_some() || opts.fabric_mask != FabricMask::HEALTHY;
-        let full_batch = |count_bypasses: bool| -> Result<BatchRun, SimError> {
+        let opts = cfg.sim_options();
+        let full_batch = || -> Result<BatchRun, SimError> {
             let mut runs = Vec::with_capacity(seeds.len());
             for &seed in seeds {
-                if count_bypasses {
-                    self.fault_bypasses.fetch_add(1, Ordering::Relaxed);
-                }
                 runs.push(run_workload_with(bench.workload_seeded(seed).as_ref(), cfg, opts)?);
             }
             Ok(BatchRun { runs, replayed: false })
         };
-        if perturbed {
-            return full_batch(true);
-        }
         let built = bench.workload().build(cfg);
         if !batch_replayable(&built, cfg, &opts) {
-            return full_batch(false);
+            return full_batch();
         }
 
         // Certified: fetch or record the timing trace for this cell.
@@ -752,7 +695,7 @@ impl Engine {
                 if timing.report.timed_out {
                     // A budget- or deadline-capped timing walk is not a usable
                     // trace (and caching it would poison every later batch).
-                    return full_batch(false);
+                    return full_batch();
                 }
                 let trace = Arc::new(trace);
                 let evicted = self.traces.lock().expect("trace cache lock").insert(
@@ -786,11 +729,11 @@ impl Engine {
     /// numerical verification or timed out.
     pub(crate) fn compare(&self, bench: Bench) -> Result<Comparison, SimError> {
         let lanes = bench.lanes();
-        let revel = self.run_cached(bench, &BuildCfg::revel(lanes), false)?;
+        let revel = self.run_cached(bench, &BuildCfg::revel(lanes), false, None)?;
         revel.assert_ok(&format!("{} revel", bench.name()));
-        let systolic = self.run_cached(bench, &BuildCfg::systolic_baseline(lanes), false)?;
+        let systolic = self.run_cached(bench, &BuildCfg::systolic_baseline(lanes), false, None)?;
         systolic.assert_ok(&format!("{} systolic", bench.name()));
-        let dataflow = self.run_cached(bench, &BuildCfg::dataflow_baseline(lanes), false)?;
+        let dataflow = self.run_cached(bench, &BuildCfg::dataflow_baseline(lanes), false, None)?;
         dataflow.assert_ok(&format!("{} dataflow", bench.name()));
         Ok(Comparison {
             bench,
@@ -841,12 +784,13 @@ pub struct CacheStats {
     /// counted once per cache entry regardless of worker interleaving).
     pub sim_cycles: u64,
     /// Of [`CacheStats::sim_cycles`], cycles the event-horizon kernel
-    /// skipped rather than stepped (0 under `--reference-stepper`).
+    /// skipped rather than stepped.
     pub skipped_cycles: u64,
-    /// Runs routed through [`run_uncached`] (fault-injected or degraded):
-    /// they neither read nor wrote the cache. Not shown in the standard
-    /// footer (clean-run output stays byte-identical); the degradation
-    /// sweep prints it directly.
+    /// Runs routed through [`run_uncached`] — every run whose options
+    /// change what a run means (a fault plan, a fabric mask, a reduced
+    /// budget, the reference stepper): they neither read nor wrote the
+    /// cache. Not shown in the standard footer (clean-run output stays
+    /// byte-identical); the degradation sweep prints it directly.
     pub fault_bypasses: u64,
     /// Of [`CacheStats::run_entries`], entries whose program carries an
     /// obliviousness certificate (`WorkloadRun::oblivious`): their timing
@@ -861,7 +805,7 @@ pub struct CacheStats {
     /// cache (no timing walk needed).
     pub trace_hits: u64,
     /// Datasets executed through the functional trace replayer instead of
-    /// the full simulator. Zero for uncertified or perturbed batches — the
+    /// the full simulator. Zero for uncertified batches — the
     /// counter-delta proof that the replay gate holds.
     pub batched_replays: u64,
     /// Lookups that missed memory but were answered from the disk tier
@@ -1049,9 +993,9 @@ mod tests {
     fn run_cache_hits_on_repeat() {
         let b = Bench::Solver { n: 12 };
         let cfg = BuildCfg::revel(1);
-        let first = engine().run_cached(b, &cfg, false).expect("runs");
+        let first = engine().run_cached(b, &cfg, false, None).expect("runs");
         let before = stats();
-        let second = engine().run_cached(b, &cfg, false).expect("runs");
+        let second = engine().run_cached(b, &cfg, false, None).expect("runs");
         let after = stats();
         assert_eq!(first.cycles, second.cycles);
         assert!(after.hits > before.hits, "second lookup must hit: {before:?} -> {after:?}");
@@ -1063,12 +1007,12 @@ mod tests {
         let cfg = BuildCfg::systolic_baseline(1);
         let before = stats();
         let dead = Some(Instant::now());
-        let run = engine().run_cached_deadline(b, &cfg, false, dead).expect("runs");
+        let run = engine().run_cached(b, &cfg, false, dead).expect("runs");
         assert!(run.report.timed_out, "expired deadline must surface as timed_out");
         assert!(run.report.deadline_expired);
         // The poisoned result must not have landed in the cache: a fresh
         // lookup with no deadline simulates and completes normally.
-        let good = engine().run_cached(b, &cfg, false).expect("runs");
+        let good = engine().run_cached(b, &cfg, false, None).expect("runs");
         assert!(!good.report.timed_out, "cache must not have been poisoned");
         let after = stats();
         assert!(after.misses >= before.misses + 2, "both lookups were misses");
@@ -1078,9 +1022,9 @@ mod tests {
     fn generous_deadline_matches_undeadlined_run() {
         let b = Bench::Fft { n: 64 };
         let cfg = BuildCfg::revel(1);
-        let plain = engine().run_cached(b, &cfg, false).expect("runs");
+        let plain = engine().run_cached(b, &cfg, false, None).expect("runs");
         let far = Some(Instant::now() + std::time::Duration::from_secs(600));
-        let with = engine().run_cached_deadline(b, &cfg, false, far).expect("runs");
+        let with = engine().run_cached(b, &cfg, false, far).expect("runs");
         assert_eq!(plain.cycles, with.cycles);
         assert!(!with.report.deadline_expired);
     }
@@ -1093,8 +1037,7 @@ mod tests {
         let b = Bench::Solver { n: 16 };
         let cfg = BuildCfg::dataflow_baseline(1);
         let items: Vec<u32> = (0..8).collect();
-        let runs =
-            par_map_jobs(&items, 8, |_| e.run_cached_deadline(b, &cfg, false, None).expect("runs"));
+        let runs = par_map_jobs(&items, 8, |_| e.run_cached(b, &cfg, false, None).expect("runs"));
         let after = e.stats();
         for r in &runs {
             assert_eq!(r.cycles, runs[0].cycles);
@@ -1108,7 +1051,7 @@ mod tests {
         let before = stats();
         let b = Bench::Gemm { m: 4, k: 4, p: 8 };
         let cfg = BuildCfg::revel(1);
-        let run = engine().run_cached(b, &cfg, false).expect("runs");
+        let run = engine().run_cached(b, &cfg, false, None).expect("runs");
         let after = stats();
         // Lower bounds only: other tests in this binary run concurrently
         // and may add their own cycles.
@@ -1120,7 +1063,7 @@ mod tests {
         assert!(after.skipped_pct() >= 0.0 && after.skipped_pct() <= 100.0);
         // A repeat is a hit and must not re-count cycles; assert indirectly
         // by checking the entry count didn't change for this key.
-        let again = engine().run_cached(b, &cfg, false).expect("runs");
+        let again = engine().run_cached(b, &cfg, false, None).expect("runs");
         assert_eq!(run.cycles, again.cycles);
     }
 
@@ -1128,7 +1071,7 @@ mod tests {
     fn cached_runs_record_the_oblivious_certificate() {
         let b = Bench::Fft { n: 64 };
         let cfg = BuildCfg::revel(1);
-        let run = engine().run_cached(b, &cfg, false).expect("runs");
+        let run = engine().run_cached(b, &cfg, false, None).expect("runs");
         assert!(run.oblivious, "suite kernels are statically data-oblivious");
         let s = stats();
         assert!(s.oblivious_entries >= 1, "certified entry must be counted: {s:?}");
@@ -1141,9 +1084,9 @@ mod tests {
     #[test]
     fn distinct_configs_do_not_collide() {
         let b = Bench::Solver { n: 12 };
-        let revel = engine().run_cached(b, &BuildCfg::revel(1), false).expect("runs");
+        let revel = engine().run_cached(b, &BuildCfg::revel(1), false, None).expect("runs");
         let systolic =
-            engine().run_cached(b, &BuildCfg::systolic_baseline(1), false).expect("runs");
+            engine().run_cached(b, &BuildCfg::systolic_baseline(1), false, None).expect("runs");
         assert_ne!(revel.cycles, systolic.cycles, "different archs must not share an entry");
     }
 
@@ -1172,7 +1115,8 @@ mod tests {
         // Enough dead-PE events across a wide window that at least one
         // lands on a configured region (seed-pinned; asserted below).
         let plan = FaultPlan::new(7, 8, 4096).with_kinds(FAULT_DEAD_PE);
-        let run = run_fault_injected(b, &cfg, plan).expect("runs");
+        let opts = SimOptions { fault_plan: Some(plan), ..cfg.sim_options() };
+        let run = run_uncached(b, &cfg, opts).expect("runs");
         let snap = run.report.fault.as_ref().expect("fault plan carried => snapshot present");
         assert!(snap.any_applied(), "seed 7 must land at least one dead-PE event");
         assert!(run.report.faulted());
@@ -1184,7 +1128,7 @@ mod tests {
         );
         // The faulted result must not be visible to clean lookups: the same
         // key simulates fresh and completes unfaulted.
-        let clean = engine().run_cached(b, &cfg, false).expect("runs");
+        let clean = engine().run_cached(b, &cfg, false, None).expect("runs");
         assert!(clean.report.fault.is_none(), "clean run must carry no fault section");
         assert!(clean.verified.is_ok(), "cache must serve an unpoisoned result");
         assert_ne!(clean.cycles, 0);
@@ -1199,7 +1143,8 @@ mod tests {
         // Mask one systolic tile: the scheduler repairs around it and the
         // run still verifies (degraded, not broken).
         let mask = FabricMask { dead_pes: 1, dead_links: 0 };
-        let run = run_degraded(b, &cfg, mask).expect("schedulable around one dead PE");
+        let opts = SimOptions { fabric_mask: mask, ..cfg.sim_options() };
+        let run = run_uncached(b, &cfg, opts).expect("schedulable around one dead PE");
         assert!(run.verified.is_ok(), "degraded run must still verify: {:?}", run.verified);
         let after = stats();
         assert!(
@@ -1215,7 +1160,7 @@ mod tests {
         let b = Bench::Fft { n: 64 };
         let cfg = BuildCfg::revel(1);
         let seeds = [2u64, 3, 4];
-        let batch = e.run_batched(b, &cfg, &seeds, cfg.sim_options()).expect("batched run");
+        let batch = e.run_batched(b, &cfg, &seeds).expect("batched run");
         let after = e.stats();
         assert!(batch.replayed, "a certified cell must take the replay path");
         assert_eq!(batch.runs.len(), seeds.len());
@@ -1235,35 +1180,9 @@ mod tests {
             );
         }
         // A second batch of the same cell reuses the cached trace.
-        let again = e.run_batched(b, &cfg, &seeds, cfg.sim_options()).expect("batched rerun");
+        let again = e.run_batched(b, &cfg, &seeds).expect("batched rerun");
         assert!(again.replayed);
         assert_eq!(e.stats().trace_hits, 1, "second batch must hit the trace cache");
-    }
-
-    #[test]
-    fn perturbed_batches_never_take_the_replay_path() {
-        use revel_sim::FaultPlan;
-        let e = Engine::new();
-        let b = Bench::Fft { n: 64 };
-        let cfg = BuildCfg::revel(1);
-        let seeds = [5u64, 6];
-        let opts = SimOptions { fault_plan: Some(FaultPlan::new(7, 2, 4096)), ..cfg.sim_options() };
-        let batch = e.run_batched(b, &cfg, &seeds, opts).expect("perturbed batch");
-        let after = e.stats();
-        assert!(!batch.replayed, "fault injection must force full simulation");
-        assert_eq!(
-            after.fault_bypasses,
-            seeds.len() as u64,
-            "each perturbed dataset counts as a bypass: {after:?}"
-        );
-        assert_eq!(after.batched_replays, 0, "no perturbed dataset may reach the replayer");
-        let degraded = SimOptions {
-            fabric_mask: FabricMask { dead_pes: 1, dead_links: 0 },
-            ..cfg.sim_options()
-        };
-        let batch = e.run_batched(b, &cfg, &seeds, degraded).expect("degraded batch");
-        assert!(!batch.replayed, "a degraded fabric must force full simulation");
-        assert_eq!(e.stats().batched_replays, 0);
     }
 
     #[test]
@@ -1278,7 +1197,7 @@ mod tests {
         let cfg = BuildCfg::dataflow_baseline(1);
         e.runs.lock().expect("run cache lock").claim(RunKey { bench: b, cfg, batch: false });
         let deadline = Some(Instant::now() + std::time::Duration::from_millis(50));
-        let run = e.run_cached_deadline(b, &cfg, false, deadline).expect("falls back uncached");
+        let run = e.run_cached(b, &cfg, false, deadline).expect("falls back uncached");
         assert!(run.report.timed_out, "expired-deadline fallback surfaces as timed_out");
         assert!(run.report.deadline_expired);
         let after = e.stats();

@@ -36,6 +36,7 @@
 //! engine only appends results it also admitted to the in-memory cache,
 //! so every disk entry is a completed, trustworthy run.
 
+use revel_workloads::WorkloadRun;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -111,6 +112,17 @@ pub struct PersistedRun {
     /// The run report's byte-stable canonical rendering
     /// (`RunReport::canonical_text`), the artifact warm comparisons diff.
     pub canonical_text: String,
+}
+
+impl From<&WorkloadRun> for PersistedRun {
+    fn from(run: &WorkloadRun) -> Self {
+        PersistedRun {
+            cycles: run.cycles,
+            commands_issued: run.report.commands_issued,
+            verified: run.verified.clone(),
+            canonical_text: run.report.canonical_text(),
+        }
+    }
 }
 
 /// One file the loader had to give up on, surfaced as data (never a

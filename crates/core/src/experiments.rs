@@ -154,7 +154,7 @@ pub fn fig20_batch8() -> Table {
     // platforms equally, so the batch-1 number carries over (and shares the
     // batch-1 cache entry — only kernels whose batch build differs re-run).
     let speeds: Vec<f64> = engine::par_map(&benches, |b| {
-        let run = b.run_batch(&BuildCfg::revel(8)).expect("run");
+        let run = engine::engine().run_cached(*b, &BuildCfg::revel(8), true, None).expect("run");
         run.assert_ok(b.name());
         b.dsp_cycles() as f64 / run.cycles as f64
     });

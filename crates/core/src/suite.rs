@@ -223,7 +223,7 @@ impl Bench {
     /// # Errors
     /// Propagates simulator errors.
     pub fn run(&self, cfg: &BuildCfg) -> Result<WorkloadRun, SimError> {
-        engine().run_cached(*self, cfg, false)
+        engine().run_cached(*self, cfg, false, None)
     }
 
     /// [`Bench::run`] as the serving front-end needs it: memory cache first
@@ -244,16 +244,6 @@ impl Bench {
         deadline: Option<std::time::Instant>,
     ) -> Result<crate::engine::Served, SimError> {
         crate::engine::run_served(*self, cfg, deadline)
-    }
-
-    /// [`Bench::run`] for the batch-semantics build (one independent
-    /// problem per lane, Figure 20); shares cache entries with `run`
-    /// whenever the batch build is identical.
-    ///
-    /// # Errors
-    /// Propagates simulator errors.
-    pub fn run_batch(&self, cfg: &BuildCfg) -> Result<WorkloadRun, SimError> {
-        engine().run_cached(*self, cfg, true)
     }
 
     /// Executes this bench once per dataset seed through the engine's

@@ -170,7 +170,9 @@ pub struct EngineStatsWire {
     pub sim_cycles: u64,
     /// Cycles the event-horizon kernel skipped.
     pub skipped_cycles: u64,
-    /// Fault-injected / degraded runs that bypassed the cache entirely.
+    /// Runs whose options change what a run means (a fault plan, a fabric
+    /// mask, a reduced budget, the reference stepper): each bypassed the
+    /// cache entirely.
     pub fault_bypasses: u64,
     /// Cached runs carrying an obliviousness certificate (timing provably
     /// data-independent, reusable across same-shaped datasets).

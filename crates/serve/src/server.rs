@@ -45,9 +45,10 @@ use crate::protocol::{
 use crate::queue::{Bounded, PushError};
 use crate::signal;
 use revel_bench::grid;
+use revel_core::engine::persist::PersistedRun;
 use revel_core::engine::{self, Served};
-use revel_core::sim::{FaultPlan, SimOptions};
-use revel_core::workloads::run_workload_with;
+use revel_core::sim::{FaultPlan, RunReport, SimOptions};
+use revel_core::workloads::WorkloadRun;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -898,7 +899,8 @@ fn simulate_faulted(
         return unknown_bench(bench, params, arch);
     };
     let plan = FaultPlan::new(seed, count.min(u64::from(u32::MAX)) as u32, window.max(1));
-    match engine::run_fault_injected(b, &cfg, plan) {
+    let opts = SimOptions { fault_plan: Some(plan), ..cfg.sim_options() };
+    match engine::run_uncached(b, &cfg, opts) {
         Ok(run) => {
             let snap = run.report.fault.as_ref();
             let applied = snap.map_or(0, |s| s.applied_count() as u64);
@@ -930,11 +932,7 @@ fn simulate_batch(bench: &str, params: &str, arch: &str, seeds: &[u64]) -> Respo
     match b.run_batched(&cfg, seeds) {
         Ok(batch) => {
             if let Some(run) = batch.runs.iter().find(|r| r.report.timed_out) {
-                return Response::TimedOut {
-                    cycles: run.report.cycles,
-                    deadline_expired: run.report.deadline_expired,
-                    deadlock: run.report.deadlock.as_ref().map(|d| d.to_string()),
-                };
+                return timed_out(&run.report);
             }
             let first = &batch.runs[0];
             Response::BatchResult {
@@ -966,11 +964,7 @@ fn simulate(
 ) -> Response {
     if bench == probe::BENCH_NAME {
         return match probe::run(max_cycles, deadline) {
-            Ok(report) => Response::TimedOut {
-                cycles: report.cycles,
-                deadline_expired: report.deadline_expired,
-                deadlock: report.deadlock.as_ref().map(|d| d.to_string()),
-            },
+            Ok(report) => timed_out(&report),
             Err(e) => Response::error("sim_error", e.to_string()),
         };
     }
@@ -978,71 +972,63 @@ fn simulate(
         return unknown_bench(bench, params, arch);
     };
     let result = if max_cycles.is_some() || reference_stepper {
-        // Option overrides change what a run *means*; they bypass the
-        // cache so a truncated or oracle run is never memoized as the
-        // configuration's canonical result.
+        // Option overrides change what a run *means*; they go through the
+        // engine's uncached path so a truncated or oracle run is never
+        // memoized as the configuration's canonical result.
+        let base = cfg.sim_options();
         let opts = SimOptions {
-            max_cycles: max_cycles.unwrap_or(SimOptions::default().max_cycles),
+            max_cycles: max_cycles.unwrap_or(base.max_cycles),
             reference_stepper,
             wall_deadline: deadline,
-            ..cfg.sim_options()
+            ..base
         };
-        run_workload_with(b.workload().as_ref(), &cfg, opts)
+        engine::run_uncached(b, &cfg, opts).map(|run| response_for_run(&run))
     } else {
         // The layered lookup: memory cache, then the persistent disk
         // tier (a warm-started shard answers before its first
         // simulation), then a real run.
-        match b.run_served(&cfg, deadline) {
-            Ok(Served::Disk(run)) => {
-                return Response::Result {
-                    cycles: run.cycles,
-                    commands_issued: run.commands_issued,
-                    verified: run.verified.is_ok(),
-                    error: run.verified.err(),
-                };
-            }
-            Ok(Served::Run(run)) => Ok(*run),
-            Err(e) => Err(e),
-        }
+        b.run_served(&cfg, deadline).map(|served| match served {
+            Served::Run(run) => response_for_run(&run),
+            Served::Disk(run) => response_for_persisted(&run),
+        })
     };
-    match result {
-        Ok(run) => {
-            if run.report.timed_out {
-                Response::TimedOut {
-                    cycles: run.report.cycles,
-                    deadline_expired: run.report.deadline_expired,
-                    deadlock: run.report.deadlock.as_ref().map(|d| d.to_string()),
-                }
-            } else {
-                Response::Result {
-                    cycles: run.cycles,
-                    commands_issued: run.report.commands_issued,
-                    verified: run.verified.is_ok(),
-                    error: run.verified.err(),
-                }
-            }
-        }
-        Err(e) => Response::error("sim_error", e.to_string()),
+    result.unwrap_or_else(|e| Response::error("sim_error", e.to_string()))
+}
+
+/// The `timed_out` frame of a run the cycle budget or the deadline cut
+/// short, deadlock snapshot included.
+fn timed_out(report: &RunReport) -> Response {
+    Response::TimedOut {
+        cycles: report.cycles,
+        deadline_expired: report.deadline_expired,
+        deadlock: report.deadlock.as_ref().map(|d| d.to_string()),
     }
 }
 
-/// Convenience used by `Bench`-free callers (tests): the response the
-/// server would produce for a completed local run — kept here so the
-/// loopback byte-comparison has a single source of truth.
-pub fn response_for_run(run: &revel_core::workloads::WorkloadRun) -> Response {
+/// The response to a finished run: the one place a [`WorkloadRun`] becomes
+/// a frame, for the server and for the tests that byte-compare a local run
+/// against what the server said.
+pub fn response_for_run(run: &WorkloadRun) -> Response {
     if run.report.timed_out {
-        Response::TimedOut {
-            cycles: run.report.cycles,
-            deadline_expired: run.report.deadline_expired,
-            deadlock: run.report.deadlock.as_ref().map(|d| d.to_string()),
-        }
-    } else {
-        Response::Result {
-            cycles: run.cycles,
-            commands_issued: run.report.commands_issued,
-            verified: run.verified.is_ok(),
-            error: run.verified.clone().err(),
-        }
+        return timed_out(&run.report);
+    }
+    Response::Result {
+        cycles: run.cycles,
+        commands_issued: run.report.commands_issued,
+        verified: run.verified.is_ok(),
+        error: run.verified.clone().err(),
+    }
+}
+
+/// [`response_for_run`] for a run served from the disk tier. Only completed
+/// runs are persisted, so this is always a `result` frame — the same bytes
+/// the run's first answer had.
+fn response_for_persisted(run: &PersistedRun) -> Response {
+    Response::Result {
+        cycles: run.cycles,
+        commands_issued: run.commands_issued,
+        verified: run.verified.is_ok(),
+        error: run.verified.clone().err(),
     }
 }
 
@@ -1073,6 +1059,21 @@ mod tests {
                 assert!(deadlock.expect("snapshot").contains("DEADLOCK"));
             }
             other => panic!("probe must time out, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn live_and_persisted_runs_answer_the_same_frame() {
+        // The warm-restart byte-identity, without processes: what a run
+        // answers live and what its disk record answers after a restart.
+        use revel_core::compiler::BuildCfg;
+        let mut run = revel_core::Bench::Solver { n: 12 }.run(&BuildCfg::revel(1)).expect("runs");
+        for verified in [Ok(()), Err("lane 0: mismatch at 3".to_string())] {
+            run.verified = verified;
+            let live = response_for_run(&run);
+            assert!(matches!(live, Response::Result { .. }), "{live:?}");
+            let disk = response_for_persisted(&PersistedRun::from(&run));
+            assert_eq!(encode_response(7, &disk), encode_response(7, &live));
         }
     }
 

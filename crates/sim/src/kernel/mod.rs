@@ -111,8 +111,8 @@ impl Machine {
         &mut self,
         program: &RevelProgram,
         schedules: &[Vec<RegionSchedule>],
-        max_cycles: u64,
     ) -> Execution {
+        let max_cycles = self.opts.max_cycles;
         let reference = self.opts.reference_stepper;
         let deadline = self.opts.wall_deadline;
         let mut now = 0u64;

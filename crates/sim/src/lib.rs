@@ -69,10 +69,7 @@ pub use fault::{
     FAULT_BIT_FLIP, FAULT_DEAD_PE, FAULT_DROP_PORT, FAULT_STALL_PE,
 };
 pub use kernel::NextEvent;
-pub use machine::{
-    force_reference_stepper, schedule_cache_stats, Machine, ScheduleCacheStats, SimError,
-    SimOptions,
-};
+pub use machine::{schedule_cache_stats, Machine, ScheduleCacheStats, SimError, SimOptions};
 pub use memory::Scratchpad;
 pub use port::{InPort, OutPort};
 // The program representation lives in `revel-prog` (so the static verifier

@@ -15,22 +15,8 @@ use revel_prog::{structural_id, ProgramError, RevelProgram, StructuralId};
 use revel_scheduler::{RegionSchedule, ScheduleError, SpatialScheduler};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Process-wide default for [`SimOptions::reference_stepper`], so harness
-/// flags (`--reference-stepper`) reach machines constructed deep inside
-/// workload builders via `SimOptions::default()`.
-static FORCE_REFERENCE_STEPPER: AtomicBool = AtomicBool::new(false);
-
-/// Forces every subsequently constructed `SimOptions::default()` to use
-/// the naive reference stepper instead of the event-horizon loop. Used by
-/// harness flags; both loops are bit-identical in observable behaviour
-/// (enforced by the `sim-differential` CI job), so this is a performance
-/// and cross-check knob, not a semantics switch.
-pub fn force_reference_stepper(on: bool) {
-    FORCE_REFERENCE_STEPPER.store(on, Ordering::Relaxed);
-}
 
 /// Simulator options (ablation knobs and safety limits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +61,7 @@ impl Default for SimOptions {
             max_cycles: 50_000_000,
             wall_deadline: None,
             verify: true,
-            reference_stepper: FORCE_REFERENCE_STEPPER.load(Ordering::Relaxed),
+            reference_stepper: false,
             fault_plan: None,
             fabric_mask: FabricMask::HEALTHY,
         }
@@ -301,29 +287,9 @@ impl Machine {
         self.control_events = EventCounts::default();
         self.reset_faults();
 
-        // Parse the debug switch once per run: `REVEL_SIM_DEBUG=0` (or
-        // empty/false/off/no) means *disabled* — merely being set must not
-        // flip behaviour, and the budget is never lowered silently.
-        let debug = sim_debug_enabled();
-        let max_cycles = if debug && self.opts.max_cycles > DEBUG_MAX_CYCLES {
-            eprintln!(
-                "revel-sim: REVEL_SIM_DEBUG active: clamping max_cycles {} -> {} for '{}' \
-                 (long runs will report timed_out; unset REVEL_SIM_DEBUG for full budgets)",
-                self.opts.max_cycles, DEBUG_MAX_CYCLES, program.name
-            );
-            DEBUG_MAX_CYCLES
-        } else {
-            self.opts.max_cycles
-        };
-
-        let exec = self.execute(program, &schedules, max_cycles);
+        let exec = self.execute(program, &schedules);
 
         let deadlock = exec.timed_out.then(|| self.capture_snapshot(exec.cycles, program));
-        if debug {
-            if let Some(d) = &deadlock {
-                eprintln!("{d}");
-            }
-        }
         let mut events = self.control_events;
         for lane in &self.lanes {
             events.add(&lane.events);
@@ -395,45 +361,6 @@ impl Machine {
             control_len: program.control.len(),
             control_waiting: self.control.waiting,
             lanes: self.lanes.iter().map(LaneSnapshot::capture).collect(),
-        }
-    }
-}
-
-/// Cycle ceiling applied when `REVEL_SIM_DEBUG` is enabled, so a deadlock
-/// dump arrives in seconds instead of after the full 50M-cycle budget.
-const DEBUG_MAX_CYCLES: u64 = 2_000_000;
-
-/// True when `REVEL_SIM_DEBUG` is set to a truthy value. An unset variable
-/// and the conventional "off" spellings all disable debugging.
-fn sim_debug_enabled() -> bool {
-    std::env::var("REVEL_SIM_DEBUG").map(|v| env_truthy(&v)).unwrap_or(false)
-}
-
-/// Truthiness for debug-style environment variables: everything is enabled
-/// except the empty string and the usual negatives.
-fn env_truthy(v: &str) -> bool {
-    let v = v.trim();
-    !(v.is_empty()
-        || v == "0"
-        || v.eq_ignore_ascii_case("false")
-        || v.eq_ignore_ascii_case("off")
-        || v.eq_ignore_ascii_case("no"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::env_truthy;
-
-    #[test]
-    fn debug_env_truthiness() {
-        // The documented "off" spellings must not enable the debug clamp —
-        // REVEL_SIM_DEBUG=0 used to count as enabled and silently turned
-        // long runs into bogus timeouts.
-        for off in ["", "0", "false", "FALSE", "off", "Off", "no", " 0 "] {
-            assert!(!env_truthy(off), "{off:?} must disable debugging");
-        }
-        for on in ["1", "true", "yes", "2", "debug"] {
-            assert!(env_truthy(on), "{on:?} must enable debugging");
         }
     }
 }

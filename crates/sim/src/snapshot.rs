@@ -1,10 +1,9 @@
 //! Structured deadlock diagnostics.
 //!
-//! A run that exhausts its cycle budget used to print its machine state to
-//! stderr only under `REVEL_SIM_DEBUG`, which made `timed_out` failures in
-//! CI or batch sweeps unactionable without a rerun. A [`DeadlockSnapshot`]
-//! is now captured unconditionally at timeout and attached to the
-//! [`crate::RunReport`], so the failing state travels with the result. It
+//! A [`DeadlockSnapshot`] is captured unconditionally when a run exhausts
+//! its cycle budget and attached to the [`crate::RunReport`], so the
+//! failing state travels with the result: `WorkloadRun::assert_ok` prints
+//! it in its panic and the server sends it in the `timed_out` frame. It
 //! also participates in the differential oracle's observable comparison:
 //! the event-horizon loop and the reference stepper must time out in
 //! *identical* states, not merely at the same cycle.

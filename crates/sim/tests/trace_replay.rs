@@ -4,7 +4,7 @@
 //! whose timing actually depends on dataset values.
 
 use revel_dfg::{Dfg, OpCode, Region};
-use revel_fabric::RevelConfig;
+use revel_fabric::{FabricMask, RevelConfig};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, MemTarget, OutPortId, RateFsm,
     StreamCommand, VectorCommand,
@@ -111,16 +111,21 @@ fn replay_is_repeatable_on_the_same_machine() {
 #[test]
 fn run_traced_refuses_perturbed_machines() {
     let prog = neg_prog(8);
-    let mut m = Machine::new(
-        RevelConfig::single_lane(),
-        SimOptions { fault_plan: Some(FaultPlan::new(7, 2, 1000)), ..SimOptions::default() },
-    );
-    m.write_private(LaneId(0), 0, &[1.0; 8]);
-    match m.run_traced(&prog) {
-        Err(SimError::Replay(e)) => {
-            assert!(e.message.contains("fault"), "message names the refusal: {e}");
+    let faulted =
+        SimOptions { fault_plan: Some(FaultPlan::new(7, 2, 1000)), ..SimOptions::default() };
+    let degraded = SimOptions {
+        fabric_mask: FabricMask { dead_pes: 1, dead_links: 0 },
+        ..SimOptions::default()
+    };
+    for (what, opts) in [("fault-injected", faulted), ("degraded-fabric", degraded)] {
+        let mut m = Machine::new(RevelConfig::single_lane(), opts);
+        m.write_private(LaneId(0), 0, &[1.0; 8]);
+        match m.run_traced(&prog) {
+            Err(SimError::Replay(e)) => {
+                assert!(e.message.contains("fault"), "message names the refusal: {e}");
+            }
+            other => panic!("{what} timing run must be refused, got {other:?}"),
         }
-        other => panic!("fault-injected timing run must be refused, got {other:?}"),
     }
 }
 

@@ -114,9 +114,14 @@ pub struct WorkloadRun {
 }
 
 impl WorkloadRun {
-    /// Panics with a diagnostic if the run was wrong or hung.
+    /// Panics with a diagnostic if the run was wrong or hung; a hung run's
+    /// panic carries the machine state it hung in.
     pub fn assert_ok(&self, label: &str) {
-        assert!(!self.report.timed_out, "{label}: simulation deadlocked");
+        if self.report.timed_out {
+            let snapshot =
+                self.report.deadlock.as_ref().map(ToString::to_string).unwrap_or_default();
+            panic!("{label}: simulation deadlocked\n{snapshot}");
+        }
         if let Err(e) = &self.verified {
             panic!("{label}: verification failed: {e}");
         }
@@ -294,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "simulation deadlocked")]
+    #[should_panic(expected = "simulation deadlocked\n=== DEADLOCK at cycle")]
     fn timed_out_run_panics_loudly_in_assert_ok() {
         let w = crate::Solver::new(12, 1);
         let cfg = BuildCfg::revel(1);
