@@ -1,3 +1,5 @@
+use crate::overhead::add_fsm_overhead;
+use revel_dfg::{Dfg, Region};
 use revel_fabric::{LaneConfig, RevelConfig};
 use revel_sim::SimOptions;
 
@@ -104,7 +106,8 @@ impl BuildCfg {
     /// The pure tagged-dataflow baseline. Inductive patterns are expressed
     /// as in-fabric FSMs (`inductive_streams` stays true so commands are
     /// not decomposed); their cost is the extra instructions injected by
-    /// [`crate::add_fsm_overhead`] into every region (Fig. 9).
+    /// [`BuildCfg::inner_region`] / [`BuildCfg::outer_region`] into every
+    /// region (Fig. 9).
     pub fn dataflow_baseline(num_lanes: usize) -> Self {
         BuildCfg {
             arch: Arch::Dataflow,
@@ -171,6 +174,26 @@ impl BuildCfg {
     /// True if outer-loop regions may be placed on the temporal fabric.
     pub fn outer_on_fabric(&self) -> bool {
         self.hybrid && self.arch != Arch::Systolic
+    }
+
+    /// Lowers an inner-loop datapath to a region: a systolic region at
+    /// `unroll`, except on the tagged-dataflow baseline, where every region
+    /// is temporal and each of the `deps` inductive dependences the region
+    /// tracks costs real in-fabric FSM instructions (Fig. 9).
+    pub fn inner_region(&self, name: &str, dfg: Dfg, deps: usize, unroll: usize) -> Region {
+        match self.arch {
+            Arch::Dataflow => Region::temporal_unrolled(name, add_fsm_overhead(dfg, deps), unroll),
+            _ => Region::systolic(name, dfg, unroll),
+        }
+    }
+
+    /// Lowers an outer-loop datapath to a scalar temporal region, with the
+    /// dataflow baseline's FSM instructions for its `deps` dependences.
+    pub fn outer_region(&self, name: &str, dfg: Dfg, deps: usize) -> Region {
+        match self.arch {
+            Arch::Dataflow => Region::temporal(name, add_fsm_overhead(dfg, deps)),
+            _ => Region::temporal(name, dfg),
+        }
     }
 }
 

@@ -18,8 +18,12 @@
 //!   vectorizable (§II-B), so [`BuildCfg::inner_unroll`] degrades them to
 //!   scalar datapaths;
 //! * **arch = Dataflow** → every region becomes temporal and dependence
-//!   FSMs cost real in-fabric instructions (Fig. 9), injected by
-//!   [`add_fsm_overhead`].
+//!   FSMs cost real in-fabric instructions (Fig. 9).
+//!
+//! The compiler owns region lowering: a kernel hands each datapath to
+//! [`BuildCfg::inner_region`] or [`BuildCfg::outer_region`] with the number
+//! of inductive dependences it tracks, and never matches on the
+//! architecture to pick a region kind itself.
 //!
 //! ```
 //! use revel_compiler::{Arch, BuildCfg};
@@ -40,4 +44,3 @@ mod overhead;
 
 pub use build::{AblationStep, Arch, BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 pub use lower::{lower_command, Lowered};
-pub use overhead::add_fsm_overhead;

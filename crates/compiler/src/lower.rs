@@ -10,7 +10,7 @@
 //! baseline inter-region dependences are restructured through memory and
 //! host ops by the workload builder (outer regions live on the control
 //! core), and on the tagged-dataflow baseline the dependence FSM costs
-//! in-fabric instructions (see [`crate::add_fsm_overhead`]) rather than
+//! in-fabric instructions (see [`BuildCfg::inner_region`]) rather than
 //! commands.
 
 use crate::BuildCfg;

@@ -11,17 +11,16 @@
 
 use revel_dfg::{Dfg, Node, OpCode};
 
-/// Returns a copy of `dfg` with `num_deps * 3` FSM bookkeeping instructions
+/// Returns `dfg` with `num_deps * 3` FSM bookkeeping instructions
 /// appended (increment, compare, select per tracked dependence).
 ///
 /// The injected ops form a live chain hanging off the first input (so they
 /// are real work for the instruction scheduler) but do not alter any
 /// output value.
-pub fn add_fsm_overhead(dfg: &Dfg, num_deps: usize) -> Dfg {
+pub(crate) fn add_fsm_overhead(mut g: Dfg, num_deps: usize) -> Dfg {
     if num_deps == 0 {
-        return dfg.clone();
+        return g;
     }
-    let mut g = dfg.clone();
     // Anchor the chain on an input if one exists, else on a constant.
     let input_anchor = g.iter().find(|(_, n)| matches!(n, Node::Input { .. })).map(|(id, _)| id);
     let anchor = match input_anchor {
@@ -58,21 +57,21 @@ mod tests {
     #[test]
     fn overhead_adds_three_ops_per_dep() {
         let g = base();
-        let g2 = add_fsm_overhead(&g, 2);
+        let g2 = add_fsm_overhead(g.clone(), 2);
         assert_eq!(g2.num_instructions(), g.num_instructions() + 6);
     }
 
     #[test]
     fn zero_deps_is_identity() {
         let g = base();
-        assert_eq!(add_fsm_overhead(&g, 0), g);
+        assert_eq!(add_fsm_overhead(g.clone(), 0), g);
     }
 
     #[test]
     fn outputs_unchanged() {
         use revel_dfg::VecVal;
         let g = base();
-        let g2 = add_fsm_overhead(&g, 3);
+        let g2 = add_fsm_overhead(g.clone(), 3);
         let mut e1 = g.evaluator(1);
         let mut e2 = g2.evaluator(1);
         let ins = [VecVal::splat(3.0, 1), VecVal::splat(5.0, 1)];
@@ -81,7 +80,7 @@ mod tests {
 
     #[test]
     fn overhead_graph_still_validates() {
-        let g2 = add_fsm_overhead(&base(), 4);
+        let g2 = add_fsm_overhead(base(), 4);
         assert!(g2.validate().is_ok());
     }
 }

@@ -775,11 +775,11 @@ pub struct CacheStats {
     /// Entries dropped by least-recently-used eviction (both caches).
     pub evictions: u64,
     /// Per-cache entry bound currently in force.
-    pub capacity: usize,
+    pub capacity: u64,
     /// Distinct simulated configurations currently cached.
-    pub run_entries: usize,
+    pub run_entries: u64,
     /// Distinct linted configurations currently cached.
-    pub lint_entries: usize,
+    pub lint_entries: u64,
     /// Machine cycles across all distinct cached runs (deterministic:
     /// counted once per cache entry regardless of worker interleaving).
     pub sim_cycles: u64,
@@ -796,7 +796,7 @@ pub struct CacheStats {
     /// obliviousness certificate (`WorkloadRun::oblivious`): their timing
     /// is provably data-independent, so a batched executor may reuse the
     /// cached cycle counts across datasets of the same shape.
-    pub oblivious_entries: usize,
+    pub oblivious_entries: u64,
     /// Deadline-expired waiters that gave up on another thread's in-flight
     /// run and simulated uncached. These lookups are neither hits nor
     /// misses; `hits + misses + deadline_fallbacks` equals total lookups.
@@ -875,15 +875,15 @@ impl Engine {
     pub(crate) fn stats(&self) -> CacheStats {
         let (run_entries, oblivious_entries) = {
             let runs = self.runs.lock().expect("run cache lock");
-            (runs.ready_len(), runs.ready_matching(|r| r.oblivious))
+            (runs.ready_len() as u64, runs.ready_matching(|r| r.oblivious) as u64)
         };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            capacity: self.cache_capacity(),
+            capacity: self.cache_capacity() as u64,
             run_entries,
-            lint_entries: self.lints.lock().expect("lint cache lock").ready_len(),
+            lint_entries: self.lints.lock().expect("lint cache lock").ready_len() as u64,
             sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
             skipped_cycles: self.skipped_cycles.load(Ordering::Relaxed),
             fault_bypasses: self.fault_bypasses.load(Ordering::Relaxed),

@@ -17,9 +17,9 @@
 //! "Failpoints"), armed before anything else runs. The work path's site
 //! is `serve.worker.pre-run`, hit once per popped job inside the worker's
 //! unwind fence: `err` answers a retryable `injected_fault` (counted as
-//! `injected` on the shutdown line), `delay:MS` holds the worker and then
-//! serves the job, `panic` comes back as the `internal` error a real bug
-//! would, `abort` kills the process. `@%N` fires on every Nth job, so
+//! `injected` in `stats` and on the shutdown line), `delay:MS` holds the
+//! worker and then serves the job, `panic` comes back as the `internal`
+//! error a real bug would, `abort` kills the process. `@%N` fires on every Nth job, so
 //! client retry logic can be drilled at a chosen rate.
 //!
 //! `--shards N` turns this process into a fleet frontend (DESIGN.md §11,

@@ -1,9 +1,9 @@
 //! Blocking client for the JSON-lines protocol.
 
 use crate::protocol::{
-    decode_response, encode_request, EngineStatsWire, Frame, FrameReader, ProtoError, Request,
-    Response,
+    decode_response, encode_request, Frame, FrameReader, ProtoError, Request, Response,
 };
+use revel_core::engine::CacheStats;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -111,7 +111,7 @@ impl Client {
     /// # Errors
     /// As [`request`](Client::request); any other answer is a protocol
     /// violation.
-    pub fn engine_stats(&mut self) -> Result<EngineStatsWire, ClientError> {
+    pub fn engine_stats(&mut self) -> Result<CacheStats, ClientError> {
         match self.request(&Request::Stats)? {
             Response::Stats { engine, .. } => Ok(engine),
             other => Err(ClientError::Protocol(format!("stats answered {other:?}"))),

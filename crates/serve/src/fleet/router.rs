@@ -3,9 +3,10 @@
 
 use super::placement::Ring;
 use crate::client::Client;
-use crate::protocol::{EngineStatsWire, Request, Response, ScheduleStatsWire, ShardStatsWire};
+use crate::protocol::{Counters, Request, Response, ShardStatsWire};
 use revel_bench::grid;
-use revel_core::engine;
+use revel_core::engine::{self, CacheStats};
+use revel_core::sim::ScheduleCacheStats;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::Duration;
@@ -278,24 +279,20 @@ impl Fleet {
     /// shard restarts its counters; fleet-wide sums are therefore
     /// monotonic only while the roster is stable — clients clamp their
     /// window deltas.)
-    pub fn aggregate_stats(&self) -> Option<(EngineStatsWire, ScheduleStatsWire)> {
-        let mut engine_sum: Option<EngineStatsWire> = None;
-        let mut sched_sum = ScheduleStatsWire { hits: 0, misses: 0, entries: 0 };
+    pub fn aggregate_stats(&self) -> Option<(CacheStats, ScheduleCacheStats)> {
+        let mut sum = None;
         for shard in self.shards.iter().filter(|s| s.alive.load(Ordering::SeqCst)) {
             let Some(Response::Stats { engine, schedule, .. }) =
                 self.try_forward(shard, &Request::Stats, CONTROL_TIMEOUT)
             else {
                 continue;
             };
-            engine_sum = Some(match engine_sum {
-                None => engine,
-                Some(acc) => add_engine(acc, engine),
+            sum = Some(match sum {
+                None => (engine, schedule),
+                Some((e, s)) => (engine.sum(&e), schedule.sum(&s)),
             });
-            sched_sum.hits += schedule.hits;
-            sched_sum.misses += schedule.misses;
-            sched_sum.entries += schedule.entries;
         }
-        engine_sum.map(|e| (e, sched_sum))
+        sum
     }
 
     /// The alive ring owner of a cell: the first successor of its routing
@@ -313,27 +310,6 @@ impl Fleet {
         for shard in self.shards.iter().filter(|s| s.alive.load(Ordering::SeqCst)) {
             let _ = self.try_forward(shard, &Request::Shutdown, CONTROL_TIMEOUT);
         }
-    }
-}
-
-fn add_engine(a: EngineStatsWire, b: EngineStatsWire) -> EngineStatsWire {
-    EngineStatsWire {
-        hits: a.hits + b.hits,
-        misses: a.misses + b.misses,
-        evictions: a.evictions + b.evictions,
-        capacity: a.capacity + b.capacity,
-        run_entries: a.run_entries + b.run_entries,
-        lint_entries: a.lint_entries + b.lint_entries,
-        sim_cycles: a.sim_cycles + b.sim_cycles,
-        skipped_cycles: a.skipped_cycles + b.skipped_cycles,
-        fault_bypasses: a.fault_bypasses + b.fault_bypasses,
-        oblivious_entries: a.oblivious_entries + b.oblivious_entries,
-        deadline_fallbacks: a.deadline_fallbacks + b.deadline_fallbacks,
-        trace_hits: a.trace_hits + b.trace_hits,
-        batched_replays: a.batched_replays + b.batched_replays,
-        disk_hits: a.disk_hits + b.disk_hits,
-        warm_start_entries: a.warm_start_entries + b.warm_start_entries,
-        disk_cold_starts: a.disk_cold_starts + b.disk_cold_starts,
     }
 }
 
@@ -391,6 +367,20 @@ mod tests {
         let b =
             route_fingerprint(&Request::simulate("no-such-bench", "n=1", "revel")).expect("keyed");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn the_fleet_sum_of_two_records_is_field_wise() {
+        // Sixteen distinct counters per shard, in wire order.
+        let shard = |k: u64| CacheStats::from_counts(&(k..k + 16).collect::<Vec<u64>>());
+        let (a, b) = (shard(100), shard(2000));
+        assert_eq!((a.hits, a.capacity, b.warm_start_entries), (100, 103, 2014));
+        let sum = a.sum(&b);
+        assert_eq!((sum.hits, sum.capacity, sum.warm_start_entries), (2100, 2106, 2128), "{sum:?}");
+        assert_eq!(sum.counts(), (0..16).map(|i| 2100 + 2 * i).collect::<Vec<u64>>());
+        let sched = ScheduleCacheStats { hits: 1, misses: 2, entries: 3 }
+            .sum(&ScheduleCacheStats { hits: 10, misses: 20, entries: 30 });
+        assert_eq!(sched, ScheduleCacheStats { hits: 11, misses: 22, entries: 33 });
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! §11; this module is the single source of truth for the field names.
 
 use crate::json::{parse, Value};
+use crate::server::FinalStats;
+use revel_core::engine::CacheStats;
+use revel_core::sim::ScheduleCacheStats;
 use std::io::{BufRead, Read};
 
 /// Hard cap on one frame (request or response line), in bytes. A frame
@@ -150,53 +153,6 @@ impl Request {
     }
 }
 
-/// Engine-cache counters on the wire (mirrors
-/// `revel_core::engine::CacheStats`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineStatsWire {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that simulated (or linted) from scratch.
-    pub misses: u64,
-    /// Entries dropped by LRU eviction.
-    pub evictions: u64,
-    /// Per-cache entry bound.
-    pub capacity: u64,
-    /// Cached simulation entries.
-    pub run_entries: u64,
-    /// Cached lint entries.
-    pub lint_entries: u64,
-    /// Machine cycles across all distinct cached runs.
-    pub sim_cycles: u64,
-    /// Cycles the event-horizon kernel skipped.
-    pub skipped_cycles: u64,
-    /// Runs whose options change what a run means (a fault plan, a fabric
-    /// mask, a reduced budget, the reference stepper): each bypassed the
-    /// cache entirely.
-    pub fault_bypasses: u64,
-    /// Cached runs carrying an obliviousness certificate (timing provably
-    /// data-independent, reusable across same-shaped datasets).
-    pub oblivious_entries: u64,
-    /// Cached-run waits that hit the caller's deadline and simulated
-    /// uncached instead. Decoded as 0 from legacy frames.
-    pub deadline_fallbacks: u64,
-    /// Batched runs that reused a cached timing trace. Decoded as 0 from
-    /// legacy frames.
-    pub trace_hits: u64,
-    /// Per-dataset functional replays performed by batched runs. Decoded
-    /// as 0 from legacy frames.
-    pub batched_replays: u64,
-    /// Lookups answered from the persistent disk tier (memory miss, no
-    /// simulation). Decoded as 0 from legacy frames.
-    pub disk_hits: u64,
-    /// Entries the disk tier recovered at startup (the warm start a
-    /// restarted shard inherited). Decoded as 0 from legacy frames.
-    pub warm_start_entries: u64,
-    /// Corrupt tier files skipped as structured cold starts. Decoded as 0
-    /// from legacy frames.
-    pub disk_cold_starts: u64,
-}
-
 /// One shard's row in a `fleet_stats` response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStatsWire {
@@ -220,41 +176,6 @@ pub struct ShardStatsWire {
     pub evicted: bool,
 }
 
-/// Schedule-cache counters on the wire (mirrors
-/// `revel_core::sim::ScheduleCacheStats`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScheduleStatsWire {
-    /// Lookups served from the compiled-schedule cache.
-    pub hits: u64,
-    /// Compilations (exact: equals `entries`).
-    pub misses: u64,
-    /// Distinct compiled schedule sets.
-    pub entries: u64,
-}
-
-/// Server request counters on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ServerStatsWire {
-    /// Requests admitted (decoded successfully).
-    pub received: u64,
-    /// Requests a worker completed.
-    pub completed: u64,
-    /// Requests rejected with `overloaded` (queue full).
-    pub overloaded: u64,
-    /// Requests that ended `timed_out` (budget or deadline).
-    pub timed_out: u64,
-    /// Requests answered with a structured error.
-    pub errors: u64,
-    /// Connections closed by the slow-loris armor: no complete frame
-    /// (with nothing owed) within the server's `--conn-timeout`.
-    /// Decoded as 0 from legacy frames.
-    pub conn_timeouts: u64,
-    /// Connections dropped because their unread replies overflowed the
-    /// per-connection write-buffer byte cap. Decoded as 0 from legacy
-    /// frames.
-    pub write_overflows: u64,
-}
-
 /// A response, minus its envelope `id`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -276,14 +197,15 @@ pub enum Response {
         /// standalone server or the fleet frontend.
         shard_id: Option<u64>,
     },
-    /// Counter snapshot.
+    /// Counter snapshot: each record travels as itself (its wire names
+    /// are listed once, in this module's `counters!` invocations).
     Stats {
         /// Engine-cache counters.
-        engine: EngineStatsWire,
+        engine: CacheStats,
         /// Schedule-cache counters.
-        schedule: ScheduleStatsWire,
+        schedule: ScheduleCacheStats,
         /// Server request counters.
-        server: ServerStatsWire,
+        server: FinalStats,
     },
     /// Shutdown acknowledged; the server drains and exits.
     ShuttingDown,
@@ -470,6 +392,77 @@ fn opt_bool(v: &Value, key: &str) -> Result<bool, ProtoError> {
     }
 }
 
+fn req_bool(v: &Value, key: &str) -> Result<bool, ProtoError> {
+    v.get(key).and_then(Value::as_bool).ok_or_else(|| bad(format!("missing boolean field '{key}'")))
+}
+
+/// A stats record as the `stats` frame carries it: named `u64` counters in
+/// a fixed, append-only wire order. The first `V1` names were in the v1
+/// frame and are required on decode; the later ones default to 0, so a
+/// legacy frame stays decodable. The `counters!` invocations below are the
+/// only place a record's wire names are listed: encode, decode, the fleet
+/// frontend's summation and the server's shutdown line all walk them.
+pub(crate) trait Counters: Sized {
+    /// Wire names, in wire order.
+    const NAMES: &'static [&'static str];
+    /// How many leading names the v1 frame carried.
+    const V1: usize;
+
+    /// One value per name, in wire order.
+    fn counts(&self) -> Vec<u64>;
+
+    /// Inverse of [`Counters::counts`].
+    fn from_counts(counts: &[u64]) -> Self;
+
+    /// The field-wise sum of two records.
+    fn sum(&self, other: &Self) -> Self {
+        let sums: Vec<u64> = self.counts().iter().zip(other.counts()).map(|(a, b)| a + b).collect();
+        Self::from_counts(&sums)
+    }
+
+    /// Writes the record as comma-separated `name N` pairs.
+    fn fmt_pairs(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (name, count)) in Self::NAMES.iter().zip(self.counts()).enumerate() {
+            write!(f, "{}{name} {count}", if i == 0 { "" } else { ", " })?;
+        }
+        Ok(())
+    }
+}
+
+/// `counters!(Record { v1 names; later names })`: the struct literal in
+/// `from_counts` makes a field missing from the list a compile error.
+macro_rules! counters {
+    ($record:ty { $($v1:ident),*; $($later:ident),* }) => {
+        impl Counters for $record {
+            const NAMES: &'static [&'static str] =
+                &[$(stringify!($v1),)* $(stringify!($later),)*];
+            const V1: usize = [$(stringify!($v1)),*].len();
+
+            fn counts(&self) -> Vec<u64> {
+                vec![$(self.$v1,)* $(self.$later,)*]
+            }
+
+            fn from_counts(counts: &[u64]) -> Self {
+                let mut counts = counts.iter();
+                let mut next = || *counts.next().expect("one count per wire name");
+                Self { $($v1: next(),)* $($later: next(),)* }
+            }
+        }
+    };
+}
+
+counters!(CacheStats {
+    hits, misses, evictions, capacity, run_entries, lint_entries, sim_cycles, skipped_cycles,
+    fault_bypasses, oblivious_entries;
+    deadline_fallbacks, trace_hits, batched_replays, disk_hits, warm_start_entries,
+    disk_cold_starts
+});
+counters!(ScheduleCacheStats { hits, misses, entries; });
+counters!(FinalStats {
+    received, completed, overloaded, timed_out, errors;
+    conn_timeouts, write_overflows, injected
+});
+
 /// Encodes a request as one frame (newline-terminated).
 pub fn encode_request(id: u64, req: &Request) -> String {
     let mut fields = vec![("id".to_string(), Value::u64(id))];
@@ -630,8 +623,9 @@ pub fn decode_request(line: &str) -> Result<(u64, Request), ProtoError> {
     Ok((id, req))
 }
 
-fn counters_obj(fields: &[(&str, u64)]) -> Value {
-    Value::Obj(fields.iter().map(|(k, v)| ((*k).to_string(), Value::u64(*v))).collect())
+fn counters_obj<C: Counters>(record: &C) -> Value {
+    let counts = C::NAMES.iter().zip(record.counts());
+    Value::Obj(counts.map(|(name, count)| ((*name).to_string(), Value::u64(count))).collect())
 }
 
 /// Encodes a response as one frame (newline-terminated).
@@ -653,47 +647,9 @@ pub fn encode_response(id: u64, resp: &Response) -> String {
         }
         Response::Stats { engine, schedule, server } => {
             kind("stats");
-            fields.push((
-                "engine".to_string(),
-                counters_obj(&[
-                    ("hits", engine.hits),
-                    ("misses", engine.misses),
-                    ("evictions", engine.evictions),
-                    ("capacity", engine.capacity),
-                    ("run_entries", engine.run_entries),
-                    ("lint_entries", engine.lint_entries),
-                    ("sim_cycles", engine.sim_cycles),
-                    ("skipped_cycles", engine.skipped_cycles),
-                    ("fault_bypasses", engine.fault_bypasses),
-                    ("oblivious_entries", engine.oblivious_entries),
-                    ("deadline_fallbacks", engine.deadline_fallbacks),
-                    ("trace_hits", engine.trace_hits),
-                    ("batched_replays", engine.batched_replays),
-                    ("disk_hits", engine.disk_hits),
-                    ("warm_start_entries", engine.warm_start_entries),
-                    ("disk_cold_starts", engine.disk_cold_starts),
-                ]),
-            ));
-            fields.push((
-                "schedule_cache_stats".to_string(),
-                counters_obj(&[
-                    ("hits", schedule.hits),
-                    ("misses", schedule.misses),
-                    ("entries", schedule.entries),
-                ]),
-            ));
-            fields.push((
-                "server".to_string(),
-                counters_obj(&[
-                    ("received", server.received),
-                    ("completed", server.completed),
-                    ("overloaded", server.overloaded),
-                    ("timed_out", server.timed_out),
-                    ("errors", server.errors),
-                    ("conn_timeouts", server.conn_timeouts),
-                    ("write_overflows", server.write_overflows),
-                ]),
-            ));
+            fields.push(("engine".to_string(), counters_obj(engine)));
+            fields.push(("schedule_cache_stats".to_string(), counters_obj(schedule)));
+            fields.push(("server".to_string(), counters_obj(server)));
         }
         Response::ShuttingDown => kind("shutting_down"),
         Response::FleetStats { shards } => {
@@ -799,9 +755,13 @@ pub fn encode_response(id: u64, resp: &Response) -> String {
     line
 }
 
-fn wire_counters(v: &Value, key: &str, fields: &[&str]) -> Result<Vec<u64>, ProtoError> {
+fn wire_counters<C: Counters>(v: &Value, key: &str) -> Result<C, ProtoError> {
     let obj = v.get(key).ok_or_else(|| bad(format!("missing object field '{key}'")))?;
-    fields.iter().map(|f| req_u64(obj, f)).collect()
+    let (v1, later) = C::NAMES.split_at(C::V1);
+    let counts = (v1.iter().map(|name| req_u64(obj, name)))
+        .chain(later.iter().map(|name| Ok(opt_u64(obj, name)?.unwrap_or(0))))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(C::from_counts(&counts))
 }
 
 /// Decodes one response frame into `(id, response)`.
@@ -825,72 +785,11 @@ pub fn decode_response(line: &str) -> Result<(u64, Response), ProtoError> {
             active_connections: opt_u64(&v, "active_connections")?.unwrap_or(0),
             shard_id: opt_u64(&v, "shard_id")?,
         },
-        "stats" => {
-            let e = wire_counters(
-                &v,
-                "engine",
-                &[
-                    "hits",
-                    "misses",
-                    "evictions",
-                    "capacity",
-                    "run_entries",
-                    "lint_entries",
-                    "sim_cycles",
-                    "skipped_cycles",
-                    "fault_bypasses",
-                    "oblivious_entries",
-                ],
-            )?;
-            // Counters added after the v1 stats frame are optional on
-            // decode (default 0) so legacy frames stay decodable.
-            let eng = v.get("engine").ok_or_else(|| bad("missing object field 'engine'"))?;
-            let deadline_fallbacks = opt_u64(eng, "deadline_fallbacks")?.unwrap_or(0);
-            let trace_hits = opt_u64(eng, "trace_hits")?.unwrap_or(0);
-            let batched_replays = opt_u64(eng, "batched_replays")?.unwrap_or(0);
-            let disk_hits = opt_u64(eng, "disk_hits")?.unwrap_or(0);
-            let warm_start_entries = opt_u64(eng, "warm_start_entries")?.unwrap_or(0);
-            let disk_cold_starts = opt_u64(eng, "disk_cold_starts")?.unwrap_or(0);
-            let s = wire_counters(&v, "schedule_cache_stats", &["hits", "misses", "entries"])?;
-            let srv = wire_counters(
-                &v,
-                "server",
-                &["received", "completed", "overloaded", "timed_out", "errors"],
-            )?;
-            let srv_obj = v.get("server").ok_or_else(|| bad("missing object field 'server'"))?;
-            let conn_timeouts = opt_u64(srv_obj, "conn_timeouts")?.unwrap_or(0);
-            let write_overflows = opt_u64(srv_obj, "write_overflows")?.unwrap_or(0);
-            Response::Stats {
-                engine: EngineStatsWire {
-                    hits: e[0],
-                    misses: e[1],
-                    evictions: e[2],
-                    capacity: e[3],
-                    run_entries: e[4],
-                    lint_entries: e[5],
-                    sim_cycles: e[6],
-                    skipped_cycles: e[7],
-                    fault_bypasses: e[8],
-                    oblivious_entries: e[9],
-                    deadline_fallbacks,
-                    trace_hits,
-                    batched_replays,
-                    disk_hits,
-                    warm_start_entries,
-                    disk_cold_starts,
-                },
-                schedule: ScheduleStatsWire { hits: s[0], misses: s[1], entries: s[2] },
-                server: ServerStatsWire {
-                    received: srv[0],
-                    completed: srv[1],
-                    overloaded: srv[2],
-                    timed_out: srv[3],
-                    errors: srv[4],
-                    conn_timeouts,
-                    write_overflows,
-                },
-            }
-        }
+        "stats" => Response::Stats {
+            engine: wire_counters(&v, "engine")?,
+            schedule: wire_counters(&v, "schedule_cache_stats")?,
+            server: wire_counters(&v, "server")?,
+        },
         "shutting_down" => Response::ShuttingDown,
         "fleet_stats" => Response::FleetStats {
             shards: v
@@ -902,16 +801,13 @@ pub fn decode_response(line: &str) -> Result<(u64, Response), ProtoError> {
                     Ok(ShardStatsWire {
                         shard: req_u64(s, "shard")?,
                         port: req_u64(s, "port")?,
-                        alive: s
-                            .get("alive")
-                            .and_then(Value::as_bool)
-                            .ok_or_else(|| bad("missing boolean field 'alive'"))?,
+                        alive: req_bool(s, "alive")?,
                         routed: req_u64(s, "routed")?,
                         failed: req_u64(s, "failed")?,
                         // Post-v1 roster columns: optional on decode so
                         // legacy frames stay decodable.
                         restarts: opt_u64(s, "restarts")?.unwrap_or(0),
-                        evicted: s.get("evicted").and_then(Value::as_bool).unwrap_or(false),
+                        evicted: opt_bool(s, "evicted")?,
                     })
                 })
                 .collect::<Result<Vec<_>, ProtoError>>()?,
@@ -920,31 +816,19 @@ pub fn decode_response(line: &str) -> Result<(u64, Response), ProtoError> {
         "result" => Response::Result {
             cycles: req_u64(&v, "cycles")?,
             commands_issued: req_u64(&v, "commands_issued")?,
-            verified: v
-                .get("verified")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| bad("missing boolean field 'verified'"))?,
+            verified: req_bool(&v, "verified")?,
             error: v.get("error").and_then(Value::as_str).map(str::to_owned),
         },
         "batch_result" => Response::BatchResult {
             cycles: req_u64(&v, "cycles")?,
             commands_issued: req_u64(&v, "commands_issued")?,
             batch: req_u64(&v, "batch")?,
-            verified: v
-                .get("verified")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| bad("missing boolean field 'verified'"))?,
-            replayed: v
-                .get("replayed")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| bad("missing boolean field 'replayed'"))?,
+            verified: req_bool(&v, "verified")?,
+            replayed: req_bool(&v, "replayed")?,
         },
         "timed_out" => Response::TimedOut {
             cycles: req_u64(&v, "cycles")?,
-            deadline_expired: v
-                .get("deadline_expired")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| bad("missing boolean field 'deadline_expired'"))?,
+            deadline_expired: req_bool(&v, "deadline_expired")?,
             deadlock: v.get("deadlock").and_then(Value::as_str).map(str::to_owned),
         },
         "comparison" => Response::Comparison {
@@ -953,10 +837,7 @@ pub fn decode_response(line: &str) -> Result<(u64, Response), ProtoError> {
             dataflow_cycles: req_u64(&v, "dataflow_cycles")?,
         },
         "lint" => Response::Lint {
-            clean: v
-                .get("clean")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| bad("missing boolean field 'clean'"))?,
+            clean: req_bool(&v, "clean")?,
             diagnostics: v
                 .get("diagnostics")
                 .and_then(Value::as_arr)

@@ -17,8 +17,9 @@
 //! correlate FIFO per lane, which the protocol guarantees.
 
 use crate::client::{Client, ClientError};
-use crate::protocol::{encode_request, EngineStatsWire, Request, Response};
+use crate::protocol::{encode_request, Request, Response};
 use revel_bench::grid;
+use revel_core::engine::CacheStats;
 use revel_traffic::lane::{Action, Completion, Lane, LaneCfg, Outcome, ReplyClass};
 use revel_traffic::report::{evaluate_slos, PhaseSummary, SloViolation, StatsWindow};
 use revel_traffic::scenario::{FleetEvent, MixCell, Scenario, Victim};
@@ -431,7 +432,7 @@ fn run_events(addr: &str, phase_start: Instant, events: &[FleetEvent]) -> Vec<St
 /// connection; `None` when the server is unreachable — phases bracketed by
 /// a missing snapshot report no stats window, which hit-rate SLOs treat as
 /// a violation rather than a free pass.
-fn fetch_stats(control: &mut Option<Client>, addr: &str) -> Option<EngineStatsWire> {
+fn fetch_stats(control: &mut Option<Client>, addr: &str) -> Option<CacheStats> {
     for _ in 0..2 {
         if control.is_none() {
             *control = Client::connect(addr).ok();
@@ -448,7 +449,7 @@ fn fetch_stats(control: &mut Option<Client>, addr: &str) -> Option<EngineStatsWi
     None
 }
 
-fn window_delta(before: &EngineStatsWire, after: &EngineStatsWire) -> StatsWindow {
+fn window_delta(before: &CacheStats, after: &CacheStats) -> StatsWindow {
     StatsWindow {
         hits: after.hits.saturating_sub(before.hits),
         misses: after.misses.saturating_sub(before.misses),

@@ -39,8 +39,7 @@
 use crate::fleet::Supervisor;
 use crate::probe;
 use crate::protocol::{
-    encode_response, EngineStatsWire, Frame, FrameReader, Request, Response, ScheduleStatsWire,
-    ServerStatsWire, ShardStatsWire,
+    encode_response, Counters, Frame, FrameReader, Request, Response, ShardStatsWire,
 };
 use crate::queue::{Bounded, PushError};
 use crate::signal;
@@ -111,17 +110,17 @@ impl Default for ServerConfig {
     }
 }
 
-/// Final request counters, returned by [`Server::serve`] for the shutdown
-/// stats line.
+/// The server's request counters: the `server` member of a `stats` answer
+/// while it runs, and what [`Server::serve`] returns for the shutdown line.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FinalStats {
     /// Requests admitted (decoded successfully).
     pub received: u64,
     /// Requests completed by a worker.
     pub completed: u64,
-    /// Requests rejected `overloaded`.
+    /// Requests rejected `overloaded` (queue full).
     pub overloaded: u64,
-    /// Requests that ended `timed_out`.
+    /// Requests that ended `timed_out` (budget or deadline).
     pub timed_out: u64,
     /// Requests answered with a structured error.
     pub errors: u64,
@@ -136,21 +135,10 @@ pub struct FinalStats {
     pub write_overflows: u64,
 }
 
+/// The shutdown line: `name N` pairs in wire order.
 impl std::fmt::Display for FinalStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "received {}, completed {}, overloaded {}, timed_out {}, errors {}, injected {}, \
-             conn_timeouts {}, write_overflows {}",
-            self.received,
-            self.completed,
-            self.overloaded,
-            self.timed_out,
-            self.errors,
-            self.injected,
-            self.conn_timeouts,
-            self.write_overflows
-        )
+        self.fmt_pairs(f)
     }
 }
 
@@ -772,16 +760,7 @@ fn fleet_stats_response(shared: &Shared) -> Response {
 }
 
 fn stats_response(shared: &Shared) -> Response {
-    let f = shared.final_stats();
-    let server = ServerStatsWire {
-        received: f.received,
-        completed: f.completed,
-        overloaded: f.overloaded,
-        timed_out: f.timed_out,
-        errors: f.errors,
-        conn_timeouts: f.conn_timeouts,
-        write_overflows: f.write_overflows,
-    };
+    let server = shared.final_stats();
     if let Some(sup) = &shared.supervisor {
         // The frontend's own engine is idle; the counters that matter
         // live on the shards. Summing keeps client-side hit-rate windows
@@ -792,28 +771,9 @@ fn stats_response(shared: &Shared) -> Response {
         // No shard reachable: fall through to the (idle) local counters
         // rather than turning a stats probe into an error.
     }
-    let e = engine::stats();
-    let s = revel_core::sim::schedule_cache_stats();
     Response::Stats {
-        engine: EngineStatsWire {
-            hits: e.hits,
-            misses: e.misses,
-            evictions: e.evictions,
-            capacity: e.capacity as u64,
-            run_entries: e.run_entries as u64,
-            lint_entries: e.lint_entries as u64,
-            sim_cycles: e.sim_cycles,
-            skipped_cycles: e.skipped_cycles,
-            fault_bypasses: e.fault_bypasses,
-            oblivious_entries: e.oblivious_entries as u64,
-            deadline_fallbacks: e.deadline_fallbacks,
-            trace_hits: e.trace_hits,
-            batched_replays: e.batched_replays,
-            disk_hits: e.disk_hits,
-            warm_start_entries: e.warm_start_entries,
-            disk_cold_starts: e.disk_cold_starts,
-        },
-        schedule: ScheduleStatsWire { hits: s.hits, misses: s.misses, entries: s.entries as u64 },
+        engine: engine::stats(),
+        schedule: revel_core::sim::schedule_cache_stats(),
         server,
     }
 }

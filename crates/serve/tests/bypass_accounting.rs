@@ -6,14 +6,7 @@
 use revel_core::Bench;
 use revel_serve::client::Client;
 use revel_serve::harness::{loopback, ServerGuard};
-use revel_serve::protocol::{EngineStatsWire, Request, Response};
-
-fn engine_stats(c: &mut Client) -> EngineStatsWire {
-    match c.request(&Request::Stats).expect("stats") {
-        Response::Stats { engine, .. } => engine,
-        other => panic!("expected stats, got {other:?}"),
-    }
-}
+use revel_serve::protocol::{Request, Response};
 
 #[test]
 fn option_overrides_are_counted_bypasses_and_never_memoized() {
@@ -34,7 +27,7 @@ fn option_overrides_are_counted_bypasses_and_never_memoized() {
     };
 
     // A truncated run: one bypass, no lookup, nothing inserted.
-    let before = engine_stats(&mut c);
+    let before = c.engine_stats().expect("stats");
     let resp = c.request(&with_overrides(Some(40), false)).expect("truncated simulate");
     match resp {
         Response::TimedOut { cycles, deadline_expired, .. } => {
@@ -42,7 +35,7 @@ fn option_overrides_are_counted_bypasses_and_never_memoized() {
         }
         other => panic!("a 40-cycle budget must time out, got {other:?}"),
     }
-    let truncated = engine_stats(&mut c);
+    let truncated = c.engine_stats().expect("stats");
     assert_eq!(truncated.fault_bypasses, before.fault_bypasses + 1, "{before:?} -> {truncated:?}");
     assert_eq!(truncated.run_entries, before.run_entries, "a truncated run is never memoized");
     assert_eq!(
@@ -54,19 +47,19 @@ fn option_overrides_are_counted_bypasses_and_never_memoized() {
     // The same cell, plainly: an ordinary miss, then a hit.
     let first = c.request(&plain).expect("simulate");
     assert!(matches!(first, Response::Result { verified: true, .. }), "{first:?}");
-    let missed = engine_stats(&mut c);
+    let missed = c.engine_stats().expect("stats");
     assert_eq!(
         (missed.hits, missed.misses, missed.run_entries),
         (truncated.hits, truncated.misses + 1, truncated.run_entries + 1),
         "{truncated:?} -> {missed:?}"
     );
     assert_eq!(c.request(&plain).expect("simulate"), first);
-    let hit = engine_stats(&mut c);
+    let hit = c.engine_stats().expect("stats");
     assert_eq!((hit.hits, hit.misses), (missed.hits + 1, missed.misses), "{missed:?} -> {hit:?}");
 
     // The oracle loop is a bypass too, and answers the same frame.
     assert_eq!(c.request(&with_overrides(None, true)).expect("reference simulate"), first);
-    let oracle = engine_stats(&mut c);
+    let oracle = c.engine_stats().expect("stats");
     assert_eq!(oracle.fault_bypasses, before.fault_bypasses + 2);
     assert_eq!(
         (oracle.hits, oracle.misses, oracle.run_entries),

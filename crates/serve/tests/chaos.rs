@@ -83,7 +83,13 @@ fn chaos_at_ten_percent_converges_to_byte_identical_results() {
     }
 
     revel_failpoint::disarm(SITE, port);
+    // The count rides the live `stats` frame; no shutdown needed to read it.
+    let live = match c.request(&Request::Stats).expect("stats") {
+        Response::Stats { server, .. } => server.injected,
+        other => panic!("expected stats, got {other:?}"),
+    };
     let stats = server.shutdown();
+    assert_eq!(live, stats.injected, "live and shutdown counts agree: {stats}");
     assert!(stats.injected > 0, "the failpoint must actually have injected faults: {stats}");
     assert!(
         stats.completed > stats.injected,

@@ -3,11 +3,13 @@
 //! JSON, schema violations, oversized lines) are rejected as errors — never
 //! panics.
 
+use revel_core::engine::CacheStats;
+use revel_core::sim::ScheduleCacheStats;
 use revel_serve::protocol::{
-    decode_request, decode_response, encode_request, encode_response, read_all_frames,
-    EngineStatsWire, Frame, FrameReader, Request, Response, ScheduleStatsWire, ServerStatsWire,
-    ShardStatsWire, MAX_FRAME_BYTES,
+    decode_request, decode_response, encode_request, encode_response, read_all_frames, Frame,
+    FrameReader, Request, Response, ShardStatsWire, MAX_FRAME_BYTES,
 };
+use revel_serve::server::FinalStats;
 
 fn every_request() -> Vec<Request> {
     vec![
@@ -114,7 +116,7 @@ fn every_response() -> Vec<Response> {
         },
         Response::FleetStats { shards: vec![] },
         Response::Stats {
-            engine: EngineStatsWire {
+            engine: CacheStats {
                 hits: 10,
                 misses: 3,
                 evictions: 1,
@@ -132,8 +134,8 @@ fn every_response() -> Vec<Response> {
                 warm_start_entries: 5,
                 disk_cold_starts: 1,
             },
-            schedule: ScheduleStatsWire { hits: 40, misses: 5, entries: 5 },
-            server: ServerStatsWire {
+            schedule: ScheduleCacheStats { hits: 40, misses: 5, entries: 5 },
+            server: FinalStats {
                 received: 50,
                 completed: 48,
                 overloaded: 1,
@@ -141,6 +143,7 @@ fn every_response() -> Vec<Response> {
                 errors: 1,
                 conn_timeouts: 3,
                 write_overflows: 1,
+                injected: 4,
             },
         },
         Response::ShuttingDown,
@@ -243,7 +246,9 @@ fn legacy_stats_frames_decode_with_zeroed_new_counters() {
     let (id, resp) = decode_response(legacy).expect("legacy stats frame must decode");
     assert_eq!(id, 9);
     match resp {
-        Response::Stats { engine, .. } => {
+        Response::Stats { engine, server, .. } => {
+            assert_eq!((server.received, server.errors), (50, 1));
+            assert_eq!((server.conn_timeouts, server.write_overflows, server.injected), (0, 0, 0));
             assert_eq!(engine.hits, 10);
             assert_eq!(engine.deadline_fallbacks, 0);
             assert_eq!(engine.trace_hits, 0);
@@ -254,6 +259,57 @@ fn legacy_stats_frames_decode_with_zeroed_new_counters() {
         }
         other => panic!("expected Stats, got {other:?}"),
     }
+}
+
+/// One full `stats` frame, byte for byte: the wire names and their order
+/// are append-only protocol, so a renamed, dropped or reordered counter
+/// must fail here, on encode, and not only in a peer.
+#[test]
+fn a_full_stats_frame_encodes_to_the_pinned_bytes() {
+    let stats = Response::Stats {
+        engine: CacheStats {
+            hits: 1,
+            misses: 2,
+            evictions: 3,
+            capacity: 4,
+            run_entries: 5,
+            lint_entries: 6,
+            sim_cycles: 7,
+            skipped_cycles: 8,
+            fault_bypasses: 9,
+            oblivious_entries: 10,
+            deadline_fallbacks: 11,
+            trace_hits: 12,
+            batched_replays: 13,
+            disk_hits: 14,
+            warm_start_entries: 15,
+            disk_cold_starts: 16,
+        },
+        schedule: ScheduleCacheStats { hits: 17, misses: 18, entries: 19 },
+        server: FinalStats {
+            received: 20,
+            completed: 21,
+            overloaded: 22,
+            timed_out: 23,
+            errors: 24,
+            conn_timeouts: 25,
+            write_overflows: 26,
+            injected: 27,
+        },
+    };
+    let golden = concat!(
+        "{\"id\":5,\"type\":\"stats\",",
+        "\"engine\":{\"hits\":1,\"misses\":2,\"evictions\":3,\"capacity\":4,",
+        "\"run_entries\":5,\"lint_entries\":6,\"sim_cycles\":7,\"skipped_cycles\":8,",
+        "\"fault_bypasses\":9,\"oblivious_entries\":10,\"deadline_fallbacks\":11,",
+        "\"trace_hits\":12,\"batched_replays\":13,\"disk_hits\":14,",
+        "\"warm_start_entries\":15,\"disk_cold_starts\":16},",
+        "\"schedule_cache_stats\":{\"hits\":17,\"misses\":18,\"entries\":19},",
+        "\"server\":{\"received\":20,\"completed\":21,\"overloaded\":22,\"timed_out\":23,",
+        "\"errors\":24,\"conn_timeouts\":25,\"write_overflows\":26,\"injected\":27}}\n"
+    );
+    assert_eq!(encode_response(5, &stats), golden);
+    assert_eq!(decode_response(golden).expect("decodes"), (5, stats));
 }
 
 /// A health frame from a pre-fleet server (no `queue_depth`,
@@ -338,9 +394,14 @@ fn malformed_frames_are_rejected_not_panics() {
     ] {
         assert!(decode_request(bad).is_err(), "must reject {bad:?}");
     }
-    for bad in
-        ["{}", "{\"id\":1}", "{\"id\":1,\"type\":\"victory\"}", "{\"id\":1,\"type\":\"result\"}"]
-    {
+    for bad in [
+        "{}",
+        "{\"id\":1}",
+        "{\"id\":1,\"type\":\"victory\"}",
+        "{\"id\":1,\"type\":\"result\"}",
+        "{\"id\":1,\"type\":\"result\",\"cycles\":5,\"commands_issued\":2,\"verified\":1}",
+        "{\"id\":1,\"type\":\"fleet_stats\",\"shards\":[{\"shard\":0,\"port\":7412,\"alive\":true,\"routed\":1,\"failed\":0,\"evicted\":7}]}",
+    ] {
         assert!(decode_response(bad).is_err(), "must reject {bad:?}");
     }
 }

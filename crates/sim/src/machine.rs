@@ -147,7 +147,7 @@ pub struct ScheduleCacheStats {
     /// Compiles that created a new cache entry (`== entries`).
     pub misses: u64,
     /// Distinct compiled schedule sets currently cached.
-    pub entries: usize,
+    pub entries: u64,
 }
 
 impl fmt::Display for ScheduleCacheStats {
@@ -167,7 +167,7 @@ pub fn schedule_cache_stats() -> ScheduleCacheStats {
     ScheduleCacheStats {
         hits: SCHEDULE_HITS.load(Ordering::Relaxed),
         misses: SCHEDULE_MISSES.load(Ordering::Relaxed),
-        entries,
+        entries: entries as u64,
     }
 }
 

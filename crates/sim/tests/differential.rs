@@ -388,5 +388,5 @@ fn schedule_cache_serves_repeated_runs() {
     assert!(s1.hits > s0.hits, "expected a schedule-cache hit on repeated run");
     // The exactness invariant the snapshot struct exists for: a miss is
     // counted iff an entry landed, so the two are always equal.
-    assert_eq!(s1.misses as usize, s1.entries, "misses must equal cached entries: {s1:?}");
+    assert_eq!(s1.misses, s1.entries, "misses must equal cached entries: {s1:?}");
 }

@@ -111,7 +111,7 @@ fn a_degraded_fabric_compiles_its_own_schedules() {
         assert!(!m.run(&prog).expect("runs").timed_out);
         assert_eq!(m.read_private(LaneId(0), 8, 8), [-1.0; 8]);
         let after = schedule_cache_stats();
-        assert_eq!(after.misses, after.entries as u64);
+        assert_eq!(after.misses, after.entries);
         (after.misses - before.misses, after.hits - before.hits)
     };
     let degraded = FabricMask::HEALTHY.with_dead_pe(0);

@@ -41,6 +41,55 @@ pub struct Cholesky {
     pub parallel: bool,
 }
 
+/// point: `ia = 1/akk`, `is = rsqrt(akk)`.
+fn point_region(cfg: &BuildCfg) -> Region {
+    let mut point = Dfg::new("point");
+    let akk = point.input(InPortId(6));
+    let ia = point.op(OpCode::Recip, &[akk]);
+    let is = point.op(OpCode::Rsqrt, &[akk]);
+    point.output(ia, OutPortId(6));
+    point.output(is, OutPortId(7));
+    cfg.outer_region("point", point, 1)
+}
+
+/// scale: `s_j = akj * ia`.
+fn scale_region(cfg: &BuildCfg) -> Region {
+    let mut scale = Dfg::new("scale");
+    let akj = scale.input(InPortId(7));
+    let ia_in = scale.input(InPortId(8));
+    let sj = scale.op(OpCode::Mul, &[akj, ia_in]);
+    scale.output(sj, OutPortId(8));
+    cfg.outer_region("scale", scale, 1)
+}
+
+/// vector: `l[j,k] = a[k,j] * is`.
+fn vector_region(cfg: &BuildCfg, unroll: usize) -> Region {
+    let mut vector = Dfg::new("vector");
+    let arow = vector.input(InPortId(0));
+    let is_in = vector.input_scalar(InPortId(4));
+    let lcol = vector.op(OpCode::Mul, &[arow, is_in]);
+    vector.output(lcol, OutPortId(0));
+    cfg.inner_region("vector", vector, 1, unroll)
+}
+
+/// matrix: `a[j,i] -= s_j * a[k,i]`. With `fold_scale` there is no scale
+/// region upstream: port 5 carries `akj` and the region multiplies it by
+/// `ia` (port 8) itself.
+fn matrix_region(cfg: &BuildCfg, unroll: usize, fold_scale: bool) -> Region {
+    let mut matrix = Dfg::new("matrix");
+    let mut sj = matrix.input_scalar(InPortId(5));
+    let ia_in = fold_scale.then(|| matrix.input_scalar(InPortId(8)));
+    let aki = matrix.input(InPortId(2));
+    let aji = matrix.input(InPortId(3));
+    if let Some(ia_in) = ia_in {
+        sj = matrix.op(OpCode::Mul, &[sj, ia_in]);
+    }
+    let prod = matrix.op(OpCode::Mul, &[sj, aki]);
+    let upd = matrix.op(OpCode::Sub, &[aji, prod]);
+    matrix.output(upd, OutPortId(1));
+    cfg.inner_region("matrix", matrix, 2, unroll)
+}
+
 impl Cholesky {
     /// Creates the workload (batch semantics: one problem per lane when
     /// the build uses several lanes).
@@ -117,60 +166,12 @@ impl Cholesky {
         let lanes = LaneMask::all(cfg.num_lanes as u8);
         let l_scale = LaneScale::addr(self.l_lane_stride());
 
-        // point: ia = 1/akk, is = rsqrt(akk)
-        let mut point = Dfg::new("point");
-        let akk = point.input(InPortId(6));
-        let ia = point.op(OpCode::Recip, &[akk]);
-        let is = point.op(OpCode::Rsqrt, &[akk]);
-        point.output(ia, OutPortId(6));
-        point.output(is, OutPortId(7));
-
-        // scale: s_j = akj * ia
-        let mut scale = Dfg::new("scale");
-        let akj = scale.input(InPortId(7));
-        let ia_in = scale.input(InPortId(8));
-        let sj = scale.op(OpCode::Mul, &[akj, ia_in]);
-        scale.output(sj, OutPortId(8));
-
-        // vector: l[j,k] = a[k,j] * is
-        let mut vector = Dfg::new("vector");
-        let arow = vector.input(InPortId(0));
-        let is_in = vector.input_scalar(InPortId(4));
-        let lcol = vector.op(OpCode::Mul, &[arow, is_in]);
-        vector.output(lcol, OutPortId(0));
-
-        // matrix: a[j,i] -= s_j * a[k,i]
-        let mut matrix = Dfg::new("matrix");
-        let sj_in = matrix.input_scalar(InPortId(5));
-        let aki = matrix.input(InPortId(2));
-        let aji = matrix.input(InPortId(3));
-        let prod = matrix.op(OpCode::Mul, &[sj_in, aki]);
-        let upd = matrix.op(OpCode::Sub, &[aji, prod]);
-        matrix.output(upd, OutPortId(1));
-
-        let regions = if cfg.arch == Arch::Dataflow {
-            vec![
-                Region::temporal("point", revel_compiler::add_fsm_overhead(&point, 1)),
-                Region::temporal("scale", revel_compiler::add_fsm_overhead(&scale, 1)),
-                Region::temporal_unrolled(
-                    "vector",
-                    revel_compiler::add_fsm_overhead(&vector, 1),
-                    vec_unroll,
-                ),
-                Region::temporal_unrolled(
-                    "matrix",
-                    revel_compiler::add_fsm_overhead(&matrix, 2),
-                    unroll,
-                ),
-            ]
-        } else {
-            vec![
-                Region::temporal("point", point),
-                Region::temporal("scale", scale),
-                Region::systolic("vector", vector, vec_unroll),
-                Region::systolic("matrix", matrix, unroll),
-            ]
-        };
+        let regions = vec![
+            point_region(cfg),
+            scale_region(cfg),
+            vector_region(cfg, vec_unroll),
+            matrix_region(cfg, unroll, false),
+        ];
 
         let mut prog = revel_sim::RevelProgram::new(format!("cholesky-n{}", self.n));
         let config = prog.add_config(regions);
@@ -317,36 +318,12 @@ impl Cholesky {
         let incoming = mov.input(InPortId(1));
         let parked = mov.op(OpCode::Mov, &[incoming]);
         mov.output(parked, OutPortId(2));
-        let mut point = Dfg::new("point");
-        let akk = point.input(InPortId(6));
-        let ia = point.op(OpCode::Recip, &[akk]);
-        let is = point.op(OpCode::Rsqrt, &[akk]);
-        point.output(ia, OutPortId(6));
-        point.output(is, OutPortId(7));
-        let mut scale = Dfg::new("scale");
-        let akj = scale.input(InPortId(7));
-        let ia_in = scale.input(InPortId(8));
-        let sj = scale.op(OpCode::Mul, &[akj, ia_in]);
-        scale.output(sj, OutPortId(8));
-        let mut vector = Dfg::new("vector");
-        let arow = vector.input(InPortId(0));
-        let is_in = vector.input_scalar(InPortId(4));
-        let lcol = vector.op(OpCode::Mul, &[arow, is_in]);
-        vector.output(lcol, OutPortId(0));
-        let mut matrix = Dfg::new("matrix");
-        let sj_in = matrix.input_scalar(InPortId(5));
-        let aki = matrix.input(InPortId(2));
-        let aji = matrix.input(InPortId(3));
-        let prod = matrix.op(OpCode::Mul, &[sj_in, aki]);
-        let upd = matrix.op(OpCode::Sub, &[aji, prod]);
-        matrix.output(upd, OutPortId(1));
-
         let regions = vec![
-            Region::systolic("park", mov, unroll),
-            Region::temporal("point", point),
-            Region::temporal("scale", scale),
-            Region::systolic("vector", vector, unroll),
-            Region::systolic("matrix", matrix, unroll),
+            cfg.inner_region("park", mov, 0, unroll),
+            point_region(cfg),
+            scale_region(cfg),
+            vector_region(cfg, unroll),
+            matrix_region(cfg, unroll, false),
         ];
 
         let mut prog = revel_sim::RevelProgram::new(format!("cholesky-ring-n{}", self.n));
@@ -590,28 +567,9 @@ impl Cholesky {
         let l_scale = LaneScale::addr(self.l_lane_stride());
         let num_lanes = cfg.num_lanes;
 
-        // vector: l = arow * is(broadcast from memory)
-        let mut vector = Dfg::new("vector");
-        let arow = vector.input(InPortId(0));
-        let is_in = vector.input_scalar(InPortId(4));
-        let lcol = vector.op(OpCode::Mul, &[arow, is_in]);
-        vector.output(lcol, OutPortId(0));
-
-        // matrix: a[j,i] -= (akj * ia) * a[k,i]
-        let mut matrix = Dfg::new("matrix");
-        let akj_in = matrix.input_scalar(InPortId(5));
-        let ia_in = matrix.input_scalar(InPortId(8));
-        let aki = matrix.input(InPortId(2));
-        let aji = matrix.input(InPortId(3));
-        let t = matrix.op(OpCode::Mul, &[akj_in, ia_in]);
-        let prod = matrix.op(OpCode::Mul, &[t, aki]);
-        let upd = matrix.op(OpCode::Sub, &[aji, prod]);
-        matrix.output(upd, OutPortId(1));
-
-        let regions = vec![
-            Region::systolic("vector", vector, unroll),
-            Region::systolic("matrix", matrix, unroll),
-        ];
+        // `is` is broadcast from memory; the matrix region folds the
+        // `s_j` multiply the host has no region for.
+        let regions = vec![vector_region(cfg, unroll), matrix_region(cfg, unroll, true)];
 
         let mut prog = revel_sim::RevelProgram::new(format!("cholesky-sys-n{}", self.n));
         let config = prog.add_config(regions);

@@ -17,8 +17,8 @@
 use crate::data;
 use crate::reference;
 use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
-use revel_compiler::{Arch, BuildCfg};
-use revel_dfg::{pack_complex, unpack_complex, Dfg, OpCode, Region};
+use revel_compiler::BuildCfg;
+use revel_dfg::{pack_complex, unpack_complex, Dfg, OpCode};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
     StreamCommand,
@@ -174,14 +174,7 @@ impl Workload for Fft {
         let bw = g.op(OpCode::CMul, &[d, w]);
         g.output(s, OutPortId(2));
         g.output(bw, OutPortId(3));
-        let region = match cfg.arch {
-            Arch::Dataflow => Region::temporal_unrolled(
-                "butterfly",
-                revel_compiler::add_fsm_overhead(&g, 2),
-                unroll,
-            ),
-            _ => Region::systolic("butterfly", g, unroll),
-        };
+        let region = cfg.inner_region("butterfly", g, 2, unroll);
 
         let mut prog = revel_sim::RevelProgram::new(format!("fft-n{}", self.n));
         let config = prog.add_config(vec![region]);

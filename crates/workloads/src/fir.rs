@@ -12,8 +12,8 @@
 use crate::data;
 use crate::reference;
 use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
-use revel_compiler::{Arch, BuildCfg};
-use revel_dfg::{Dfg, OpCode, Region};
+use revel_compiler::BuildCfg;
+use revel_dfg::{Dfg, OpCode};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
     StreamCommand,
@@ -144,12 +144,7 @@ impl Workload for CentroFir {
         let prod = g.op(OpCode::Mul, &[ct, sum]);
         let acc = g.accum_vec(prod, RateFsm::fixed(pairs));
         g.output(acc, OutPortId(2));
-        let region = match cfg.arch {
-            Arch::Dataflow => {
-                Region::temporal_unrolled("fir", revel_compiler::add_fsm_overhead(&g, 1), unroll)
-            }
-            _ => Region::systolic("fir", g, unroll),
-        };
+        let region = cfg.inner_region("fir", g, 1, unroll);
 
         let mut prog = revel_sim::RevelProgram::new(format!("fir-{}", self.params()));
         let config = prog.add_config(vec![region]);

@@ -16,8 +16,8 @@
 use crate::data;
 use crate::reference;
 use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
-use revel_compiler::{Arch, BuildCfg};
-use revel_dfg::{Dfg, OpCode, Region};
+use revel_compiler::BuildCfg;
+use revel_dfg::{Dfg, OpCode};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
     StreamCommand,
@@ -166,12 +166,7 @@ impl Workload for Gemm {
         let prod = g.op(OpCode::Mul, &[a_s, b_v]);
         let acc = g.accum_vec(prod, RateFsm::fixed(k));
         g.output(acc, OutPortId(0));
-        let region = match cfg.arch {
-            Arch::Dataflow => {
-                Region::temporal_unrolled("mac", revel_compiler::add_fsm_overhead(&g, 2), unroll)
-            }
-            _ => Region::systolic("mac", g, unroll),
-        };
+        let region = cfg.inner_region("mac", g, 2, unroll);
 
         let mut prog = revel_sim::RevelProgram::new(format!("gemm-{}", self.params()));
         let config = prog.add_config(vec![region]);

@@ -23,7 +23,7 @@
 use crate::data;
 use crate::reference;
 use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
-use revel_compiler::{Arch, BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
+use revel_compiler::{BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
@@ -113,12 +113,7 @@ impl Qr {
         // lanes of its input every fire) and emits the scalar dot.
         let acc = dot.accum(prod, RateFsm::ONCE);
         dot.output(acc, OutPortId(2));
-        match cfg.arch {
-            Arch::Dataflow => {
-                Region::temporal_unrolled("dot", revel_compiler::add_fsm_overhead(&dot, 2), unroll)
-            }
-            _ => Region::systolic("dot", dot, unroll),
-        }
+        cfg.inner_region("dot", dot, 2, unroll)
     }
 
     fn update_region(&self, cfg: &BuildCfg, unroll: usize) -> Region {
@@ -129,14 +124,7 @@ impl Qr {
         let prod = upd.op(OpCode::Mul, &[s, v]);
         let out = upd.op(OpCode::Sub, &[col, prod]);
         upd.output(out, OutPortId(1));
-        match cfg.arch {
-            Arch::Dataflow => Region::temporal_unrolled(
-                "update",
-                revel_compiler::add_fsm_overhead(&upd, 2),
-                unroll,
-            ),
-            _ => Region::systolic("update", upd, unroll),
-        }
+        cfg.inner_region("update", upd, 2, unroll)
     }
 
     /// Hybrid build: point and scale on the temporal fabric.
@@ -178,16 +166,12 @@ impl Qr {
         let s = scale.op(OpCode::Mul, &[beta_in, u]);
         scale.output(s, OutPortId(10));
 
-        let (point_r, scale_r) = if cfg.arch == Arch::Dataflow {
-            (
-                Region::temporal("point", revel_compiler::add_fsm_overhead(&point, 1)),
-                Region::temporal("scale", revel_compiler::add_fsm_overhead(&scale, 2)),
-            )
-        } else {
-            (Region::temporal("point", point), Region::temporal("scale", scale))
-        };
-        let regions =
-            vec![self.dot_region(cfg, unroll), self.update_region(cfg, unroll), point_r, scale_r];
+        let regions = vec![
+            self.dot_region(cfg, unroll),
+            self.update_region(cfg, unroll),
+            cfg.outer_region("point", point, 1),
+            cfg.outer_region("scale", scale, 2),
+        ];
 
         let mut prog = revel_sim::RevelProgram::new(format!("qr-n{}", self.n));
         let config = prog.add_config(regions);

@@ -19,7 +19,7 @@
 use crate::data;
 use crate::reference;
 use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
-use revel_compiler::{Arch, BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
+use revel_compiler::{BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
@@ -34,6 +34,24 @@ pub struct Solver {
     pub n: usize,
     /// Data seed.
     pub seed: u64,
+}
+
+/// Inner region: `newb = b[i] - pivot * a[j,i]`. The hybrid build consumes
+/// the result twice (out 2 feeds each vector's head to the divider over an
+/// XFER, out 3 stores the vector), so it asks for the `second_output`; the
+/// systolic build only stores out 2.
+fn inner_region(cfg: &BuildCfg, unroll: usize, second_output: bool) -> Region {
+    let mut inner = Dfg::new("solver-inner");
+    let pivot = inner.input_scalar(InPortId(6));
+    let aji = inner.input(InPortId(2));
+    let bi = inner.input(InPortId(3));
+    let prod = inner.op(OpCode::Mul, &[pivot, aji]);
+    let newb = inner.op(OpCode::Sub, &[bi, prod]);
+    inner.output(newb, OutPortId(2));
+    if second_output {
+        inner.output(newb, OutPortId(3));
+    }
+    cfg.inner_region("inner", inner, 3, unroll)
 }
 
 impl Solver {
@@ -118,16 +136,6 @@ impl Solver {
         let lanes = LaneMask::all(cfg.num_lanes as u8);
         let a_scale = LaneScale::addr(self.lane_a_stride());
 
-        // Inner region: newb = b[i] - pivot * a[j,i]
-        let mut inner = Dfg::new("solver-inner");
-        let pivot = inner.input_scalar(InPortId(6));
-        let aji = inner.input(InPortId(2));
-        let bi = inner.input(InPortId(3));
-        let prod = inner.op(OpCode::Mul, &[pivot, aji]);
-        let newb = inner.op(OpCode::Sub, &[bi, prod]);
-        inner.output(newb, OutPortId(2));
-        inner.output(newb, OutPortId(3));
-
         // Outer region: pivot = b_raw / a[j,j]
         let mut outer = Dfg::new("solver-outer");
         let braw = outer.input(InPortId(7));
@@ -136,21 +144,10 @@ impl Solver {
         outer.output(bdiv, OutPortId(6));
         outer.output(bdiv, OutPortId(7));
 
-        let (inner_region, outer_region) = if cfg.arch == Arch::Dataflow {
-            (
-                Region::temporal_unrolled(
-                    "inner",
-                    revel_compiler::add_fsm_overhead(&inner, 3),
-                    unroll,
-                ),
-                Region::temporal("outer", revel_compiler::add_fsm_overhead(&outer, 1)),
-            )
-        } else {
-            (Region::systolic("inner", inner, unroll), Region::temporal("outer", outer))
-        };
+        let regions = vec![inner_region(cfg, unroll, true), cfg.outer_region("outer", outer, 1)];
 
         let mut prog = revel_sim::RevelProgram::new(format!("solver-n{}", self.n));
-        let config = prog.add_config(vec![inner_region, outer_region]);
+        let config = prog.add_config(regions);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
             push_cmd(prog, cfg, lanes, LaneScale::BROADCAST, cmd)
         };
@@ -279,17 +276,8 @@ impl Solver {
         let a_scale = LaneScale::addr(self.lane_a_stride());
         let num_lanes = cfg.num_lanes;
 
-        let mut inner = Dfg::new("solver-inner");
-        let pivot = inner.input_scalar(InPortId(6));
-        let aji = inner.input(InPortId(2));
-        let bi = inner.input(InPortId(3));
-        let prod = inner.op(OpCode::Mul, &[pivot, aji]);
-        let newb = inner.op(OpCode::Sub, &[bi, prod]);
-        inner.output(newb, OutPortId(2));
-        let inner_region = Region::systolic("inner", inner, unroll);
-
         let mut prog = revel_sim::RevelProgram::new(format!("solver-sys-n{}", self.n));
-        let config = prog.add_config(vec![inner_region]);
+        let config = prog.add_config(vec![inner_region(cfg, unroll, false)]);
         push_cmd(
             &mut prog,
             cfg,

@@ -22,7 +22,7 @@
 use crate::data;
 use crate::reference;
 use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
-use revel_compiler::{Arch, BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
+use revel_compiler::{BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
@@ -155,12 +155,7 @@ impl Svd {
         let prod = dot.op(OpCode::Mul, &[ap, aq]);
         let acc = dot.accum(prod, RateFsm::ONCE);
         dot.output(acc, OutPortId(2));
-        match cfg.arch {
-            Arch::Dataflow => {
-                Region::temporal_unrolled("dot", revel_compiler::add_fsm_overhead(&dot, 2), unroll)
-            }
-            _ => Region::systolic("dot", dot, unroll),
-        }
+        cfg.inner_region("dot", dot, 2, unroll)
     }
 
     fn update_region(&self, cfg: &BuildCfg) -> Region {
@@ -179,10 +174,7 @@ impl Svd {
         let newq = upd.op(OpCode::Add, &[sp, cq]);
         upd.output(newp, OutPortId(0));
         upd.output(newq, OutPortId(1));
-        match cfg.arch {
-            Arch::Dataflow => Region::temporal("rotate", revel_compiler::add_fsm_overhead(&upd, 2)),
-            _ => Region::systolic("rotate", upd, 1),
-        }
+        cfg.inner_region("rotate", upd, 2, 1)
     }
 
     /// The Jacobi rotation DFG (temporal region or host mirror).
@@ -219,10 +211,7 @@ impl Svd {
         rot.output(s, OutPortId(7));
         rot.output(wp, OutPortId(8));
         rot.output(wq, OutPortId(9));
-        match cfg.arch {
-            Arch::Dataflow => Region::temporal("rot", revel_compiler::add_fsm_overhead(&rot, 3)),
-            _ => Region::temporal("rot", rot),
-        }
+        cfg.outer_region("rot", rot, 3)
     }
 
     /// Hybrid build: the rotation on the temporal fabric; pairs pipeline
