@@ -1,30 +1,24 @@
-//! Disassembles a kernel's REVEL program (the Fig. 15/17-style listing).
+//! Disassembles a grid cell's program (the Fig. 15/17-style listing).
 //!
-//! Usage: `cargo run -p revel-bench --bin dump_kernel --release [kernel] [n]`
-//! where kernel is one of: solver, cholesky, qr, svd, fft, gemm, fir.
+//! Usage: `cargo run -p revel-bench --bin dump_kernel --release BENCH PARAMS ARCH`,
+//! e.g. `dump_kernel qr n=12 systolic` — the wire identity every other tool
+//! takes ([`revel_bench::grid::resolve`]): a Table V bench and its parameter
+//! string, then `revel`, `systolic`, `dataflow` or a Fig. 22 ladder label.
 
-use revel_core::compiler::BuildCfg;
-use revel_core::isa::disassemble;
+use revel_bench::grid;
 use revel_core::sim::ControlStep;
-use revel_core::Bench;
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "solver".into());
-    let n: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(12);
-    let bench = match name.as_str() {
-        "solver" => Bench::Solver { n },
-        "cholesky" => Bench::Cholesky { n },
-        "qr" => Bench::Qr { n },
-        "svd" => Bench::Svd { n },
-        "fft" => Bench::Fft { n: n.max(8).next_power_of_two() },
-        "gemm" => Bench::Gemm { m: n, k: 16, p: 64 },
-        "fir" => Bench::Fir { taps: 37, n: 1024 },
-        other => {
-            eprintln!("unknown kernel {other}");
-            std::process::exit(1);
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [name, params, arch] = args.as_slice() else {
+        eprintln!("usage: dump_kernel BENCH PARAMS ARCH   (e.g. dump_kernel qr n=12 systolic)");
+        std::process::exit(2);
     };
-    let built = bench.workload().build(&BuildCfg::revel(bench.lanes()));
+    let Some((bench, cfg)) = grid::resolve(name, params, arch) else {
+        eprintln!("no grid cell '{name} {params} [{arch}]'");
+        std::process::exit(2);
+    };
+    let built = bench.workload().build(&cfg);
     println!(
         "{} — {} control steps, {} fabric config(s)\n",
         built.program.name,
@@ -46,17 +40,13 @@ fn main() {
         }
     }
     println!();
-    let commands: Vec<_> = built
-        .program
-        .control
-        .iter()
-        .filter_map(|s| match s {
-            ControlStep::Command(vc) => Some(vc.clone()),
+    for (i, step) in built.program.control.iter().enumerate() {
+        match step {
+            ControlStep::Command(vc) => println!("{i:4}: {vc}"),
             // A dynamic step disassembles as its template (the issue-time
             // binds patch fields the listing cannot know statically).
-            ControlStep::Dyn(ds) => Some(ds.template.clone()),
-            ControlStep::Host(_) => None,
-        })
-        .collect();
-    print!("{}", disassemble(&commands));
+            ControlStep::Dyn(ds) => println!("{i:4}: {}", ds.template),
+            ControlStep::Host(op) => println!("{i:4}: host {}", op.cycles),
+        }
+    }
 }

@@ -59,9 +59,10 @@ impl AblationStep {
 
 /// Build configuration: target architecture plus the mechanism knobs.
 ///
-/// Workload builders consult this to decide vectorization, region
-/// placement, and stream lowering; [`BuildCfg::machine_config`] derives the
-/// matching hardware model.
+/// Workload builders consult this to decide vectorization and region
+/// placement (and, in Cholesky's host-outer build, whether the trailing
+/// update is issued as inductive streams or one command group per row);
+/// [`BuildCfg::machine_config`] derives the matching hardware model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BuildCfg {
     /// Target architecture.
@@ -104,10 +105,11 @@ impl BuildCfg {
     }
 
     /// The pure tagged-dataflow baseline. Inductive patterns are expressed
-    /// as in-fabric FSMs (`inductive_streams` stays true so commands are
-    /// not decomposed); their cost is the extra instructions injected by
+    /// as in-fabric FSMs; their cost is the extra instructions injected by
     /// [`BuildCfg::inner_region`] / [`BuildCfg::outer_region`] into every
-    /// region (Fig. 9).
+    /// region (Fig. 9). `inductive_streams` stays true but is never read on
+    /// this build: its outer regions are on the fabric, and the flag is
+    /// consulted only by Cholesky's host-outer build.
     pub fn dataflow_baseline(num_lanes: usize) -> Self {
         BuildCfg {
             arch: Arch::Dataflow,

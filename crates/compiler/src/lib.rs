@@ -1,15 +1,19 @@
 //! # revel-compiler — the kernel-construction ("pragma") layer
 //!
-//! Plays the role of the paper's LLVM/Clang pragma compiler (§VI): kernels
-//! are described once, in inductive-dataflow form, and lowered to a
-//! [`revel_sim::RevelProgram`] (fabric configurations + vector-stream
-//! control code) under a [`BuildCfg`] that selects the architecture and the
+//! Plays the role of the paper's LLVM/Clang pragma compiler (§VI): a kernel
+//! describes its datapaths once and this crate decides how each becomes a
+//! fabric region under a [`BuildCfg`]; the vector-stream control code is
+//! pushed by the kernel itself ([`revel_sim::RevelProgram::push`]), not
+//! generated here. The [`BuildCfg`] selects the architecture and the
 //! mechanism-ablation knobs of Fig. 22:
 //!
-//! * **inductive streams** off → every inductive stream command is
-//!   decomposed into per-outer-iteration commands, and the control core
-//!   pays for each (this is how a plain stream-dataflow machine must run
-//!   inductive code);
+//! * **inductive streams** off → a plain stream-dataflow machine must
+//!   issue one command group per outer iteration and pay the control core
+//!   for each. Nothing in this crate performs that decomposition: the knob
+//!   is a flag a kernel's host-outer build reads to pick between its two
+//!   hand-written command sequences, and only Cholesky's does (the other
+//!   six kernels build the same program on both rungs — EXPERIMENTS.md
+//!   "Figure 22");
 //! * **hybrid** off → outer-loop regions cannot go to the temporal fabric:
 //!   on the pure-systolic baseline they execute on the control core as
 //!   [`revel_sim::HostOp`]s (§III: "for systolic these execute on a control
@@ -39,8 +43,6 @@
 #![warn(missing_docs)]
 
 mod build;
-mod lower;
 mod overhead;
 
 pub use build::{AblationStep, Arch, BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
-pub use lower::{lower_command, Lowered};

@@ -3,7 +3,7 @@
 //! A certified-oblivious program's cycle-by-cycle behaviour depends only
 //! on problem *sizes*, never on dataset *values* — so one cycle-accurate
 //! **timing walk** ([`record_timing`]) captures a [`TimingTrace`] that a
-//! cheap **functional replayer** ([`replay_trace`]) then applies to N
+//! cheap **functional replayer** ([`replay_trace_on`]) then applies to N
 //! same-shape datasets, skipping the per-cycle scheduling work entirely.
 //!
 //! The split is gated, not assumed: [`batch_replayable`] admits a kernel
@@ -113,35 +113,22 @@ pub fn record_timing(
 }
 
 /// The functional replayer: applies a previously recorded trace to a
-/// fresh machine holding `built`'s dataset, without re-running the
+/// caller-owned machine holding `built`'s dataset, without re-running the
 /// cycle-accurate scheduler. Cycle counts and the full report come from
 /// the timing run (byte-identical by obliviousness); only the memory
-/// image and verification are dataset-specific. Returns the machine so
-/// callers can diff scratchpad images lane-by-lane.
+/// image and verification are dataset-specific.
+///
+/// The machine is the caller's so a batch amortizes one machine allocation
+/// across all its lanes (allocating scratchpads and fabric state per lane
+/// costs more than the replay itself). Reuse is sound because consecutive
+/// lanes replay the *same* trace: every store lands on the same addresses
+/// each lane, and `apply_init` rewrites the inputs, so no lane can observe
+/// a previous lane's data.
 ///
 /// # Errors
 /// [`SimError::Replay`] when the trace does not belong to this program,
 /// when dataset extents are invalid, or when replay desynchronizes (the
 /// checked-replay divergence detector).
-pub fn replay_trace(
-    built: &BuiltKernel,
-    cfg: &BuildCfg,
-    trace: &TimingTrace,
-) -> Result<(WorkloadRun, Machine), SimError> {
-    let mut machine = Machine::new(cfg.machine_config(), cfg.sim_options());
-    let run = replay_trace_on(&mut machine, built, trace)?;
-    Ok((run, machine))
-}
-
-/// [`replay_trace`] onto a caller-owned machine, so a batch amortizes one
-/// machine allocation across all its lanes (allocating scratchpads and
-/// fabric state per lane costs more than the replay itself). Reuse is
-/// sound because consecutive lanes replay the *same* trace: every store
-/// lands on the same addresses each lane, and `apply_init` rewrites the
-/// inputs, so no lane can observe a previous lane's data.
-///
-/// # Errors
-/// Same contract as [`replay_trace`].
 pub fn replay_trace_on(
     machine: &mut Machine,
     built: &BuiltKernel,
@@ -168,23 +155,6 @@ pub fn replay_trace_on(
     })
 }
 
-/// The machine's complete memory image as raw bits — every lane's
-/// private scratchpad followed by the shared scratchpad — in one
-/// contiguous arena. Batched callers lay N of these side by side
-/// (structure-of-arrays over datasets) and compare lanes chunk-wise.
-pub fn memory_image(machine: &Machine) -> Vec<u64> {
-    let cfg = machine.config();
-    let words = cfg.lane.spad_words;
-    let mut image = Vec::with_capacity(cfg.num_lanes * words + cfg.shared_spad_words);
-    for l in 0..cfg.num_lanes {
-        image.extend(
-            machine.read_private(revel_isa::LaneId(l as u8), 0, words).iter().map(|v| v.to_bits()),
-        );
-    }
-    image.extend(machine.read_shared(0, cfg.shared_spad_words).iter().map(|v| v.to_bits()));
-    image
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +166,20 @@ mod tests {
     use revel_sim::{
         ControlStep, DynBind, DynField, DynSrc, DynStep, FaultPlan, HostWrite, RevelProgram,
     };
+
+    /// Every lane's private scratchpad, then the shared one, as raw bits.
+    fn memory_image(machine: &Machine) -> Vec<u64> {
+        let cfg = machine.config();
+        let words = cfg.lane.spad_words;
+        let mut image = Vec::with_capacity(cfg.num_lanes * words + cfg.shared_spad_words);
+        for l in 0..cfg.num_lanes {
+            image.extend(
+                machine.read_private(LaneId(l as u8), 0, words).iter().map(|v| v.to_bits()),
+            );
+        }
+        image.extend(machine.read_shared(0, cfg.shared_spad_words).iter().map(|v| v.to_bits()));
+        image
+    }
 
     #[test]
     fn validate_init_rejects_out_of_range_extents() {
@@ -239,7 +223,8 @@ mod tests {
         apply_init(&mut full_m, &b2.init);
         full_m.run(&b2.program).expect("full sim rerun");
 
-        let (replayed, machine) = replay_trace(&b2, &cfg, &trace).expect("replay");
+        let mut machine = Machine::new(cfg.machine_config(), cfg.sim_options());
+        let replayed = replay_trace_on(&mut machine, &b2, &trace).expect("replay");
         replayed.assert_ok("fft replay");
         assert_eq!(replayed.cycles, timing.cycles, "cycles come from the timing run");
         assert_eq!(
@@ -261,7 +246,8 @@ mod tests {
         let built = w.build(&cfg);
         let (_, trace) = record_timing(&built, &cfg, cfg.sim_options()).expect("timing run");
         let other = crate::Solver::new(12, 1).build(&cfg);
-        match replay_trace(&other, &cfg, &trace) {
+        let mut machine = Machine::new(cfg.machine_config(), cfg.sim_options());
+        match replay_trace_on(&mut machine, &other, &trace) {
             Err(SimError::Replay(e)) => {
                 assert!(e.message.contains("recorded for program"), "{e}");
             }
@@ -331,7 +317,6 @@ mod tests {
                 let got = m.read_private(LaneId(0), 8, 8);
                 (got == [-3.0; 8]).then_some(()).ok_or(format!("negated block is {got:?}"))
             }),
-            lanes_used: 1,
         }
     }
 
@@ -392,7 +377,6 @@ mod tests {
             program: prog,
             init: vec![MemInit::Private { lane: 0, addr: 63, data: vec![8.0] }],
             check: std::sync::Arc::new(|_| Ok(())),
-            lanes_used: 1,
         };
         let cfg = BuildCfg::revel(1);
         assert!(

@@ -14,17 +14,17 @@
 //!
 //! On the systolic baseline the point computation runs on the control core
 //! and `s_j` folds back into a scalar matrix region (no temporal fabric);
-//! without inductive streams every triangular stream decomposes into
-//! per-row commands.
+//! without inductive streams the trailing update is issued as one command
+//! group per row, written out by hand in `build_host_outer`.
 
 use crate::data;
 use crate::reference;
-use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, MemInit, Workload};
 use revel_compiler::{Arch, BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
-    StreamCommand,
+    StreamCommand, VectorCommand,
 };
 use std::sync::Arc;
 
@@ -176,7 +176,7 @@ impl Cholesky {
         let mut prog = revel_sim::RevelProgram::new(format!("cholesky-n{}", self.n));
         let config = prog.add_config(regions);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-            push_cmd(prog, cfg, lanes, LaneScale::BROADCAST, cmd)
+            prog.push(VectorCommand::broadcast(lanes, cmd))
         };
         push(&mut prog, StreamCommand::Configure { config: ConfigId(config) });
         for k in 0..self.n as i64 {
@@ -215,9 +215,7 @@ impl Cholesky {
                 ),
             );
             // L column store: L[j,k] for j = k..n (column-major walk).
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes,
                 l_scale,
                 StreamCommand::store(
@@ -226,7 +224,7 @@ impl Cholesky {
                     AffinePattern::strided(self.l_base() + k * n + k, n, rem),
                     RateFsm::ONCE,
                 ),
-            );
+            ));
             if trail > 0 {
                 // ia -> scale region, used once per trailing column.
                 push(
@@ -294,7 +292,6 @@ impl Cholesky {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
     }
 
@@ -328,7 +325,7 @@ impl Cholesky {
 
         let mut prog = revel_sim::RevelProgram::new(format!("cholesky-ring-n{}", self.n));
         let config = prog.add_config(regions);
-        prog.push(revel_isa::VectorCommand::broadcast(
+        prog.push(VectorCommand::broadcast(
             LaneMask::all(num_lanes as u8),
             StreamCommand::Configure { config: ConfigId(config) },
         ));
@@ -350,7 +347,7 @@ impl Cholesky {
                 (MemTarget::Private, self.ring_pivot_buf())
             };
             let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-                push_cmd(prog, cfg, lane, LaneScale::BROADCAST, cmd)
+                prog.push(VectorCommand::broadcast(lane, cmd))
             };
             if !first_in_round {
                 // Park the incoming pivot row (the left neighbour reserved
@@ -515,7 +512,7 @@ impl Cholesky {
             }
             if last_in_round {
                 // The paper's `Wait lanes done` per k-round.
-                prog.push(revel_isa::VectorCommand::broadcast(
+                prog.push(VectorCommand::broadcast(
                     LaneMask::all(num_lanes as u8),
                     StreamCommand::Wait,
                 ));
@@ -525,7 +522,8 @@ impl Cholesky {
         // Memory: the first round buffer starts as A (in shared); lanes are
         // otherwise empty.
         let init = vec![MemInit::Shared { addr: self.ring_tbuf(0), data: self.a(0) }];
-        BuiltKernel { program: prog, init, check: self.check_ring(), lanes_used: cfg.num_lanes }
+        // One problem, whose `L` lands where a single-lane build puts lane 0's.
+        BuiltKernel { program: prog, init, check: self.check(1) }
     }
 
     /// Pivot-row park buffer in each lane's private scratchpad.
@@ -536,25 +534,6 @@ impl Cholesky {
     /// The two round buffers in shared memory, after the `L` output.
     fn ring_tbuf(&self, parity: usize) -> i64 {
         (self.n * self.n) as i64 * (1 + parity as i64)
-    }
-
-    fn check_ring(&self) -> crate::suite::CheckFn {
-        let me = *self;
-        Arc::new(move |machine| {
-            let n = me.n;
-            let expect = reference::cholesky(&me.a(0), n);
-            let got = machine.read_shared(me.l_base(), n * n);
-            for j in 0..n {
-                for i in 0..=j {
-                    let g = got[j * n + i];
-                    let e = expect[j * n + i];
-                    if (g - e).abs() > 1e-7 * (1.0 + e.abs()) {
-                        return Err(format!("ring: L[{j},{i}] = {g} != {e}"));
-                    }
-                }
-            }
-            Ok(())
-        })
     }
 
     /// Systolic build: `ia`/`is` on the control core, scalar matrix region
@@ -573,13 +552,10 @@ impl Cholesky {
 
         let mut prog = revel_sim::RevelProgram::new(format!("cholesky-sys-n{}", self.n));
         let config = prog.add_config(regions);
-        push_cmd(
-            &mut prog,
-            cfg,
+        prog.push(VectorCommand::broadcast(
             lanes,
-            LaneScale::BROADCAST,
             StreamCommand::Configure { config: ConfigId(config) },
-        );
+        ));
         let scratch = self.host_scratch_shared(num_lanes);
         let a_base = self.a_base();
         for k in 0..nn as i64 {
@@ -595,9 +571,7 @@ impl Cholesky {
                 }
             });
             // is -> vector region (element-reused for the column).
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes,
                 LaneScale::addr(2),
                 StreamCommand::load(
@@ -606,9 +580,9 @@ impl Cholesky {
                     InPortId(4),
                     RateFsm::fixed(rem),
                 ),
-            );
+            ));
             let bcast = |prog: &mut revel_sim::RevelProgram, cmd| {
-                push_cmd(prog, cfg, lanes, LaneScale::BROADCAST, cmd)
+                prog.push(VectorCommand::broadcast(lanes, cmd))
             };
             bcast(
                 &mut prog,
@@ -619,9 +593,7 @@ impl Cholesky {
                     RateFsm::ONCE,
                 ),
             );
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes,
                 l_scale,
                 StreamCommand::store(
@@ -630,16 +602,14 @@ impl Cholesky {
                     AffinePattern::strided(self.l_base() + k * n + k, n, rem),
                     RateFsm::ONCE,
                 ),
-            );
+            ));
             if trail > 0 {
                 if cfg.inductive_streams {
                     // Whole trailing update as inductive streams
                     // (ablation step 2: inductive streams on a systolic
                     // fabric, outer loop still on the control core).
                     let total: i64 = (1..=trail).sum();
-                    push_cmd(
-                        &mut prog,
-                        cfg,
+                    prog.push(VectorCommand::scaled(
                         lanes,
                         LaneScale::addr(2),
                         StreamCommand::load(
@@ -648,7 +618,7 @@ impl Cholesky {
                             InPortId(8),
                             RateFsm::fixed(total),
                         ),
-                    );
+                    ));
                     bcast(
                         &mut prog,
                         StreamCommand::load(
@@ -693,9 +663,7 @@ impl Cholesky {
                     for idx in 0..trail {
                         let row_len = trail - idx;
                         let row_base = diag + 1 + idx;
-                        push_cmd(
-                            &mut prog,
-                            cfg,
+                        prog.push(VectorCommand::scaled(
                             lanes,
                             LaneScale::addr(2),
                             StreamCommand::load(
@@ -704,7 +672,7 @@ impl Cholesky {
                                 InPortId(8),
                                 RateFsm::fixed(row_len),
                             ),
-                        );
+                        ));
                         bcast(
                             &mut prog,
                             StreamCommand::load(
@@ -745,14 +713,13 @@ impl Cholesky {
                     }
                 }
             }
-            push_cmd(&mut prog, cfg, lanes, LaneScale::BROADCAST, StreamCommand::Wait);
+            prog.push(VectorCommand::broadcast(lanes, StreamCommand::Wait));
         }
 
         BuiltKernel {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
     }
 }

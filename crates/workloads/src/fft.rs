@@ -16,12 +16,12 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, MemInit, Workload};
 use revel_compiler::BuildCfg;
 use revel_dfg::{pack_complex, unpack_complex, Dfg, OpCode};
 use revel_isa::{
-    AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
-    StreamCommand,
+    AffinePattern, ConfigId, InPortId, LaneId, LaneMask, MemTarget, OutPortId, RateFsm,
+    StreamCommand, VectorCommand,
 };
 use std::sync::Arc;
 
@@ -179,7 +179,7 @@ impl Workload for Fft {
         let mut prog = revel_sim::RevelProgram::new(format!("fft-n{}", self.n));
         let config = prog.add_config(vec![region]);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-            push_cmd(prog, cfg, lanes_mask, LaneScale::BROADCAST, cmd)
+            prog.push(VectorCommand::broadcast(lanes_mask, cmd))
         };
         push(&mut prog, StreamCommand::Configure { config: ConfigId(config) });
         let uv = unroll as i64;
@@ -234,7 +234,6 @@ impl Workload for Fft {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
     }
 }

@@ -11,12 +11,12 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, MemInit, Workload};
 use revel_compiler::BuildCfg;
 use revel_dfg::{Dfg, OpCode};
 use revel_isa::{
-    AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
-    StreamCommand,
+    AffinePattern, ConfigId, InPortId, LaneId, LaneMask, MemTarget, OutPortId, RateFsm,
+    StreamCommand, VectorCommand,
 };
 use std::sync::Arc;
 
@@ -149,7 +149,7 @@ impl Workload for CentroFir {
         let mut prog = revel_sim::RevelProgram::new(format!("fir-{}", self.params()));
         let config = prog.add_config(vec![region]);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-            push_cmd(prog, cfg, lanes_mask, LaneScale::BROADCAST, cmd)
+            prog.push(VectorCommand::broadcast(lanes_mask, cmd))
         };
         push(&mut prog, StreamCommand::Configure { config: ConfigId(config) });
         let opl = self.out_per_lane(cfg.num_lanes) as i64;
@@ -203,12 +203,7 @@ impl Workload for CentroFir {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
-    }
-
-    fn batchable(&self) -> bool {
-        false
     }
 }
 

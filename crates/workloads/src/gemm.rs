@@ -15,12 +15,12 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, MemInit, Workload};
 use revel_compiler::BuildCfg;
 use revel_dfg::{Dfg, OpCode};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
-    StreamCommand,
+    StreamCommand, VectorCommand,
 };
 use std::sync::Arc;
 
@@ -171,7 +171,7 @@ impl Workload for Gemm {
         let mut prog = revel_sim::RevelProgram::new(format!("gemm-{}", self.params()));
         let config = prog.add_config(vec![region]);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-            push_cmd(prog, cfg, lanes_mask, LaneScale::BROADCAST, cmd)
+            prog.push(VectorCommand::broadcast(lanes_mask, cmd))
         };
         push(&mut prog, StreamCommand::Configure { config: ConfigId(config) });
         let tile_words = (self.k * TILE) as i64;
@@ -198,9 +198,7 @@ impl Workload for Gemm {
                 ),
             );
             // C row-tiles stream out, m emissions of 8 words.
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes_mask,
                 c_scale,
                 StreamCommand::store(
@@ -209,7 +207,7 @@ impl Workload for Gemm {
                     AffinePattern::linear(self.c_base() + t * m * TILE as i64, m * TILE as i64),
                     RateFsm::ONCE,
                 ),
-            );
+            ));
         }
         push(&mut prog, StreamCommand::Wait);
 
@@ -217,12 +215,7 @@ impl Workload for Gemm {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
-    }
-
-    fn batchable(&self) -> bool {
-        false // batch-1 GEMM already spans all lanes
     }
 }
 

@@ -30,9 +30,7 @@ mod solver;
 mod suite;
 mod svd;
 
-pub use batch::{
-    batch_replayable, memory_image, record_timing, replay_trace, replay_trace_on, validate_init,
-};
+pub use batch::{batch_replayable, record_timing, replay_trace_on, validate_init};
 pub use cholesky::Cholesky;
 pub use fft::Fft;
 pub use fir::CentroFir;
@@ -40,7 +38,7 @@ pub use gemm::Gemm;
 pub use qr::Qr;
 pub use solver::Solver;
 pub use suite::{
-    apply_init, push_cmd, replicate_for_batch, run_built_with, run_workload, run_workload_with,
-    BuiltKernel, CheckFn, MemInit, Workload, WorkloadRun,
+    apply_init, run_built_with, run_workload, run_workload_with, BuiltKernel, CheckFn, MemInit,
+    Workload, WorkloadRun,
 };
 pub use svd::Svd;

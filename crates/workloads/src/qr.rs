@@ -22,12 +22,12 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, MemInit, Workload};
 use revel_compiler::{BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
-    StreamCommand,
+    StreamCommand, VectorCommand,
 };
 use std::sync::Arc;
 
@@ -176,7 +176,7 @@ impl Qr {
         let mut prog = revel_sim::RevelProgram::new(format!("qr-n{}", self.n));
         let config = prog.add_config(regions);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-            push_cmd(prog, cfg, lanes, LaneScale::BROADCAST, cmd)
+            prog.push(VectorCommand::broadcast(lanes, cmd))
         };
         push(&mut prog, StreamCommand::Configure { config: ConfigId(config) });
         for k in 0..n - 1 {
@@ -292,21 +292,17 @@ impl Qr {
             // keeps the drain path resident in the stream table ahead of
             // the bandwidth-hungry update streams.
             let s_pat = AffinePattern::linear(self.scratch(0) + 4, trail);
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes,
                 LaneScale::addr(64),
                 StreamCommand::store(OutPortId(10), MemTarget::Shared, s_pat, RateFsm::ONCE),
-            );
+            ));
             // s_j -> update (broadcast, one column's worth of reuse each).
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes,
                 LaneScale::addr(64),
                 StreamCommand::load(MemTarget::Shared, s_pat, InPortId(5), RateFsm::fixed(trail)),
-            );
+            ));
             // Update streams: v tail re-read; trailing columns in place.
             push(
                 &mut prog,
@@ -328,13 +324,11 @@ impl Qr {
             );
             // Row-k pass: same datapath, s as the vector operand and v0 as
             // the broadcast: A[k,j] -= v0 * s_j.
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes,
                 LaneScale::addr(64),
                 StreamCommand::load(MemTarget::Shared, s_pat, InPortId(0), RateFsm::ONCE),
-            );
+            ));
             let row_pat = AffinePattern::strided(diag + n, n, trail);
             push(
                 &mut prog,
@@ -362,7 +356,6 @@ impl Qr {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
     }
 
@@ -377,7 +370,7 @@ impl Qr {
         let mut prog = revel_sim::RevelProgram::new(format!("qr-sys-n{}", self.n));
         let config = prog.add_config(regions);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-            push_cmd(prog, cfg, lanes, LaneScale::BROADCAST, cmd)
+            prog.push(VectorCommand::broadcast(lanes, cmd))
         };
         push(&mut prog, StreamCommand::Configure { config: ConfigId(config) });
         let a_base = self.a_base();
@@ -410,9 +403,7 @@ impl Qr {
                     RateFsm::ONCE,
                 ),
             );
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes,
                 LaneScale::addr(64),
                 StreamCommand::store(
@@ -421,7 +412,7 @@ impl Qr {
                     AffinePattern::scalar(scratch0),
                     RateFsm::ONCE,
                 ),
-            );
+            ));
             push(&mut prog, StreamCommand::Wait);
             // Host: alpha, v0, beta; alpha written straight into A[k,k].
             prog.push_host(6 * HOST_FP_OP_CYCLES + HOST_LOOP_CYCLES, move |mem| {
@@ -457,9 +448,7 @@ impl Qr {
                     RateFsm::ONCE,
                 ),
             );
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes,
                 LaneScale::addr(64),
                 StreamCommand::store(
@@ -468,7 +457,7 @@ impl Qr {
                     AffinePattern::linear(scratch0 + 4, trail),
                     RateFsm::ONCE,
                 ),
-            );
+            ));
             push(&mut prog, StreamCommand::Wait);
             // Host: s_j = beta * (d_j + v0 * akj), written over the dots;
             // row k of R updated on the host as well.
@@ -491,9 +480,7 @@ impl Qr {
                 },
             );
             // Update on fabric: s from scratch (broadcast per column).
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::scaled(
                 lanes,
                 LaneScale::addr(64),
                 StreamCommand::load(
@@ -502,7 +489,7 @@ impl Qr {
                     InPortId(5),
                     RateFsm::fixed(trail),
                 ),
-            );
+            ));
             push(
                 &mut prog,
                 StreamCommand::load(
@@ -528,7 +515,6 @@ impl Qr {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
     }
 }

@@ -18,12 +18,12 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, MemInit, Workload};
 use revel_compiler::{BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
-    StreamCommand,
+    StreamCommand, VectorCommand,
 };
 use std::sync::Arc;
 
@@ -149,13 +149,11 @@ impl Solver {
         let mut prog = revel_sim::RevelProgram::new(format!("solver-n{}", self.n));
         let config = prog.add_config(regions);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-            push_cmd(prog, cfg, lanes, LaneScale::BROADCAST, cmd)
+            prog.push(VectorCommand::broadcast(lanes, cmd))
         };
         push(&mut prog, StreamCommand::Configure { config: ConfigId(config) });
         // Diagonal a[j,j] -> divider.
-        push_cmd(
-            &mut prog,
-            cfg,
+        prog.push(VectorCommand::scaled(
             lanes,
             a_scale,
             StreamCommand::load(
@@ -164,7 +162,7 @@ impl Solver {
                 InPortId(8),
                 RateFsm::ONCE,
             ),
-        );
+        ));
         // Seed b[0] -> divider.
         push(
             &mut prog,
@@ -176,9 +174,7 @@ impl Solver {
             ),
         );
         // Triangular row stream a[j, j+1:n] -> inner.
-        push_cmd(
-            &mut prog,
-            cfg,
+        prog.push(VectorCommand::scaled(
             lanes,
             a_scale,
             StreamCommand::load(
@@ -187,7 +183,7 @@ impl Solver {
                 InPortId(2),
                 RateFsm::ONCE,
             ),
-        );
+        ));
         // Initial b[1:n] -> inner.
         push(
             &mut prog,
@@ -261,7 +257,6 @@ impl Solver {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
     }
 
@@ -278,13 +273,10 @@ impl Solver {
 
         let mut prog = revel_sim::RevelProgram::new(format!("solver-sys-n{}", self.n));
         let config = prog.add_config(vec![inner_region(cfg, unroll, false)]);
-        push_cmd(
-            &mut prog,
-            cfg,
+        prog.push(VectorCommand::broadcast(
             lanes,
-            LaneScale::BROADCAST,
             StreamCommand::Configure { config: ConfigId(config) },
-        );
+        ));
         let b_base = self.b_base();
         let x_base = self.x_base();
         let pivot_addr = self.pivot_addr();
@@ -302,21 +294,16 @@ impl Solver {
                 }
             });
             let len = n - 1 - j;
-            push_cmd(
-                &mut prog,
-                cfg,
+            prog.push(VectorCommand::broadcast(
                 lanes,
-                LaneScale::BROADCAST,
                 StreamCommand::load(
                     MemTarget::Private,
                     AffinePattern::scalar(pivot_addr),
                     InPortId(6),
                     RateFsm::fixed(len),
                 ),
-            );
-            push_cmd(
-                &mut prog,
-                cfg,
+            ));
+            prog.push(VectorCommand::scaled(
                 lanes,
                 a_scale,
                 StreamCommand::load(
@@ -325,32 +312,26 @@ impl Solver {
                     InPortId(2),
                     RateFsm::ONCE,
                 ),
-            );
-            push_cmd(
-                &mut prog,
-                cfg,
+            ));
+            prog.push(VectorCommand::broadcast(
                 lanes,
-                LaneScale::BROADCAST,
                 StreamCommand::load(
                     MemTarget::Private,
                     AffinePattern::linear(b_base + j + 1, len),
                     InPortId(3),
                     RateFsm::ONCE,
                 ),
-            );
-            push_cmd(
-                &mut prog,
-                cfg,
+            ));
+            prog.push(VectorCommand::broadcast(
                 lanes,
-                LaneScale::BROADCAST,
                 StreamCommand::store(
                     OutPortId(2),
                     MemTarget::Private,
                     AffinePattern::linear(b_base + j + 1, len),
                     RateFsm::ONCE,
                 ),
-            );
-            push_cmd(&mut prog, cfg, lanes, LaneScale::BROADCAST, StreamCommand::Wait);
+            ));
+            prog.push(VectorCommand::broadcast(lanes, StreamCommand::Wait));
         }
         // Final element.
         let jl = n - 1;
@@ -366,7 +347,6 @@ impl Solver {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
     }
 }

@@ -1,26 +1,10 @@
 //! The workload suite: the `Workload` trait, built-kernel plumbing, the
 //! runner, and the Table V parameter sets.
 
-use revel_compiler::{lower_command, BuildCfg};
-use revel_isa::{LaneId, LaneMask, LaneScale, StreamCommand, VectorCommand};
-use revel_sim::{ControlStep, Machine, RevelProgram, RunReport, SimError, SimOptions};
+use revel_compiler::BuildCfg;
+use revel_isa::LaneId;
+use revel_sim::{Machine, RevelProgram, RunReport, SimError, SimOptions};
 use std::sync::Arc;
-
-/// Pushes a stream command into a program after architecture lowering:
-/// on builds without first-class inductive streams the command may expand
-/// into many per-iteration commands (the control-overhead the vector-stream
-/// ISA amortizes).
-pub fn push_cmd(
-    prog: &mut RevelProgram,
-    cfg: &BuildCfg,
-    lanes: LaneMask,
-    scale: LaneScale,
-    cmd: StreamCommand,
-) {
-    for c in lower_command(cfg, cmd).cmds {
-        prog.control.push(ControlStep::Command(VectorCommand::scaled(lanes, scale, c)));
-    }
-}
 
 /// Initial scratchpad contents for a kernel.
 #[derive(Debug, Clone)]
@@ -57,8 +41,6 @@ pub struct BuiltKernel {
     pub init: Vec<MemInit>,
     /// Numerical verification against the reference implementation.
     pub check: CheckFn,
-    /// Lanes the program actually uses.
-    pub lanes_used: usize,
 }
 
 // The evaluation engine fans built kernels and their runs out across
@@ -73,10 +55,7 @@ const _: () = {
 
 impl std::fmt::Debug for BuiltKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BuiltKernel")
-            .field("program", &self.program.name)
-            .field("lanes_used", &self.lanes_used)
-            .finish_non_exhaustive()
+        f.debug_struct("BuiltKernel").field("program", &self.program.name).finish_non_exhaustive()
     }
 }
 
@@ -90,11 +69,6 @@ pub trait Workload {
     fn flops(&self) -> u64;
     /// Builds the kernel for a configuration.
     fn build(&self, cfg: &BuildCfg) -> BuiltKernel;
-    /// True when the single-lane program can be replicated per lane for
-    /// batch execution (Table V batch-8 mode).
-    fn batchable(&self) -> bool {
-        true
-    }
 }
 
 /// The outcome of running a workload on the simulator.
@@ -206,65 +180,6 @@ pub fn apply_init(machine: &mut Machine, init: &[MemInit]) {
     }
 }
 
-/// Replicates a single-lane kernel across `lanes` lanes (batch throughput
-/// mode) with pure **broadcast** semantics: commands targeting lane 0 are
-/// re-masked to all lanes — one command drives every lane, the
-/// vector-stream amortization in space — and the private-memory image is
-/// cloned verbatim into every lane, so all lanes hold *identical* inputs
-/// and must produce identical outputs. Workloads that want distinct
-/// per-lane inputs build them natively from per-lane seeds (see e.g.
-/// `Solver::init`); this helper never reseeds.
-///
-/// Verification covers every lane: lane 0 is checked against the
-/// reference by the kernel's own check, then every other lane's private
-/// scratchpad must be bit-identical to lane 0's (identical program +
-/// identical inputs ⇒ identical outputs).
-///
-/// # Panics
-/// Panics if the kernel is not single-lane.
-pub fn replicate_for_batch(built: &BuiltKernel, lanes: usize) -> BuiltKernel {
-    assert_eq!(built.lanes_used, 1, "batch replication needs a single-lane kernel");
-    let mut program = built.program.clone();
-    let mask = revel_isa::LaneMask::all(lanes as u8);
-    for step in &mut program.control {
-        match step {
-            revel_sim::ControlStep::Command(vc) => vc.lanes = mask,
-            revel_sim::ControlStep::Dyn(ds) => ds.template.lanes = mask,
-            revel_sim::ControlStep::Host(_) => {}
-        }
-    }
-    let mut init = Vec::new();
-    for mi in &built.init {
-        match mi {
-            MemInit::Private { addr, data, .. } => {
-                for l in 0..lanes {
-                    init.push(MemInit::Private { lane: l as u8, addr: *addr, data: data.clone() });
-                }
-            }
-            shared => init.push(shared.clone()),
-        }
-    }
-    let inner_check = built.check.clone();
-    let check: CheckFn = Arc::new(move |machine: &Machine| {
-        inner_check(machine)?;
-        let words = machine.config().lane.spad_words;
-        let lane0 = machine.read_private(LaneId(0), 0, words);
-        for l in 1..lanes {
-            let got = machine.read_private(LaneId(l as u8), 0, words);
-            for (addr, (expect, g)) in lane0.iter().zip(&got).enumerate() {
-                if expect.to_bits() != g.to_bits() {
-                    return Err(format!(
-                        "batch lane {l} diverged from lane 0 at private word {addr}: \
-                         {g} != {expect}"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    });
-    BuiltKernel { program, init, check, lanes_used: lanes }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,70 +222,5 @@ mod tests {
         let opts = SimOptions { max_cycles: 40, ..cfg.sim_options() };
         let run = run_built_with(&built, &cfg, opts).expect("runs");
         run.assert_ok("solver");
-    }
-
-    #[test]
-    fn a_replicated_kernels_verdict_is_its_own() {
-        // `replicate_for_batch` clones the program and re-masks the clone.
-        // A single-lane kernel that stores to the *shared* scratchpad is
-        // clean; broadcast to two lanes it races with itself (V006). The
-        // re-masked clone must meet the gate as what it now is.
-        use revel_isa::{AffinePattern, ConfigId, InPortId, MemTarget, OutPortId, RateFsm};
-        let mut g = revel_dfg::Dfg::new("neg");
-        let a = g.input(InPortId(0));
-        let n = g.op(revel_dfg::OpCode::Neg, &[a]);
-        g.output(n, OutPortId(0));
-        let mut program = RevelProgram::new("shared-store");
-        let c = program.add_config(vec![revel_dfg::Region::systolic("neg", g, 8)]);
-        let linear = |start| AffinePattern::linear(start, 8);
-        for cmd in [
-            StreamCommand::Configure { config: ConfigId(c) },
-            StreamCommand::load(MemTarget::Private, linear(0), InPortId(0), RateFsm::ONCE),
-            StreamCommand::store(OutPortId(0), MemTarget::Shared, linear(0), RateFsm::ONCE),
-            StreamCommand::Wait,
-        ] {
-            program.push(VectorCommand::on_lane(LaneId(0), cmd));
-        }
-        let built = BuiltKernel {
-            program,
-            init: vec![MemInit::Private { lane: 0, addr: 0, data: vec![2.0; 8] }],
-            check: Arc::new(|m| {
-                (m.read_shared(0, 8) == [-2.0; 8]).then_some(()).ok_or("wrong".to_string())
-            }),
-            lanes_used: 1,
-        };
-        let cfg = BuildCfg::revel(2);
-        run_built_with(&built, &cfg, cfg.sim_options()).expect("runs").assert_ok("one lane");
-        let batch = replicate_for_batch(&built, 2);
-        match run_built_with(&batch, &cfg, cfg.sim_options()) {
-            Err(SimError::Verify(diags)) => {
-                assert!(diags.iter().any(|d| d.code == revel_verify::Code::V006), "{diags:?}");
-            }
-            other => panic!("the two-lane broadcast must be refused, got {other:?}"),
-        }
-        // And the original is still what it was.
-        run_built_with(&built, &cfg, cfg.sim_options()).expect("runs").assert_ok("one lane");
-    }
-
-    #[test]
-    fn replicated_batch_verifies_every_lane() {
-        // FFT is a pure-broadcast kernel: identical private data per lane,
-        // BROADCAST scaling on every command.
-        let w = crate::Fft::new(64, 1);
-        let cfg1 = BuildCfg::revel(1);
-        let built = w.build(&cfg1);
-        let batch = replicate_for_batch(&built, 4);
-        assert_eq!(batch.lanes_used, 4);
-        let cfg4 = BuildCfg::revel(4);
-        let mut machine = Machine::new(cfg4.machine_config(), cfg4.sim_options());
-        apply_init(&mut machine, &batch.init);
-        let report = machine.run(&batch.program).expect("runs");
-        assert!(!report.timed_out);
-        (batch.check)(&machine).expect("all lanes verify");
-        // Corrupt a non-reference lane: the batch check must notice (a
-        // lane-0-only check would silently pass).
-        machine.write_private(LaneId(3), 0, &[1234.5]);
-        let err = (batch.check)(&machine).expect_err("corrupted lane must fail verification");
-        assert!(err.contains("lane 3"), "diagnostic names the lane: {err}");
     }
 }

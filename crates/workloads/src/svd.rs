@@ -21,12 +21,12 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{push_cmd, BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, MemInit, Workload};
 use revel_compiler::{BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, LaneScale, MemTarget, OutPortId, RateFsm,
-    StreamCommand,
+    StreamCommand, VectorCommand,
 };
 use std::sync::Arc;
 
@@ -226,7 +226,7 @@ impl Svd {
         let mut prog = revel_sim::RevelProgram::new(format!("svd-n{}", self.n));
         let config = prog.add_config(regions);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-            push_cmd(prog, cfg, lanes, LaneScale::BROADCAST, cmd)
+            prog.push(VectorCommand::broadcast(lanes, cmd))
         };
         push(&mut prog, StreamCommand::Configure { config: ConfigId(config) });
         let fires = (n + unroll as i64 - 1) / unroll as i64;
@@ -240,9 +240,7 @@ impl Svd {
                     let col_p = self.a_base() + p * n;
                     let col_q = self.a_base() + q * n;
                     // Norms -> rot (shared, per-lane slices).
-                    push_cmd(
-                        &mut prog,
-                        cfg,
+                    prog.push(VectorCommand::scaled(
                         lanes,
                         LaneScale::addr(Self::W_SCALE),
                         StreamCommand::load(
@@ -251,10 +249,8 @@ impl Svd {
                             InPortId(8),
                             RateFsm::ONCE,
                         ),
-                    );
-                    push_cmd(
-                        &mut prog,
-                        cfg,
+                    ));
+                    prog.push(VectorCommand::scaled(
                         lanes,
                         LaneScale::addr(Self::W_SCALE),
                         StreamCommand::load(
@@ -263,7 +259,7 @@ impl Svd {
                             InPortId(9),
                             RateFsm::ONCE,
                         ),
-                    );
+                    ));
                     // Dot: apq.
                     push(
                         &mut prog,
@@ -314,9 +310,7 @@ impl Svd {
                             RateFsm::fixed(n),
                         ),
                     );
-                    push_cmd(
-                        &mut prog,
-                        cfg,
+                    prog.push(VectorCommand::scaled(
                         lanes,
                         LaneScale::addr(Self::W_SCALE),
                         StreamCommand::store(
@@ -325,10 +319,8 @@ impl Svd {
                             AffinePattern::scalar(self.w_base(0) + p),
                             RateFsm::ONCE,
                         ),
-                    );
-                    push_cmd(
-                        &mut prog,
-                        cfg,
+                    ));
+                    prog.push(VectorCommand::scaled(
                         lanes,
                         LaneScale::addr(Self::W_SCALE),
                         StreamCommand::store(
@@ -337,7 +329,7 @@ impl Svd {
                             AffinePattern::scalar(self.w_base(0) + q),
                             RateFsm::ONCE,
                         ),
-                    );
+                    ));
                     // Column rotation (in place).
                     push(
                         &mut prog,
@@ -384,7 +376,6 @@ impl Svd {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
     }
 
@@ -399,7 +390,7 @@ impl Svd {
         let mut prog = revel_sim::RevelProgram::new(format!("svd-sys-n{}", self.n));
         let config = prog.add_config(regions);
         let push = |prog: &mut revel_sim::RevelProgram, cmd| {
-            push_cmd(prog, cfg, lanes, LaneScale::BROADCAST, cmd)
+            prog.push(VectorCommand::broadcast(lanes, cmd))
         };
         push(&mut prog, StreamCommand::Configure { config: ConfigId(config) });
         let fires = (n + unroll as i64 - 1) / unroll as i64;
@@ -432,9 +423,7 @@ impl Svd {
                             RateFsm::ONCE,
                         ),
                     );
-                    push_cmd(
-                        &mut prog,
-                        cfg,
+                    prog.push(VectorCommand::scaled(
                         lanes,
                         LaneScale::addr(16),
                         StreamCommand::store(
@@ -443,7 +432,7 @@ impl Svd {
                             AffinePattern::scalar(scratch0),
                             RateFsm::ONCE,
                         ),
-                    );
+                    ));
                     push(&mut prog, StreamCommand::Wait);
                     // Host: the rotation + norm updates.
                     prog.push_host(8 * HOST_FP_OP_CYCLES + HOST_LOOP_CYCLES, move |mem| {
@@ -464,9 +453,7 @@ impl Svd {
                             mem.write(None, sc + 2, s);
                         }
                     });
-                    push_cmd(
-                        &mut prog,
-                        cfg,
+                    prog.push(VectorCommand::scaled(
                         lanes,
                         LaneScale::addr(16),
                         StreamCommand::load(
@@ -475,10 +462,8 @@ impl Svd {
                             InPortId(4),
                             RateFsm::fixed(n),
                         ),
-                    );
-                    push_cmd(
-                        &mut prog,
-                        cfg,
+                    ));
+                    prog.push(VectorCommand::scaled(
                         lanes,
                         LaneScale::addr(16),
                         StreamCommand::load(
@@ -487,7 +472,7 @@ impl Svd {
                             InPortId(5),
                             RateFsm::fixed(n),
                         ),
-                    );
+                    ));
                     push(
                         &mut prog,
                         StreamCommand::load(
@@ -533,7 +518,6 @@ impl Svd {
             program: prog,
             init: self.init(cfg.num_lanes),
             check: self.check(cfg.num_lanes),
-            lanes_used: cfg.num_lanes,
         }
     }
 }

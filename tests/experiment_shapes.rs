@@ -89,3 +89,25 @@ fn fig22_ladder_never_regresses_at_the_top() {
         }
     }
 }
+
+#[test]
+fn fig22_rung_two_is_modeled_for_cholesky_only() {
+    // `inductive_streams` is read by one kernel's host-outer build. Every
+    // other kernel builds the same program on the first two rungs, so its
+    // 1.00x in the `+inductive-streams` column is an identity, not a
+    // measurement. A PR that implements rung 2 for another kernel flips
+    // this test on purpose.
+    use revel_core::compiler::{AblationStep, BuildCfg};
+    for b in Bench::suite_small() {
+        let [base, ind] = [AblationStep::Systolic, AblationStep::InductiveStreams]
+            .map(|step| BuildCfg::ablation(step, b.lanes()));
+        let id = |cfg| revel_prog::structural_id(&b.workload().build(cfg).program);
+        if b.name() == "cholesky" {
+            assert_ne!(id(&base), id(&ind), "cholesky's rung 2 is a different program");
+            let (slow, fast) = (b.run(&base).unwrap().cycles, b.run(&ind).unwrap().cycles);
+            assert!(fast < slow, "+inductive-streams {fast} vs systolic {slow}");
+        } else {
+            assert_eq!(id(&base), id(&ind), "{}: rung 2 builds the rung-1 program", b.name());
+        }
+    }
+}
