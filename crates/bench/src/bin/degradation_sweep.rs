@@ -66,9 +66,9 @@ fn parse_args() -> Args {
 /// 1. **Schedulability.** The FU mix is tight — QR and SVD use eight of
 ///    the nine multipliers — so every workload's every fabric
 ///    configuration must still schedule with the candidate (and all
-///    previously accepted tiles) masked out; the probe replicates the
-///    simulator's scheduler construction exactly (same seed, same
-///    annealing effort), so "the probe schedules" ⇔ "the run schedules".
+///    previously accepted tiles) masked out; the probe uses the
+///    simulator's own scheduler (`SpatialScheduler::for_lane`), so "the
+///    probe schedules" ⇔ "the run schedules".
 /// 2. **Non-improvement.** The repair is a heuristic: masking one more
 ///    tile occasionally displaces work into a *luckier* placement than
 ///    the previous mask found, which would make the degradation curve dip.
@@ -107,11 +107,8 @@ fn kill_order(
         }
     }
 
-    // Mirror the machine's scheduler exactly (machine.rs compile path).
-    let lane = cfg.machine_config().lane;
-    let scheduler = SpatialScheduler::new(Mesh::for_lane(&lane))
-        .with_dpe_slots(lane.dpe_instr_slots)
-        .with_sa_iterations(2000);
+    // The machine's own scheduler (`Machine::run`'s compile path).
+    let scheduler = SpatialScheduler::for_lane(&cfg.machine_config().lane);
     let programs: Vec<_> = benches.iter().map(|b| b.workload().build(cfg).program).collect();
     let schedulable = |mask: FabricMask| {
         programs.iter().all(|p| {

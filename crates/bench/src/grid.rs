@@ -1,11 +1,11 @@
 //! The shared evaluation grid: every (workload × architecture) cell the
-//! differential gate simulates and the serving benchmark replays.
+//! grid oracle checks and served load replays.
 //!
-//! Both consumers need the *same* cell list — the differential stepper gate
-//! (`sim_differential`) so its coverage claim is explicit, and the
-//! scenario runner (`{"grid": true}` mix entries) so served load exercises
-//! exactly the cells whose results are pinned by the batch path. Keeping
-//! one constructor here means the two can never drift.
+//! Both consumers need the *same* cell list — the `grid_oracle` gate so
+//! its coverage claim is explicit, and the scenario runner
+//! (`{"grid": true}` mix entries) so served load exercises exactly the
+//! cells whose results the oracle pins. Keeping one constructor here means
+//! the two can never drift.
 
 use revel_core::compiler::{AblationStep, BuildCfg};
 use revel_core::Bench;

@@ -7,8 +7,8 @@
 //! package.
 //!
 //! The [`grid`] module defines the shared evaluation grid (workload ×
-//! architecture cells) consumed by both the differential stepper gate and
-//! the `revel-serve` scenario runner.
+//! architecture cells) consumed by both the `grid_oracle` gate and the
+//! `revel-serve` scenario runner.
 
 #![forbid(unsafe_code)]
 

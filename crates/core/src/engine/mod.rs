@@ -27,11 +27,12 @@
 //! Three properties make the engine safe to park behind a long-running
 //! server (`revel-serve`), not just a batch harness:
 //!
-//! * **Bounded caches.** Both caches evict least-recently-used entries
-//!   beyond [`cache_capacity`] (an unbounded memo table is a slow memory
-//!   leak under an infinite request stream); hit/miss/eviction counters are
-//!   exposed through [`stats`] for the report footer and the `stats`
-//!   endpoint.
+//! * **Bounded caches.** The three caches — runs, lints and timing traces
+//!   — each evict least-recently-used entries beyond [`cache_capacity`] (an
+//!   unbounded memo table is a slow memory leak under an infinite request
+//!   stream); hit/miss counters and one eviction counter shared by all
+//!   three are exposed through [`stats`] for the report footer and the
+//!   `stats` endpoint.
 //! * **Single-flight misses.** Concurrent requests for the same key wait
 //!   for the first simulation instead of duplicating it, so a thundering
 //!   herd on a cold cell costs one simulation — and the hit/miss split
@@ -76,9 +77,10 @@ struct RunKey {
     batch: bool,
 }
 
-/// A bounded, recency-evicting memo table. The engine's run and lint
-/// caches are both instances; the run cache additionally uses the `None`
-/// value state to mark *in-flight* computations for single-flight misses.
+/// A bounded, recency-evicting memo table. The engine's run, lint and
+/// trace caches are all instances; the run cache additionally uses the
+/// `None` value state to mark *in-flight* computations for single-flight
+/// misses.
 struct BoundedCache<K, V> {
     map: HashMap<K, CacheEntry<V>>,
     clock: u64,
@@ -269,9 +271,9 @@ pub(crate) fn engine() -> &'static Engine {
 /// Worker-thread count: 0 means "auto" (one per available core).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Default bound on each cache (run and lint separately). Generous enough
-/// that the full evaluation grid never evicts, small enough that a
-/// long-running server's memory stays flat.
+/// Default bound on each of the three caches (runs, lints and traces, each
+/// bounded separately). Generous enough that the full evaluation grid never
+/// evicts, small enough that a long-running server's memory stays flat.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 /// Sets the per-cache entry bound (`revel_serve --cache-capacity`). Takes
@@ -772,7 +774,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to simulate (or lint) from scratch.
     pub misses: u64,
-    /// Entries dropped by least-recently-used eviction (both caches).
+    /// Entries dropped by least-recently-used eviction, summed over the
+    /// run, lint and trace caches.
     pub evictions: u64,
     /// Per-cache entry bound currently in force.
     pub capacity: u64,

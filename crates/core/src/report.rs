@@ -36,22 +36,6 @@ impl Table {
     pub fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
     }
-
-    /// Geometric mean of a numeric column (ignores unparsable cells).
-    ///
-    /// Returns `None` when no cell in the column parses — an absent
-    /// measurement must never masquerade as a `0.0x` speedup.
-    pub fn geomean(&self, col: usize) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .rows
-            .iter()
-            .filter_map(|r| r[col].trim_end_matches('x').parse::<f64>().ok())
-            .collect();
-        if vals.is_empty() {
-            return None;
-        }
-        Some((vals.iter().map(|v| v.ln()).sum::<f64>() / vals.len() as f64).exp())
-    }
 }
 
 impl fmt::Display for Table {
@@ -108,23 +92,6 @@ mod tests {
         assert!(s.contains("=== T ==="));
         assert!(s.contains("| cholesky | 3.50x"));
         assert!(s.contains("note: hello"));
-    }
-
-    #[test]
-    fn geomean_of_ratios() {
-        let mut t = Table::new("T", &["k", "s"]);
-        t.row(vec!["a".into(), "2.00x".into()]);
-        t.row(vec!["b".into(), "8.00x".into()]);
-        assert!((t.geomean(1).unwrap() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn geomean_of_empty_or_unparsable_column_is_none() {
-        let empty = Table::new("T", &["k", "s"]);
-        assert_eq!(empty.geomean(1), None);
-        let mut words = Table::new("T", &["k", "s"]);
-        words.row(vec!["a".into(), "n/a".into()]);
-        assert_eq!(words.geomean(1), None);
     }
 
     #[test]

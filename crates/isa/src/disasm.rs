@@ -1,4 +1,4 @@
-//! Human-readable disassembly of vector-stream programs, in a notation
+//! Human-readable rendering of vector-stream commands, in a notation
 //! close to the paper's Fig. 15/17 listings.
 
 use crate::{
@@ -6,7 +6,6 @@ use crate::{
     VectorCommand,
 };
 use core::fmt;
-use core::fmt::Write as _;
 
 fn fmt_rate(r: &RateFsm) -> String {
     if r.is_trivial() {
@@ -125,19 +124,10 @@ impl fmt::Display for VectorCommand {
     }
 }
 
-/// Renders a whole program as a numbered listing.
-pub fn disassemble(program: &[VectorCommand]) -> String {
-    let mut out = String::new();
-    for (i, vc) in program.iter().enumerate() {
-        let _ = writeln!(out, "{i:4}: {vc}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConfigId, InPortId, LaneId, LaneMask, LaneScale, OutPortId};
+    use crate::{ConfigId, InPortId, OutPortId};
 
     #[test]
     fn commands_render_compactly() {
@@ -165,27 +155,5 @@ mod tests {
 
         assert_eq!(StreamCommand::Wait.to_string(), "Wait");
         assert_eq!(StreamCommand::Configure { config: ConfigId(2) }.to_string(), "Config #2");
-    }
-
-    #[test]
-    fn program_listing_is_numbered() {
-        let prog = vec![
-            VectorCommand::broadcast(LaneMask::all(8), StreamCommand::Wait),
-            VectorCommand::on_lane(LaneId(3), StreamCommand::BarrierScratch),
-            VectorCommand::scaled(
-                LaneMask::all(8),
-                LaneScale::addr(64),
-                StreamCommand::load(
-                    MemTarget::Shared,
-                    AffinePattern::linear(0, 8),
-                    InPortId(0),
-                    RateFsm::ONCE,
-                ),
-            ),
-        ];
-        let listing = disassemble(&prog);
-        assert!(listing.contains("   0: [lanes 0xff] Wait"));
-        assert!(listing.contains("   1: [lane3] Barrier_LdSt"));
-        assert!(listing.contains("scale/lane: +64 addr"));
     }
 }

@@ -40,7 +40,6 @@
 
 mod command;
 mod disasm;
-mod encode;
 mod error;
 mod lane;
 mod pattern;
@@ -50,8 +49,6 @@ mod rng;
 pub use command::{
     ConfigId, ConstPattern, LaneHop, MemTarget, ProdMode, StreamCommand, VectorCommand, XferRoute,
 };
-pub use disasm::disassemble;
-pub use encode::{decode_program, encode_program, DecodeError};
 pub use error::IsaError;
 pub use lane::{LaneId, LaneMask, LaneScale};
 pub use pattern::{AffinePattern, PatternElem, PatternIter};

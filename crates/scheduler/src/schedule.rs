@@ -2,7 +2,7 @@ use crate::instr::{expand, Endpoint, Expansion, InstrKey};
 use crate::place::{place, repair_placement};
 use crate::route::{region_hops, route_degraded, RouteStats, Routing};
 use revel_dfg::{FuClass, Region, RegionKind};
-use revel_fabric::{FabricMask, Mesh, MeshCoord, MeshLink};
+use revel_fabric::{FabricMask, LaneConfig, Mesh, MeshCoord, MeshLink};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -113,6 +113,17 @@ impl SpatialScheduler {
             route_iterations: 8,
             dpe_slots: 32,
         }
+    }
+
+    /// The simulator's spatial compile for one lane: the lane's mesh, its
+    /// dataflow-PE instruction slots, and 2000 annealing iterations.
+    /// `Machine::run`, the schedule-legality lint and the degradation
+    /// sweep's probe all build their scheduler here, so a lint verdict or a
+    /// probe result is a statement about the schedule the simulator runs.
+    pub fn for_lane(lane: &LaneConfig) -> Self {
+        SpatialScheduler::new(Mesh::for_lane(lane))
+            .with_dpe_slots(lane.dpe_instr_slots)
+            .with_sa_iterations(2000)
     }
 
     /// Sets the annealing seed (placement is deterministic per seed).
@@ -294,7 +305,6 @@ fn dedicated_link_usage(exp: &Expansion, routing: &Routing) -> HashMap<MeshLink,
 mod tests {
     use super::*;
     use revel_dfg::{Dfg, OpCode};
-    use revel_fabric::LaneConfig;
     use revel_isa::{InPortId, OutPortId, RateFsm};
 
     fn scheduler() -> SpatialScheduler {

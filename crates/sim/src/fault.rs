@@ -7,8 +7,8 @@
 //! workspace's seeded SplitMix64 generator into a sorted list of concrete
 //! [`FaultEvent`]s, so the same plan replays bit-identically on every run,
 //! on every worker count, and under both the event-horizon kernel and the
-//! reference stepper (the `sim-differential` invariant extends to faulted
-//! runs).
+//! reference stepper (the differential-stepper invariant extends to
+//! faulted runs).
 //!
 //! # How events compose with the event-horizon kernel
 //!

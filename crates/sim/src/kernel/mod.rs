@@ -45,7 +45,7 @@
 //! it never skips, and therefore trivially satisfies the invariant. Both
 //! loops must produce bit-identical observable reports
 //! ([`RunReport::observable`](crate::RunReport::observable)); the
-//! `sim-differential` CI job and `crates/sim/tests/differential.rs` enforce
+//! `grid-oracle` CI job and `crates/sim/tests/differential.rs` enforce
 //! this across the full workload × architecture × ablation suite plus
 //! randomized stream programs.
 

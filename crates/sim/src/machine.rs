@@ -9,7 +9,7 @@ use crate::lane::Lane;
 use crate::memory::Scratchpad;
 use crate::snapshot::{DeadlockSnapshot, LaneSnapshot};
 use crate::stats::{CycleBreakdown, RunReport};
-use revel_fabric::{EventCounts, FabricMask, Mesh, RevelConfig};
+use revel_fabric::{EventCounts, FabricMask, RevelConfig};
 use revel_isa::LaneId;
 use revel_prog::{structural_id, ProgramError, RevelProgram, StructuralId};
 use revel_scheduler::{RegionSchedule, ScheduleError, SpatialScheduler};
@@ -331,10 +331,7 @@ impl Machine {
         // time — only the compile that lands counts as a miss, a lost race
         // counts as a hit — so `misses == entries` exactly and the split is
         // deterministic for every worker count (see [`ScheduleCacheStats`]).
-        let mesh = Mesh::for_lane(&self.cfg.lane);
-        let scheduler = SpatialScheduler::new(mesh)
-            .with_dpe_slots(self.cfg.lane.dpe_instr_slots)
-            .with_sa_iterations(2000);
+        let scheduler = SpatialScheduler::for_lane(&self.cfg.lane);
         let mut schedules: Vec<Vec<RegionSchedule>> = Vec::new();
         for regions in &program.configs {
             schedules.push(scheduler.reschedule_degraded(regions, mask)?.regions);

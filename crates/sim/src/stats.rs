@@ -258,7 +258,7 @@ impl RunReport {
     }
 
     /// Canonical text rendering of the observable state, suitable for
-    /// byte-for-byte diffing in the `sim-differential` CI job. Every field
+    /// byte-for-byte diffing in the `grid-oracle` CI job. Every field
     /// here is deterministic (derived `Debug` on plain structs; no hash
     /// containers).
     pub fn canonical_text(&self) -> String {

@@ -6,8 +6,9 @@
 //! and deliberate deadlocks) run under both loops; reports must be
 //! bit-identical in every observable field and the final scratchpad
 //! contents must match bit-for-bit. The workload-suite cross-check lives
-//! in the `sim_differential` harness binary; this test covers program
-//! shapes the suite kernels never produce.
+//! in the `grid_oracle` harness binary (the reference stepper is one of
+//! the ways each grid cell is computed); this test covers program shapes
+//! the suite kernels never produce.
 
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_fabric::RevelConfig;

@@ -12,8 +12,8 @@
 //!   (moved here from `revel-serve` so scenario files and protocol frames
 //!   are parsed by the same code).
 //! * [`pattern`] — composable arrival processes ([`pattern::PatternKind`]):
-//!   constant, open-loop Poisson, burst trains, linear ramp, diurnal sine,
-//!   trace replay with speedup, and overlay composition. A
+//!   constant, open-loop Poisson, burst trains, linear ramp, and overlay
+//!   composition. A
 //!   [`pattern::PatternEngine`] turns a pattern plus a phase index and a
 //!   seed into a sorted arrival schedule in simulated microseconds —
 //!   no wall clock anywhere, so shape tests run instantly.
@@ -28,8 +28,8 @@
 //! * [`report`] — per-phase summaries, nearest-rank percentiles, SLO
 //!   evaluation, and the stable JSON report line.
 //!
-//! Determinism contract: every stochastic choice (Poisson gaps, diurnal
-//! thinning, burst spread, mix sampling, retry jitter) draws from
+//! Determinism contract: every stochastic choice (Poisson gaps, burst
+//! spread, mix sampling, retry jitter) draws from
 //! [`revel_isa::Rng`] streams derived from one scenario seed, so two runs
 //! with the same seed produce byte-identical request sequences.
 

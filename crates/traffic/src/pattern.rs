@@ -55,26 +55,7 @@ pub enum PatternKind {
         /// Rate at phase end, requests/second.
         to_rps: f64,
     },
-    /// Diurnal sine: rate(t) = base + amplitude * sin(2πt / period),
-    /// realized by Lewis–Shedler thinning of a Poisson process at the peak
-    /// rate. `amplitude_rps` must not exceed `base_rps` (rates stay ≥ 0).
-    Diurnal {
-        /// Mean rate around which the sine swings, requests/second.
-        base_rps: f64,
-        /// Swing amplitude, requests/second.
-        amplitude_rps: f64,
-        /// Full sine period, milliseconds.
-        period_ms: u64,
-    },
-    /// Replay a recorded arrival trace (offsets from phase start, ms),
-    /// time-compressed by `speedup` (2.0 ⇒ twice as fast).
-    Replay {
-        /// Recorded arrival offsets from phase start, milliseconds.
-        offsets_ms: Vec<u64>,
-        /// Time compression factor; 1.0 replays in real time.
-        speedup: f64,
-    },
-    /// Superimpose several processes (e.g. a diurnal baseline with a burst
+    /// Superimpose several processes (e.g. a Poisson baseline with a burst
     /// train on top): the union of all parts' arrivals, re-sorted.
     Overlay {
         /// The component processes.
@@ -146,26 +127,6 @@ impl PatternKind {
             PatternKind::Ramp { from_rps, to_rps } => {
                 check_rate("from_rps", *from_rps)?;
                 check_rate("to_rps", *to_rps)
-            }
-            PatternKind::Diurnal { base_rps, amplitude_rps, period_ms } => {
-                check_rate("base_rps", *base_rps)?;
-                check_rate("amplitude_rps", *amplitude_rps)?;
-                if *amplitude_rps > *base_rps {
-                    return Err(err("diurnal amplitude_rps must not exceed base_rps"));
-                }
-                if *period_ms == 0 {
-                    return Err(err("diurnal period_ms must be >= 1"));
-                }
-                Ok(())
-            }
-            PatternKind::Replay { offsets_ms, speedup } => {
-                if !speedup.is_finite() || *speedup <= 0.0 {
-                    return Err(err(format!("replay speedup must be > 0, got {speedup}")));
-                }
-                if offsets_ms.len() > MAX_ARRIVALS_PER_PHASE {
-                    return Err(err("replay trace exceeds the arrival cap"));
-                }
-                Ok(())
             }
             PatternKind::Overlay { parts } => {
                 if parts.is_empty() {
@@ -276,32 +237,6 @@ impl PatternKind {
                         }
                         push_capped(&mut out, (t * 1e6) as u64)?;
                         k += 1;
-                    }
-                }
-            }
-            PatternKind::Diurnal { base_rps, amplitude_rps, period_ms } => {
-                let peak = base_rps + amplitude_rps;
-                if peak > 0.0 {
-                    let period_s = *period_ms as f64 / 1e3;
-                    let mut t = 0.0f64;
-                    loop {
-                        t += -(1.0 - rng.gen_f64()).ln() / peak;
-                        if t >= dur_s {
-                            break;
-                        }
-                        let rate = base_rps
-                            + amplitude_rps * (2.0 * std::f64::consts::PI * t / period_s).sin();
-                        if rng.gen_f64() * peak < rate {
-                            push_capped(&mut out, (t * 1e6) as u64)?;
-                        }
-                    }
-                }
-            }
-            PatternKind::Replay { offsets_ms, speedup } => {
-                for &off_ms in offsets_ms {
-                    let at = (off_ms as f64 * 1000.0 / speedup) as u64;
-                    if at < duration_us {
-                        push_capped(&mut out, at)?;
                     }
                 }
             }

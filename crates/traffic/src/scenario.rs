@@ -281,25 +281,6 @@ fn parse_pattern(v: &Value, at: &str) -> Result<PatternKind, ScenarioError> {
             from_rps: req_f64(v, "from_rps", at)?,
             to_rps: req_f64(v, "to_rps", at)?,
         },
-        "diurnal" => PatternKind::Diurnal {
-            base_rps: req_f64(v, "base_rps", at)?,
-            amplitude_rps: req_f64(v, "amplitude_rps", at)?,
-            period_ms: opt_u64(v, "period_ms", at)?
-                .ok_or_else(|| serr(format!("{at}.period_ms"), "missing"))?,
-        },
-        "replay" => {
-            let arr = v
-                .get("offsets_ms")
-                .ok_or_else(|| serr(format!("{at}.offsets_ms"), "missing"))
-                .and_then(|a| want_arr(a, &format!("{at}.offsets_ms")))?;
-            let mut offsets_ms = Vec::with_capacity(arr.len());
-            for (i, off) in arr.iter().enumerate() {
-                offsets_ms.push(off.as_u64().ok_or_else(|| {
-                    serr(format!("{at}.offsets_ms[{i}]"), "expected a non-negative integer")
-                })?);
-            }
-            PatternKind::Replay { offsets_ms, speedup: opt_f64(v, "speedup", at)?.unwrap_or(1.0) }
-        }
         "overlay" => {
             let arr = v
                 .get("parts")

@@ -14,7 +14,6 @@ fn same_seed_same_arrivals() {
         PatternKind::Poisson { rps: 120.0 },
         PatternKind::Burst { count: 50, every_ms: 250, spread_ms: 40 },
         PatternKind::Ramp { from_rps: 5.0, to_rps: 90.0 },
-        PatternKind::Diurnal { base_rps: 40.0, amplitude_rps: 30.0, period_ms: 2_000 },
         PatternKind::Overlay {
             parts: vec![
                 PatternKind::Constant { rps: 10.0 },
@@ -45,7 +44,6 @@ fn arrivals_sorted_and_in_range() {
     let pats = [
         PatternKind::Poisson { rps: 333.0 },
         PatternKind::Burst { count: 100, every_ms: 100, spread_ms: 90 },
-        PatternKind::Diurnal { base_rps: 100.0, amplitude_rps: 99.0, period_ms: 700 },
         PatternKind::Ramp { from_rps: 0.0, to_rps: 500.0 },
     ];
     for pat in &pats {
@@ -109,26 +107,6 @@ fn ramp_mean_rate_and_monotone_density() {
 }
 
 #[test]
-fn diurnal_mean_rate_converges() {
-    // Sine around 50 rps integrates to the base rate over whole periods:
-    // 60s of 2s periods ⇒ ~3000 arrivals.
-    let pat = PatternKind::Diurnal { base_rps: 50.0, amplitude_rps: 40.0, period_ms: 2_000 };
-    let a = arrivals(17, &pat, 60_000);
-    let got = a.len() as f64;
-    assert!((got - 3_000.0).abs() / 3_000.0 < 0.08, "diurnal offered {got}, expected ~3000");
-}
-
-#[test]
-fn replay_speedup_compresses_offsets() {
-    let pat = PatternKind::Replay { offsets_ms: vec![0, 100, 400, 900], speedup: 2.0 };
-    let a = arrivals(0, &pat, 1_000);
-    assert_eq!(a, vec![0, 50_000, 200_000, 450_000]);
-    // Offsets past the (sped-up) phase end are dropped.
-    let pat = PatternKind::Replay { offsets_ms: vec![0, 100, 2_500], speedup: 1.0 };
-    assert_eq!(arrivals(0, &pat, 1_000).len(), 2);
-}
-
-#[test]
 fn overlay_sums_its_parts() {
     let constant = PatternKind::Constant { rps: 20.0 };
     let burst = PatternKind::Burst { count: 10, every_ms: 1_000, spread_ms: 0 };
@@ -153,8 +131,6 @@ fn invalid_patterns_are_rejected() {
         PatternKind::Poisson { rps: 2e6 },
         PatternKind::Burst { count: 10, every_ms: 0, spread_ms: 0 },
         PatternKind::Burst { count: 10, every_ms: 100, spread_ms: 100 },
-        PatternKind::Diurnal { base_rps: 10.0, amplitude_rps: 20.0, period_ms: 1_000 },
-        PatternKind::Replay { offsets_ms: vec![0], speedup: 0.0 },
         PatternKind::Overlay { parts: vec![] },
         PatternKind::Overlay {
             parts: vec![PatternKind::Overlay { parts: vec![PatternKind::Silence] }],

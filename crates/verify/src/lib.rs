@@ -108,7 +108,7 @@ pub fn program_lints() -> Vec<Box<dyn Lint>> {
 /// Every lint, including the (expensive) post-schedule legality pass.
 pub fn all_lints() -> Vec<Box<dyn Lint>> {
     let mut lints = program_lints();
-    lints.push(Box::new(ScheduleLegality::default()));
+    lints.push(Box::new(ScheduleLegality));
     lints
 }
 

@@ -48,8 +48,8 @@
 //! of a certified program is size-only, two runs over different datasets
 //! of the same shape resolve every dynamic step identically — the command
 //! trace, and hence the cycle-level trace, is byte-identical. The
-//! `oblivious_sweep` harness checks exactly this over the evaluation grid
-//! (two seeded datasets, byte-compared timing reports).
+//! `grid_oracle` harness checks exactly this over the evaluation grid (two
+//! seeded datasets, both certified, byte-compared timing reports).
 
 use crate::diag::{Code, Diagnostic, Location};
 use crate::{Context, Lint};

@@ -5,7 +5,6 @@
 use crate::context::Context;
 use crate::diag::{Code, Diagnostic, Location};
 use crate::Lint;
-use revel_fabric::Mesh;
 use revel_scheduler::SpatialScheduler;
 
 /// V011 + V014: places and routes every configuration.
@@ -13,19 +12,9 @@ use revel_scheduler::SpatialScheduler;
 /// This is the expensive lint (simulated-annealing placement per
 /// configuration), so the pre-simulation gate skips it — `Machine::run`
 /// performs the same spatial compile anyway and surfaces failures as
-/// `SimError::Schedule`. The CLI and the suite tests run it.
-pub struct ScheduleLegality {
-    /// Annealing iterations, mirroring `Machine::run`'s spatial compile.
-    pub sa_iterations: usize,
-}
-
-impl Default for ScheduleLegality {
-    fn default() -> Self {
-        // Machine::run schedules with 2000 SA iterations; using the same
-        // effort keeps lint verdicts aligned with simulator behavior.
-        ScheduleLegality { sa_iterations: 2000 }
-    }
-}
+/// `SimError::Schedule`. The CLI and the suite tests run it, at the
+/// simulator's own effort ([`SpatialScheduler::for_lane`]).
+pub struct ScheduleLegality;
 
 impl Lint for ScheduleLegality {
     fn name(&self) -> &'static str {
@@ -37,10 +26,7 @@ impl Lint for ScheduleLegality {
     }
 
     fn check(&self, ctx: &Context<'_>, out: &mut Vec<Diagnostic>) {
-        let mesh = Mesh::for_lane(&ctx.cfg.lane);
-        let scheduler = SpatialScheduler::new(mesh)
-            .with_dpe_slots(ctx.cfg.lane.dpe_instr_slots)
-            .with_sa_iterations(self.sa_iterations);
+        let scheduler = SpatialScheduler::for_lane(&ctx.cfg.lane);
         for (c, regions) in ctx.program.configs.iter().enumerate() {
             match scheduler.schedule(regions) {
                 Ok(sched) => {
@@ -90,8 +76,7 @@ mod tests {
         g.output(v, OutPortId(6));
         let mut p = RevelProgram::new("v014");
         p.add_config(vec![Region::systolic("divs", g, 1)]);
-        let lint = super::ScheduleLegality { sa_iterations: 200 };
-        let diags = run_lint(&lint, &p, &single_lane());
+        let diags = run_lint(&super::ScheduleLegality, &p, &single_lane());
         assert_eq!(codes(&diags), vec![Code::V014]);
     }
 
@@ -119,8 +104,7 @@ mod tests {
         g.output(c3, OutPortId(8));
         let mut prog = RevelProgram::new("v011");
         prog.add_config(vec![Region::systolic("fanout", g, 1)]);
-        let lint = super::ScheduleLegality { sa_iterations: 300 };
-        let diags = run_lint(&lint, &prog, &cfg);
+        let diags = run_lint(&super::ScheduleLegality, &prog, &cfg);
         assert_eq!(codes(&diags), vec![Code::V011], "{diags:?}");
     }
 
@@ -129,8 +113,7 @@ mod tests {
         let mut p = neg_program(&[0], 6);
         push1(&mut p, load_priv(0, 4, 0));
         push1(&mut p, store_priv(6, 8, 4));
-        let lint = super::ScheduleLegality { sa_iterations: 200 };
-        let diags = run_lint(&lint, &p, &single_lane());
+        let diags = run_lint(&super::ScheduleLegality, &p, &single_lane());
         assert!(diags.is_empty(), "{diags:?}");
     }
 }
