@@ -59,9 +59,8 @@ impl AblationStep {
 
 /// Build configuration: target architecture plus the mechanism knobs.
 ///
-/// Workload builders consult this to decide vectorization and region
-/// placement (and, in Cholesky's host-outer build, whether the trailing
-/// update is issued as inductive streams or one command group per row);
+/// Kernel builds and the [`crate::LoopNest`] lowerings consult this for
+/// vectorization, region placement and command form;
 /// [`BuildCfg::machine_config`] derives the matching hardware model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BuildCfg {
@@ -108,8 +107,7 @@ impl BuildCfg {
     /// as in-fabric FSMs; their cost is the extra instructions injected by
     /// [`BuildCfg::inner_region`] / [`BuildCfg::outer_region`] into every
     /// region (Fig. 9). `inductive_streams` stays true but is never read on
-    /// this build: its outer regions are on the fabric, and the flag is
-    /// consulted only by Cholesky's host-outer build.
+    /// this build: only the host-outer lowering's row split reads it.
     pub fn dataflow_baseline(num_lanes: usize) -> Self {
         BuildCfg {
             arch: Arch::Dataflow,

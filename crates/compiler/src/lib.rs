@@ -1,19 +1,15 @@
 //! # revel-compiler — the kernel-construction ("pragma") layer
 //!
-//! Plays the role of the paper's LLVM/Clang pragma compiler (§VI): a kernel
-//! describes its datapaths once and this crate decides how each becomes a
-//! fabric region under a [`BuildCfg`]; the vector-stream control code is
-//! pushed by the kernel itself ([`revel_sim::RevelProgram::push`]), not
-//! generated here. The [`BuildCfg`] selects the architecture and the
-//! mechanism-ablation knobs of Fig. 22:
+//! Plays the role of the paper's LLVM/Clang pragma compiler (§VI). A kernel
+//! describes its outer loop once, as a [`LoopNest`] (datapaths plus the
+//! inductive streams one iteration issues), and this crate writes the
+//! vector-stream control program for every [`BuildCfg`] — the architecture
+//! and the mechanism-ablation knobs of Fig. 22:
 //!
-//! * **inductive streams** off → a plain stream-dataflow machine must
-//!   issue one command group per outer iteration and pay the control core
-//!   for each. Nothing in this crate performs that decomposition: the knob
-//!   is a flag a kernel's host-outer build reads to pick between its two
-//!   hand-written command sequences, and only Cholesky's does (the other
-//!   six kernels build the same program on both rungs — EXPERIMENTS.md
-//!   "Figure 22");
+//! * **inductive streams** off → each triangular command group is issued
+//!   once per row, paying the control core for each (the row-split
+//!   lowering; only Cholesky is a [`LoopNest`] so far, so the other six
+//!   kernels build the same program on both rungs — EXPERIMENTS.md D4);
 //! * **hybrid** off → outer-loop regions cannot go to the temporal fabric:
 //!   on the pure-systolic baseline they execute on the control core as
 //!   [`revel_sim::HostOp`]s (§III: "for systolic these execute on a control
@@ -24,9 +20,9 @@
 //! * **arch = Dataflow** → every region becomes temporal and dependence
 //!   FSMs cost real in-fabric instructions (Fig. 9).
 //!
-//! The compiler owns region lowering: a kernel hands each datapath to
+//! The compiler owns region lowering: a datapath becomes a region through
 //! [`BuildCfg::inner_region`] or [`BuildCfg::outer_region`] with the number
-//! of inductive dependences it tracks, and never matches on the
+//! of inductive dependences it tracks; no kernel matches on the
 //! architecture to pick a region kind itself.
 //!
 //! ```
@@ -43,6 +39,8 @@
 #![warn(missing_docs)]
 
 mod build;
+mod nest;
 mod overhead;
 
 pub use build::{AblationStep, Arch, BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
+pub use nest::{Datapath, Ind, LoopNest, NestProgram, Operand, Pattern, Rate, Stream};

@@ -91,12 +91,38 @@ fn fig22_ladder_never_regresses_at_the_top() {
 }
 
 #[test]
+fn cholesky_builds_keep_their_control_step_counts() {
+    // Every Cholesky build of the evaluation grid and the batch suites, by
+    // control-step count: a lowering change that adds or drops a command
+    // fails here.
+    use revel_core::compiler::{AblationStep, BuildCfg};
+    let steps = |w: Box<dyn revel_core::workloads::Workload>, cfg: BuildCfg| {
+        w.build(&cfg).program.num_commands()
+    };
+    let small = Bench::cholesky_small();
+    let large = Bench::Cholesky { n: 32 };
+    let lanes = small.lanes();
+    for (cfg, want) in [
+        (BuildCfg::revel(lanes), 127),
+        (BuildCfg::systolic_baseline(lanes), 391),
+        (BuildCfg::dataflow_baseline(lanes), 128),
+        (BuildCfg::ablation(AblationStep::InductiveStreams, lanes), 116),
+        (BuildCfg::ablation(AblationStep::Hybrid, lanes), 127),
+    ] {
+        assert_eq!(steps(small.workload(), cfg), want, "n=12 {cfg:?}");
+    }
+    assert_eq!(steps(large.workload(), BuildCfg::revel(large.lanes())), 347);
+    assert_eq!(steps(small.batch_workload(), BuildCfg::revel(8)), 128);
+    assert_eq!(steps(large.batch_workload(), BuildCfg::revel(8)), 348);
+}
+
+#[test]
 fn fig22_rung_two_is_modeled_for_cholesky_only() {
-    // `inductive_streams` is read by one kernel's host-outer build. Every
-    // other kernel builds the same program on the first two rungs, so its
-    // 1.00x in the `+inductive-streams` column is an identity, not a
-    // measurement. A PR that implements rung 2 for another kernel flips
-    // this test on purpose.
+    // `inductive_streams` is read by the compiler's row-split lowering,
+    // which only Cholesky's loop nest reaches. Every other kernel builds the
+    // same program on the first two rungs, so its 1.00x in the
+    // `+inductive-streams` column is an identity, not a measurement. A PR
+    // that implements rung 2 for another kernel flips this test on purpose.
     use revel_core::compiler::{AblationStep, BuildCfg};
     for b in Bench::suite_small() {
         let [base, ind] = [AblationStep::Systolic, AblationStep::InductiveStreams]
