@@ -58,7 +58,8 @@ use persist::{PersistedRun, PersistentTier, WarmStart};
 use revel_compiler::BuildCfg;
 use revel_sim::{SimError, SimOptions, TimingTrace};
 use revel_workloads::{
-    batch_replayable, record_timing, replay_trace_on, run_workload_with, WorkloadRun,
+    batch_replayable, record_timing, replay_dataset_on, replay_trace_on, run_workload_with,
+    WorkloadRun,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -182,7 +183,8 @@ pub(crate) struct Engine {
     /// single-flight waiters.
     runs_done: Condvar,
     lints: Mutex<BoundedCache<(Bench, BuildCfg), Vec<revel_verify::Diagnostic>>>,
-    /// Timing traces recorded by [`Engine::run_batched`]'s timing walk, a
+    /// Timing traces recorded by [`Engine::run_batched`]'s timing walk and
+    /// compiled to their value programs (the op lists are not kept), a
     /// first-class artifact cached next to the run results under the same
     /// key shape. Plain get/insert (no single-flight): a duplicated timing
     /// walk is wasted work, not a correctness hazard, and batch requests
@@ -648,15 +650,18 @@ pub struct BatchRun {
 /// batched replay path when the configuration is certified oblivious.
 ///
 /// For certified programs one cycle-accurate **timing walk** records a
-/// [`TimingTrace`] (cached process-wide, next to the run cache), and each
-/// seed's dataset is then executed by the cheap functional replayer:
-/// byte-identical results, one simulation's worth of scheduling work.
+/// [`TimingTrace`] and compiles it to a flat value program (cached
+/// process-wide, next to the run cache, in place of the recorded ops), and
+/// each seed's dataset then executes that program: byte-identical results,
+/// one simulation's worth of scheduling work.
 /// Uncertified programs fall back to N independent full simulations.
 ///
 /// # Errors
-/// Propagates simulator errors, including replay desynchronization
-/// ([`revel_sim::SimError::Replay`]) — which a certified program can only
-/// hit if the certificate is wrong, so it is surfaced, never swallowed.
+/// Propagates simulator errors, including a recorded trace that fails to
+/// compile ([`revel_sim::SimError::Replay`]) — which can only happen if
+/// the compile walk disagrees with the timing walk that recorded it, so it
+/// is surfaced, never swallowed — and a first seed whose build is not
+/// structurally the traced program.
 pub fn run_batched(bench: Bench, cfg: &BuildCfg, seeds: &[u64]) -> Result<BatchRun, SimError> {
     engine().run_batched(bench, cfg, seeds)
 }
@@ -711,13 +716,19 @@ impl Engine {
         };
 
         // Replay the one trace over every dataset, reusing a single machine
-        // across lanes — allocating scratchpads per lane would cost more than
-        // the functional replay itself (see `replay_trace_on`).
+        // across lanes — allocating scratchpads, evaluators and value slots
+        // per lane would cost more than the replay itself. The first dataset
+        // checks the trace's program identity; every seed of a cell builds
+        // the same structure, so the rest skip that pass over the program.
         let mut machine = revel_sim::Machine::new(cfg.machine_config(), opts);
         let mut runs = Vec::with_capacity(seeds.len());
-        for &seed in seeds {
+        for (k, &seed) in seeds.iter().enumerate() {
             let built_seed = bench.workload_seeded(seed).build(cfg);
-            let run = replay_trace_on(&mut machine, &built_seed, &trace)?;
+            let run = if k == 0 {
+                replay_trace_on(&mut machine, &built_seed, &trace)?
+            } else {
+                replay_dataset_on(&mut machine, &built_seed, &trace)?
+            };
             self.batched_replays.fetch_add(1, Ordering::Relaxed);
             runs.push(run);
         }

@@ -218,8 +218,11 @@ impl DfgEvaluator {
         self.accum_len_override = Some(len);
     }
 
-    /// Resets all accumulator state (used on reconfiguration).
+    /// Returns the evaluator to its freshly built state, as a
+    /// reconfiguration does: every accumulator restarts at its DFG length
+    /// and any [`DfgEvaluator::set_accum_len`] override is dropped.
     pub fn reset(&mut self) {
+        self.accum_len_override = None;
         let mut k = 0;
         for node in self.dfg.nodes() {
             if let Node::Accum { len, .. } | Node::AccumVec { len, .. } = node {
@@ -505,6 +508,21 @@ mod tests {
         let _ = ev.fire(&[VecVal::splat(1.0, 1)]);
         let out = ev.fire(&[VecVal::splat(1.0, 1)]);
         assert_eq!(out[0].1.get(0), Some(2.0)); // 5.0 was discarded by reset
+    }
+
+    #[test]
+    fn reset_drops_an_accum_len_override() {
+        let mut g = Dfg::new("acc");
+        let a = g.input(InPortId(0));
+        let acc = g.accum(a, RateFsm::fixed(3));
+        g.output(acc, OutPortId(0));
+        let mut ev = g.evaluator(1);
+        ev.set_accum_len(RateFsm::fixed(1));
+        ev.reset();
+        // Back to the DFG's own length: the third fire emits, not the first.
+        let emits: Vec<bool> =
+            (0..3).map(|_| ev.fire(&[VecVal::splat(1.0, 1)])[0].1.any_valid()).collect();
+        assert_eq!(emits, [false, false, true]);
     }
 
     #[test]

@@ -234,7 +234,7 @@ pub(crate) struct RegionState {
     inputs: Vec<VecVal>,
     /// One entry per fired result set not yet delivered, oldest first: the
     /// cycle a systolic result matures. (Temporal fires wait in
-    /// `Lane::instances` instead; the trace replayer, which has no cycles,
+    /// `Lane::instances` instead; the trace compiler, which has no cycles,
     /// enters every fire here as 0.)
     inflight: VecDeque<u64>,
     /// The output vectors of every undelivered fire, oldest first:
@@ -270,7 +270,8 @@ impl RegionState {
         self.temporal_shape.is_some()
     }
 
-    /// Input-port indices this region reads from (for replay pre-checks).
+    /// Input-port indices this region reads from (for the trace compiler's
+    /// pre-checks).
     pub(crate) fn input_port_ids(&self) -> &[u8] {
         &self.in_ports
     }
@@ -279,14 +280,22 @@ impl RegionState {
         self.inflight.is_empty() && self.results.is_empty()
     }
 
-    /// Replay: enters the fire whose outputs [`Lane::gather_and_fire`] just
-    /// queued as awaiting delivery.
+    /// Trace compiler: enters the fire whose outputs
+    /// [`Lane::gather_and_fire`] just queued as awaiting delivery.
     pub(crate) fn replay_fired(&mut self) {
         self.inflight.push_back(0);
     }
 
-    /// Replay: the oldest undelivered fire's output vectors, removed from
-    /// the queue, or `None` when no fire is awaiting delivery.
+    /// Trace compiler: the fire [`Lane::gather_and_fire`] just made — its
+    /// input vectors, and its output vectors at the back of the undelivered
+    /// results, for the compiler to retag.
+    pub(crate) fn last_fire_mut(&mut self) -> (&[VecVal], impl Iterator<Item = &mut VecVal>) {
+        let start = self.results.len() - self.out_ports.len();
+        (&self.inputs, self.results.range_mut(start..).map(|(_, v)| v))
+    }
+
+    /// Trace compiler: the oldest undelivered fire's output vectors,
+    /// removed from the queue, or `None` when no fire is awaiting delivery.
     pub(crate) fn replay_delivered(
         &mut self,
     ) -> Option<impl Iterator<Item = (OutPortId, VecVal)> + '_> {
@@ -523,8 +532,8 @@ impl Lane {
 
     /// The valid-lane count a fire of region `r` would cover right now:
     /// the minimum head valid-count across full-width vector inputs. Pure
-    /// (reads port heads only) — the replayer recomputes it and checks it
-    /// against the recorded value as a divergence probe.
+    /// (reads port heads only) — the trace compiler recomputes it and checks
+    /// it against the recorded value as a divergence probe.
     pub(crate) fn compute_fire_valid(&self, r: usize) -> u32 {
         let unroll = self.regions[r].region.unroll;
         let mut fire_valid = unroll as u32;
@@ -543,8 +552,8 @@ impl Lane {
     /// (mutating reuse FSMs), evaluates the DFG, queues the output vectors
     /// on the region's `results`, and returns the minimum adapted
     /// valid-count. Shared verbatim by the timing walk and the trace
-    /// replayer — that sharing is what makes replayed values byte-identical
-    /// to full simulation.
+    /// compiler — that sharing is what makes the compiled gathers (which
+    /// value fills which lane of which input) the timing walk's own.
     pub(crate) fn gather_and_fire(&mut self, r: usize, fire_valid: u32) -> u32 {
         let Lane { regions, in_ports, events, .. } = self;
         let rs = &mut regions[r];

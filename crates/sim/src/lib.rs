@@ -76,8 +76,8 @@ pub use port::{InPort, OutPort};
 // can analyze programs without depending on the simulator); re-exported here
 // for backward compatibility.
 pub use revel_prog::{
-    ControlStep, DynBind, DynField, DynSrc, DynStep, HostMem, HostOp, HostWrite, ProgramError,
-    RevelProgram,
+    structural_id, ControlStep, DynBind, DynField, DynSrc, DynStep, HostMem, HostOp, HostWrite,
+    ProgramError, RevelProgram, StructuralId,
 };
 pub use snapshot::{DeadlockSnapshot, LaneSnapshot, RegionSnapshot};
 pub use stats::{CycleBreakdown, CycleClass, ObservableReport, RunReport, StepperStats};

@@ -79,7 +79,8 @@ pub enum SimError {
     /// (the vector holds *all* findings, warnings included, so callers
     /// can show the full picture). Disable via [`SimOptions::verify`].
     Verify(Vec<revel_verify::Diagnostic>),
-    /// A trace replay desynchronized from its recorded timing run, or a
+    /// A recorded op list broke the replay walk when compiled, a trace was
+    /// replayed on a machine or program it was not recorded for, or a
     /// timing trace was requested under perturbation (faults/degraded
     /// fabric). See [`crate::TimingTrace`].
     Replay(crate::trace::ReplayError),
@@ -191,9 +192,11 @@ pub struct Machine {
     pub(crate) control: ControlCore,
     pub(crate) control_events: EventCounts,
     pub(crate) faults: FaultState,
-    /// Installed by [`Machine::run_traced`]; `None` keeps every record
+    /// Installed by [`Machine::run_recording`]; `None` keeps every record
     /// site in the timing walk a no-op.
     pub(crate) trace: Option<crate::trace::TraceRecorder>,
+    /// What [`Machine::replay`] keeps warm across datasets.
+    pub(crate) executor: crate::trace::Executor,
 }
 
 impl Machine {
@@ -208,6 +211,7 @@ impl Machine {
             control_events: EventCounts::default(),
             faults: FaultState::default(),
             trace: None,
+            executor: Default::default(),
             cfg,
         }
     }

@@ -58,29 +58,6 @@ impl Scratchpad {
         addr >= 0 && (addr as usize) < self.words.len()
     }
 
-    /// Reads one word, returning `None` instead of panicking when `addr`
-    /// is out of bounds. Replay paths fed by untrusted dataset extents
-    /// use this so OOB surfaces as a structured error, never a panic.
-    pub fn try_read(&self, addr: i64) -> Option<Word> {
-        if self.in_bounds(addr) {
-            Some(self.words[addr as usize])
-        } else {
-            None
-        }
-    }
-
-    /// Writes one word, returning `false` instead of panicking when
-    /// `addr` is out of bounds.
-    #[must_use]
-    pub fn try_write(&mut self, addr: i64, value: Word) -> bool {
-        if self.in_bounds(addr) {
-            self.words[addr as usize] = value;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Reads an `f64` stored at `addr`.
     pub fn read_f64(&self, addr: i64) -> f64 {
         f64::from_bits(self.read(addr))
@@ -134,16 +111,9 @@ mod tests {
 
     #[test]
     fn checked_access_never_panics() {
-        let mut s = Scratchpad::new(4);
+        let s = Scratchpad::new(4);
         assert!(s.in_bounds(0) && s.in_bounds(3));
-        assert!(!s.in_bounds(-1) && !s.in_bounds(4));
-        assert_eq!(s.try_read(3), Some(0));
-        assert_eq!(s.try_read(4), None);
-        assert_eq!(s.try_read(-1), None);
-        assert!(s.try_write(3, 9));
-        assert_eq!(s.try_read(3), Some(9));
-        assert!(!s.try_write(4, 1));
-        assert!(!s.try_write(i64::MIN, 1));
+        assert!(!s.in_bounds(-1) && !s.in_bounds(4) && !s.in_bounds(i64::MIN));
     }
 
     #[test]

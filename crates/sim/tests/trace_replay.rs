@@ -1,7 +1,8 @@
-//! Timing-trace recording and functional replay: byte-parity with full
+//! Timing-trace recording, compilation and replay: byte-parity with full
 //! simulation on oblivious programs, structured refusal under
-//! perturbation, and — the anti-vacuity pin — divergence on a program
-//! whose timing actually depends on dataset values.
+//! perturbation, every check of the replay walk raised by name when an
+//! edited op list is compiled, and — the anti-vacuity pin — divergence on
+//! a program whose timing actually depends on dataset values.
 
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_fabric::{FabricMask, RevelConfig};
@@ -10,7 +11,10 @@ use revel_isa::{
     StreamCommand, VectorCommand,
 };
 use revel_prog::{DynBind, DynField, DynSrc, DynStep};
-use revel_sim::{FaultPlan, Machine, RevelProgram, SimError, SimOptions};
+use revel_sim::{
+    FaultPlan, Machine, ReplayError, RevelProgram, RunReport, SimError, SimOptions, TimingTrace,
+    TraceOp,
+};
 
 fn machine() -> Machine {
     Machine::new(
@@ -21,6 +25,22 @@ fn machine() -> Machine {
 
 fn lane0() -> LaneMask {
     LaneMask::single(LaneId(0))
+}
+
+/// The op list and report of a timing run of `prog` on `data`.
+fn record(prog: &RevelProgram, data: &[f64]) -> (Vec<TraceOp>, RunReport) {
+    let mut rec = machine();
+    rec.write_private(LaneId(0), 0, data);
+    rec.run_recording(prog).expect("timing run")
+}
+
+/// The error compiling an edited op list of `prog` raises.
+fn compile_error(prog: &RevelProgram, ops: &[TraceOp], report: &RunReport) -> ReplayError {
+    let cfg = RevelConfig::single_lane();
+    match TimingTrace::compile(prog, &cfg, ops, report.clone()) {
+        Err(SimError::Replay(e)) => e,
+        other => panic!("edited op list must fail to compile, got {other:?}"),
+    }
 }
 
 /// Negate `n` values through an unroll-8 systolic region: in\[0..n\] at
@@ -90,6 +110,62 @@ fn replay_reproduces_full_simulation_byte_for_byte() {
 }
 
 #[test]
+fn const_stream_values_replay_byte_for_byte() {
+    // x[i] + c[i], c the Table II shrinking reset pattern 0,0,0,1 / 0,0,1
+    // / 0,1: a const stream's words become constant slots of the compiled
+    // program, the loaded words its per-dataset loads.
+    let mut g = Dfg::new("sum2");
+    let a = g.input(InPortId(2));
+    let b = g.input(InPortId(6));
+    let s = g.op(OpCode::Add, &[a, b]);
+    g.output(s, OutPortId(2));
+    let mut prog = RevelProgram::new("trace-const");
+    let cfg = prog.add_config(vec![Region::systolic("sum2", g, 1)]);
+    let total = 4 + 3 + 2;
+    let zero_then_one = revel_isa::ConstPattern::two_phase(
+        revel_isa::word_from_f64(0.0),
+        RateFsm::inductive(3, -1),
+        revel_isa::word_from_f64(1.0),
+        RateFsm::ONCE,
+        3,
+    );
+    for cmd in [
+        StreamCommand::Configure { config: ConfigId(cfg) },
+        StreamCommand::load(
+            MemTarget::Private,
+            AffinePattern::linear(0, total),
+            InPortId(2),
+            RateFsm::ONCE,
+        ),
+        StreamCommand::konst(InPortId(6), zero_then_one),
+        StreamCommand::store(
+            OutPortId(2),
+            MemTarget::Private,
+            AffinePattern::linear(32, total),
+            RateFsm::ONCE,
+        ),
+        StreamCommand::Wait,
+    ] {
+        prog.push(VectorCommand::broadcast(lane0(), cmd));
+    }
+    let b: Vec<f64> = (0..total).map(|i| 0.5 - i as f64).collect();
+    let mut rec = machine();
+    rec.write_private(LaneId(0), 0, &[10.0; 9]);
+    let trace = rec.run_traced(&prog).expect("timing run");
+    let mut full_b = machine();
+    full_b.write_private(LaneId(0), 0, &b);
+    full_b.run(&prog).expect("full sim B");
+    let mut rep_b = machine();
+    rep_b.write_private(LaneId(0), 0, &b);
+    rep_b.replay(&prog, &trace).expect("replay B");
+    assert_eq!(rep_b.read_private(LaneId(0), 0, 64), full_b.read_private(LaneId(0), 0, 64));
+    let ones = [3, 6, 8];
+    let expected: Vec<f64> =
+        b.iter().enumerate().map(|(i, x)| x + f64::from(u8::from(ones.contains(&i)))).collect();
+    assert_eq!(rep_b.read_private(LaneId(0), 32, total as usize), expected);
+}
+
+#[test]
 fn replay_is_repeatable_on_the_same_machine() {
     // A machine that just replayed can be re-initialized and replayed
     // again (servers reuse machines across batch lanes).
@@ -134,49 +210,34 @@ fn truncated_trace_is_a_structured_error() {
     // A trace with fired-but-undelivered region outputs (here: cut off
     // mid-flight) must surface as SimError::Replay, never a panic.
     let prog = neg_prog(8);
-    let mut rec = machine();
-    rec.write_private(LaneId(0), 0, &[2.0; 8]);
-    let mut trace = rec.run_traced(&prog).expect("timing run");
-    let last_fire = trace
-        .ops
-        .iter()
-        .rposition(|op| matches!(op, revel_sim::TraceOp::Fire { .. }))
-        .expect("the program fires");
-    trace.ops.truncate(last_fire + 1);
-    let mut m = machine();
-    m.write_private(LaneId(0), 0, &[2.0; 8]);
-    match m.replay(&prog, &trace) {
-        Err(SimError::Replay(_)) => {}
-        other => panic!("truncated trace must desynchronize, got {other:?}"),
-    }
+    let (mut ops, report) = record(&prog, &[2.0; 8]);
+    let last_fire =
+        ops.iter().rposition(|op| matches!(op, TraceOp::Fire { .. })).expect("the program fires");
+    ops.truncate(last_fire + 1);
+    let e = compile_error(&prog, &ops, &report);
+    assert_eq!(
+        (e.op, e.message.as_str()),
+        (ops.len(), "undelivered region outputs at end of trace")
+    );
 }
 
-/// The three ways the replayer's per-region result queues can disagree with
-/// a trace, each reported by name.
+/// The three ways the per-region result queues can disagree with a trace,
+/// each reported by name and op index when the edited list is compiled.
 #[test]
 fn result_queue_desyncs_are_named() {
-    use revel_sim::TraceOp;
     let prog = neg_prog(16);
-    let mut rec = machine();
-    rec.write_private(LaneId(0), 0, &[2.0; 16]);
-    let trace = rec.run_traced(&prog).expect("timing run");
-    let first_fire =
-        trace.ops.iter().position(|op| matches!(op, TraceOp::Fire { .. })).expect("fires");
+    let (ops, report) = record(&prog, &[2.0; 16]);
+    let first_fire = ops.iter().position(|op| matches!(op, TraceOp::Fire { .. })).expect("fires");
     let last_deliver =
-        trace.ops.iter().rposition(|op| matches!(op, TraceOp::Deliver { .. })).expect("delivers");
-    let replay_error = |ops: Vec<TraceOp>| {
-        let mut m = machine();
-        m.write_private(LaneId(0), 0, &[2.0; 16]);
-        match m.replay(&prog, &revel_sim::TimingTrace { ops, ..trace.clone() }) {
-            Err(SimError::Replay(e)) => e,
-            other => panic!("edited trace must desynchronize, got {other:?}"),
-        }
+        ops.iter().rposition(|op| matches!(op, TraceOp::Deliver { .. })).expect("delivers");
+    let edited = |at: usize, op: TraceOp| {
+        let mut ops = ops.clone();
+        ops.insert(at, op);
+        compile_error(&prog, &ops, &report)
     };
 
     // One delivery more than there were fires.
-    let mut ops = trace.ops.clone();
-    ops.insert(last_deliver + 1, TraceOp::Deliver { lane: 0, region: 0 });
-    let e = replay_error(ops);
+    let e = edited(last_deliver + 1, TraceOp::Deliver { lane: 0, region: 0 });
     assert_eq!(
         (e.op, e.message.as_str()),
         (last_deliver + 1, "delivery with no fired result in flight")
@@ -187,9 +248,7 @@ fn result_queue_desyncs_are_named() {
     for wrong in
         [TraceOp::RetireTemp { lane: 0, region: 0 }, TraceOp::Deliver { lane: 0, region: 9 }]
     {
-        let mut ops = trace.ops.clone();
-        ops.insert(first_fire + 1, wrong);
-        let e = replay_error(ops);
+        let e = edited(first_fire + 1, wrong);
         assert_eq!(
             (e.op, e.message.as_str()),
             (first_fire + 1, "delivery with no fired result in flight"),
@@ -198,18 +257,14 @@ fn result_queue_desyncs_are_named() {
     }
 
     // Reconfiguring over a fired, undelivered result.
-    let mut ops = trace.ops.clone();
-    ops.insert(first_fire + 1, TraceOp::Configure { lane: 0, config: 0 });
-    let e = replay_error(ops);
+    let e = edited(first_fire + 1, TraceOp::Configure { lane: 0, config: 0 });
     assert_eq!(
         (e.op, e.message.as_str()),
         (first_fire + 1, "reconfigure with undelivered region outputs")
     );
 
     // The trace ends with a result still in flight.
-    let mut ops = trace.ops.clone();
-    ops.truncate(first_fire + 1);
-    let e = replay_error(ops);
+    let e = compile_error(&prog, &ops[..=first_fire], &report);
     assert_eq!(
         (e.op, e.message.as_str()),
         (first_fire + 1, "undelivered region outputs at end of trace")
@@ -298,22 +353,51 @@ fn value_dependent_length_diverges_and_is_refused() {
 
 #[test]
 fn replay_surfaces_out_of_bounds_as_sim_error() {
-    // A trace whose load addresses walk off the replay machine's
-    // scratchpad must produce SimError::Replay (the serve path relies on
+    // An op list whose load addresses walk off the scratchpad must produce
+    // SimError::Replay naming the first such load (the serve path relies on
     // this never panicking through the worker fence).
     let prog = neg_prog(8);
-    let mut rec = machine();
-    rec.write_private(LaneId(0), 0, &[1.0; 8]);
-    let mut trace = rec.run_traced(&prog).expect("timing run");
-    for op in &mut trace.ops {
-        if let revel_sim::TraceOp::PushMem { addr, .. } = op {
+    let (mut ops, report) = record(&prog, &[1.0; 8]);
+    let first_load =
+        ops.iter().position(|op| matches!(op, TraceOp::PushMem { .. })).expect("the program loads");
+    for op in &mut ops {
+        if let TraceOp::PushMem { addr, .. } = op {
             *addr += 1_000_000;
         }
     }
+    let e = compile_error(&prog, &ops, &report);
+    assert_eq!((e.op, e.message.as_str()), (first_load, "load address 1000000 out of bounds"));
+}
+
+#[test]
+fn a_trace_replays_only_on_the_machine_configuration_it_was_recorded_on() {
+    let prog = neg_prog(8);
+    let mut rec = machine();
+    rec.write_private(LaneId(0), 0, &[1.0; 8]);
+    let trace = rec.run_traced(&prog).expect("timing run");
+    let mut wider = RevelConfig::single_lane();
+    wider.shared_spad_words *= 2;
+    let mut other = Machine::new(wider, SimOptions::default());
+    match other.replay(&prog, &trace) {
+        Err(SimError::Replay(e)) => assert!(e.message.contains("machine configuration"), "{e}"),
+        other => panic!("a trace must not replay on another machine, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_timed_out_runs_trace_keeps_its_op_count_and_is_never_replayed() {
+    let prog = neg_prog(16);
+    let opts = SimOptions { max_cycles: 5, ..SimOptions::default() };
+    let mut rec = Machine::new(RevelConfig::single_lane(), opts);
+    rec.write_private(LaneId(0), 0, &[1.0; 16]);
+    let trace = rec.run_traced(&prog).expect("a cut-off run still records");
+    assert!(trace.report.timed_out);
     let mut m = machine();
-    m.write_private(LaneId(0), 0, &[1.0; 8]);
     match m.replay(&prog, &trace) {
-        Err(SimError::Replay(e)) => assert!(e.message.contains("out of bounds"), "{e}"),
-        other => panic!("OOB replay must be a structured error, got {other:?}"),
+        Err(SimError::Replay(e)) => {
+            assert_eq!(e.op, trace.len());
+            assert!(e.message.contains("timed out"), "{e}");
+        }
+        other => panic!("a timed-out run's trace must not replay, got {other:?}"),
     }
 }

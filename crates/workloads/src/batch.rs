@@ -2,18 +2,20 @@
 //!
 //! A certified-oblivious program's cycle-by-cycle behaviour depends only
 //! on problem *sizes*, never on dataset *values* — so one cycle-accurate
-//! **timing walk** ([`record_timing`]) captures a [`TimingTrace`] that a
-//! cheap **functional replayer** ([`replay_trace_on`]) then applies to N
-//! same-shape datasets, skipping the per-cycle scheduling work entirely.
+//! **timing walk** ([`record_timing`]) captures a [`TimingTrace`], compiled
+//! once into a flat load / fire / store value program, and the
+//! **functional replayer** ([`replay_trace_on`]) executes that program on
+//! N same-shape datasets: no per-cycle scheduling work and no port FSMs.
 //!
 //! The split is gated, not assumed: [`batch_replayable`] admits a kernel
 //! to the replay path only when the static obliviousness certifier proves
 //! the program's timing data-independent (the certificate is read out of
 //! the memoized lint verdict, [`revel_verify::certified`]) *and* the run is
 //! unperturbed (no fault plan, healthy fabric). Everything else falls back
-//! to full simulation. The replayer itself is checked — a program whose
-//! structure does depend on values desynchronizes into
-//! [`revel_sim::SimError::Replay`], never silence.
+//! to full simulation. The compiled program is checked once, when the
+//! trace is recorded, and a trace only replays on the program (by
+//! structural identity) and machine configuration it was recorded for —
+//! [`revel_sim::SimError::Replay`] otherwise, never silence.
 //!
 //! Dataset extents are validated up front ([`validate_init`]) so a
 //! malformed batch request surfaces as a structured
@@ -24,7 +26,9 @@ use crate::suite::{apply_init, certified, BuiltKernel, MemInit, WorkloadRun};
 use revel_compiler::BuildCfg;
 use revel_fabric::{FabricMask, RevelConfig};
 use revel_isa::MemTarget;
-use revel_sim::{Machine, ProgramError, ReplayError, SimError, SimOptions, TimingTrace};
+use revel_sim::{
+    structural_id, Machine, ProgramError, ReplayError, SimError, SimOptions, TimingTrace,
+};
 
 /// Checks that every initial-memory extent fits its scratchpad, so the
 /// replay path can trust `apply_init` never to panic on a caller-supplied
@@ -113,36 +117,53 @@ pub fn record_timing(
 }
 
 /// The functional replayer: applies a previously recorded trace to a
-/// caller-owned machine holding `built`'s dataset, without re-running the
-/// cycle-accurate scheduler. Cycle counts and the full report come from
-/// the timing run (byte-identical by obliviousness); only the memory
-/// image and verification are dataset-specific.
+/// caller-owned machine holding `built`'s dataset, executing the trace's
+/// compiled value program instead of re-running the cycle-accurate
+/// scheduler. Cycle counts and the full report come from the timing run
+/// (byte-identical by obliviousness); only the memory image and
+/// verification are dataset-specific.
 ///
 /// The machine is the caller's so a batch amortizes one machine allocation
-/// across all its lanes (allocating scratchpads and fabric state per lane
-/// costs more than the replay itself). Reuse is sound because consecutive
-/// lanes replay the *same* trace: every store lands on the same addresses
-/// each lane, and `apply_init` rewrites the inputs, so no lane can observe
-/// a previous lane's data.
+/// — and the replay's evaluators and value slots — across all its lanes.
+/// Reuse is sound because consecutive lanes replay the *same* trace: every
+/// store lands on the same addresses each lane, and `apply_init` rewrites
+/// the inputs, so no lane can observe a previous lane's data.
 ///
 /// # Errors
-/// [`SimError::Replay`] when the trace does not belong to this program,
-/// when dataset extents are invalid, or when replay desynchronizes (the
-/// checked-replay divergence detector).
+/// [`SimError::Replay`] when the trace was recorded from a program
+/// structurally different from `built.program` — names alone leave out
+/// the lane count, rung and architecture — or on a machine of another
+/// configuration; [`SimError::Program`] when dataset extents are invalid.
 pub fn replay_trace_on(
     machine: &mut Machine,
     built: &BuiltKernel,
     trace: &TimingTrace,
 ) -> Result<WorkloadRun, SimError> {
-    if trace.program != built.program.name {
+    if structural_id(&built.program) != trace.program_id() {
         return Err(SimError::Replay(ReplayError {
             op: 0,
             message: format!(
-                "trace was recorded for program '{}', not '{}'",
+                "trace was recorded for program '{}', not this build of '{}'",
                 trace.program, built.program.name
             ),
         }));
     }
+    replay_dataset_on(machine, built, trace)
+}
+
+/// [`replay_trace_on`] without its program-identity check, which costs a
+/// pass over the whole program: for a caller that has already checked it
+/// on a build of the same structure. The engine checks a batch's first
+/// dataset; every seeded build of a cell has its unseeded build's
+/// structural id (pinned by `crates/bench/tests/replay_identity.rs`).
+///
+/// # Errors
+/// As [`replay_trace_on`], less the program-identity refusal.
+pub fn replay_dataset_on(
+    machine: &mut Machine,
+    built: &BuiltKernel,
+    trace: &TimingTrace,
+) -> Result<WorkloadRun, SimError> {
     validate_init(machine.config(), &built.init)?;
     apply_init(machine, &built.init);
     machine.replay(&built.program, trace)?;
@@ -252,6 +273,37 @@ mod tests {
                 assert!(e.message.contains("recorded for program"), "{e}");
             }
             other => panic!("cross-program replay must be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_same_named_build_for_another_cfg_is_refused() {
+        // `fft-n64` is the program name on every rung and lane count, so
+        // the name cannot tell these builds from the traced one.
+        let cfg = BuildCfg::revel(1);
+        let built = crate::Fft::new(64, 1).build(&cfg);
+        let (_, trace) = record_timing(&built, &cfg, cfg.sim_options()).expect("timing run");
+        let mut machine = Machine::new(cfg.machine_config(), cfg.sim_options());
+        for other_cfg in [BuildCfg::dataflow_baseline(1), BuildCfg::revel(8)] {
+            let other = crate::Fft::new(64, 1).build(&other_cfg);
+            assert_eq!(other.program.name, built.program.name);
+            match replay_trace_on(&mut machine, &other, &trace) {
+                Err(SimError::Replay(e)) => assert!(e.message.contains("not this build"), "{e}"),
+                other => panic!("{other_cfg:?}'s build must be refused, got {other:?}"),
+            }
+        }
+        replay_trace_on(&mut machine, &built, &trace).expect("its own build replays");
+    }
+
+    #[test]
+    fn a_machine_of_another_config_is_refused() {
+        let cfg = BuildCfg::revel(1);
+        let built = crate::Fft::new(64, 1).build(&cfg);
+        let (_, trace) = record_timing(&built, &cfg, cfg.sim_options()).expect("timing run");
+        let mut machine = Machine::new(BuildCfg::revel(8).machine_config(), cfg.sim_options());
+        match replay_trace_on(&mut machine, &built, &trace) {
+            Err(SimError::Replay(e)) => assert!(e.message.contains("machine configuration"), "{e}"),
+            other => panic!("another machine configuration must be refused, got {other:?}"),
         }
     }
 
