@@ -15,13 +15,27 @@ use revel_core::compiler::BuildCfg;
 use revel_core::engine;
 use revel_core::isa::LaneId;
 use revel_core::sim::{structural_id, Machine, RevelProgram};
-use revel_core::workloads::{apply_init, record_timing, replay_trace_on, Cholesky, Workload};
+use revel_core::workloads::{
+    apply_init, record_timing, replay_trace_on, BuiltKernel, Cholesky, MemInit, Workload,
+};
 use revel_core::Bench;
 
 /// The 35 small-suite cells of the grid: every architecture and rung.
 fn small_cells() -> Vec<Cell> {
     let small = Bench::suite_small();
     evaluation_grid().into_iter().filter(|c| small.contains(&c.bench)).collect()
+}
+
+fn label(cell: &Cell) -> String {
+    format!("{}-{} [{}]", cell.bench.name(), cell.bench.params(), cell.arch)
+}
+
+/// The memory image a full simulation of `built` leaves on `cell`'s machine.
+fn full_image(cell: &Cell, built: &BuiltKernel) -> Vec<u64> {
+    let mut machine = Machine::new(cell.cfg.machine_config(), cell.cfg.sim_options());
+    apply_init(&mut machine, &built.init);
+    machine.run(&built.program).expect("full simulation");
+    memory_image(&machine)
 }
 
 /// Every word of every lane's private scratchpad, then the shared one.
@@ -41,14 +55,7 @@ fn replay_divergences(cell: &Cell) -> Vec<String> {
     let (cfg, opts) = (&cell.cfg, cell.cfg.sim_options());
     let build = |seed| cell.bench.workload_seeded(seed).build(cfg);
     let (_, trace) = record_timing(&build(1), cfg, opts).expect("timing walk on seed 1");
-    let full_image = |seed| {
-        let built = build(seed);
-        let mut machine = Machine::new(cfg.machine_config(), opts);
-        apply_init(&mut machine, &built.init);
-        machine.run(&built.program).expect("full simulation");
-        memory_image(&machine)
-    };
-    let full = [(2, full_image(2)), (3, full_image(3))];
+    let full = [(2, full_image(cell, &build(2))), (3, full_image(cell, &build(3)))];
     let mut machine = Machine::new(cfg.machine_config(), opts);
     let mut failures = Vec::new();
     for seed in [2, 3, 3, 2] {
@@ -70,11 +77,48 @@ fn replay_reproduces_every_word_of_a_full_simulation_on_every_small_cell() {
     let cells = small_cells();
     assert_eq!(cells.len(), 35);
     let failures: Vec<String> = engine::par_map(&cells, |cell| {
-        let name = format!("{}-{} [{}]", cell.bench.name(), cell.bench.params(), cell.arch);
+        let name = label(cell);
         replay_divergences(cell)
             .into_iter()
             .map(move |f| format!("{name}: {f}"))
             .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// `built` with every fifth word of its dataset overwritten, in turn, by
+/// `-0.0`, a signalling NaN with a payload and `-inf`. A replay that
+/// elided the first add of a sum or an accumulator (`0.0 + -0.0` is
+/// `+0.0`, `-0.0 + NaN` quiets the NaN), started a sum at `+0.0`, or
+/// picked the other NaN of two would leave some word different.
+fn with_edge_values(mut built: BuiltKernel) -> BuiltKernel {
+    let edges = [-0.0, f64::from_bits(0x7ff0_0000_dead_beef), f64::NEG_INFINITY];
+    let words = built.init.iter_mut().flat_map(|init| match init {
+        MemInit::Private { data, .. } | MemInit::Shared { data, .. } => data.iter_mut(),
+    });
+    for (k, word) in words.step_by(5).enumerate() {
+        *word = edges[k % edges.len()];
+    }
+    built
+}
+
+#[test]
+fn replay_keeps_edge_values_bit_for_bit_on_every_small_cell() {
+    let cells = small_cells();
+    assert_eq!(cells.len(), 35);
+    let failures: Vec<String> = engine::par_map(&cells, |cell| {
+        let (cfg, opts) = (&cell.cfg, cell.cfg.sim_options());
+        let build = |seed| cell.bench.workload_seeded(seed).build(cfg);
+        let (_, trace) = record_timing(&build(1), cfg, opts).expect("timing walk on seed 1");
+        let edged = with_edge_values(build(2));
+        let mut machine = Machine::new(cfg.machine_config(), opts);
+        replay_trace_on(&mut machine, &edged, &trace).expect("replays");
+        let full = full_image(cell, &edged);
+        let word = memory_image(&machine).iter().zip(&full).position(|(a, b)| a != b);
+        word.map(|word| format!("{}: word {word} differs from full simulation", label(cell)))
     })
     .into_iter()
     .flatten()

@@ -184,7 +184,7 @@ pub(crate) struct Engine {
     runs_done: Condvar,
     lints: Mutex<BoundedCache<(Bench, BuildCfg), Vec<revel_verify::Diagnostic>>>,
     /// Timing traces recorded by [`Engine::run_batched`]'s timing walk and
-    /// compiled to their value programs (the op lists are not kept), a
+    /// compiled to straight-line code (the op lists are not kept), a
     /// first-class artifact cached next to the run results under the same
     /// key shape. Plain get/insert (no single-flight): a duplicated timing
     /// walk is wasted work, not a correctness hazard, and batch requests
@@ -650,10 +650,11 @@ pub struct BatchRun {
 /// batched replay path when the configuration is certified oblivious.
 ///
 /// For certified programs one cycle-accurate **timing walk** records a
-/// [`TimingTrace`] and compiles it to a flat value program (cached
-/// process-wide, next to the run cache, in place of the recorded ops), and
-/// each seed's dataset then executes that program: byte-identical results,
-/// one simulation's worth of scheduling work.
+/// [`TimingTrace`] and compiles it to straight-line load / scalar-op /
+/// store code (cached process-wide, next to the run cache, in place of the
+/// recorded ops), and each seed's dataset then executes that code:
+/// byte-identical results, one simulation's worth of scheduling work and
+/// no DFG evaluation.
 /// Uncertified programs fall back to N independent full simulations.
 ///
 /// # Errors
@@ -716,8 +717,8 @@ impl Engine {
         };
 
         // Replay the one trace over every dataset, reusing a single machine
-        // across lanes — allocating scratchpads, evaluators and value slots
-        // per lane would cost more than the replay itself. The first dataset
+        // across lanes — allocating scratchpads and value slots per lane
+        // would cost more than the replay itself. The first dataset
         // checks the trace's program identity; every seed of a cell builds
         // the same structure, so the rest skip that pass over the program.
         let mut machine = revel_sim::Machine::new(cfg.machine_config(), opts);

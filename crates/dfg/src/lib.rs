@@ -42,7 +42,7 @@ mod graph;
 mod op;
 mod region;
 
-pub use eval::{DfgEvaluator, VecVal, MAX_VEC_WIDTH};
+pub use eval::{Concrete, DfgEvaluator, Domain, ScalarOp, Symbolic, VecVal, MAX_VEC_WIDTH};
 pub use graph::{Dfg, DfgError, Node, NodeId};
 pub use op::{pack_complex, unpack_complex, FuClass, OpCode};
 pub use region::{Region, RegionId, RegionKind};

@@ -135,52 +135,97 @@ impl OpCode {
     }
 
     /// Scalar semantics of the op (vector semantics are elementwise except
-    /// [`OpCode::ReduceAdd`], which the evaluator special-cases).
+    /// [`OpCode::ReduceAdd`], which the evaluator special-cases):
+    /// [`OpCode::apply3`] over a slice of `self.arity()` operands.
     pub fn apply(&self, args: &[f64]) -> f64 {
         debug_assert_eq!(args.len(), self.arity(), "{self:?} arity");
+        let arg = |k: usize| args.get(k).copied().unwrap_or(0.0);
+        self.apply3(arg(0), arg(1), arg(2))
+    }
+
+    /// Scalar semantics of the op over operands passed one by one, those
+    /// past its arity ignored.
+    ///
+    /// Which NaN an arithmetic op returns is pinned: its first NaN operand,
+    /// quieted, or the default NaN if no operand is one — what x86 returns
+    /// when the operands reach it in source order. Hardware picks between
+    /// NaN operands by register, and the optimizer may commute them or fold
+    /// `-0.0 + x` to `x`, so without the pin two compilations of one op
+    /// (the simulator's fire and a replayed step) could disagree in a NaN's
+    /// bits.
+    #[inline]
+    pub fn apply3(self, a: f64, b: f64, c: f64) -> f64 {
         match self {
-            OpCode::Add => args[0] + args[1],
-            OpCode::Sub => args[0] - args[1],
-            OpCode::Mul => args[0] * args[1],
-            OpCode::Div => args[0] / args[1],
-            OpCode::Sqrt => args[0].sqrt(),
-            OpCode::Rsqrt => 1.0 / args[0].sqrt(),
-            OpCode::Recip => 1.0 / args[0],
-            OpCode::Neg => -args[0],
-            OpCode::Abs => args[0].abs(),
-            OpCode::Min => args[0].min(args[1]),
-            OpCode::Max => args[0].max(args[1]),
+            OpCode::Add => pin(a + b, a, b),
+            OpCode::Sub => pin(a - b, a, b),
+            OpCode::Mul => pin(a * b, a, b),
+            OpCode::Div => pin(a / b, a, b),
+            OpCode::Sqrt => pin(a.sqrt(), a, a),
+            OpCode::Rsqrt => pin(1.0 / a.sqrt(), a, a),
+            OpCode::Recip => pin(1.0 / a, a, a),
+            OpCode::Neg => -a,
+            OpCode::Abs => a.abs(),
+            OpCode::Min => pin(a.min(b), a, b),
+            OpCode::Max => pin(a.max(b), a, b),
             OpCode::CmpLt => {
-                if args[0] < args[1] {
+                if a < b {
                     1.0
                 } else {
                     0.0
                 }
             }
             OpCode::Select => {
-                if args[2] != 0.0 {
-                    args[0]
+                if c != 0.0 {
+                    a
                 } else {
-                    args[1]
+                    b
                 }
             }
-            OpCode::Mov | OpCode::ReduceAdd => args[0],
-            OpCode::CAdd => {
-                let (ar, ai) = unpack_complex(args[0]);
-                let (br, bi) = unpack_complex(args[1]);
-                pack_complex(ar + br, ai + bi)
-            }
-            OpCode::CSub => {
-                let (ar, ai) = unpack_complex(args[0]);
-                let (br, bi) = unpack_complex(args[1]);
-                pack_complex(ar - br, ai - bi)
-            }
-            OpCode::CMul => {
-                let (ar, ai) = unpack_complex(args[0]);
-                let (br, bi) = unpack_complex(args[1]);
-                pack_complex(ar * br - ai * bi, ar * bi + ai * br)
+            OpCode::Mov | OpCode::ReduceAdd => a,
+            OpCode::CAdd | OpCode::CSub | OpCode::CMul => {
+                let (ar, ai) = unpack_complex(a);
+                let (br, bi) = unpack_complex(b);
+                let add = |x: f32, y: f32| pin32(x + y, x, y);
+                let sub = |x: f32, y: f32| pin32(x - y, x, y);
+                let mul = |x: f32, y: f32| pin32(x * y, x, y);
+                match self {
+                    OpCode::CAdd => pack_complex(add(ar, br), add(ai, bi)),
+                    OpCode::CSub => pack_complex(sub(ar, br), sub(ai, bi)),
+                    _ => pack_complex(sub(mul(ar, br), mul(ai, bi)), add(mul(ar, bi), mul(ai, br))),
+                }
             }
         }
+    }
+}
+
+/// `r`, an op's result over `a` and `b`, with its NaN pinned (see
+/// [`OpCode::apply3`]).
+#[inline]
+fn pin(r: f64, a: f64, b: f64) -> f64 {
+    const QUIET: u64 = 1 << 51;
+    if !r.is_nan() {
+        r
+    } else if a.is_nan() {
+        f64::from_bits(a.to_bits() | QUIET)
+    } else if b.is_nan() {
+        f64::from_bits(b.to_bits() | QUIET)
+    } else {
+        f64::from_bits(0xfff8_0000_0000_0000)
+    }
+}
+
+/// [`pin`] for the single-precision halves of a packed complex word.
+#[inline]
+fn pin32(r: f32, a: f32, b: f32) -> f32 {
+    const QUIET: u32 = 1 << 22;
+    if !r.is_nan() {
+        r
+    } else if a.is_nan() {
+        f32::from_bits(a.to_bits() | QUIET)
+    } else if b.is_nan() {
+        f32::from_bits(b.to_bits() | QUIET)
+    } else {
+        f32::from_bits(0xffc0_0000)
     }
 }
 

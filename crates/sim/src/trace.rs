@@ -8,10 +8,10 @@
 //! *sizes*, never on dataset *values*. One cycle-accurate run therefore
 //! records the linear sequence of functional micro-operations
 //! ([`TraceOp`]) in exact execution order, and [`TimingTrace::compile`]
-//! lowers it, once, to a flat value program that every further same-shape
-//! dataset executes ([`Machine::replay`]): read a word into a slot, fire a
-//! region's DFG evaluator on inputs gathered from slots, write a slot to
-//! memory, or run a host op — no cycle stepping and no port FSM.
+//! lowers it, once, to straight-line code that every further same-shape
+//! dataset executes ([`Machine::replay`]): read a word into a slot, apply
+//! one scalar op to slots into a new slot, write a slot to memory, or run
+//! a host op — no cycle stepping, no port FSM and no DFG evaluation.
 //!
 //! The compiler is the checked replay walk: it drives the *real* port
 //! FSMs and region result queues through the op list with every word a
@@ -19,28 +19,30 @@
 //! That is sound because the ports never inspect values and a fire's
 //! predicates are an AND of its input predicates plus accumulator FSMs,
 //! so which slot fills which lane of which fire input is the same for
-//! every dataset. Slot 0 holds the zero a padded lane carries. The values
-//! themselves come from the same evaluators the timing walk fires, fed the
-//! same vectors in the same order, so a replayed memory image is
-//! byte-identical to a full simulation of the same dataset. What the walk
-//! settles for good is not paid again per dataset: between host ops a
-//! word is read from memory at most once, and not at all once a store has
-//! written it; an input vector two fires share is built once.
+//! every dataset. The arithmetic is just as fixed: each fire is evaluated
+//! once more in `revel-dfg`'s [`Symbolic`] domain — the evaluator the
+//! simulator fires, over slots instead of values — which records the
+//! scalar ops each valid output lane costs, in the order the concrete
+//! evaluator performs them, so a replayed memory image is byte-identical
+//! to a full simulation of the same dataset. What the walk settles for
+//! good is not paid again per dataset: between host ops a word is read
+//! from memory at most once, and not at all once a store has written it.
 //!
 //! Every check the walk makes — guarded pushes succeed, pops produce, fire
-//! widths match, results are delivered before a reconfiguration and by
-//! the end, addresses stay in bounds — is a fact about the op list, made
-//! once per trace: an op list that breaks one fails to compile with
-//! [`SimError::Replay`] naming the op, never a panic. Replaying a program
-//! whose timing depends on its data values computes the recorded
-//! dataset's shape over the new values; callers must gate replay on the
-//! static certificate, which the trace machinery cannot prove.
+//! widths match, a fire's symbolic predicates are the walk's, results are
+//! delivered before a reconfiguration and by the end, addresses stay in
+//! bounds — is a fact about the op list, made once per trace: an op list
+//! that breaks one fails to compile with [`SimError::Replay`] naming the
+//! op, never a panic. Replaying a program whose timing depends on its data
+//! values computes the recorded dataset's shape over the new values;
+//! callers must gate replay on the static certificate, which the trace
+//! machinery cannot prove.
 
 use crate::kernel::MachineMem;
 use crate::lane::Lane;
 use crate::machine::{Machine, SimError};
 use crate::stats::RunReport;
-use revel_dfg::{DfgEvaluator, VecVal, MAX_VEC_WIDTH};
+use revel_dfg::{DfgEvaluator, Domain, OpCode, Symbolic, VecVal};
 use revel_fabric::{FabricMask, RevelConfig};
 use revel_isa::{MemTarget, ProdMode, RateFsm};
 use revel_prog::{structural_id, ControlStep, RevelProgram, StructuralId};
@@ -200,10 +202,11 @@ pub enum TraceOp {
     },
 }
 
-/// The recorded timing side of one cycle-accurate run, compiled: the value
-/// program every dataset executes, plus the run's full report (cycles,
-/// per-lane breakdown, event counts), which every replayed dataset shares
-/// verbatim — that *is* the obliviousness claim being cashed in.
+/// The recorded timing side of one cycle-accurate run, compiled: the
+/// straight-line code every dataset executes, plus the run's full report
+/// (cycles, per-lane breakdown, event counts), which every replayed
+/// dataset shares verbatim — that *is* the obliviousness claim being
+/// cashed in.
 #[derive(Debug, Clone)]
 pub struct TimingTrace {
     /// Name of the program the trace was recorded from.
@@ -214,8 +217,8 @@ pub struct TimingTrace {
     config: RevelConfig,
     /// Micro-ops the timing walk recorded.
     ops: usize,
-    /// Process-unique, so a machine can keep its evaluators and constant
-    /// slots across the datasets of one trace.
+    /// Process-unique, so a machine can keep a trace's constant slots
+    /// across its datasets.
     id: u64,
     code: ReplayProgram,
 }
@@ -225,18 +228,19 @@ static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(0);
 
 impl TimingTrace {
     /// Compiles the op list a timing run of `program` on a `config`
-    /// machine recorded ([`Machine::run_recording`]) into the value program
-    /// its replays execute, making every check of the replay walk once.
-    /// A timed-out run's op list is cut off, so it is not lowered: the
-    /// trace keeps its report and [`Machine::replay`] refuses it.
+    /// machine recorded ([`Machine::run_recording`]) into the straight-line
+    /// code its replays execute, making every check of the replay walk
+    /// once. A timed-out run's op list is cut off, so it is not lowered:
+    /// the trace keeps its report and [`Machine::replay`] refuses it.
     ///
     /// # Errors
     /// [`SimError::Program`] if `program` fails validation, and
     /// [`SimError::Replay`] naming the first op that breaks the walk — a
     /// port rejecting a word, a fire whose valid-lane count differs from
-    /// the recorded one, a delivery with no fired result, a
-    /// reconfiguration over an undelivered one, an address outside its
-    /// scratchpad — or outputs still undelivered at the end.
+    /// the recorded one or whose symbolic output predicates differ from
+    /// the walk's, a delivery with no fired result, a reconfiguration over
+    /// an undelivered one, an address outside its scratchpad — or outputs
+    /// still undelivered at the end.
     pub fn compile(
         program: &RevelProgram,
         config: &RevelConfig,
@@ -281,37 +285,19 @@ impl TimingTrace {
     }
 }
 
-/// The flat value program a trace compiles to. Every value a dataset
-/// computes lives in a slot: a loaded word, a constant, or one lane of a
-/// fire's output vector, each written by exactly one producer before any
-/// step reads it. A fire input is a vector over slots; as its slots never
-/// change once written, each distinct one is built once per dataset and
-/// reused by every later fire it feeds (a reused port value, a window two
-/// fires share).
+/// The straight-line code a trace compiles to. Every value a dataset
+/// computes lives in a slot written once: slot 0 is `+0.0`, the next
+/// `consts.len()` slots hold the constants, and each `Load` or `Op` step
+/// writes the slot after the previous one's.
 #[derive(Debug, Clone, Default)]
 struct ReplayProgram {
     steps: Vec<Step>,
-    /// The input vectors of the `Fire` steps, in step order: an index into
-    /// the vector buffer, `BUILD`-tagged at a vector's first use.
-    inputs: Vec<u32>,
-    /// How each vector is built, in order of first use: its predicate,
-    /// then the slot of each lane.
-    builds: Vec<u32>,
-    /// Distinct input vectors.
-    vectors: usize,
-    /// `(config, region)` of each evaluator instance. Each (lane, config)
-    /// pair owns one instance per region of the configuration.
-    evals: Vec<(u32, u32)>,
-    /// The accumulation lengths `SetAccumLen` steps install.
-    rates: Vec<RateFsm>,
-    /// Constant slots and their bits, written once per machine and trace.
-    consts: Vec<(u32, u64)>,
-    /// Slots the program uses, the zero slot included.
+    /// The bits of slots `1..=consts.len()`, written once per machine and
+    /// trace.
+    consts: Vec<u64>,
+    /// Slots the program uses.
     slots: usize,
 }
-
-/// Marks the first use of a vector in [`ReplayProgram::inputs`].
-const BUILD: u32 = 1 << 31;
 
 /// `Step::Load` / `Step::Store` memory: a lane's private scratchpad, or
 /// this one for the shared scratchpad.
@@ -320,29 +306,29 @@ const SHARED: u8 = u8::MAX;
 /// One step of a [`ReplayProgram`].
 #[derive(Debug, Clone, Copy)]
 enum Step {
-    /// Reads word `addr` of `mem` into `slot`.
-    Load { mem: u8, addr: u32, slot: u32 },
+    /// Reads word `addr` of `mem` into the next slot.
+    Load { mem: u8, addr: u32 },
+    /// Applies `op` to slots `args` into the next slot. A three-operand op
+    /// (`Select`) takes its third operand from the slot just before.
+    Op { op: OpCode, args: [u32; 2] },
     /// Writes `slot` to word `addr` of `mem`.
     Store { mem: u8, addr: u32, slot: u32 },
-    /// Fires evaluator `eval` on its next input vectors, writing output
-    /// vector `o` lane by lane to the slots from `out + o × width` on.
-    Fire { eval: u32, out: u32 },
     /// Runs the host op at control `pc` (recorded as op `op`).
     Host { pc: u32, op: u32 },
-    /// A lane's reconfiguration: evaluators `first..first + count` restart.
-    Configure { first: u32, count: u32 },
-    /// Installs accumulation length `rates[rate]` on evaluator `eval`.
-    SetAccumLen { eval: u32, rate: u32 },
 }
+
+// Twelve bytes a step: no step names the slot it writes, and the one
+// three-operand op finds its third operand in place, so no step is wider.
+const _: () = assert!(std::mem::size_of::<Step>() == 12);
 
 /// The `f64` a slot travels through the compile walk as: slot 0 is the
 /// zero a padded lane holds, any other slot `s` the normal float
 /// `1 + s × 2⁻⁵²` (subnormal tags would slow the walk's DFG arithmetic).
-fn tag(slot: usize) -> f64 {
+fn tag(slot: u32) -> f64 {
     if slot == 0 {
         0.0
     } else {
-        f64::from_bits(1f64.to_bits() | slot as u64)
+        f64::from_bits(1f64.to_bits() | u64::from(slot))
     }
 }
 
@@ -363,25 +349,31 @@ fn mem_code(target: MemTarget, lane: u8) -> u8 {
 /// [`ReplayProgram`] as it goes.
 struct Compiler<'a> {
     program: &'a RevelProgram,
-    /// Port, region and evaluator state of each lane; the scratchpads
-    /// only bound addresses.
+    /// Port and region state of each lane; the scratchpads only bound
+    /// addresses.
     lanes: Vec<Lane>,
     shared_words: usize,
     /// Stand-ins for `apply_config`'s schedules: the walk has no cycles.
     schedules: Vec<RegionSchedule>,
-    /// First evaluator instance of each (lane, config) configured so far.
-    bases: HashMap<(u8, u32), u32>,
-    /// Each lane's first instance of its active configuration.
-    current: Vec<u32>,
+    /// Each lane's symbolic evaluators, one per region of its active
+    /// configuration, built and reprogrammed as the lane's own are.
+    evals: Vec<Vec<DfgEvaluator<Symbolic>>>,
+    /// Names every slot and records the symbolic fires' ops. Its numbers
+    /// are provisional until [`Compiler::finish`].
+    sym: Symbolic,
+    /// Scratch: a fire's input vectors, as slots.
+    inputs: Vec<VecVal<u32>>,
     /// The slot holding a memory word's current value, keyed like a step's
     /// `(mem, addr)`: set by a load or a store, forgotten wholesale at a
     /// host op, which may touch any word. A load of a word held here
     /// costs a dataset nothing.
     words: HashMap<(u8, u32), u32>,
-    /// The index of each distinct input vector: its lanes' slots, its
-    /// predicate and its width.
-    vector_ids: HashMap<([u32; MAX_VEC_WIDTH], u8, u8), u32>,
-    code: ReplayProgram,
+    steps: Vec<Step>,
+    /// The slot the last `Load` or `Op` step writes.
+    last_write: u32,
+    /// The slot of each three-operand op whose third operand a copy
+    /// staged (see [`Step::Op`]), in step order.
+    staged: Vec<u32>,
 }
 
 impl<'a> Compiler<'a> {
@@ -393,18 +385,14 @@ impl<'a> Compiler<'a> {
             lanes: (0..config.num_lanes).map(|_| Lane::new(&config.lane, true)).collect(),
             shared_words: config.shared_spad_words,
             schedules: vec![timing; regions],
-            bases: HashMap::new(),
-            current: vec![0; config.num_lanes],
+            evals: (0..config.num_lanes).map(|_| Vec::new()).collect(),
+            sym: Symbolic::default(),
+            inputs: Vec::new(),
             words: HashMap::new(),
-            vector_ids: HashMap::new(),
-            code: ReplayProgram { slots: 1, ..ReplayProgram::default() },
+            steps: Vec::new(),
+            last_write: 0,
+            staged: Vec::new(),
         }
-    }
-
-    /// A fresh slot, travelling as its tag.
-    fn fresh_slot(&mut self) -> usize {
-        self.code.slots += 1;
-        self.code.slots - 1
     }
 
     /// Walks op `i`, emitting the steps it costs a dataset.
@@ -415,7 +403,7 @@ impl<'a> Compiler<'a> {
                 if !matches!(program.control.get(pc as usize), Some(ControlStep::Host(_))) {
                     return Err(desync(i, format!("no host op at control pc {pc}")));
                 }
-                self.code.steps.push(Step::Host { pc, op: i as u32 });
+                self.steps.push(Step::Host { pc, op: i as u32 });
                 self.words.clear();
             }
             TraceOp::Configure { lane, config } => {
@@ -427,23 +415,14 @@ impl<'a> Compiler<'a> {
                     return Err(desync(i, "reconfigure with undelivered region outputs"));
                 }
                 self.lanes[l].apply_config(regions, &self.schedules[..regions.len()]);
-                let count = regions.len() as u32;
-                let evals = &mut self.code.evals;
-                let first = *self.bases.entry((lane, config)).or_insert_with(|| {
-                    evals.extend((0..count).map(|r| (config, r)));
-                    (evals.len() as u32) - count
-                });
-                self.current[l] = first;
-                self.code.steps.push(Step::Configure { first, count });
+                self.evals[l] =
+                    regions.iter().map(|r| DfgEvaluator::new(&r.dfg, r.unroll)).collect();
             }
             TraceOp::SetAccumLen { lane, region, len } => {
                 let l = self.lane_index(i, lane)?;
                 let r = self.region_index(i, l, region)?;
                 self.lanes[l].regions[r].set_accum_len(len);
-                let rate = self.code.rates.len() as u32;
-                self.code.rates.push(len);
-                let eval = self.current[l] + u32::from(region);
-                self.code.steps.push(Step::SetAccumLen { eval, rate });
+                self.evals[l][r].set_accum_len(len);
             }
             TraceOp::BindIn { lane, port, reuse } => {
                 let l = self.lane_index(i, lane)?;
@@ -458,12 +437,13 @@ impl<'a> Compiler<'a> {
                 let addr = self.address(i, l, target, addr, "load")?;
                 let word = (mem_code(target, lane), addr);
                 let slot = match self.words.get(&word) {
-                    Some(&slot) => slot as usize,
+                    Some(&slot) => slot,
                     None => {
-                        let slot = self.fresh_slot();
-                        self.words.insert(word, slot as u32);
+                        let slot = self.sym.fresh();
+                        self.words.insert(word, slot);
                         let (mem, addr) = word;
-                        self.code.steps.push(Step::Load { mem, addr, slot: slot as u32 });
+                        self.steps.push(Step::Load { mem, addr });
+                        self.last_write = slot;
                         slot
                     }
                 };
@@ -473,8 +453,7 @@ impl<'a> Compiler<'a> {
             }
             TraceOp::PushConst { lane, port, bits } => {
                 let l = self.lane_index(i, lane)?;
-                let slot = self.fresh_slot();
-                self.code.consts.push((slot as u32, bits));
+                let slot = self.sym.constant(f64::from_bits(bits));
                 if !self.in_port(i, l, port)?.push_word(tag(slot), false) {
                     return Err(desync(i, format!("input port {port} rejected a const")));
                 }
@@ -502,7 +481,7 @@ impl<'a> Compiler<'a> {
                 let addr = self.address(i, l, target, addr, "store")?;
                 let (mem, slot) = (mem_code(target, lane), slot_of(v));
                 self.words.insert((mem, addr), slot);
-                self.code.steps.push(Step::Store { mem, addr, slot });
+                self.steps.push(Step::Store { mem, addr, slot });
             }
             TraceOp::PopSpent { lane, port } => {
                 let l = self.lane_index(i, lane)?;
@@ -527,9 +506,9 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    /// A region fire: the real gather over the ports' tags, whose input
-    /// vectors become the step's inputs, and fresh slots for every lane of
-    /// every output vector.
+    /// A region fire: the real gather over the ports' tags, then the same
+    /// fire in the symbolic domain over the gathered slots. Its recorded
+    /// ops become steps, and its output slots retag the walk's outputs.
     fn fire(&mut self, i: usize, lane: u8, region: u8, fire_valid: u32) -> Result<(), SimError> {
         let l = self.lane_index(i, lane)?;
         let r = self.region_index(i, l, region)?;
@@ -547,52 +526,73 @@ impl<'a> Compiler<'a> {
             ));
         }
         self.lanes[l].gather_and_fire(r, fire_valid);
-        let rs = &mut self.lanes[l].regions[r];
+        let Compiler { lanes, evals, sym, inputs, steps, last_write, staged, .. } = self;
+        let rs = &mut lanes[l].regions[r];
         rs.replay_fired();
-        let Compiler { code, vector_ids, .. } = self;
-        let (inputs, outputs) = rs.last_fire_mut();
-        for v in inputs {
-            let width = v.width();
-            let mut lanes = [0; MAX_VEC_WIDTH];
-            for (k, slot) in lanes[..width].iter_mut().enumerate() {
-                *slot = slot_of(v.raw(k));
+        let (gathered, walked) = rs.last_fire_mut();
+        inputs.clear();
+        inputs.extend(gathered.iter().map(|v| v.map(slot_of)));
+        let outputs = evals[l][r].fire_in(sym, inputs);
+        for (v, (_, out)) in walked.zip(outputs) {
+            if v.pred() != out.pred() {
+                return Err(desync(i, "symbolic fire's output predicates differ from the walk's"));
             }
-            let key = (lanes, v.pred(), width as u8);
-            let id = match vector_ids.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = code.vectors as u32;
-                    vector_ids.insert(key, id);
-                    code.vectors += 1;
-                    code.builds.push(u32::from(v.pred()));
-                    code.builds.extend_from_slice(&lanes[..width]);
-                    id | BUILD
-                }
-            };
-            code.inputs.push(id);
+            *v = out.map(tag);
         }
-        let out = code.slots;
-        for v in outputs {
-            for k in 0..v.width() {
-                v.set_raw(k, tag(code.slots));
-                code.slots += 1;
+        for op in sym.drain_ops() {
+            let [a, b, c] = op.args;
+            if op.op.arity() == 3 && *last_write != c {
+                // Stage the third operand in the slot just before the op's.
+                steps.push(Step::Op { op: OpCode::Mov, args: [c, 0] });
+                staged.push(op.out);
             }
+            steps.push(Step::Op { op: op.op, args: [a, b] });
+            *last_write = op.out;
         }
-        let eval = self.current[l] + u32::from(region);
-        code.steps.push(Step::Fire { eval, out: out as u32 });
         Ok(())
     }
 
-    /// The finished program, once nothing is left in flight.
+    /// The finished program, once nothing is left in flight, its slots
+    /// renumbered: the constants after slot 0, then one slot per `Load`
+    /// and `Op` step, in step order.
     fn finish(self, ops: usize) -> Result<ReplayProgram, SimError> {
         if self.lanes.iter().flat_map(|l| &l.regions).any(|r| !r.idle()) {
             return Err(desync(ops, "undelivered region outputs at end of trace"));
         }
-        let code = &self.code;
-        if u32::try_from(code.slots).is_err() || code.vectors >= BUILD as usize {
+        // Every slot named but slot 0 and the constants is a `Load` or `Op`
+        // result, named in step order; a staged copy writes one more.
+        let consts = self.sym.constants();
+        let first = 1 + consts.len();
+        let slots = self.sym.slots() + self.staged.len();
+        if u32::try_from(slots).is_err() {
             return Err(desync(ops, "more values than a replay program can name"));
         }
-        Ok(self.code)
+        // A result's new number is its rank among the results: the slots
+        // named before it, less slot 0 and the constants, plus the copies
+        // staged up to it.
+        let number = |s: u32| {
+            let k = consts.partition_point(|&(c, _)| c < s);
+            if s == 0 {
+                0
+            } else if consts.get(k).is_some_and(|&(c, _)| c == s) {
+                (1 + k) as u32
+            } else {
+                let copies = self.staged.partition_point(|&x| x <= s);
+                (first + s as usize - 1 - k + copies) as u32
+            }
+        };
+        // The trace keeps the steps for its lifetime: drop the growth slack.
+        let mut steps = self.steps;
+        steps.shrink_to_fit();
+        for step in &mut steps {
+            match step {
+                Step::Op { args, .. } => *args = args.map(number),
+                Step::Store { slot, .. } => *slot = number(*slot),
+                Step::Load { .. } | Step::Host { .. } => {}
+            }
+        }
+        let consts = consts.iter().map(|&(_, bits)| bits).collect();
+        Ok(ReplayProgram { steps, consts, slots })
     }
 
     fn lane_index(&self, op: usize, lane: u8) -> Result<usize, SimError> {
@@ -698,39 +698,25 @@ impl TraceRecorder {
 /// warm replay allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Executor {
-    /// The trace (by id) the evaluators and constant slots are set up for.
+    /// The trace (by id) whose constants `slots` holds.
     trace: Option<u64>,
-    evals: Vec<DfgEvaluator>,
     slots: Vec<f64>,
-    vectors: Vec<VecVal>,
-    /// Scratch: the input vectors of the fire in progress.
-    inputs: Vec<VecVal>,
 }
 
 impl Executor {
-    /// Sets up evaluators and slots for `trace`, unless they already are.
-    fn prepare(&mut self, program: &RevelProgram, trace: &TimingTrace) -> Result<(), SimError> {
-        if self.trace == Some(trace.id) {
-            return Ok(());
+    /// The slot buffer for `trace`, its constants written unless they
+    /// already are.
+    fn slots_for(&mut self, trace: &TimingTrace) -> &mut [f64] {
+        if self.trace != Some(trace.id) {
+            let code = &trace.code;
+            self.slots.clear();
+            self.slots.resize(code.slots, 0.0);
+            for (slot, &bits) in self.slots.iter_mut().skip(1).zip(&code.consts) {
+                *slot = f64::from_bits(bits);
+            }
+            self.trace = Some(trace.id);
         }
-        self.trace = None;
-        self.evals.clear();
-        for &(config, region) in &trace.code.evals {
-            let Some(r) = program.configs.get(config as usize).and_then(|c| c.get(region as usize))
-            else {
-                return Err(desync(0, format!("config {config} has no region {region}")));
-            };
-            self.evals.push(r.dfg.evaluator(r.unroll));
-        }
-        self.slots.clear();
-        self.slots.resize(trace.code.slots, 0.0);
-        self.vectors.clear();
-        self.vectors.resize(trace.code.vectors, VecVal::invalid(1));
-        for &(slot, bits) in &trace.code.consts {
-            self.slots[slot as usize] = f64::from_bits(bits);
-        }
-        self.trace = Some(trace.id);
-        Ok(())
+        &mut self.slots
     }
 }
 
@@ -796,18 +782,18 @@ impl Machine {
     }
 
     /// Replays a compiled [`TimingTrace`] against this machine's current
-    /// scratchpad contents (the dataset): executes its value program,
+    /// scratchpad contents (the dataset): executes its straight-line code,
     /// reproducing byte-identical functional results without cycle
     /// stepping. Only the scratchpads change.
     ///
     /// `program` must be the one the trace was recorded from (its host
-    /// ops run, and its regions' evaluators fire); `revel-workloads`'
-    /// `replay_trace_on` checks that by structural identity.
+    /// ops run); `revel-workloads`' `replay_trace_on` checks that by
+    /// structural identity.
     ///
     /// # Errors
     /// [`SimError::Replay`] when the trace was recorded on another machine
-    /// configuration, comes from a timed-out run, or names a region or
-    /// host op `program` does not have.
+    /// configuration, comes from a timed-out run, or names a host op
+    /// `program` does not have.
     pub fn replay(&mut self, program: &RevelProgram, trace: &TimingTrace) -> Result<(), SimError> {
         if trace.config != self.cfg {
             return Err(desync(0, "trace was recorded on another machine configuration"));
@@ -816,46 +802,26 @@ impl Machine {
             return Err(desync(trace.ops, "the timing run timed out, so its trace is incomplete"));
         }
         let Machine { lanes, shared, executor, .. } = self;
-        executor.prepare(program, trace)?;
-        let Executor { evals, slots, vectors, inputs, .. } = executor;
         let code = &trace.code;
-        // Cursors into `code.inputs` and `code.builds`.
-        let (mut i, mut b) = (0, 0);
+        let slots = executor.slots_for(trace);
+        // Each `Load` and `Op` writes the slot after the previous one's.
+        let mut next = 1 + code.consts.len();
         for step in &code.steps {
             match *step {
-                Step::Load { mem, addr, slot } => {
+                Step::Load { mem, addr } => {
                     let spad = if mem == SHARED { &*shared } else { &lanes[mem as usize].spad };
-                    slots[slot as usize] = f64::from_bits(spad.read(i64::from(addr)));
+                    slots[next] = f64::from_bits(spad.read(i64::from(addr)));
+                    next += 1;
+                }
+                Step::Op { op, args: [a, b] } => {
+                    let (a, b, c) = (slots[a as usize], slots[b as usize], slots[next - 1]);
+                    slots[next] = op.apply3(a, b, c);
+                    next += 1;
                 }
                 Step::Store { mem, addr, slot } => {
                     let spad =
                         if mem == SHARED { &mut *shared } else { &mut lanes[mem as usize].spad };
                     spad.write(i64::from(addr), slots[slot as usize].to_bits());
-                }
-                Step::Fire { eval, out } => {
-                    let eval = &mut evals[eval as usize];
-                    let width = eval.width();
-                    inputs.clear();
-                    for &input in &code.inputs[i..i + eval.num_inputs()] {
-                        let v = (input & !BUILD) as usize;
-                        if input & BUILD != 0 {
-                            let mut vals = [0.0; MAX_VEC_WIDTH];
-                            let lanes = &code.builds[b + 1..b + 1 + width];
-                            for (x, s) in vals.iter_mut().zip(lanes) {
-                                *x = slots[*s as usize];
-                            }
-                            vectors[v] = VecVal::with_pred(&vals[..width], code.builds[b] as u8);
-                            b += 1 + width;
-                        }
-                        inputs.push(vectors[v]);
-                    }
-                    i += inputs.len();
-                    for (o, (_, v)) in eval.fire(inputs).iter().enumerate() {
-                        let base = out as usize + o * width;
-                        for (k, slot) in slots[base..base + width].iter_mut().enumerate() {
-                            *slot = v.raw(k);
-                        }
-                    }
                 }
                 Step::Host { pc, op } => {
                     let Some(ControlStep::Host(host)) = program.control.get(pc as usize) else {
@@ -865,14 +831,6 @@ impl Machine {
                     // (not the dataset), so they use the same panicking
                     // memory adapter as the timing walk.
                     (host.func)(&mut MachineMem { lanes: &mut *lanes, shared: &mut *shared });
-                }
-                Step::Configure { first, count } => {
-                    for eval in &mut evals[first as usize..(first + count) as usize] {
-                        eval.reset();
-                    }
-                }
-                Step::SetAccumLen { eval, rate } => {
-                    evals[eval as usize].set_accum_len(code.rates[rate as usize]);
                 }
             }
         }

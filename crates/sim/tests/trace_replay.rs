@@ -166,6 +166,59 @@ fn const_stream_values_replay_byte_for_byte() {
 }
 
 #[test]
+fn a_select_whose_condition_is_not_the_last_result_replays_byte_for_byte() {
+    // out = (a + b) if a < b else b, at unroll 4: each lane's select reads
+    // a compare computed four results back, which the compiled program
+    // must stage beside it.
+    let mut g = Dfg::new("sel");
+    let a = g.input(InPortId(0));
+    let b = g.input(InPortId(1));
+    let lt = g.op(OpCode::CmpLt, &[a, b]);
+    let sum = g.op(OpCode::Add, &[a, b]);
+    let out = g.op(OpCode::Select, &[sum, b, lt]);
+    g.output(out, OutPortId(0));
+    let mut prog = RevelProgram::new("trace-select");
+    let cfg = prog.add_config(vec![Region::systolic("sel", g, 4)]);
+    let load = |base, port| {
+        StreamCommand::load(
+            MemTarget::Private,
+            AffinePattern::linear(base, 16),
+            port,
+            RateFsm::ONCE,
+        )
+    };
+    for cmd in [
+        StreamCommand::Configure { config: ConfigId(cfg) },
+        load(0, InPortId(0)),
+        load(16, InPortId(1)),
+        StreamCommand::store(
+            OutPortId(0),
+            MemTarget::Private,
+            AffinePattern::linear(64, 16),
+            RateFsm::ONCE,
+        ),
+        StreamCommand::Wait,
+    ] {
+        prog.push(VectorCommand::broadcast(lane0(), cmd));
+    }
+    let mut rec = machine();
+    rec.write_private(LaneId(0), 0, &[1.0; 32]);
+    let trace = rec.run_traced(&prog).expect("timing run");
+    let data: Vec<f64> = (0..32).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
+    let mut full = machine();
+    full.write_private(LaneId(0), 0, &data);
+    full.run(&prog).expect("full sim");
+    let mut rep = machine();
+    rep.write_private(LaneId(0), 0, &data);
+    rep.replay(&prog, &trace).expect("replay");
+    assert_eq!(rep.read_private(LaneId(0), 0, 128), full.read_private(LaneId(0), 0, 128));
+    let expected: Vec<f64> = (0..16)
+        .map(|i| if data[i] < data[16 + i] { data[i] + data[16 + i] } else { data[16 + i] })
+        .collect();
+    assert_eq!(rep.read_private(LaneId(0), 64, 16), expected);
+}
+
+#[test]
 fn replay_is_repeatable_on_the_same_machine() {
     // A machine that just replayed can be re-initialized and replayed
     // again (servers reuse machines across batch lanes).

@@ -3,9 +3,10 @@
 //! A certified-oblivious program's cycle-by-cycle behaviour depends only
 //! on problem *sizes*, never on dataset *values* — so one cycle-accurate
 //! **timing walk** ([`record_timing`]) captures a [`TimingTrace`], compiled
-//! once into a flat load / fire / store value program, and the
-//! **functional replayer** ([`replay_trace_on`]) executes that program on
-//! N same-shape datasets: no per-cycle scheduling work and no port FSMs.
+//! once into straight-line load / scalar-op / store code, and the
+//! **functional replayer** ([`replay_trace_on`]) executes that code on N
+//! same-shape datasets: no per-cycle scheduling work, no port FSMs and no
+//! DFG evaluation.
 //!
 //! The split is gated, not assumed: [`batch_replayable`] admits a kernel
 //! to the replay path only when the static obliviousness certifier proves
@@ -118,13 +119,13 @@ pub fn record_timing(
 
 /// The functional replayer: applies a previously recorded trace to a
 /// caller-owned machine holding `built`'s dataset, executing the trace's
-/// compiled value program instead of re-running the cycle-accurate
+/// compiled straight-line code instead of re-running the cycle-accurate
 /// scheduler. Cycle counts and the full report come from the timing run
 /// (byte-identical by obliviousness); only the memory image and
 /// verification are dataset-specific.
 ///
 /// The machine is the caller's so a batch amortizes one machine allocation
-/// — and the replay's evaluators and value slots — across all its lanes.
+/// — and the replay's value slots — across all its lanes.
 /// Reuse is sound because consecutive lanes replay the *same* trace: every
 /// store lands on the same addresses each lane, and `apply_init` rewrites
 /// the inputs, so no lane can observe a previous lane's data.
