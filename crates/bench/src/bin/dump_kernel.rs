@@ -43,9 +43,6 @@ fn main() {
     for (i, step) in built.program.control.iter().enumerate() {
         match step {
             ControlStep::Command(vc) => println!("{i:4}: {vc}"),
-            // A dynamic step disassembles as its template (the issue-time
-            // binds patch fields the listing cannot know statically).
-            ControlStep::Dyn(ds) => println!("{i:4}: {}", ds.template),
             ControlStep::Host(op) => println!("{i:4}: host {}", op.cycles),
         }
     }

@@ -4,7 +4,9 @@
 //! a trace recorded on one dataset must reproduce the whole memory image —
 //! every lane's private scratchpad and the shared one — of a full
 //! simulation of each other dataset, bit for bit, on one machine reused
-//! across datasets in both orders.
+//! across datasets in both orders. Edge values (`-0.0`, a signalling NaN,
+//! `-inf`) must leave a full simulation's timing report the seed-1
+//! trace's, too.
 //!
 //! It also pins what lets one trace serve every seed of a cell: a seeded
 //! build is structurally the unseeded one (the engine's trace cache, keyed
@@ -14,7 +16,7 @@ use revel_bench::grid::{evaluation_grid, Cell};
 use revel_core::compiler::BuildCfg;
 use revel_core::engine;
 use revel_core::isa::LaneId;
-use revel_core::sim::{structural_id, Machine, RevelProgram};
+use revel_core::sim::{structural_id, Machine, RevelProgram, RunReport};
 use revel_core::workloads::{
     apply_init, record_timing, replay_trace_on, BuiltKernel, Cholesky, MemInit, Workload,
 };
@@ -30,12 +32,13 @@ fn label(cell: &Cell) -> String {
     format!("{}-{} [{}]", cell.bench.name(), cell.bench.params(), cell.arch)
 }
 
-/// The memory image a full simulation of `built` leaves on `cell`'s machine.
-fn full_image(cell: &Cell, built: &BuiltKernel) -> Vec<u64> {
+/// The report of a full simulation of `built` on `cell`'s machine, and
+/// the memory image it leaves.
+fn full_run(cell: &Cell, built: &BuiltKernel) -> (RunReport, Vec<u64>) {
     let mut machine = Machine::new(cell.cfg.machine_config(), cell.cfg.sim_options());
     apply_init(&mut machine, &built.init);
-    machine.run(&built.program).expect("full simulation");
-    memory_image(&machine)
+    let report = machine.run(&built.program).expect("full simulation");
+    (report, memory_image(&machine))
 }
 
 /// Every word of every lane's private scratchpad, then the shared one.
@@ -55,7 +58,7 @@ fn replay_divergences(cell: &Cell) -> Vec<String> {
     let (cfg, opts) = (&cell.cfg, cell.cfg.sim_options());
     let build = |seed| cell.bench.workload_seeded(seed).build(cfg);
     let (_, trace) = record_timing(&build(1), cfg, opts).expect("timing walk on seed 1");
-    let full = [(2, full_image(cell, &build(2))), (3, full_image(cell, &build(3)))];
+    let full = [(2, full_run(cell, &build(2)).1), (3, full_run(cell, &build(3)).1)];
     let mut machine = Machine::new(cfg.machine_config(), opts);
     let mut failures = Vec::new();
     for seed in [2, 3, 3, 2] {
@@ -105,6 +108,26 @@ fn with_edge_values(mut built: BuiltKernel) -> BuiltKernel {
     built
 }
 
+/// The report fields that carry timing, named where `full` and `traced`
+/// differ.
+fn timing_divergences(traced: &RunReport, full: &RunReport) -> Vec<&'static str> {
+    let mut out = Vec::new();
+    if full.cycles != traced.cycles {
+        out.push("cycles");
+    }
+    if full.canonical_text() != traced.canonical_text() {
+        out.push("canonical text");
+    }
+    if full.lane_breakdown != traced.lane_breakdown {
+        out.push("lane breakdown");
+    }
+    out
+}
+
+/// Edge values reach neither the arithmetic's bits nor the timing: a
+/// replay reproduces a full simulation's memory image word for word, and
+/// that full simulation's report is the seed-1 trace's. Timing reads no
+/// data by construction, so this is the dynamic evidence for it.
 #[test]
 fn replay_keeps_edge_values_bit_for_bit_on_every_small_cell() {
     let cells = small_cells();
@@ -116,9 +139,21 @@ fn replay_keeps_edge_values_bit_for_bit_on_every_small_cell() {
         let edged = with_edge_values(build(2));
         let mut machine = Machine::new(cfg.machine_config(), opts);
         replay_trace_on(&mut machine, &edged, &trace).expect("replays");
-        let full = full_image(cell, &edged);
+        let (report, full) = full_run(cell, &edged);
+        let mut failures = Vec::new();
         let word = memory_image(&machine).iter().zip(&full).position(|(a, b)| a != b);
-        word.map(|word| format!("{}: word {word} differs from full simulation", label(cell)))
+        if let Some(word) = word {
+            failures.push(format!("{}: word {word} differs from full simulation", label(cell)));
+        }
+        let timing = timing_divergences(&trace.report, &report);
+        if !timing.is_empty() {
+            failures.push(format!(
+                "{}: {} differ from the seed-1 trace",
+                label(cell),
+                timing.join(", ")
+            ));
+        }
+        failures
     })
     .into_iter()
     .flatten()

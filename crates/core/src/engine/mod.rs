@@ -58,8 +58,7 @@ use persist::{PersistedRun, PersistentTier, WarmStart};
 use revel_compiler::BuildCfg;
 use revel_sim::{SimError, SimOptions, TimingTrace};
 use revel_workloads::{
-    batch_replayable, record_timing, replay_dataset_on, replay_trace_on, run_workload_with,
-    WorkloadRun,
+    record_timing, replay_dataset_on, replay_trace_on, run_workload_with, WorkloadRun,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -167,11 +166,6 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
     fn ready_len(&self) -> usize {
         self.map.values().filter(|e| e.value.is_some()).count()
     }
-
-    /// Number of completed entries whose value satisfies `pred`.
-    fn ready_matching(&self, pred: impl Fn(&V) -> bool) -> usize {
-        self.map.values().filter(|e| e.value.as_ref().is_some_and(&pred)).count()
-    }
 }
 
 pub(crate) struct Engine {
@@ -210,8 +204,8 @@ pub(crate) struct Engine {
     // Batched executions served by a cached timing trace (no timing walk).
     trace_hits: AtomicU64,
     // Individual datasets executed through the functional replayer instead
-    // of the full simulator. Stays zero for uncertified batches — the
-    // counter-delta proof that the replay gate holds.
+    // of the full simulator. Stays zero for batches that fall back to full
+    // simulation — the counter-delta proof that the replay path ran.
     batched_replays: AtomicU64,
     /// The optional disk tier ([`enable_persistence`]); `None` outside
     /// server processes. Its own lock, never held while simulating.
@@ -646,16 +640,16 @@ pub struct BatchRun {
     pub replayed: bool,
 }
 
-/// Executes `bench` under `cfg` once per dataset seed — through the
-/// batched replay path when the configuration is certified oblivious.
+/// Executes `bench` under `cfg` once per dataset seed, through the
+/// batched replay path.
 ///
-/// For certified programs one cycle-accurate **timing walk** records a
-/// [`TimingTrace`] and compiles it to straight-line load / scalar-op /
-/// store code (cached process-wide, next to the run cache, in place of the
-/// recorded ops), and each seed's dataset then executes that code:
-/// byte-identical results, one simulation's worth of scheduling work and
-/// no DFG evaluation.
-/// Uncertified programs fall back to N independent full simulations.
+/// One cycle-accurate **timing walk** records a [`TimingTrace`] and
+/// compiles it to straight-line load / scalar-op / store code (cached
+/// process-wide, next to the run cache, in place of the recorded ops), and
+/// each seed's dataset then executes that code: byte-identical results,
+/// one simulation's worth of scheduling work and no DFG evaluation. A
+/// timing walk that exhausts its budget falls back to N independent full
+/// simulations.
 ///
 /// # Errors
 /// Propagates simulator errors, including a recorded trace that fails to
@@ -669,8 +663,10 @@ pub fn run_batched(bench: Bench, cfg: &BuildCfg, seeds: &[u64]) -> Result<BatchR
 
 impl Engine {
     /// [`run_batched`] on this engine. A batch always runs under
-    /// `cfg.sim_options()`: perturbed options have no way in, and
-    /// [`batch_replayable`] and `Machine::run_traced` refuse them besides.
+    /// `cfg.sim_options()`, which has no fault plan and a healthy fabric —
+    /// the runs [`revel_workloads::batch_replayable`] admits — so it needs
+    /// no admission step; `Machine::run_traced` refuses perturbed options
+    /// besides.
     fn run_batched(
         &self,
         bench: Bench,
@@ -678,19 +674,6 @@ impl Engine {
         seeds: &[u64],
     ) -> Result<BatchRun, SimError> {
         let opts = cfg.sim_options();
-        let full_batch = || -> Result<BatchRun, SimError> {
-            let mut runs = Vec::with_capacity(seeds.len());
-            for &seed in seeds {
-                runs.push(run_workload_with(bench.workload_seeded(seed).as_ref(), cfg, opts)?);
-            }
-            Ok(BatchRun { runs, replayed: false })
-        };
-        let built = bench.workload().build(cfg);
-        if !batch_replayable(&built, cfg, &opts) {
-            return full_batch();
-        }
-
-        // Certified: fetch or record the timing trace for this cell.
         let key = RunKey { bench, cfg: *cfg, batch: false };
         let cached = self.traces.lock().expect("trace cache lock").get(&key);
         let trace = match cached {
@@ -699,11 +682,17 @@ impl Engine {
                 t
             }
             None => {
+                let built = bench.workload().build(cfg);
                 let (timing, trace) = record_timing(&built, cfg, opts)?;
                 if timing.report.timed_out {
                     // A budget- or deadline-capped timing walk is not a usable
                     // trace (and caching it would poison every later batch).
-                    return full_batch();
+                    let mut runs = Vec::with_capacity(seeds.len());
+                    for &seed in seeds {
+                        let workload = bench.workload_seeded(seed);
+                        runs.push(run_workload_with(workload.as_ref(), cfg, opts)?);
+                    }
+                    return Ok(BatchRun { runs, replayed: false });
                 }
                 let trace = Arc::new(trace);
                 let evicted = self.traces.lock().expect("trace cache lock").insert(
@@ -807,10 +796,10 @@ pub struct CacheStats {
     /// cache. Not shown in the standard footer (clean-run output stays
     /// byte-identical); the degradation sweep prints it directly.
     pub fault_bypasses: u64,
-    /// Of [`CacheStats::run_entries`], entries whose program carries an
-    /// obliviousness certificate (`WorkloadRun::oblivious`): their timing
-    /// is provably data-independent, so a batched executor may reuse the
-    /// cached cycle counts across datasets of the same shape.
+    /// Always [`CacheStats::run_entries`]: every program's timing is
+    /// data-independent by construction. Kept only so the `stats` frame
+    /// stays byte-identical; it leaves the wire with the next wire version
+    /// (ROADMAP item 1).
     pub oblivious_entries: u64,
     /// Deadline-expired waiters that gave up on another thread's in-flight
     /// run and simulated uncached. These lookups are neither hits nor
@@ -820,8 +809,8 @@ pub struct CacheStats {
     /// cache (no timing walk needed).
     pub trace_hits: u64,
     /// Datasets executed through the functional trace replayer instead of
-    /// the full simulator. Zero for uncertified batches — the
-    /// counter-delta proof that the replay gate holds.
+    /// the full simulator. Zero for batches that fall back to full
+    /// simulation — the counter-delta proof that the replay path ran.
     pub batched_replays: u64,
     /// Lookups that missed memory but were answered from the disk tier
     /// without simulating. Neither a hit nor a miss of the memory cache.
@@ -888,10 +877,7 @@ pub fn stats() -> CacheStats {
 impl Engine {
     /// [`stats`] of this engine.
     pub(crate) fn stats(&self) -> CacheStats {
-        let (run_entries, oblivious_entries) = {
-            let runs = self.runs.lock().expect("run cache lock");
-            (runs.ready_len() as u64, runs.ready_matching(|r| r.oblivious) as u64)
-        };
+        let run_entries = self.runs.lock().expect("run cache lock").ready_len() as u64;
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -902,7 +888,7 @@ impl Engine {
             sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
             skipped_cycles: self.skipped_cycles.load(Ordering::Relaxed),
             fault_bypasses: self.fault_bypasses.load(Ordering::Relaxed),
-            oblivious_entries,
+            oblivious_entries: run_entries,
             deadline_fallbacks: self.deadline_fallbacks.load(Ordering::Relaxed),
             trace_hits: self.trace_hits.load(Ordering::Relaxed),
             batched_replays: self.batched_replays.load(Ordering::Relaxed),
@@ -1083,20 +1069,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_runs_record_the_oblivious_certificate() {
-        let b = Bench::Fft { n: 64 };
-        let cfg = BuildCfg::revel(1);
-        let run = engine().run_cached(b, &cfg, false, None).expect("runs");
-        assert!(run.oblivious, "suite kernels are statically data-oblivious");
-        let s = stats();
-        assert!(s.oblivious_entries >= 1, "certified entry must be counted: {s:?}");
-        assert!(
-            s.oblivious_entries <= s.run_entries,
-            "certified entries are a subset of cached runs: {s:?}"
-        );
-    }
-
-    #[test]
     fn distinct_configs_do_not_collide() {
         let b = Bench::Solver { n: 12 };
         let revel = engine().run_cached(b, &BuildCfg::revel(1), false, None).expect("runs");
@@ -1177,7 +1149,7 @@ mod tests {
         let seeds = [2u64, 3, 4];
         let batch = e.run_batched(b, &cfg, &seeds).expect("batched run");
         let after = e.stats();
-        assert!(batch.replayed, "a certified cell must take the replay path");
+        assert!(batch.replayed, "a healthy batch must take the replay path");
         assert_eq!(batch.runs.len(), seeds.len());
         assert_eq!(after.batched_replays, seeds.len() as u64, "one replay per dataset: {after:?}");
         assert_eq!(after.trace_hits, 0, "the first batch records the trace");
@@ -1187,7 +1159,7 @@ mod tests {
                 run_workload_with(b.workload_seeded(*seed).as_ref(), &cfg, cfg.sim_options())
                     .expect("full sim");
             full.assert_ok(&format!("fft full seed {seed}"));
-            assert_eq!(run.cycles, full.cycles, "seed {seed}: oblivious timing must match");
+            assert_eq!(run.cycles, full.cycles, "seed {seed}: timing must match");
             assert_eq!(
                 run.report.canonical_text(),
                 full.report.canonical_text(),

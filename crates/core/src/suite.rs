@@ -129,7 +129,7 @@ impl Bench {
     /// The workload object with a caller-chosen dataset seed. The seed
     /// changes only the input values, never the program structure: two
     /// seeds of the same cell must produce identical command streams, and
-    /// — for obliviousness-certified programs — identical timing too.
+    /// so identical timing too.
     pub fn workload_seeded(&self, seed: u64) -> Box<dyn Workload> {
         match *self {
             Bench::Solver { n } => Box::new(Solver::new(n, seed)),
@@ -247,9 +247,8 @@ impl Bench {
     }
 
     /// Executes this bench once per dataset seed through the engine's
-    /// batched replay path ([`crate::engine::run_batched`]): certified
-    /// cells pay one timing walk plus N cheap functional replays;
-    /// uncertified cells fall back to N full simulations.
+    /// batched replay path ([`crate::engine::run_batched`]): one timing
+    /// walk plus N cheap functional replays.
     ///
     /// # Errors
     /// Propagates simulator errors.

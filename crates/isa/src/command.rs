@@ -334,11 +334,6 @@ impl StreamCommand {
         }
     }
 
-    /// True for synchronization commands (barriers and waits).
-    pub fn is_sync(&self) -> bool {
-        matches!(self, StreamCommand::BarrierScratch | StreamCommand::Wait)
-    }
-
     /// True if any pattern or rate in the command is inductive.
     pub fn is_inductive(&self) -> bool {
         match self {
@@ -479,8 +474,6 @@ mod tests {
         let c = StreamCommand::xfer(OutPortId(6), InPortId(2), 4, RateFsm::ONCE, RateFsm::ONCE);
         assert_eq!(c.dst_in_port(), Some(InPortId(2)));
         assert_eq!(c.src_out_port(), Some(OutPortId(6)));
-        assert!(!c.is_sync());
-        assert!(StreamCommand::Wait.is_sync());
     }
 
     #[test]

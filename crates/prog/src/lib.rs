@@ -37,27 +37,6 @@ pub trait HostMem {
     fn write(&mut self, lane: Option<u8>, addr: i64, value: f64);
 }
 
-/// One scratchpad range a [`HostOp`] declares it writes.
-///
-/// Host closures are opaque to static analysis; without a declaration the
-/// obliviousness certifier must assume a host op overwrites *all* of memory
-/// with dataset-derived values. A declared effect bounds the damage: only
-/// the listed ranges are written, and ranges marked `size_only` hold values
-/// computed purely from problem dimensions (loop trip counts, block sizes)
-/// — never from dataset words — so they remain legal sources for
-/// timing-relevant [`DynBind`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HostWrite {
-    /// Target scratchpad (`None` = shared, `Some(l)` = lane `l` private).
-    pub lane: Option<u8>,
-    /// First word address written.
-    pub addr: i64,
-    /// Number of consecutive words written.
-    pub len: i64,
-    /// True when the written values derive only from problem sizes.
-    pub size_only: bool,
-}
-
 /// A computation executed *on the control core* between stream commands.
 ///
 /// This is how baseline architectures without a temporal fabric run
@@ -72,12 +51,8 @@ pub struct HostOp {
     /// The computation, applied to scratchpad memory. A closure has no
     /// structure to compare, so it stays outside the program's
     /// [`StructuralId`]: static analysis never looks inside it either, it
-    /// reads `cycles` and the declared `effect`.
+    /// reads `cycles` only.
     pub func: HostFn,
-    /// Declared write set: `None` means undeclared (static analysis assumes
-    /// the closure may overwrite all of memory with dataset-derived data);
-    /// `Some(writes)` is a *complete* listing of everything `func` writes.
-    pub effect: Option<Vec<HostWrite>>,
 }
 
 /// The callable body of a [`HostOp`]. `Send + Sync` so whole programs can
@@ -90,197 +65,25 @@ impl fmt::Debug for HostOp {
     }
 }
 
-/// Structural identity: `cycles` and the declared `effect` — the two fields
-/// the simulator's timing and the obliviousness certifier read — and not
-/// `func` (see its field doc). The destructuring names every field, so a
-/// field added later fails to compile here instead of escaping identity.
+/// Structural identity: `cycles` — the field the simulator's timing reads
+/// — and not `func` (see its field doc). The destructuring names every
+/// field, so a field added later fails to compile here instead of escaping
+/// identity.
 impl Hash for HostOp {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let HostOp { cycles, func: _, effect } = self;
+        let HostOp { cycles, func: _ } = self;
         cycles.hash(state);
-        effect.hash(state);
     }
 }
 
-/// Where a [`DynBind`] reads its word at issue time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DynSrc {
-    /// A word of the shared scratchpad.
-    Shared {
-        /// Word address.
-        addr: i64,
-    },
-    /// A word of one lane's private scratchpad.
-    Private {
-        /// Lane index.
-        lane: u8,
-        /// Word address.
-        addr: i64,
-    },
-}
-
-/// Which field of a [`DynStep`]'s template a bind patches at issue time.
-///
-/// Every variant is *timing-relevant* by construction — that is the point
-/// of the dynamic-step ISA extension: the only program values that can
-/// change between issues of the same static program are exactly the values
-/// the obliviousness certifier must prove size-only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DynField {
-    /// Predicate: the command issues only if the word is nonzero (the
-    /// command is skipped — pc advances, nothing is shipped — otherwise).
-    Guard,
-    /// `Configure`: the configuration index to activate.
-    ConfigSelect,
-    /// `SetAccumLen`: the new (fixed) accumulator length.
-    AccumLen,
-    /// `Load`/`Store`: the pattern's starting word offset.
-    PatternStart,
-    /// `Load`/`Store`: the pattern's inner trip count.
-    PatternLenI,
-    /// `Load`/`Store`: the pattern's outer trip count.
-    PatternLenJ,
-    /// `Load`/`Store`: the pattern's inner stride.
-    PatternStrideI,
-    /// `Xfer`: the number of forwarded values (outer iterations).
-    XferOuter,
-}
-
-/// One issue-time patch: read `src`, write it into `field` of the template.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DynBind {
-    /// The template field patched.
-    pub field: DynField,
-    /// The scratchpad word supplying the value.
-    pub src: DynSrc,
-}
-
-/// A control step whose command is *finalized at issue time* from
-/// scratchpad words: the control core reads each bind's source word and
-/// patches it into the command template before shipping it to the lanes.
-///
-/// This is the machine's only mechanism for data-dependent control — and
-/// therefore the complete set of taint sinks for the obliviousness
-/// certifier (`revel-verify`, codes V015–V019): a program whose dynamic
-/// binds all read provably size-only words has data-independent timing.
-#[derive(Debug, Clone, Hash)]
-pub struct DynStep {
-    /// The command template (lane mask/scaling included).
-    pub template: VectorCommand,
-    /// Issue-time patches, applied in order.
-    pub binds: Vec<DynBind>,
-}
-
-impl DynStep {
-    /// Resolves the step into a concrete command by reading every bind's
-    /// source word through `read` and patching the template. Returns
-    /// `None` when a [`DynField::Guard`] bind reads zero (the command is
-    /// suppressed).
-    ///
-    /// Resolution is pure in `read`: resolving twice against the same
-    /// memory yields the same command, which keeps re-resolution on a
-    /// queue-full retry deterministic.
-    pub fn resolve_with(&self, read: &mut dyn FnMut(DynSrc) -> f64) -> Option<VectorCommand> {
-        let mut vc = self.template.clone();
-        for bind in &self.binds {
-            let word = read(bind.src);
-            let int = word as i64;
-            match bind.field {
-                DynField::Guard => {
-                    if word == 0.0 {
-                        return None;
-                    }
-                }
-                DynField::ConfigSelect => {
-                    if let StreamCommand::Configure { config } = &mut vc.cmd {
-                        config.0 = int.max(0) as u32;
-                    }
-                }
-                DynField::AccumLen => {
-                    if let StreamCommand::SetAccumLen { len, .. } = &mut vc.cmd {
-                        *len = revel_isa::RateFsm::fixed(int.max(1));
-                    }
-                }
-                DynField::PatternStart
-                | DynField::PatternLenI
-                | DynField::PatternLenJ
-                | DynField::PatternStrideI => {
-                    if let StreamCommand::Load { pattern, .. }
-                    | StreamCommand::Store { pattern, .. } = &mut vc.cmd
-                    {
-                        match bind.field {
-                            DynField::PatternStart => pattern.start = int,
-                            DynField::PatternLenI => pattern.len_i = int.max(0),
-                            DynField::PatternLenJ => pattern.len_j = int.max(0),
-                            DynField::PatternStrideI => pattern.stride_i = int,
-                            _ => unreachable!(),
-                        }
-                    }
-                }
-                DynField::XferOuter => {
-                    if let StreamCommand::Xfer { outer, .. } = &mut vc.cmd {
-                        *outer = int.max(0);
-                    }
-                }
-            }
-        }
-        Some(vc)
-    }
-
-    /// Checks every bind patches a field its template actually has.
-    ///
-    /// # Errors
-    /// [`ProgramError::DynBindMismatch`] on the first inapplicable bind.
-    pub fn validate(&self) -> Result<(), ProgramError> {
-        let kind = command_kind(&self.template.cmd);
-        for bind in &self.binds {
-            let ok = match bind.field {
-                // Sync commands have no issue effect to predicate.
-                DynField::Guard => !self.template.cmd.is_sync(),
-                DynField::ConfigSelect => {
-                    matches!(self.template.cmd, StreamCommand::Configure { .. })
-                }
-                DynField::AccumLen => {
-                    matches!(self.template.cmd, StreamCommand::SetAccumLen { .. })
-                }
-                DynField::PatternStart
-                | DynField::PatternLenI
-                | DynField::PatternLenJ
-                | DynField::PatternStrideI => matches!(
-                    self.template.cmd,
-                    StreamCommand::Load { .. } | StreamCommand::Store { .. }
-                ),
-                DynField::XferOuter => matches!(self.template.cmd, StreamCommand::Xfer { .. }),
-            };
-            if !ok {
-                return Err(ProgramError::DynBindMismatch { field: bind.field, command: kind });
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Human-readable command kind for diagnostics.
-fn command_kind(cmd: &StreamCommand) -> &'static str {
-    match cmd {
-        StreamCommand::Configure { .. } => "Configure",
-        StreamCommand::Load { .. } => "Load",
-        StreamCommand::Store { .. } => "Store",
-        StreamCommand::Const { .. } => "Const",
-        StreamCommand::Xfer { .. } => "Xfer",
-        StreamCommand::SetAccumLen { .. } => "SetAccumLen",
-        StreamCommand::BarrierScratch => "BarrierScratch",
-        StreamCommand::Wait => "Wait",
-    }
-}
-
-/// One step of the control program.
+/// One step of the control program. No step reads a scratchpad word to
+/// decide what issues or when: every timing-relevant command field is a
+/// literal of the program, so timing depends on problem sizes alone, never
+/// on the dataset (DESIGN.md §13).
 #[derive(Debug, Clone, Hash)]
 pub enum ControlStep {
     /// Ship a vector-stream command to the lanes.
     Command(VectorCommand),
-    /// Resolve a command template against scratchpad words, then ship it.
-    Dyn(DynStep),
     /// Run a scalar computation on the control core.
     Host(HostOp),
 }
@@ -348,13 +151,6 @@ pub enum ProgramError {
         /// Scratchpad capacity in words.
         limit: usize,
     },
-    /// A dynamic bind patches a field its command template does not have.
-    DynBindMismatch {
-        /// The inapplicable field.
-        field: DynField,
-        /// The template's command kind.
-        command: &'static str,
-    },
     /// An embedded ISA value failed validation.
     Isa(revel_isa::IsaError),
     /// A region's DFG failed validation.
@@ -378,9 +174,6 @@ impl fmt::Display for ProgramError {
                 write!(f, "config {config}: input port {port} bound by two regions")
             }
             ProgramError::UnknownConfig { config } => write!(f, "unknown config id {config}"),
-            ProgramError::DynBindMismatch { field, command } => {
-                write!(f, "dynamic bind {field:?} does not apply to a {command} template")
-            }
             ProgramError::AddressOutOfBounds { lane, target, addr, limit } => {
                 let which = match target {
                     MemTarget::Private => "private",
@@ -423,37 +216,13 @@ impl RevelProgram {
         self.control.push(ControlStep::Command(cmd));
     }
 
-    /// Appends a host computation of `cycles` control-core cycles with an
-    /// undeclared write set (static analysis assumes it taints all memory).
+    /// Appends a host computation of `cycles` control-core cycles.
     pub fn push_host(
         &mut self,
         cycles: u64,
         func: impl Fn(&mut dyn HostMem) + Send + Sync + 'static,
     ) {
-        self.control.push(ControlStep::Host(HostOp { cycles, func: Arc::new(func), effect: None }));
-    }
-
-    /// Appends a host computation with a *complete* declared write set —
-    /// the contract the obliviousness certifier relies on: `func` writes
-    /// exactly the words in `effect`, and ranges marked
-    /// [`HostWrite::size_only`] hold values derived from problem sizes
-    /// alone.
-    pub fn push_host_declared(
-        &mut self,
-        cycles: u64,
-        effect: Vec<HostWrite>,
-        func: impl Fn(&mut dyn HostMem) + Send + Sync + 'static,
-    ) {
-        self.control.push(ControlStep::Host(HostOp {
-            cycles,
-            func: Arc::new(func),
-            effect: Some(effect),
-        }));
-    }
-
-    /// Appends a dynamic (issue-time-resolved) command step.
-    pub fn push_dyn(&mut self, step: DynStep) {
-        self.control.push(ControlStep::Dyn(step));
+        self.control.push(ControlStep::Host(HostOp { cycles, func: Arc::new(func) }));
     }
 
     /// Total number of control steps (the control-amortization metric).
@@ -499,14 +268,7 @@ impl RevelProgram {
             }
         }
         for step in &self.control {
-            let vc = match step {
-                ControlStep::Command(vc) => vc,
-                ControlStep::Dyn(ds) => {
-                    ds.validate()?;
-                    &ds.template
-                }
-                ControlStep::Host(_) => continue,
-            };
+            let ControlStep::Command(vc) = step else { continue };
             vc.validate()?;
             if let Some(p) = vc.cmd.dst_in_port() {
                 if p.0 >= in_limit {
@@ -535,26 +297,7 @@ impl RevelProgram {
     /// [`ProgramError::AddressOutOfBounds`] on the first offending stream.
     pub fn validate_memory(&self, cfg: &RevelConfig) -> Result<(), ProgramError> {
         for step in &self.control {
-            let vc = match step {
-                ControlStep::Command(vc) => vc,
-                // A dynamic step's pattern is only statically checkable when
-                // no bind rewrites it; patched patterns are checked at issue
-                // time by the simulator (and flagged V018 by the certifier).
-                ControlStep::Dyn(ds)
-                    if !ds.binds.iter().any(|b| {
-                        matches!(
-                            b.field,
-                            DynField::PatternStart
-                                | DynField::PatternLenI
-                                | DynField::PatternLenJ
-                                | DynField::PatternStrideI
-                        )
-                    }) =>
-                {
-                    &ds.template
-                }
-                _ => continue,
-            };
+            let ControlStep::Command(vc) = step else { continue };
             for lane in vc.lanes.iter() {
                 if lane.0 as usize >= cfg.num_lanes {
                     continue; // command targets a lane the machine lacks
@@ -714,93 +457,6 @@ mod tests {
             ),
         ));
         assert!(p.validate(&cfg.lane).is_ok(), "ports are fine");
-        assert!(matches!(
-            p.validate_memory(&cfg),
-            Err(ProgramError::AddressOutOfBounds { target: MemTarget::Private, .. })
-        ));
-    }
-
-    #[test]
-    fn dyn_step_resolves_and_guards() {
-        let template = VectorCommand::broadcast(
-            LaneMask::all(1),
-            StreamCommand::load(
-                MemTarget::Private,
-                AffinePattern::linear(0, 4),
-                InPortId(0),
-                RateFsm::ONCE,
-            ),
-        );
-        let step = DynStep {
-            template,
-            binds: vec![
-                DynBind { field: DynField::Guard, src: DynSrc::Shared { addr: 0 } },
-                DynBind { field: DynField::PatternLenI, src: DynSrc::Shared { addr: 1 } },
-            ],
-        };
-        step.validate().expect("binds apply to a Load");
-
-        // Guard nonzero: the command issues with the patched length.
-        let mut mem = |src: DynSrc| match src {
-            DynSrc::Shared { addr: 0 } => 1.0,
-            DynSrc::Shared { addr: 1 } => 7.0,
-            _ => 0.0,
-        };
-        let vc = step.resolve_with(&mut mem).expect("guard is nonzero");
-        match vc.cmd {
-            StreamCommand::Load { pattern, .. } => assert_eq!(pattern.len_i, 7),
-            other => panic!("expected Load, got {other:?}"),
-        }
-
-        // Guard zero: the command is suppressed.
-        let mut dead = |_src: DynSrc| 0.0;
-        assert!(step.resolve_with(&mut dead).is_none());
-    }
-
-    #[test]
-    fn dyn_bind_mismatch_rejected() {
-        // XferOuter on a Load template is a contradiction.
-        let step = DynStep {
-            template: VectorCommand::broadcast(
-                LaneMask::all(1),
-                StreamCommand::load(
-                    MemTarget::Private,
-                    AffinePattern::linear(0, 4),
-                    InPortId(0),
-                    RateFsm::ONCE,
-                ),
-            ),
-            binds: vec![DynBind { field: DynField::XferOuter, src: DynSrc::Shared { addr: 0 } }],
-        };
-        assert_eq!(
-            step.validate(),
-            Err(ProgramError::DynBindMismatch { field: DynField::XferOuter, command: "Load" })
-        );
-        // The same mismatch is caught by whole-program validation.
-        let mut p = RevelProgram::new("t");
-        p.add_config(vec![simple_region(8)]);
-        p.push_dyn(step);
-        assert!(matches!(p.validate(&lane()), Err(ProgramError::DynBindMismatch { .. })));
-    }
-
-    #[test]
-    fn dyn_step_with_static_pattern_is_bounds_checked() {
-        let cfg = RevelConfig::single_lane();
-        let mut p = RevelProgram::new("t");
-        p.add_config(vec![simple_region(8)]);
-        p.push_dyn(DynStep {
-            template: VectorCommand::broadcast(
-                LaneMask::all(1),
-                StreamCommand::load(
-                    MemTarget::Private,
-                    AffinePattern::linear(cfg.lane.spad_words as i64 - 4, 8),
-                    InPortId(0),
-                    RateFsm::ONCE,
-                ),
-            ),
-            binds: vec![DynBind { field: DynField::Guard, src: DynSrc::Shared { addr: 0 } }],
-        });
-        // Guard-only binds leave the pattern static: still checkable.
         assert!(matches!(
             p.validate_memory(&cfg),
             Err(ProgramError::AddressOutOfBounds { target: MemTarget::Private, .. })

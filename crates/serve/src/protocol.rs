@@ -68,9 +68,8 @@ pub enum Request {
         fault_window: Option<u64>,
     },
     /// Simulate one evaluation-grid cell over a batch of seeded datasets
-    /// (one per entry of `seeds`). Certified-oblivious cells pay for one
-    /// timing walk and replay it functionally per dataset; uncertified
-    /// cells fall back to independent full simulations.
+    /// (one per entry of `seeds`): one timing walk, replayed functionally
+    /// per dataset.
     SimulateBatch {
         /// Kernel name (`Bench::name`).
         bench: String,
@@ -233,8 +232,8 @@ pub enum Response {
     },
     /// A completed batched simulation (one result summary over all lanes).
     BatchResult {
-        /// Cycle count of one lane (every lane of an oblivious batch
-        /// executes the same schedule, so one count describes all).
+        /// Cycle count of one lane (every lane of a batch executes the
+        /// same schedule, so one count describes all).
         cycles: u64,
         /// Stream commands issued by the control core, per lane.
         commands_issued: u64,
@@ -242,8 +241,8 @@ pub enum Response {
         batch: u64,
         /// Numerical verification passed on every lane.
         verified: bool,
-        /// True when the batch took the trace-replay path (certified
-        /// oblivious); false when it fell back to full simulations.
+        /// True when the batch took the trace-replay path; false when it
+        /// fell back to full simulations (a timing walk out of budget).
         replayed: bool,
     },
     /// A simulation ended by the cycle budget or the wall-clock deadline.

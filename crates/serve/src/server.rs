@@ -877,11 +877,11 @@ fn simulate_faulted(
     }
 }
 
-/// A batched simulation request: one cell, N seeded datasets. Certified
-/// cells pay one timing walk and replay it per seed; the rest simulate
-/// each seed in full. Either way every lane is verified, and a lane that
-/// hits the cycle budget turns the whole batch into `timed_out` (a
-/// truncated lane has no trustworthy result to summarize).
+/// A batched simulation request: one cell, N seeded datasets. The cell
+/// pays one timing walk and replays it per seed, or simulates each seed in
+/// full if that walk ran out of budget. Either way every lane is verified,
+/// and a lane that hits the cycle budget turns the whole batch into
+/// `timed_out` (a truncated lane has no trustworthy result to summarize).
 fn simulate_batch(bench: &str, params: &str, arch: &str, seeds: &[u64]) -> Response {
     if seeds.is_empty() {
         return Response::error("bad_request", "simulate_batch needs at least one seed");

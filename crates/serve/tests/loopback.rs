@@ -355,7 +355,7 @@ fn a_peer_that_stops_draining_is_dropped_at_the_write_buffer_cap() {
     assert!(stats.write_overflows >= 1, "the overflow was counted: {stats}");
 }
 
-/// Batched simulation over the wire: a certified grid cell's
+/// Batched simulation over the wire: a grid cell's
 /// `simulate_batch` takes the trace-replay path (visible in the engine's
 /// `batched_replays` counter), answers with a per-lane-verified summary
 /// whose cycle count matches the single-run path, and rejects an empty
@@ -387,7 +387,7 @@ fn simulate_batch_replays_certified_cells_over_the_wire() {
         Response::BatchResult { cycles, commands_issued, batch, verified, replayed } => {
             assert_eq!(batch, seeds.len() as u64);
             assert!(verified, "every lane verifies");
-            assert!(replayed, "a certified cell must take the replay path");
+            assert!(replayed, "a healthy batch must take the replay path");
             assert_eq!(replayed, local.replayed);
             assert_eq!(cycles, local.runs[0].cycles, "wire summary matches the local batch");
             assert_eq!(commands_issued, local.runs[0].report.commands_issued);

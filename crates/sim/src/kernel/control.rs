@@ -6,7 +6,7 @@ use crate::lane::Lane;
 use crate::machine::Machine;
 use crate::memory::Scratchpad;
 use revel_isa::{LaneId, StreamCommand};
-use revel_prog::{ControlStep, DynSrc, HostMem, RevelProgram};
+use revel_prog::{ControlStep, HostMem, RevelProgram};
 
 /// Architectural state of the control core.
 #[derive(Debug, Clone, Default)]
@@ -76,7 +76,6 @@ impl Machine {
         if self.control.pc >= program.control.len() || now < self.control.busy_until {
             return progress;
         }
-        let vc_owned;
         let vc = match &program.control[self.control.pc] {
             ControlStep::Host(op) => {
                 // Host computations synchronize with the fabric through
@@ -92,39 +91,6 @@ impl Machine {
                 return true;
             }
             ControlStep::Command(vc) => vc,
-            ControlStep::Dyn(ds) => {
-                // Resolve the template against scratchpad words at issue
-                // time. Resolution is a pure read, so re-resolving on a
-                // queue-full retry is deterministic: memory only changes
-                // through events that also wake this loop.
-                let lanes = &self.lanes;
-                let shared = &self.shared;
-                let mut read = |src: DynSrc| match src {
-                    DynSrc::Shared { addr } => shared.read_f64(addr),
-                    DynSrc::Private { lane, addr } => {
-                        lanes.get(lane as usize).map_or(0.0, |l| l.spad.read_f64(addr))
-                    }
-                };
-                match ds.resolve_with(&mut read) {
-                    Some(mut vc) => {
-                        // A patched Configure index saturates at the last
-                        // config: the fabric has nothing else to load.
-                        if let StreamCommand::Configure { config } = &mut vc.cmd {
-                            let last = program.configs.len().saturating_sub(1) as u32;
-                            config.0 = config.0.min(last);
-                        }
-                        vc_owned = vc;
-                        &vc_owned
-                    }
-                    None => {
-                        // Guard read zero: the command vanishes, but the
-                        // core still burns its issue slot deciding so.
-                        self.control.busy_until = now + self.cfg.cmd_issue_cycles;
-                        self.control.pc += 1;
-                        return true;
-                    }
-                }
-            }
         };
         if matches!(vc.cmd, StreamCommand::Wait) {
             self.control.waiting = true;

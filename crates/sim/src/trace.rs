@@ -1,17 +1,18 @@
 //! Timing-trace recording, compilation and replay: the "one timing run,
 //! N datasets" lever.
 //!
-//! For a certified data-oblivious program (see `revel-verify`'s
-//! `ObliviousnessCert`) the cycle-level behaviour of a run — which
-//! commands issue when, which regions fire with how many valid lanes,
-//! which words move through which ports — depends only on problem
-//! *sizes*, never on dataset *values*. One cycle-accurate run therefore
-//! records the linear sequence of functional micro-operations
-//! ([`TraceOp`]) in exact execution order, and [`TimingTrace::compile`]
-//! lowers it, once, to straight-line code that every further same-shape
-//! dataset executes ([`Machine::replay`]): read a word into a slot, apply
-//! one scalar op to slots into a new slot, write a slot to memory, or run
-//! a host op — no cycle stepping, no port FSM and no DFG evaluation.
+//! A program's cycle-level behaviour — which commands issue when, which
+//! regions fire with how many valid lanes, which words move through which
+//! ports — depends only on problem *sizes*, never on dataset *values*:
+//! every stream length, stride, trip count, configuration index and
+//! host-op cost is a literal of the program, and no control step reads a
+//! data word (DESIGN.md §13). One cycle-accurate run therefore records the
+//! linear sequence of functional micro-operations ([`TraceOp`]) in exact
+//! execution order, and [`TimingTrace::compile`] lowers it, once, to
+//! straight-line code that every further same-shape dataset executes
+//! ([`Machine::replay`]): read a word into a slot, apply one scalar op to
+//! slots into a new slot, write a slot to memory, or run a host op — no
+//! cycle stepping, no port FSM and no DFG evaluation.
 //!
 //! The compiler is the checked replay walk: it drives the *real* port
 //! FSMs and region result queues through the op list with every word a
@@ -33,10 +34,10 @@
 //! delivered before a reconfiguration and by the end, addresses stay in
 //! bounds — is a fact about the op list, made once per trace: an op list
 //! that breaks one fails to compile with [`SimError::Replay`] naming the
-//! op, never a panic. Replaying a program whose timing depends on its data
-//! values computes the recorded dataset's shape over the new values;
-//! callers must gate replay on the static certificate, which the trace
-//! machinery cannot prove.
+//! op, never a panic. That timing reads no data is a property of the ISA,
+//! not of a program, so no program needs a certificate before replay; the
+//! grid oracle's second-dataset sweep and the edge-value replay test are
+//! the dynamic evidence.
 
 use crate::kernel::MachineMem;
 use crate::lane::Lane;
@@ -205,7 +206,7 @@ pub enum TraceOp {
 /// The recorded timing side of one cycle-accurate run, compiled: the
 /// straight-line code every dataset executes, plus the run's full report
 /// (cycles, per-lane breakdown, event counts), which every replayed
-/// dataset shares verbatim — that *is* the obliviousness claim being
+/// dataset shares verbatim — that *is* data-independent timing being
 /// cashed in.
 #[derive(Debug, Clone)]
 pub struct TimingTrace {

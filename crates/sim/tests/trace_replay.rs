@@ -1,8 +1,6 @@
 //! Timing-trace recording, compilation and replay: byte-parity with full
-//! simulation on oblivious programs, structured refusal under
-//! perturbation, every check of the replay walk raised by name when an
-//! edited op list is compiled, and — the anti-vacuity pin — divergence on
-//! a program whose timing actually depends on dataset values.
+//! simulation, structured refusal under perturbation, and every check of
+//! the replay walk raised by name when an edited op list is compiled.
 
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_fabric::{FabricMask, RevelConfig};
@@ -10,7 +8,6 @@ use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, MemTarget, OutPortId, RateFsm,
     StreamCommand, VectorCommand,
 };
-use revel_prog::{DynBind, DynField, DynSrc, DynStep};
 use revel_sim::{
     FaultPlan, Machine, ReplayError, RevelProgram, RunReport, SimError, SimOptions, TimingTrace,
     TraceOp,
@@ -322,86 +319,6 @@ fn result_queue_desyncs_are_named() {
         (e.op, e.message.as_str()),
         (first_fire + 1, "undelivered region outputs at end of trace")
     );
-}
-
-/// The anti-vacuity pin (ISSUE 7 satellite): a program whose stream
-/// lengths are *data*-dependent (a `Dyn` bind reading a word of the
-/// dataset) must (a) be refused by the obliviousness certifier, and
-/// (b) actually diverge when an A-recorded trace is replayed on B —
-/// proving the replay path is gated by something real.
-#[test]
-fn value_dependent_length_diverges_and_is_refused() {
-    const LEN_ADDR: i64 = 63;
-    let mut g = Dfg::new("neg");
-    let a = g.input(InPortId(0));
-    let o = g.op(OpCode::Neg, &[a]);
-    g.output(o, OutPortId(0));
-    let mut prog = RevelProgram::new("trace-dyn-len");
-    let cfg = prog.add_config(vec![Region::systolic("neg", g, 8)]);
-    prog.push(VectorCommand::broadcast(
-        lane0(),
-        StreamCommand::Configure { config: ConfigId(cfg) },
-    ));
-    let len_bind =
-        DynBind { field: DynField::PatternLenI, src: DynSrc::Private { lane: 0, addr: LEN_ADDR } };
-    prog.push_dyn(DynStep {
-        template: VectorCommand::broadcast(
-            lane0(),
-            StreamCommand::load(
-                MemTarget::Private,
-                AffinePattern::linear(0, 8),
-                InPortId(0),
-                RateFsm::ONCE,
-            ),
-        ),
-        binds: vec![len_bind],
-    });
-    prog.push_dyn(DynStep {
-        template: VectorCommand::broadcast(
-            lane0(),
-            StreamCommand::store(
-                OutPortId(0),
-                MemTarget::Private,
-                AffinePattern::linear(32, 8),
-                RateFsm::ONCE,
-            ),
-        ),
-        binds: vec![len_bind],
-    });
-    prog.push(VectorCommand::broadcast(lane0(), StreamCommand::Wait));
-
-    // (a) the cert gate refuses: the bound word is part of the dataset.
-    let diags = revel_verify::certify(&prog, &RevelConfig::single_lane())
-        .expect_err("value-dependent stream length must not certify");
-    assert!(!diags.is_empty());
-
-    // (b) replaying A's trace on B silently computes A's *shape* over B's
-    // values — different from a full simulation of B.
-    let input: Vec<f64> = (1..=8).map(|i| i as f64).collect();
-    let mut rec = machine();
-    rec.write_private(LaneId(0), 0, &input);
-    rec.write_private(LaneId(0), LEN_ADDR, &[8.0]);
-    let trace = rec.run_traced(&prog).expect("timing run on A");
-
-    let mut full_b = machine();
-    full_b.write_private(LaneId(0), 0, &input);
-    full_b.write_private(LaneId(0), LEN_ADDR, &[4.0]);
-    let rb = full_b.run(&prog).expect("full sim B");
-    assert!(!rb.timed_out);
-
-    let mut rep_b = machine();
-    rep_b.write_private(LaneId(0), 0, &input);
-    rep_b.write_private(LaneId(0), LEN_ADDR, &[4.0]);
-    let diverged = match rep_b.replay(&prog, &trace) {
-        Err(SimError::Replay(_)) => true,
-        Err(other) => panic!("unexpected error class: {other}"),
-        Ok(()) => rep_b.read_private(LaneId(0), 32, 8) != full_b.read_private(LaneId(0), 32, 8),
-    };
-    assert!(diverged, "uncertified program's replay must diverge from full simulation");
-    // Also check the timing runs themselves differ — the length change is
-    // timing-visible, which is exactly what the certifier refuses to rule
-    // out statically.
-    assert_ne!(trace.report.canonical_text(), rb.canonical_text());
 }
 
 #[test]

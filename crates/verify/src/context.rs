@@ -79,15 +79,7 @@ impl<'a> Context<'a> {
             .collect();
 
         for (index, step) in program.control.iter().enumerate() {
-            // A dynamic step is analyzed as its template: a sound
-            // may-approximation for the structural lints (the issue-time
-            // binds can suppress or retarget it, which the obliviousness
-            // pass reasons about separately).
-            let vc = match step {
-                ControlStep::Command(vc) => vc,
-                ControlStep::Dyn(ds) => &ds.template,
-                ControlStep::Host(_) => continue,
-            };
+            let ControlStep::Command(vc) = step else { continue };
             for view in lanes.iter_mut() {
                 if !vc.lanes.contains(LaneId(view.lane)) {
                     continue;

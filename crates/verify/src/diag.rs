@@ -38,7 +38,8 @@ macro_rules! codes {
     ($( $(#[$meta:meta])* $name:ident => $severity:ident, $summary:expr, $explain:expr; )+) => {
         /// Stable diagnostic codes. Codes are append-only: a released code
         /// never changes meaning, so tests and suppression lists can match
-        /// on them.
+        /// on them. `V015`–`V019` (the retired taint certifier's) are
+        /// retired and never reused.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[allow(missing_docs)] // each code is documented by summary()/explain()
         pub enum Code {
@@ -165,50 +166,6 @@ codes! {
         "The configuration needs more PEs, temporal instruction slots, \
          or routable links than the lane provides; Machine::run would \
          reject it at spatial-compile time.";
-    V015 => Warning,
-        "data-tainted value controls a stream length",
-        "Cycle counts on this machine are a function of stream trip \
-         counts. A stream length or XFER outer count patched at issue \
-         time from a dataset-derived scratchpad word makes timing depend \
-         on data values, voiding the obliviousness certificate: one \
-         timing trace can no longer stand in for every dataset of the \
-         same size, so run-cache timing reuse would silently serve wrong \
-         cycle counts. Compute dynamic lengths from problem sizes only \
-         (declared size-only host writes), or accept the warning and \
-         forgo trace reuse.";
-    V016 => Warning,
-        "data-tainted value sets an accumulator length",
-        "SetAccumLen changes how many values a region accumulates before \
-         emitting, which changes region firing counts and therefore \
-         cycle counts. An accumulator depth read from dataset-derived \
-         memory makes the reduction schedule — and the run's timing — a \
-         function of data values rather than problem sizes.";
-    V017 => Warning,
-        "data-tainted guard predicates a command",
-        "A guarded command issues or vanishes depending on a scratchpad \
-         word read at issue time. When that word derives from the \
-         dataset, command *ordering and count* become data-dependent: \
-         two runs over equal-sized inputs execute different command \
-         sequences and disagree on every downstream cycle. Guards \
-         driven by size-only values (loop trip flags computed from \
-         problem dimensions) are certified and carry no warning.";
-    V018 => Warning,
-        "data-tainted value forms a scratchpad address pattern",
-        "A stream start address or stride patched from dataset-derived \
-         memory makes the *addresses* touched depend on data values. \
-         Even when the element count is fixed, data-dependent addressing \
-         breaks obliviousness (bank conflicts, hazard ordering, and any \
-         future memory model with address-dependent latency) and defeats \
-         the static hazard lints, which reason about the template's \
-         static pattern.";
-    V019 => Warning,
-        "data-tainted value selects a fabric configuration",
-        "Configure chooses which region set — with its own initiation \
-         intervals, pipeline depths, and operator latencies — executes \
-         next. A configuration index read from dataset-derived memory \
-         routes the same-sized problem through differently-timed \
-         hardware depending on data values, the coarsest possible \
-         obliviousness violation.";
 }
 
 impl fmt::Display for Code {
@@ -334,14 +291,16 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        // Append-only registry: the count only ever grows, and the textual
-        // forms of released codes are pinned forever.
-        assert_eq!(Code::ALL.len(), 19);
+        // Append-only registry: the textual forms of released codes are
+        // pinned forever, and a retired code is never reused.
+        assert_eq!(Code::ALL.len(), 14);
         let strs: std::collections::HashSet<_> = Code::ALL.iter().map(|c| c.as_str()).collect();
         assert_eq!(strs.len(), Code::ALL.len());
         assert_eq!(Code::V001.as_str(), "V001");
         assert_eq!(Code::V014.as_str(), "V014");
-        assert_eq!(Code::V019.as_str(), "V019");
+        for retired in ["V015", "V016", "V017", "V018", "V019"] {
+            assert_eq!(Code::parse(retired), None, "{retired} is retired");
+        }
     }
 
     #[test]
@@ -360,15 +319,6 @@ mod tests {
         for c in Code::ALL {
             assert!(!c.summary().is_empty());
             assert!(c.explain().len() > c.summary().len());
-        }
-    }
-
-    #[test]
-    fn obliviousness_codes_are_warnings() {
-        // V015–V019 must never gate Machine::run: a non-oblivious workload
-        // still simulates, it just loses the timing-reuse certificate.
-        for c in [Code::V015, Code::V016, Code::V017, Code::V018, Code::V019] {
-            assert_eq!(c.severity(), Severity::Warning, "{c} must stay a warning");
         }
     }
 

@@ -7,18 +7,14 @@
 //! The claim is one-sided: the structural identity is **never coarser**
 //! than the rendering (keys differ ⇒ ids differ), on every cell of the
 //! evaluation grid and on seeded single-field mutations of them. It is
-//! deliberately *finer* in two named places, each tested below: a host
-//! op's declared effect (which `Debug` does not print and the
-//! obliviousness lint reads) and `f64` bit patterns `Debug` conflates.
+//! deliberately *finer* in one named place, tested below: `f64` bit
+//! patterns `Debug` conflates.
 
 use revel_bench::grid::evaluation_grid;
 use revel_dfg::{Dfg, Node};
 use revel_fabric::{FabricMask, LaneConfig, RevelConfig};
 use revel_isa::{LaneMask, Rng, StreamCommand, VectorCommand};
-use revel_prog::{
-    structural_id, ControlStep, DynBind, DynField, DynSrc, DynStep, HostWrite, RevelProgram,
-    StructuralId,
-};
+use revel_prog::{structural_id, ControlStep, RevelProgram, StructuralId};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -111,15 +107,6 @@ fn grid_subjects() -> Vec<(String, Subject)> {
         .collect()
 }
 
-/// The shipped command of a control step, if it has one.
-fn command_mut(step: &mut ControlStep) -> Option<&mut VectorCommand> {
-    match step {
-        ControlStep::Command(vc) => Some(vc),
-        ControlStep::Dyn(ds) => Some(&mut ds.template),
-        ControlStep::Host(_) => None,
-    }
-}
-
 /// Applies `edit` to the first command at or after a random control step
 /// that accepts it (wrapping around), so a mutation lands wherever the
 /// program has a place for it.
@@ -130,7 +117,10 @@ fn edit_some_command(
 ) -> bool {
     let n = program.control.len();
     let from = rng.gen_index(n.max(1));
-    (0..n).any(|k| command_mut(&mut program.control[(from + k) % n]).is_some_and(&mut edit))
+    (0..n).any(|k| match &mut program.control[(from + k) % n] {
+        ControlStep::Command(vc) => edit(vc),
+        ControlStep::Host(_) => false,
+    })
 }
 
 /// `dfg` with node `at` — a constant — holding `value` instead.
@@ -173,7 +163,7 @@ fn delta(rng: &mut Rng) -> i64 {
 /// One class of single-field mutation: turns `base` into a `(base,
 /// mutated)` pair differing in exactly that field, or `None` when the
 /// program has no such field. (`base` is returned because one class first
-/// has to give the program a dynamic step to mutate.)
+/// has to give the program a second configuration to mutate.)
 type Mutation = fn(&Subject, &mut Rng) -> Option<(Subject, Subject)>;
 
 /// The common shape: clone, edit the clone in place.
@@ -231,32 +221,6 @@ const MUTATIONS: &[(&str, Mutation)] = &[
                 true
             })
         })
-    }),
-    ("dyn bind source", |base, rng| {
-        // The grid has no dynamic steps: make one data command guarded,
-        // then move the guard's source word.
-        let n = base.program.control.len();
-        let at = (0..n).map(|k| (rng.gen_index(n) + k) % n).find(
-            |&i| matches!(&base.program.control[i], ControlStep::Command(vc) if !vc.cmd.is_sync()),
-        )?;
-        let ControlStep::Command(template) = base.program.control[at].clone() else {
-            return None;
-        };
-        let addr = rng.gen_range_i64(0, 64);
-        let guarded = |src: DynSrc| {
-            let mut s = base.clone();
-            s.program.control[at] = ControlStep::Dyn(DynStep {
-                template: template.clone(),
-                binds: vec![DynBind { field: DynField::Guard, src }],
-            });
-            s
-        };
-        let moved = if rng.gen_bool() {
-            DynSrc::Shared { addr: addr + 1 }
-        } else {
-            DynSrc::Private { lane: 0, addr }
-        };
-        Some((guarded(DynSrc::Shared { addr }), guarded(moved)))
     }),
     ("region unroll", |base, rng| {
         edited(base, |s| {
@@ -414,51 +378,23 @@ fn structural_identity_is_never_coarser_than_the_rendered_keys() {
     }
 }
 
-/// A small subject with a host op ahead of a guarded load, for the two
-/// places the structural identity is finer than the rendering.
-fn host_guarded(effect: Option<Vec<HostWrite>>, konst: f64) -> Subject {
+/// A small subject with a host op ahead of a load, whose region holds
+/// the constant `konst`.
+fn with_const_region(konst: f64) -> Subject {
     use crate::test_util::*;
     let mut program = neg_program(&[0], 6);
     let dfg = &mut program.configs[0][0].dfg;
     let at = dfg.konst(0.0).0 as usize;
     *dfg = with_const(dfg, at, konst);
-    match effect {
-        None => program.push_host(4, |m| m.write(None, 40, 1.0)),
-        Some(effect) => program.push_host_declared(4, effect, |m| m.write(None, 40, 1.0)),
-    }
-    program.push_dyn(DynStep {
-        template: VectorCommand::broadcast(LaneMask::all(1), load_priv(0, 8, 0)),
-        binds: vec![DynBind { field: DynField::Guard, src: DynSrc::Shared { addr: 40 } }],
-    });
+    program.push_host(4, |m| m.write(None, 40, 1.0));
+    push1(&mut program, load_priv(0, 8, 0));
     push1(&mut program, store_priv(6, 8, 8));
     Subject { program, cfg: single_lane(), mask: FabricMask::HEALTHY }
 }
 
 #[test]
-fn finer_than_the_rendering_a_host_ops_declared_effect() {
-    let size_only = |size_only| vec![HostWrite { lane: None, addr: 40, len: 1, size_only }];
-    let undeclared = host_guarded(None, 0.0).keys();
-    let declared = host_guarded(Some(size_only(true)), 0.0).keys();
-    let tainted = host_guarded(Some(size_only(false)), 0.0).keys();
-    // `Debug for HostOp` prints `cycles` and nothing else...
-    assert_eq!(undeclared.old_lint, declared.old_lint);
-    assert_eq!(declared.old_lint, tainted.old_lint);
-    // ...but the obliviousness lint reads the effect, so identity must.
-    assert_ne!(undeclared.lint, declared.lint);
-    assert_ne!(declared.lint, tainted.lint);
-    assert_ne!(undeclared.lint, tainted.lint);
-    let certified = |effect| {
-        let s = host_guarded(effect, 0.0);
-        crate::certified(&crate::verdict(&s.program, &s.cfg))
-    };
-    assert!(!certified(None), "an undeclared host op taints the guard's word");
-    assert!(certified(Some(size_only(true))), "a declared size-only write certifies it");
-    assert!(!certified(Some(size_only(false))));
-}
-
-#[test]
 fn finer_than_the_rendering_f64_bit_patterns() {
-    let konst = |bits: u64| host_guarded(None, f64::from_bits(bits)).keys();
+    let konst = |bits: u64| with_const_region(f64::from_bits(bits)).keys();
     // Two quiet NaNs with different payloads both print `NaN`.
     let (nan, other_nan) = (konst(0x7FF8_0000_0000_0000), konst(0x7FF8_0000_0000_0001));
     assert_eq!(nan.old_lint, other_nan.old_lint);
@@ -472,7 +408,7 @@ fn finer_than_the_rendering_f64_bit_patterns() {
     assert_ne!(zero.schedule, neg_zero.schedule);
     // The machine's clock is the other `f64` identity reaches.
     let clocked = |ghz: f64| {
-        let mut s = host_guarded(None, 0.0);
+        let mut s = with_const_region(0.0);
         s.cfg.clock_ghz = ghz;
         s.keys()
     };

@@ -21,10 +21,6 @@
 //!   mapping failures reported (`V011`, `V014`).
 //! * **Port-width legality** — region outputs no wider than the hardware
 //!   port (`V012`).
-//! * **Timing obliviousness** — no dataset-derived value flows into a
-//!   timing-relevant command field (stream lengths, strides, accumulator
-//!   depths, guards, configuration selection); clean programs earn an
-//!   [`ObliviousnessCert`] (`V015`–`V019`, warnings).
 //!
 //! Every finding is a [`Diagnostic`] with a stable [`Code`], a
 //! [`Severity`], a [`Location`] (config/region/node/command/lane), and a
@@ -35,11 +31,14 @@
 //! `revel-core` suite lints every workload × architecture, and the
 //! `revel_lint` binary exposes the same pass on the command line.
 //!
-//! [`Verifier::verify`] and [`certify`] are the uncached primitives. The
-//! run path goes through [`verdict`], the one process-wide memo of the
-//! program-level findings per `(program, config)` content: the gate reads
-//! its errors, and the workload layer reads the obliviousness certificate
-//! out of the same findings with [`certified`].
+//! No lint polices timing obliviousness: every timing-relevant command
+//! field is a literal of the program, so timing reads no data by
+//! construction (DESIGN.md §13).
+//!
+//! [`Verifier::verify`] is the uncached primitive. The run path goes
+//! through [`verdict`], the one process-wide memo of the program-level
+//! findings per `(program, config)` content, whose errors gate the
+//! simulation.
 //!
 //! ```
 //! use revel_fabric::RevelConfig;
@@ -62,7 +61,6 @@ mod hygiene;
 #[cfg(test)]
 mod identity_oracle;
 mod memo;
-mod oblivious;
 mod rates;
 mod sched;
 mod scratch;
@@ -71,8 +69,7 @@ pub use conservation::Conservation;
 pub use context::{AddrSet, Cmd, Context, LaneView, PortTraffic, Segment};
 pub use diag::{has_errors, Code, Diagnostic, Location, Severity};
 pub use hygiene::{CommandStructure, DfgHygiene};
-pub use memo::{certified, verdict, verdict_memo_stats, VerdictMemoStats};
-pub use oblivious::{certify, Oblivious, ObliviousnessCert, Taint};
+pub use memo::{verdict, verdict_memo_stats, VerdictMemoStats};
 pub use rates::{OutPortWidth, RateConsistency};
 pub use sched::ScheduleLegality;
 pub use scratch::{AddressBounds, ScratchHazards};
@@ -101,8 +98,30 @@ pub fn program_lints() -> Vec<Box<dyn Lint>> {
         Box::new(ScratchHazards),
         Box::new(DfgHygiene),
         Box::new(CommandStructure),
-        Box::new(Oblivious),
     ]
+}
+
+/// The data-obliviousness certificate [`certify`] issues. Every program
+/// earns one: timing reads no data by construction (DESIGN.md §13). Kept
+/// only because `benchmark/` compiles against it; ROADMAP item 1's
+/// benchmark change removes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ObliviousnessCert {
+    /// The program's name.
+    pub program: String,
+}
+
+/// Certifies `program`'s timing data-independent — always `Ok`, since no
+/// control step reads a data word. Kept only because `benchmark/`
+/// compiles against it; ROADMAP item 1's benchmark change removes it.
+///
+/// # Errors
+/// None: the `Err` arm is the signature `benchmark/` expects.
+pub fn certify(
+    program: &RevelProgram,
+    _cfg: &RevelConfig,
+) -> Result<ObliviousnessCert, Vec<Diagnostic>> {
+    Ok(ObliviousnessCert { program: program.name.clone() })
 }
 
 /// Every lint, including the (expensive) post-schedule legality pass.
@@ -148,6 +167,8 @@ impl Verifier {
     /// Runs every registered lint, returning findings ordered errors
     /// first (stable within each severity).
     pub fn verify(&self, program: &RevelProgram, cfg: &RevelConfig) -> Vec<Diagnostic> {
+        #[cfg(test)]
+        VERIFY_CALLS.with(|n| n.set(n.get() + 1));
         let ctx = Context::new(program, cfg);
         let mut out = Vec::new();
         for lint in &self.lints {
@@ -156,6 +177,12 @@ impl Verifier {
         out.sort_by_key(|d| std::cmp::Reverse(d.severity()));
         out
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Lint passes this thread has run: what the verdict memo's tests count.
+    pub(crate) static VERIFY_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Default for Verifier {

@@ -4,11 +4,9 @@
 //! The program lints are a pure function of `(program, config)` and cost
 //! far more than a short simulation, so repeated runs of one program
 //! (benchmark iterations, the differential oracle's second run, batch
-//! sweeps) reuse the first verdict. Two readers share it: the simulator's
-//! `Machine::run` gate reads the error-severity findings, and the workload
-//! layer reads the obliviousness certificate ([`certified`]) — the
-//! `V015`–`V019` findings the [`Oblivious`] lint already left in the
-//! verdict — instead of re-running [`certify`](crate::certify).
+//! sweeps) reuse the first verdict. It has one reader: the simulator's
+//! `Machine::run` gate, which rejects a program on its error-severity
+//! findings.
 //!
 //! The key is the [`structural_id`] of `(program, config)`, recomputed
 //! from content on every lookup: a verdict follows what a program *is*, so
@@ -16,7 +14,7 @@
 //! holds one small `Arc<Vec<Diagnostic>>` per distinct pair and is never
 //! evicted — the same growth the simulator-side map it replaces had.
 
-use crate::{Diagnostic, Lint, Oblivious, Verifier};
+use crate::{Diagnostic, Verifier};
 use revel_fabric::RevelConfig;
 use revel_prog::{structural_id, RevelProgram, StructuralId};
 use std::collections::hash_map::Entry;
@@ -55,14 +53,6 @@ pub fn verdict(program: &RevelProgram, cfg: &RevelConfig) -> Arc<Vec<Diagnostic>
             Arc::clone(o.get())
         }
     }
-}
-
-/// True when a verdict carries the obliviousness certificate: it holds
-/// none of the [`Oblivious`] lint's findings (`V015`–`V019`), which is
-/// exactly when [`certify`](crate::certify) returns `Ok` — both run the
-/// same taint walk.
-pub fn certified(verdict: &[Diagnostic]) -> bool {
-    !verdict.iter().any(|d| Oblivious.codes().contains(&d.code))
 }
 
 /// One consistent read of the verdict memo's counters.
@@ -107,15 +97,14 @@ pub fn verdict_memo_stats() -> VerdictMemoStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oblivious::ANALYZE_CALLS;
     use crate::test_util::*;
-    use crate::{has_errors, Code};
+    use crate::{has_errors, Code, VERIFY_CALLS};
 
-    /// Taint walks the current thread runs inside `f`.
-    fn walks_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
-        let before = ANALYZE_CALLS.with(std::cell::Cell::get);
+    /// Lint passes the current thread runs inside `f`.
+    fn passes_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let before = VERIFY_CALLS.with(std::cell::Cell::get);
         let r = f();
-        (r, ANALYZE_CALLS.with(std::cell::Cell::get) - before)
+        (r, VERIFY_CALLS.with(std::cell::Cell::get) - before)
     }
 
     /// A clean load → negate → store program; `name` keeps each test's
@@ -131,17 +120,12 @@ mod tests {
     #[test]
     fn a_verdict_is_linted_once_and_read_thereafter() {
         let (p, cfg) = (clean("memo-once"), single_lane());
-        let (cold, walks) = walks_in(|| verdict(&p, &cfg));
-        assert_eq!(walks, 1, "a cold lookup runs the program lints, taint walk included, once");
+        let (cold, passes) = passes_in(|| verdict(&p, &cfg));
+        assert_eq!(passes, 1, "a cold lookup runs the program lints once");
         assert_eq!(*cold, Verifier::program_only().verify(&p, &cfg));
-        let ((warm, cert), walks) = walks_in(|| {
-            let v = verdict(&p, &cfg);
-            let cert = certified(&v);
-            (v, cert)
-        });
-        assert_eq!(walks, 0, "a warm lookup and the certificate read walk nothing");
+        let (warm, passes) = passes_in(|| verdict(&p, &cfg));
+        assert_eq!(passes, 0, "a warm lookup lints nothing");
         assert!(Arc::ptr_eq(&cold, &warm));
-        assert!(cert);
         // An equal program built independently is the same entry.
         assert!(Arc::ptr_eq(&cold, &verdict(&clean("memo-once"), &cfg)));
     }

@@ -1,29 +1,28 @@
 //! Batched data-oblivious execution at the workload layer.
 //!
-//! A certified-oblivious program's cycle-by-cycle behaviour depends only
-//! on problem *sizes*, never on dataset *values* — so one cycle-accurate
+//! A program's cycle-by-cycle behaviour depends only on problem *sizes*,
+//! never on dataset *values* — every timing-relevant command field is a
+//! literal of the program (DESIGN.md §13) — so one cycle-accurate
 //! **timing walk** ([`record_timing`]) captures a [`TimingTrace`], compiled
 //! once into straight-line load / scalar-op / store code, and the
 //! **functional replayer** ([`replay_trace_on`]) executes that code on N
 //! same-shape datasets: no per-cycle scheduling work, no port FSMs and no
 //! DFG evaluation.
 //!
-//! The split is gated, not assumed: [`batch_replayable`] admits a kernel
-//! to the replay path only when the static obliviousness certifier proves
-//! the program's timing data-independent (the certificate is read out of
-//! the memoized lint verdict, [`revel_verify::certified`]) *and* the run is
-//! unperturbed (no fault plan, healthy fabric). Everything else falls back
-//! to full simulation. The compiled program is checked once, when the
-//! trace is recorded, and a trace only replays on the program (by
-//! structural identity) and machine configuration it was recorded for —
-//! [`revel_sim::SimError::Replay`] otherwise, never silence.
+//! [`batch_replayable`] admits a run to the replay path only when it is
+//! unperturbed (no fault plan, healthy fabric): injected faults and dead
+//! fabric change timing, so those runs fall back to full simulation. The
+//! compiled program is checked once, when the trace is recorded, and a
+//! trace only replays on the program (by structural identity) and machine
+//! configuration it was recorded for — [`revel_sim::SimError::Replay`]
+//! otherwise, never silence.
 //!
 //! Dataset extents are validated up front ([`validate_init`]) so a
 //! malformed batch request surfaces as a structured
 //! [`ProgramError::AddressOutOfBounds`] instead of a scratchpad panic
 //! inside the serving path's worker fence.
 
-use crate::suite::{apply_init, certified, BuiltKernel, MemInit, WorkloadRun};
+use crate::suite::{apply_init, BuiltKernel, MemInit, WorkloadRun};
 use revel_compiler::BuildCfg;
 use revel_fabric::{FabricMask, RevelConfig};
 use revel_isa::MemTarget;
@@ -75,15 +74,13 @@ pub fn validate_init(cfg: &RevelConfig, init: &[MemInit]) -> Result<(), SimError
     Ok(())
 }
 
-/// True when `built` may take the batched replay path under `opts`: the
-/// obliviousness certifier proves the program's timing data-independent
-/// and the run is unperturbed. Fault injection and degraded fabrics
-/// change timing behind the certifier's back, so they always force the
-/// full simulator.
-pub fn batch_replayable(built: &BuiltKernel, cfg: &BuildCfg, opts: &SimOptions) -> bool {
-    opts.fault_plan.is_none()
-        && opts.fabric_mask == FabricMask::HEALTHY
-        && certified(built, &cfg.machine_config())
+/// True when a run under `opts` may take the batched replay path: it is
+/// unperturbed. Fault injection and degraded fabrics change timing, so
+/// they always force the full simulator. `built` and `cfg` are unused,
+/// kept only because `benchmark/` calls this signature; ROADMAP item 1's
+/// benchmark change drops them.
+pub fn batch_replayable(_built: &BuiltKernel, _cfg: &BuildCfg, opts: &SimOptions) -> bool {
+    opts.fault_plan.is_none() && opts.fabric_mask == FabricMask::HEALTHY
 }
 
 /// The timing walk: runs `built` once on the full cycle-accurate
@@ -107,12 +104,11 @@ pub fn record_timing(
     let trace = machine.run_traced(&built.program)?;
     let verified =
         if trace.report.timed_out { Err("timed out".to_string()) } else { (built.check)(&machine) };
-    let oblivious = certified(built, machine.config());
     let run = WorkloadRun {
         cycles: trace.report.cycles,
         report: trace.report.clone(),
         verified,
-        oblivious,
+        oblivious: true,
     };
     Ok((run, trace))
 }
@@ -121,8 +117,8 @@ pub fn record_timing(
 /// caller-owned machine holding `built`'s dataset, executing the trace's
 /// compiled straight-line code instead of re-running the cycle-accurate
 /// scheduler. Cycle counts and the full report come from the timing run
-/// (byte-identical by obliviousness); only the memory image and
-/// verification are dataset-specific.
+/// (byte-identical, since timing reads no data); only the memory image
+/// and verification are dataset-specific.
 ///
 /// The machine is the caller's so a batch amortizes one machine allocation
 /// — and the replay's value slots — across all its lanes.
@@ -181,13 +177,8 @@ pub fn replay_dataset_on(
 mod tests {
     use super::*;
     use crate::suite::{run_built_with, Workload};
-    use revel_isa::{
-        AffinePattern, ConfigId, InPortId, LaneId, LaneMask, OutPortId, RateFsm, StreamCommand,
-        VectorCommand,
-    };
-    use revel_sim::{
-        ControlStep, DynBind, DynField, DynSrc, DynStep, FaultPlan, HostWrite, RevelProgram,
-    };
+    use revel_isa::LaneId;
+    use revel_sim::FaultPlan;
 
     /// Every lane's private scratchpad, then the shared one, as raw bits.
     fn memory_image(machine: &Machine) -> Vec<u64> {
@@ -234,7 +225,7 @@ mod tests {
         let w2 = crate::Fft::new(64, 2);
         let b1 = w1.build(&cfg);
         let b2 = w2.build(&cfg);
-        assert!(batch_replayable(&b1, &cfg, &cfg.sim_options()), "FFT certifies");
+        assert!(batch_replayable(&b1, &cfg, &cfg.sim_options()), "a healthy run replays");
 
         let (timing, trace) = record_timing(&b1, &cfg, cfg.sim_options()).expect("timing run");
         timing.assert_ok("fft timing run");
@@ -322,124 +313,5 @@ mod tests {
             ..cfg.sim_options()
         };
         assert!(!batch_replayable(&built, &cfg, &degraded), "degraded fabric forces full sim");
-    }
-
-    /// A kernel whose load length is patched at issue time from shared[40],
-    /// which a host op writes with the size 8 — declared size-only, or not
-    /// declared at all. Nothing else differs, and `Debug for HostOp` prints
-    /// neither.
-    fn host_sized_kernel(name: &str, declared: bool) -> BuiltKernel {
-        let lane0 = LaneMask::single(LaneId(0));
-        let mut g = revel_dfg::Dfg::new("neg");
-        let a = g.input(InPortId(0));
-        let o = g.op(revel_dfg::OpCode::Neg, &[a]);
-        g.output(o, OutPortId(0));
-        let mut prog = RevelProgram::new(name);
-        let c = prog.add_config(vec![revel_dfg::Region::systolic("neg", g, 8)]);
-        let push = |prog: &mut RevelProgram, cmd| prog.push(VectorCommand::broadcast(lane0, cmd));
-        push(&mut prog, StreamCommand::Configure { config: ConfigId(c) });
-        let write = |m: &mut dyn revel_sim::HostMem| m.write(None, 40, 8.0);
-        if declared {
-            let effect = vec![HostWrite { lane: None, addr: 40, len: 1, size_only: true }];
-            prog.push_host_declared(4, effect, write);
-        } else {
-            prog.push_host(4, write);
-        }
-        let load = StreamCommand::load(
-            MemTarget::Private,
-            AffinePattern::linear(0, 1),
-            InPortId(0),
-            RateFsm::ONCE,
-        );
-        prog.push_dyn(DynStep {
-            template: VectorCommand::broadcast(lane0, load),
-            binds: vec![DynBind { field: DynField::PatternLenI, src: DynSrc::Shared { addr: 40 } }],
-        });
-        let store = StreamCommand::store(
-            OutPortId(0),
-            MemTarget::Private,
-            AffinePattern::linear(8, 8),
-            RateFsm::ONCE,
-        );
-        push(&mut prog, store);
-        push(&mut prog, StreamCommand::Wait);
-        BuiltKernel {
-            program: prog,
-            init: vec![MemInit::Private { lane: 0, addr: 0, data: vec![3.0; 8] }],
-            check: std::sync::Arc::new(|m| {
-                let got = m.read_private(LaneId(0), 8, 8);
-                (got == [-3.0; 8]).then_some(()).ok_or(format!("negated block is {got:?}"))
-            }),
-        }
-    }
-
-    #[test]
-    fn a_host_ops_declared_effect_is_part_of_the_certificates_identity() {
-        // The certificate is read out of the memoized verdict, so two
-        // programs that differ only in a host op's declared write set must
-        // not share one — whichever of them the process meets first.
-        let cfg = BuildCfg::revel(1);
-        let opts = cfg.sim_options();
-        for (name, order) in
-            [("undeclared-first", [false, true]), ("declared-first", [true, false])]
-        {
-            for declared in order {
-                let built = host_sized_kernel(name, declared);
-                let what = format!("{name}, declared: {declared}");
-                let run = run_built_with(&built, &cfg, opts).expect("runs");
-                run.assert_ok(&what);
-                assert_eq!(run.oblivious, declared, "{what}");
-                assert_eq!(batch_replayable(&built, &cfg, &opts), declared, "{what}");
-                let (timing, _) = record_timing(&built, &cfg, opts).expect("timing walk");
-                assert_eq!(timing.oblivious, declared, "{what}");
-            }
-        }
-    }
-
-    #[test]
-    fn uncertified_program_is_never_replayable() {
-        // A Dyn stream length read from the dataset: structurally
-        // value-dependent, so the certifier refuses and the gate holds.
-        let lane0 = LaneMask::single(LaneId(0));
-        let mut g = revel_dfg::Dfg::new("neg");
-        let a = g.input(InPortId(0));
-        let o = g.op(revel_dfg::OpCode::Neg, &[a]);
-        g.output(o, OutPortId(0));
-        let mut prog = RevelProgram::new("dyn-len");
-        let c = prog.add_config(vec![revel_dfg::Region::systolic("neg", g, 8)]);
-        prog.push(VectorCommand::broadcast(
-            lane0,
-            StreamCommand::Configure { config: ConfigId(c) },
-        ));
-        let bind =
-            DynBind { field: DynField::PatternLenI, src: DynSrc::Private { lane: 0, addr: 63 } };
-        prog.push_dyn(DynStep {
-            template: VectorCommand::broadcast(
-                lane0,
-                StreamCommand::load(
-                    MemTarget::Private,
-                    AffinePattern::linear(0, 8),
-                    InPortId(0),
-                    RateFsm::ONCE,
-                ),
-            ),
-            binds: vec![bind],
-        });
-        prog.push(VectorCommand::broadcast(lane0, StreamCommand::Wait));
-        let built = BuiltKernel {
-            program: prog,
-            init: vec![MemInit::Private { lane: 0, addr: 63, data: vec![8.0] }],
-            check: std::sync::Arc::new(|_| Ok(())),
-        };
-        let cfg = BuildCfg::revel(1);
-        assert!(
-            !batch_replayable(&built, &cfg, &cfg.sim_options()),
-            "value-dependent stream length must not be admitted to the replay path"
-        );
-
-        // ControlStep import is load-bearing for the assertion below.
-        let dyn_steps =
-            built.program.control.iter().filter(|s| matches!(s, ControlStep::Dyn(_))).count();
-        assert_eq!(dyn_steps, 1);
     }
 }

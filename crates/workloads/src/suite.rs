@@ -80,10 +80,9 @@ pub struct WorkloadRun {
     pub report: RunReport,
     /// Verification result.
     pub verified: Result<(), String>,
-    /// True when the obliviousness certifier proved the program's timing
-    /// data-independent (`revel_verify::certified`): the cycle count is a
-    /// function of problem sizes alone and may be reused across datasets
-    /// of the same shape.
+    /// Always true: every program's timing is data-independent by
+    /// construction (DESIGN.md §13). Kept only because `benchmark/` builds
+    /// this struct literal; ROADMAP item 1's benchmark change removes it.
     pub oblivious: bool,
 }
 
@@ -156,16 +155,7 @@ pub fn run_built_with(
     } else {
         (built.check)(&machine)
     };
-    let oblivious = certified(built, machine.config());
-    Ok(WorkloadRun { cycles: report.cycles, report, verified, oblivious })
-}
-
-/// True when `built`'s program holds the obliviousness certificate on
-/// `cfg`, read out of the memoized lint verdict — the one the simulator's
-/// gate just looked up, so a run adds a lookup here, never a second taint
-/// walk.
-pub(crate) fn certified(built: &BuiltKernel, cfg: &revel_fabric::RevelConfig) -> bool {
-    revel_verify::certified(&revel_verify::verdict(&built.program, cfg))
+    Ok(WorkloadRun { cycles: report.cycles, report, verified, oblivious: true })
 }
 
 /// Writes a kernel's initial data into the machine.
