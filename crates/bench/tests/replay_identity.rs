@@ -16,7 +16,7 @@ use revel_bench::grid::{evaluation_grid, Cell};
 use revel_core::compiler::BuildCfg;
 use revel_core::engine;
 use revel_core::isa::LaneId;
-use revel_core::sim::{structural_id, Machine, RevelProgram, RunReport};
+use revel_core::sim::{structural_id, Machine, RevelProgram, RunReport, TimingTrace};
 use revel_core::workloads::{
     apply_init, record_timing, replay_trace_on, BuiltKernel, Cholesky, MemInit, Workload,
 };
@@ -153,6 +153,97 @@ fn replay_keeps_edge_values_bit_for_bit_on_every_small_cell() {
                 timing.join(", ")
             ));
         }
+        failures
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// What differs between each dataset's memory image after one
+/// `Machine::replay_batch` of `trace` over `datasets` (named inits, replayed
+/// with `program`'s host ops) and `expected(init)`.
+fn batch_divergences(
+    cell: &Cell,
+    program: &RevelProgram,
+    trace: &TimingTrace,
+    datasets: &[(String, Vec<MemInit>)],
+    expected: impl Fn(&[MemInit]) -> Vec<u64>,
+) -> Vec<String> {
+    let mut machine = Machine::new(cell.cfg.machine_config(), cell.cfg.sim_options());
+    let mut failures = Vec::new();
+    machine
+        .replay_batch(
+            program,
+            trace,
+            datasets,
+            |machine, (_, init)| apply_init(machine, init),
+            |machine, (name, init)| {
+                let image = memory_image(machine);
+                if let Some(word) = image.iter().zip(&expected(init)).position(|(a, b)| a != b) {
+                    failures.push(format!("{}: {name}: word {word} differs", label(cell)));
+                }
+            },
+        )
+        .expect("replays");
+    failures
+}
+
+/// An edge-valued dataset replayed in one chunk beside ordinary seeds
+/// reproduces its full simulation word for word, and so does every other
+/// dataset of the chunk: recomputing a NaN lane through the scalar
+/// definition touches only the lanes that produced one.
+#[test]
+fn an_edge_valued_dataset_replays_bit_for_bit_beside_ordinary_seeds_in_one_chunk() {
+    let cells = small_cells();
+    assert_eq!(cells.len(), 35);
+    let failures: Vec<String> = engine::par_map(&cells, |cell| {
+        let build = |seed| cell.bench.workload_seeded(seed).build(&cell.cfg);
+        let (_, trace) =
+            record_timing(&build(1), &cell.cfg, cell.cfg.sim_options()).expect("timing walk");
+        let datasets = [
+            ("seed 2".to_string(), build(2).init),
+            ("seed 3".to_string(), build(3).init),
+            ("edge-valued seed 4".to_string(), with_edge_values(build(4)).init),
+            ("seed 5".to_string(), build(5).init),
+        ];
+        let program = build(1).program;
+        batch_divergences(cell, &program, &trace, &datasets, |init| {
+            let built = BuiltKernel { init: init.to_vec(), ..build(1) };
+            full_run(cell, &built).1
+        })
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// A dataset's replayed image does not depend on which datasets share its
+/// chunk or precede it: 65 seeds cross a chunk boundary and leave a
+/// partial last chunk, in both orders, and each dataset's image is a fresh
+/// machine's single-dataset replay of it.
+#[test]
+fn a_datasets_replay_does_not_depend_on_its_chunk() {
+    let cells = small_cells();
+    assert_eq!(cells.len(), 35);
+    let failures: Vec<String> = engine::par_map(&cells, |cell| {
+        let (cfg, opts) = (&cell.cfg, cell.cfg.sim_options());
+        let built = cell.bench.workload_seeded(1).build(cfg);
+        let (_, trace) = record_timing(&built, cfg, opts).expect("timing walk");
+        let fresh = |init: &[MemInit]| {
+            let mut machine = Machine::new(cfg.machine_config(), opts);
+            apply_init(&mut machine, init);
+            machine.replay(&built.program, &trace).expect("replays");
+            memory_image(&machine)
+        };
+        let mut datasets: Vec<(String, Vec<MemInit>)> = (1..=65)
+            .map(|seed| (format!("seed {seed}"), cell.bench.workload_seeded(seed).build(cfg).init))
+            .collect();
+        let mut failures = batch_divergences(cell, &built.program, &trace, &datasets, fresh);
+        datasets.reverse();
+        failures.extend(batch_divergences(cell, &built.program, &trace, &datasets, fresh));
         failures
     })
     .into_iter()

@@ -57,9 +57,7 @@ use crate::suite::{Bench, Comparison};
 use persist::{PersistedRun, PersistentTier, WarmStart};
 use revel_compiler::BuildCfg;
 use revel_sim::{SimError, SimOptions, TimingTrace};
-use revel_workloads::{
-    record_timing, replay_dataset_on, replay_trace_on, run_workload_with, WorkloadRun,
-};
+use revel_workloads::{record_timing, replay_batch_on, run_workload_with, WorkloadRun};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -705,23 +703,16 @@ impl Engine {
             }
         };
 
-        // Replay the one trace over every dataset, reusing a single machine
-        // across lanes — allocating scratchpads and value slots per lane
-        // would cost more than the replay itself. The first dataset
-        // checks the trace's program identity; every seed of a cell builds
-        // the same structure, so the rest skip that pass over the program.
+        // Replay the one trace over every dataset on a single machine —
+        // allocating scratchpads and value rows per dataset would cost more
+        // than the replay itself — a chunk of datasets per pass over its
+        // code. Only the first build's program is kept, for its identity
+        // check and host ops; every seed of a cell builds the same
+        // structure.
         let mut machine = revel_sim::Machine::new(cfg.machine_config(), opts);
-        let mut runs = Vec::with_capacity(seeds.len());
-        for (k, &seed) in seeds.iter().enumerate() {
-            let built_seed = bench.workload_seeded(seed).build(cfg);
-            let run = if k == 0 {
-                replay_trace_on(&mut machine, &built_seed, &trace)?
-            } else {
-                replay_dataset_on(&mut machine, &built_seed, &trace)?
-            };
-            self.batched_replays.fetch_add(1, Ordering::Relaxed);
-            runs.push(run);
-        }
+        let builds = seeds.iter().map(|&seed| bench.workload_seeded(seed).build(cfg));
+        let runs = replay_batch_on(&mut machine, &trace, builds)?;
+        self.batched_replays.fetch_add(runs.len() as u64, Ordering::Relaxed);
         Ok(BatchRun { runs, replayed: true })
     }
 

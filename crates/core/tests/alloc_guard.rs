@@ -5,8 +5,9 @@
 //! or per step (DESIGN.md, "hot-path rules"). A counting global allocator
 //! pins it: a warmed-up `DfgEvaluator::fire` allocates nothing, a second
 //! `Machine::replay` of a compiled trace allocates the same few blocks
-//! however long the trace, and the run prologue's memo lookups (keyed on
-//! the program's structural identity) allocate nothing.
+//! however long the trace, a second chunk of `Machine::replay_batch` no
+//! more, and the run prologue's memo lookups (keyed on the program's
+//! structural identity) allocate nothing.
 
 use revel_core::compiler::BuildCfg;
 use revel_core::dfg::{Dfg, OpCode, VecVal};
@@ -90,9 +91,14 @@ fn a_warm_evaluator_fires_without_allocating() {
     assert_eq!(allocations, 0, "DfgEvaluator::fire must not touch the heap");
 }
 
+/// Datasets in the chunk `second_replay` replays: one chunk of a
+/// host-free trace.
+const CHUNK_DATASETS: usize = 16;
+
 /// Trace length and the allocations of a second replay of `bench`'s trace
-/// on one machine.
-fn second_replay(bench: Bench) -> (usize, u64) {
+/// on one machine, then of a second chunk of `CHUNK_DATASETS` datasets on
+/// another.
+fn second_replay(bench: Bench) -> (usize, u64, u64) {
     let cfg = BuildCfg::revel(1);
     let built = bench.workload().build(&cfg);
     let (run, trace) = record_timing(&built, &cfg, cfg.sim_options()).expect("timing walk");
@@ -104,29 +110,50 @@ fn second_replay(bench: Bench) -> (usize, u64) {
     let (replayed, allocations) = allocations_in(|| machine.replay(&built.program, &trace));
     replayed.expect("second replay");
     assert_eq!((built.check)(&machine), Ok(()), "{}: replayed result verifies", bench.name());
-    (trace.len(), allocations)
+
+    let mut machine = Machine::new(cfg.machine_config(), cfg.sim_options());
+    let datasets = vec![&built.init; CHUNK_DATASETS];
+    let chunk = |machine: &mut Machine| {
+        machine.replay_batch(
+            &built.program,
+            &trace,
+            &datasets,
+            |machine, init| apply_init(machine, init),
+            |_, _| {},
+        )
+    };
+    chunk(&mut machine).expect("first chunk");
+    let (replayed, chunk_allocations) = allocations_in(|| chunk(&mut machine));
+    replayed.expect("second chunk");
+    assert_eq!((built.check)(&machine), Ok(()), "{}: chunk's last dataset verifies", bench.name());
+    (trace.len(), allocations, chunk_allocations)
 }
 
 #[test]
 fn replay_allocations_do_not_grow_with_the_trace() {
     // Compiling the trace allocates, once. The first replay on a machine
-    // sizes its slot buffer for the trace and writes its constants; a warm
+    // sizes its value rows for the trace and writes its constants; a warm
     // replay reuses them, so it pays the same few blocks however many
-    // steps it runs.
+    // steps it runs, and a warm chunk of datasets no more than one.
     for (small, large) in [
         (Bench::Solver { n: 12 }, Bench::Solver { n: 32 }),
         (Bench::Cholesky { n: 12 }, Bench::Cholesky { n: 32 }),
         (Bench::Fft { n: 64 }, Bench::Fft { n: 1024 }),
     ] {
-        let (small_ops, small_allocs) = second_replay(small);
-        let (large_ops, large_allocs) = second_replay(large);
+        let (small_ops, small_allocs, small_chunk) = second_replay(small);
+        let (large_ops, large_allocs, large_chunk) = second_replay(large);
         let what = format!(
-            "{}: {small_ops} ops, {small_allocs} allocations; {large_ops} ops, {large_allocs}",
+            "{}: {small_ops} ops, {small_allocs} allocations ({small_chunk} a chunk); \
+             {large_ops} ops, {large_allocs} ({large_chunk})",
             small.name()
         );
         assert!(large_ops > 5 * small_ops, "the large trace is really longer: {what}");
         assert!(small_allocs <= 4, "a warm replay's fixed cost stays small: {what}");
         assert_eq!(large_allocs, small_allocs, "allocations vary with the trace: {what}");
+        assert!(
+            small_chunk <= small_allocs && large_chunk <= small_allocs,
+            "a warm chunk allocates more than a warm replay: {what}"
+        );
     }
 }
 

@@ -165,8 +165,8 @@ fn const_stream_values_replay_byte_for_byte() {
 #[test]
 fn a_select_whose_condition_is_not_the_last_result_replays_byte_for_byte() {
     // out = (a + b) if a < b else b, at unroll 4: each lane's select reads
-    // a compare computed four results back, which the compiled program
-    // must stage beside it.
+    // a compare computed four results back, which its step names as its
+    // third operand.
     let mut g = Dfg::new("sel");
     let a = g.input(InPortId(0));
     let b = g.input(InPortId(1));

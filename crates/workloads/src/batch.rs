@@ -5,9 +5,10 @@
 //! literal of the program (DESIGN.md §13) — so one cycle-accurate
 //! **timing walk** ([`record_timing`]) captures a [`TimingTrace`], compiled
 //! once into straight-line load / scalar-op / store code, and the
-//! **functional replayer** ([`replay_trace_on`]) executes that code on N
-//! same-shape datasets: no per-cycle scheduling work, no port FSMs and no
-//! DFG evaluation.
+//! **functional replayer** executes that code on N same-shape datasets
+//! ([`replay_batch_on`], each step once per chunk of datasets;
+//! [`replay_trace_on`] for one): no per-cycle scheduling work, no port
+//! FSMs and no DFG evaluation.
 //!
 //! [`batch_replayable`] admits a run to the replay path only when it is
 //! unperturbed (no fault plan, healthy fabric): injected faults and dead
@@ -104,13 +105,7 @@ pub fn record_timing(
     let trace = machine.run_traced(&built.program)?;
     let verified =
         if trace.report.timed_out { Err("timed out".to_string()) } else { (built.check)(&machine) };
-    let run = WorkloadRun {
-        cycles: trace.report.cycles,
-        report: trace.report.clone(),
-        verified,
-        oblivious: true,
-    };
-    Ok((run, trace))
+    Ok((run_of(&trace, verified), trace))
 }
 
 /// The functional replayer: applies a previously recorded trace to a
@@ -121,10 +116,10 @@ pub fn record_timing(
 /// and verification are dataset-specific.
 ///
 /// The machine is the caller's so a batch amortizes one machine allocation
-/// — and the replay's value slots — across all its lanes.
-/// Reuse is sound because consecutive lanes replay the *same* trace: every
-/// store lands on the same addresses each lane, and `apply_init` rewrites
-/// the inputs, so no lane can observe a previous lane's data.
+/// — and the replay's value rows — across all its datasets.
+/// Reuse is sound because consecutive datasets replay the *same* trace:
+/// every store lands on the same addresses each time, and `apply_init`
+/// rewrites the inputs, so no dataset can observe a previous one's data.
 ///
 /// # Errors
 /// [`SimError::Replay`] when the trace was recorded from a program
@@ -136,41 +131,75 @@ pub fn replay_trace_on(
     built: &BuiltKernel,
     trace: &TimingTrace,
 ) -> Result<WorkloadRun, SimError> {
-    if structural_id(&built.program) != trace.program_id() {
-        return Err(SimError::Replay(ReplayError {
-            op: 0,
-            message: format!(
-                "trace was recorded for program '{}', not this build of '{}'",
-                trace.program, built.program.name
-            ),
-        }));
-    }
-    replay_dataset_on(machine, built, trace)
-}
-
-/// [`replay_trace_on`] without its program-identity check, which costs a
-/// pass over the whole program: for a caller that has already checked it
-/// on a build of the same structure. The engine checks a batch's first
-/// dataset; every seeded build of a cell has its unseeded build's
-/// structural id (pinned by `crates/bench/tests/replay_identity.rs`).
-///
-/// # Errors
-/// As [`replay_trace_on`], less the program-identity refusal.
-pub fn replay_dataset_on(
-    machine: &mut Machine,
-    built: &BuiltKernel,
-    trace: &TimingTrace,
-) -> Result<WorkloadRun, SimError> {
+    check_program(built, trace)?;
     validate_init(machine.config(), &built.init)?;
     apply_init(machine, &built.init);
     machine.replay(&built.program, trace)?;
-    let verified = (built.check)(machine);
-    Ok(WorkloadRun {
+    Ok(run_of(trace, (built.check)(machine)))
+}
+
+/// [`replay_trace_on`] over a batch of same-shape builds, in one
+/// [`Machine::replay_batch`]: a chunk of datasets per pass over the trace's
+/// code when it has no host op. The first build's program identity is
+/// checked (every seeded build of a cell has its unseeded build's
+/// structural id, pinned by `crates/bench/tests/replay_identity.rs`) and
+/// its program runs the host ops; of every build only the dataset and its
+/// check are kept, and every dataset's extents are validated before any
+/// replays. Results are in `builds` order.
+///
+/// # Errors
+/// As [`replay_trace_on`], for the first build's program and every
+/// build's dataset.
+pub fn replay_batch_on(
+    machine: &mut Machine,
+    trace: &TimingTrace,
+    builds: impl IntoIterator<Item = BuiltKernel>,
+) -> Result<Vec<WorkloadRun>, SimError> {
+    let mut builds = builds.into_iter();
+    let Some(first) = builds.next() else { return Ok(Vec::new()) };
+    check_program(&first, trace)?;
+    let BuiltKernel { program, init, check } = first;
+    let mut datasets = vec![(init, check)];
+    datasets.extend(builds.map(|built| (built.init, built.check)));
+    for (init, _) in &datasets {
+        validate_init(machine.config(), init)?;
+    }
+    let mut runs = Vec::with_capacity(datasets.len());
+    machine.replay_batch(
+        &program,
+        trace,
+        &datasets,
+        |machine, (init, _)| apply_init(machine, init),
+        |machine, (_, check)| runs.push(run_of(trace, check(machine))),
+    )?;
+    Ok(runs)
+}
+
+/// [`SimError::Replay`] unless `trace` was recorded from a program
+/// structurally identical to `built.program` — names alone leave out the
+/// lane count, rung and architecture.
+fn check_program(built: &BuiltKernel, trace: &TimingTrace) -> Result<(), SimError> {
+    if structural_id(&built.program) == trace.program_id() {
+        return Ok(());
+    }
+    Err(SimError::Replay(ReplayError {
+        op: 0,
+        message: format!(
+            "trace was recorded for program '{}', not this build of '{}'",
+            trace.program, built.program.name
+        ),
+    }))
+}
+
+/// A dataset's run under `trace`: the timing run's report, the dataset's
+/// verdict.
+fn run_of(trace: &TimingTrace, verified: Result<(), String>) -> WorkloadRun {
+    WorkloadRun {
         cycles: trace.report.cycles,
         report: trace.report.clone(),
         verified,
         oblivious: true,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -30,9 +30,7 @@ mod solver;
 mod suite;
 mod svd;
 
-pub use batch::{
-    batch_replayable, record_timing, replay_dataset_on, replay_trace_on, validate_init,
-};
+pub use batch::{batch_replayable, record_timing, replay_batch_on, replay_trace_on, validate_init};
 pub use cholesky::Cholesky;
 pub use fft::Fft;
 pub use fir::CentroFir;
