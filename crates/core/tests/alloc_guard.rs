@@ -6,13 +6,18 @@
 //! pins it: a warmed-up `DfgEvaluator::fire` allocates nothing, a second
 //! `Machine::replay` of a compiled trace allocates the same few blocks
 //! however long the trace, a second chunk of `Machine::replay_batch` no
-//! more, and the run prologue's memo lookups (keyed on the program's
-//! structural identity) allocate nothing.
+//! more, the run prologue's memo lookups (keyed on the program's
+//! structural identity) allocate nothing, and a warm run's dataflow-PE
+//! executor allocates no more for four times the temporal fires.
 
 use revel_core::compiler::BuildCfg;
-use revel_core::dfg::{Dfg, OpCode, VecVal};
-use revel_core::isa::{InPortId, OutPortId, RateFsm};
-use revel_core::sim::Machine;
+use revel_core::dfg::{Dfg, OpCode, Region, VecVal};
+use revel_core::fabric::{LaneConfig, RevelConfig};
+use revel_core::isa::{
+    AffinePattern, ConfigId, InPortId, LaneId, LaneMask, MemTarget, OutPortId, RateFsm,
+    StreamCommand, VectorCommand,
+};
+use revel_core::sim::{Machine, RevelProgram, SimOptions};
 use revel_core::verify::verdict;
 use revel_core::workloads::{apply_init, record_timing};
 use revel_core::Bench;
@@ -170,4 +175,70 @@ fn a_warm_verdict_lookup_does_not_allocate() {
     let (warm, allocations) = allocations_in(|| verdict(&built.program, &machine_cfg));
     assert!(std::sync::Arc::ptr_eq(&cold, &warm));
     assert_eq!(allocations, 0, "a warm verdict lookup must not touch the heap");
+}
+
+/// `n` words from the private scratchpad through a temporal region — a
+/// `Recip` → `Mul(d, d)` → `Add` chain with a second input — and back.
+fn temporal_program(n: i64) -> RevelProgram {
+    let mut g = Dfg::new("t");
+    let a = g.input(InPortId(6));
+    let b = g.input(InPortId(7));
+    let d = g.op(OpCode::Recip, &[a]);
+    let m = g.op(OpCode::Mul, &[d, d]);
+    let s = g.op(OpCode::Add, &[m, b]);
+    g.output(s, OutPortId(6));
+    let mut prog = RevelProgram::new(format!("temporal-{n}"));
+    let cfg = prog.add_config(vec![Region::temporal("t", g)]);
+    let lane = LaneMask::all(1);
+    let load = |addr, port| {
+        StreamCommand::load(
+            MemTarget::Private,
+            AffinePattern::linear(addr, n),
+            InPortId(port),
+            RateFsm::ONCE,
+        )
+    };
+    for cmd in [
+        StreamCommand::Configure { config: ConfigId(cfg) },
+        load(0, 6),
+        load(n, 7),
+        StreamCommand::store(
+            OutPortId(6),
+            MemTarget::Private,
+            AffinePattern::linear(2 * n, n),
+            RateFsm::ONCE,
+        ),
+        StreamCommand::Wait,
+    ] {
+        prog.push(VectorCommand::broadcast(lane, cmd));
+    }
+    prog
+}
+
+/// dPE instructions issued, and allocations, of a second run of
+/// `temporal_program(n)` on one pure-dataflow machine (25 dPEs).
+fn warm_temporal_run(n: i64) -> (u64, u64) {
+    let cfg = RevelConfig { lane: LaneConfig::pure_dataflow(), ..RevelConfig::single_lane() };
+    let program = temporal_program(n);
+    let mut machine = Machine::new(cfg, SimOptions::default());
+    let data: Vec<f64> = (0..2 * n).map(|i| 1.0 + i as f64).collect();
+    machine.write_private(LaneId(0), 0, &data);
+    let first = machine.run(&program).expect("first run");
+    assert!(!first.timed_out, "temporal-{n} finishes");
+    let (second, allocations) = allocations_in(|| machine.run(&program));
+    (second.expect("second run").events.dpe_instrs, allocations)
+}
+
+#[test]
+fn a_warm_dpe_executor_does_not_allocate_per_fire() {
+    // The first run fills the memos and the executor's recycled instances;
+    // the second pays only what a run pays once (ports, streams, the
+    // report), whatever the number of temporal fires.
+    let (small_instrs, small) = warm_temporal_run(16);
+    let (large_instrs, large) = warm_temporal_run(64);
+    assert_eq!((small_instrs, large_instrs), (3 * 16, 3 * 64), "every fire issues 3 instructions");
+    assert_eq!(
+        large, small,
+        "allocations grow with temporal fires: {small} for 16, {large} for 64"
+    );
 }

@@ -92,9 +92,7 @@ impl Machine {
                         let lane = &mut self.lanes[li];
                         let r = *region as usize;
                         if r < lane.regions.len() {
-                            if !lane.regions[r].idle()
-                                || lane.instances.iter().any(|i| i.region_index() == r)
-                            {
+                            if !lane.regions[r].idle() || lane.regions[r].temporal_instances() > 0 {
                                 break;
                             }
                             lane.regions[r].set_accum_len(*len);

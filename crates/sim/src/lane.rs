@@ -182,40 +182,242 @@ impl ActiveStream {
     }
 }
 
-/// One instruction of a temporal (dataflow) region's instruction graph.
+/// Temporal instances one region may have in flight on the dPEs.
+const MAX_TEMPORAL_INSTANCES: usize = 4;
+
+/// Cycles a dPE instruction may take from issue to completion: the width
+/// of [`TempInstance::due`]'s window.
+const MAX_TEMPORAL_LATENCY: u64 = 64;
+
+/// One instruction of a temporal (dataflow) region's instruction graph, in
+/// shape order: per unroll replica, the DFG's compute nodes in order.
 #[derive(Debug, Clone)]
 struct TempNode {
     /// Index into the lane's dPE array this instruction is resident on.
     dpe: usize,
     latency: u64,
-    /// Indices (into the shape's `nodes`) of argument instructions;
-    /// Input/Const arguments are ready at instance creation.
+    /// Indices (into the shape order) of argument instructions, one per
+    /// operand; Input/Const arguments are ready at instance creation.
     args: Vec<usize>,
+}
+
+/// One instruction as the executor sees it.
+#[derive(Debug, Clone)]
+struct TempInstr {
+    dpe: usize,
+    /// Issue to completion: the op's latency, plus the temporal network's
+    /// penalty of 2 when an operand comes from another dPE.
+    latency: u64,
+    /// Instruction operands; a repeated one (`Mul(d, d)`) counts each time.
+    operands: u32,
+}
+
+/// Static description of a temporal region's instruction graph, built once
+/// per configuration. Instructions are numbered dPE-major — dPE 0's in
+/// shape order, then dPE 1's, and so on — so the first eligible
+/// instruction of a dPE in this numbering is its first in shape order.
+#[derive(Debug, Clone)]
+struct TemporalShape {
+    instrs: Vec<TempInstr>,
+    /// Per dPE: one past its last instruction in this numbering (for a
+    /// dPE without instructions, unused).
+    dpe_end: Vec<u32>,
+    /// Consumers of instruction `i` are `consumers[consumer_start[i]..
+    /// consumer_start[i + 1]]`, one entry per operand they take from it.
+    consumer_start: Vec<u32>,
+    consumers: Vec<u32>,
+    /// Instructions without an instruction operand, as an eligibility
+    /// bitset: they may issue as soon as their instance fires.
+    roots: Vec<u64>,
+}
+
+impl TemporalShape {
+    fn new(nodes: &[TempNode]) -> Self {
+        let mut order: Vec<usize> = (0..nodes.len()).collect();
+        order.sort_by_key(|&n| nodes[n].dpe); // stable: shape order within a dPE
+        let mut number = vec![0u32; nodes.len()];
+        for (i, &n) in order.iter().enumerate() {
+            number[n] = i as u32;
+        }
+        let instrs: Vec<TempInstr> = order
+            .iter()
+            .map(|&n| {
+                let node = &nodes[n];
+                let remote = node.args.iter().any(|a| nodes[*a].dpe != node.dpe);
+                let latency = node.latency + if remote { 2 } else { 0 };
+                // At least a cycle: the issue rule relies on no issue making
+                // another ready in the same cycle.
+                assert!((1..=MAX_TEMPORAL_LATENCY).contains(&latency), "dPE latency {latency}");
+                TempInstr { dpe: node.dpe, latency, operands: node.args.len() as u32 }
+            })
+            .collect();
+        let mut consumer_start = vec![0u32; instrs.len() + 1];
+        for node in nodes {
+            for a in &node.args {
+                consumer_start[number[*a] as usize + 1] += 1;
+            }
+        }
+        for i in 0..instrs.len() {
+            consumer_start[i + 1] += consumer_start[i];
+        }
+        let mut consumers = vec![0u32; consumer_start[instrs.len()] as usize];
+        let mut fill = consumer_start.clone();
+        for (n, node) in nodes.iter().enumerate() {
+            for a in &node.args {
+                let slot = &mut fill[number[*a] as usize];
+                consumers[*slot as usize] = number[n];
+                *slot += 1;
+            }
+        }
+        let mut dpe_end = vec![0u32; instrs.last().map_or(0, |i| i.dpe + 1)];
+        for (i, instr) in instrs.iter().enumerate() {
+            dpe_end[instr.dpe] = i as u32 + 1;
+        }
+        let mut roots = vec![0u64; instrs.len().div_ceil(64)];
+        for (i, instr) in instrs.iter().enumerate() {
+            if instr.operands == 0 {
+                roots[i / 64] |= 1 << (i % 64);
+            }
+        }
+        TemporalShape { instrs, dpe_end, consumer_start, consumers, roots }
+    }
+
+    fn consumers_of(&self, i: usize) -> &[u32] {
+        &self.consumers[self.consumer_start[i] as usize..self.consumer_start[i + 1] as usize]
+    }
+}
+
+/// An instruction's operand state within one instance.
+#[derive(Debug, Clone, Copy)]
+struct Operands {
+    /// Operands not yet issued.
+    waiting: u32,
+    /// The cycle the last issued operand completes.
+    ready_at: u64,
 }
 
 /// A firing of a temporal region in flight on the dataflow PEs. Its
 /// instruction graph is the region's [`TemporalShape`] and its output
 /// vectors are the oldest unretired set in the region's `results` (a
 /// region's instances retire in fire order), so an instance owns only its
-/// per-instruction progress.
-#[derive(Debug, Clone)]
+/// per-instruction progress. An issue wakes the issuing instruction's
+/// consumers, so each cycle the executor looks only at instructions whose
+/// operands have all issued.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TempInstance {
     region: usize,
-    /// Per instruction of the shape: completion cycle once issued.
-    done_at: Vec<Option<u64>>,
+    /// Per instruction, in the shape's dPE-major numbering.
+    operands: Vec<Operands>,
+    /// Instructions whose operands have all issued and which have not
+    /// issued themselves, as a bitset; a dPE's are a contiguous range.
+    eligible: Vec<u64>,
+    /// No eligible instruction can issue before this cycle.
+    next_ready: u64,
+    /// Instructions not yet issued.
+    unissued: usize,
+    /// The cycle the last issued instruction completes.
+    last_done: u64,
+    /// Completions after `due_from`: bit `k` is set iff an issued
+    /// instruction completes at cycle `due_from + 1 + k`.
+    due: u64,
+    /// The cycle `due` counts from: the instance's last issue, or its fire.
+    due_from: u64,
 }
 
 impl TempInstance {
-    pub(crate) fn region_index(&self) -> usize {
-        self.region
+    /// Restarts this (possibly recycled) instance as a fire of `region`
+    /// at cycle `now`.
+    fn start(&mut self, region: usize, shape: &TemporalShape, now: u64) {
+        self.region = region;
+        self.operands.clear();
+        self.operands
+            .extend(shape.instrs.iter().map(|i| Operands { waiting: i.operands, ready_at: 0 }));
+        self.eligible.clear();
+        self.eligible.extend_from_slice(&shape.roots);
+        self.next_ready = 0;
+        self.unissued = shape.instrs.len();
+        self.last_done = 0;
+        self.due = 0;
+        self.due_from = now;
+    }
+
+    fn finished(&self, now: u64) -> bool {
+        self.unissued == 0 && self.last_done <= now
+    }
+
+    /// Issues, in dPE-major order, every eligible instruction whose
+    /// operands complete by `now` and whose dPE has not issued this cycle
+    /// (`dpe_issued[d] == now + 1` once dPE `d` has). Visiting instances in
+    /// fire order, this gives each dPE its first instance in fire order,
+    /// then its first instruction in shape order, among those ready:
+    /// completions are at least one cycle after issue, so no issue makes
+    /// another ready in the same cycle. `on_issue` sees each issue's dPE,
+    /// instruction and completion cycle; returns the number of issues.
+    fn issue(
+        &mut self,
+        shape: &TemporalShape,
+        now: u64,
+        dpe_issued: &mut [u64],
+        mut on_issue: impl FnMut(usize, usize, u64),
+    ) -> usize {
+        if self.next_ready > now {
+            return 0;
+        }
+        let shift = now - self.due_from;
+        self.due = if shift < MAX_TEMPORAL_LATENCY { self.due >> shift } else { 0 };
+        self.due_from = now;
+        let mut next_ready = u64::MAX;
+        let mut issued = 0;
+        let mut from = 0;
+        while let Some(i) = next_set_bit(&self.eligible, from) {
+            let instr = &shape.instrs[i];
+            if dpe_issued[instr.dpe] == now + 1 {
+                // The rest of this dPE's range waits at least a cycle;
+                // its `ready_at`s go unread.
+                next_ready = next_ready.min(now + 1);
+                from = shape.dpe_end[instr.dpe] as usize;
+                continue;
+            }
+            let ready_at = self.operands[i].ready_at;
+            if ready_at > now {
+                next_ready = next_ready.min(ready_at);
+                from = i + 1;
+                continue;
+            }
+            dpe_issued[instr.dpe] = now + 1;
+            self.eligible[i / 64] &= !(1 << (i % 64));
+            self.unissued -= 1;
+            let done = now + instr.latency;
+            self.last_done = self.last_done.max(done);
+            self.due |= 1 << (done - now - 1);
+            for &c in shape.consumers_of(i) {
+                let c = c as usize;
+                let op = &mut self.operands[c];
+                op.waiting -= 1;
+                op.ready_at = op.ready_at.max(done);
+                if op.waiting == 0 {
+                    self.eligible[c / 64] |= 1 << (c % 64);
+                    next_ready = next_ready.min(op.ready_at);
+                }
+            }
+            on_issue(instr.dpe, i, done);
+            issued += 1;
+            from = i + 1;
+        }
+        self.next_ready = next_ready;
+        issued
     }
 }
 
-/// Static description of a temporal region's instruction graph, built once
-/// per configuration.
-#[derive(Debug, Clone)]
-struct TemporalShape {
-    nodes: Vec<TempNode>,
+/// The first set bit of `bits` at or after `from`.
+fn next_set_bit(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = *bits.get(w)? & (!0 << (from % 64));
+    while word == 0 {
+        w += 1;
+        word = *bits.get(w)?;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
 }
 
 /// One configured program region resident on the lane fabric.
@@ -241,6 +443,8 @@ pub(crate) struct RegionState {
     /// `out_ports.len()` entries per fire, in output-node order.
     results: VecDeque<(OutPortId, VecVal)>,
     temporal_shape: Option<TemporalShape>,
+    /// Temporal instances of this region in flight on the dPEs.
+    instances: usize,
     /// Scratch of the temporal retire pass: an older instance of this
     /// region could not retire, so younger ones must wait behind it.
     retire_blocked: bool,
@@ -268,6 +472,11 @@ impl RegionState {
 
     pub(crate) fn is_temporal(&self) -> bool {
         self.temporal_shape.is_some()
+    }
+
+    /// Temporal instances of this region in flight on the dPEs.
+    pub(crate) fn temporal_instances(&self) -> usize {
+        self.instances
     }
 
     /// Input-port indices this region reads from (for the trace compiler's
@@ -317,10 +526,12 @@ pub(crate) struct Lane {
     pub streams: Vec<ActiveStream>,
     pub regions: Vec<RegionState>,
     pub instances: Vec<TempInstance>,
-    /// Retired instances kept for their `done_at` buffers, so a temporal
-    /// fire allocates only until the in-flight bound is first reached.
+    /// Retired instances kept for their buffers, so a temporal fire
+    /// allocates only until the in-flight bound is first reached.
     spare_instances: Vec<TempInstance>,
     num_dpes: usize,
+    /// Per dPE: one past the last cycle it issued in (0 = never).
+    dpe_issued: Vec<u64>,
     /// Reconfiguration completes at this cycle (0 = not reconfiguring).
     pub reconfig_until: u64,
     pub breakdown: CycleBreakdown,
@@ -370,6 +581,7 @@ impl Lane {
             instances: Vec::new(),
             spare_instances: Vec::new(),
             num_dpes: cfg.num_dataflow_pes.max(1),
+            dpe_issued: vec![0; cfg.num_dataflow_pes.max(1)],
             reconfig_until: 0,
             breakdown: CycleBreakdown::default(),
             events: EventCounts::default(),
@@ -400,10 +612,10 @@ impl Lane {
     pub(crate) fn apply_config(&mut self, regions: &[Region], schedules: &[RegionSchedule]) {
         assert_eq!(regions.len(), schedules.len());
         self.regions.clear();
-        self.instances.clear();
+        self.clear_instances();
         for (region, sched) in regions.iter().zip(schedules) {
             let temporal_shape = if region.kind == RegionKind::Temporal {
-                Some(build_temporal_shape(&region.dfg, self.num_dpes, region.unroll))
+                Some(TemporalShape::new(&temporal_nodes(&region.dfg, self.num_dpes, region.unroll)))
             } else {
                 None
             };
@@ -425,6 +637,7 @@ impl Lane {
                 inflight: VecDeque::new(),
                 results: VecDeque::new(),
                 temporal_shape,
+                instances: 0,
                 retire_blocked: false,
                 dead: false,
                 stalled_until: 0,
@@ -447,6 +660,14 @@ impl Lane {
         }
         self.in_busy.iter_mut().for_each(|b| *b = false);
         self.out_busy.iter_mut().for_each(|b| *b = false);
+    }
+
+    /// Drops every temporal instance in flight, keeping its buffers, and
+    /// forgets when each dPE last issued (a new run counts cycles from 0).
+    pub(crate) fn clear_instances(&mut self) {
+        self.spare_instances.append(&mut self.instances);
+        self.regions.iter_mut().for_each(|r| r.instances = 0);
+        self.dpe_issued.iter_mut().for_each(|d| *d = 0);
     }
 
     /// True when no stream, firing, or temporal instance is outstanding.
@@ -498,12 +719,8 @@ impl Lane {
         if now < rs.next_fire || rs.inflight.len() >= 8 {
             return ReadyState::Blocked;
         }
-        if rs.is_temporal() {
-            // Bound in-flight temporal instances per region.
-            let count = self.instances.iter().filter(|i| i.region == r).count();
-            if count >= 4 {
-                return ReadyState::Blocked;
-            }
+        if rs.instances >= MAX_TEMPORAL_INSTANCES {
+            return ReadyState::Blocked;
         }
         let mut any_data = false;
         for p in &rs.in_ports {
@@ -592,14 +809,10 @@ impl Lane {
 
         if let Some(shape) = &rs.temporal_shape {
             // dPE instructions are counted when issued by the executor.
-            let mut inst = self
-                .spare_instances
-                .pop()
-                .unwrap_or_else(|| TempInstance { region: r, done_at: Vec::new() });
-            inst.region = r;
-            inst.done_at.clear();
-            inst.done_at.resize(shape.nodes.len(), None);
+            let mut inst = self.spare_instances.pop().unwrap_or_default();
+            inst.start(r, shape, now);
             self.instances.push(inst);
+            rs.instances += 1;
             rs.next_fire = now + 1;
         } else {
             for (class, n) in &rs.fu_ops {
@@ -641,34 +854,40 @@ impl Lane {
     }
 
     /// One cycle of the triggered-instruction executor: each dataflow PE
-    /// issues at most one ready instruction.
+    /// issues at most one ready instruction — the first instance in fire
+    /// order, then the first instruction in shape order, among those whose
+    /// operands complete by `now` — and finished instances retire.
     pub(crate) fn dpe_step(&mut self, now: u64, li: u8, trace: &mut Option<TraceRecorder>) {
+        self.dpe_step_observed(now, li, trace, |_, _, _, _| {});
+    }
+
+    /// [`Lane::dpe_step`], calling `on_issue(dpe, instance, instruction,
+    /// completion)` per issue; `instance` is the position in `instances`
+    /// and `instruction` the shape's dPE-major number.
+    fn dpe_step_observed(
+        &mut self,
+        now: u64,
+        li: u8,
+        trace: &mut Option<TraceRecorder>,
+        mut on_issue: impl FnMut(usize, usize, usize, u64),
+    ) {
         if self.instances.is_empty() {
             return;
         }
-        let Lane { regions, instances, spare_instances, out_ports, events, .. } = self;
-        let done = |d: &Option<u64>| d.is_some_and(|d| d <= now);
-        for dpe in 0..self.num_dpes {
-            'instances: for inst in instances.iter_mut() {
-                // A temporal instance's region always carries its shape.
-                let shape = regions[inst.region].temporal_shape.as_ref().expect("temporal");
-                for (n, node) in shape.nodes.iter().enumerate() {
-                    if node.dpe != dpe || inst.done_at[n].is_some() {
-                        continue;
-                    }
-                    if !node.args.iter().all(|a| done(&inst.done_at[*a])) {
-                        continue;
-                    }
-                    // Remote operands pay a temporal-network penalty.
-                    let remote = node.args.iter().any(|a| shape.nodes[*a].dpe != dpe);
-                    let extra = if remote { 2 } else { 0 };
-                    inst.done_at[n] = Some(now + node.latency + extra);
-                    events.dpe_instrs += 1;
-                    self.fired_temporal = true;
-                    self.progressed = true;
-                    break 'instances;
-                }
+        let Lane { regions, instances, spare_instances, out_ports, events, dpe_issued, .. } = self;
+        let mut issued = 0;
+        for (k, inst) in instances.iter_mut().enumerate() {
+            if issued == self.num_dpes {
+                break;
             }
+            // A temporal instance's region always carries its shape.
+            let shape = regions[inst.region].temporal_shape.as_ref().expect("temporal");
+            issued += inst.issue(shape, now, dpe_issued, |dpe, i, done| on_issue(dpe, k, i, done));
+        }
+        if issued > 0 {
+            events.dpe_instrs += issued as u64;
+            self.fired_temporal = true;
+            self.progressed = true;
         }
         // Retire finished instances — in order per region, so dataflow
         // tag-ordering is preserved at the output ports even when a later
@@ -681,7 +900,7 @@ impl Lane {
             let rs = &mut regions[instances[i].region];
             let n_out = rs.out_ports.len();
             if rs.retire_blocked
-                || !instances[i].done_at.iter().all(done)
+                || !instances[i].finished(now)
                 || !results_fit(&rs.results, n_out, out_ports)
             {
                 rs.retire_blocked = true;
@@ -692,6 +911,7 @@ impl Lane {
                 t.record(TraceOp::RetireTemp { lane: li, region: instances[i].region as u8 });
             }
             push_results(&mut rs.results, n_out, out_ports, events);
+            rs.instances -= 1;
             spare_instances.push(instances.remove(i));
             self.progressed = true;
         }
@@ -761,10 +981,14 @@ impl NextEvent for RegionState {
 }
 
 impl NextEvent for TempInstance {
+    /// Completions are the only timers in the executor, and `due` holds
+    /// every one after `due_from`, so this is exact for any `after` from
+    /// then on — every cycle the kernel asks about.
     fn next_event(&self, after: u64) -> Option<u64> {
-        // A dPE instruction issues when its argument instructions have
-        // completed; completions are the only timers in the executor.
-        self.done_at.iter().flatten().copied().filter(|d| *d > after).min()
+        debug_assert!(after >= self.due_from, "asked about cycles the window has passed");
+        let shift = after - self.due_from;
+        let ahead = if shift < MAX_TEMPORAL_LATENCY { self.due >> shift } else { 0 };
+        (ahead != 0).then(|| after + 1 + u64::from(ahead.trailing_zeros()))
     }
 }
 
@@ -844,15 +1068,19 @@ fn adapt_width(v: VecVal, unroll: usize) -> VecVal {
     }
 }
 
-/// Builds the instruction graph of a temporal region: per instruction node
-/// and unroll replica, its dPE (round-robin, matching the scheduler),
-/// latency, and argument instruction indices.
-fn build_temporal_shape(dfg: &Dfg, num_dpes: usize, unroll: usize) -> TemporalShape {
+/// The instructions of a temporal region in shape order: per unroll
+/// replica and instruction node, its dPE, latency, and argument
+/// instructions. The dPE is round-robin over the region's own
+/// instructions, restarting at dPE 0 for each temporal region of a
+/// configuration; `revel_scheduler::place` numbers temporal instructions
+/// across the whole configuration instead, so the two placements differ
+/// when a configuration holds more than one temporal region (EXPERIMENTS.md
+/// D6).
+fn temporal_nodes(dfg: &Dfg, num_dpes: usize, unroll: usize) -> Vec<TempNode> {
     let mut nodes = Vec::new();
-    for replica in 0..unroll.max(1) {
+    for _replica in 0..unroll.max(1) {
         // Map node-id -> instruction index within this replica.
         let mut instr_index = vec![usize::MAX; dfg.len()];
-        let _ = replica;
         for (id, node) in dfg.iter() {
             let (lat, args) = match node {
                 Node::Op { op, args } => (op.latency() as u64, args.clone()),
@@ -873,13 +1101,13 @@ fn build_temporal_shape(dfg: &Dfg, num_dpes: usize, unroll: usize) -> TemporalSh
             nodes.push(TempNode { dpe, latency: lat, args: arg_instrs });
         }
     }
-    TemporalShape { nodes }
+    nodes
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revel_isa::{InPortId, RateFsm};
+    use revel_isa::{InPortId, RateFsm, Rng};
 
     fn lane() -> Lane {
         Lane::new(&LaneConfig::paper_default(), true)
@@ -1034,6 +1262,265 @@ mod tests {
         assert_eq!(l.out_ports[5].pop_kept(), Some(1.0 / 16.0));
         assert!(l.instances.is_empty());
         assert_eq!(l.events.dpe_instrs, 2);
+    }
+
+    /// The executor the operand-driven one replaced: every cycle, each dPE
+    /// scans every instruction of every in-flight instance, in fire order
+    /// and then shape order, and issues the first whose operands have
+    /// completed. It keeps its own per-instruction completion cycles,
+    /// parallel to the instances of the lane it steps.
+    struct ScanReference {
+        /// Per region of the configuration: its instructions in shape order.
+        nodes: Vec<Vec<TempNode>>,
+        /// Per in-flight instance: each instruction's completion, once issued.
+        done_at: Vec<Vec<Option<u64>>>,
+        num_dpes: usize,
+    }
+
+    /// One issue: dPE, instance (position in fire order), instruction (in
+    /// shape order), completion cycle.
+    type Issue = (usize, usize, usize, u64);
+
+    impl ScanReference {
+        fn new(lane: &Lane, regions: &[Region]) -> Self {
+            let nodes =
+                regions.iter().map(|r| temporal_nodes(&r.dfg, lane.num_dpes, r.unroll)).collect();
+            ScanReference { nodes, done_at: Vec::new(), num_dpes: lane.num_dpes }
+        }
+
+        /// The scan's `dpe_step` on `lane`, whose instances it tracks from
+        /// their fire on.
+        fn step(&mut self, lane: &mut Lane, now: u64) -> Vec<Issue> {
+            while self.done_at.len() < lane.instances.len() {
+                let region = lane.instances[self.done_at.len()].region;
+                self.done_at.push(vec![None; self.nodes[region].len()]);
+            }
+            let done = |d: &Option<u64>| d.is_some_and(|d| d <= now);
+            let mut issues = Vec::new();
+            for dpe in 0..self.num_dpes {
+                'instances: for (k, inst) in lane.instances.iter().enumerate() {
+                    let nodes = &self.nodes[inst.region];
+                    let done_at = &mut self.done_at[k];
+                    for (n, node) in nodes.iter().enumerate() {
+                        if node.dpe != dpe || done_at[n].is_some() {
+                            continue;
+                        }
+                        if !node.args.iter().all(|a| done(&done_at[*a])) {
+                            continue;
+                        }
+                        let remote = node.args.iter().any(|a| nodes[*a].dpe != dpe);
+                        let at = now + node.latency + if remote { 2 } else { 0 };
+                        done_at[n] = Some(at);
+                        lane.events.dpe_instrs += 1;
+                        issues.push((dpe, k, n, at));
+                        break 'instances;
+                    }
+                }
+            }
+            for rs in lane.regions.iter_mut() {
+                rs.retire_blocked = false;
+            }
+            let mut i = 0;
+            while i < lane.instances.len() {
+                let rs = &mut lane.regions[lane.instances[i].region];
+                let n_out = rs.out_ports.len();
+                if rs.retire_blocked
+                    || !self.done_at[i].iter().all(done)
+                    || !results_fit(&rs.results, n_out, &lane.out_ports)
+                {
+                    rs.retire_blocked = true;
+                    i += 1;
+                    continue;
+                }
+                push_results(&mut rs.results, n_out, &mut lane.out_ports, &mut lane.events);
+                rs.instances -= 1;
+                lane.instances.remove(i);
+                self.done_at.remove(i);
+            }
+            issues
+        }
+
+        /// The scan's `Lane::next_event`.
+        fn next_event(&self, lane: &Lane, after: u64) -> Option<u64> {
+            let completions = self.done_at.iter().flatten().flatten().copied();
+            let regions = lane.regions.iter().filter_map(|r| r.next_event(after));
+            completions.filter(|d| *d > after).chain(regions).min()
+        }
+    }
+
+    /// Ports grouped by hardware width (`LaneConfig::paper_default`).
+    const PORTS_BY_WIDTH: [(usize, &[u8]); 4] =
+        [(8, &[0, 1]), (4, &[2, 3]), (2, &[4, 5]), (1, &[6, 7, 8, 9, 10, 11])];
+
+    /// The positions in `free` of ports of hardware width `width` (in- and
+    /// out-ports are laid out alike).
+    fn ports_of_width(free: &[u8], width: usize) -> Vec<usize> {
+        let (_, ports) = PORTS_BY_WIDTH.iter().find(|(w, _)| *w == width).expect("a port width");
+        (0..free.len()).filter(|&i| ports.contains(&free[i])).collect()
+    }
+
+    /// Removes and returns a random free port of hardware width `width`.
+    fn take_port(rng: &mut Rng, free: &mut Vec<u8>, width: usize) -> u8 {
+        let fits = ports_of_width(free, width);
+        free.remove(fits[rng.gen_index(fits.len())])
+    }
+
+    /// A seeded random temporal region at `unroll` on free ports: one or
+    /// two inputs (a vector port of the unroll's width, or a scalar
+    /// broadcast), a random op graph with long-latency `Recip`s, repeated
+    /// operands and an occasional accumulator, and one or two outputs.
+    fn random_temporal_region(
+        rng: &mut Rng,
+        name: &str,
+        free_in: &mut Vec<u8>,
+        free_out: &mut Vec<u8>,
+    ) -> Region {
+        let unroll = [1, 1, 2, 4][rng.gen_index(4)];
+        let unroll = if [&*free_in, &*free_out].iter().all(|f| ports_of_width(f, unroll).len() >= 2)
+        {
+            unroll
+        } else {
+            1
+        };
+        let mut g = Dfg::new(name);
+        let mut values = vec![g.input(InPortId(take_port(rng, free_in, unroll)))];
+        if rng.gen_bool() {
+            values.push(g.input_scalar(InPortId(take_port(rng, free_in, 1))));
+        }
+        if rng.gen_bool() {
+            values.push(g.konst(0.5));
+        }
+        for _ in 0..2 + rng.gen_index(10) {
+            let [a, b, c] = [(); 3].map(|()| values[rng.gen_index(values.len())]);
+            let v = match rng.gen_index(7) {
+                0 => g.op(OpCode::Recip, &[a]),
+                1 => g.op(OpCode::Mul, &[a, a]),
+                2 => g.op(OpCode::Mul, &[a, b]),
+                3 => g.op(OpCode::Add, &[a, b]),
+                4 => g.op(OpCode::Neg, &[a]),
+                5 => g.op(OpCode::Select, &[a, b, c]),
+                _ => g.accum(a, RateFsm::fixed(2)),
+            };
+            values.push(v);
+        }
+        let last = values.len() - 1;
+        g.output(values[last], OutPortId(take_port(rng, free_out, unroll)));
+        if rng.gen_bool() {
+            g.output(values[last - 1], OutPortId(take_port(rng, free_out, unroll)));
+        }
+        Region::temporal_unrolled(name, g, unroll)
+    }
+
+    #[test]
+    fn operand_driven_executor_issues_what_the_scan_issues() {
+        let sched = RegionSchedule { latency: 1, ii: 1, max_delay_fifo: 0, hops_per_fire: 0 };
+        let (mut issues, mut retired, mut max_inflight) = (0, 0, 0);
+        for seed in 0..48u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let num_dpes = [1, 2, 4, 25][seed as usize % 4];
+            let cfg = LaneConfig { num_dataflow_pes: num_dpes, ..LaneConfig::paper_default() };
+            let (mut free_in, mut free_out): (Vec<u8>, Vec<u8>) =
+                ((0..12).collect(), (0..12).collect());
+            let regions: Vec<Region> = (0..1 + rng.gen_index(3))
+                .map(|r| {
+                    random_temporal_region(&mut rng, &format!("t{r}"), &mut free_in, &mut free_out)
+                })
+                .collect();
+            let mut new = Lane::new(&cfg, true);
+            new.apply_config(&regions, &vec![sched; regions.len()]);
+            for p in regions.iter().flat_map(|r| r.input_ports()) {
+                new.in_ports[p.0 as usize].bind_stream(RateFsm::ONCE);
+            }
+            let mut old = new.clone();
+            let mut reference = ScanReference::new(&old, &regions);
+            let what = |now| format!("seed {seed}, {num_dpes} dPEs, cycle {now}");
+            for now in 0..400 {
+                for lane in [&mut new, &mut old] {
+                    lane.reset_cycle_flags();
+                }
+                // The same seeded feed and drain on both lanes.
+                let feed: Vec<bool> = (0..12).map(|_| now < 300 && rng.gen_index(3) > 0).collect();
+                let drain: Vec<bool> = (0..12).map(|_| rng.gen_index(3) > 0).collect();
+                for lane in [&mut new, &mut old] {
+                    for (p, port) in lane.in_ports.iter_mut().enumerate() {
+                        if feed[p] && port.can_accept() {
+                            port.push_word(1.0 + (now % 7) as f64, false);
+                        }
+                    }
+                    lane.fire_regions(now, 0, &mut None);
+                }
+                let regions_of =
+                    |l: &Lane| l.instances.iter().map(|i| i.region).collect::<Vec<_>>();
+                let fired = regions_of(&new);
+                let mut got = Vec::new();
+                new.dpe_step_observed(now, 0, &mut None, |dpe, k, i, done| {
+                    // Report the instruction by its shape-order index.
+                    let nodes = &reference.nodes[fired[k]];
+                    let mut order: Vec<usize> = (0..nodes.len()).collect();
+                    order.sort_by_key(|&n| nodes[n].dpe);
+                    got.push((dpe, k, order[i], done));
+                });
+                let mut want = reference.step(&mut old, now);
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "issues, {}", what(now));
+                assert_eq!(new.fired_temporal, !want.is_empty(), "{}", what(now));
+                assert_eq!(regions_of(&new), regions_of(&old), "retirements, {}", what(now));
+                for (r, rs) in new.regions.iter().enumerate() {
+                    let count = new.instances.iter().filter(|i| i.region == r).count();
+                    assert_eq!(rs.instances, count, "region {r}'s count, {}", what(now));
+                    max_inflight = max_inflight.max(count);
+                }
+                assert_eq!(new.events.dpe_instrs, old.events.dpe_instrs, "{}", what(now));
+                for (k, inst) in new.instances.iter().enumerate() {
+                    let scan = reference.done_at[k].iter().flatten().copied().filter(|d| *d > now);
+                    assert_eq!(inst.next_event(now), scan.min(), "instance {k}, {}", what(now));
+                }
+                assert_eq!(new.next_event(now), reference.next_event(&old, now), "{}", what(now));
+                for p in (0..12).filter(|&p| drain[p]) {
+                    let (a, b) = (new.out_ports[p].pop_kept(), old.out_ports[p].pop_kept());
+                    assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "port {p}, {}", what(now));
+                    retired += usize::from(a.is_some());
+                }
+                for lane in [&mut new, &mut old] {
+                    for p in &mut lane.in_ports {
+                        p.tick();
+                    }
+                }
+                issues += got.len();
+            }
+        }
+        // The sweep really exercises the executor.
+        assert!(issues > 20_000 && retired > 1_000, "{issues} issues, {retired} words out");
+        assert_eq!(max_inflight, MAX_TEMPORAL_INSTANCES, "the in-flight bound is reached");
+    }
+
+    #[test]
+    fn temporal_dpe_numbering_restarts_per_region() {
+        // Deviation D6 (EXPERIMENTS.md): the simulator numbers each temporal
+        // region's instructions round-robin from dPE 0, where
+        // `revel_scheduler::place` numbers them across the configuration
+        // and would put the second region's on dPEs 3, 0, 1. The fix flips
+        // this test on purpose.
+        let chain = |name: &str, port: u8| {
+            let mut g = Dfg::new(name);
+            let a = g.input(InPortId(port));
+            let r = g.op(OpCode::Recip, &[a]);
+            let m = g.op(OpCode::Mul, &[r, r]);
+            let n = g.op(OpCode::Neg, &[m]);
+            g.output(n, OutPortId(port));
+            Region::temporal(name, g)
+        };
+        let mut l =
+            Lane::new(&LaneConfig { num_dataflow_pes: 4, ..LaneConfig::paper_default() }, true);
+        let sched = RegionSchedule { latency: 1, ii: 1, max_delay_fifo: 0, hops_per_fire: 0 };
+        l.apply_config(&[chain("a", 6), chain("b", 7)], &[sched, sched]);
+        let dpes = |r: usize| {
+            let shape = l.regions[r].temporal_shape.as_ref().expect("temporal");
+            shape.instrs.iter().map(|i| i.dpe).collect::<Vec<_>>()
+        };
+        assert_eq!(dpes(0), [0, 1, 2]);
+        assert_eq!(dpes(1), [0, 1, 2], "restarts at dPE 0: the scheduler's numbering has 0, 1, 3");
     }
 
     #[test]

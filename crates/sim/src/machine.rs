@@ -282,7 +282,7 @@ impl Machine {
         for lane in &mut self.lanes {
             lane.cmd_queue.clear();
             lane.streams.clear();
-            lane.instances.clear();
+            lane.clear_instances();
             lane.regions.clear();
             lane.breakdown = CycleBreakdown::default();
             lane.events = EventCounts::default();
