@@ -7,8 +7,9 @@
 //! `Machine::replay` of a compiled trace allocates the same few blocks
 //! however long the trace, a second chunk of `Machine::replay_batch` no
 //! more, the run prologue's memo lookups (keyed on the program's
-//! structural identity) allocate nothing, and a warm run's dataflow-PE
-//! executor allocates no more for four times the temporal fires.
+//! structural identity) allocate nothing, a warm run's dataflow-PE
+//! executor allocates no more for four times the temporal fires, and the
+//! spatial compile allocates no more for four times the annealing moves.
 
 use revel_core::compiler::BuildCfg;
 use revel_core::dfg::{Dfg, OpCode, Region, VecVal};
@@ -17,6 +18,7 @@ use revel_core::isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, MemTarget, OutPortId, RateFsm,
     StreamCommand, VectorCommand,
 };
+use revel_core::scheduler::SpatialScheduler;
 use revel_core::sim::{Machine, RevelProgram, SimOptions};
 use revel_core::verify::verdict;
 use revel_core::workloads::{apply_init, record_timing};
@@ -240,5 +242,47 @@ fn a_warm_dpe_executor_does_not_allocate_per_fire() {
     assert_eq!(
         large, small,
         "allocations grow with temporal fires: {small} for 16, {large} for 64"
+    );
+}
+
+/// `b[i] -= b[j] * a[j,i]` at `unroll` lanes beside the temporal
+/// `b[j] / a[j,j]`: the solver's two regions, one configuration.
+fn solver_config(unroll: usize) -> [Region; 2] {
+    let mut inner = Dfg::new("inner");
+    let bj = inner.input(InPortId(0));
+    let aji = inner.input(InPortId(1));
+    let bi = inner.input(InPortId(2));
+    let prod = inner.op(OpCode::Mul, &[bj, aji]);
+    let sub = inner.op(OpCode::Sub, &[bi, prod]);
+    inner.output(sub, OutPortId(0));
+    let mut outer = Dfg::new("outer");
+    let b = outer.input(InPortId(3));
+    let a = outer.input(InPortId(4));
+    let d = outer.op(OpCode::Div, &[b, a]);
+    outer.output(d, OutPortId(1));
+    [Region::systolic("inner", inner, unroll), Region::temporal("outer", outer)]
+}
+
+#[test]
+fn an_annealing_move_does_not_allocate() {
+    // A move re-costs the edges it touches from tables resolved once per
+    // compile, so 6 000 more moves cost no allocation. Both anneals keep
+    // the same best placement, so the routing and timing after them do the
+    // same work too.
+    let regions = solver_config(4);
+    let compile = |moves| {
+        allocations_in(|| {
+            SpatialScheduler::for_lane(&LaneConfig::paper_default())
+                .with_sa_iterations(moves)
+                .schedule(&regions)
+                .expect("the solver configuration schedules")
+        })
+    };
+    let (short, short_allocations) = compile(2_000);
+    let (long, long_allocations) = compile(8_000);
+    assert_eq!(short.placement, long.placement, "both anneals end on one placement");
+    assert_eq!(
+        long_allocations, short_allocations,
+        "annealing allocates per move: {short_allocations} for 2 000, {long_allocations} for 8 000"
     );
 }

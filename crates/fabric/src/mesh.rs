@@ -150,20 +150,22 @@ impl Mesh {
 
     /// 4-neighbourhood of a coordinate.
     pub fn neighbors(&self, c: MeshCoord) -> Vec<MeshCoord> {
-        let mut out = Vec::with_capacity(4);
-        if c.x > 0 {
-            out.push(MeshCoord { x: c.x - 1, y: c.y });
-        }
-        if (c.x as usize) + 1 < self.width {
-            out.push(MeshCoord { x: c.x + 1, y: c.y });
-        }
-        if c.y > 0 {
-            out.push(MeshCoord { x: c.x, y: c.y - 1 });
-        }
-        if (c.y as usize) + 1 < self.height {
-            out.push(MeshCoord { x: c.x, y: c.y + 1 });
-        }
-        out
+        self.neighbors_iter(c).collect()
+    }
+
+    /// 4-neighbourhood of a coordinate without allocating, in
+    /// [`Mesh::neighbors`]' order: left, right, up, down, skipping those
+    /// outside the grid.
+    pub fn neighbors_iter(&self, c: MeshCoord) -> impl Iterator<Item = MeshCoord> {
+        let MeshCoord { x, y } = c;
+        [
+            (x > 0).then(|| MeshCoord { x: x - 1, y }),
+            ((x as usize) + 1 < self.width).then(|| MeshCoord { x: x + 1, y }),
+            (y > 0).then(|| MeshCoord { x, y: y - 1 }),
+            ((y as usize) + 1 < self.height).then(|| MeshCoord { x, y: y + 1 }),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// All directed links of the mesh.

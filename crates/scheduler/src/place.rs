@@ -1,7 +1,8 @@
 //! Simulated-annealing placement of instructions onto mesh tiles.
 
-use crate::instr::{Endpoint, Expansion, InstrKey};
+use crate::instr::{Edge, Endpoint, Expansion, InstrKey};
 use crate::schedule::ScheduleError;
+use revel_dfg::FuClass;
 use revel_fabric::{FabricMask, Mesh, MeshCoord, PeKind};
 use revel_isa::Rng;
 use std::collections::HashMap;
@@ -28,16 +29,20 @@ pub fn out_port_coord(mesh: &Mesh, p: u8) -> MeshCoord {
     MeshCoord { x: (p as usize).min(mesh.width() - 1) as u8, y: (mesh.height() - 1) as u8 }
 }
 
-/// Resolves both tiles of an edge. Wide vector ports physically span
+/// One end of an edge with its port resolved: an instruction, which
+/// placement moves, or a fixed port tile.
+#[derive(Debug, Clone, Copy)]
+enum Pin<I> {
+    Instr(I),
+    Tile(MeshCoord),
+}
+
+/// Resolves the ports of an edge. Wide vector ports physically span
 /// several mesh columns, so each unroll replica injects/ejects at a
 /// different column: replica `k` of a port-adjacent edge is shifted `k`
 /// columns (wrapping), which is what lets a vectorized region stream a full
 /// vector per cycle without sharing a 64-bit mesh link.
-pub fn edge_coords(
-    mesh: &Mesh,
-    placement: &Placement,
-    edge: &crate::instr::Edge,
-) -> (MeshCoord, MeshCoord) {
+fn edge_pins(mesh: &Mesh, edge: &Edge) -> (Pin<InstrKey>, Pin<InstrKey>) {
     let replica = match (edge.from, edge.to) {
         (Endpoint::Instr(k), _) => k.replica,
         (_, Endpoint::Instr(k)) => k.replica,
@@ -45,17 +50,96 @@ pub fn edge_coords(
     };
     let spread =
         |c: MeshCoord| MeshCoord { x: ((c.x as usize + replica) % mesh.width()) as u8, y: c.y };
-    let from = match edge.from {
-        Endpoint::Instr(k) => placement.instr_pos[&k],
-        Endpoint::InPort(p) => spread(in_port_coord(mesh, p.0)),
-        Endpoint::OutPort(p) => spread(out_port_coord(mesh, p.0)),
+    let pin = |end: Endpoint| match end {
+        Endpoint::Instr(k) => Pin::Instr(k),
+        Endpoint::InPort(p) => Pin::Tile(spread(in_port_coord(mesh, p.0))),
+        Endpoint::OutPort(p) => Pin::Tile(spread(out_port_coord(mesh, p.0))),
     };
-    let to = match edge.to {
-        Endpoint::Instr(k) => placement.instr_pos[&k],
-        Endpoint::InPort(p) => spread(in_port_coord(mesh, p.0)),
-        Endpoint::OutPort(p) => spread(out_port_coord(mesh, p.0)),
+    (pin(edge.from), pin(edge.to))
+}
+
+/// Resolves both tiles of an edge under a placement (ports as in
+/// [`edge_pins`]).
+pub fn edge_coords(mesh: &Mesh, placement: &Placement, edge: &Edge) -> (MeshCoord, MeshCoord) {
+    let tile = |pin| match pin {
+        Pin::Instr(k) => placement.instr_pos[&k],
+        Pin::Tile(c) => c,
     };
-    (from, to)
+    let (from, to) = edge_pins(mesh, edge);
+    (tile(from), tile(to))
+}
+
+/// The annealer's wiring, resolved once per compile: each edge as a pair
+/// of pins whose instructions are indices into `exp.instrs`, and each
+/// instruction's incident edges, so a move re-costs only the edges it
+/// touches.
+struct Wires {
+    edges: Vec<(Pin<usize>, Pin<usize>)>,
+    /// Edges touching each instruction.
+    incident: Vec<Vec<usize>>,
+}
+
+impl Wires {
+    fn new(mesh: &Mesh, exp: &Expansion) -> Self {
+        let index: HashMap<InstrKey, usize> =
+            exp.instrs.iter().enumerate().map(|(i, instr)| (instr.key, i)).collect();
+        let resolve = |pin| match pin {
+            Pin::Instr(k) => Pin::Instr(index[&k]),
+            Pin::Tile(c) => Pin::Tile(c),
+        };
+        let edges: Vec<(Pin<usize>, Pin<usize>)> = exp
+            .edges
+            .iter()
+            .map(|e| {
+                let (from, to) = edge_pins(mesh, e);
+                (resolve(from), resolve(to))
+            })
+            .collect();
+        let mut incident = vec![Vec::new(); exp.instrs.len()];
+        for (n, &(from, to)) in edges.iter().enumerate() {
+            for pin in [from, to] {
+                if let Pin::Instr(i) = pin {
+                    incident[i].push(n);
+                }
+            }
+        }
+        Wires { edges, incident }
+    }
+
+    /// Manhattan length of edge `e` with instructions at `pos`.
+    fn length(&self, mesh: &Mesh, pos: &[MeshCoord], e: usize) -> i64 {
+        let tile = |pin| match pin {
+            Pin::Instr(i) => pos[i],
+            Pin::Tile(c) => c,
+        };
+        let (from, to) = self.edges[e];
+        mesh.manhattan(tile(from), tile(to)) as i64
+    }
+
+    /// Total length of every edge: the annealer's cost.
+    fn total(&self, mesh: &Mesh, pos: &[MeshCoord]) -> i64 {
+        (0..self.edges.len()).map(|e| self.length(mesh, pos, e)).sum()
+    }
+
+    /// Total length of the edges incident to `a` or to `b`, an edge
+    /// joining the two counted once. A move of `a` (swapped with `b`)
+    /// changes exactly these lengths, so their difference across the move
+    /// is the change in [`Wires::total`].
+    fn span(&self, mesh: &Mesh, pos: &[MeshCoord], a: usize, b: Option<usize>) -> i64 {
+        let edges_of = |i: usize| self.incident[i].iter().copied();
+        let joins_a = |e: usize| {
+            let (from, to) = self.edges[e];
+            matches!(from, Pin::Instr(i) if i == a) || matches!(to, Pin::Instr(i) if i == a)
+        };
+        let mut sum: i64 = edges_of(a).map(|e| self.length(mesh, pos, e)).sum();
+        if let Some(b) = b {
+            sum += edges_of(b)
+                .filter(|&e| !joins_a(e))
+                .map(|e| self.length(mesh, pos, e))
+                .sum::<i64>();
+        }
+        sum
+    }
 }
 
 /// Places all instructions: temporal instructions round-robin over dataflow
@@ -68,11 +152,14 @@ pub fn place(
     seed: u64,
     iterations: usize,
 ) -> Result<Placement, ScheduleError> {
-    let mut placement = Placement { instr_pos: HashMap::new(), dpe_load: HashMap::new() };
+    // Every entry is assigned below: temporal instructions first, then
+    // systolic ones.
+    let mut pos = vec![MeshCoord { x: 0, y: 0 }; exp.instrs.len()];
+    let mut dpe_load = HashMap::new();
 
     // --- temporal instructions -> dataflow tiles (round robin) ---
     let dpe_tiles: Vec<MeshCoord> = mesh.dataflow_slots().map(|s| s.coord).collect();
-    let temporal: Vec<&crate::instr::MappedInstr> = exp.temporal_instrs().collect();
+    let temporal: Vec<usize> = (0..exp.instrs.len()).filter(|&i| exp.instrs[i].temporal).collect();
     if !temporal.is_empty() {
         if dpe_tiles.is_empty() {
             return Err(ScheduleError::NoDataflowPes { needed: temporal.len() });
@@ -81,117 +168,119 @@ pub fn place(
         if temporal.len() > capacity {
             return Err(ScheduleError::TemporalOverflow { needed: temporal.len(), capacity });
         }
-        for (i, instr) in temporal.iter().enumerate() {
-            let tile = dpe_tiles[i % dpe_tiles.len()];
-            placement.instr_pos.insert(instr.key, tile);
-            *placement.dpe_load.entry(tile).or_insert(0) += 1;
+        for (n, &i) in temporal.iter().enumerate() {
+            let tile = dpe_tiles[n % dpe_tiles.len()];
+            pos[i] = tile;
+            *dpe_load.entry(tile).or_insert(0) += 1;
         }
     }
 
     // --- systolic instructions -> dedicated tiles ---
-    // Group available tiles by FU class.
-    let mut free: HashMap<revel_dfg::FuClass, Vec<MeshCoord>> = HashMap::new();
+    // Available tiles per FU class (indexed by `FuClass as usize`), in
+    // row-major order.
+    let mut class_tiles: [Vec<MeshCoord>; FuClass::ALL.len()] = Default::default();
     for s in mesh.slots() {
         if let PeKind::Systolic(class) = s.kind {
-            free.entry(class).or_default().push(s.coord);
+            class_tiles[class as usize].push(s.coord);
         }
     }
-    let systolic: Vec<&crate::instr::MappedInstr> = exp.systolic_instrs().collect();
-    for class in revel_dfg::FuClass::ALL {
-        let needed = systolic.iter().filter(|i| i.class == class).count();
-        let avail = free.get(&class).map(|v| v.len()).unwrap_or(0);
-        if needed > avail {
-            return Err(ScheduleError::NotEnoughPes { class, needed, available: avail });
+    let systolic: Vec<usize> = (0..exp.instrs.len()).filter(|&i| !exp.instrs[i].temporal).collect();
+    for class in FuClass::ALL {
+        let needed = systolic.iter().filter(|&&i| exp.instrs[i].class == class).count();
+        let available = class_tiles[class as usize].len();
+        if needed > available {
+            return Err(ScheduleError::NotEnoughPes { class, needed, available });
         }
     }
     // Initial assignment: in instruction order, take tiles in row-major
     // order per class (ports are on the top/bottom rows, so early nodes —
     // typically closest to inputs — get top tiles).
-    let mut cursor: HashMap<revel_dfg::FuClass, usize> = HashMap::new();
-    for instr in &systolic {
-        let tiles = free.get(&instr.class).expect("checked above");
-        let c = cursor.entry(instr.class).or_insert(0);
-        placement.instr_pos.insert(instr.key, tiles[*c]);
-        *c += 1;
+    let mut cursor = [0; FuClass::ALL.len()];
+    for &i in &systolic {
+        let class = exp.instrs[i].class as usize;
+        pos[i] = class_tiles[class][cursor[class]];
+        cursor[class] += 1;
     }
 
-    if systolic.len() <= 1 || iterations == 0 {
-        return Ok(placement);
+    if systolic.len() > 1 && iterations > 0 {
+        anneal(mesh, exp, &mut pos, &systolic, &class_tiles, seed, iterations);
     }
+    let instr_pos = exp.instrs.iter().zip(&pos).map(|(instr, &tile)| (instr.key, tile)).collect();
+    Ok(Placement { instr_pos, dpe_load })
+}
 
-    // --- simulated annealing over systolic placements ---
+/// Simulated annealing over the systolic instructions' tiles, minimizing
+/// total edge length; leaves the best placement seen in `pos`.
+///
+/// A move takes an instruction to a random tile of its class, swapping
+/// with that tile's occupant. Its cost delta is summed over the edges the
+/// move touches ([`Wires::span`]), which equals the change in the full
+/// cost exactly, so every accept decision, and with it every RNG draw, is
+/// what re-costing every edge per move would make.
+fn anneal(
+    mesh: &Mesh,
+    exp: &Expansion,
+    pos: &mut [MeshCoord],
+    systolic: &[usize],
+    class_tiles: &[Vec<MeshCoord>],
+    seed: u64,
+    iterations: usize,
+) {
+    let wires = Wires::new(mesh, exp);
     let mut rng = Rng::seed_from_u64(seed);
-    // Reverse index: tile -> instr (systolic only).
-    let mut occupant: HashMap<MeshCoord, InstrKey> = HashMap::new();
-    for instr in &systolic {
-        occupant.insert(placement.instr_pos[&instr.key], instr.key);
+    // Reverse index: tile (by `Mesh::tile_index`) -> systolic instruction.
+    let mut occupant: Vec<Option<usize>> = vec![None; mesh.width() * mesh.height()];
+    for &i in systolic {
+        occupant[mesh.tile_index(pos[i])] = Some(i);
     }
-    let instr_class: HashMap<InstrKey, revel_dfg::FuClass> =
-        systolic.iter().map(|i| (i.key, i.class)).collect();
 
-    let cost = |placement: &Placement| -> i64 {
-        exp.edges
-            .iter()
-            .map(|e| {
-                let (a, b) = edge_coords(mesh, placement, e);
-                mesh.manhattan(a, b) as i64
-            })
-            .sum()
-    };
-    let mut cur_cost = cost(&placement);
+    let mut cur_cost = wires.total(mesh, pos);
     // Track the best placement seen: the walk may wander uphill near the
     // end of the schedule, and the final state is not necessarily the best.
     let mut best_cost = cur_cost;
-    let mut best_pos = placement.instr_pos.clone();
+    let mut best = pos.to_vec();
     let mut temp = (cur_cost as f64 / exp.edges.len().max(1) as f64).max(2.0);
-    let keys: Vec<InstrKey> = systolic.iter().map(|i| i.key).collect();
     for step in 0..iterations {
         // Pick an instruction and a random tile of the same class.
-        let k = keys[rng.gen_index(keys.len())];
-        let class = instr_class[&k];
-        let tiles = &free[&class];
+        let k = systolic[rng.gen_index(systolic.len())];
+        let tiles = &class_tiles[exp.instrs[k].class as usize];
         let target = tiles[rng.gen_index(tiles.len())];
-        let source = placement.instr_pos[&k];
+        let source = pos[k];
         if target == source {
+            // A no-op draw also skips this step's cooling below. Every
+            // placement the simulator has run was annealed this way, so
+            // cooling here would move placements: a model change.
             continue;
         }
-        let other = occupant.get(&target).copied();
+        let other = occupant[mesh.tile_index(target)];
+        let before = wires.span(mesh, pos, k, other);
         // Apply move/swap.
-        placement.instr_pos.insert(k, target);
+        pos[k] = target;
         if let Some(o) = other {
-            placement.instr_pos.insert(o, source);
+            pos[o] = source;
         }
-        let new_cost = cost(&placement);
-        let delta = new_cost - cur_cost;
+        let delta = wires.span(mesh, pos, k, other) - before;
         let accept = delta <= 0 || rng.gen_f64() < (-(delta as f64) / temp).exp();
         if accept {
-            cur_cost = new_cost;
-            occupant.insert(target, k);
-            match other {
-                Some(o) => {
-                    occupant.insert(source, o);
-                }
-                None => {
-                    occupant.remove(&source);
-                }
-            }
+            cur_cost += delta;
+            occupant[mesh.tile_index(target)] = Some(k);
+            occupant[mesh.tile_index(source)] = other;
             if cur_cost < best_cost {
                 best_cost = cur_cost;
-                best_pos = placement.instr_pos.clone();
+                best.copy_from_slice(pos);
             }
         } else {
             // Revert.
-            placement.instr_pos.insert(k, source);
+            pos[k] = source;
             if let Some(o) = other {
-                placement.instr_pos.insert(o, target);
+                pos[o] = target;
             }
         }
         if step % 64 == 63 {
             temp *= 0.92;
         }
     }
-    placement.instr_pos = best_pos;
-    Ok(placement)
+    pos.copy_from_slice(&best);
 }
 
 /// Repairs a healthy placement around a fabric mask's dead tiles.

@@ -12,7 +12,7 @@ use crate::instr::Expansion;
 use crate::place::{edge_coords, Placement};
 use crate::schedule::ScheduleError;
 use revel_fabric::{FabricMask, Mesh, MeshCoord, MeshLink};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Summary statistics of a routed configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,10 +36,11 @@ pub struct Routing {
     pub stats: RouteStats,
 }
 
+/// A tile on Dijkstra's frontier.
 #[derive(PartialEq)]
-struct QueueEntry {
-    cost: f64,
-    coord: MeshCoord,
+pub(crate) struct QueueEntry {
+    pub(crate) cost: f64,
+    pub(crate) coord: MeshCoord,
 }
 
 impl Eq for QueueEntry {}
@@ -57,58 +58,93 @@ impl PartialOrd for QueueEntry {
     }
 }
 
-fn shortest_path(
-    mesh: &Mesh,
-    from: MeshCoord,
-    to: MeshCoord,
-    link_cost: &HashMap<MeshLink, f64>,
+/// Index of the directed link `from → to` (4-neighbours) in the router's
+/// per-link arrays: four slots per tile, one per direction.
+fn link_index(mesh: &Mesh, from: MeshCoord, to: MeshCoord) -> usize {
+    let direction = if to.x < from.x {
+        0
+    } else if to.x > from.x {
+        1
+    } else if to.y < from.y {
+        2
+    } else {
+        3
+    };
+    4 * mesh.tile_index(from) + direction
+}
+
+/// Dijkstra's working state, indexed by `Mesh::tile_index` and reused for
+/// every edge of every negotiation round.
+struct Search {
     mask: FabricMask,
-) -> Option<Vec<MeshLink>> {
-    if from == to {
-        return Some(Vec::new());
+    dist: Vec<f64>,
+    prev: Vec<Option<MeshCoord>>,
+    heap: BinaryHeap<QueueEntry>,
+}
+
+impl Search {
+    fn new(mesh: &Mesh, mask: FabricMask) -> Self {
+        let tiles = mesh.width() * mesh.height();
+        Search { mask, dist: vec![0.0; tiles], prev: vec![None; tiles], heap: BinaryHeap::new() }
     }
-    let mut dist: HashMap<MeshCoord, f64> = HashMap::new();
-    let mut prev: HashMap<MeshCoord, MeshCoord> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(from, 0.0);
-    heap.push(QueueEntry { cost: 0.0, coord: from });
-    while let Some(QueueEntry { cost, coord }) = heap.pop() {
-        if coord == to {
-            break;
+
+    /// Writes the cheapest `from → to` path into `path`, a link costing
+    /// `1 + history + usage / 2`; false when dead links disconnect the
+    /// two tiles.
+    fn shortest_path(
+        &mut self,
+        mesh: &Mesh,
+        from: MeshCoord,
+        to: MeshCoord,
+        history: &[f64],
+        usage: &[u32],
+        path: &mut Vec<MeshLink>,
+    ) -> bool {
+        path.clear();
+        if from == to {
+            return true;
         }
-        if cost > *dist.get(&coord).unwrap_or(&f64::INFINITY) {
-            continue;
-        }
-        for n in mesh.neighbors(coord) {
-            // Dead links are severed in both directions. Dead *PEs* keep
-            // their mesh switch (routing through a dead tile is allowed):
-            // the circuit-switched network is a separate structure from
-            // the FU datapath, so a stuck FU does not cut the crossbar.
-            if mesh.link_bit(coord, n).is_some_and(|b| mask.link_dead(b)) {
+        self.dist.fill(f64::INFINITY);
+        self.prev.fill(None);
+        self.heap.clear();
+        self.dist[mesh.tile_index(from)] = 0.0;
+        self.heap.push(QueueEntry { cost: 0.0, coord: from });
+        while let Some(QueueEntry { cost, coord }) = self.heap.pop() {
+            if coord == to {
+                break;
+            }
+            if cost > self.dist[mesh.tile_index(coord)] {
                 continue;
             }
-            let link = MeshLink { from: coord, to: n };
-            let lc = 1.0 + link_cost.get(&link).copied().unwrap_or(0.0);
-            let nd = cost + lc;
-            if nd < *dist.get(&n).unwrap_or(&f64::INFINITY) {
-                dist.insert(n, nd);
-                prev.insert(n, coord);
-                heap.push(QueueEntry { cost: nd, coord: n });
+            for n in mesh.neighbors_iter(coord) {
+                // Dead links are severed in both directions. Dead *PEs* keep
+                // their mesh switch (routing through a dead tile is allowed):
+                // the circuit-switched network is a separate structure from
+                // the FU datapath, so a stuck FU does not cut the crossbar.
+                if mesh.link_bit(coord, n).is_some_and(|b| self.mask.link_dead(b)) {
+                    continue;
+                }
+                let link = link_index(mesh, coord, n);
+                let nd = cost + (1.0 + (history[link] + 0.5 * usage[link] as f64));
+                let t = mesh.tile_index(n);
+                if nd < self.dist[t] {
+                    self.dist[t] = nd;
+                    self.prev[t] = Some(coord);
+                    self.heap.push(QueueEntry { cost: nd, coord: n });
+                }
             }
         }
+        // Reconstruct. On a healthy mesh the grid is connected, so Dijkstra
+        // always reaches `to`; dead links can disconnect it.
+        let mut cur = to;
+        while cur != from {
+            let Some(p) = self.prev[mesh.tile_index(cur)] else { return false };
+            path.push(MeshLink { from: p, to: cur });
+            cur = p;
+        }
+        path.reverse();
+        true
     }
-    // Reconstruct. On a healthy mesh the grid is connected, so Dijkstra
-    // always reaches `to`; dead links can disconnect it, which surfaces
-    // as `None` (the caller reports `ScheduleError::Unroutable`).
-    let mut path = Vec::new();
-    let mut cur = to;
-    while cur != from {
-        let p = *prev.get(&cur)?;
-        path.push(MeshLink { from: p, to: cur });
-        cur = p;
-    }
-    path.reverse();
-    Some(path)
 }
 
 /// Routes every edge of the expansion with a fabric mask's dead links
@@ -117,6 +153,10 @@ fn shortest_path(
 /// schedule passes [`FabricMask::HEALTHY`] — an empty mask and a degraded
 /// one share this single code path, so an empty mask is byte-identical to
 /// the healthy routing by construction.
+///
+/// Link costs live in dense per-link arrays: `history` (raised on
+/// over-subscribed links after each round) and this round's `usage` by
+/// dedicated edges, a link costing `1 + (history + 0.5 · usage)`.
 ///
 /// # Errors
 /// [`ScheduleError::Unroutable`] when dead links disconnect a producer
@@ -129,40 +169,40 @@ pub fn route_degraded(
     max_iterations: u32,
     mask: FabricMask,
 ) -> Result<Routing, ScheduleError> {
-    let mut history: HashMap<MeshLink, f64> = HashMap::new();
+    let ends: Vec<(MeshCoord, MeshCoord)> =
+        exp.edges.iter().map(|e| edge_coords(mesh, placement, e)).collect();
+    let links = 4 * mesh.width() * mesh.height();
+    let mut history = vec![0.0; links];
+    let mut usage = vec![0u32; links];
+    let mut search = Search::new(mesh, mask);
     let mut paths: Vec<Vec<MeshLink>> = vec![Vec::new(); exp.edges.len()];
     let mut stats = RouteStats::default();
 
     for iter in 0..max_iterations.max(1) {
         stats.iterations = iter + 1;
-        // Route all edges with current costs.
-        let mut usage: HashMap<MeshLink, u32> = HashMap::new();
-        for (i, edge) in exp.edges.iter().enumerate() {
-            let (from, to) = edge_coords(mesh, placement, edge);
-            // Present-congestion cost: history plus current usage this round.
-            let mut cost = history.clone();
-            for (l, u) in &usage {
-                *cost.entry(*l).or_insert(0.0) += *u as f64 * 0.5;
+        // Route all edges with current costs: history plus this round's
+        // usage so far.
+        usage.fill(0);
+        for ((edge, &(from, to)), path) in exp.edges.iter().zip(&ends).zip(&mut paths) {
+            if !search.shortest_path(mesh, from, to, &history, &usage, path) {
+                return Err(ScheduleError::Unroutable { from, to });
             }
-            let path = shortest_path(mesh, from, to, &cost, mask)
-                .ok_or(ScheduleError::Unroutable { from, to })?;
-            for l in &path {
-                if edge.needs_dedicated_links() {
-                    *usage.entry(*l).or_insert(0) += 1;
+            if edge.needs_dedicated_links() {
+                for l in path.iter() {
+                    usage[link_index(mesh, l.from, l.to)] += 1;
                 }
             }
-            paths[i] = path;
         }
-        let overused: Vec<(MeshLink, u32)> =
-            usage.iter().filter(|&(_, &u)| u > 1).map(|(l, u)| (*l, *u)).collect();
-        let max_sharing = usage.values().copied().max().unwrap_or(1).max(1);
+        let max_sharing = usage.iter().copied().max().unwrap_or(1).max(1);
         stats.max_link_sharing = max_sharing;
-        if overused.is_empty() {
+        if max_sharing == 1 {
             break;
         }
         // Raise history cost on over-subscribed links and retry.
-        for (l, u) in overused {
-            *history.entry(l).or_insert(0.0) += u as f64;
+        for (h, &u) in history.iter_mut().zip(&usage) {
+            if u > 1 {
+                *h += u as f64;
+            }
         }
     }
     stats.total_hops = paths.iter().map(|p| p.len() as u32).sum();

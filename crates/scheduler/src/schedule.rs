@@ -302,6 +302,9 @@ fn dedicated_link_usage(exp: &Expansion, routing: &Routing) -> HashMap<MeshLink,
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use revel_dfg::{Dfg, OpCode};
