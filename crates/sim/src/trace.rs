@@ -292,6 +292,43 @@ impl TimingTrace {
     pub fn program_id(&self) -> StructuralId {
         self.program_id
     }
+
+    /// The compiled program's segments, in order: the ranges of the loads,
+    /// steps and stores each runs, and the control pc of the host op that
+    /// ends it.
+    pub fn segments(&self) -> impl Iterator<Item = ([Range<usize>; 3], Option<u32>)> + '_ {
+        let host = |s: &Segment| s.host.map(|(pc, _)| pc);
+        self.code
+            .segments
+            .iter()
+            .map(move |s| ([s.loads.clone(), s.steps.clone(), s.stores.clone()], host(s)))
+    }
+
+    /// The compiled program's steps: `(op, dst, args)` over rows.
+    pub fn steps(&self) -> impl Iterator<Item = (OpCode, u32, [u32; 3])> + '_ {
+        self.code.steps.iter().map(|s| (s.op, s.dst(), s.args()))
+    }
+
+    /// The compiled program's loads, `(mem, addr)`: `mem` is a lane, or
+    /// `u8::MAX` for the shared scratchpad.
+    pub fn loads(&self) -> impl Iterator<Item = (u8, u32)> + '_ {
+        self.code.loads.iter().map(|l| (l.mem, l.addr))
+    }
+
+    /// The compiled program's stores, `(mem, addr, row)`.
+    pub fn stores(&self) -> impl Iterator<Item = (u8, u32, u32)> + '_ {
+        self.code.stores.iter().map(|s| (s.mem, s.addr, s.row))
+    }
+
+    /// The bits of the compiled program's constants, rows `1..`.
+    pub fn constants(&self) -> &[u64] {
+        &self.code.consts
+    }
+
+    /// The registers the compiled program's steps write.
+    pub fn registers(&self) -> usize {
+        self.code.registers
+    }
 }
 
 /// The straight-line code a trace compiles to, over rows of values. Row 0
