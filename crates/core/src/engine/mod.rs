@@ -175,9 +175,8 @@ pub(crate) struct Engine {
     /// single-flight waiters.
     runs_done: Condvar,
     lints: Mutex<BoundedCache<(Bench, BuildCfg), Vec<revel_verify::Diagnostic>>>,
-    /// Timing traces recorded by [`Engine::run_batched`]'s timing walk and
-    /// compiled to straight-line code (the op lists are not kept), a
-    /// first-class artifact cached next to the run results under the same
+    /// Timing traces — the straight-line code [`Engine::run_batched`]'s
+    /// timing walk writes as it simulates — a first-class artifact cached next to the run results under the same
     /// key shape. Plain get/insert (no single-flight): a duplicated timing
     /// walk is wasted work, not a correctness hazard, and batch requests
     /// for one cell rarely race.
@@ -641,19 +640,17 @@ pub struct BatchRun {
 /// Executes `bench` under `cfg` once per dataset seed, through the
 /// batched replay path.
 ///
-/// One cycle-accurate **timing walk** records a [`TimingTrace`] and
-/// compiles it to straight-line load / scalar-op / store code (cached
-/// process-wide, next to the run cache, in place of the recorded ops), and
-/// each seed's dataset then executes that code: byte-identical results,
-/// one simulation's worth of scheduling work and no DFG evaluation. A
-/// timing walk that exhausts its budget falls back to N independent full
-/// simulations.
+/// One cycle-accurate **timing walk** writes a [`TimingTrace`] —
+/// straight-line load / scalar-op / store code, cached process-wide next
+/// to the run cache — as it simulates, and each seed's dataset then
+/// executes that code: byte-identical results, one simulation's worth of
+/// scheduling work and no DFG evaluation. A timing walk that exhausts its
+/// budget falls back to N independent full simulations.
 ///
 /// # Errors
-/// Propagates simulator errors, including a recorded trace that fails to
-/// compile ([`revel_sim::SimError::Replay`]) — which can only happen if
-/// the compile walk disagrees with the timing walk that recorded it, so it
-/// is surfaced, never swallowed — and a first seed whose build is not
+/// Propagates simulator errors, including a program that names more
+/// values than a replay program can ([`revel_sim::SimError::Replay`]),
+/// surfaced, never swallowed, and a first seed whose build is not
 /// structurally the traced program.
 pub fn run_batched(bench: Bench, cfg: &BuildCfg, seeds: &[u64]) -> Result<BatchRun, SimError> {
     engine().run_batched(bench, cfg, seeds)

@@ -80,12 +80,16 @@ impl Machine {
             ControlStep::Host(op) => {
                 // Host computations synchronize with the fabric through
                 // explicit Wait steps placed before them by the builder;
-                // here the core just burns cycles and touches memory.
-                if let Some(t) = &mut self.trace {
-                    t.record(crate::trace::TraceOp::Host { pc: self.control.pc as u32 });
+                // here the core just burns cycles and touches memory (a
+                // recording run, which holds no values, ends a segment).
+                match &mut self.recorder {
+                    Some(rec) => rec.host(self.control.pc),
+                    None => {
+                        let mut mem =
+                            MachineMem { lanes: &mut self.lanes, shared: &mut self.shared };
+                        (op.func)(&mut mem);
+                    }
                 }
-                let mut mem = MachineMem { lanes: &mut self.lanes, shared: &mut self.shared };
-                (op.func)(&mut mem);
                 self.control.busy_until = now + op.cycles.max(1);
                 self.control.pc += 1;
                 return true;

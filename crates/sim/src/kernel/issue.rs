@@ -3,8 +3,7 @@
 
 use crate::lane::{ActiveStream, PatternWalker, RowTracker, StreamBody, WrittenSet};
 use crate::machine::Machine;
-use crate::trace::TraceOp;
-use revel_isa::{LaneHop, MemTarget, ProdMode, StreamCommand};
+use revel_isa::{LaneHop, MemTarget, StreamCommand};
 use revel_prog::RevelProgram;
 use revel_scheduler::RegionSchedule;
 
@@ -60,8 +59,8 @@ impl Machine {
                         }
                         let idx = config.0 as usize;
                         lane.apply_config(&program.configs[idx], &schedules[idx]);
-                        if let Some(t) = &mut self.trace {
-                            t.record(TraceOp::Configure { lane: li as u8, config: config.0 });
+                        if let Some(rec) = &mut self.recorder {
+                            rec.configure(li, &program.configs[idx]);
                         }
                         lane.reconfig_until = 0;
                         lane.draining = false;
@@ -96,12 +95,8 @@ impl Machine {
                                 break;
                             }
                             lane.regions[r].set_accum_len(*len);
-                            if let Some(t) = &mut self.trace {
-                                t.record(TraceOp::SetAccumLen {
-                                    lane: li as u8,
-                                    region: r as u8,
-                                    len: *len,
-                                });
+                            if let Some(rec) = &mut self.recorder {
+                                rec.set_accum_len(li, r, *len);
                             }
                         }
                         queue.pop_front();
@@ -169,9 +164,6 @@ impl Machine {
                 }
                 lane.in_busy[d] = true;
                 lane.in_ports[d].bind_stream(*reuse);
-                if let Some(t) = &mut self.trace {
-                    t.record(TraceOp::BindIn { lane: li as u8, port: dst.0, reuse: *reuse });
-                }
                 lane.streams.push(ActiveStream {
                     body: StreamBody::Load {
                         target: *target,
@@ -192,13 +184,6 @@ impl Machine {
                 }
                 lane.in_busy[d] = true;
                 lane.in_ports[d].bind_stream(revel_isa::RateFsm::ONCE);
-                if let Some(t) = &mut self.trace {
-                    t.record(TraceOp::BindIn {
-                        lane: li as u8,
-                        port: dst.0,
-                        reuse: revel_isa::RateFsm::ONCE,
-                    });
-                }
                 let values = pattern.expand().into_iter().map(f64::from_bits).collect();
                 lane.streams.push(ActiveStream { body: StreamBody::Const { dst: dst.0, values } });
                 true
@@ -211,14 +196,6 @@ impl Machine {
                 }
                 lane.out_busy[s] = true;
                 lane.out_ports[s].bind_stream(*discard);
-                if let Some(t) = &mut self.trace {
-                    t.record(TraceOp::BindOut {
-                        lane: li as u8,
-                        port: src.0,
-                        discard: *discard,
-                        mode: ProdMode::KeepFirst,
-                    });
-                }
                 let spad_words = match target {
                     MemTarget::Private => lane.spad.len(),
                     MemTarget::Shared => self.shared.len(),
@@ -254,19 +231,6 @@ impl Machine {
                         lane.in_busy[d] = true;
                         lane.out_ports[s].bind_stream_mode(*production, *prod_mode);
                         lane.in_ports[d].bind_stream(*consumption);
-                        if let Some(t) = &mut self.trace {
-                            t.record(TraceOp::BindOut {
-                                lane: li as u8,
-                                port: route.src.0,
-                                discard: *production,
-                                mode: *prod_mode,
-                            });
-                            t.record(TraceOp::BindIn {
-                                lane: li as u8,
-                                port: route.dst.0,
-                                reuse: *consumption,
-                            });
-                        }
                         lane.streams.push(ActiveStream {
                             body: StreamBody::XferLocal {
                                 src: route.src.0,
@@ -289,19 +253,6 @@ impl Machine {
                         self.lanes[ri].in_busy[d] = true;
                         self.lanes[li].out_ports[s].bind_stream_mode(*production, *prod_mode);
                         self.lanes[ri].in_ports[d].bind_stream(*consumption);
-                        if let Some(t) = &mut self.trace {
-                            t.record(TraceOp::BindOut {
-                                lane: li as u8,
-                                port: route.src.0,
-                                discard: *production,
-                                mode: *prod_mode,
-                            });
-                            t.record(TraceOp::BindIn {
-                                lane: ri as u8,
-                                port: route.dst.0,
-                                reuse: *consumption,
-                            });
-                        }
                         self.lanes[li].streams.push(ActiveStream {
                             body: StreamBody::XferRight {
                                 src: route.src.0,

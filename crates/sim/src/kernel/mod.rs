@@ -57,7 +57,6 @@ pub(crate) use control::{ControlCore, MachineMem};
 
 use crate::machine::Machine;
 use crate::stats::{CycleClass, StepperStats};
-use crate::trace::TraceOp;
 use revel_prog::RevelProgram;
 use revel_scheduler::RegionSchedule;
 
@@ -190,21 +189,16 @@ impl Machine {
         let mut progress = self.apply_faults(now);
         progress |= self.control_step(now, program);
         progress |= self.issue_commands(now, program, schedules);
-        for (li, lane) in self.lanes.iter_mut().enumerate() {
-            for (pi, p) in lane.in_ports.iter_mut().enumerate() {
-                if p.tick() {
-                    progress = true;
-                    if let Some(t) = &mut self.trace {
-                        t.record(TraceOp::TickIn { lane: li as u8, port: pi as u8 });
-                    }
-                }
+        for lane in &mut self.lanes {
+            for p in &mut lane.in_ports {
+                progress |= p.tick();
             }
         }
         progress |= self.run_source_streams(now);
         for (li, lane) in self.lanes.iter_mut().enumerate() {
-            lane.fire_regions(now, li as u8, &mut self.trace);
-            lane.dpe_step(now, li as u8, &mut self.trace);
-            lane.deliver_outputs(now, li as u8, &mut self.trace);
+            lane.fire_regions(now, li, &mut self.recorder);
+            lane.dpe_step(now);
+            lane.deliver_outputs(now);
         }
         progress |= self.run_drain_streams(now);
         progress |= self.retire_streams();

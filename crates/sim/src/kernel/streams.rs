@@ -13,7 +13,6 @@
 
 use crate::lane::{Lane, StreamBody};
 use crate::machine::Machine;
-use crate::trace::TraceOp;
 use revel_isa::MemTarget;
 
 impl Machine {
@@ -80,21 +79,16 @@ impl Machine {
                                 sync_blocked = true;
                                 break;
                             }
-                            let val = match target {
-                                MemTarget::Private => spad.read_f64(elem.offset),
-                                MemTarget::Shared => self.shared.read_f64(elem.offset),
+                            let spad = match target {
+                                MemTarget::Private => &*spad,
+                                MemTarget::Shared => &self.shared,
+                            };
+                            let val = match &mut self.recorder {
+                                Some(rec) => rec.load(*target, li, spad, elem.offset),
+                                None => spad.read_f64(elem.offset),
                             };
                             if !port.push_word(val, elem.last_in_row) {
                                 break;
-                            }
-                            if let Some(t) = &mut self.trace {
-                                t.record(TraceOp::PushMem {
-                                    lane: li as u8,
-                                    port: *dst,
-                                    target: *target,
-                                    addr: elem.offset,
-                                    row_end: elem.last_in_row,
-                                });
                             }
                             walker.advance();
                             *budget -= 1;
@@ -111,26 +105,18 @@ impl Machine {
                             // progress case.
                             *flushed = port.flush_at_stream_end();
                             progress |= *flushed;
-                            if *flushed {
-                                if let Some(t) = &mut self.trace {
-                                    t.record(TraceOp::FlushIn { lane: li as u8, port: *dst });
-                                }
-                            }
                         }
                     }
                     StreamBody::Const { dst, values } => {
                         let port = &mut in_ports[*dst as usize];
                         while const_budget > 0 {
-                            let Some(v) = values.front() else { break };
-                            if !port.can_accept() || !port.push_word(*v, false) {
+                            let Some(&v) = values.front() else { break };
+                            if !port.can_accept() {
                                 break;
                             }
-                            if let Some(t) = &mut self.trace {
-                                t.record(TraceOp::PushConst {
-                                    lane: li as u8,
-                                    port: *dst,
-                                    bits: v.to_bits(),
-                                });
+                            let v = self.recorder.as_mut().map_or(v, |rec| rec.constant(v));
+                            if !port.push_word(v, false) {
+                                break;
                             }
                             values.pop_front();
                             const_budget -= 1;
@@ -178,33 +164,24 @@ impl Machine {
                             }
                             let occ_before = port.occupancy();
                             let Some(v) = port.pop_kept() else {
-                                if port.occupancy() != occ_before {
-                                    progress = true;
-                                    if let Some(t) = &mut self.trace {
-                                        t.record(TraceOp::PopSpent { lane: li as u8, port: *src });
-                                    }
-                                }
+                                progress |= port.occupancy() != occ_before;
                                 break;
                             };
                             progress = true;
                             written.insert(elem.offset);
-                            match target {
+                            let spad = match target {
                                 MemTarget::Private => {
-                                    spad.write_f64(elem.offset, v);
                                     events.spad_words += 1;
+                                    &mut *spad
                                 }
                                 MemTarget::Shared => {
-                                    self.shared.write_f64(elem.offset, v);
                                     events.shared_spad_words += 1;
+                                    &mut self.shared
                                 }
-                            }
-                            if let Some(t) = &mut self.trace {
-                                t.record(TraceOp::PopStore {
-                                    lane: li as u8,
-                                    port: *src,
-                                    target: *target,
-                                    addr: elem.offset,
-                                });
+                            };
+                            match &mut self.recorder {
+                                Some(rec) => rec.store(*target, li, spad, elem.offset, v),
+                                None => spad.write_f64(elem.offset, v),
                             }
                             events.port_words += 1;
                             walker.advance();
@@ -220,27 +197,13 @@ impl Machine {
                             }
                             let occ_before = out_ports[sp].occupancy();
                             let Some(v) = out_ports[sp].pop_kept() else {
-                                if out_ports[sp].occupancy() != occ_before {
-                                    progress = true;
-                                    if let Some(t) = &mut self.trace {
-                                        t.record(TraceOp::PopSpent { lane: li as u8, port: *src });
-                                    }
-                                }
+                                progress |= out_ports[sp].occupancy() != occ_before;
                                 break;
                             };
                             progress = true;
                             let row_end = rows.step();
                             let ok = in_ports[dp].push_word(v, row_end);
                             debug_assert!(ok, "can_accept guaranteed space");
-                            if let Some(t) = &mut self.trace {
-                                t.record(TraceOp::XferWord {
-                                    src_lane: li as u8,
-                                    src_port: *src,
-                                    dst_lane: li as u8,
-                                    dst_port: *dst,
-                                    row_end,
-                                });
-                            }
                             *remaining -= 1;
                             xfer_budget -= 1;
                             events.bus_words += 2; // bus out + bus in
@@ -275,27 +238,13 @@ impl Machine {
                         }
                         let occ_before = a.out_ports[sp].occupancy();
                         let Some(v) = a.out_ports[sp].pop_kept() else {
-                            if a.out_ports[sp].occupancy() != occ_before {
-                                progress = true;
-                                if let Some(t) = &mut self.trace {
-                                    t.record(TraceOp::PopSpent { lane: li as u8, port: *src });
-                                }
-                            }
+                            progress |= a.out_ports[sp].occupancy() != occ_before;
                             break;
                         };
                         progress = true;
                         let row_end = rows.step();
                         let ok = b.in_ports[dp].push_word(v, row_end);
                         debug_assert!(ok, "can_accept guaranteed space");
-                        if let Some(t) = &mut self.trace {
-                            t.record(TraceOp::XferWord {
-                                src_lane: li as u8,
-                                src_port: *src,
-                                dst_lane: ri as u8,
-                                dst_port: *dst,
-                                row_end,
-                            });
-                        }
                         *remaining -= 1;
                         budget -= 1;
                         a.events.bus_words += 2;

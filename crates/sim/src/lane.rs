@@ -6,7 +6,7 @@ use crate::kernel::NextEvent;
 use crate::memory::Scratchpad;
 use crate::port::{InPort, OutPort};
 use crate::stats::{CycleBreakdown, CycleClass};
-use crate::trace::{TraceOp, TraceRecorder};
+use crate::trace::Recorder;
 use revel_dfg::{Dfg, DfgEvaluator, FuClass, Node, OpCode, Region, RegionKind, VecVal};
 use revel_fabric::{EventCounts, LaneConfig};
 use revel_isa::{AffinePattern, MemTarget, OutPortId, PatternElem, PatternIter, RateFsm};
@@ -436,8 +436,7 @@ pub(crate) struct RegionState {
     inputs: Vec<VecVal>,
     /// One entry per fired result set not yet delivered, oldest first: the
     /// cycle a systolic result matures. (Temporal fires wait in
-    /// `Lane::instances` instead; the trace compiler, which has no cycles,
-    /// enters every fire here as 0.)
+    /// `Lane::instances` instead.)
     inflight: VecDeque<u64>,
     /// The output vectors of every undelivered fire, oldest first:
     /// `out_ports.len()` entries per fire, in output-node order.
@@ -470,46 +469,13 @@ impl RegionState {
         self.next_fire
     }
 
-    pub(crate) fn is_temporal(&self) -> bool {
-        self.temporal_shape.is_some()
-    }
-
     /// Temporal instances of this region in flight on the dPEs.
     pub(crate) fn temporal_instances(&self) -> usize {
         self.instances
     }
 
-    /// Input-port indices this region reads from (for the trace compiler's
-    /// pre-checks).
-    pub(crate) fn input_port_ids(&self) -> &[u8] {
-        &self.in_ports
-    }
-
     pub(crate) fn idle(&self) -> bool {
         self.inflight.is_empty() && self.results.is_empty()
-    }
-
-    /// Trace compiler: enters the fire whose outputs
-    /// [`Lane::gather_and_fire`] just queued as awaiting delivery.
-    pub(crate) fn replay_fired(&mut self) {
-        self.inflight.push_back(0);
-    }
-
-    /// Trace compiler: the fire [`Lane::gather_and_fire`] just made — its
-    /// input vectors, and its output vectors at the back of the undelivered
-    /// results, for the compiler to retag.
-    pub(crate) fn last_fire_mut(&mut self) -> (&[VecVal], impl Iterator<Item = &mut VecVal>) {
-        let start = self.results.len() - self.out_ports.len();
-        (&self.inputs, self.results.range_mut(start..).map(|(_, v)| v))
-    }
-
-    /// Trace compiler: the oldest undelivered fire's output vectors,
-    /// removed from the queue, or `None` when no fire is awaiting delivery.
-    pub(crate) fn replay_delivered(
-        &mut self,
-    ) -> Option<impl Iterator<Item = (OutPortId, VecVal)> + '_> {
-        self.inflight.pop_front()?;
-        Some(self.results.drain(..self.out_ports.len()))
     }
 }
 
@@ -690,14 +656,15 @@ impl Lane {
         self.streams.iter().any(|s| s.is_store())
     }
 
-    /// Fires every region that is ready this cycle.
-    pub(crate) fn fire_regions(&mut self, now: u64, li: u8, trace: &mut Option<TraceRecorder>) {
+    /// Fires every region that is ready this cycle. `li` is this lane's
+    /// index, for a recording run's `recorder`.
+    pub(crate) fn fire_regions(&mut self, now: u64, li: usize, recorder: &mut Option<Recorder>) {
         let has_pending_activity =
             !self.streams.is_empty() || !self.cmd_queue.is_empty() || !self.instances.is_empty();
         for r in 0..self.regions.len() {
             let ready = self.region_ready(r, now);
             match ready {
-                ReadyState::Ready => self.fire_region(r, now, li, trace),
+                ReadyState::Ready => self.fire_region(r, now, li, recorder),
                 ReadyState::MissingInput => {
                     if has_pending_activity {
                         self.dep_blocked = true;
@@ -748,10 +715,10 @@ impl Lane {
     }
 
     /// The valid-lane count a fire of region `r` would cover right now:
-    /// the minimum head valid-count across full-width vector inputs. Pure
-    /// (reads port heads only) — the trace compiler recomputes it and checks
-    /// it against the recorded value as a divergence probe.
-    pub(crate) fn compute_fire_valid(&self, r: usize) -> u32 {
+    /// the minimum head valid-count across full-width vector inputs. It
+    /// reads port predicates only, so a recording run's fires cover what a
+    /// concrete run's do.
+    fn compute_fire_valid(&self, r: usize) -> u32 {
         let unroll = self.regions[r].region.unroll;
         let mut fire_valid = unroll as u32;
         for p in &self.regions[r].in_ports {
@@ -766,12 +733,18 @@ impl Lane {
     }
 
     /// The functional half of a region fire: gathers inputs from the ports
-    /// (mutating reuse FSMs), evaluates the DFG, queues the output vectors
-    /// on the region's `results`, and returns the minimum adapted
-    /// valid-count. Shared verbatim by the timing walk and the trace
-    /// compiler — that sharing is what makes the compiled gathers (which
-    /// value fills which lane of which input) the timing walk's own.
-    pub(crate) fn gather_and_fire(&mut self, r: usize, fire_valid: u32) -> u32 {
+    /// (mutating reuse FSMs), evaluates the DFG — on values, or in a
+    /// recording run symbolically over the gathered tags — queues the
+    /// output vectors on the region's `results`, and returns the minimum
+    /// adapted valid-count. Both runs gather through the same ports, so
+    /// which tag fills which lane of which input is a concrete run's.
+    fn gather_and_fire(
+        &mut self,
+        r: usize,
+        fire_valid: u32,
+        li: usize,
+        recorder: &mut Option<Recorder>,
+    ) -> u32 {
         let Lane { regions, in_ports, events, .. } = self;
         let rs = &mut regions[r];
         let unroll = rs.region.unroll;
@@ -792,19 +765,19 @@ impl Lane {
             min_valid = min_valid.min(adapted.valid_count());
             rs.inputs.push(adapted);
         }
-        rs.results.extend(rs.eval.fire(&rs.inputs));
+        match recorder {
+            Some(rec) => rs.results.extend(rec.fire(li, r, &rs.inputs)),
+            None => rs.results.extend(rs.eval.fire(&rs.inputs)),
+        }
         min_valid
     }
 
-    fn fire_region(&mut self, r: usize, now: u64, li: u8, trace: &mut Option<TraceRecorder>) {
+    fn fire_region(&mut self, r: usize, now: u64, li: usize, recorder: &mut Option<Recorder>) {
         self.progressed = true;
         // The fire covers `fire_valid` logical inner-loop elements: the
         // minimum valid-lane count across full-width vector inputs.
         let fire_valid = self.compute_fire_valid(r);
-        if let Some(t) = trace {
-            t.record(TraceOp::Fire { lane: li, region: r as u8, fire_valid });
-        }
-        let min_valid = self.gather_and_fire(r, fire_valid);
+        let min_valid = self.gather_and_fire(r, fire_valid, li, recorder);
         let rs = &mut self.regions[r];
 
         if let Some(shape) = &rs.temporal_shape {
@@ -835,18 +808,15 @@ impl Lane {
 
     /// Delivers matured systolic outputs to output ports (respecting
     /// FIFO space — backpressure stalls delivery).
-    pub(crate) fn deliver_outputs(&mut self, now: u64, li: u8, trace: &mut Option<TraceRecorder>) {
+    pub(crate) fn deliver_outputs(&mut self, now: u64) {
         let Lane { regions, out_ports, events, progressed, .. } = self;
-        for (r, rs) in regions.iter_mut().enumerate() {
+        for rs in regions.iter_mut() {
             let n_out = rs.out_ports.len();
             while rs.inflight.front().is_some_and(|ready| *ready <= now) {
                 if !results_fit(&rs.results, n_out, out_ports) {
                     break;
                 }
                 rs.inflight.pop_front();
-                if let Some(t) = trace.as_mut() {
-                    t.record(TraceOp::Deliver { lane: li, region: r as u8 });
-                }
                 *progressed = true;
                 push_results(&mut rs.results, n_out, out_ports, events);
             }
@@ -857,20 +827,14 @@ impl Lane {
     /// issues at most one ready instruction — the first instance in fire
     /// order, then the first instruction in shape order, among those whose
     /// operands complete by `now` — and finished instances retire.
-    pub(crate) fn dpe_step(&mut self, now: u64, li: u8, trace: &mut Option<TraceRecorder>) {
-        self.dpe_step_observed(now, li, trace, |_, _, _, _| {});
+    pub(crate) fn dpe_step(&mut self, now: u64) {
+        self.dpe_step_observed(now, |_, _, _, _| {});
     }
 
     /// [`Lane::dpe_step`], calling `on_issue(dpe, instance, instruction,
     /// completion)` per issue; `instance` is the position in `instances`
     /// and `instruction` the shape's dPE-major number.
-    fn dpe_step_observed(
-        &mut self,
-        now: u64,
-        li: u8,
-        trace: &mut Option<TraceRecorder>,
-        mut on_issue: impl FnMut(usize, usize, usize, u64),
-    ) {
+    fn dpe_step_observed(&mut self, now: u64, mut on_issue: impl FnMut(usize, usize, usize, u64)) {
         if self.instances.is_empty() {
             return;
         }
@@ -906,9 +870,6 @@ impl Lane {
                 rs.retire_blocked = true;
                 i += 1;
                 continue;
-            }
-            if let Some(t) = trace.as_mut() {
-                t.record(TraceOp::RetireTemp { lane: li, region: instances[i].region as u8 });
             }
             push_results(&mut rs.results, n_out, out_ports, events);
             rs.instances -= 1;
@@ -1206,9 +1167,9 @@ mod tests {
         assert!(l.in_ports[4].push_word(4.0, false));
         l.fire_regions(0, 0, &mut None);
         assert_eq!(l.fired_systolic, 1);
-        l.deliver_outputs(3, 0, &mut None);
+        l.deliver_outputs(3);
         assert_eq!(l.out_ports[0].occupancy(), 0, "latency 4 not yet reached");
-        l.deliver_outputs(4, 0, &mut None);
+        l.deliver_outputs(4);
         assert_eq!(l.out_ports[0].occupancy(), 1);
         assert_eq!(l.out_ports[0].pop_kept(), Some(-3.0));
         assert_eq!(l.out_ports[0].pop_kept(), Some(-4.0));
@@ -1252,7 +1213,7 @@ mod tests {
         // recip: 12 cycles, then mul: 4 cycles, 1 instr/cycle issue.
         let mut produced_at = None;
         for t in 0..40 {
-            l.dpe_step(t, 0, &mut None);
+            l.dpe_step(t);
             if l.out_ports[5].occupancy() > 0 && produced_at.is_none() {
                 produced_at = Some(t);
             }
@@ -1453,7 +1414,7 @@ mod tests {
                     |l: &Lane| l.instances.iter().map(|i| i.region).collect::<Vec<_>>();
                 let fired = regions_of(&new);
                 let mut got = Vec::new();
-                new.dpe_step_observed(now, 0, &mut None, |dpe, k, i, done| {
+                new.dpe_step_observed(now, |dpe, k, i, done| {
                     // Report the instruction by its shape-order index.
                     let nodes = &reference.nodes[fired[k]];
                     let mut order: Vec<usize> = (0..nodes.len()).collect();
@@ -1541,7 +1502,7 @@ mod tests {
         }
         l.in_ports[5].push_word(2.0, false);
         l.fire_regions(0, 0, &mut None);
-        l.deliver_outputs(4, 0, &mut None);
+        l.deliver_outputs(4);
         let mut outs = Vec::new();
         while let Some(v) = l.out_ports[0].pop_kept() {
             outs.push(v);

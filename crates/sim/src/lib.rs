@@ -80,4 +80,4 @@ pub use revel_prog::{
 };
 pub use snapshot::{DeadlockSnapshot, LaneSnapshot, RegionSnapshot};
 pub use stats::{CycleBreakdown, CycleClass, ObservableReport, RunReport, StepperStats};
-pub use trace::{ReplayError, TimingTrace, TraceOp};
+pub use trace::{ReplayError, TimingTrace};

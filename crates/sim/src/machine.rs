@@ -79,10 +79,10 @@ pub enum SimError {
     /// (the vector holds *all* findings, warnings included, so callers
     /// can show the full picture). Disable via [`SimOptions::verify`].
     Verify(Vec<revel_verify::Diagnostic>),
-    /// A recorded op list broke the replay walk when compiled, a trace was
-    /// replayed on a machine or program it was not recorded for, or a
-    /// timing trace was requested under perturbation (faults/degraded
-    /// fabric). See [`crate::TimingTrace`].
+    /// A trace was replayed on a machine or program it was not recorded
+    /// for, names more values than a replay program can, or was requested
+    /// under perturbation (faults/degraded fabric). See
+    /// [`crate::TimingTrace`].
     Replay(crate::trace::ReplayError),
 }
 
@@ -192,9 +192,9 @@ pub struct Machine {
     pub(crate) control: ControlCore,
     pub(crate) control_events: EventCounts,
     pub(crate) faults: FaultState,
-    /// Installed by [`Machine::run_recording`]; `None` keeps every record
-    /// site in the timing walk a no-op.
-    pub(crate) trace: Option<crate::trace::TraceRecorder>,
+    /// Installed by [`Machine::run_traced`] for its run, which it puts in
+    /// tag mode; `None` runs on values.
+    pub(crate) recorder: Option<crate::trace::Recorder>,
     /// What [`Machine::replay`] keeps warm across datasets.
     pub(crate) executor: crate::trace::Executor,
 }
@@ -210,7 +210,7 @@ impl Machine {
             control: ControlCore::default(),
             control_events: EventCounts::default(),
             faults: FaultState::default(),
-            trace: None,
+            recorder: None,
             executor: Default::default(),
             cfg,
         }

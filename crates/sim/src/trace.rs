@@ -1,218 +1,63 @@
-//! Timing-trace recording, compilation and replay: the "one timing run,
-//! N datasets" lever.
+//! Timing-trace recording and replay: the "one timing run, N datasets"
+//! lever.
 //!
 //! A program's cycle-level behaviour — which commands issue when, which
 //! regions fire with how many valid lanes, which words move through which
 //! ports — depends only on problem *sizes*, never on dataset *values*:
 //! every stream length, stride, trip count, configuration index and
 //! host-op cost is a literal of the program, and no control step reads a
-//! data word (DESIGN.md §13). One cycle-accurate run therefore records the
-//! linear sequence of functional micro-operations ([`TraceOp`]) in exact
-//! execution order, and [`TimingTrace::compile`] lowers it, once, to
-//! straight-line code that every further same-shape dataset executes
-//! ([`Machine::replay`]): gather the words a stretch between host ops
-//! reads, apply scalar ops to value rows, scatter the words it writes, run
-//! the host op — no cycle stepping, no port FSM and no DFG evaluation.
-//! Since every dataset runs the same code, [`Machine::replay_batch`] runs
-//! each step once across a chunk of datasets, one lane of each row apiece.
+//! data word (DESIGN.md §13). So one cycle-accurate run writes, as it
+//! goes, the straight-line code every further same-shape dataset executes
+//! ([`Machine::run_traced`], then [`Machine::replay`]): gather the words a
+//! stretch between host ops reads, apply scalar ops to value rows, scatter
+//! the words it writes, run the host op — no cycle stepping, no port FSM
+//! and no DFG evaluation. Since every dataset runs the same code,
+//! [`Machine::replay_batch`] runs each step once across a chunk of
+//! datasets, one lane of each row apiece.
 //!
-//! The compiler is the checked replay walk: it drives the *real* port
-//! FSMs and region result queues through the op list with every word a
-//! slot tag (a float whose low bits number the slot) instead of a value.
-//! That is sound because the ports never inspect values and a fire's
-//! predicates are an AND of its input predicates plus accumulator FSMs,
-//! so which slot fills which lane of which fire input is the same for
-//! every dataset. The arithmetic is just as fixed: each fire is evaluated
-//! once more in `revel-dfg`'s [`Symbolic`] domain — the evaluator the
-//! simulator fires, over slots instead of values — which records the
+//! A recording run is the cycle kernel in tag mode: its own ports, reuse
+//! and discard FSMs and result queues carry slot tags (a float whose low
+//! bits number the slot) in place of values. That is sound because the
+//! ports never inspect values and a fire's predicates are an AND of its
+//! input predicates plus accumulator FSMs, so which slot fills which lane
+//! of which fire input is the same for every dataset. Each kernel site
+//! that makes a value asks the run's `Recorder` for its tag: a load names
+//! a slot per first read of a word, a const stream a constant slot, and a
+//! fire is evaluated in `revel-dfg`'s [`Symbolic`] domain — the evaluator
+//! the simulator fires, over slots instead of values — which records the
 //! scalar ops each valid output lane costs, in the order the concrete
 //! evaluator performs them, so a replayed memory image is byte-identical
-//! to a full simulation of the same dataset. What the walk settles for
-//! good is not paid again per dataset: between host ops a word is read
-//! from memory at most once, and not at all once a store has written it,
-//! and only the last value stored to a word is written back. A liveness
-//! pass then gives each result a register, reused once its last reader
-//! has run, so a chunk's rows stay a few hundred values deep.
+//! to a full simulation of the same dataset. A store pop writes the
+//! store table instead of memory, and a host op ends a segment instead of
+//! running, so a recording run leaves the scratchpads as it found them.
+//! What the run settles for good is not paid again per dataset: between
+//! host ops a word is read from memory at most once, and not at all once
+//! a store has written it, and only the last value stored to a word is
+//! written back. A liveness pass then gives each result a register,
+//! reused once its last reader has run, so a chunk's rows stay a few
+//! hundred values deep.
 //!
-//! Every check the walk makes — guarded pushes succeed, pops produce, fire
-//! widths match, a fire's symbolic predicates are the walk's, results are
-//! delivered before a reconfiguration and by the end, addresses stay in
-//! bounds — is a fact about the op list, made once per trace: an op list
-//! that breaks one fails to compile with [`SimError::Replay`] naming the
-//! op, never a panic. That timing reads no data is a property of the ISA,
-//! not of a program, so no program needs a certificate before replay; the
-//! grid oracle's second-dataset sweep and the edge-value replay test are
-//! the dynamic evidence.
+//! That timing reads no data is a property of the ISA, not of a program,
+//! so no program needs a certificate before replay; the grid oracle's
+//! second-dataset sweep and the edge-value replay test are the dynamic
+//! evidence.
 
 use crate::kernel::MachineMem;
 use crate::lane::Lane;
 use crate::machine::{Machine, SimError};
 use crate::memory::Scratchpad;
 use crate::stats::RunReport;
-use revel_dfg::{DfgEvaluator, Domain, OpCode, Symbolic, VecVal};
+use revel_dfg::{DfgEvaluator, Domain, OpCode, Region, Symbolic, VecVal};
 use revel_fabric::{FabricMask, RevelConfig};
-use revel_isa::{MemTarget, ProdMode, RateFsm};
+use revel_isa::{MemTarget, OutPortId, RateFsm};
 use revel_prog::{structural_id, ControlStep, RevelProgram, StructuralId};
-use revel_scheduler::RegionSchedule;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One recorded functional micro-operation of a timing run.
-///
-/// Ops are recorded at the exact site (and in the exact global order)
-/// where the timing walk mutates functional state, so a linear walk of
-/// the sequence reproduces every data movement without any notion of
-/// cycles. Timing-only state (busy flags, stream retirement, stall
-/// classification) is deliberately absent: it affects *when* these ops
-/// happen, which the trace has already resolved.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceOp {
-    /// A host op at control-program `pc` ran against scratchpad memory.
-    Host {
-        /// Control-program index of the [`ControlStep::Host`] step.
-        pc: u32,
-    },
-    /// A lane applied fabric configuration `config`.
-    Configure {
-        /// Lane index.
-        lane: u8,
-        /// Index into `program.configs`.
-        config: u32,
-    },
-    /// A region's accumulator length FSM was reprogrammed.
-    SetAccumLen {
-        /// Lane index.
-        lane: u8,
-        /// Region index within the active configuration.
-        region: u8,
-        /// The new accumulation-length FSM.
-        len: RateFsm,
-    },
-    /// An input port was bound to a new stream (reuse FSM reset).
-    BindIn {
-        /// Lane index.
-        lane: u8,
-        /// Input-port index.
-        port: u8,
-        /// The stream's consumption/reuse FSM.
-        reuse: RateFsm,
-    },
-    /// An output port was bound to a new drain stream (discard FSM reset).
-    BindOut {
-        /// Lane index.
-        lane: u8,
-        /// Output-port index.
-        port: u8,
-        /// The stream's production/discard FSM.
-        discard: RateFsm,
-        /// Keep-first vs drop-first phase selection.
-        mode: ProdMode,
-    },
-    /// A load stream pushed the word at `addr` into an input port.
-    /// Replay re-reads the address from *its* scratchpad image, which is
-    /// how dataset values flow into the replayed computation.
-    PushMem {
-        /// Lane index.
-        lane: u8,
-        /// Destination input port.
-        port: u8,
-        /// Which scratchpad the word came from.
-        target: MemTarget,
-        /// Word address read.
-        addr: i64,
-        /// True when this word ended an inductive inner row.
-        row_end: bool,
-    },
-    /// A const stream pushed an immediate (program-structural, therefore
-    /// dataset-independent) value into an input port.
-    PushConst {
-        /// Lane index.
-        lane: u8,
-        /// Destination input port.
-        port: u8,
-        /// Raw bits of the immediate.
-        bits: u64,
-    },
-    /// A stream-end flush landed on an input port (partial vector padded
-    /// with predicated-off lanes).
-    FlushIn {
-        /// Lane index.
-        lane: u8,
-        /// Input-port index.
-        port: u8,
-    },
-    /// A deferred staging flush landed on an input port's cycle tick.
-    TickIn {
-        /// Lane index.
-        lane: u8,
-        /// Input-port index.
-        port: u8,
-    },
-    /// A region fired: inputs gathered from its ports, DFG evaluated.
-    Fire {
-        /// Lane index.
-        lane: u8,
-        /// Region index within the active configuration.
-        region: u8,
-        /// Valid-lane count the fire covered; the compiler recomputes this
-        /// from its own port state and treats a mismatch as divergence.
-        fire_valid: u32,
-    },
-    /// A matured systolic result left the pipeline for its output ports.
-    Deliver {
-        /// Lane index.
-        lane: u8,
-        /// Region index.
-        region: u8,
-    },
-    /// A temporal (dataflow-PE) instance retired to its output ports.
-    RetireTemp {
-        /// Lane index.
-        lane: u8,
-        /// Region index.
-        region: u8,
-    },
-    /// A store stream popped a kept value and wrote it to `addr`.
-    PopStore {
-        /// Lane index.
-        lane: u8,
-        /// Source output port.
-        port: u8,
-        /// Which scratchpad was written.
-        target: MemTarget,
-        /// Word address written.
-        addr: i64,
-    },
-    /// A drain's `pop_kept` consumed spent/discarded values and returned
-    /// nothing; the compiler repeats the call so discard-FSM state stays
-    /// in lockstep, and treats a produced value as divergence.
-    PopSpent {
-        /// Lane index.
-        lane: u8,
-        /// Output-port index.
-        port: u8,
-    },
-    /// An XFER moved one word from an output port to an input port
-    /// (same lane or the right-hand neighbour).
-    XferWord {
-        /// Source lane.
-        src_lane: u8,
-        /// Source output port.
-        src_port: u8,
-        /// Destination lane.
-        dst_lane: u8,
-        /// Destination input port.
-        dst_port: u8,
-        /// True when this word ended an inductive inner row at the
-        /// destination.
-        row_end: bool,
-    },
-}
-
-/// The recorded timing side of one cycle-accurate run, compiled: the
-/// straight-line code every dataset executes, plus the run's full report
+/// The timing side of one cycle-accurate run: the straight-line code it
+/// wrote, which every dataset executes, plus the run's full report
 /// (cycles, per-lane breakdown, event counts), which every replayed
 /// dataset shares verbatim — that *is* data-independent timing being
 /// cashed in.
@@ -224,8 +69,6 @@ pub struct TimingTrace {
     pub report: RunReport,
     program_id: StructuralId,
     config: RevelConfig,
-    /// Micro-ops the timing walk recorded.
-    ops: usize,
     /// Process-unique, so a machine can keep a trace's constant slots
     /// across its datasets.
     id: u64,
@@ -236,55 +79,14 @@ pub struct TimingTrace {
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(0);
 
 impl TimingTrace {
-    /// Compiles the op list a timing run of `program` on a `config`
-    /// machine recorded ([`Machine::run_recording`]) into the straight-line
-    /// code its replays execute, making every check of the replay walk
-    /// once. A timed-out run's op list is cut off, so it is not lowered:
-    /// the trace keeps its report and [`Machine::replay`] refuses it.
-    ///
-    /// # Errors
-    /// [`SimError::Program`] if `program` fails validation, and
-    /// [`SimError::Replay`] naming the first op that breaks the walk — a
-    /// port rejecting a word, a fire whose valid-lane count differs from
-    /// the recorded one or whose symbolic output predicates differ from
-    /// the walk's, a delivery with no fired result, a reconfiguration over
-    /// an undelivered one, an address outside its scratchpad — or outputs
-    /// still undelivered at the end.
-    pub fn compile(
-        program: &RevelProgram,
-        config: &RevelConfig,
-        ops: &[TraceOp],
-        report: RunReport,
-    ) -> Result<TimingTrace, SimError> {
-        program.validate(&config.lane)?;
-        let code = if report.timed_out {
-            ReplayProgram::default()
-        } else {
-            let mut compiler = Compiler::new(program, config);
-            for (i, op) in ops.iter().enumerate() {
-                compiler.walk(i, *op)?;
-            }
-            compiler.finish(ops.len())?
-        };
-        Ok(TimingTrace {
-            program: program.name.clone(),
-            report,
-            program_id: structural_id(program),
-            config: config.clone(),
-            ops: ops.len(),
-            id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
-            code,
-        })
-    }
-
-    /// Number of micro-ops the timing walk recorded.
+    /// Number of scalar-op steps the compiled program runs per dataset.
     pub fn len(&self) -> usize {
-        self.ops
+        self.code.steps.len()
     }
 
-    /// True when the trace recorded no functional activity.
+    /// True when the compiled program runs no scalar op.
     pub fn is_empty(&self) -> bool {
-        self.ops == 0
+        self.code.steps.is_empty()
     }
 
     /// Structural identity ([`structural_id`]) of the program the trace
@@ -297,11 +99,8 @@ impl TimingTrace {
     /// steps and stores each runs, and the control pc of the host op that
     /// ends it.
     pub fn segments(&self) -> impl Iterator<Item = ([Range<usize>; 3], Option<u32>)> + '_ {
-        let host = |s: &Segment| s.host.map(|(pc, _)| pc);
-        self.code
-            .segments
-            .iter()
-            .map(move |s| ([s.loads.clone(), s.steps.clone(), s.stores.clone()], host(s)))
+        let code = &self.code.segments;
+        code.iter().map(|s| ([s.loads.clone(), s.steps.clone(), s.stores.clone()], s.host))
     }
 
     /// The compiled program's steps: `(op, dst, args)` over rows.
@@ -331,7 +130,7 @@ impl TimingTrace {
     }
 }
 
-/// The straight-line code a trace compiles to, over rows of values. Row 0
+/// The straight-line code a recording run writes, over rows of values. Row 0
 /// is `+0.0`, the next `consts.len()` rows hold the constants, the next
 /// `loads.len()` rows the words the loads read (load `j` into row
 /// `1 + consts.len() + j`), and the rest are registers: each step writes
@@ -360,16 +159,15 @@ impl ReplayProgram {
 
 /// A run of a [`ReplayProgram`] between host ops: its loads are gathered
 /// first, then its steps run, then its stores are scattered, then its host
-/// op runs. No load reads a word its own stores write: the compile walk
+/// op runs. No load reads a word its own stores write: the recording run
 /// forwards a stored word's value to every later reader in the segment.
 #[derive(Debug, Clone, Default)]
 struct Segment {
     loads: Range<usize>,
     steps: Range<usize>,
     stores: Range<usize>,
-    /// The host op that ends the segment: its control pc and the op the
-    /// trace recorded it as.
-    host: Option<(u32, u32)>,
+    /// The control pc of the host op that ends the segment.
+    host: Option<u32>,
 }
 
 /// `Load` / `Store` memory: a lane's private scratchpad, or this one for
@@ -405,8 +203,8 @@ struct Step {
 
 const _: () = assert!(std::mem::size_of::<Step>() == 13);
 
-/// Bound on the values a compiled program names: slots during the compile
-/// walk, rows after it. Register allocation marks a slot in the next bit.
+/// Bound on the values a compiled program names: slots during the
+/// recording run, rows after it. Register allocation marks a slot in the next bit.
 const MAX_ROWS: u32 = 1 << 23;
 
 impl Step {
@@ -453,9 +251,9 @@ impl std::fmt::Debug for Step {
 /// host op reads and writes the whole memory of its dataset.
 const CHUNK: usize = 16;
 
-/// The `f64` a slot travels through the compile walk as: slot 0 is the
+/// The `f64` a slot travels through a recording run as: slot 0 is the
 /// zero a padded lane holds, any other slot `s` the normal float
-/// `1 + s × 2⁻⁵²` (subnormal tags would slow the walk's DFG arithmetic).
+/// `1 + s × 2⁻⁵²`.
 fn tag(slot: u32) -> f64 {
     if slot == 0 {
         0.0
@@ -464,34 +262,33 @@ fn tag(slot: u32) -> f64 {
     }
 }
 
-/// The slot a compile-walk value is the tag of.
+/// The slot a recording run's value is the tag of.
 fn slot_of(v: f64) -> u32 {
     v.to_bits() as u32
 }
 
-/// The memory field of a load or store.
-fn mem_code(target: MemTarget, lane: u8) -> u8 {
-    match target {
-        MemTarget::Private => lane,
+/// The memory field of a load or store of word `addr` of `spad`, `lane`'s
+/// if `target` is private, and its address, which must be inside `spad`
+/// as for a concrete run's read or write.
+fn word(target: MemTarget, lane: usize, spad: &Scratchpad, addr: i64) -> (u8, u32) {
+    assert!(spad.in_bounds(addr), "scratchpad access out of bounds: {addr} (size {})", spad.len());
+    let mem = match target {
+        MemTarget::Private => lane as u8,
         MemTarget::Shared => SHARED,
-    }
+    };
+    (mem, addr as u32)
 }
 
-/// The compile walk: the checked replay walk over slot tags, emitting a
-/// [`ReplayProgram`] as it goes.
-struct Compiler<'a> {
-    program: &'a RevelProgram,
-    /// Port and region state of each lane; the scratchpads only bound
-    /// addresses.
-    lanes: Vec<Lane>,
-    shared_words: usize,
-    /// Stand-ins for `apply_config`'s schedules: the walk has no cycles.
-    schedules: Vec<RegionSchedule>,
+/// The replay program a recording run ([`Machine::run_traced`]) writes as
+/// it goes. Installed on the machine for the run, it puts the cycle kernel
+/// in tag mode: each kernel site that makes a value takes its tag from here.
+#[derive(Debug, Clone)]
+pub(crate) struct Recorder {
     /// Each lane's symbolic evaluators, one per region of its active
     /// configuration, built and reprogrammed as the lane's own are.
     evals: Vec<Vec<DfgEvaluator<Symbolic>>>,
     /// Names every slot and records the symbolic fires' ops. Its numbers
-    /// are provisional until [`Compiler::finish`].
+    /// are provisional until [`Recorder::finish`].
     sym: Symbolic,
     /// Scratch: a fire's input vectors, as slots.
     inputs: Vec<VecVal<u32>>,
@@ -504,7 +301,7 @@ struct Compiler<'a> {
     /// `stores`: a later store to the word replaces the value it writes.
     stored: HashMap<(u8, u32), usize>,
     /// The program so far, over the symbolic evaluation's slots until
-    /// [`Compiler::finish`] assigns rows.
+    /// [`Recorder::finish`] assigns rows.
     segments: Vec<Segment>,
     steps: Vec<Step>,
     loads: Vec<Load>,
@@ -513,16 +310,10 @@ struct Compiler<'a> {
     load_slots: Vec<u32>,
 }
 
-impl<'a> Compiler<'a> {
-    fn new(program: &'a RevelProgram, config: &RevelConfig) -> Self {
-        let regions = program.configs.iter().map(Vec::len).max().unwrap_or(0);
-        let timing = RegionSchedule { latency: 0, ii: 1, max_delay_fifo: 0, hops_per_fire: 0 };
-        Compiler {
-            program,
-            lanes: (0..config.num_lanes).map(|_| Lane::new(&config.lane, true)).collect(),
-            shared_words: config.shared_spad_words,
-            schedules: vec![timing; regions],
-            evals: (0..config.num_lanes).map(|_| Vec::new()).collect(),
+impl Recorder {
+    fn new(lanes: usize) -> Self {
+        Recorder {
+            evals: vec![Vec::new(); lanes],
             sym: Symbolic::default(),
             inputs: Vec::new(),
             words: HashMap::new(),
@@ -535,168 +326,93 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Walks op `i`, emitting the steps it costs a dataset.
-    fn walk(&mut self, i: usize, op: TraceOp) -> Result<(), SimError> {
-        let program = self.program;
-        match op {
-            TraceOp::Host { pc } => {
-                if !matches!(program.control.get(pc as usize), Some(ControlStep::Host(_))) {
-                    return Err(desync(i, format!("no host op at control pc {pc}")));
-                }
-                self.end_segment(Some((pc, i as u32)));
-                self.words.clear();
-                self.stored.clear();
-            }
-            TraceOp::Configure { lane, config } => {
-                let l = self.lane_index(i, lane)?;
-                let Some(regions) = program.configs.get(config as usize) else {
-                    return Err(desync(i, format!("config {config} out of range")));
-                };
-                if self.lanes[l].regions.iter().any(|r| !r.idle()) {
-                    return Err(desync(i, "reconfigure with undelivered region outputs"));
-                }
-                self.lanes[l].apply_config(regions, &self.schedules[..regions.len()]);
-                self.evals[l] =
-                    regions.iter().map(|r| DfgEvaluator::new(&r.dfg, r.unroll)).collect();
-            }
-            TraceOp::SetAccumLen { lane, region, len } => {
-                let l = self.lane_index(i, lane)?;
-                let r = self.region_index(i, l, region)?;
-                self.lanes[l].regions[r].set_accum_len(len);
-                self.evals[l][r].set_accum_len(len);
-            }
-            TraceOp::BindIn { lane, port, reuse } => {
-                let l = self.lane_index(i, lane)?;
-                self.in_port(i, l, port)?.bind_stream(reuse);
-            }
-            TraceOp::BindOut { lane, port, discard, mode } => {
-                let l = self.lane_index(i, lane)?;
-                self.out_port(i, l, port)?.bind_stream_mode(discard, mode);
-            }
-            TraceOp::PushMem { lane, port, target, addr, row_end } => {
-                let l = self.lane_index(i, lane)?;
-                let addr = self.address(i, l, target, addr, "load")?;
-                let word = (mem_code(target, lane), addr);
-                let slot = match self.words.get(&word) {
-                    Some(&slot) => slot,
-                    None => {
-                        let slot = self.sym.fresh();
-                        self.words.insert(word, slot);
-                        let (mem, addr) = word;
-                        self.loads.push(Load { mem, addr });
-                        self.load_slots.push(slot);
-                        slot
-                    }
-                };
-                if !self.in_port(i, l, port)?.push_word(tag(slot), row_end) {
-                    return Err(desync(i, format!("input port {port} rejected a word")));
-                }
-            }
-            TraceOp::PushConst { lane, port, bits } => {
-                let l = self.lane_index(i, lane)?;
-                let slot = self.sym.constant(f64::from_bits(bits));
-                if !self.in_port(i, l, port)?.push_word(tag(slot), false) {
-                    return Err(desync(i, format!("input port {port} rejected a const")));
-                }
-            }
-            TraceOp::FlushIn { lane, port } => {
-                let l = self.lane_index(i, lane)?;
-                if !self.in_port(i, l, port)?.flush_at_stream_end() {
-                    return Err(desync(i, format!("stream-end flush on port {port} failed")));
-                }
-            }
-            TraceOp::TickIn { lane, port } => {
-                let l = self.lane_index(i, lane)?;
-                if !self.in_port(i, l, port)?.tick() {
-                    return Err(desync(i, format!("deferred flush on port {port} failed")));
-                }
-            }
-            TraceOp::Fire { lane, region, fire_valid } => self.fire(i, lane, region, fire_valid)?,
-            TraceOp::Deliver { lane, region } => self.deliver(i, lane, region, false)?,
-            TraceOp::RetireTemp { lane, region } => self.deliver(i, lane, region, true)?,
-            TraceOp::PopStore { lane, port, target, addr } => {
-                let l = self.lane_index(i, lane)?;
-                let Some(v) = self.out_port(i, l, port)?.pop_kept() else {
-                    return Err(desync(i, format!("output port {port} produced no value")));
-                };
-                let addr = self.address(i, l, target, addr, "store")?;
-                let (mem, row) = (mem_code(target, lane), slot_of(v));
-                self.words.insert((mem, addr), row);
-                let store = Store { mem, addr, row };
-                match self.stored.entry((mem, addr)) {
-                    Entry::Occupied(e) => self.stores[*e.get()] = store,
-                    Entry::Vacant(e) => {
-                        e.insert(self.stores.len());
-                        self.stores.push(store);
-                    }
-                }
-            }
-            TraceOp::PopSpent { lane, port } => {
-                let l = self.lane_index(i, lane)?;
-                if self.out_port(i, l, port)?.pop_kept().is_some() {
-                    return Err(desync(
-                        i,
-                        format!("output port {port} produced a value where timing saw none"),
-                    ));
-                }
-            }
-            TraceOp::XferWord { src_lane, src_port, dst_lane, dst_port, row_end } => {
-                let sl = self.lane_index(i, src_lane)?;
-                let Some(v) = self.out_port(i, sl, src_port)?.pop_kept() else {
-                    return Err(desync(i, format!("xfer source port {src_port} was dry")));
-                };
-                let dl = self.lane_index(i, dst_lane)?;
-                if !self.in_port(i, dl, dst_port)?.push_word(v, row_end) {
-                    return Err(desync(i, format!("xfer destination port {dst_port} full")));
-                }
-            }
-        }
-        Ok(())
+    /// `lane` applied the configuration `regions`.
+    pub(crate) fn configure(&mut self, lane: usize, regions: &[Region]) {
+        self.evals[lane] = regions.iter().map(|r| DfgEvaluator::new(&r.dfg, r.unroll)).collect();
     }
 
-    /// A region fire: the real gather over the ports' tags, then the same
-    /// fire in the symbolic domain over the gathered slots. Its recorded
-    /// ops become steps, and its output slots retag the walk's outputs.
-    fn fire(&mut self, i: usize, lane: u8, region: u8, fire_valid: u32) -> Result<(), SimError> {
-        let l = self.lane_index(i, lane)?;
-        let r = self.region_index(i, l, region)?;
-        let ln = &self.lanes[l];
-        for &p in ln.regions[r].input_port_ids() {
-            if ln.in_ports[p as usize].peek().is_none() {
-                return Err(desync(i, format!("input port {p} empty at fire")));
-            }
-        }
-        let computed = ln.compute_fire_valid(r);
-        if computed != fire_valid {
-            return Err(desync(
-                i,
-                format!("fire covers {computed} valid lanes, trace recorded {fire_valid}"),
-            ));
-        }
-        self.lanes[l].gather_and_fire(r, fire_valid);
-        let Compiler { lanes, evals, sym, inputs, steps, .. } = self;
-        let rs = &mut lanes[l].regions[r];
-        rs.replay_fired();
-        let (gathered, walked) = rs.last_fire_mut();
-        inputs.clear();
-        inputs.extend(gathered.iter().map(|v| v.map(slot_of)));
-        let outputs = evals[l][r].fire_in(sym, inputs);
-        for (v, (_, out)) in walked.zip(outputs) {
-            if v.pred() != out.pred() {
-                return Err(desync(i, "symbolic fire's output predicates differ from the walk's"));
-            }
-            *v = out.map(tag);
-        }
-        if sym.slots() >= MAX_ROWS as usize {
-            return Err(desync(i, "more values than a replay program can name"));
-        }
-        steps.extend(sym.drain_ops().map(|op| Step::new(op.op, op.out, op.args)));
-        Ok(())
+    /// `lane` reprogrammed `region`'s accumulators.
+    pub(crate) fn set_accum_len(&mut self, lane: usize, region: usize, len: RateFsm) {
+        self.evals[lane][region].set_accum_len(len);
     }
 
-    /// Closes the current segment, which `host` (control pc, op index)
-    /// ends.
-    fn end_segment(&mut self, host: Option<(u32, u32)>) {
+    /// The tag a load stream of `lane` pushes for word `addr` of `spad`:
+    /// the segment's slot for the word, or a new load's.
+    pub(crate) fn load(
+        &mut self,
+        target: MemTarget,
+        lane: usize,
+        spad: &Scratchpad,
+        addr: i64,
+    ) -> f64 {
+        let (mem, addr) = word(target, lane, spad, addr);
+        let slot = *self.words.entry((mem, addr)).or_insert_with(|| {
+            let slot = self.sym.fresh();
+            self.loads.push(Load { mem, addr });
+            self.load_slots.push(slot);
+            slot
+        });
+        tag(slot)
+    }
+
+    /// The tag a const stream pushes for the immediate `x`.
+    pub(crate) fn constant(&mut self, x: f64) -> f64 {
+        tag(self.sym.constant(x))
+    }
+
+    /// A fire of `lane`'s `region` over the tags `inputs` gathered: its
+    /// symbolic evaluation's ops become steps, and its output vectors, as
+    /// tags, are returned in output-node order.
+    pub(crate) fn fire(
+        &mut self,
+        lane: usize,
+        region: usize,
+        inputs: &[VecVal],
+    ) -> impl Iterator<Item = (OutPortId, VecVal)> + '_ {
+        self.inputs.clear();
+        self.inputs.extend(inputs.iter().map(|v| v.map(slot_of)));
+        let outputs = self.evals[lane][region].fire_in(&mut self.sym, &self.inputs);
+        // A program naming too many values fails in `finish`; its steps are
+        // not kept, since their rows do not fit a step.
+        let fits = self.sym.slots() < MAX_ROWS as usize;
+        let ops = self.sym.drain_ops().filter(|_| fits);
+        self.steps.extend(ops.map(|op| Step::new(op.op, op.out, op.args)));
+        outputs.iter().map(|&(port, v)| (port, v.map(tag)))
+    }
+
+    /// A store stream of `lane` popped the tag `v` for word `addr` of
+    /// `spad`.
+    pub(crate) fn store(
+        &mut self,
+        target: MemTarget,
+        lane: usize,
+        spad: &Scratchpad,
+        addr: i64,
+        v: f64,
+    ) {
+        let (mem, addr) = word(target, lane, spad, addr);
+        let row = slot_of(v);
+        self.words.insert((mem, addr), row);
+        let store = Store { mem, addr, row };
+        match self.stored.entry((mem, addr)) {
+            Entry::Occupied(e) => self.stores[*e.get()] = store,
+            Entry::Vacant(e) => {
+                e.insert(self.stores.len());
+                self.stores.push(store);
+            }
+        }
+    }
+
+    /// The host op at control pc `pc` ends the current segment. It may
+    /// touch any word, so the next segment loads every word it reads.
+    pub(crate) fn host(&mut self, pc: usize) {
+        self.end_segment(Some(pc as u32));
+        self.words.clear();
+        self.stored.clear();
+    }
+
+    /// Closes the current segment, which the host op at `host` ends.
+    fn end_segment(&mut self, host: Option<u32>) {
         let start = self.segments.last().map_or(Segment::default(), Segment::clone);
         self.segments.push(Segment {
             loads: start.loads.end..self.loads.len(),
@@ -706,114 +422,28 @@ impl<'a> Compiler<'a> {
         });
     }
 
-    /// The finished program, once nothing is left in flight, with rows in
-    /// place of slots: the constants after row 0, then one row per load,
-    /// then the registers [`allocate_registers`] assigns.
-    fn finish(mut self, ops: usize) -> Result<ReplayProgram, SimError> {
-        if self.lanes.iter().flat_map(|l| &l.regions).any(|r| !r.idle()) {
-            return Err(desync(ops, "undelivered region outputs at end of trace"));
-        }
+    /// The finished program, with rows in place of slots: the constants
+    /// after row 0, then one row per load, then the registers
+    /// [`allocate_registers`] assigns.
+    fn finish(mut self) -> Result<ReplayProgram, SimError> {
         self.end_segment(None);
-        let Compiler { sym, segments, mut steps, mut loads, mut stores, load_slots, .. } = self;
-        let consts = sym.constants();
+        let Recorder { sym, segments, mut steps, mut loads, mut stores, load_slots, .. } = self;
         if sym.slots() >= MAX_ROWS as usize {
-            return Err(desync(ops, "more values than a replay program can name"));
+            return Err(replay_error("more values than a replay program can name"));
         }
+        let consts = sym.constants();
         let fixed: Vec<u32> = std::iter::once(0)
             .chain(consts.iter().map(|&(slot, _)| slot))
             .chain(load_slots)
             .collect();
-        let registers = allocate_registers(&mut steps, &mut stores, &segments, &fixed)
-            .map_err(|message| desync(ops, message))?;
+        let registers =
+            allocate_registers(&mut steps, &mut stores, &segments, &fixed).map_err(replay_error)?;
         // The trace keeps the program for its lifetime: drop the growth slack.
         steps.shrink_to_fit();
         stores.shrink_to_fit();
         loads.shrink_to_fit();
         let consts = consts.iter().map(|&(_, bits)| bits).collect();
         Ok(ReplayProgram { segments, steps, loads, stores, consts, registers })
-    }
-
-    fn lane_index(&self, op: usize, lane: u8) -> Result<usize, SimError> {
-        let l = lane as usize;
-        if l < self.lanes.len() {
-            Ok(l)
-        } else {
-            Err(desync(op, format!("lane {lane} out of range ({} lanes)", self.lanes.len())))
-        }
-    }
-
-    fn region_index(&self, op: usize, l: usize, region: u8) -> Result<usize, SimError> {
-        let r = region as usize;
-        if r < self.lanes[l].regions.len() {
-            Ok(r)
-        } else {
-            Err(desync(op, format!("region {region} out of range")))
-        }
-    }
-
-    /// `addr` as a step operand, once it is inside its scratchpad.
-    fn address(
-        &self,
-        op: usize,
-        l: usize,
-        target: MemTarget,
-        addr: i64,
-        what: &str,
-    ) -> Result<u32, SimError> {
-        let in_bounds = match target {
-            MemTarget::Private => self.lanes[l].spad.in_bounds(addr),
-            MemTarget::Shared => (0..self.shared_words as i64).contains(&addr),
-        };
-        match u32::try_from(addr) {
-            Ok(a) if in_bounds => Ok(a),
-            _ => Err(desync(op, format!("{what} address {addr} out of bounds"))),
-        }
-    }
-
-    fn in_port(&mut self, op: usize, l: usize, port: u8) -> Result<&mut crate::InPort, SimError> {
-        let n = self.lanes[l].in_ports.len();
-        self.lanes[l]
-            .in_ports
-            .get_mut(port as usize)
-            .ok_or_else(|| desync(op, format!("input port {port} out of range ({n} ports)")))
-    }
-
-    fn out_port(&mut self, op: usize, l: usize, port: u8) -> Result<&mut crate::OutPort, SimError> {
-        let n = self.lanes[l].out_ports.len();
-        self.lanes[l]
-            .out_ports
-            .get_mut(port as usize)
-            .ok_or_else(|| desync(op, format!("output port {port} out of range ({n} ports)")))
-    }
-
-    /// Pushes region `region`'s oldest fired result set to its output
-    /// ports, checking space the way the timing walk's delivery gate did.
-    /// `temporal` is the kind of region the op retires from: a systolic
-    /// `Deliver` never takes a temporal region's result, nor the reverse.
-    fn deliver(&mut self, op: usize, lane: u8, region: u8, temporal: bool) -> Result<(), SimError> {
-        let l = self.lane_index(op, lane)?;
-        let Lane { regions, out_ports, .. } = &mut self.lanes[l];
-        let outs = regions
-            .get_mut(region as usize)
-            .filter(|rs| rs.is_temporal() == temporal)
-            .and_then(|rs| rs.replay_delivered());
-        let Some(outs) = outs else {
-            return Err(desync(op, "delivery with no fired result in flight"));
-        };
-        for (p, v) in outs {
-            if !v.any_valid() {
-                continue;
-            }
-            let n = out_ports.len();
-            let Some(port) = out_ports.get_mut(p.0 as usize) else {
-                return Err(desync(op, format!("output port {} out of range ({n} ports)", p.0)));
-            };
-            if !port.has_space() {
-                return Err(desync(op, format!("output port {} full at delivery", p.0)));
-            }
-            port.push(v);
-        }
-        Ok(())
     }
 }
 
@@ -844,7 +474,7 @@ fn allocate_registers(
         if (slot as usize) < slots {
             Ok(slot as usize)
         } else {
-            Err("a step names a value the walk never named")
+            Err("a step names a value the recording never named")
         }
     };
     let locate = |slot: u32| {
@@ -931,21 +561,6 @@ enum Source {
     Step(usize),
 }
 
-/// Accumulates [`TraceOp`]s during a timing walk. Installed on the
-/// machine by [`Machine::run_recording`]; `None` (the default) makes every
-/// record site a no-op.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TraceRecorder {
-    pub(crate) ops: Vec<TraceOp>,
-}
-
-impl TraceRecorder {
-    #[inline]
-    pub(crate) fn record(&mut self, op: TraceOp) {
-        self.ops.push(op);
-    }
-}
-
 /// A machine's replay state, kept across the datasets, chunks and calls
 /// of one trace so a warm replay allocates nothing.
 #[derive(Debug, Clone, Default)]
@@ -986,13 +601,13 @@ impl Executor {
             gather(code, seg, rows, lanes, shared, 0);
             run(rows, &code.steps[seg.steps.clone()]);
             scatter(code, seg, rows, lanes, shared, 0);
-            if let Some((pc, op)) = seg.host {
+            if let Some(pc) = seg.host {
                 let Some(ControlStep::Host(host)) = program.control.get(pc as usize) else {
-                    return Err(desync(op as usize, format!("no host op at control pc {pc}")));
+                    return Err(replay_error(format!("no host op at control pc {pc}")));
                 };
                 // Host ops are part of the trusted, validated program (not
                 // the dataset), so they use the same panicking memory
-                // adapter as the timing walk.
+                // adapter as a concrete run.
                 (host.func)(&mut MachineMem { lanes: &mut *lanes, shared: &mut *shared });
             }
         }
@@ -1132,65 +747,61 @@ fn lanes<const W: usize>(
     out
 }
 
-/// A timing trace cannot be replayed: a recorded op broke the replay walk
-/// when the op list was compiled (a checked port, region or memory
-/// operation did not behave as the timing run promised), or the trace
-/// does not belong to the program or machine it is replayed on.
+/// A timing trace cannot be recorded or replayed: it was asked for under
+/// perturbation, names more values than a replay program can, or does not
+/// belong to the program or machine it is replayed on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayError {
-    /// Index of the offending op within the recorded op list.
-    pub op: usize,
-    /// What desynchronized.
+    /// What went wrong.
     pub message: String,
 }
 
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace replay diverged at op {}: {}", self.op, self.message)
+        f.write_str(&self.message)
     }
 }
 
-/// Shorthand constructor for replay desync errors.
-fn desync(op: usize, message: impl Into<String>) -> SimError {
-    SimError::Replay(ReplayError { op, message: message.into() })
+/// Shorthand constructor for replay errors.
+fn replay_error(message: impl Into<String>) -> SimError {
+    SimError::Replay(ReplayError { message: message.into() })
 }
 
 impl Machine {
-    /// Runs `program` cycle-accurately while recording the functional
-    /// micro-op sequence, and compiles it into a [`TimingTrace`] (which
-    /// embeds the run's [`RunReport`]): [`Machine::run_recording`] then
-    /// [`TimingTrace::compile`].
-    ///
-    /// # Errors
-    /// Everything those two can return.
-    pub fn run_traced(&mut self, program: &RevelProgram) -> Result<TimingTrace, SimError> {
-        let (ops, report) = self.run_recording(program)?;
-        TimingTrace::compile(program, &self.cfg, &ops, report)
-    }
-
-    /// Runs `program` cycle-accurately while recording the functional
-    /// micro-op sequence, returning it with the run's report.
+    /// Runs `program` cycle-accurately in tag mode, writing the
+    /// straight-line code its replays execute as it goes, and returns it as
+    /// a [`TimingTrace`] with the run's [`RunReport`]. The run computes no
+    /// value: the scratchpads are left as they were, so replaying the trace
+    /// over them ([`Machine::replay`]) is what yields the run's results. A
+    /// timed-out run's program is cut off, so it is not kept: the trace
+    /// keeps its report and [`Machine::replay`] refuses it.
     ///
     /// # Errors
     /// Everything [`Machine::run`] can return, plus [`SimError::Replay`]
     /// when the machine is configured with fault injection or a degraded
     /// fabric — perturbed runs are not oblivious and must never seed a
-    /// replay trace (mirroring the engine's cache-bypass rule).
-    pub fn run_recording(
-        &mut self,
-        program: &RevelProgram,
-    ) -> Result<(Vec<TraceOp>, RunReport), SimError> {
+    /// replay trace (mirroring the engine's cache-bypass rule) — or when
+    /// the program names more values than a replay program can.
+    pub fn run_traced(&mut self, program: &RevelProgram) -> Result<TimingTrace, SimError> {
         if self.opts.fault_plan.is_some() || self.opts.fabric_mask != FabricMask::HEALTHY {
-            return Err(desync(
-                0,
+            return Err(replay_error(
                 "refusing to record a timing trace under fault injection or a degraded fabric",
             ));
         }
-        self.trace = Some(TraceRecorder::default());
-        let result = self.run(program);
+        self.recorder = Some(Recorder::new(self.lanes.len()));
+        let report = self.run(program);
         // Always uninstall the recorder, even when the run errored.
-        let recorder = self.trace.take().expect("recorder installed above");
-        Ok((recorder.ops, result?))
+        let recorder = self.recorder.take().expect("recorder installed above");
+        let report = report?;
+        let code = if report.timed_out { ReplayProgram::default() } else { recorder.finish()? };
+        Ok(TimingTrace {
+            program: program.name.clone(),
+            report,
+            program_id: structural_id(program),
+            config: self.cfg.clone(),
+            id: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
+            code,
+        })
     }
 
     /// Replays a compiled [`TimingTrace`] against this machine's current
@@ -1246,10 +857,10 @@ impl Machine {
     /// Refuses a trace this machine cannot replay.
     fn check_replayable(&self, trace: &TimingTrace) -> Result<(), SimError> {
         if trace.config != self.cfg {
-            return Err(desync(0, "trace was recorded on another machine configuration"));
+            return Err(replay_error("trace was recorded on another machine configuration"));
         }
         if trace.report.timed_out {
-            return Err(desync(trace.ops, "the timing run timed out, so its trace is incomplete"));
+            return Err(replay_error("the timing run timed out, so its trace is incomplete"));
         }
         Ok(())
     }

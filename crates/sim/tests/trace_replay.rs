@@ -1,6 +1,6 @@
-//! Timing-trace recording, compilation and replay: byte-parity with full
-//! simulation, structured refusal under perturbation, and every check of
-//! the replay walk raised by name when an edited op list is compiled.
+//! Timing-trace recording and replay: byte-parity with full simulation, a
+//! recording run that leaves memory untouched, and structured refusal under
+//! perturbation and on the wrong machine.
 
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_fabric::{FabricMask, RevelConfig};
@@ -8,10 +8,7 @@ use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, MemTarget, OutPortId, RateFsm,
     StreamCommand, VectorCommand,
 };
-use revel_sim::{
-    FaultPlan, Machine, ReplayError, RevelProgram, RunReport, SimError, SimOptions, TimingTrace,
-    TraceOp,
-};
+use revel_sim::{FaultPlan, Machine, RevelProgram, SimError, SimOptions};
 
 fn machine() -> Machine {
     Machine::new(
@@ -22,22 +19,6 @@ fn machine() -> Machine {
 
 fn lane0() -> LaneMask {
     LaneMask::single(LaneId(0))
-}
-
-/// The op list and report of a timing run of `prog` on `data`.
-fn record(prog: &RevelProgram, data: &[f64]) -> (Vec<TraceOp>, RunReport) {
-    let mut rec = machine();
-    rec.write_private(LaneId(0), 0, data);
-    rec.run_recording(prog).expect("timing run")
-}
-
-/// The error compiling an edited op list of `prog` raises.
-fn compile_error(prog: &RevelProgram, ops: &[TraceOp], report: &RunReport) -> ReplayError {
-    let cfg = RevelConfig::single_lane();
-    match TimingTrace::compile(prog, &cfg, ops, report.clone()) {
-        Err(SimError::Replay(e)) => e,
-        other => panic!("edited op list must fail to compile, got {other:?}"),
-    }
 }
 
 /// Negate `n` values through an unroll-8 systolic region: in\[0..n\] at
@@ -256,90 +237,6 @@ fn run_traced_refuses_perturbed_machines() {
 }
 
 #[test]
-fn truncated_trace_is_a_structured_error() {
-    // A trace with fired-but-undelivered region outputs (here: cut off
-    // mid-flight) must surface as SimError::Replay, never a panic.
-    let prog = neg_prog(8);
-    let (mut ops, report) = record(&prog, &[2.0; 8]);
-    let last_fire =
-        ops.iter().rposition(|op| matches!(op, TraceOp::Fire { .. })).expect("the program fires");
-    ops.truncate(last_fire + 1);
-    let e = compile_error(&prog, &ops, &report);
-    assert_eq!(
-        (e.op, e.message.as_str()),
-        (ops.len(), "undelivered region outputs at end of trace")
-    );
-}
-
-/// The three ways the per-region result queues can disagree with a trace,
-/// each reported by name and op index when the edited list is compiled.
-#[test]
-fn result_queue_desyncs_are_named() {
-    let prog = neg_prog(16);
-    let (ops, report) = record(&prog, &[2.0; 16]);
-    let first_fire = ops.iter().position(|op| matches!(op, TraceOp::Fire { .. })).expect("fires");
-    let last_deliver =
-        ops.iter().rposition(|op| matches!(op, TraceOp::Deliver { .. })).expect("delivers");
-    let edited = |at: usize, op: TraceOp| {
-        let mut ops = ops.clone();
-        ops.insert(at, op);
-        compile_error(&prog, &ops, &report)
-    };
-
-    // One delivery more than there were fires.
-    let e = edited(last_deliver + 1, TraceOp::Deliver { lane: 0, region: 0 });
-    assert_eq!(
-        (e.op, e.message.as_str()),
-        (last_deliver + 1, "delivery with no fired result in flight")
-    );
-
-    // A systolic region's result is not a temporal retirement's to take,
-    // nor is a region the configuration does not have.
-    for wrong in
-        [TraceOp::RetireTemp { lane: 0, region: 0 }, TraceOp::Deliver { lane: 0, region: 9 }]
-    {
-        let e = edited(first_fire + 1, wrong);
-        assert_eq!(
-            (e.op, e.message.as_str()),
-            (first_fire + 1, "delivery with no fired result in flight"),
-            "{wrong:?}"
-        );
-    }
-
-    // Reconfiguring over a fired, undelivered result.
-    let e = edited(first_fire + 1, TraceOp::Configure { lane: 0, config: 0 });
-    assert_eq!(
-        (e.op, e.message.as_str()),
-        (first_fire + 1, "reconfigure with undelivered region outputs")
-    );
-
-    // The trace ends with a result still in flight.
-    let e = compile_error(&prog, &ops[..=first_fire], &report);
-    assert_eq!(
-        (e.op, e.message.as_str()),
-        (first_fire + 1, "undelivered region outputs at end of trace")
-    );
-}
-
-#[test]
-fn replay_surfaces_out_of_bounds_as_sim_error() {
-    // An op list whose load addresses walk off the scratchpad must produce
-    // SimError::Replay naming the first such load (the serve path relies on
-    // this never panicking through the worker fence).
-    let prog = neg_prog(8);
-    let (mut ops, report) = record(&prog, &[1.0; 8]);
-    let first_load =
-        ops.iter().position(|op| matches!(op, TraceOp::PushMem { .. })).expect("the program loads");
-    for op in &mut ops {
-        if let TraceOp::PushMem { addr, .. } = op {
-            *addr += 1_000_000;
-        }
-    }
-    let e = compile_error(&prog, &ops, &report);
-    assert_eq!((e.op, e.message.as_str()), (first_load, "load address 1000000 out of bounds"));
-}
-
-#[test]
 fn a_trace_replays_only_on_the_machine_configuration_it_was_recorded_on() {
     let prog = neg_prog(8);
     let mut rec = machine();
@@ -356,18 +253,42 @@ fn a_trace_replays_only_on_the_machine_configuration_it_was_recorded_on() {
 
 #[test]
 fn a_timed_out_runs_trace_keeps_its_op_count_and_is_never_replayed() {
+    // A cut-off run's program is not kept: the trace holds its report and
+    // no step, and no machine replays it.
     let prog = neg_prog(16);
     let opts = SimOptions { max_cycles: 5, ..SimOptions::default() };
     let mut rec = Machine::new(RevelConfig::single_lane(), opts);
     rec.write_private(LaneId(0), 0, &[1.0; 16]);
     let trace = rec.run_traced(&prog).expect("a cut-off run still records");
     assert!(trace.report.timed_out);
+    assert_eq!((trace.len(), trace.is_empty()), (0, true));
     let mut m = machine();
     match m.replay(&prog, &trace) {
-        Err(SimError::Replay(e)) => {
-            assert_eq!(e.op, trace.len());
-            assert!(e.message.contains("timed out"), "{e}");
-        }
+        Err(SimError::Replay(e)) => assert!(e.message.contains("timed out"), "{e}"),
         other => panic!("a timed-out run's trace must not replay, got {other:?}"),
     }
+}
+
+#[test]
+fn a_recording_run_leaves_the_scratchpads_as_it_found_them() {
+    // The run computes no value and runs no store: every word of both
+    // scratchpads is what was written before it, while a concrete run of
+    // the same program writes its outputs.
+    let prog = neg_prog(16);
+    let data: Vec<f64> = (0..16).map(|i| i as f64 - 7.5).collect();
+    let image = |m: &Machine| {
+        let cfg = m.config();
+        let mut words = m.read_private(LaneId(0), 0, cfg.lane.spad_words);
+        words.extend(m.read_shared(0, cfg.shared_spad_words));
+        words.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+    };
+    let mut rec = machine();
+    rec.write_private(LaneId(0), 0, &data);
+    rec.write_shared(3, &[2.5, -1.0]);
+    let before = image(&rec);
+    let trace = rec.run_traced(&prog).expect("timing run");
+    assert_eq!(trace.len(), 16, "one negation per word");
+    assert!(image(&rec) == before, "a recording run changed the scratchpads");
+    rec.run(&prog).expect("full sim");
+    assert_ne!(image(&rec), before, "a concrete run writes its outputs");
 }

@@ -3,8 +3,8 @@
 //! A program's cycle-by-cycle behaviour depends only on problem *sizes*,
 //! never on dataset *values* — every timing-relevant command field is a
 //! literal of the program (DESIGN.md §13) — so one cycle-accurate
-//! **timing walk** ([`record_timing`]) captures a [`TimingTrace`], compiled
-//! once into straight-line load / scalar-op / store code, and the
+//! **timing walk** ([`record_timing`]) writes a [`TimingTrace`], straight-line
+//! load / scalar-op / store code, as it simulates, and the
 //! **functional replayer** executes that code on N same-shape datasets
 //! ([`replay_batch_on`], each step once per chunk of datasets;
 //! [`replay_trace_on`] for one): no per-cycle scheduling work, no port
@@ -12,8 +12,7 @@
 //!
 //! [`batch_replayable`] admits a run to the replay path only when it is
 //! unperturbed (no fault plan, healthy fabric): injected faults and dead
-//! fabric change timing, so those runs fall back to full simulation. The
-//! compiled program is checked once, when the trace is recorded, and a
+//! fabric change timing, so those runs fall back to full simulation. A
 //! trace only replays on the program (by structural identity) and machine
 //! configuration it was recorded for — [`revel_sim::SimError::Replay`]
 //! otherwise, never silence.
@@ -85,11 +84,12 @@ pub fn batch_replayable(_built: &BuiltKernel, _cfg: &BuildCfg, opts: &SimOptions
 }
 
 /// The timing walk: runs `built` once on the full cycle-accurate
-/// simulator while recording every functional effect into a
-/// [`TimingTrace`]. The returned [`WorkloadRun`] is the ordinary result
-/// of that run (same verification rules as
-/// [`run_built_with`](crate::run_built_with)); the trace is the reusable
-/// artifact.
+/// simulator in tag mode, which writes the [`TimingTrace`] as it goes
+/// ([`Machine::run_traced`]), then executes the trace once, at width 1,
+/// over `built`'s dataset ([`Machine::replay`]) for the results. The
+/// returned [`WorkloadRun`] is the ordinary result of that run (same
+/// verification rules as [`run_built_with`](crate::run_built_with)); the
+/// trace is the reusable artifact.
 ///
 /// # Errors
 /// Propagates simulator errors, including the structured refusal when
@@ -103,8 +103,13 @@ pub fn record_timing(
     validate_init(machine.config(), &built.init)?;
     apply_init(&mut machine, &built.init);
     let trace = machine.run_traced(&built.program)?;
-    let verified =
-        if trace.report.timed_out { Err("timed out".to_string()) } else { (built.check)(&machine) };
+    let verified = if trace.report.timed_out {
+        Err("timed out".to_string())
+    } else {
+        // The recording run left `apply_init`'s image untouched.
+        machine.replay(&built.program, &trace)?;
+        (built.check)(&machine)
+    };
     Ok((run_of(&trace, verified), trace))
 }
 
@@ -183,7 +188,6 @@ fn check_program(built: &BuiltKernel, trace: &TimingTrace) -> Result<(), SimErro
         return Ok(());
     }
     Err(SimError::Replay(ReplayError {
-        op: 0,
         message: format!(
             "trace was recorded for program '{}', not this build of '{}'",
             trace.program, built.program.name
@@ -279,6 +283,23 @@ mod tests {
             memory_image(&full_m),
             "replayed memory image must be byte-identical to full simulation"
         );
+    }
+
+    #[test]
+    fn record_timing_takes_its_verdict_from_executing_the_trace_once() {
+        // The recording run computes nothing, so the check passes only on
+        // the results of executing the trace over the dataset; seed 2's
+        // dataset under seed 1's check computes results the check rejects,
+        // and the run reports that verdict rather than an error.
+        let cfg = BuildCfg::revel(1);
+        let built = crate::Fft::new(64, 1).build(&cfg);
+        let (run, _) = record_timing(&built, &cfg, cfg.sim_options()).expect("timing run");
+        run.assert_ok("fft timing run");
+        let init = crate::Fft::new(64, 2).build(&cfg).init;
+        let rejected = BuiltKernel { init, ..built };
+        let (run, trace) = record_timing(&rejected, &cfg, cfg.sim_options()).expect("timing run");
+        assert!(!trace.report.timed_out);
+        assert!(run.verified.is_err(), "seed 1's check must reject seed 2's results");
     }
 
     #[test]
