@@ -6,6 +6,7 @@
 //!
 //! * **hybrid**: every datapath on the fabric, commands broadcast to all
 //!   lanes (one problem per lane), a scratchpad barrier per iteration;
+//!   only it lowers an accumulator length ([`Stream::AccumLen`]);
 //! * **lane ring** (Fig. 17): iteration `k` of one problem on lane `k mod L`,
 //!   the carried matrix handed right through a park region within a round,
 //!   rounds crossing through two shared buffers and closed by a `Wait`;
@@ -14,6 +15,11 @@
 //!   its graph, and an outer datapath that fires per element fuses into the
 //!   datapath its output feeds; without inductive streams, the commands
 //!   that walk the carried update are issued once per row.
+//!
+//! A stream reads or writes an [`Operand`]: the carried matrix, the result,
+//! or a per-lane scratch slice of the shared scratchpad at a stride the
+//! description states. Its words are a [`Pattern`]: linear, strided, a
+//! triangle, or a rectangle of rows (`two_d`).
 
 use crate::{Arch, BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, Node, NodeId, OpCode, Region, VecVal};
@@ -71,6 +77,12 @@ impl Pattern {
         Pattern { start, stride_i: stride, stride_j: 0, len_i: len, len_j: one, stretch: 0 }
     }
 
+    /// `len_j` rows `stride_j` words apart, each `len_i` words `stride_i`
+    /// apart.
+    pub fn two_d(start: Ind, stride_i: i64, stride_j: i64, len_i: Ind, len_j: Ind) -> Self {
+        Pattern { start, stride_i, stride_j, len_i, len_j, stretch: 0 }
+    }
+
     /// A triangle of `len` rows `stride_j` words apart, row `j` holding
     /// `len − j` consecutive words.
     pub fn triangle(start: Ind, stride_j: i64, len: Ind) -> Self {
@@ -117,6 +129,9 @@ pub enum Operand {
     Carried,
     /// The kernel's output.
     Result,
+    /// Scratch words in the shared scratchpad, lane `l`'s at `stride·l`
+    /// past the pattern's.
+    Scratch(i64),
 }
 
 /// One stream an outer iteration issues.
@@ -129,20 +144,24 @@ pub enum Stream {
     /// A value crossing from one datapath to another through an XFER:
     /// `(src, dst, values, uses per value)`.
     Xfer(OutPortId, InPortId, Ind, Rate),
+    /// The accumulator of datapath `d` (its index in the nest's
+    /// datapaths) emits one sum per `len` values: `(d, len)`, issued as
+    /// ⌈len/unroll⌉ fires (at least one) at the datapath's built unroll.
+    AccumLen(usize, Ind),
 }
 
 impl Stream {
     fn dst(&self) -> Option<InPortId> {
         match *self {
             Stream::Load(_, _, dst, _) | Stream::Xfer(_, dst, _, _) => Some(dst),
-            Stream::Store(..) => None,
+            Stream::Store(..) | Stream::AccumLen(..) => None,
         }
     }
 
     fn memory(&self) -> Option<(Operand, Pattern)> {
         match *self {
             Stream::Load(from, pat, ..) | Stream::Store(_, from, pat) => Some((from, pat)),
-            Stream::Xfer(..) => None,
+            Stream::Xfer(..) | Stream::AccumLen(..) => None,
         }
     }
 
@@ -162,6 +181,9 @@ impl Stream {
                 let (n, r) = (outer.at(k), reuse.at(k));
                 (StreamCommand::xfer(src, dst, n, RateFsm::ONCE, r), n > 0 && r.base > 0)
             }
+            Stream::AccumLen(..) => {
+                panic!("an accumulator length lowers only in the hybrid program")
+            }
         };
         live.then_some(cmd)
     }
@@ -180,20 +202,27 @@ pub struct Datapath {
 }
 
 impl Datapath {
-    fn region(&self, cfg: &BuildCfg) -> Region {
+    /// Its region under `cfg`.
+    pub fn region(&self, cfg: &BuildCfg) -> Region {
         let (name, dfg) = (self.dfg.name(), self.dfg.clone());
         match self.vector {
-            Some(width) => cfg.inner_region(name, dfg, self.deps, cfg.inner_unroll(width, true)),
+            Some(_) => cfg.inner_region(name, dfg, self.deps, self.unroll(cfg)),
             None => cfg.outer_region(name, dfg, self.deps),
         }
+    }
+
+    fn unroll(&self, cfg: &BuildCfg) -> usize {
+        self.vector.map_or(1, |width| cfg.inner_unroll(width, true))
     }
 }
 
 /// A kernel's outer loop, described once.
 #[derive(Debug, Clone)]
 pub struct LoopNest {
-    /// Kernel name; programs are named `{kernel}[-sys|-ring]-n{trips}`.
+    /// Kernel name; programs are named `{kernel}[-sys|-ring]-n{n}`.
     pub kernel: &'static str,
+    /// Problem size, naming the program.
+    pub n: i64,
     /// Outer trip count: `k ∈ 0..trips`.
     pub trips: i64,
     /// The datapaths, in region order.
@@ -258,7 +287,7 @@ impl LoopNest {
     }
 
     fn program(&self, tag: &str, cfg: &BuildCfg, all: LaneMask, dps: &[Datapath]) -> RevelProgram {
-        let mut prog = RevelProgram::new(format!("{}{tag}-n{}", self.kernel, self.trips));
+        let mut prog = RevelProgram::new(format!("{}{tag}-n{}", self.kernel, self.n));
         let config = ConfigId(prog.add_config(dps.iter().map(|d| d.region(cfg)).collect()));
         prog.push(VectorCommand::broadcast(all, StreamCommand::Configure { config }));
         prog
@@ -271,7 +300,15 @@ impl LoopNest {
         for k in 0..self.trips {
             for s in &self.streams {
                 let (target, scale) = per_lane(s, result);
-                if let Some(cmd) = s.at(k, target, 0) {
+                let cmd = match *s {
+                    Stream::AccumLen(d, len) => {
+                        let unroll = self.datapaths[d].unroll(cfg) as i64;
+                        let fires = RateFsm::fixed(((len.at(k) + unroll - 1) / unroll).max(1));
+                        Some(StreamCommand::SetAccumLen { region: d as u32, len: fires })
+                    }
+                    _ => s.at(k, target, 0),
+                };
+                if let Some(cmd) = cmd {
                     prog.push(VectorCommand::scaled(all, scale, cmd));
                 }
             }
@@ -293,7 +330,7 @@ impl LoopNest {
             d.dfg.input_ports().iter().all(|&p| match *self.source(p) {
                 Stream::Load(_, p, _, r) => p == Pattern::linear(p.start, n1) && r == Rate::ONCE,
                 Stream::Xfer(_, _, n, r) => n == n1 && r == Rate::ONCE,
-                Stream::Store(..) => unreachable!(),
+                Stream::Store(..) | Stream::AccumLen(..) => unreachable!(),
             })
         });
         let [host] = &host[..] else { panic!("{}: no single per-iteration datapath", self.kernel) };
@@ -482,10 +519,11 @@ impl NestProgram {
 
 /// Where a stream's words live when every lane runs its own problem: the
 /// carried matrix at 0 in the lane's private scratchpad, results in
-/// `result`-word slices of the shared one.
+/// `result`-word slices of the shared one, scratch in slices at its stride.
 fn per_lane(s: &Stream, result: i64) -> (MemTarget, LaneScale) {
     match s.memory() {
         Some((Operand::Result, _)) => (MemTarget::Shared, LaneScale::addr(result)),
+        Some((Operand::Scratch(stride), _)) => (MemTarget::Shared, LaneScale::addr(stride)),
         _ => (MemTarget::Private, LaneScale::BROADCAST),
     }
 }
@@ -638,6 +676,7 @@ mod tests {
         let (start, len, one) = (Ind::konst(0), Ind::konst(3), Ind::konst(1));
         LoopNest {
             kernel: "pivot",
+            n: 1,
             trips: 1,
             datapaths: vec![
                 Datapath { dfg: point, deps: 1, vector: None },

@@ -108,6 +108,7 @@ impl Cholesky {
         let trailing = Pattern::triangle(Ind::new(n + 1, n + 1), n + 1, trail);
         LoopNest {
             kernel: "cholesky",
+            n,
             trips: n,
             datapaths: vec![point(), scale(), vector(), matrix()],
             streams: vec![
