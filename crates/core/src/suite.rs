@@ -297,20 +297,6 @@ impl Comparison {
         self.bench.dsp_cycles() as f64 / self.revel.cycles as f64
     }
 
-    /// REVEL speedup over the CPU model, in *time* (different clocks).
-    pub fn speedup_vs_cpu(&self) -> f64 {
-        let cpu_ns = self.bench.cpu_cycles() as f64 / revel_models::CPU_CLOCK_GHZ;
-        let revel_ns = self.revel.cycles as f64 / revel_models::ACCEL_CLOCK_GHZ;
-        cpu_ns / revel_ns
-    }
-
-    /// REVEL speedup over the GPU model, in time.
-    pub fn speedup_vs_gpu(&self) -> f64 {
-        let gpu_ns = self.bench.gpu_cycles() as f64 / revel_models::GPU_CLOCK_GHZ;
-        let revel_ns = self.revel.cycles as f64 / revel_models::ACCEL_CLOCK_GHZ;
-        gpu_ns / revel_ns
-    }
-
     /// REVEL speedup over the systolic baseline.
     pub fn speedup_vs_systolic(&self) -> f64 {
         self.systolic_cycles as f64 / self.revel.cycles as f64

@@ -198,19 +198,6 @@ pub fn disarm(site: &str, filter: &str) {
     }
 }
 
-/// Remove every arm in the process. Shard processes and harnesses own
-/// their whole registry; concurrent tests should prefer [`disarm`].
-pub fn disarm_all() {
-    let mut reg = registry();
-    reg.clear();
-    ARMED.store(false, Ordering::Relaxed);
-}
-
-/// Total hits recorded across arms for `site` (diagnostics).
-pub fn hit_count(site: &str) -> u64 {
-    registry().iter().filter(|a| a.site == site).map(|a| a.hits).sum()
-}
-
 /// `true` when at least one failpoint is armed.
 pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)

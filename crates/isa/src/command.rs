@@ -297,25 +297,6 @@ impl StreamCommand {
         }
     }
 
-    /// A local XFER with destination row tracking (keep-first production).
-    pub fn xfer_rows(
-        src: OutPortId,
-        dst: InPortId,
-        outer: i64,
-        prod: RateFsm,
-        cons: RateFsm,
-        rows: RateFsm,
-    ) -> Self {
-        StreamCommand::Xfer {
-            route: XferRoute { src, dst, hop: LaneHop::Local },
-            outer,
-            production: prod,
-            prod_mode: ProdMode::KeepFirst,
-            consumption: cons,
-            rows: Some(rows),
-        }
-    }
-
     /// The input port this command feeds, if any.
     pub fn dst_in_port(&self) -> Option<InPortId> {
         match self {

@@ -16,7 +16,7 @@
 #![warn(missing_docs)]
 
 use revel_dfg::Region;
-use revel_fabric::{LaneConfig, RevelConfig};
+use revel_fabric::LaneConfig;
 use revel_isa::{MemTarget, StreamCommand, VectorCommand};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -288,43 +288,6 @@ impl RevelProgram {
         }
         Ok(())
     }
-
-    /// Validates every (per-lane-specialized) memory stream against the
-    /// scratchpad sizes: a stream that walks off its scratchpad is a typed
-    /// error here instead of a panic inside the simulator's stream engine.
-    ///
-    /// # Errors
-    /// [`ProgramError::AddressOutOfBounds`] on the first offending stream.
-    pub fn validate_memory(&self, cfg: &RevelConfig) -> Result<(), ProgramError> {
-        for step in &self.control {
-            let ControlStep::Command(vc) = step else { continue };
-            for lane in vc.lanes.iter() {
-                if lane.0 as usize >= cfg.num_lanes {
-                    continue; // command targets a lane the machine lacks
-                }
-                let (target, pattern) = match &vc.specialize(lane) {
-                    StreamCommand::Load { target, pattern, .. }
-                    | StreamCommand::Store { target, pattern, .. } => (*target, *pattern),
-                    _ => continue,
-                };
-                let limit = match target {
-                    MemTarget::Private => cfg.lane.spad_words,
-                    MemTarget::Shared => cfg.shared_spad_words,
-                };
-                if let Some((lo, hi)) = pattern.addr_range() {
-                    if lo < 0 || hi >= limit as i64 {
-                        return Err(ProgramError::AddressOutOfBounds {
-                            lane: lane.0,
-                            target,
-                            addr: if lo < 0 { lo } else { hi },
-                            limit,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -440,43 +403,5 @@ mod tests {
         let mut p = RevelProgram::new("t");
         p.add_config(vec![simple_region(8), simple_region(8)]);
         assert!(matches!(p.validate(&lane()), Err(ProgramError::PortConflict { port: 0, .. })));
-    }
-
-    #[test]
-    fn oob_load_detected() {
-        let cfg = RevelConfig::single_lane();
-        let mut p = RevelProgram::new("t");
-        p.add_config(vec![simple_region(8)]);
-        p.push(VectorCommand::broadcast(
-            LaneMask::all(1),
-            StreamCommand::load(
-                MemTarget::Private,
-                AffinePattern::linear(cfg.lane.spad_words as i64 - 4, 8),
-                InPortId(0),
-                RateFsm::ONCE,
-            ),
-        ));
-        assert!(p.validate(&cfg.lane).is_ok(), "ports are fine");
-        assert!(matches!(
-            p.validate_memory(&cfg),
-            Err(ProgramError::AddressOutOfBounds { target: MemTarget::Private, .. })
-        ));
-    }
-
-    #[test]
-    fn in_bounds_memory_passes() {
-        let cfg = RevelConfig::single_lane();
-        let mut p = RevelProgram::new("t");
-        p.add_config(vec![simple_region(8)]);
-        p.push(VectorCommand::broadcast(
-            LaneMask::all(1),
-            StreamCommand::store(
-                OutPortId(0),
-                MemTarget::Shared,
-                AffinePattern::linear(0, cfg.shared_spad_words as i64),
-                RateFsm::ONCE,
-            ),
-        ));
-        assert!(p.validate_memory(&cfg).is_ok());
     }
 }

@@ -213,11 +213,6 @@ impl Lane {
         self.inflight.len() + usize::from(self.sending.is_some())
     }
 
-    /// Planned requests on this lane.
-    pub fn planned_len(&self) -> usize {
-        self.planned.len()
-    }
-
     fn next_due(&self) -> Option<(bool, u64)> {
         // (is_retry, due_at). Retries outrank new sends when both are due —
         // they are older work.

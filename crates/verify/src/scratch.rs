@@ -14,8 +14,8 @@ mod differential;
 mod oracle;
 
 /// V005: every lane-specialized load/store must stay inside its
-/// scratchpad. (Mirrors `RevelProgram::validate_memory`, but as a
-/// diagnostic with full location info instead of an early-exit error.)
+/// scratchpad. The bounds check every run takes, reported as a diagnostic
+/// with full location info.
 pub struct AddressBounds;
 
 impl Lint for AddressBounds {
