@@ -152,7 +152,8 @@ pub fn fig20_batch8() -> Table {
     let benches = Bench::suite_small();
     // GEMM/FIR already use all lanes for one input; batch scales both
     // platforms equally, so the batch-1 number carries over (and shares the
-    // batch-1 cache entry — only kernels whose batch build differs re-run).
+    // batch-1 cache entry). Every other kernel runs eight instances, one
+    // per lane, from one broadcast command stream.
     let speeds: Vec<f64> = engine::par_map(&benches, |b| {
         let run = engine::engine().run_cached(*b, &BuildCfg::revel(8), true, None).expect("run");
         run.assert_ok(b.name());

@@ -3,9 +3,12 @@
 //!
 //! * **Hybrid builds** (REVEL, dataflow baseline): a vectorized systolic
 //!   inner region updates the `b` vector while a temporal divider computes
-//!   pivots; pivots flow through a keep-first inductive XFER, the updated
-//!   tail recirculates through a drop-first XFER, and the broadcast pivot
-//!   is reused `n-1-j` elements per iteration.
+//!   pivots; pivots flow through a keep-first inductive XFER, each updated
+//!   vector's head reaches the divider through a second XFER while the
+//!   vector recirculates through memory (Fig. 15's store/reload pair, the
+//!   scratchpad's store→load ordering keeping each reload behind its
+//!   store), and the broadcast pivot is reused `n-1-j` elements per
+//!   iteration.
 //! * **Systolic builds** (no temporal fabric): the divide runs on the
 //!   control core per outer iteration with a `Wait` to observe the fabric's
 //!   stores (§III: outer-loop code "execute[s] on a control core") — the
