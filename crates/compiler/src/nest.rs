@@ -229,6 +229,10 @@ pub struct LoopNest {
     pub datapaths: Vec<Datapath>,
     /// The streams iteration `k` issues, in order.
     pub streams: Vec<Stream>,
+    /// The words of the carried matrix's update, naming which carried
+    /// [`Stream::Store`] it is; `None` when the nest stores to the carried
+    /// matrix only once. A nest with several carried stores must name one.
+    pub update: Option<Pattern>,
     /// Pipeline the iterations of one problem around the lane ring instead
     /// of running one independent problem per lane.
     pub pipelined: bool,
@@ -249,7 +253,15 @@ pub struct NestProgram {
 
 impl LoopNest {
     /// Writes the command program for `cfg`.
+    ///
+    /// # Panics
+    /// Panics if the nest stores to the carried matrix more than once and
+    /// names none of them in its `update` field, or names words none of them
+    /// stores.
     pub fn lower(&self, cfg: &BuildCfg) -> NestProgram {
+        // Only the ring and host-outer lowerings use the update, but every
+        // lowering rejects a nest that leaves it ambiguous.
+        self.update();
         // Baselines cannot pipeline inductive dependences across lanes
         // (statically scheduled fabrics need static dependence distances,
         // §III-B): a pipelined nest runs as one problem on one lane there.
@@ -278,12 +290,26 @@ impl LoopNest {
     }
 
     /// The update of the carried matrix: the port storing it, and its words.
-    fn update(&self) -> (OutPortId, Pattern) {
-        let store = self.streams.iter().find_map(|s| match *s {
+    /// It is the carried store the `update` field names, or the only one.
+    pub fn update(&self) -> (OutPortId, Pattern) {
+        let mut stores = self.streams.iter().filter_map(|s| match *s {
             Stream::Store(src, Operand::Carried, pat) => Some((src, pat)),
             _ => None,
         });
-        store.expect("the nest carries a matrix")
+        match self.update {
+            Some(words) => stores.find(|s| s.1 == words).expect("the named update is stored"),
+            None => {
+                let only = stores.next().expect("the nest carries a matrix");
+                let more = stores.count();
+                assert!(
+                    more == 0,
+                    "{}: {} carried stores, none named the update",
+                    self.kernel,
+                    more + 1
+                );
+                only
+            }
+        }
     }
 
     fn program(&self, tag: &str, cfg: &BuildCfg, all: LaneMask, dps: &[Datapath]) -> RevelProgram {
@@ -699,7 +725,17 @@ mod tests {
                 Stream::Store(OutPortId(0), Operand::Carried, Pattern::linear(start, len)),
             ],
             pipelined: false,
+            update: None,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pivot: 2 carried stores, none named the update")]
+    fn a_nest_with_two_carried_stores_must_name_its_update() {
+        let mut nest = pivot_nest();
+        let pivot = Pattern::linear(Ind::konst(0), Ind::konst(1));
+        nest.streams.push(Stream::Store(OutPortId(6), Operand::Carried, pivot));
+        nest.lower(&BuildCfg::revel(1));
     }
 
     #[test]

@@ -132,6 +132,7 @@ impl Cholesky {
                 Stream::Store(OutPortId(1), Carried, trailing),
             ],
             pipelined: self.parallel,
+            update: None,
         }
     }
 

@@ -227,6 +227,7 @@ impl Qr {
                 Stream::Store(OutPortId(1), Carried, row_k),
             ],
             pipelined: false,
+            update: Some(cols),
         }
     }
 
@@ -417,6 +418,16 @@ mod tests {
             let run = run_workload(&Qr::new(n, 1), &BuildCfg::revel(1)).unwrap();
             run.assert_ok(&format!("qr n={n}"));
         }
+    }
+
+    #[test]
+    fn the_update_is_the_trailing_columns_not_alpha() {
+        // Three streams store to `A`: alpha to A[k,k] (first), the trailing
+        // columns, and row k. The trailing columns are the update.
+        let n = 12;
+        let trail = Ind::new(n - 1, -1);
+        let cols = Pattern::two_d(Ind::new(n + 1, n + 1), 1, n, trail, trail);
+        assert_eq!(Qr::new(n as usize, 1).nest().update(), (OutPortId(1), cols));
     }
 
     #[test]
