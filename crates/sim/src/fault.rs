@@ -306,6 +306,8 @@ impl crate::machine::Machine {
             let lane = &mut self.lanes[ev.lane as usize];
             let applied = lane.apply_fault(ev.kind, now);
             if applied {
+                // A dropped vector can drain a port a blocked stream waits on.
+                lane.wake += 1;
                 progress = true;
                 self.faults.first_divergence.get_or_insert(now);
             }

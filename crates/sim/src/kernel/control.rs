@@ -111,6 +111,7 @@ impl Machine {
         for l in targets() {
             let specialized = vc.specialize(LaneId(l as u8));
             self.lanes[l].cmd_queue.push_back(specialized);
+            self.lanes[l].wake += 1;
         }
         self.control.commands_issued += 1;
         self.control_events.commands += 1;

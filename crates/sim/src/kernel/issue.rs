@@ -13,6 +13,12 @@ impl Machine {
     /// of order past a stalled command (the queue scans forward). Barriers
     /// and reconfigurations serialize the queue. Returns `true` iff any
     /// command issued, retired, or armed a reconfiguration deadline.
+    ///
+    /// A lane whose queue holds a stream command at its head is scanned
+    /// only when woken: a scan that issued nothing is repeated only after
+    /// the lane's or its right neighbour's `wake` counter moved (the module
+    /// doc lists what moves them), since nothing else can change its
+    /// outcome.
     pub(crate) fn issue_commands(
         &mut self,
         now: u64,
@@ -20,141 +26,179 @@ impl Machine {
         schedules: &[Vec<RegionSchedule>],
     ) -> bool {
         let mut progress = false;
-        for li in 0..self.lanes.len() {
-            // The scan borrows commands out of the queue while it mutates
-            // the rest of the lane, so the queue steps aside for the scan
-            // (nothing in this phase reads `lane.cmd_queue`).
-            let mut queue = std::mem::take(&mut self.lanes[li].cmd_queue);
-            let mut issued = 0usize;
-            let mut blocked_in = PortSet::default();
-            let mut blocked_out = PortSet::default();
-            // Loads may not bypass an earlier *unissued* store to the same
-            // scratchpad: once a store issues it is visible to the
-            // store→load ordering guard, but a store still in the queue is
-            // not, so program order must hold at issue time.
-            let mut store_pending_private = false;
-            let mut store_pending_shared = false;
-            let mut qi = 0usize;
-            while issued < 2 && qi < queue.len() {
-                let cmd = &queue[qi];
-                match cmd {
-                    StreamCommand::Configure { config } => {
-                        if qi != 0 {
-                            break; // configure serializes the queue
-                        }
-                        let lane = &mut self.lanes[li];
-                        lane.draining = true;
-                        if !lane.fabric_drained() {
-                            break;
-                        }
-                        if lane.reconfig_until == 0 {
-                            // Arming the deadline is a state change: the
-                            // event horizon must see it before skipping.
-                            lane.reconfig_until = self.cfg.reconfig_deadline(now);
-                            progress = true;
-                            break;
-                        }
-                        if now < lane.reconfig_until {
-                            break;
-                        }
-                        let idx = config.0 as usize;
-                        lane.apply_config(&program.configs[idx], &schedules[idx]);
-                        if let Some(rec) = &mut self.recorder {
-                            rec.configure(li, &program.configs[idx]);
-                        }
-                        lane.reconfig_until = 0;
-                        lane.draining = false;
-                        queue.pop_front();
-                        issued += 1;
-                        progress = true;
-                        continue;
-                    }
-                    StreamCommand::BarrierScratch => {
-                        if qi != 0 {
-                            break;
-                        }
-                        if self.lanes[li].has_active_store() {
-                            self.lanes[li].barrier_blocked = true;
-                            break;
-                        }
-                        queue.pop_front();
-                        issued += 1;
-                        progress = true;
-                        continue;
-                    }
-                    StreamCommand::SetAccumLen { region, len } => {
-                        // Applies once the region has drained its in-flight
-                        // work (serializes the queue like a barrier).
-                        if qi != 0 {
-                            break;
-                        }
-                        let lane = &mut self.lanes[li];
-                        let r = *region as usize;
-                        if r < lane.regions.len() {
-                            if !lane.regions[r].idle() || lane.regions[r].temporal_instances() > 0 {
-                                break;
-                            }
-                            lane.regions[r].set_accum_len(*len);
-                            if let Some(rec) = &mut self.recorder {
-                                rec.set_accum_len(li, r, *len);
-                            }
-                        }
-                        queue.pop_front();
-                        issued += 1;
-                        progress = true;
-                        continue;
-                    }
-                    StreamCommand::Wait => {
-                        // Wait is control-core level; drop if it leaked here.
-                        queue.remove(qi);
-                        progress = true;
-                        continue;
-                    }
-                    _ => {}
-                }
-                // Port-conflict scan: commands behind a blocked command on
-                // the same port must not bypass it; loads must not bypass
-                // unissued stores to the same scratchpad.
-                let in_p = cmd.dst_in_port().map(|p| p.0);
-                let out_p = cmd.src_out_port().map(|p| p.0);
-                let mem_conflict = match cmd {
-                    StreamCommand::Load { target: MemTarget::Private, .. } => store_pending_private,
-                    StreamCommand::Load { target: MemTarget::Shared, .. } => store_pending_shared,
-                    _ => false,
-                };
-                let conflicts = mem_conflict
-                    || in_p.is_some_and(|p| blocked_in.contains(p))
-                    || out_p.is_some_and(|p| blocked_out.contains(p));
-                if !conflicts && self.try_issue_stream(li, cmd) {
-                    queue.remove(qi);
-                    issued += 1;
-                    progress = true;
-                } else {
-                    if let Some(p) = in_p {
-                        blocked_in.insert(p);
-                    }
-                    if let Some(p) = out_p {
-                        blocked_out.insert(p);
-                    }
-                    if let StreamCommand::Store { target, .. } = cmd {
-                        match target {
-                            MemTarget::Private => store_pending_private = true,
-                            MemTarget::Shared => store_pending_shared = true,
-                        }
-                    }
-                    qi += 1;
-                }
+        let num_lanes = self.lanes.len();
+        for li in 0..num_lanes {
+            let lane = &self.lanes[li];
+            let Some(head) = lane.cmd_queue.front() else { continue };
+            let wake = (lane.wake, self.lanes[(li + 1) % num_lanes].wake);
+            if lane.idle_scan == Some(wake) && !serializes(head) {
+                continue;
             }
-            self.lanes[li].cmd_queue = queue;
+            let (scan_progress, issued) = self.scan_queue(li, now, program, schedules);
+            progress |= scan_progress;
+            self.lanes[li].idle_scan = (!issued).then_some(wake);
         }
         progress
     }
 
-    /// Attempts to bind a stream command to ports and the stream table.
-    fn try_issue_stream(&mut self, li: usize, cmd: &StreamCommand) -> bool {
-        if self.lanes[li].streams.len() >= self.cfg.lane.stream_table_entries {
-            return false;
+    /// The full issue scan of every lane on every cycle, which the woken
+    /// scan must match.
+    #[cfg(test)]
+    pub(crate) fn issue_commands_full(
+        &mut self,
+        now: u64,
+        program: &RevelProgram,
+        schedules: &[Vec<RegionSchedule>],
+    ) -> bool {
+        let mut progress = false;
+        for li in 0..self.lanes.len() {
+            progress |= self.scan_queue(li, now, program, schedules).0;
         }
+        progress
+    }
+
+    /// One lane's issue scan: returns whether it made progress and whether
+    /// it issued a command. A scan that issues nothing with a stream
+    /// command at the head changes no state.
+    fn scan_queue(
+        &mut self,
+        li: usize,
+        now: u64,
+        program: &RevelProgram,
+        schedules: &[Vec<RegionSchedule>],
+    ) -> (bool, bool) {
+        // The scan borrows commands out of the queue while it mutates the
+        // rest of the lane, so the queue steps aside for the scan (nothing
+        // in this phase reads `lane.cmd_queue`).
+        let mut queue = std::mem::take(&mut self.lanes[li].cmd_queue);
+        let mut progress = false;
+        let mut issued = 0usize;
+        let mut blocked_in = PortSet::default();
+        let mut blocked_out = PortSet::default();
+        // Loads may not bypass an earlier *unissued* store to the same
+        // scratchpad: once a store issues it is visible to the store→load
+        // ordering guard, but a store still in the queue is not, so program
+        // order must hold at issue time.
+        let mut store_pending_private = false;
+        let mut store_pending_shared = false;
+        let mut qi = 0usize;
+        while issued < 2 && qi < queue.len() {
+            let cmd = &queue[qi];
+            match cmd {
+                StreamCommand::Configure { config } => {
+                    if qi != 0 {
+                        break; // configure serializes the queue
+                    }
+                    let lane = &mut self.lanes[li];
+                    lane.draining = true;
+                    if !lane.fabric_drained() {
+                        break;
+                    }
+                    if lane.reconfig_until == 0 {
+                        // Arming the deadline is a state change: the event
+                        // horizon must see it before skipping.
+                        lane.reconfig_until = self.cfg.reconfig_deadline(now);
+                        progress = true;
+                        break;
+                    }
+                    if now < lane.reconfig_until {
+                        break;
+                    }
+                    let idx = config.0 as usize;
+                    lane.apply_config(&program.configs[idx], &schedules[idx]);
+                    if let Some(rec) = &mut self.recorder {
+                        rec.configure(li, &program.configs[idx]);
+                    }
+                    lane.reconfig_until = 0;
+                    lane.draining = false;
+                    queue.pop_front();
+                    issued += 1;
+                    progress = true;
+                    continue;
+                }
+                StreamCommand::BarrierScratch => {
+                    if qi != 0 {
+                        break;
+                    }
+                    if self.lanes[li].has_active_store() {
+                        self.lanes[li].barrier_blocked = true;
+                        break;
+                    }
+                    queue.pop_front();
+                    issued += 1;
+                    progress = true;
+                    continue;
+                }
+                StreamCommand::SetAccumLen { region, len } => {
+                    // Applies once the region has drained its in-flight
+                    // work (serializes the queue like a barrier).
+                    if qi != 0 {
+                        break;
+                    }
+                    let lane = &mut self.lanes[li];
+                    let r = *region as usize;
+                    if r < lane.regions.len() {
+                        if !lane.regions[r].idle() || lane.regions[r].temporal_instances() > 0 {
+                            break;
+                        }
+                        lane.regions[r].set_accum_len(*len);
+                        if let Some(rec) = &mut self.recorder {
+                            rec.set_accum_len(li, r, *len);
+                        }
+                    }
+                    queue.pop_front();
+                    issued += 1;
+                    progress = true;
+                    continue;
+                }
+                _ => {}
+            }
+            // A full stream table binds no stream command, and nothing
+            // behind one can issue (a serializing command there breaks the
+            // scan), so the scan ends here.
+            if self.lanes[li].streams.len() >= self.cfg.lane.stream_table_entries {
+                break;
+            }
+            // Port-conflict scan: commands behind a blocked command on the
+            // same port must not bypass it; loads must not bypass unissued
+            // stores to the same scratchpad.
+            let in_p = cmd.dst_in_port().map(|p| p.0);
+            let out_p = cmd.src_out_port().map(|p| p.0);
+            let mem_conflict = match cmd {
+                StreamCommand::Load { target: MemTarget::Private, .. } => store_pending_private,
+                StreamCommand::Load { target: MemTarget::Shared, .. } => store_pending_shared,
+                _ => false,
+            };
+            let conflicts = mem_conflict
+                || in_p.is_some_and(|p| blocked_in.contains(p))
+                || out_p.is_some_and(|p| blocked_out.contains(p));
+            if !conflicts && self.try_issue_stream(li, cmd) {
+                queue.remove(qi);
+                issued += 1;
+                progress = true;
+            } else {
+                if let Some(p) = in_p {
+                    blocked_in.insert(p);
+                }
+                if let Some(p) = out_p {
+                    blocked_out.insert(p);
+                }
+                if let StreamCommand::Store { target, .. } = cmd {
+                    match target {
+                        MemTarget::Private => store_pending_private = true,
+                        MemTarget::Shared => store_pending_shared = true,
+                    }
+                }
+                qi += 1;
+            }
+        }
+        self.lanes[li].cmd_queue = queue;
+        (progress, issued > 0)
+    }
+
+    /// Attempts to bind a stream command to ports and a free entry of the
+    /// stream table.
+    fn try_issue_stream(&mut self, li: usize, cmd: &StreamCommand) -> bool {
         match cmd {
             StreamCommand::Load { target, pattern, dst, reuse } => {
                 let lane = &mut self.lanes[li];
@@ -268,9 +312,21 @@ impl Machine {
             StreamCommand::Configure { .. }
             | StreamCommand::SetAccumLen { .. }
             | StreamCommand::BarrierScratch
-            | StreamCommand::Wait => unreachable!("handled in issue_commands"),
+            | StreamCommand::Wait => unreachable!("handled in scan_queue and control_step"),
         }
     }
+}
+
+/// True for the commands that act only at the head of the queue and are
+/// evaluated every cycle: they wait on fabric, store or region state that
+/// no wake event tracks.
+fn serializes(cmd: &StreamCommand) -> bool {
+    matches!(
+        cmd,
+        StreamCommand::Configure { .. }
+            | StreamCommand::BarrierScratch
+            | StreamCommand::SetAccumLen { .. }
+    )
 }
 
 /// A set of port indices (ports are `u8`-indexed), held on the stack.

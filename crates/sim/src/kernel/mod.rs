@@ -52,6 +52,8 @@
 mod control;
 mod issue;
 mod streams;
+#[cfg(test)]
+mod wake_tests;
 
 pub(crate) use control::{ControlCore, MachineMem};
 
@@ -180,6 +182,20 @@ impl Machine {
         program: &RevelProgram,
         schedules: &[Vec<RegionSchedule>],
     ) -> bool {
+        self.step_with(now, program, schedules, Machine::issue_commands, Machine::retire_streams)
+    }
+
+    /// [`Machine::step`] with its command-issue and retirement phases
+    /// passed in, so a test can run the full-scan references through the
+    /// same pipeline.
+    fn step_with(
+        &mut self,
+        now: u64,
+        program: &RevelProgram,
+        schedules: &[Vec<RegionSchedule>],
+        issue: impl FnOnce(&mut Machine, u64, &RevelProgram, &[Vec<RegionSchedule>]) -> bool,
+        retire: impl FnOnce(&mut Machine) -> bool,
+    ) -> bool {
         for lane in &mut self.lanes {
             lane.reset_cycle_flags();
         }
@@ -188,20 +204,20 @@ impl Machine {
         // cycle C). Applying one counts as progress.
         let mut progress = self.apply_faults(now);
         progress |= self.control_step(now, program);
-        progress |= self.issue_commands(now, program, schedules);
+        progress |= issue(self, now, program, schedules);
         for lane in &mut self.lanes {
             for p in &mut lane.in_ports {
                 progress |= p.tick();
             }
         }
-        progress |= self.run_source_streams(now);
+        progress |= self.run_source_streams();
         for (li, lane) in self.lanes.iter_mut().enumerate() {
             lane.fire_regions(now, li, &mut self.recorder);
             lane.dpe_step(now);
             lane.deliver_outputs(now);
         }
-        progress |= self.run_drain_streams(now);
-        progress |= self.retire_streams();
+        progress |= self.run_drain_streams();
+        progress |= retire(self);
         let program_done = self.control.pc >= program.control.len() && !self.control.waiting;
         for lane in &mut self.lanes {
             let class = classify(lane, program_done);

@@ -18,7 +18,7 @@ use revel_isa::MemTarget;
 impl Machine {
     /// Moves data for source streams: loads (private + shared) and consts.
     /// Returns `true` iff any word moved or a stream-end flush landed.
-    pub(crate) fn run_source_streams(&mut self, _now: u64) -> bool {
+    pub(crate) fn run_source_streams(&mut self) -> bool {
         let mut progress = false;
         let mut shared_budget = self.cfg.shared_spad_bw_words;
         let num_lanes = self.lanes.len();
@@ -26,7 +26,7 @@ impl Machine {
             let lane = &mut self.lanes[li];
             let mut priv_budget = lane.cfg.spad_bw_words;
             let mut const_budget = lane.cfg.xfer_bw_words;
-            let Lane { streams, in_ports, spad, events, .. } = lane;
+            let Lane { streams, in_ports, spad, events, retire_due, .. } = lane;
             let mut starved = false;
             let mut sync_blocked = false;
             for si in 0..streams.len() {
@@ -105,6 +105,7 @@ impl Machine {
                             // progress case.
                             *flushed = port.flush_at_stream_end();
                             progress |= *flushed;
+                            *retire_due |= *flushed;
                         }
                     }
                     StreamBody::Const { dst, values } => {
@@ -123,6 +124,7 @@ impl Machine {
                             progress = true;
                             events.port_words += 1;
                         }
+                        *retire_due |= values.is_empty();
                     }
                     _ => {}
                 }
@@ -136,7 +138,7 @@ impl Machine {
     /// Moves data for drain streams: stores (private + shared), local
     /// XFERs, and inter-lane XFERs. Returns `true` iff any output-port
     /// state changed (including hidden pops of spent head vectors).
-    pub(crate) fn run_drain_streams(&mut self, _now: u64) -> bool {
+    pub(crate) fn run_drain_streams(&mut self) -> bool {
         let mut progress = false;
         let mut shared_budget = self.cfg.shared_spad_bw_words;
         let num_lanes = self.lanes.len();
@@ -145,7 +147,7 @@ impl Machine {
             let lane = &mut self.lanes[li];
             let mut priv_budget = lane.cfg.spad_bw_words;
             let mut xfer_budget = lane.cfg.xfer_bw_words;
-            let Lane { streams, in_ports, out_ports, spad, events, .. } = lane;
+            let Lane { streams, in_ports, out_ports, spad, events, retire_due, .. } = lane;
             let mut starved = false;
             for stream in streams.iter_mut() {
                 match &mut stream.body {
@@ -187,6 +189,7 @@ impl Machine {
                             walker.advance();
                             *budget -= 1;
                         }
+                        *retire_due |= walker.exhausted();
                     }
                     StreamBody::XferLocal { src, dst, remaining, rows } => {
                         let sp = *src as usize;
@@ -208,6 +211,7 @@ impl Machine {
                             xfer_budget -= 1;
                             events.bus_words += 2; // bus out + bus in
                         }
+                        *retire_due |= *remaining <= 0;
                     }
                     _ => {}
                 }
@@ -249,51 +253,75 @@ impl Machine {
                         budget -= 1;
                         a.events.bus_words += 2;
                     }
+                    a.retire_due |= *remaining <= 0;
                 }
             }
         }
         progress
     }
 
-    /// Removes completed streams and frees their ports. Returns `true` iff
-    /// any stream retired.
+    /// Removes completed streams and frees their ports, on the lanes whose
+    /// streams flagged a completion (`Lane::retire_due`). Returns `true`
+    /// iff any stream retired.
     pub(crate) fn retire_streams(&mut self) -> bool {
         let mut retired = false;
-        let num_lanes = self.lanes.len();
-        for li in 0..num_lanes {
-            let mut to_free_right: Vec<u8> = Vec::new();
-            {
-                let lane = &mut self.lanes[li];
-                let Lane { streams, in_busy, out_busy, .. } = lane;
-                streams.retain_mut(|s| {
-                    let done = match &mut s.body {
-                        StreamBody::Load { walker, flushed, .. } => walker.exhausted() && *flushed,
-                        StreamBody::Store { walker, .. } => walker.exhausted(),
-                        StreamBody::Const { values, .. } => values.is_empty(),
-                        StreamBody::XferLocal { remaining, .. }
-                        | StreamBody::XferRight { remaining, .. } => *remaining <= 0,
-                    };
-                    if done {
-                        retired = true;
-                        if let Some(p) = s.local_in_port() {
-                            in_busy[p as usize] = false;
-                        }
-                        if let Some(p) = s.local_out_port() {
-                            out_busy[p as usize] = false;
-                        }
-                        if let StreamBody::XferRight { dst, .. } = &s.body {
-                            to_free_right.push(*dst);
-                        }
-                    }
-                    !done
-                });
+        for li in 0..self.lanes.len() {
+            if std::mem::take(&mut self.lanes[li].retire_due) {
+                retired |= self.retire_lane(li);
             }
-            if !to_free_right.is_empty() {
-                let ri = (li + 1) % num_lanes;
-                for p in to_free_right {
-                    self.lanes[ri].in_busy[p as usize] = false;
+        }
+        retired
+    }
+
+    /// The sweep of every lane on every cycle, which the flagged
+    /// retirement must match.
+    #[cfg(test)]
+    pub(crate) fn retire_streams_swept(&mut self) -> bool {
+        let mut retired = false;
+        for li in 0..self.lanes.len() {
+            retired |= self.retire_lane(li);
+        }
+        retired
+    }
+
+    /// Retires lane `li`'s completed streams. Freeing a port wakes the lane
+    /// that owns it. Returns `true` iff any stream retired.
+    fn retire_lane(&mut self, li: usize) -> bool {
+        let num_lanes = self.lanes.len();
+        let mut retired = false;
+        let mut to_free_right: Vec<u8> = Vec::new();
+        let Lane { streams, in_busy, out_busy, wake, .. } = &mut self.lanes[li];
+        streams.retain_mut(|s| {
+            let done = match &mut s.body {
+                StreamBody::Load { walker, flushed, .. } => walker.exhausted() && *flushed,
+                StreamBody::Store { walker, .. } => walker.exhausted(),
+                StreamBody::Const { values, .. } => values.is_empty(),
+                StreamBody::XferLocal { remaining, .. }
+                | StreamBody::XferRight { remaining, .. } => *remaining <= 0,
+            };
+            if done {
+                retired = true;
+                if let Some(p) = s.local_in_port() {
+                    in_busy[p as usize] = false;
+                }
+                if let Some(p) = s.local_out_port() {
+                    out_busy[p as usize] = false;
+                }
+                if let StreamBody::XferRight { dst, .. } = &s.body {
+                    to_free_right.push(*dst);
                 }
             }
+            !done
+        });
+        if retired {
+            *wake += 1;
+        }
+        if !to_free_right.is_empty() {
+            let right = &mut self.lanes[(li + 1) % num_lanes];
+            for p in to_free_right {
+                right.in_busy[p as usize] = false;
+            }
+            right.wake += 1;
         }
         retired
     }

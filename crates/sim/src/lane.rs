@@ -490,6 +490,16 @@ pub(crate) struct Lane {
     pub out_busy: Vec<bool>,
     pub cmd_queue: VecDeque<revel_isa::StreamCommand>,
     pub streams: Vec<ActiveStream>,
+    /// Bumped by every event that can make a blocked stream command on
+    /// this lane, or an `XferRight` into it, issuable (the kernel module's
+    /// "Woken, not polled" lists them).
+    pub wake: u64,
+    /// This lane's and its right neighbour's `wake` at the lane's last
+    /// issue scan, if that scan issued nothing.
+    pub idle_scan: Option<(u64, u64)>,
+    /// A stream in the table may have completed since the last retirement
+    /// pass over this lane.
+    pub retire_due: bool,
     pub regions: Vec<RegionState>,
     pub instances: Vec<TempInstance>,
     /// Retired instances kept for their buffers, so a temporal fire
@@ -543,6 +553,9 @@ impl Lane {
             out_ports,
             cmd_queue: VecDeque::new(),
             streams: Vec::new(),
+            wake: 0,
+            idle_scan: None,
+            retire_due: false,
             regions: Vec::new(),
             instances: Vec::new(),
             spare_instances: Vec::new(),
@@ -626,6 +639,7 @@ impl Lane {
         }
         self.in_busy.iter_mut().for_each(|b| *b = false);
         self.out_busy.iter_mut().for_each(|b| *b = false);
+        self.wake += 1;
     }
 
     /// Drops every temporal instance in flight, keeping its buffers, and
@@ -745,7 +759,7 @@ impl Lane {
         li: usize,
         recorder: &mut Option<Recorder>,
     ) -> u32 {
-        let Lane { regions, in_ports, events, .. } = self;
+        let Lane { regions, in_ports, in_busy, events, wake, .. } = self;
         let rs = &mut regions[r];
         let unroll = rs.region.unroll;
         // Gather inputs. Scalar-broadcast ports burn `fire_valid` reuse
@@ -760,6 +774,10 @@ impl Lane {
             } else {
                 port.take()
             };
+            // A free port that drains can bind the next stream queued for it.
+            if !in_busy[*p as usize] && port.is_drained() {
+                *wake += 1;
+            }
             events.port_words += v.width() as u64;
             let adapted = adapt_width(v, unroll);
             min_valid = min_valid.min(adapted.valid_count());
