@@ -38,6 +38,23 @@
 //! is deadlocked and the loop jumps straight to the cycle budget — exactly
 //! what the naive stepper would spin its way to.
 //!
+//! # Woken, not polled
+//!
+//! Within a stepped cycle, command issue and stream retirement visit only
+//! the lanes where something they depend on has changed. Each lane keeps a
+//! `wake` counter, bumped by every event that can make a blocked stream
+//! command on it (or an `XferRight` into it) issuable: a command pushed to
+//! its queue, a stream retiring on it, its left neighbour's `XferRight`
+//! retiring (which frees the input port reserved here), a free input port
+//! draining in `gather_and_fire`, `apply_config`, and an applied fault. A
+//! scan that issued nothing is not repeated while the head of the queue is
+//! a stream command and neither the lane's counter nor its right
+//! neighbour's has moved; `Configure`, `BarrierScratch` and `SetAccumLen`
+//! at the head are evaluated every cycle. Streams flag their lane
+//! (`retire_due`) when they can have completed, and retirement visits only
+//! flagged lanes. `wake_tests` holds the full scan and sweep as references
+//! and steps both against the woken kernel on seeded random programs.
+//!
 //! # The differential oracle
 //!
 //! The naive stepper is retained behind

@@ -282,8 +282,6 @@ impl Machine {
         for lane in &mut self.lanes {
             lane.cmd_queue.clear();
             lane.streams.clear();
-            lane.idle_scan = None;
-            lane.retire_due = false;
             lane.clear_instances();
             lane.regions.clear();
             lane.breakdown = CycleBreakdown::default();
