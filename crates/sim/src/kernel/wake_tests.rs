@@ -70,7 +70,8 @@ struct Gen {
     /// retires only once flushed). The next stream there binds with
     /// non-trivial reuse, which waits for the port to drain: a
     /// trivial-reuse stream may bind over leftover data, but not over a
-    /// deferred flush.
+    /// deferred flush (`InPort::bind_stream` debug-asserts that nothing is
+    /// staged).
     unflushed: Vec<[bool; 12]>,
     /// Port FIFOs too deep to fill, so no flush is ever deferred and any
     /// stream may bind with trivial reuse.
