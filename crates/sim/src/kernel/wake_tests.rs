@@ -7,11 +7,14 @@
 //! scanned every cycle) and [`Machine::retire_streams_swept`] (every lane's
 //! stream table swept every cycle). Every cycle both must issue the same
 //! commands, hold the same stream tables and busy bits, and retire the same
-//! streams. The programs mix what the wake rules have to cover: `XferRight`
-//! on 1, 2 and 8 lanes, queues and stream tables that fill, leftover FIFO
-//! data under non-trivial reuse, `Configure`, `BarrierScratch` and
-//! `SetAccumLen` at the head of a queue, per-lane reconfiguration, and
-//! dropped-port faults.
+//! streams. The random programs mix what the wake rules have to cover:
+//! `XferRight` on 1, 2 and 8 lanes, queues and stream tables that fill,
+//! leftover FIFO data under non-trivial reuse, `Configure`,
+//! `BarrierScratch` and `SetAccumLen` at the head of a queue, per-lane
+//! reconfiguration, and dropped-port faults. Three directed programs add
+//! the cases where a single event, arriving alone, unblocks a command: a
+//! neighbour's `XferRight` retiring, a reconfiguration resetting a
+//! stranded port, and a serializing command releasing with no event.
 
 use super::NextEvent;
 use crate::fault::{FaultPlan, FAULT_DROP_PORT};
@@ -60,6 +63,9 @@ const PAIR: (u8, u8) = (9, 10);
 
 /// Ports of the single-input regions: `(port, width)`.
 const CHAINS: [(u8, i64); 5] = [(2, 4), (3, 4), (6, 1), (7, 1), (11, 1)];
+
+/// The input ports `XferRight` streams feed.
+const XFER_RIGHT_DSTS: [u8; 2] = [7, PAIR.0];
 
 struct Gen {
     rng: Rng,
@@ -110,13 +116,16 @@ impl Gen {
     }
 
     /// Whether a stream into `port` on `lanes` (`right`: on their right
-    /// neighbours) may bind with trivial reuse.
+    /// neighbours) may bind with trivial reuse. Never on a port an
+    /// `XferRight` feeds: the left neighbour's queue binds it in no fixed
+    /// order with the lane's own streams.
     fn trivial_ok(&self, lanes: LaneMask, port: u8, right: bool) -> bool {
         let shift = usize::from(right);
         self.deep
-            || lanes
-                .iter()
-                .all(|l| !self.unflushed[(l.0 as usize + shift) % self.lanes][port as usize])
+            || !XFER_RIGHT_DSTS.contains(&port)
+                && lanes
+                    .iter()
+                    .all(|l| !self.unflushed[(l.0 as usize + shift) % self.lanes][port as usize])
     }
 
     /// Uses per value of a stream into `port` on `lanes`: mostly once,
@@ -157,11 +166,11 @@ impl Gen {
     /// One step of a program: a flow through a region (or two, joined by
     /// an XFER), or one serializing command. Every flow stores what its
     /// regions produce.
-    fn step(&mut self) {
+    fn step(&mut self, kind: usize) {
         let broadcast = self.lanes == 1 || self.rng.gen_bool();
         let lanes = self.pick(broadcast);
         let once = RateFsm::ONCE;
-        match self.rng.gen_index(12) {
+        match kind {
             0..=2 => {
                 // Memory → chain → memory.
                 let (port, _) = CHAINS[self.rng.gen_index(CHAINS.len())];
@@ -239,9 +248,12 @@ impl Gen {
             }
             9 => self.push(lanes, &[StreamCommand::BarrierScratch]),
             10 => {
+                // A flow queued behind it issues as soon as the region
+                // drains, with no wake event in between.
                 let region = self.rng.gen_index(6) as u32;
                 let len = RateFsm::fixed(self.rng.gen_range_i64(1, 5));
                 self.push(lanes, &[StreamCommand::SetAccumLen { region, len }]);
+                self.step(0);
             }
             _ => match self.rng.gen_index(3) {
                 0 => self.prog.push(VectorCommand::broadcast(lanes, StreamCommand::Wait)),
@@ -270,7 +282,8 @@ fn random_program(seed: u64, lanes: usize, deep: bool) -> RevelProgram {
     let all = LaneMask::all(lanes as u8);
     g.push(all, &[StreamCommand::Configure { config: ConfigId(0) }]);
     for _ in 0..8 + g.rng.gen_index(24) {
-        g.step();
+        let kind = g.rng.gen_index(12);
+        g.step(kind);
     }
     g.prog.push(VectorCommand::broadcast(all, StreamCommand::Wait));
     g.prog
@@ -342,15 +355,17 @@ impl Seen {
 }
 
 /// Runs `program` on `cfg` twice in lockstep, woken and full, until it
-/// finishes or deadlocks (at most 3 000 cycles).
-fn lockstep(program: &RevelProgram, cfg: RevelConfig, opts: SimOptions, seen: &mut Seen) {
+/// finishes or deadlocks (at most 3 000 cycles). Returns whether it
+/// finished.
+fn lockstep(program: &RevelProgram, cfg: RevelConfig, opts: SimOptions, seen: &mut Seen) -> bool {
     program.validate(&cfg.lane).expect("a valid program");
     let mut woken = Machine::new(cfg, opts);
     let schedules = woken.compiled_schedules(program).expect("the configurations fit");
     woken.reset_faults();
     let mut full = woken.clone();
+    let mut finished = false;
     for now in 0..3_000 {
-        let finished = woken.program_finished(program);
+        finished = woken.program_finished(program);
         assert_eq!(finished, full.program_finished(program), "{}: cycle {now}", program.name);
         if finished {
             break;
@@ -396,6 +411,7 @@ fn lockstep(program: &RevelProgram, cfg: RevelConfig, opts: SimOptions, seen: &m
     }
     let faults = woken.faults.snapshot().map(|f| f.records);
     seen.faults += faults.iter().flatten().filter(|r| r.applied).count() as u64;
+    finished
 }
 
 #[test]
@@ -422,4 +438,105 @@ fn woken_issue_and_flagged_retirement_match_the_full_scan_and_sweep() {
     assert!(covered.iter().all(|n| *n > 0), "{seen:?}");
     assert!(seen.stranded_reuse > 0 && seen.faults > 0, "{seen:?}");
     assert!(seen.serializing_heads.iter().all(|n| *n > 0), "{seen:?}");
+}
+
+/// Programs in which one wake event, with nothing else waking the lane, is
+/// what lets a queued command issue. Random programs reach these only
+/// rarely, because most events arrive in company.
+fn directed_programs() -> Vec<(RevelProgram, RevelConfig)> {
+    let private = |at, n| AffinePattern::linear(at, n);
+    let load = |at, n, port, uses| {
+        StreamCommand::load(
+            MemTarget::Private,
+            private(at, n),
+            InPortId(port),
+            RateFsm::fixed(uses),
+        )
+    };
+    let store = |port, at, n| {
+        StreamCommand::store(OutPortId(port), MemTarget::Private, private(at, n), RateFsm::ONCE)
+    };
+    let once = RateFsm::ONCE;
+    let configure = StreamCommand::Configure { config: ConfigId(0) };
+    let program = |name: &str, lanes: u8, cmds: Vec<(Option<u8>, StreamCommand)>| {
+        let mut prog = RevelProgram::new(name);
+        prog.add_config(regions(0));
+        for (lane, cmd) in cmds {
+            let mask = lane.map_or(LaneMask::all(lanes), |l| LaneMask::single(LaneId(l)));
+            prog.push(VectorCommand::broadcast(mask, cmd));
+        }
+        prog.push(VectorCommand::broadcast(LaneMask::all(lanes), StreamCommand::Wait));
+        prog
+    };
+    let three = RevelConfig { num_lanes: 3, ..RevelConfig::paper_default() };
+    let deep = LaneConfig { port_fifo_depth: 1_000, ..LaneConfig::paper_default() };
+
+    // Lane 0's long `XferRight` holds lane 1's in7; lane 1's own load into
+    // in7, queued after it bound, may bind over the transfer's leftover
+    // data once the transfer retires (deep FIFOs: no flush is deferred).
+    let mut fillers = vec![(Some(2), StreamCommand::BarrierScratch); 8];
+    let mut freed = vec![
+        (None, configure.clone()),
+        (Some(0), load(0, 40, 6, 1)),
+        (Some(0), StreamCommand::xfer_right(OutPortId(6), InPortId(7), 40, once, once)),
+        (Some(1), store(7, 100, 43)),
+    ];
+    freed.append(&mut fillers);
+    freed.push((Some(1), load(200, 3, 7, 1)));
+    let freed = program("wake-xfer-right-frees", 3, freed);
+
+    // Lane 1 strands three values on in9 under non-trivial reuse, so lane
+    // 0's `XferRight` into it waits until lane 1's reconfiguration resets
+    // its ports. Lane 1's next load fills in10 and stalls there, so it
+    // neither retires nor drains before the transfer arrives.
+    let reset = program(
+        "wake-apply-config",
+        3,
+        vec![
+            (None, configure.clone()),
+            (Some(1), load(0, 3, PAIR.0, 2)),
+            (Some(0), load(0, 10, 11, 1)),
+            (
+                Some(0),
+                StreamCommand::xfer_right(
+                    OutPortId(11),
+                    InPortId(PAIR.0),
+                    10,
+                    once,
+                    RateFsm::fixed(2),
+                ),
+            ),
+            (Some(1), configure.clone()),
+            (Some(1), load(16, 20, PAIR.1, 1)),
+            (Some(1), store(PAIR.0, 100, 20)),
+        ],
+    );
+
+    // The store on out6 outlives the region's five fires, so
+    // `SetAccumLen` releases when the region drains, with no event. It and
+    // the load behind it, which stalls on the full in2 until its store
+    // issues, are one scan's two issues; the next scan must still run.
+    let released = program(
+        "wake-serializing-release",
+        1,
+        vec![
+            (None, configure),
+            (None, load(0, 5, 6, 1)),
+            (None, store(6, 200, 10)),
+            (None, StreamCommand::SetAccumLen { region: 2, len: RateFsm::fixed(1) }),
+            (None, load(300, 40, 2, 1)),
+            (None, store(2, 400, 40)),
+            (None, load(20, 5, 6, 1)),
+        ],
+    );
+    let one = RevelConfig::single_lane();
+    vec![(freed, RevelConfig { lane: deep, ..three.clone() }), (reset, three), (released, one)]
+}
+
+#[test]
+fn directed_programs_match_the_full_scan_and_sweep() {
+    for (program, cfg) in directed_programs() {
+        let finished = lockstep(&program, cfg, SimOptions::default(), &mut Seen::default());
+        assert!(finished, "{} finishes", program.name);
+    }
 }
