@@ -28,7 +28,7 @@ use revel_isa::{
 };
 use revel_prog::RevelProgram;
 
-/// One region per port pair: two width-4 copies, three scalar chains, and
+/// One region per port pair: two width-4 chains, three scalar chains, and
 /// a two-input scalar add, which strands data on one input when the other
 /// runs dry. `variant` changes the ops, so the two configurations differ.
 fn regions(variant: usize) -> Vec<Region> {
