@@ -10,7 +10,9 @@
 //!
 //! It also pins what lets one trace serve every seed of a cell: a seeded
 //! build is structurally the unseeded one (the engine's trace cache, keyed
-//! by cell, checks that identity on a batch's first dataset only).
+//! by cell, checks that identity on a batch's first dataset only), and a
+//! seed's dataset half (`Workload::dataset`, all a batch builds for its
+//! later seeds) is its full build's dataset.
 
 use revel_bench::grid::{evaluation_grid, Cell};
 use revel_core::compiler::BuildCfg;
@@ -18,7 +20,7 @@ use revel_core::engine;
 use revel_core::isa::LaneId;
 use revel_core::sim::{structural_id, Machine, RevelProgram, RunReport, TimingTrace};
 use revel_core::workloads::{
-    apply_init, record_timing, replay_trace_on, BuiltKernel, Cholesky, MemInit, Workload,
+    apply_init, record_timing, replay_trace_on, BuiltKernel, Cholesky, Dataset, MemInit, Workload,
 };
 use revel_core::Bench;
 
@@ -252,14 +254,15 @@ fn a_datasets_replay_does_not_depend_on_its_chunk() {
     assert!(failures.is_empty(), "{failures:#?}");
 }
 
-/// Seeds 1–4 of `build` share its unseeded program's structural id.
+/// Seeds 1–4 and 77 of `build` share its unseeded program's structural
+/// id.
 fn assert_seeds_share_structure(
     label: &str,
     unseeded: &RevelProgram,
     build: impl Fn(u64) -> RevelProgram,
 ) {
     let id = structural_id(unseeded);
-    for seed in 1..=4 {
+    for seed in [1, 2, 3, 4, 77] {
         assert_eq!(structural_id(&build(seed)), id, "{label} seed {seed}");
     }
 }
@@ -290,4 +293,57 @@ fn every_seeded_build_of_a_batched_cell_is_structurally_its_unseeded_build() {
             });
         }
     }
+}
+
+/// Every word of `init`, bit for bit, with where it goes.
+fn init_bits(init: &[MemInit]) -> Vec<(Option<u8>, i64, Vec<u64>)> {
+    let bits = |data: &[f64]| data.iter().map(|v| v.to_bits()).collect();
+    init.iter()
+        .map(|mi| match mi {
+            MemInit::Private { lane, addr, data } => (Some(*lane), *addr, bits(data)),
+            MemInit::Shared { addr, data } => (None, *addr, bits(data)),
+        })
+        .collect()
+}
+
+#[test]
+fn a_seeds_dataset_half_is_its_full_builds_dataset_on_every_small_cell() {
+    // For seeds 1, 2 and 77 of each cell, the dataset half's init is the
+    // full build's, word for word; and on a machine holding each seed's
+    // replayed results, the two halves' checks give the same verdict, which
+    // passes for that seed and fails for the others.
+    const SEEDS: [u64; 3] = [1, 2, 77];
+    let cells = small_cells();
+    assert_eq!(cells.len(), 35);
+    let failures: Vec<String> = engine::par_map(&cells, |cell| {
+        let (cfg, opts) = (&cell.cfg, cell.cfg.sim_options());
+        let builds = SEEDS.map(|seed| cell.bench.workload_seeded(seed).build(cfg));
+        let datasets: [Dataset; 3] =
+            SEEDS.map(|seed| cell.bench.workload_seeded(seed).dataset(cfg));
+        let (_, trace) = record_timing(&builds[0], cfg, opts).expect("timing walk");
+        let mut machine = Machine::new(cfg.machine_config(), opts);
+        let mut failures = Vec::new();
+        for (i, (built, dataset)) in builds.iter().zip(&datasets).enumerate() {
+            if init_bits(&built.init) != init_bits(&dataset.init) {
+                failures.push(format!("{}: seed {}: init differs", label(cell), SEEDS[i]));
+            }
+            replay_trace_on(&mut machine, built, &trace).expect("replays");
+            for (j, (other, other_data)) in builds.iter().zip(&datasets).enumerate() {
+                let (full, half) = ((other.check)(&machine), (other_data.check)(&machine));
+                if full != half || full.is_ok() != (i == j) {
+                    failures.push(format!(
+                        "{}: seed {}'s results: seed {}'s checks read {full:?} and {half:?}",
+                        label(cell),
+                        SEEDS[i],
+                        SEEDS[j]
+                    ));
+                }
+            }
+        }
+        failures
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{failures:#?}");
 }

@@ -703,12 +703,16 @@ impl Engine {
         // Replay the one trace over every dataset on a single machine —
         // allocating scratchpads and value rows per dataset would cost more
         // than the replay itself — a chunk of datasets per pass over its
-        // code. Only the first build's program is kept, for its identity
-        // check and host ops; every seed of a cell builds the same
-        // structure.
+        // code. Every seed of a cell builds the same program, so only the
+        // first seed builds it, for its identity check and host ops; the
+        // others build just their datasets.
+        let Some((&first, rest)) = seeds.split_first() else {
+            return Ok(BatchRun { runs: Vec::new(), replayed: true });
+        };
         let mut machine = revel_sim::Machine::new(cfg.machine_config(), opts);
-        let builds = seeds.iter().map(|&seed| bench.workload_seeded(seed).build(cfg));
-        let runs = replay_batch_on(&mut machine, &trace, builds)?;
+        let first = bench.workload_seeded(first).build(cfg);
+        let rest = rest.iter().map(|&seed| bench.workload_seeded(seed).dataset(cfg));
+        let runs = replay_batch_on(&mut machine, &trace, first, rest)?;
         self.batched_replays.fetch_add(runs.len() as u64, Ordering::Relaxed);
         Ok(BatchRun { runs, replayed: true })
     }

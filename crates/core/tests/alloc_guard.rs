@@ -286,3 +286,68 @@ fn an_annealing_move_does_not_allocate() {
         "annealing allocates per move: {short_allocations} for 2 000, {long_allocations} for 8 000"
     );
 }
+
+/// Two lanes: lane 0 loads `4 * k` words through a scalar region and
+/// hands them to lane 1 in `k` `XferRight` streams of four words, one
+/// after another (each waits for the last to retire and free lane 1's
+/// input); lane 1 passes them through its own region into one store.
+fn handoff_program(k: i64) -> RevelProgram {
+    let pass = |name: &str, port: u8| {
+        let mut g = Dfg::new(name);
+        let x = g.input(InPortId(port));
+        let y = g.op(OpCode::Mov, &[x]);
+        g.output(y, OutPortId(port));
+        Region::systolic(name, g, 1)
+    };
+    let mut prog = RevelProgram::new(format!("handoff-{k}"));
+    let cfg = prog.add_config(vec![pass("send", 6), pass("receive", 7)]);
+    let (both, sender, receiver) =
+        (LaneMask::all(2), LaneMask::single(LaneId(0)), LaneMask::single(LaneId(1)));
+    let words = 4 * k;
+    prog.push(VectorCommand::broadcast(both, StreamCommand::Configure { config: ConfigId(cfg) }));
+    let load = StreamCommand::load(
+        MemTarget::Private,
+        AffinePattern::linear(0, words),
+        InPortId(6),
+        RateFsm::ONCE,
+    );
+    prog.push(VectorCommand::broadcast(sender, load));
+    let store = StreamCommand::store(
+        OutPortId(7),
+        MemTarget::Private,
+        AffinePattern::linear(512, words),
+        RateFsm::ONCE,
+    );
+    prog.push(VectorCommand::broadcast(receiver, store));
+    for _ in 0..k {
+        let hand =
+            StreamCommand::xfer_right(OutPortId(6), InPortId(7), 4, RateFsm::ONCE, RateFsm::ONCE);
+        prog.push(VectorCommand::broadcast(sender, hand));
+    }
+    prog.push(VectorCommand::broadcast(both, StreamCommand::Wait));
+    prog
+}
+
+/// Allocations of a second run of `handoff_program(k)` on one machine,
+/// after checking that lane 1 stored what lane 0 loaded.
+fn warm_handoff_run(k: i64) -> u64 {
+    let cfg = RevelConfig { num_lanes: 2, ..RevelConfig::single_lane() };
+    let program = handoff_program(k);
+    let mut machine = Machine::new(cfg, SimOptions::default());
+    let data: Vec<f64> = (0..4 * k).map(|i| 1.0 + i as f64).collect();
+    machine.write_private(LaneId(0), 0, &data);
+    let first = machine.run(&program).expect("first run");
+    assert!(!first.timed_out, "handoff-{k} finishes");
+    assert_eq!(machine.read_private(LaneId(1), 512, data.len()), data, "handoff-{k} delivers");
+    let (second, allocations) = allocations_in(|| machine.run(&program));
+    assert!(!second.expect("second run").timed_out);
+    allocations
+}
+
+#[test]
+fn retiring_a_stream_does_not_allocate() {
+    // Every `XferRight` retires on its own and frees the right lane's
+    // port; four times as many retirements cost no allocation.
+    let (few, many) = (warm_handoff_run(4), warm_handoff_run(16));
+    assert_eq!(many, few, "retirement allocates: {few} for 4 handoffs, {many} for 16");
+}

@@ -1,6 +1,7 @@
 //! Command issue: from per-lane command queues into the stream table,
 //! fabric configuration, barriers, and accumulator-length updates.
 
+use super::PortSet;
 use crate::lane::{ActiveStream, PatternWalker, RowTracker, StreamBody, WrittenSet};
 use crate::machine::Machine;
 use revel_isa::{LaneHop, MemTarget, StreamCommand};
@@ -327,20 +328,6 @@ fn serializes(cmd: &StreamCommand) -> bool {
             | StreamCommand::BarrierScratch
             | StreamCommand::SetAccumLen { .. }
     )
-}
-
-/// A set of port indices (ports are `u8`-indexed), held on the stack.
-#[derive(Default)]
-struct PortSet([u64; 4]);
-
-impl PortSet {
-    fn insert(&mut self, port: u8) {
-        self.0[port as usize / 64] |= 1 << (port % 64);
-    }
-
-    fn contains(&self, port: u8) -> bool {
-        self.0[port as usize / 64] & (1 << (port % 64)) != 0
-    }
 }
 
 /// A new stream may bind to an input port when the port is drained, or

@@ -280,6 +280,36 @@ fn classify(lane: &crate::lane::Lane, program_done: bool) -> CycleClass {
     }
 }
 
+/// A set of port indices (ports are `u8`-indexed), held on the stack.
+#[derive(Default)]
+struct PortSet([u64; 4]);
+
+impl PortSet {
+    fn insert(&mut self, port: u8) {
+        self.0[port as usize / 64] |= 1 << (port % 64);
+    }
+
+    fn contains(&self, port: u8) -> bool {
+        self.0[port as usize / 64] & (1 << (port % 64)) != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0 == [0; 4]
+    }
+
+    /// The ports in the set, in increasing order.
+    fn ports(&self) -> impl Iterator<Item = u8> + '_ {
+        self.0.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+                bits &= bits - 1;
+                Some((word * 64 + bit) as u8)
+            })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,5 +341,16 @@ mod tests {
         assert_eq!(m.next_event(0), Some(7));
         assert_eq!(m.next_event(7), Some(10));
         assert_eq!(m.next_event(10), None);
+    }
+
+    #[test]
+    fn a_port_set_lists_its_ports_in_order() {
+        let mut set = PortSet::default();
+        assert!(set.is_empty());
+        for p in [200, 0, 64, 63, 255, 64] {
+            set.insert(p);
+        }
+        assert!(!set.is_empty() && set.contains(63) && !set.contains(1));
+        assert_eq!(set.ports().collect::<Vec<_>>(), [0, 63, 64, 200, 255]);
     }
 }

@@ -11,6 +11,7 @@
 //!
 //! [`OutPort::pop_kept`]: crate::port::OutPort::pop_kept
 
+use super::PortSet;
 use crate::lane::{Lane, StreamBody};
 use crate::machine::Machine;
 use revel_isa::MemTarget;
@@ -289,7 +290,8 @@ impl Machine {
     fn retire_lane(&mut self, li: usize) -> bool {
         let num_lanes = self.lanes.len();
         let mut retired = false;
-        let mut to_free_right: Vec<u8> = Vec::new();
+        // The right lane's input ports freed by retiring `XferRight`s.
+        let mut free_right = PortSet::default();
         let Lane { streams, in_busy, out_busy, wake, .. } = &mut self.lanes[li];
         streams.retain_mut(|s| {
             let done = match &mut s.body {
@@ -308,7 +310,7 @@ impl Machine {
                     out_busy[p as usize] = false;
                 }
                 if let StreamBody::XferRight { dst, .. } = &s.body {
-                    to_free_right.push(*dst);
+                    free_right.insert(*dst);
                 }
             }
             !done
@@ -316,9 +318,9 @@ impl Machine {
         if retired {
             *wake += 1;
         }
-        if !to_free_right.is_empty() {
+        if !free_right.is_empty() {
             let right = &mut self.lanes[(li + 1) % num_lanes];
-            for p in to_free_right {
+            for p in free_right.ports() {
                 right.in_busy[p as usize] = false;
             }
             right.wake += 1;

@@ -9,12 +9,14 @@
 //! commands, hold the same stream tables and busy bits, and retire the same
 //! streams. The random programs mix what the wake rules have to cover:
 //! `XferRight` on 1, 2 and 8 lanes, queues and stream tables that fill,
-//! leftover FIFO data under non-trivial reuse, `Configure`,
-//! `BarrierScratch` and `SetAccumLen` at the head of a queue, per-lane
-//! reconfiguration, and dropped-port faults. Three directed programs add
-//! the cases where a single event, arriving alone, unblocks a command: a
-//! neighbour's `XferRight` retiring, a reconfiguration resetting a
-//! stranded port, and a serializing command releasing with no event.
+//! leftover FIFO data under non-trivial reuse, a stream binding over the
+//! previous stream's deferred last vector, `Configure`, `BarrierScratch`
+//! and `SetAccumLen` at the head of a queue, per-lane reconfiguration, and
+//! dropped-port faults. Directed programs add the cases where a single
+//! event, arriving alone, unblocks a command: a neighbour's `XferRight`
+//! retiring, a reconfiguration resetting a stranded port, and a
+//! serializing command releasing with no event; and one that binds over a
+//! deferred flush for certain.
 
 use super::NextEvent;
 use crate::fault::{FaultPlan, FAULT_DROP_PORT};
@@ -23,8 +25,8 @@ use crate::machine::{Machine, SimOptions};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_fabric::{LaneConfig, RevelConfig};
 use revel_isa::{
-    AffinePattern, ConfigId, ConstPattern, InPortId, LaneHop, LaneId, LaneMask, MemTarget,
-    OutPortId, RateFsm, Rng, StreamCommand, VectorCommand,
+    AffinePattern, ConfigId, ConstPattern, InPortId, LaneId, LaneMask, MemTarget, OutPortId,
+    RateFsm, Rng, StreamCommand, VectorCommand,
 };
 use revel_prog::RevelProgram;
 
@@ -64,24 +66,10 @@ const PAIR: (u8, u8) = (9, 10);
 /// Ports of the single-input regions: `(port, width)`.
 const CHAINS: [(u8, i64); 5] = [(2, 4), (3, 4), (6, 1), (7, 1), (11, 1)];
 
-/// The input ports `XferRight` streams feed.
-const XFER_RIGHT_DSTS: [u8; 2] = [7, PAIR.0];
-
 struct Gen {
     rng: Rng,
     prog: RevelProgram,
     lanes: usize,
-    /// Per lane and input port: the last stream bound to it may retire with
-    /// its final vector's flush still deferred (an XFER or a const; a load
-    /// retires only once flushed). The next stream there binds with
-    /// non-trivial reuse, which waits for the port to drain: a
-    /// trivial-reuse stream may bind over leftover data, but not over a
-    /// deferred flush (`InPort::bind_stream` debug-asserts that nothing is
-    /// staged).
-    unflushed: Vec<[bool; 12]>,
-    /// Port FIFOs too deep to fill, so no flush is ever deferred and any
-    /// stream may bind with trivial reuse.
-    deep: bool,
 }
 
 impl Gen {
@@ -96,47 +84,16 @@ impl Gen {
 
     fn push(&mut self, lanes: LaneMask, cmds: &[StreamCommand]) {
         for cmd in cmds {
-            for lane in lanes.iter() {
-                let l = lane.0 as usize;
-                match cmd {
-                    StreamCommand::Load { dst, .. } => self.unflushed[l][dst.0 as usize] = false,
-                    StreamCommand::Const { dst, .. } => self.unflushed[l][dst.0 as usize] = true,
-                    StreamCommand::Xfer { route, .. } => {
-                        let to = match route.hop {
-                            LaneHop::Local => l,
-                            LaneHop::Right => (l + 1) % self.lanes,
-                        };
-                        self.unflushed[to][route.dst.0 as usize] = true;
-                    }
-                    _ => {}
-                }
-            }
             self.prog.push(VectorCommand::broadcast(lanes, cmd.clone()));
         }
     }
 
-    /// Whether a stream into `port` on `lanes` (`right`: on their right
-    /// neighbours) may bind with trivial reuse. Never on a port an
-    /// `XferRight` feeds: the left neighbour's queue binds it in no fixed
-    /// order with the lane's own streams.
-    fn trivial_ok(&self, lanes: LaneMask, port: u8, right: bool) -> bool {
-        let shift = usize::from(right);
-        self.deep
-            || !XFER_RIGHT_DSTS.contains(&port)
-                && lanes
-                    .iter()
-                    .all(|l| !self.unflushed[(l.0 as usize + shift) % self.lanes][port as usize])
-    }
-
-    /// Uses per value of a stream into `port` on `lanes`: mostly once,
-    /// sometimes two or three times, never once where that is unsafe.
-    fn uses(&mut self, lanes: LaneMask, port: u8, right: bool) -> i64 {
-        let uses = [1, 1, 2, 3][self.rng.gen_index(4)];
-        if self.trivial_ok(lanes, port, right) {
-            uses
-        } else {
-            uses.max(2)
-        }
+    /// Uses per value of a stream: mostly once, sometimes two or three
+    /// times. A once-per-value stream may bind over a port's leftover data,
+    /// including a last vector whose flush the previous XFER or const
+    /// deferred.
+    fn uses(&mut self) -> i64 {
+        [1, 1, 2, 3][self.rng.gen_index(4)]
     }
 
     fn addr(&mut self) -> i64 {
@@ -174,27 +131,34 @@ impl Gen {
             0..=2 => {
                 // Memory → chain → memory.
                 let (port, _) = CHAINS[self.rng.gen_index(CHAINS.len())];
-                let uses = self.uses(lanes, port, false);
+                let uses = self.uses();
                 let n = self.rng.gen_range_i64(1, 24);
                 let cmds = [self.load(n, port, uses), self.store(port, n * uses)];
                 self.push(lanes, &cmds);
             }
+            3 if self.rng.gen_index(3) == 0 => {
+                // Constants onto the pair's first input, left for a later
+                // pair flow. With nothing on the second input they fill the
+                // first's FIFO, so the last word's flush is deferred when
+                // the const retires, and the next stream there may bind over
+                // it.
+                let n = self.rng.gen_range_i64(4, 9);
+                let konst = ConstPattern::repeat(2.5f64.to_bits(), n);
+                self.push(lanes, &[StreamCommand::konst(InPortId(PAIR.0), konst)]);
+            }
             3 => {
                 // Constants → chain → memory, in whole vectors (a const
-                // stream flushes no partial vector), on a port where a
-                // trivial-reuse stream may bind.
+                // stream flushes no partial vector).
                 let (port, width) = CHAINS[self.rng.gen_index(CHAINS.len())];
-                if self.trivial_ok(lanes, port, false) {
-                    let n = width * self.rng.gen_range_i64(1, 6);
-                    let konst = ConstPattern::repeat(2.5f64.to_bits(), n);
-                    let cmds = [StreamCommand::konst(InPortId(port), konst), self.store(port, n)];
-                    self.push(lanes, &cmds);
-                }
+                let n = width * self.rng.gen_range_i64(1, 6);
+                let konst = ConstPattern::repeat(2.5f64.to_bits(), n);
+                let cmds = [StreamCommand::konst(InPortId(port), konst), self.store(port, n)];
+                self.push(lanes, &cmds);
             }
             4 | 5 => {
                 // Two inputs, the first stranding `left` values behind the
                 // second.
-                let uses = self.uses(lanes, PAIR.0, false);
+                let uses = self.uses();
                 let (left, n) = (self.rng.gen_range_i64(0, 3), self.rng.gen_range_i64(3, 12));
                 let fires = (n - left) * uses;
                 let cmds = [
@@ -208,8 +172,7 @@ impl Gen {
                 // A local XFER between the vector chains, or the scalar ones,
                 // in whole vectors (an XFER flushes no partial vector).
                 let (from, to, width) = if self.rng.gen_bool() { (2, 3, 4) } else { (6, 7, 1) };
-                let (load_uses, uses) =
-                    (self.uses(lanes, from, false), self.uses(lanes, to, false));
+                let (load_uses, uses) = (self.uses(), self.uses());
                 let n = width * self.rng.gen_range_i64(1, 6);
                 let reuse = RateFsm::fixed(uses);
                 let cmds = [
@@ -225,8 +188,7 @@ impl Gen {
                 // (On one lane the hop is local.)
                 let all = LaneMask::all(self.lanes as u8);
                 let (from, to) = if self.rng.gen_bool() { (6, 7) } else { (11, PAIR.0) };
-                let load_uses = self.uses(all, from, false);
-                let uses = self.uses(all, to, true);
+                let (load_uses, uses) = (self.uses(), self.uses());
                 let words = self.rng.gen_range_i64(1, 10) * load_uses;
                 let xfer = StreamCommand::xfer_right(
                     OutPortId(from),
@@ -266,15 +228,12 @@ impl Gen {
     }
 }
 
-/// A seeded random program on `lanes` lanes; `deep` if no port FIFO can
-/// fill.
-fn random_program(seed: u64, lanes: usize, deep: bool) -> RevelProgram {
+/// A seeded random program on `lanes` lanes.
+fn random_program(seed: u64, lanes: usize) -> RevelProgram {
     let mut g = Gen {
         rng: Rng::seed_from_u64(seed),
         prog: RevelProgram::new(format!("wake-{lanes}-{seed}")),
         lanes,
-        unflushed: vec![[false; 12]; lanes],
-        deep,
     };
     for variant in 0..2 {
         g.prog.add_config(regions(variant));
@@ -323,6 +282,7 @@ struct Seen {
     full_queues: u64,
     xfers_right: u64,
     stranded_reuse: u64,
+    bound_over_deferred_flush: u64,
     serializing_heads: [u64; 3],
     faults: u64,
 }
@@ -350,6 +310,8 @@ impl Seen {
             self.stranded_reuse += stranded
                 .filter(|(p, busy)| !**busy && !p.is_drained() && !p.reuse_is_trivial())
                 .count() as u64;
+            self.bound_over_deferred_flush +=
+                lane.in_ports.iter().filter(|p| p.bound_over_deferred_flush()).count() as u64;
         }
     }
 }
@@ -431,12 +393,13 @@ fn woken_issue_and_flagged_retirement_match_the_full_scan_and_sweep() {
         let fault_plan =
             (seed % 4 == 3).then(|| FaultPlan::new(seed, 40, 400).with_kinds(FAULT_DROP_PORT));
         let opts = SimOptions { fault_plan, ..SimOptions::default() };
-        lockstep(&random_program(seed, lanes, deep), cfg, opts, &mut seen);
+        lockstep(&random_program(seed, lanes), cfg, opts, &mut seen);
     }
     let Seen { skipped_scans, skipped_sweeps, full_tables, full_queues, xfers_right, .. } = seen;
     let covered = [skipped_scans, skipped_sweeps, full_tables, full_queues, xfers_right];
     assert!(covered.iter().all(|n| *n > 0), "{seen:?}");
     assert!(seen.stranded_reuse > 0 && seen.faults > 0, "{seen:?}");
+    assert!(seen.bound_over_deferred_flush > 0, "{seen:?}");
     assert!(seen.serializing_heads.iter().all(|n| *n > 0), "{seen:?}");
 }
 
@@ -520,7 +483,7 @@ fn directed_programs() -> Vec<(RevelProgram, RevelConfig)> {
         "wake-serializing-release",
         1,
         vec![
-            (None, configure),
+            (None, configure.clone()),
             (None, load(0, 5, 6, 1)),
             (None, store(6, 200, 10)),
             (None, StreamCommand::SetAccumLen { region: 2, len: RateFsm::fixed(1) }),
@@ -529,14 +492,42 @@ fn directed_programs() -> Vec<(RevelProgram, RevelConfig)> {
             (None, load(20, 5, 6, 1)),
         ],
     );
+    // A const fills in9 while the pair region waits for in10, which a
+    // barrier holds back behind a long store; its last word's flush is
+    // deferred when it retires. The load behind the barrier binds in9 over
+    // that deferred vector (both once per value), and the pair drains both
+    // once in10's load issues.
+    let depth = LaneConfig::paper_default().port_fifo_depth as i64;
+    let konst = ConstPattern::repeat(2.5f64.to_bits(), depth + 1);
+    let rebound = program(
+        "wake-bind-over-deferred-flush",
+        1,
+        vec![
+            (None, configure),
+            (None, load(0, 24, 6, 1)),
+            (None, store(6, 200, 24)),
+            (None, StreamCommand::konst(InPortId(PAIR.0), konst)),
+            (None, StreamCommand::BarrierScratch),
+            (None, load(300, 4, PAIR.0, 1)),
+            (None, load(400, depth + 5, PAIR.1, 1)),
+            (None, store(PAIR.0, 500, depth + 5)),
+        ],
+    );
     let one = RevelConfig::single_lane();
-    vec![(freed, RevelConfig { lane: deep, ..three.clone() }), (reset, three), (released, one)]
+    vec![
+        (freed, RevelConfig { lane: deep, ..three.clone() }),
+        (reset, three),
+        (released, one.clone()),
+        (rebound, one),
+    ]
 }
 
 #[test]
 fn directed_programs_match_the_full_scan_and_sweep() {
+    let mut seen = Seen::default();
     for (program, cfg) in directed_programs() {
-        let finished = lockstep(&program, cfg, SimOptions::default(), &mut Seen::default());
+        let finished = lockstep(&program, cfg, SimOptions::default(), &mut seen);
         assert!(finished, "{} finishes", program.name);
     }
+    assert!(seen.bound_over_deferred_flush > 0, "{seen:?}");
 }

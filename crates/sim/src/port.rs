@@ -65,9 +65,15 @@ impl InPort {
         self.head_index = 0;
         self.head_uses_left = 0;
         self.words_in = 0;
-        // Data already in the FIFO (from a previous stream) keeps draining;
-        // staging should be empty between streams.
-        debug_assert!(self.staged == 0, "staging not flushed between streams");
+        // Data already in the FIFO (from a previous stream) keeps draining.
+        // So does a vector whose flush the previous stream deferred (an
+        // XFER or a const retires at its last word, a load only once its
+        // end flush lands): `push_word` resolves that flush before staging
+        // the new stream's first word. Nothing else may be left staged.
+        debug_assert!(
+            self.staged == 0 || self.pending_flush,
+            "a partial vector stranded between streams"
+        );
     }
 
     /// True if the port can accept another word this cycle.
@@ -163,6 +169,13 @@ impl InPort {
     /// once-per-value rate (safe to rebind over leftover FIFO data).
     pub fn reuse_is_trivial(&self) -> bool {
         self.reuse.is_trivial()
+    }
+
+    /// True when a stream bound here before the previous stream's
+    /// deferred last vector flushed, and has moved no word yet.
+    #[cfg(test)]
+    pub(crate) fn bound_over_deferred_flush(&self) -> bool {
+        self.pending_flush && self.words_in == 0
     }
 
     /// Value available for the fabric to consume this cycle, if any.
@@ -403,6 +416,31 @@ mod tests {
         let v = p.peek().unwrap();
         assert_eq!(v.valid_count(), 4);
         assert_eq!(v.get(2), Some(2.0));
+    }
+
+    #[test]
+    fn a_trivial_reuse_stream_binds_over_a_deferred_flush() {
+        // The previous stream fills the one-vector FIFO, then stages a
+        // second full vector whose flush is deferred, and retires at that
+        // word (as an XFER does). A trivial-reuse stream binds over it: the
+        // deferred vector lands ahead of the new stream's first word.
+        let mut p = InPort::new(2, 1);
+        p.bind_stream(RateFsm::ONCE);
+        for w in [1.0, 2.0, 3.0, 4.0] {
+            assert!(p.push_word(w, false));
+        }
+        assert!(!p.can_accept(), "the second vector's flush is deferred");
+        assert!(p.reuse_is_trivial() && !p.is_drained(), "in_port_rebindable admits it");
+        p.bind_stream(RateFsm::ONCE);
+        assert!(!p.push_word(5.0, false), "no word enters before the deferred flush");
+        assert_eq!(p.take().get(0), Some(1.0));
+        assert!(p.push_word(5.0, false));
+        assert!(p.push_word(6.0, false));
+        assert_eq!(p.take().get(0), Some(3.0));
+        assert!(p.tick(), "the new stream's vector flushes once there is space");
+        let v = p.take();
+        assert_eq!((v.get(0), v.get(1)), (Some(5.0), Some(6.0)));
+        assert!(p.is_drained());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`ProgramError::AddressOutOfBounds`] instead of a scratchpad panic
 //! inside the serving path's worker fence.
 
-use crate::suite::{apply_init, BuiltKernel, MemInit, WorkloadRun};
+use crate::suite::{apply_init, BuiltKernel, Dataset, MemInit, WorkloadRun};
 use revel_compiler::BuildCfg;
 use revel_fabric::{FabricMask, RevelConfig};
 use revel_isa::MemTarget;
@@ -143,39 +143,39 @@ pub fn replay_trace_on(
     Ok(run_of(trace, (built.check)(machine)))
 }
 
-/// [`replay_trace_on`] over a batch of same-shape builds, in one
+/// [`replay_trace_on`] over a batch of datasets of one program, in one
 /// [`Machine::replay_batch`]: a chunk of datasets per pass over the trace's
-/// code when it has no host op. The first build's program identity is
-/// checked (every seeded build of a cell has its unseeded build's
-/// structural id, pinned by `crates/bench/tests/replay_identity.rs`) and
-/// its program runs the host ops; of every build only the dataset and its
-/// check are kept, and every dataset's extents are validated before any
-/// replays. Results are in `builds` order.
+/// code when it has no host op. `first` is a full build: its program's
+/// identity is checked against the trace and runs the host ops, and its
+/// dataset replays first; `rest` are the other seeds' datasets
+/// ([`Workload::dataset`](crate::Workload::dataset)), each built for the
+/// same cell (every seed of a cell builds its unseeded build's program,
+/// pinned by `crates/bench/tests/replay_identity.rs`). Every dataset's
+/// extents are validated before any replays. Results are in the order
+/// `first`, then `rest`.
 ///
 /// # Errors
-/// As [`replay_trace_on`], for the first build's program and every
-/// build's dataset.
+/// As [`replay_trace_on`], for `first`'s program and every dataset.
 pub fn replay_batch_on(
     machine: &mut Machine,
     trace: &TimingTrace,
-    builds: impl IntoIterator<Item = BuiltKernel>,
+    first: BuiltKernel,
+    rest: impl IntoIterator<Item = Dataset>,
 ) -> Result<Vec<WorkloadRun>, SimError> {
-    let mut builds = builds.into_iter();
-    let Some(first) = builds.next() else { return Ok(Vec::new()) };
     check_program(&first, trace)?;
     let BuiltKernel { program, init, check } = first;
-    let mut datasets = vec![(init, check)];
-    datasets.extend(builds.map(|built| (built.init, built.check)));
-    for (init, _) in &datasets {
-        validate_init(machine.config(), init)?;
+    let mut datasets = vec![Dataset { init, check }];
+    datasets.extend(rest);
+    for dataset in &datasets {
+        validate_init(machine.config(), &dataset.init)?;
     }
     let mut runs = Vec::with_capacity(datasets.len());
     machine.replay_batch(
         &program,
         trace,
         &datasets,
-        |machine, (init, _)| apply_init(machine, init),
-        |machine, (_, check)| runs.push(run_of(trace, check(machine))),
+        |machine, dataset| apply_init(machine, &dataset.init),
+        |machine, dataset| runs.push(run_of(trace, (dataset.check)(machine))),
     )?;
     Ok(runs)
 }

@@ -16,7 +16,7 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, Dataset, MemInit, Workload};
 use revel_compiler::BuildCfg;
 use revel_dfg::{pack_complex, unpack_complex, Dfg, OpCode};
 use revel_isa::{
@@ -230,11 +230,11 @@ impl Workload for Fft {
         }
         push(&mut prog, StreamCommand::Wait);
 
-        BuiltKernel {
-            program: prog,
-            init: self.init(cfg.num_lanes),
-            check: self.check(cfg.num_lanes),
-        }
+        BuiltKernel::new(prog, self.dataset(cfg))
+    }
+
+    fn dataset(&self, cfg: &BuildCfg) -> Dataset {
+        Dataset { init: self.init(cfg.num_lanes), check: self.check(cfg.num_lanes) }
     }
 }
 

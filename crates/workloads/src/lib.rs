@@ -38,7 +38,7 @@ pub use gemm::Gemm;
 pub use qr::Qr;
 pub use solver::Solver;
 pub use suite::{
-    apply_init, run_built_with, run_workload, run_workload_with, BuiltKernel, CheckFn, MemInit,
-    Workload, WorkloadRun,
+    apply_init, run_built_with, run_workload, run_workload_with, BuiltKernel, CheckFn, Dataset,
+    MemInit, Workload, WorkloadRun,
 };
 pub use svd::Svd;

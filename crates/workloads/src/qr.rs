@@ -24,7 +24,7 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, Dataset, MemInit, Workload};
 use revel_compiler::{
     BuildCfg, Datapath, Ind, LoopNest, Operand, Pattern, Rate, Stream, HOST_FP_OP_CYCLES,
     HOST_LOOP_CYCLES,
@@ -403,7 +403,11 @@ impl Workload for Qr {
         } else {
             self.build_host_outer(cfg)
         };
-        BuiltKernel { program, init: self.init(cfg.num_lanes), check: self.check(cfg.num_lanes) }
+        BuiltKernel::new(program, self.dataset(cfg))
+    }
+
+    fn dataset(&self, cfg: &BuildCfg) -> Dataset {
+        Dataset { init: self.init(cfg.num_lanes), check: self.check(cfg.num_lanes) }
     }
 }
 

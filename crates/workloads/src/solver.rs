@@ -21,7 +21,7 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, Dataset, MemInit, Workload};
 use revel_compiler::{BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_isa::{
@@ -133,7 +133,7 @@ impl Solver {
     }
 
     /// Hybrid build: pivots on the temporal fabric, dependences via XFER.
-    fn build_hybrid(&self, cfg: &BuildCfg) -> BuiltKernel {
+    fn build_hybrid(&self, cfg: &BuildCfg) -> revel_sim::RevelProgram {
         let n = self.n as i64;
         let unroll = cfg.inner_unroll(4, true);
         let lanes = LaneMask::all(cfg.num_lanes as u8);
@@ -255,18 +255,13 @@ impl Solver {
             ),
         );
         push(&mut prog, StreamCommand::Wait);
-
-        BuiltKernel {
-            program: prog,
-            init: self.init(cfg.num_lanes),
-            check: self.check(cfg.num_lanes),
-        }
+        prog
     }
 
     /// Systolic build: the divide runs on the control core, serialized per
     /// outer iteration; the fabric only hosts the (scalar or vector) inner
     /// update region.
-    fn build_host_outer(&self, cfg: &BuildCfg) -> BuiltKernel {
+    fn build_host_outer(&self, cfg: &BuildCfg) -> revel_sim::RevelProgram {
         let n = self.n as i64;
         let nn = self.n;
         let unroll = cfg.inner_unroll(4, true);
@@ -345,12 +340,7 @@ impl Solver {
                 mem.write(Some(l), x_base + jl, bj / ajj);
             }
         });
-
-        BuiltKernel {
-            program: prog,
-            init: self.init(cfg.num_lanes),
-            check: self.check(cfg.num_lanes),
-        }
+        prog
     }
 }
 
@@ -368,11 +358,13 @@ impl Workload for Solver {
     }
 
     fn build(&self, cfg: &BuildCfg) -> BuiltKernel {
-        if cfg.outer_on_fabric() {
-            self.build_hybrid(cfg)
-        } else {
-            self.build_host_outer(cfg)
-        }
+        let program =
+            if cfg.outer_on_fabric() { self.build_hybrid(cfg) } else { self.build_host_outer(cfg) };
+        BuiltKernel::new(program, self.dataset(cfg))
+    }
+
+    fn dataset(&self, cfg: &BuildCfg) -> Dataset {
+        Dataset { init: self.init(cfg.num_lanes), check: self.check(cfg.num_lanes) }
     }
 }
 

@@ -43,6 +43,24 @@ pub struct BuiltKernel {
     pub check: CheckFn,
 }
 
+impl BuiltKernel {
+    /// A program with its dataset.
+    pub fn new(program: RevelProgram, dataset: Dataset) -> Self {
+        BuiltKernel { program, init: dataset.init, check: dataset.check }
+    }
+}
+
+/// The seed-dependent half of a [`BuiltKernel`]: one dataset's initial
+/// scratchpad contents and the check of its results. Two seeds of one
+/// cell build the same program and differ only here.
+#[derive(Clone)]
+pub struct Dataset {
+    /// Scratchpad initialization.
+    pub init: Vec<MemInit>,
+    /// Numerical verification against the reference implementation.
+    pub check: CheckFn,
+}
+
 // The evaluation engine fans built kernels and their runs out across
 // worker threads; losing either bound is a compile error here rather than
 // an inference failure at a distant spawn site.
@@ -67,8 +85,18 @@ pub trait Workload {
     fn params(&self) -> String;
     /// Floating-point operations of one invocation.
     fn flops(&self) -> u64;
-    /// Builds the kernel for a configuration.
+    /// Builds the kernel for a configuration: its program and its
+    /// [`Workload::dataset`].
     fn build(&self, cfg: &BuildCfg) -> BuiltKernel;
+    /// Builds only the dataset half of [`Workload::build`], for callers
+    /// that already hold the program (a batched replay of many seeds).
+    /// The default builds the whole kernel and drops its program, for a
+    /// kernel whose dataset is placed by its program's lowering
+    /// (Cholesky's carried matrix).
+    fn dataset(&self, cfg: &BuildCfg) -> Dataset {
+        let BuiltKernel { init, check, .. } = self.build(cfg);
+        Dataset { init, check }
+    }
 }
 
 /// The outcome of running a workload on the simulator.

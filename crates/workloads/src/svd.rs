@@ -21,7 +21,7 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{BuiltKernel, MemInit, Workload};
+use crate::suite::{BuiltKernel, Dataset, MemInit, Workload};
 use revel_compiler::{BuildCfg, HOST_FP_OP_CYCLES, HOST_LOOP_CYCLES};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_isa::{
@@ -216,7 +216,7 @@ impl Svd {
 
     /// Hybrid build: the rotation on the temporal fabric; pairs pipeline
     /// through fine-grain memory dependences.
-    fn build_hybrid(&self, cfg: &BuildCfg) -> BuiltKernel {
+    fn build_hybrid(&self, cfg: &BuildCfg) -> revel_sim::RevelProgram {
         let n = self.n as i64;
         let unroll = cfg.inner_unroll(4, false); // fixed-length dots
         let lanes = LaneMask::all(cfg.num_lanes as u8);
@@ -371,16 +371,11 @@ impl Svd {
             }
         }
         push(&mut prog, StreamCommand::Wait);
-
-        BuiltKernel {
-            program: prog,
-            init: self.init(cfg.num_lanes),
-            check: self.check(cfg.num_lanes),
-        }
+        prog
     }
 
     /// Systolic build: the rotation on the control core, a `Wait` per pair.
-    fn build_host_outer(&self, cfg: &BuildCfg) -> BuiltKernel {
+    fn build_host_outer(&self, cfg: &BuildCfg) -> revel_sim::RevelProgram {
         let n = self.n as i64;
         let unroll = cfg.inner_unroll(4, false);
         let lanes = LaneMask::all(cfg.num_lanes as u8);
@@ -513,12 +508,7 @@ impl Svd {
                 }
             }
         }
-
-        BuiltKernel {
-            program: prog,
-            init: self.init(cfg.num_lanes),
-            check: self.check(cfg.num_lanes),
-        }
+        prog
     }
 }
 
@@ -536,11 +526,13 @@ impl Workload for Svd {
     }
 
     fn build(&self, cfg: &BuildCfg) -> BuiltKernel {
-        if cfg.outer_on_fabric() {
-            self.build_hybrid(cfg)
-        } else {
-            self.build_host_outer(cfg)
-        }
+        let program =
+            if cfg.outer_on_fabric() { self.build_hybrid(cfg) } else { self.build_host_outer(cfg) };
+        BuiltKernel::new(program, self.dataset(cfg))
+    }
+
+    fn dataset(&self, cfg: &BuildCfg) -> Dataset {
+        Dataset { init: self.init(cfg.num_lanes), check: self.check(cfg.num_lanes) }
     }
 }
 
