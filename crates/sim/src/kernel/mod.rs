@@ -299,14 +299,7 @@ impl PortSet {
 
     /// The ports in the set, in increasing order.
     fn ports(&self) -> impl Iterator<Item = u8> + '_ {
-        self.0.iter().enumerate().flat_map(|(word, &bits)| {
-            let mut bits = bits;
-            std::iter::from_fn(move || {
-                let bit = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
-                bits &= bits - 1;
-                Some((word * 64 + bit) as u8)
-            })
-        })
+        (0..=u8::MAX).filter(|&p| self.contains(p))
     }
 }
 
