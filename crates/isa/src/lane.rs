@@ -81,7 +81,15 @@ impl LaneMask {
 
     /// Iterates over the selected lanes in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = LaneId> + '_ {
-        (0..32u8).filter(|l| self.0 & (1 << l) != 0).map(LaneId)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let lane = bits.trailing_zeros() as u8;
+            bits &= bits - 1; // clear the lowest set bit
+            Some(LaneId(lane))
+        })
     }
 
     /// Validates that at least one lane is selected.
@@ -168,6 +176,11 @@ mod tests {
         let m = LaneMask::from_lanes([5, 1, 3]);
         let lanes: Vec<u8> = m.iter().map(|l| l.0).collect();
         assert_eq!(lanes, [1, 3, 5]);
+        for bits in [0, 1, 1 << 31, 0x8000_0001, 0xA5A5_5A5A, u32::MAX] {
+            let want: Vec<u8> = (0..32).filter(|l| bits & (1 << l) != 0).collect();
+            let lanes: Vec<u8> = LaneMask::from_bits(bits).iter().map(|l| l.0).collect();
+            assert_eq!(lanes, want, "{bits:#x}");
+        }
     }
 
     #[test]

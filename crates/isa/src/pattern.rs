@@ -128,6 +128,30 @@ impl AffinePattern {
         PatternIter { pat: *self, j: 0, i: 0 }
     }
 
+    /// True if an element at or after `(j, i)` in stream order — inner index
+    /// `i` of row `j`, then every later row — has word offset `addr`. Row by
+    /// row in closed form: O(rows left), no iteration over elements. An `i`
+    /// at or past row `j`'s end starts at the next row.
+    pub fn visits_from(&self, j: i64, i: i64, addr: i64) -> bool {
+        let mut first_i = i;
+        for j in j..self.len_j {
+            let n = self.row_len(j);
+            if first_i < n {
+                let d = addr - (self.start + j * self.stride_j);
+                let hit = if self.stride_i == 0 {
+                    d == 0
+                } else {
+                    d % self.stride_i == 0 && (first_i..n).contains(&(d / self.stride_i))
+                };
+                if hit {
+                    return true;
+                }
+            }
+            first_i = 0;
+        }
+        false
+    }
+
     /// The inclusive range `(lowest, highest)` of word addresses the stream
     /// touches, or `None` for an empty stream. Costs O(`len_j`): the extreme
     /// addresses of each row occur at its two ends.
@@ -189,32 +213,6 @@ pub struct PatternIter {
     pat: AffinePattern,
     j: i64,
     i: i64,
-}
-
-impl PatternIter {
-    /// True if an element the iterator has yet to yield has word offset
-    /// `addr`. Row by row in closed form — O(rows left), no iteration over
-    /// elements — so stream engines can ask it on every access.
-    pub fn will_visit(&self, addr: i64) -> bool {
-        let p = &self.pat;
-        let mut first_i = self.i;
-        for j in self.j..p.len_j {
-            let n = p.row_len(j);
-            if first_i < n {
-                let d = addr - (p.start + j * p.stride_j);
-                let hit = if p.stride_i == 0 {
-                    d == 0
-                } else {
-                    d % p.stride_i == 0 && (first_i..n).contains(&(d / p.stride_i))
-                };
-                if hit {
-                    return true;
-                }
-            }
-            first_i = 0;
-        }
-        false
-    }
 }
 
 impl Iterator for PatternIter {
@@ -338,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn will_visit_matches_a_scan_of_the_remaining_elements() {
+    fn visits_from_matches_a_scan_of_the_remaining_elements() {
         let patterns = [
             AffinePattern::linear(3, 5),
             AffinePattern::strided(9, -3, 4),
@@ -350,14 +348,23 @@ mod tests {
             AffinePattern::linear(0, 0),
         ];
         for p in patterns {
+            // From every position an iterator takes, then from just past
+            // each element (past its row's end after a row's last one).
             let mut it = p.iter();
             loop {
                 for addr in -2..24 {
                     let scanned = it.clone().any(|e| e.offset == addr);
-                    assert_eq!(it.will_visit(addr), scanned, "{p:?} at {it:?}, addr {addr}");
+                    assert_eq!(p.visits_from(it.j, it.i, addr), scanned, "{p:?} at {it:?} {addr}");
                 }
                 if it.next().is_none() {
                     break;
+                }
+            }
+            let elems: Vec<PatternElem> = p.iter().collect();
+            for (k, e) in elems.iter().enumerate() {
+                for addr in -2..24 {
+                    let scanned = elems[k + 1..].iter().any(|l| l.offset == addr);
+                    assert_eq!(p.visits_from(e.j, e.i + 1, addr), scanned, "{p:?} {e:?} {addr}");
                 }
             }
         }

@@ -306,8 +306,12 @@ impl crate::machine::Machine {
             let lane = &mut self.lanes[ev.lane as usize];
             let applied = lane.apply_fault(ev.kind, now);
             if applied {
-                // A dropped vector can drain a port a blocked stream waits on.
+                // A dropped vector can drain a port a blocked stream waits
+                // on, or free space for the left neighbour's `XferRight`; a
+                // dead or stalled region changes what the data phases do.
                 lane.wake += 1;
+                lane.data.gen += 1;
+                lane.data.space += 1;
                 progress = true;
                 self.faults.first_divergence.get_or_insert(now);
             }

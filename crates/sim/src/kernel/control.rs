@@ -112,6 +112,7 @@ impl Machine {
             let specialized = vc.specialize(LaneId(l as u8));
             self.lanes[l].cmd_queue.push_back(specialized);
             self.lanes[l].wake += 1;
+            self.lanes[l].data.gen += 1;
         }
         self.control.commands_issued += 1;
         self.control_events.commands += 1;

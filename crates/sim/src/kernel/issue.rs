@@ -174,6 +174,7 @@ impl Machine {
                 || in_p.is_some_and(|p| blocked_in.contains(p))
                 || out_p.is_some_and(|p| blocked_out.contains(p));
             if !conflicts && self.try_issue_stream(li, cmd) {
+                self.lanes[li].data.gen += 1;
                 queue.remove(qi);
                 issued += 1;
                 progress = true;
@@ -250,7 +251,7 @@ impl Machine {
                         src: src.0,
                         target: *target,
                         walker: PatternWalker::new(*pattern),
-                        written: WrittenSet::new(spad_words),
+                        written: WrittenSet::spanning(pattern, spad_words),
                     },
                 });
                 true

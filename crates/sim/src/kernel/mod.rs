@@ -55,6 +55,26 @@
 //! flagged lanes. `wake_tests` holds the full scan and sweep as references
 //! and steps both against the woken kernel on seeded random programs.
 //!
+//! The data path is woken the same way. Each lane's `DataWake` keeps a
+//! generation, `gen`, bumped by every event from outside its data phases
+//! (port ticks, source streams, region fires, deliveries, drains) that can
+//! let them act: a command pushed to it, a stream issued or retired on it,
+//! a dPE retirement, its left neighbour's `XferRight` pushing into it,
+//! `apply_config`, an applied fault and the start of a run; and a `space`
+//! counter, bumped when its input ports may gain space (a region fire,
+//! `apply_config`, a fault), which its left neighbour's `XferRight`s read.
+//! A lane whose last data pass moved nothing and was not
+//! bandwidth-starved is skipped by all five phases (`Lane::begin_data_pass`)
+//! while its `gen` is unchanged and its earliest data timer (a region's
+//! `next_fire` or stall end, its oldest in-flight result) has not arrived;
+//! the guard and dependence flags of that pass are raised again. Outside
+//! effects are re-checked only where they land: after `dpe_step` (which
+//! runs on every lane) for a retirement, at the `XferRight` loop for the
+//! right neighbour's `space`, and in the source and drain phases when the
+//! lanes before a gated one have spent the shared scratchpad's budget and
+//! its pass reached that budget's check. The reference stepper gates no
+//! lane; `wake_tests` steps a gated machine against it.
+//!
 //! # The differential oracle
 //!
 //! The naive stepper is retained behind
@@ -222,16 +242,29 @@ impl Machine {
         let mut progress = self.apply_faults(now);
         progress |= self.control_step(now, program);
         progress |= issue(self, now, program, schedules);
+        // The data phases skip a gated lane (`Lane::begin_data_pass`); the
+        // reference stepper gates none.
+        let gate = !self.opts.reference_stepper;
         for lane in &mut self.lanes {
-            for p in &mut lane.in_ports {
-                progress |= p.tick();
+            if lane.begin_data_pass(now, gate) {
+                continue;
             }
+            let mut ticked = false;
+            for p in &mut lane.in_ports {
+                ticked |= p.tick();
+            }
+            lane.data.moved |= ticked;
         }
         progress |= self.run_source_streams();
         for (li, lane) in self.lanes.iter_mut().enumerate() {
-            lane.fire_regions(now, li, &mut self.recorder);
+            if !lane.data.gated {
+                lane.fire_regions(now, li, &mut self.recorder);
+            }
+            // Runs on every lane; a retirement un-gates the rest of the pass.
             lane.dpe_step(now);
-            lane.deliver_outputs(now);
+            if !lane.data.gated {
+                lane.deliver_outputs(now);
+            }
         }
         progress |= self.run_drain_streams();
         progress |= retire(self);
@@ -240,7 +273,10 @@ impl Machine {
             let class = classify(lane, program_done);
             lane.breakdown.record(class);
             lane.last_class = class;
-            progress |= lane.progressed;
+            progress |= lane.dpe_progressed | lane.data.moved;
+            if gate {
+                lane.end_data_pass(now);
+            }
         }
         progress
     }

@@ -19,17 +19,30 @@ use revel_isa::MemTarget;
 impl Machine {
     /// Moves data for source streams: loads (private + shared) and consts.
     /// Returns `true` iff any word moved or a stream-end flush landed.
+    ///
+    /// A gated lane is skipped unless the lanes before it have spent the
+    /// shared scratchpad's budget and its last pass reached that budget's
+    /// check: a pass with none left flags the lane starved.
     pub(crate) fn run_source_streams(&mut self) -> bool {
         let mut progress = false;
         let mut shared_budget = self.cfg.shared_spad_bw_words;
         let num_lanes = self.lanes.len();
         for li in 0..num_lanes {
             let lane = &mut self.lanes[li];
+            if lane.data.gated && (shared_budget > 0 || !lane.data.shared) {
+                continue;
+            }
+            #[cfg(test)]
+            {
+                lane.data.tally.run_for_shared_budget += u64::from(lane.data.gated);
+            }
             let mut priv_budget = lane.cfg.spad_bw_words;
             let mut const_budget = lane.cfg.xfer_bw_words;
             let Lane { streams, in_ports, spad, events, retire_due, .. } = lane;
+            let mut moved = false;
             let mut starved = false;
             let mut sync_blocked = false;
+            let mut shared = false;
             for si in 0..streams.len() {
                 // The stream table is in issue order, so the streams before
                 // this one are exactly the older ones — the store→load
@@ -43,6 +56,7 @@ impl Machine {
                             MemTarget::Shared => &mut shared_budget,
                         };
                         let port = &mut in_ports[*dst as usize];
+                        shared |= *target == MemTarget::Shared && !walker.exhausted();
                         while let Some(elem) = walker.peek() {
                             if *budget == 0 {
                                 starved = true;
@@ -93,7 +107,7 @@ impl Machine {
                             }
                             walker.advance();
                             *budget -= 1;
-                            progress = true;
+                            moved = true;
                             events.port_words += 1;
                             match target {
                                 MemTarget::Private => events.spad_words += 1,
@@ -105,7 +119,7 @@ impl Machine {
                             // returns false, so the transition is the only
                             // progress case.
                             *flushed = port.flush_at_stream_end();
-                            progress |= *flushed;
+                            moved |= *flushed;
                             *retire_due |= *flushed;
                         }
                     }
@@ -117,12 +131,14 @@ impl Machine {
                                 break;
                             }
                             let v = self.recorder.as_mut().map_or(v, |rec| rec.constant(v));
-                            if !port.push_word(v, false) {
+                            // The last word ends the stream's last vector,
+                            // flushing it even when partial.
+                            if !port.push_word(v, values.len() == 1) {
                                 break;
                             }
                             values.pop_front();
                             const_budget -= 1;
-                            progress = true;
+                            moved = true;
                             events.port_words += 1;
                         }
                         *retire_due |= values.is_empty();
@@ -132,6 +148,10 @@ impl Machine {
             }
             lane.bw_starved |= starved;
             lane.barrier_blocked |= sync_blocked;
+            lane.data.guard = sync_blocked;
+            lane.data.shared |= shared;
+            lane.data.moved |= moved;
+            progress |= moved;
         }
         progress
     }
@@ -139,6 +159,10 @@ impl Machine {
     /// Moves data for drain streams: stores (private + shared), local
     /// XFERs, and inter-lane XFERs. Returns `true` iff any output-port
     /// state changed (including hidden pops of spent head vectors).
+    ///
+    /// Gated lanes are skipped as in [`Machine::run_source_streams`]; a
+    /// gated lane's `XferRight`s run when its right neighbour's input ports
+    /// may have gained space since the pass it repeats.
     pub(crate) fn run_drain_streams(&mut self) -> bool {
         let mut progress = false;
         let mut shared_budget = self.cfg.shared_spad_bw_words;
@@ -146,10 +170,15 @@ impl Machine {
         // Stores and local xfers (single-lane).
         for li in 0..num_lanes {
             let lane = &mut self.lanes[li];
+            if lane.data.gated && (shared_budget > 0 || !lane.data.shared) {
+                continue;
+            }
             let mut priv_budget = lane.cfg.spad_bw_words;
             let mut xfer_budget = lane.cfg.xfer_bw_words;
             let Lane { streams, in_ports, out_ports, spad, events, retire_due, .. } = lane;
+            let mut moved = false;
             let mut starved = false;
+            let mut shared = false;
             for stream in streams.iter_mut() {
                 match &mut stream.body {
                     StreamBody::Store { src, target, walker, written } => {
@@ -158,6 +187,7 @@ impl Machine {
                             MemTarget::Shared => &mut shared_budget,
                         };
                         let port = &mut out_ports[*src as usize];
+                        shared |= *target == MemTarget::Shared && !walker.exhausted();
                         while let Some(elem) = walker.peek() {
                             if *budget == 0 {
                                 if port.occupancy() > 0 {
@@ -167,10 +197,10 @@ impl Machine {
                             }
                             let occ_before = port.occupancy();
                             let Some(v) = port.pop_kept() else {
-                                progress |= port.occupancy() != occ_before;
+                                moved |= port.occupancy() != occ_before;
                                 break;
                             };
-                            progress = true;
+                            moved = true;
                             written.insert(elem.offset);
                             let spad = match target {
                                 MemTarget::Private => {
@@ -201,11 +231,13 @@ impl Machine {
                             }
                             let occ_before = out_ports[sp].occupancy();
                             let Some(v) = out_ports[sp].pop_kept() else {
-                                progress |= out_ports[sp].occupancy() != occ_before;
+                                moved |= out_ports[sp].occupancy() != occ_before;
                                 break;
                             };
-                            progress = true;
-                            let row_end = rows.step();
+                            moved = true;
+                            // The last word ends the stream's last vector,
+                            // flushing it even when partial.
+                            let row_end = rows.step() | (*remaining == 1);
                             let ok = in_ports[dp].push_word(v, row_end);
                             debug_assert!(ok, "can_accept guaranteed space");
                             *remaining -= 1;
@@ -218,20 +250,40 @@ impl Machine {
                 }
             }
             lane.bw_starved |= starved;
+            lane.data.shared |= shared;
+            lane.data.moved |= moved;
+            progress |= moved;
         }
-        // Inter-lane XFERs (need two lanes mutably).
+        if num_lanes > 1 {
+            progress |= self.run_xfers_right();
+        }
+        progress
+    }
+
+    /// Moves data for inter-lane XFERs, each lane's into its right
+    /// neighbour (on two or more lanes). Returns `true` iff any output-port
+    /// state changed.
+    fn run_xfers_right(&mut self) -> bool {
+        let mut progress = false;
+        let num_lanes = self.lanes.len();
         for li in 0..num_lanes {
-            let ri = (li + 1) % num_lanes;
-            if ri == li {
-                continue;
-            }
-            let (a, b) = if li < ri {
-                let (left, right) = self.lanes.split_at_mut(ri);
+            let (a, b) = if li + 1 < num_lanes {
+                let (left, right) = self.lanes.split_at_mut(li + 1);
                 (&mut left[li], &mut right[0])
             } else {
                 let (left, right) = self.lanes.split_at_mut(li);
-                (&mut right[0], &mut left[ri])
+                (&mut right[0], &mut left[0])
             };
+            a.data.pass_right_space = b.data.space;
+            if a.data.gated && !a.right_space_moved() {
+                continue;
+            }
+            #[cfg(test)]
+            {
+                a.data.tally.woken_by_right_space += u64::from(a.data.gated);
+            }
+            let mut moved = false;
+            let mut pushed = false;
             let mut budget = a.cfg.inter_lane_bw_words;
             for stream in a.streams.iter_mut() {
                 if let StreamBody::XferRight { src, dst, remaining, rows } = &mut stream.body {
@@ -243,11 +295,11 @@ impl Machine {
                         }
                         let occ_before = a.out_ports[sp].occupancy();
                         let Some(v) = a.out_ports[sp].pop_kept() else {
-                            progress |= a.out_ports[sp].occupancy() != occ_before;
+                            moved |= a.out_ports[sp].occupancy() != occ_before;
                             break;
                         };
-                        progress = true;
-                        let row_end = rows.step();
+                        pushed = true;
+                        let row_end = rows.step() | (*remaining == 1);
                         let ok = b.in_ports[dp].push_word(v, row_end);
                         debug_assert!(ok, "can_accept guaranteed space");
                         *remaining -= 1;
@@ -257,6 +309,12 @@ impl Machine {
                     a.retire_due |= *remaining <= 0;
                 }
             }
+            if pushed {
+                // The words wait on the right lane's input port.
+                b.data.gen += 1;
+            }
+            a.data.moved |= moved | pushed;
+            progress |= moved | pushed;
         }
         progress
     }
@@ -292,7 +350,7 @@ impl Machine {
         let mut retired = false;
         // The right lane's input ports freed by retiring `XferRight`s.
         let mut free_right = PortSet::default();
-        let Lane { streams, in_busy, out_busy, wake, .. } = &mut self.lanes[li];
+        let Lane { streams, in_busy, out_busy, wake, data, .. } = &mut self.lanes[li];
         streams.retain_mut(|s| {
             let done = match &mut s.body {
                 StreamBody::Load { walker, flushed, .. } => walker.exhausted() && *flushed,
@@ -317,6 +375,7 @@ impl Machine {
         });
         if retired {
             *wake += 1;
+            data.gen += 1;
         }
         if !free_right.is_empty() {
             let right = &mut self.lanes[(li + 1) % num_lanes];

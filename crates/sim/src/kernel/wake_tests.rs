@@ -1,5 +1,5 @@
-//! The woken issue scan and the flagged retirement against the full scan
-//! and sweep they replaced.
+//! The woken issue scan, the flagged retirement and the gated data pass
+//! against the full scan, sweep and pass they replaced.
 //!
 //! Two copies of one machine step in lockstep over seeded random programs:
 //! one through [`Machine::step`], the other with its issue and retirement
@@ -17,10 +17,20 @@
 //! retiring, a reconfiguration resetting a stranded port, and a
 //! serializing command releasing with no event; and one that binds over a
 //! deferred flush for certain.
+//!
+//! The data pass is checked the same way: a gated machine steps in lockstep
+//! with one that runs every lane's port ticks, source streams, region fires,
+//! deliveries and drains on every cycle (the reference stepper's pass), on
+//! random programs that add a temporal region, zero-length streams and a
+//! scarce shared scratchpad bandwidth to the mix, with every fault class
+//! on a fifth of them, and on a directed program whose gated lane finds
+//! the shared budget spent. Every cycle both must make the same progress
+//! and hold the same ports, streams, region timers, event counts and
+//! per-cycle flags.
 
 use super::NextEvent;
 use crate::fault::{FaultPlan, FAULT_DROP_PORT};
-use crate::lane::{Lane, StreamBody};
+use crate::lane::{Lane, StreamBody, WakeTally};
 use crate::machine::{Machine, SimOptions};
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_fabric::{LaneConfig, RevelConfig};
@@ -29,6 +39,22 @@ use revel_isa::{
     RateFsm, Rng, StreamCommand, VectorCommand,
 };
 use revel_prog::RevelProgram;
+
+/// The port of [`data_regions`]' temporal region.
+const TEMPORAL: u8 = 8;
+
+/// [`regions`] plus a temporal region on [`TEMPORAL`]: a reciprocal and a
+/// product on the dPEs, whose completions retire into the output port.
+fn data_regions(variant: usize) -> Vec<Region> {
+    let mut g = Dfg::new("t8");
+    let x = g.input(InPortId(TEMPORAL));
+    let r = g.op(OpCode::Recip, &[x]);
+    let y = g.op(OpCode::Mul, &[r, r]);
+    g.output(y, OutPortId(TEMPORAL));
+    let mut regions = regions(variant);
+    regions.push(Region::temporal("t8", g));
+    regions
+}
 
 /// One region per port pair: two width-4 chains, three scalar chains, and
 /// a two-input scalar add, which strands data on one input when the other
@@ -70,6 +96,8 @@ struct Gen {
     rng: Rng,
     prog: RevelProgram,
     lanes: usize,
+    /// The configurations hold [`data_regions`]' temporal region.
+    temporal: bool,
 }
 
 impl Gen {
@@ -147,8 +175,7 @@ impl Gen {
                 self.push(lanes, &[StreamCommand::konst(InPortId(PAIR.0), konst)]);
             }
             3 => {
-                // Constants → chain → memory, in whole vectors (a const
-                // stream flushes no partial vector).
+                // Constants → chain → memory, in whole vectors.
                 let (port, width) = CHAINS[self.rng.gen_index(CHAINS.len())];
                 let n = width * self.rng.gen_range_i64(1, 6);
                 let konst = ConstPattern::repeat(2.5f64.to_bits(), n);
@@ -170,7 +197,7 @@ impl Gen {
             }
             6 => {
                 // A local XFER between the vector chains, or the scalar ones,
-                // in whole vectors (an XFER flushes no partial vector).
+                // in whole vectors.
                 let (from, to, width) = if self.rng.gen_bool() { (2, 3, 4) } else { (6, 7, 1) };
                 let (load_uses, uses) = (self.uses(), self.uses());
                 let n = width * self.rng.gen_range_i64(1, 6);
@@ -208,6 +235,23 @@ impl Gen {
                 }
                 self.push(all, &cmds);
             }
+            9 if self.temporal && self.rng.gen_bool() => {
+                // Memory → dPEs → memory.
+                let n = self.rng.gen_range_i64(1, 12);
+                let cmds = [self.load(n, TEMPORAL, 1), self.store(TEMPORAL, n)];
+                self.push(lanes, &cmds);
+            }
+            9 if self.temporal && self.rng.gen_bool() => {
+                // A stream of no words: it binds its port and retires
+                // without moving anything.
+                let (port, _) = CHAINS[self.rng.gen_index(CHAINS.len())];
+                let cmd = if self.rng.gen_bool() {
+                    self.store(port, 0)
+                } else {
+                    StreamCommand::konst(InPortId(port), ConstPattern::repeat(0, 0))
+                };
+                self.push(lanes, &[cmd]);
+            }
             9 => self.push(lanes, &[StreamCommand::BarrierScratch]),
             10 => {
                 // A flow queued behind it issues as soon as the region
@@ -230,13 +274,20 @@ impl Gen {
 
 /// A seeded random program on `lanes` lanes.
 fn random_program(seed: u64, lanes: usize) -> RevelProgram {
+    generate(seed, lanes, false)
+}
+
+/// A seeded random program on `lanes` lanes, over [`data_regions`] when
+/// `temporal`.
+fn generate(seed: u64, lanes: usize, temporal: bool) -> RevelProgram {
     let mut g = Gen {
         rng: Rng::seed_from_u64(seed),
-        prog: RevelProgram::new(format!("wake-{lanes}-{seed}")),
+        prog: RevelProgram::new(format!("wake-{lanes}-{seed}{}", if temporal { "-t" } else { "" })),
         lanes,
+        temporal,
     };
     for variant in 0..2 {
-        g.prog.add_config(regions(variant));
+        g.prog.add_config(if temporal { data_regions(variant) } else { regions(variant) });
     }
     let all = LaneMask::all(lanes as u8);
     g.push(all, &[StreamCommand::Configure { config: ConfigId(0) }]);
@@ -530,4 +581,145 @@ fn directed_programs_match_the_full_scan_and_sweep() {
         assert!(finished, "{} finishes", program.name);
     }
     assert!(seen.bound_over_deferred_flush > 0, "{seen:?}");
+}
+
+/// What a gated and an ungated machine must agree on after every cycle,
+/// beyond [`lane_state`]: each lane's ports, region timers, temporal
+/// instances, event counts and the per-cycle flags the classifier reads.
+fn data_state(lane: &Lane) -> impl PartialEq + std::fmt::Debug + '_ {
+    let ins: Vec<(usize, bool, bool)> =
+        lane.in_ports.iter().map(|p| (p.occupancy(), p.is_drained(), p.can_accept())).collect();
+    let outs: Vec<usize> = lane.out_ports.iter().map(|p| p.occupancy()).collect();
+    let regions: Vec<(u64, usize, usize)> = lane
+        .regions
+        .iter()
+        .map(|r| (r.next_fire_cycle(), r.inflight_len(), r.temporal_instances()))
+        .collect();
+    let flags = (
+        lane.fired_systolic,
+        lane.fired_temporal,
+        lane.bw_starved,
+        lane.barrier_blocked,
+        lane.dep_blocked,
+        lane.draining,
+        lane.last_class,
+    );
+    (ins, outs, regions, lane.instances.len(), lane.events, flags)
+}
+
+/// Runs `program` on `cfg` twice in lockstep, with gated data passes and
+/// with every lane's full pass on every cycle, until it finishes or
+/// deadlocks (at most 3 000 cycles). Returns the gated machine's tally.
+fn lockstep_data(program: &RevelProgram, cfg: RevelConfig, opts: SimOptions) -> WakeTally {
+    program.validate(&cfg.lane).expect("a valid program");
+    let mut gated = Machine::new(cfg, opts);
+    let schedules = gated.compiled_schedules(program).expect("the configurations fit");
+    gated.reset_faults();
+    let mut full = gated.clone();
+    full.opts.reference_stepper = true;
+    for now in 0..3_000 {
+        let finished = gated.program_finished(program);
+        assert_eq!(finished, full.program_finished(program), "{}: cycle {now}", program.name);
+        if finished {
+            break;
+        }
+        let gated_progress = gated.step(now, program, &schedules);
+        let full_progress = full.step(now, program, &schedules);
+        let what = format!("{}: cycle {now}", program.name);
+        assert_eq!(gated_progress, full_progress, "{what}: progress");
+        for (li, (g, f)) in gated.lanes.iter().zip(&full.lanes).enumerate() {
+            assert_eq!(lane_state(g), lane_state(f), "{what}, lane {li}");
+            assert_eq!(data_state(g), data_state(f), "{what}, lane {li}");
+        }
+        if !gated_progress && gated.next_event(now).is_none() {
+            break; // deadlocked: no later cycle can differ from this one
+        }
+    }
+    assert_eq!(gated.faults.snapshot(), full.faults.snapshot(), "{}", program.name);
+    let mut tally = WakeTally::default();
+    for lane in &gated.lanes {
+        add(&mut tally, &lane.data.tally);
+    }
+    for (g, f) in gated.lanes.iter().zip(&full.lanes) {
+        assert_eq!(g.spad, f.spad, "{}: scratchpads diverged", program.name);
+    }
+    assert_eq!(gated.shared, full.shared, "{}: shared scratchpads diverged", program.name);
+    tally
+}
+
+fn add(into: &mut WakeTally, t: &WakeTally) {
+    into.gated += t.gated;
+    into.woken_by_retirement += t.woken_by_retirement;
+    into.woken_by_right_space += t.woken_by_right_space;
+    into.run_for_shared_budget += t.run_for_shared_budget;
+}
+
+#[test]
+fn gated_data_passes_match_every_lanes_full_pass() {
+    let mut tally = WakeTally::default();
+    for seed in 0..60u64 {
+        let pick = |of: usize, every: u64| (seed / every) as usize % of;
+        let lanes = [1, 2, 8][pick(3, 1)];
+        let lane = LaneConfig {
+            stream_table_entries: [4, 8][pick(2, 3)],
+            port_fifo_depth: [4, 2][pick(2, 6)],
+            ..LaneConfig::paper_default()
+        };
+        let cfg = RevelConfig {
+            num_lanes: lanes,
+            lane,
+            shared_spad_bw_words: [8, 2, 1][pick(3, 12)],
+            ..RevelConfig::paper_default()
+        };
+        let fault_plan = (seed % 5 == 4).then(|| FaultPlan::new(seed, 12, 600));
+        let opts = SimOptions { fault_plan, ..SimOptions::default() };
+        let program = generate(seed, lanes, true);
+        add(&mut tally, &lockstep_data(&program, cfg, opts));
+    }
+    assert!(tally.gated > 0, "{tally:?}");
+    assert!(tally.woken_by_retirement > 0 && tally.woken_by_right_space > 0, "{tally:?}");
+    assert!(tally.run_for_shared_budget > 0, "{tally:?}");
+}
+
+#[test]
+fn a_gated_lane_behind_a_spent_shared_budget_runs_its_pass() {
+    // Lane 1 fills the pair region's first input from the shared
+    // scratchpad and waits, gated, for the second. Then lane 0 streams from
+    // the shared scratchpad at its whole budget of one word a cycle, so
+    // lane 1's pass finds none left and flags it starved.
+    let shared = |at, n, port| {
+        let pattern = AffinePattern::linear(at, n);
+        StreamCommand::load(MemTarget::Shared, pattern, InPortId(port), RateFsm::ONCE)
+    };
+    let private = |at, n| AffinePattern::linear(at, n);
+    let mut prog = RevelProgram::new("wake-shared-budget");
+    prog.add_config(regions(0));
+    let on = |lane, cmd| VectorCommand::on_lane(LaneId(lane), cmd);
+    prog.push(VectorCommand::broadcast(
+        LaneMask::all(2),
+        StreamCommand::Configure { config: ConfigId(0) },
+    ));
+    prog.push(on(1, shared(0, 12, PAIR.0)));
+    prog.push_host(120, |_| {}); // past the reconfiguration
+    prog.push(on(0, shared(100, 40, 6)));
+    prog.push(on(
+        0,
+        StreamCommand::store(OutPortId(6), MemTarget::Private, private(0, 40), RateFsm::ONCE),
+    ));
+    let pair =
+        StreamCommand::load(MemTarget::Private, private(200, 12), InPortId(PAIR.1), RateFsm::ONCE);
+    prog.push(on(1, pair));
+    prog.push(on(
+        1,
+        StreamCommand::store(
+            OutPortId(PAIR.0),
+            MemTarget::Private,
+            private(300, 12),
+            RateFsm::ONCE,
+        ),
+    ));
+    prog.push(VectorCommand::broadcast(LaneMask::all(2), StreamCommand::Wait));
+    let cfg = RevelConfig { num_lanes: 2, shared_spad_bw_words: 1, ..RevelConfig::paper_default() };
+    let tally = lockstep_data(&prog, cfg, SimOptions::default());
+    assert!(tally.gated > 0 && tally.run_for_shared_budget > 0, "{tally:?}");
 }

@@ -9,75 +9,122 @@ use crate::stats::{CycleBreakdown, CycleClass};
 use crate::trace::Recorder;
 use revel_dfg::{Dfg, DfgEvaluator, FuClass, Node, OpCode, Region, RegionKind, VecVal};
 use revel_fabric::{EventCounts, LaneConfig};
-use revel_isa::{AffinePattern, MemTarget, OutPortId, PatternElem, PatternIter, RateFsm};
+use revel_isa::{AffinePattern, MemTarget, OutPortId, PatternElem, RateFsm};
 use revel_scheduler::RegionSchedule;
 use std::collections::VecDeque;
 
-/// A memory pattern walker with one-element lookahead (streams need to
-/// retry an element when the destination stalls). The lookahead is always
-/// filled, so every query is a `&self` read: the store→load guard asks
-/// older streams' walkers without copying them.
+/// A memory pattern walker: the element a stream is at, held as counters
+/// (a stream retries an element when its destination stalls). Every query
+/// is a `&self` read, so the store→load guard asks older streams' walkers
+/// without copying them, and a step within a row is one add.
 #[derive(Debug, Clone)]
 pub(crate) struct PatternWalker {
-    iter: PatternIter,
-    /// The element the stream is at; `None` once the pattern is exhausted.
-    head: Option<PatternElem>,
+    pattern: AffinePattern,
+    /// Outer and inner index of the current element; `j == len_j` once
+    /// the pattern is exhausted.
+    j: i64,
+    i: i64,
+    /// Length of row `j`.
+    row_len: i64,
+    /// Word offset of the current element.
+    offset: i64,
 }
 
 impl PatternWalker {
     pub(crate) fn new(pattern: AffinePattern) -> Self {
-        let mut iter = pattern.iter();
-        let head = iter.next();
-        PatternWalker { iter, head }
+        let mut walker = PatternWalker { pattern, j: 0, i: 0, row_len: 0, offset: 0 };
+        walker.enter_row(0);
+        walker
+    }
+
+    /// Moves to the first element of the first non-empty row at or after
+    /// `j` (or past the last row).
+    fn enter_row(&mut self, mut j: i64) {
+        let p = &self.pattern;
+        while j < p.len_j && p.row_len(j) == 0 {
+            j += 1;
+        }
+        self.j = j;
+        self.i = 0;
+        self.row_len = p.row_len(j);
+        self.offset = p.start + j * p.stride_j;
     }
 
     pub(crate) fn peek(&self) -> Option<PatternElem> {
-        self.head
+        (!self.exhausted()).then_some(PatternElem {
+            offset: self.offset,
+            j: self.j,
+            i: self.i,
+            last_in_row: self.i == self.row_len - 1,
+        })
     }
 
+    /// Steps past the current element; the walker must not be exhausted.
     pub(crate) fn advance(&mut self) {
-        self.head = self.iter.next();
+        debug_assert!(!self.exhausted(), "advancing an exhausted walker");
+        self.i += 1;
+        if self.i < self.row_len {
+            self.offset += self.pattern.stride_i;
+        } else {
+            self.enter_row(self.j + 1);
+        }
     }
 
     pub(crate) fn exhausted(&self) -> bool {
-        self.head.is_none()
+        self.j >= self.pattern.len_j
     }
 
     /// True if the remaining (unvisited) part of the pattern will touch
     /// `addr`. Used for scratchpad store→load ordering.
     pub(crate) fn remaining_contains(&self, addr: i64) -> bool {
-        self.head.is_some_and(|e| e.offset == addr) || self.iter.will_visit(addr)
+        !self.exhausted()
+            && (self.offset == addr || self.pattern.visits_from(self.j, self.i + 1, addr))
     }
 
     /// The outer-row index the walker is currently writing/reading, or
     /// `i64::MAX` when exhausted.
     pub(crate) fn current_row(&self) -> i64 {
-        self.head.map_or(i64::MAX, |e| e.j)
+        if self.exhausted() {
+            i64::MAX
+        } else {
+            self.j
+        }
     }
 }
 
 /// The set of word addresses a store stream has written so far: a dense
-/// bitset over its scratchpad's words, so the store→load guard's
-/// membership test is one shift and mask.
+/// bitset over the addresses its pattern spans (within its scratchpad), so
+/// the store→load guard's membership test is one subtract, shift and mask.
 #[derive(Debug, Clone)]
 pub(crate) struct WrittenSet {
+    /// The lowest address the set covers.
+    base: i64,
     bits: Vec<u64>,
 }
 
 impl WrittenSet {
-    /// An empty set over a scratchpad of `spad_words` words.
-    pub(crate) fn new(spad_words: usize) -> Self {
-        WrittenSet { bits: vec![0; spad_words.div_ceil(64)] }
+    /// An empty set over the addresses `pattern` touches in a scratchpad of
+    /// `spad_words` words.
+    pub(crate) fn spanning(pattern: &AffinePattern, spad_words: usize) -> Self {
+        let last = spad_words as i64 - 1;
+        match pattern.addr_range() {
+            Some((lo, hi)) if lo <= last && hi >= 0 => {
+                let (lo, hi) = (lo.max(0), hi.min(last));
+                WrittenSet { base: lo, bits: vec![0; (hi - lo) as usize / 64 + 1] }
+            }
+            _ => WrittenSet { base: 0, bits: Vec::new() },
+        }
     }
 
-    /// Word index and bit of `addr`, or `None` outside the scratchpad.
+    /// Word index and bit of `addr`, or `None` outside the span.
     fn slot(&self, addr: i64) -> Option<(usize, u64)> {
-        let addr = usize::try_from(addr).ok()?;
-        (addr / 64 < self.bits.len()).then_some((addr / 64, 1 << (addr % 64)))
+        let at = usize::try_from(addr.checked_sub(self.base)?).ok()?;
+        (at / 64 < self.bits.len()).then_some((at / 64, 1 << (at % 64)))
     }
 
-    /// Records a written address. One outside the scratchpad is not
-    /// recorded: the write itself panics on it.
+    /// Records a written address. One outside the span is not recorded:
+    /// the store's pattern never writes it in its scratchpad (the write
+    /// itself panics on one outside the scratchpad).
     pub(crate) fn insert(&mut self, addr: i64) {
         if let Some((word, bit)) = self.slot(addr) {
             self.bits[word] |= bit;
@@ -479,6 +526,91 @@ impl RegionState {
     }
 }
 
+/// `DataWake::idle_gen` while the lane's last data pass moved something.
+const NOT_IDLE: u64 = u64::MAX;
+
+/// A lane's data-path wake state, which lets a stepped cycle skip the
+/// lane's data phases — port ticks, source streams, region fires,
+/// deliveries and drains — while they cannot act (the kernel module's
+/// "Woken, not polled" lists what wakes them).
+#[derive(Debug, Clone)]
+pub(crate) struct DataWake {
+    /// Bumped by every event from outside the lane's data phases that can
+    /// let them act.
+    pub gen: u64,
+    /// Bumped whenever an input port of this lane may gain space: what can
+    /// unblock the left neighbour's `XferRight`s.
+    pub space: u64,
+    /// `gen` when the lane's last data pass began, if that pass moved
+    /// nothing and was not bandwidth-starved; else [`NOT_IDLE`].
+    idle_gen: u64,
+    /// The cycle of that pass.
+    idle_at: u64,
+    /// The earliest data timer after that pass (a region's `next_fire` or
+    /// stall end, or its oldest in-flight result), or 0 until the gate
+    /// first needs it: a pass followed by a wake never reads it.
+    idle_until: u64,
+    /// The right neighbour's `space` when that pass's `XferRight`s ran.
+    idle_right_space: u64,
+    /// What that pass flagged: the store→load guard held a load, a region
+    /// missed an input, a shared-scratchpad stream reached its bandwidth
+    /// check.
+    idle_guard: bool,
+    idle_dep: bool,
+    idle_shared: bool,
+    /// This cycle's pass is skipped. Set when the pass begins, cleared
+    /// after `dpe_step` if a retirement woke the lane.
+    pub gated: bool,
+    /// `gen` when this cycle's pass began.
+    pass_gen: u64,
+    /// The right neighbour's `space` at this cycle's `XferRight` pass.
+    pub pass_right_space: u64,
+    /// Per cycle: a data phase moved a word, a vector or a flag of the
+    /// lane's streams.
+    pub moved: bool,
+    /// Per cycle: the source phase's guard held a load.
+    pub guard: bool,
+    /// Per cycle: a shared-scratchpad stream reached its bandwidth check.
+    pub shared: bool,
+    /// What the kernel did with the lane's passes, for the wake tests.
+    #[cfg(test)]
+    pub tally: WakeTally,
+}
+
+/// Counts of gated passes and of the ways a gated pass woke mid-cycle.
+#[cfg(test)]
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WakeTally {
+    pub gated: u64,
+    pub woken_by_retirement: u64,
+    pub woken_by_right_space: u64,
+    pub run_for_shared_budget: u64,
+}
+
+impl Default for DataWake {
+    fn default() -> Self {
+        DataWake {
+            gen: 0,
+            space: 0,
+            idle_gen: NOT_IDLE,
+            idle_at: 0,
+            idle_until: 0,
+            idle_right_space: 0,
+            idle_guard: false,
+            idle_dep: false,
+            idle_shared: false,
+            gated: false,
+            pass_gen: 0,
+            pass_right_space: 0,
+            moved: false,
+            guard: false,
+            shared: false,
+            #[cfg(test)]
+            tally: WakeTally::default(),
+        }
+    }
+}
+
 /// One vector lane.
 #[derive(Debug, Clone)]
 pub(crate) struct Lane {
@@ -500,6 +632,7 @@ pub(crate) struct Lane {
     /// A stream in the table may have completed since the last retirement
     /// pass over this lane.
     pub retire_due: bool,
+    pub data: DataWake,
     pub regions: Vec<RegionState>,
     pub instances: Vec<TempInstance>,
     /// Retired instances kept for their buffers, so a temporal fire
@@ -519,11 +652,10 @@ pub(crate) struct Lane {
     pub barrier_blocked: bool,
     pub dep_blocked: bool,
     pub draining: bool,
-    /// True if any component of this lane mutated state this cycle (set by
-    /// the step phases, reset with the other per-cycle flags). The
-    /// event-horizon loop may only skip ahead after a cycle in which no
-    /// lane progressed.
-    pub progressed: bool,
+    /// True if the dPE executor issued or retired this cycle (the data
+    /// phases report in `data.moved`). The event-horizon loop may only skip
+    /// ahead after a cycle in which no lane progressed.
+    pub dpe_progressed: bool,
     /// Classification of the most recently recorded cycle. A skipped stall
     /// span repeats this class: the machine state the classifier reads is
     /// unchanged across the span by the quiescence invariant.
@@ -556,6 +688,7 @@ impl Lane {
             wake: 0,
             idle_scan: None,
             retire_due: false,
+            data: DataWake::default(),
             regions: Vec::new(),
             instances: Vec::new(),
             spare_instances: Vec::new(),
@@ -570,7 +703,7 @@ impl Lane {
             barrier_blocked: false,
             dep_blocked: false,
             draining: false,
-            progressed: false,
+            dpe_progressed: false,
             last_class: CycleClass::Idle,
             predication,
         }
@@ -583,7 +716,79 @@ impl Lane {
         self.barrier_blocked = false;
         self.dep_blocked = false;
         self.draining = false;
-        self.progressed = false;
+        self.dpe_progressed = false;
+        self.data.moved = false;
+        self.data.guard = false;
+        self.data.shared = false;
+    }
+
+    /// Begins this cycle's data pass, after command issue. The pass is
+    /// skipped (`data.gated`) when the lane's last pass moved nothing and
+    /// was not bandwidth-starved, no wake event has bumped `data.gen` since
+    /// that pass began, and none of its data timers has arrived: every
+    /// data phase would then repeat it, so the flags it raised are raised
+    /// again instead. `gate` is false under the reference stepper.
+    #[inline]
+    pub(crate) fn begin_data_pass(&mut self, now: u64, gate: bool) -> bool {
+        self.data.pass_gen = self.data.gen;
+        self.data.gated = gate && self.data.idle_gen == self.data.gen && now < self.idle_until();
+        let w = &mut self.data;
+        if w.gated {
+            w.guard = w.idle_guard;
+            w.shared = w.idle_shared;
+            self.barrier_blocked |= w.idle_guard;
+            self.dep_blocked |= w.idle_dep;
+            #[cfg(test)]
+            {
+                w.tally.gated += 1;
+            }
+        }
+        w.gated
+    }
+
+    /// The remembered pass's earliest data timer. Region timers move only
+    /// when the lane moves or `gen` is bumped, so it can be computed from
+    /// the pass's cycle on any later one.
+    #[inline]
+    fn idle_until(&mut self) -> u64 {
+        if self.data.idle_until == 0 {
+            self.data.idle_until = self.first_timer_after(self.data.idle_at);
+        }
+        self.data.idle_until
+    }
+
+    #[cold]
+    fn first_timer_after(&self, at: u64) -> u64 {
+        self.regions.iter().filter_map(|r| r.next_event(at)).min().unwrap_or(u64::MAX)
+    }
+
+    /// Ends this cycle's data pass: remembers it if it moved nothing and
+    /// was not bandwidth-starved. A pass gated throughout is the pass it
+    /// repeated, so only its `XferRight` view of the right neighbour moves.
+    #[inline]
+    pub(crate) fn end_data_pass(&mut self, now: u64) {
+        let w = &mut self.data;
+        if w.moved || self.bw_starved {
+            w.idle_gen = NOT_IDLE;
+            return;
+        }
+        if !w.gated {
+            w.idle_gen = w.pass_gen;
+            w.idle_at = now;
+            w.idle_until = 0;
+            w.idle_guard = w.guard;
+            w.idle_dep = self.dep_blocked;
+            w.idle_shared = w.shared;
+        }
+        w.idle_right_space = w.pass_right_space;
+    }
+
+    /// True if a gated lane's `XferRight` pass must still run: its right
+    /// neighbour's input ports may have gained space since the pass it
+    /// repeats.
+    #[inline]
+    pub(crate) fn right_space_moved(&self) -> bool {
+        self.data.pass_right_space != self.data.idle_right_space
     }
 
     /// Applies a fabric configuration: installs regions with their
@@ -640,6 +845,8 @@ impl Lane {
         self.in_busy.iter_mut().for_each(|b| *b = false);
         self.out_busy.iter_mut().for_each(|b| *b = false);
         self.wake += 1;
+        self.data.gen += 1;
+        self.data.space += 1;
     }
 
     /// Drops every temporal instance in flight, keeping its buffers, and
@@ -791,7 +998,9 @@ impl Lane {
     }
 
     fn fire_region(&mut self, r: usize, now: u64, li: usize, recorder: &mut Option<Recorder>) {
-        self.progressed = true;
+        self.data.moved = true;
+        // Its inputs may free space for the left neighbour's `XferRight`s.
+        self.data.space += 1;
         // The fire covers `fire_valid` logical inner-loop elements: the
         // minimum valid-lane count across full-width vector inputs.
         let fire_valid = self.compute_fire_valid(r);
@@ -827,7 +1036,7 @@ impl Lane {
     /// Delivers matured systolic outputs to output ports (respecting
     /// FIFO space — backpressure stalls delivery).
     pub(crate) fn deliver_outputs(&mut self, now: u64) {
-        let Lane { regions, out_ports, events, progressed, .. } = self;
+        let Lane { regions, out_ports, events, data, .. } = self;
         for rs in regions.iter_mut() {
             let n_out = rs.out_ports.len();
             while rs.inflight.front().is_some_and(|ready| *ready <= now) {
@@ -835,7 +1044,7 @@ impl Lane {
                     break;
                 }
                 rs.inflight.pop_front();
-                *progressed = true;
+                data.moved = true;
                 push_results(&mut rs.results, n_out, out_ports, events);
             }
         }
@@ -869,7 +1078,7 @@ impl Lane {
         if issued > 0 {
             events.dpe_instrs += issued as u64;
             self.fired_temporal = true;
-            self.progressed = true;
+            self.dpe_progressed = true;
         }
         // Retire finished instances — in order per region, so dataflow
         // tag-ordering is preserved at the output ports even when a later
@@ -892,7 +1101,17 @@ impl Lane {
             push_results(&mut rs.results, n_out, out_ports, events);
             rs.instances -= 1;
             spare_instances.push(instances.remove(i));
-            self.progressed = true;
+            self.dpe_progressed = true;
+            // Its results wait on the output ports and its region may fire
+            // again: the rest of this cycle's data pass must run.
+            self.data.gen += 1;
+        }
+        if self.data.gated && self.data.gen != self.data.pass_gen {
+            self.data.gated = false;
+            #[cfg(test)]
+            {
+                self.data.tally.woken_by_retirement += 1;
+            }
         }
     }
 
@@ -1086,7 +1305,7 @@ fn temporal_nodes(dfg: &Dfg, num_dpes: usize, unroll: usize) -> Vec<TempNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revel_isa::{InPortId, RateFsm, Rng};
+    use revel_isa::{InPortId, PatternIter, RateFsm, Rng};
 
     fn lane() -> Lane {
         Lane::new(&LaneConfig::paper_default(), true)
@@ -1160,7 +1379,7 @@ mod tests {
 
     #[test]
     fn written_set_counts_distinct_words_of_its_scratchpad() {
-        let mut w = WrittenSet::new(100);
+        let mut w = WrittenSet::spanning(&AffinePattern::linear(0, 100), 100);
         assert!(!w.contains(7));
         for addr in [7, 64, 99, 7] {
             w.insert(addr);
@@ -1173,6 +1392,26 @@ mod tests {
         w.insert(-3);
         assert!(!w.contains(1 << 40) && !w.contains(-3));
         assert_eq!(w.len(), 3);
+    }
+
+    #[test]
+    fn a_written_set_spans_its_pattern_not_the_scratchpad() {
+        // Column 3 of a 16-row, 64-word-stride layout: words 195..=1155.
+        let column = AffinePattern::strided(195, 64, 16);
+        let mut w = WrittenSet::spanning(&column, 4096);
+        assert_eq!(w.bits.len(), (1155 - 195) / 64 + 1);
+        for e in column.iter() {
+            assert!(!w.contains(e.offset));
+            w.insert(e.offset);
+            assert!(w.contains(e.offset));
+        }
+        assert_eq!(w.len(), 16);
+        assert!(!w.contains(194) && !w.contains(196) && !w.contains(1156));
+        // Clipped to the scratchpad; an empty or wholly outside pattern
+        // spans nothing.
+        assert_eq!(WrittenSet::spanning(&AffinePattern::linear(90, 20), 100).bits.len(), 1);
+        assert!(WrittenSet::spanning(&AffinePattern::linear(0, 0), 100).bits.is_empty());
+        assert!(WrittenSet::spanning(&AffinePattern::linear(100, 4), 100).bits.is_empty());
     }
 
     #[test]

@@ -287,6 +287,8 @@ impl Machine {
             lane.breakdown = CycleBreakdown::default();
             lane.events = EventCounts::default();
             lane.reconfig_until = 0;
+            // A new run: the cycle count restarts and no data pass repeats.
+            lane.data.gen += 1;
         }
         self.control_events = EventCounts::default();
         self.reset_faults();

@@ -16,7 +16,7 @@ use revel_isa::{
     AffinePattern, ConfigId, InPortId, LaneId, LaneMask, MemTarget, OutPortId, RateFsm, Rng,
     StreamCommand, VectorCommand,
 };
-use revel_sim::{Machine, RevelProgram, RunReport, SimOptions};
+use revel_sim::{CycleClass, Machine, RevelProgram, RunReport, SimOptions};
 
 /// Input ports grouped by hardware width (see `LaneConfig::paper_default`).
 const PORTS_BY_WIDTH: [(usize, &[u8]); 4] =
@@ -151,9 +151,9 @@ fn xfer_program(seed: u64) -> RevelProgram {
     neg.output(ng, OutPortId(3));
     let cfg =
         prog.add_config(vec![Region::systolic("copy", copy, 4), Region::systolic("neg", neg, 4)]);
-    // Multiple of the port width: XFER destinations assemble full vectors
-    // only (no stream-end flush on a transfer, unlike memory loads).
-    let n = 4 * rng.gen_range_i64(1, 9);
+    // Any length: a transfer's last word ends its last vector, as a
+    // load's does, so a partial vector reaches the second region.
+    let n = rng.gen_range_i64(1, 33);
     broadcast(&mut prog, 2, StreamCommand::Configure { config: ConfigId(cfg) });
     prog.push(VectorCommand::on_lane(
         LaneId(0),
@@ -182,6 +182,109 @@ fn xfer_program(seed: u64) -> RevelProgram {
         ),
     ));
     broadcast(&mut prog, 2, StreamCommand::Wait);
+    prog
+}
+
+/// A region `name` of `width` lanes from in`port` through `op` to
+/// out`port`.
+fn unary_region(name: &str, port: u8, op: OpCode, width: usize) -> Region {
+    let mut g = Dfg::new(name);
+    let x = g.input(InPortId(port));
+    let y = g.op(op, &[x]);
+    g.output(y, OutPortId(port));
+    Region::systolic(name, g, width)
+}
+
+/// Eight lanes in an `XferRight` ring, started one at a time: every lane
+/// queues its store and its transfer into its right neighbour at once, but
+/// lane `l`'s load issues only after `l + 1` host steps, so most lanes wait
+/// on their left neighbour for most of the run, and lane 7 feeds lane 0.
+fn staggered_ring_program() -> RevelProgram {
+    const LANES: usize = 8;
+    let n = 24;
+    let mut prog = RevelProgram::new("differential-staggered-ring");
+    let cfg = prog.add_config(vec![
+        unary_region("src", 6, OpCode::Mov, 1),
+        unary_region("hop", 7, OpCode::Neg, 1),
+    ]);
+    broadcast(&mut prog, LANES, StreamCommand::Configure { config: ConfigId(cfg) });
+    broadcast(
+        &mut prog,
+        LANES,
+        StreamCommand::store(
+            OutPortId(7),
+            MemTarget::Private,
+            AffinePattern::linear(256, n),
+            RateFsm::ONCE,
+        ),
+    );
+    broadcast(
+        &mut prog,
+        LANES,
+        StreamCommand::xfer_right(OutPortId(6), InPortId(7), n, RateFsm::ONCE, RateFsm::ONCE),
+    );
+    for lane in 0..LANES as u8 {
+        prog.push_host(40, |_| {});
+        prog.push(VectorCommand::on_lane(
+            LaneId(lane),
+            StreamCommand::load(
+                MemTarget::Private,
+                AffinePattern::linear(0, n),
+                InPortId(6),
+                RateFsm::ONCE,
+            ),
+        ));
+    }
+    broadcast(&mut prog, LANES, StreamCommand::Wait);
+    prog
+}
+
+/// Eight lanes contending for the shared scratchpad's bandwidth (8 words a
+/// cycle, one width-8 port's worth): each stores its private words,
+/// negated, into its own block of the shared scratchpad, then loads its
+/// right neighbour's block back through a copy region into private memory.
+fn shared_contention_program() -> RevelProgram {
+    const LANES: u8 = 8;
+    let n = 40;
+    let block = |lane: u8| 1024 + 64 * i64::from(lane % LANES);
+    let mut prog = RevelProgram::new("differential-shared-contention");
+    let store_cfg = prog.add_config(vec![unary_region("neg", 0, OpCode::Neg, 8)]);
+    let load_cfg = prog.add_config(vec![unary_region("copy", 1, OpCode::Mov, 8)]);
+    let configure = |config| StreamCommand::Configure { config: ConfigId(config) };
+    broadcast(&mut prog, LANES as usize, configure(store_cfg));
+    for lane in 0..LANES {
+        let on = |cmd| VectorCommand::on_lane(LaneId(lane), cmd);
+        prog.push(on(StreamCommand::load(
+            MemTarget::Private,
+            AffinePattern::linear(0, n),
+            InPortId(0),
+            RateFsm::ONCE,
+        )));
+        prog.push(on(StreamCommand::store(
+            OutPortId(0),
+            MemTarget::Shared,
+            AffinePattern::linear(block(lane), n),
+            RateFsm::ONCE,
+        )));
+    }
+    broadcast(&mut prog, LANES as usize, StreamCommand::Wait);
+    broadcast(&mut prog, LANES as usize, configure(load_cfg));
+    for lane in 0..LANES {
+        let on = |cmd| VectorCommand::on_lane(LaneId(lane), cmd);
+        prog.push(on(StreamCommand::load(
+            MemTarget::Shared,
+            AffinePattern::linear(block(lane + 1), n),
+            InPortId(1),
+            RateFsm::ONCE,
+        )));
+        prog.push(on(StreamCommand::store(
+            OutPortId(1),
+            MemTarget::Private,
+            AffinePattern::linear(300, n),
+            RateFsm::ONCE,
+        )));
+    }
+    broadcast(&mut prog, LANES as usize, StreamCommand::Wait);
     prog
 }
 
@@ -236,6 +339,7 @@ fn assert_bit_identical(
         let words = m.config().lane.spad_words;
         let mem: Vec<u64> = (0..lanes)
             .flat_map(|l| m.read_private(LaneId(l as u8), 0, words))
+            .chain(m.read_shared(0, 4096))
             .map(f64::to_bits)
             .collect();
         runs.push(report);
@@ -292,6 +396,22 @@ fn random_xfer_programs_bit_identical() {
 }
 
 #[test]
+fn staggered_xfer_right_ring_bit_identical() {
+    let prog = staggered_ring_program();
+    let (fast, _) = assert_bit_identical(&prog, 8, 300_000);
+    assert!(!fast.timed_out, "the ring must complete");
+}
+
+#[test]
+fn shared_bandwidth_contention_bit_identical() {
+    let prog = shared_contention_program();
+    let (fast, _) = assert_bit_identical(&prog, 8, 300_000);
+    assert!(!fast.timed_out, "the program must complete");
+    let scr_bw: u64 = fast.lane_breakdown.iter().map(|b| b.count(CycleClass::ScrBw)).sum();
+    assert!(scr_bw > 0, "no lane was held by the shared bandwidth");
+}
+
+#[test]
 fn deadlocked_program_times_out_identically() {
     let prog = deadlock_program();
     let (fast, reference) = assert_bit_identical(&prog, 1, 3_000);
@@ -304,6 +424,53 @@ fn deadlocked_program_times_out_identically() {
         "expected a large skip on a deadlocked run, got {:?}",
         fast.stepper
     );
+}
+
+#[test]
+fn a_machine_reused_after_a_timeout_runs_as_a_fresh_one() {
+    // A two-input region fed on one input only: the run times out with the
+    // lane flagged waiting on a dependence.
+    let mut stuck = RevelProgram::new("differential-stuck-pair");
+    let mut g = Dfg::new("pair");
+    let a = g.input(InPortId(9));
+    let b = g.input(InPortId(10));
+    let sum = g.op(OpCode::Add, &[a, b]);
+    g.output(sum, OutPortId(9));
+    let cfg = stuck.add_config(vec![Region::systolic("pair", g, 1)]);
+    broadcast(&mut stuck, 1, StreamCommand::Configure { config: ConfigId(cfg) });
+    let load = StreamCommand::load(
+        MemTarget::Private,
+        AffinePattern::linear(0, 8),
+        InPortId(9),
+        RateFsm::ONCE,
+    );
+    broadcast(&mut stuck, 1, load);
+    broadcast(&mut stuck, 1, StreamCommand::Wait);
+    // The next program keeps the lane without a command for its first 50
+    // cycles: a fresh lane and a reused one must classify them alike.
+    let mut late = random_program(3);
+    late.control.insert(
+        0,
+        revel_prog::ControlStep::Host(revel_prog::HostOp {
+            cycles: 50,
+            func: std::sync::Arc::new(|_| {}),
+        }),
+    );
+    for reference_stepper in [false, true] {
+        let opts = SimOptions {
+            max_cycles: 2_000,
+            verify: false,
+            reference_stepper,
+            ..SimOptions::default()
+        };
+        let mut reused = Machine::new(RevelConfig::single_lane(), opts);
+        assert!(reused.run(&stuck).expect("runs").timed_out);
+        let mut fresh = Machine::new(RevelConfig::single_lane(), opts);
+        let want = fresh.run(&late).expect("runs");
+        let got = reused.run(&late).expect("runs");
+        assert!(!want.timed_out);
+        assert_eq!(got.canonical_text(), want.canonical_text(), "reference: {reference_stepper}");
+    }
 }
 
 #[test]

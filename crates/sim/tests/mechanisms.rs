@@ -393,3 +393,77 @@ fn inductive_const_stream_drives_a_port() {
     let expect = [10., 10., 10., 11., 10., 10., 11., 10., 11.];
     assert_eq!(out, expect);
 }
+
+/// A width-4 `Neg` region on in3 → out3.
+fn neg_region() -> Region {
+    let mut g = Dfg::new("neg");
+    let a = g.input(InPortId(3));
+    let n = g.op(OpCode::Neg, &[a]);
+    g.output(n, OutPortId(3));
+    Region::systolic("neg", g, 4)
+}
+
+/// Runs `prog` on one lane within 2 000 cycles from a scratchpad holding
+/// 1, 2, 3, … and returns the six words at 32.
+fn run_short(prog: &RevelProgram) -> Vec<f64> {
+    let opts = SimOptions { max_cycles: 2_000, ..SimOptions::default() };
+    let mut m = Machine::new(RevelConfig::single_lane(), opts);
+    let vals: Vec<f64> = (1..=16).map(f64::from).collect();
+    m.write_private(LaneId(0), 0, &vals);
+    let r = m.run(prog).unwrap();
+    assert!(!r.timed_out, "{}: timed out", prog.name);
+    m.read_private(LaneId(0), 32, 6)
+}
+
+#[test]
+fn a_const_stream_flushes_its_partial_last_vector() {
+    // Three words into a width-4 port: the last vector is partial, and
+    // the store of three words waits on it.
+    let mut prog = RevelProgram::new("partial-const");
+    let cfg = prog.add_config(vec![copy_region(false, 4)]);
+    let p = |prog: &mut RevelProgram, c| prog.push(VectorCommand::broadcast(lane0(), c));
+    p(&mut prog, StreamCommand::Configure { config: ConfigId(cfg) });
+    let konst = revel_isa::ConstPattern::repeat(2.5f64.to_bits(), 3);
+    p(&mut prog, StreamCommand::konst(InPortId(2), konst));
+    p(
+        &mut prog,
+        StreamCommand::store(
+            OutPortId(2),
+            MemTarget::Private,
+            AffinePattern::linear(32, 3),
+            RateFsm::ONCE,
+        ),
+    );
+    p(&mut prog, StreamCommand::Wait);
+    assert_eq!(run_short(&prog), [2.5, 2.5, 2.5, 0.0, 0.0, 0.0]);
+}
+
+#[test]
+fn a_local_xfer_flushes_its_partial_last_vector() {
+    // in2 → copy → out2 → XFER (3 words) → in3 → neg → out3 → memory.
+    let mut prog = RevelProgram::new("partial-xfer");
+    let cfg = prog.add_config(vec![copy_region(false, 4), neg_region()]);
+    let p = |prog: &mut RevelProgram, c| prog.push(VectorCommand::broadcast(lane0(), c));
+    p(&mut prog, StreamCommand::Configure { config: ConfigId(cfg) });
+    p(
+        &mut prog,
+        StreamCommand::load(
+            MemTarget::Private,
+            AffinePattern::linear(0, 3),
+            InPortId(2),
+            RateFsm::ONCE,
+        ),
+    );
+    p(&mut prog, StreamCommand::xfer(OutPortId(2), InPortId(3), 3, RateFsm::ONCE, RateFsm::ONCE));
+    p(
+        &mut prog,
+        StreamCommand::store(
+            OutPortId(3),
+            MemTarget::Private,
+            AffinePattern::linear(32, 3),
+            RateFsm::ONCE,
+        ),
+    );
+    p(&mut prog, StreamCommand::Wait);
+    assert_eq!(run_short(&prog), [-1.0, -2.0, -3.0, 0.0, 0.0, 0.0]);
+}
