@@ -174,7 +174,6 @@ impl Machine {
                 || in_p.is_some_and(|p| blocked_in.contains(p))
                 || out_p.is_some_and(|p| blocked_out.contains(p));
             if !conflicts && self.try_issue_stream(li, cmd) {
-                self.lanes[li].data.gen += 1;
                 queue.remove(qi);
                 issued += 1;
                 progress = true;
@@ -195,6 +194,12 @@ impl Machine {
             }
         }
         self.lanes[li].cmd_queue = queue;
+        if issued > 0 {
+            // A command leaving the queue wakes the data pass: a stream
+            // issued, and a region's dependence flag reads whether the
+            // queue is empty.
+            self.lanes[li].data.gen += 1;
+        }
         (progress, issued > 0)
     }
 

@@ -58,11 +58,12 @@
 //! The data path is woken the same way. Each lane's `DataWake` keeps a
 //! generation, `gen`, bumped by every event from outside its data phases
 //! (port ticks, source streams, region fires, deliveries, drains) that can
-//! let them act: a command pushed to it, a stream issued or retired on it,
-//! a dPE retirement, its left neighbour's `XferRight` pushing into it,
-//! `apply_config`, an applied fault and the start of a run; and a `space`
-//! counter, bumped when its input ports may gain space (a region fire,
-//! `apply_config`, a fault), which its left neighbour's `XferRight`s read.
+//! let them act: a command pushed to its queue or leaving it, a stream
+//! retired on it, a dPE retirement, its left neighbour's `XferRight`
+//! pushing into it, `apply_config`, an applied fault and the start of a
+//! run; and a `space` counter, bumped when its input ports may gain space
+//! (a region fire, `apply_config`, a fault), which its left neighbour's
+//! `XferRight`s read.
 //! A lane whose last data pass moved nothing and was not
 //! bandwidth-starved is skipped by all five phases (`Lane::begin_data_pass`)
 //! while its `gen` is unchanged and its earliest data timer (a region's

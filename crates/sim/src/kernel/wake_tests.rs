@@ -23,8 +23,9 @@
 //! deliveries and drains on every cycle (the reference stepper's pass), on
 //! random programs that add a temporal region, zero-length streams and a
 //! scarce shared scratchpad bandwidth to the mix, with every fault class
-//! on a fifth of them, and on a directed program whose gated lane finds
-//! the shared budget spent. Every cycle both must make the same progress
+//! on a fifth of them, and on directed programs: a gated lane that finds
+//! the shared budget spent, and a queue emptied by the third of three
+//! serializing commands. Every cycle both must make the same progress
 //! and hold the same ports, streams, region timers, event counts and
 //! per-cycle flags.
 
@@ -722,4 +723,41 @@ fn a_gated_lane_behind_a_spent_shared_budget_runs_its_pass() {
     let cfg = RevelConfig { num_lanes: 2, shared_spad_bw_words: 1, ..RevelConfig::paper_default() };
     let tally = lockstep_data(&prog, cfg, SimOptions::default());
     assert!(tally.gated > 0 && tally.run_for_shared_budget > 0, "{tally:?}");
+}
+
+#[test]
+fn a_serializing_release_that_empties_the_queue_wakes_the_pass() {
+    // The pair region holds three values on one input while a store runs
+    // with three serializing commands queued behind it. The store retires;
+    // the next scan releases two of them, and that cycle's idle pass flags
+    // the stranded region dependence-blocked (the queue is not empty). The
+    // scan after releases the last, so the lane has nothing pending and
+    // the stranded region no longer counts as blocked.
+    let private = |at, n| AffinePattern::linear(at, n);
+    let load = |at, n, port| {
+        StreamCommand::load(MemTarget::Private, private(at, n), InPortId(port), RateFsm::ONCE)
+    };
+    let barrier = StreamCommand::BarrierScratch;
+    let accum = StreamCommand::SetAccumLen { region: 2, len: RateFsm::fixed(1) };
+    let tails = [
+        ("wake-release-barriers", [barrier.clone(), barrier.clone(), barrier.clone()]),
+        ("wake-release-accum-lens", [barrier, accum.clone(), accum]),
+    ];
+    for (name, tail) in tails {
+        let mut prog = RevelProgram::new(name);
+        prog.add_config(regions(0));
+        let mut cmds = vec![
+            StreamCommand::Configure { config: ConfigId(0) },
+            load(300, 3, PAIR.0),
+            load(0, 5, 6),
+            StreamCommand::store(OutPortId(6), MemTarget::Private, private(200, 5), RateFsm::ONCE),
+        ];
+        cmds.extend(tail);
+        cmds.push(StreamCommand::Wait);
+        for cmd in cmds {
+            prog.push(VectorCommand::broadcast(LaneMask::all(1), cmd));
+        }
+        let tally = lockstep_data(&prog, RevelConfig::single_lane(), SimOptions::default());
+        assert!(tally.gated > 0, "{name}: {tally:?}");
+    }
 }
