@@ -8,8 +8,9 @@
 //! however long the trace, a second chunk of `Machine::replay_batch` no
 //! more, the run prologue's memo lookups (keyed on the program's
 //! structural identity) allocate nothing, a warm run's dataflow-PE
-//! executor allocates no more for four times the temporal fires, and the
-//! spatial compile allocates no more for four times the annealing moves.
+//! executor allocates no more for four times the temporal fires, the
+//! spatial compile allocates no more for four times the annealing moves,
+//! and neither retiring streams nor binding stores allocates.
 
 use revel_core::compiler::BuildCfg;
 use revel_core::dfg::{Dfg, OpCode, Region, VecVal};
@@ -350,4 +351,60 @@ fn retiring_a_stream_does_not_allocate() {
     // port; four times as many retirements cost no allocation.
     let (few, many) = (warm_handoff_run(4), warm_handoff_run(16));
     assert_eq!(many, few, "retirement allocates: {few} for 4 handoffs, {many} for 16");
+}
+
+/// One lane loads `8 * k` words through a scalar region and stores them
+/// back in `k` stores of eight words, one after another (each waits for
+/// the last to retire and free the output port).
+fn store_program(k: i64) -> RevelProgram {
+    let mut g = Dfg::new("pass");
+    let x = g.input(InPortId(6));
+    let y = g.op(OpCode::Mov, &[x]);
+    g.output(y, OutPortId(6));
+    let mut prog = RevelProgram::new(format!("stores-{k}"));
+    let cfg = prog.add_config(vec![Region::systolic("pass", g, 1)]);
+    let lane = LaneMask::all(1);
+    let words = 8 * k;
+    prog.push(VectorCommand::broadcast(lane, StreamCommand::Configure { config: ConfigId(cfg) }));
+    let load = StreamCommand::load(
+        MemTarget::Private,
+        AffinePattern::linear(0, words),
+        InPortId(6),
+        RateFsm::ONCE,
+    );
+    prog.push(VectorCommand::broadcast(lane, load));
+    for s in 0..k {
+        let store = StreamCommand::store(
+            OutPortId(6),
+            MemTarget::Private,
+            AffinePattern::linear(512 + 8 * s, 8),
+            RateFsm::ONCE,
+        );
+        prog.push(VectorCommand::broadcast(lane, store));
+    }
+    prog.push(VectorCommand::broadcast(lane, StreamCommand::Wait));
+    prog
+}
+
+/// Allocations of a second run of `store_program(k)` on one machine,
+/// after checking that it stored what it loaded.
+fn warm_store_run(k: i64) -> u64 {
+    let program = store_program(k);
+    let mut machine = Machine::new(RevelConfig::single_lane(), SimOptions::default());
+    let data: Vec<f64> = (0..8 * k).map(|i| 1.0 + i as f64).collect();
+    machine.write_private(LaneId(0), 0, &data);
+    let first = machine.run(&program).expect("first run");
+    assert!(!first.timed_out, "stores-{k} finishes");
+    assert_eq!(machine.read_private(LaneId(0), 512, data.len()), data, "stores-{k} stores");
+    let (second, allocations) = allocations_in(|| machine.run(&program));
+    assert!(!second.expect("second run").timed_out);
+    allocations
+}
+
+#[test]
+fn binding_a_store_does_not_allocate() {
+    // A store's written-address set spans its pattern; eight words fit
+    // inline, so four times as many stores cost no allocation.
+    let (few, many) = (warm_store_run(4), warm_store_run(16));
+    assert_eq!(many, few, "binding a store allocates: {few} for 4 stores, {many} for 16");
 }

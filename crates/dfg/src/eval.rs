@@ -55,6 +55,18 @@ impl<T: Copy + Default> VecVal<T> {
         v
     }
 
+    /// A value from a whole lane array, the lanes of `pred` valid. Lanes
+    /// at and past `width` must be `T::default()`, as every other
+    /// constructor leaves them.
+    ///
+    /// # Panics
+    /// Panics if `width` is 0 or exceeds [`MAX_VEC_WIDTH`].
+    #[inline]
+    pub fn from_array(vals: [T; MAX_VEC_WIDTH], width: usize, pred: u8) -> Self {
+        assert!((1..=MAX_VEC_WIDTH).contains(&width), "bad vector width {width}");
+        VecVal { vals, pred: pred & mask_all(width), width: width as u8 }
+    }
+
     /// A fully predicated-off value (no valid lanes).
     ///
     /// # Panics
@@ -156,6 +168,29 @@ pub trait Domain {
     /// `op` over the first `op.arity()` of `args` (the rest are `Default`);
     /// never `ReduceAdd`, which the evaluator folds into adds.
     fn apply(&mut self, op: OpCode, args: [Self::Value; 3]) -> Self::Value;
+
+    /// `op` lane by lane over lanes `0..width` of `args` into `out`, in
+    /// lane order: every one of them in a [`Domain::DENSE`] domain, else
+    /// those set in `pred`, with the others `Default`. Lanes past `width`
+    /// are left as they are. An op step of a fire dispatches here once for
+    /// all its lanes.
+    #[inline]
+    fn apply_lanes(
+        &mut self,
+        op: OpCode,
+        args: [&[Self::Value; MAX_VEC_WIDTH]; MAX_ARITY],
+        pred: u8,
+        width: usize,
+        out: &mut [Self::Value; MAX_VEC_WIDTH],
+    ) {
+        for (k, o) in out.iter_mut().enumerate().take(width) {
+            *o = if Self::DENSE || pred & (1 << k) != 0 {
+                self.apply(op, [args[0][k], args[1][k], args[2][k]])
+            } else {
+                Self::Value::default()
+            };
+        }
+    }
 }
 
 /// `a + b` in domain `d`: one add of a reduction or of an accumulator.
@@ -177,6 +212,55 @@ impl Domain for Concrete {
 
     fn apply(&mut self, op: OpCode, [a, b, c]: [f64; 3]) -> f64 {
         op.apply3(a, b, c)
+    }
+
+    /// One lane loop per opcode, each over [`OpCode::apply3`] at a constant
+    /// op: the match inside it folds away, and every NaN pin stays. A
+    /// width-1 op is one `apply3`.
+    #[inline]
+    fn apply_lanes(
+        &mut self,
+        op: OpCode,
+        args: [&[f64; MAX_VEC_WIDTH]; MAX_ARITY],
+        _pred: u8,
+        width: usize,
+        out: &mut [f64; MAX_VEC_WIDTH],
+    ) {
+        #[inline(always)]
+        fn lanes(
+            op: OpCode,
+            [a, b, c]: [&[f64; MAX_VEC_WIDTH]; MAX_ARITY],
+            width: usize,
+            out: &mut [f64; MAX_VEC_WIDTH],
+        ) {
+            for (k, o) in out.iter_mut().enumerate().take(width) {
+                *o = op.apply3(a[k], b[k], c[k]);
+            }
+        }
+        if width == 1 {
+            out[0] = op.apply3(args[0][0], args[1][0], args[2][0]);
+            return;
+        }
+        match op {
+            OpCode::Add => lanes(OpCode::Add, args, width, out),
+            OpCode::Sub => lanes(OpCode::Sub, args, width, out),
+            OpCode::Mul => lanes(OpCode::Mul, args, width, out),
+            OpCode::Div => lanes(OpCode::Div, args, width, out),
+            OpCode::Sqrt => lanes(OpCode::Sqrt, args, width, out),
+            OpCode::Rsqrt => lanes(OpCode::Rsqrt, args, width, out),
+            OpCode::Recip => lanes(OpCode::Recip, args, width, out),
+            OpCode::Neg => lanes(OpCode::Neg, args, width, out),
+            OpCode::Abs => lanes(OpCode::Abs, args, width, out),
+            OpCode::Min => lanes(OpCode::Min, args, width, out),
+            OpCode::Max => lanes(OpCode::Max, args, width, out),
+            OpCode::CmpLt => lanes(OpCode::CmpLt, args, width, out),
+            OpCode::Select => lanes(OpCode::Select, args, width, out),
+            OpCode::Mov => lanes(OpCode::Mov, args, width, out),
+            OpCode::ReduceAdd => lanes(OpCode::ReduceAdd, args, width, out),
+            OpCode::CAdd => lanes(OpCode::CAdd, args, width, out),
+            OpCode::CSub => lanes(OpCode::CSub, args, width, out),
+            OpCode::CMul => lanes(OpCode::CMul, args, width, out),
+        }
     }
 }
 
@@ -278,28 +362,63 @@ impl Domain for Symbolic {
 /// to one *configured instance* of the region on the fabric. Create a
 /// concrete one with [`Dfg::evaluator`].
 ///
+/// The graph is compiled once, here, into a flat list of steps over value
+/// slots: slot 0 pads an op's operands to `MAX_ARITY` (every lane valid and
+/// `Default`), input `k` is slot `k + 1`, every constant, op and
+/// accumulator node gets the next slot in node order, and an output names
+/// its argument's slot. A step holds its operand and accumulator indices
+/// inline and writes its own slot in place, so a fire walks the list
+/// without looking at a node, and an op step dispatches on its opcode once
+/// for all of its lanes ([`Domain::apply_lanes`]). A step writes only its
+/// slot's lanes below the evaluator's width, so the lanes past it stay
+/// `Default`.
+///
 /// [`DfgEvaluator::fire`] is the simulator's innermost loop: it touches the
-/// heap nowhere. Node values and output vectors live in scratch buffers
+/// heap nowhere. Slot values and output vectors live in scratch buffers
 /// sized here, once per configured instance.
 #[derive(Debug, Clone)]
 pub struct DfgEvaluator<D: Domain = Concrete> {
-    dfg: Dfg,
+    /// The graph's name, for panic messages.
+    name: String,
     width: usize,
-    /// Per-accum-node state, indexed densely by accum order.
+    steps: Vec<Step>,
+    /// Per accumulator, in node order.
     accum: Vec<AccumState<D::Value>>,
-    /// Map node index → accum state index (usize::MAX when not an accum).
-    accum_index: Vec<usize>,
     /// Runtime-configured emission length (overrides the DFG's rate).
     accum_len_override: Option<RateFsm>,
-    input_nodes: Vec<NodeId>,
-    /// Scratch: the value of every node in the fire in progress.
+    num_inputs: usize,
+    /// Each output node's port and the slot it drains, in node order.
+    out_slots: Vec<(OutPortId, u32)>,
+    /// Every slot's value in the fire in progress: the pad, the inputs,
+    /// then the steps' results. A step's operands precede its own slot.
     values: Vec<VecVal<D::Value>>,
-    /// Scratch: the last fire's output vectors, in output-node order.
+    /// Scratch: the output vectors [`DfgEvaluator::fire_in`] returns, in
+    /// output-node order.
     outputs: Vec<(OutPortId, VecVal<D::Value>)>,
+}
+
+/// One step of a compiled fire; `out`, `arg` and `args` are value slots.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Slot `out` is the constant `value` in every lane.
+    Const { value: f64, out: u32 },
+    /// Slot `out` is `op` over the slots `args` lane by lane; a lane is
+    /// valid iff it is valid in every argument.
+    Op { op: OpCode, args: [u32; MAX_ARITY], out: u32 },
+    /// Slot `out` is the sum of slot `arg`'s valid lanes, in every lane.
+    ReduceAdd { arg: u32, out: u32 },
+    /// Accumulator `acc` adds the sum of slot `arg`'s valid lanes; slot
+    /// `out` is its emission (lane 0) or invalid.
+    Accum { arg: u32, acc: u32, out: u32 },
+    /// Accumulator `acc` adds slot `arg` lane by lane; slot `out` is its
+    /// emission or invalid.
+    AccumVec { arg: u32, acc: u32, out: u32 },
 }
 
 #[derive(Debug, Clone)]
 struct AccumState<V> {
+    /// The DFG's emission length.
+    len: RateFsm,
     sum: V,
     /// Per-lane sums (AccumVec only).
     lanes: [V; MAX_VEC_WIDTH],
@@ -310,48 +429,85 @@ struct AccumState<V> {
 }
 
 impl<V: Copy + Default> AccumState<V> {
-    fn fresh(remaining: i64) -> Self {
+    fn fresh(len: RateFsm, emit: RateFsm) -> Self {
         AccumState {
+            len,
             sum: V::default(),
             lanes: [V::default(); MAX_VEC_WIDTH],
             pred: 0,
-            remaining,
+            remaining: emit.count_at(0),
             j: 0,
         }
     }
 }
 
 impl<D: Domain> DfgEvaluator<D> {
-    /// Builds an evaluator; prefer [`Dfg::evaluator`] for a concrete one.
+    /// Builds an evaluator, compiling `dfg` into its step list; prefer
+    /// [`Dfg::evaluator`] for a concrete one.
     ///
     /// # Panics
     /// Panics if `width` is 0 or exceeds [`MAX_VEC_WIDTH`].
     pub fn new(dfg: &Dfg, width: usize) -> Self {
         assert!((1..=MAX_VEC_WIDTH).contains(&width), "bad vector width {width}");
+        let num_inputs = dfg.nodes().iter().filter(|n| matches!(n, Node::Input { .. })).count();
+        let mut slot = vec![0u32; dfg.len()];
+        let mut next_input = 1;
+        let mut next_slot = num_inputs as u32 + 1;
+        let mut steps = Vec::new();
         let mut accum = Vec::new();
-        let mut accum_index = vec![usize::MAX; dfg.len()];
-        let mut input_nodes = Vec::new();
-        let mut num_outputs = 0;
-        for (id, node) in dfg.iter() {
-            match node {
-                Node::Accum { len, .. } | Node::AccumVec { len, .. } => {
-                    accum_index[id.0 as usize] = accum.len();
-                    accum.push(AccumState::fresh(len.count_at(0)));
+        let mut out_slots = Vec::new();
+        for (idx, node) in dfg.nodes().iter().enumerate() {
+            let arg = |a: &NodeId| slot[a.0 as usize];
+            let step = match node {
+                Node::Input { .. } => {
+                    slot[idx] = next_input;
+                    next_input += 1;
+                    continue;
                 }
-                Node::Input { .. } => input_nodes.push(id),
-                Node::Output { .. } => num_outputs += 1,
-                _ => {}
-            }
+                Node::Output { arg: a, port } => {
+                    let s = arg(a);
+                    out_slots.push((*port, s));
+                    slot[idx] = s;
+                    continue;
+                }
+                Node::Const { value } => Step::Const { value: *value, out: next_slot },
+                Node::Op { op: OpCode::ReduceAdd, args } => {
+                    Step::ReduceAdd { arg: arg(&args[0]), out: next_slot }
+                }
+                Node::Op { op, args } => {
+                    // An op reads at most `MAX_ARITY` arguments; the pad
+                    // slot fills the rest.
+                    let mut slots = [0; MAX_ARITY];
+                    for (s, a) in slots.iter_mut().zip(args) {
+                        *s = arg(a);
+                    }
+                    Step::Op { op: *op, args: slots, out: next_slot }
+                }
+                Node::Accum { arg: a, len } => {
+                    accum.push(AccumState::fresh(*len, *len));
+                    Step::Accum { arg: arg(a), acc: accum.len() as u32 - 1, out: next_slot }
+                }
+                Node::AccumVec { arg: a, len } => {
+                    accum.push(AccumState::fresh(*len, *len));
+                    Step::AccumVec { arg: arg(a), acc: accum.len() as u32 - 1, out: next_slot }
+                }
+            };
+            slot[idx] = next_slot;
+            next_slot += 1;
+            steps.push(step);
         }
+        let mut values = vec![VecVal::invalid(width); next_slot as usize];
+        values[0].pred = u8::MAX;
         DfgEvaluator {
-            dfg: dfg.clone(),
+            name: dfg.name().to_string(),
             width,
+            steps,
             accum,
-            accum_index,
             accum_len_override: None,
-            input_nodes,
-            values: vec![VecVal::invalid(width); dfg.len()],
-            outputs: Vec::with_capacity(num_outputs),
+            num_inputs,
+            outputs: Vec::with_capacity(out_slots.len()),
+            out_slots,
+            values,
         }
     }
 
@@ -362,14 +518,14 @@ impl<D: Domain> DfgEvaluator<D> {
 
     /// Number of input vectors a fire expects.
     pub fn num_inputs(&self) -> usize {
-        self.input_nodes.len()
+        self.num_inputs
     }
 
     /// Reconfigures every accumulator's emission length and resets its
     /// state (the `SetAccumLen` stream command).
     pub fn set_accum_len(&mut self, len: RateFsm) {
         for st in &mut self.accum {
-            *st = AccumState::fresh(len.count_at(0));
+            *st = AccumState::fresh(st.len, len);
         }
         self.accum_len_override = Some(len);
     }
@@ -379,13 +535,26 @@ impl<D: Domain> DfgEvaluator<D> {
     /// and any [`DfgEvaluator::set_accum_len`] override is dropped.
     pub fn reset(&mut self) {
         self.accum_len_override = None;
-        let mut k = 0;
-        for node in self.dfg.nodes() {
-            if let Node::Accum { len, .. } | Node::AccumVec { len, .. } = node {
-                self.accum[k] = AccumState::fresh(len.count_at(0));
-                k += 1;
-            }
+        for st in &mut self.accum {
+            *st = AccumState::fresh(st.len, st.len);
         }
+    }
+
+    /// Sets input `k` (in input-node order) of the next
+    /// [`DfgEvaluator::fire_set_in`].
+    ///
+    /// # Panics
+    /// Panics if `k` is not an input or `v` is not at the evaluator's width.
+    #[inline]
+    pub fn set_input(&mut self, k: usize, v: VecVal<D::Value>) {
+        assert!(k < self.num_inputs, "region {} has {} inputs", self.name, self.num_inputs);
+        assert_eq!(v.width(), self.width, "input width mismatch in region {}", self.name);
+        self.values[k + 1] = v;
+    }
+
+    /// The inputs as last set, in input-node order.
+    pub fn inputs(&self) -> &[VecVal<D::Value>] {
+        &self.values[1..=self.num_inputs]
     }
 
     /// Executes one firing of the region in domain `d`: consumes one vector
@@ -404,82 +573,99 @@ impl<D: Domain> DfgEvaluator<D> {
         d: &mut D,
         inputs: &[VecVal<D::Value>],
     ) -> &[(OutPortId, VecVal<D::Value>)] {
-        let DfgEvaluator {
-            dfg,
-            width,
-            accum,
-            accum_index,
-            accum_len_override,
-            values,
-            outputs,
-            ..
-        } = self;
-        let width = *width;
         assert_eq!(
             inputs.len(),
-            self.input_nodes.len(),
+            self.num_inputs,
             "region {} expects {} inputs",
-            dfg.name(),
-            self.input_nodes.len()
+            self.name,
+            self.num_inputs
         );
-        let mut next_input = 0;
+        for (k, v) in inputs.iter().enumerate() {
+            self.set_input(k, *v);
+        }
+        self.fire_steps(d);
+        let DfgEvaluator { out_slots, values, outputs, .. } = self;
         outputs.clear();
-        for (idx, node) in dfg.nodes().iter().enumerate() {
-            let v = match node {
-                Node::Input { .. } => {
-                    let v = inputs[next_input];
-                    next_input += 1;
-                    assert_eq!(v.width(), width, "input width mismatch in region {}", dfg.name());
-                    v
+        outputs.extend(out_slots.iter().map(|&(port, s)| (port, values[s as usize])));
+        outputs
+    }
+
+    /// [`DfgEvaluator::fire_in`] over the inputs set with
+    /// [`DfgEvaluator::set_input`], which it leaves in place: the output
+    /// vectors, in output-node order, read straight from their slots.
+    pub fn fire_set_in(
+        &mut self,
+        d: &mut D,
+    ) -> impl ExactSizeIterator<Item = (OutPortId, VecVal<D::Value>)> + '_ {
+        self.fire_steps(d);
+        let values = &self.values;
+        self.out_slots.iter().map(move |&(port, s)| (port, values[s as usize]))
+    }
+
+    /// Runs the step list once over the inputs in place.
+    fn fire_steps(&mut self, d: &mut D) {
+        let DfgEvaluator { width, steps, accum, accum_len_override, values, .. } = self;
+        let width = *width;
+        let all = mask_all(width);
+        for step in steps.iter() {
+            match *step {
+                Step::Const { value, out } => {
+                    let dst = &mut values[out as usize];
+                    dst.vals[..width].fill(d.constant(value));
+                    dst.pred = all;
                 }
-                Node::Const { value } => VecVal::splat(d.constant(*value), width),
-                Node::Op { op, args } => eval_op(d, *op, args, values, width),
-                Node::Accum { arg, len } => {
-                    let len = accum_len_override.unwrap_or(*len);
-                    let sum = sum_valid(d, &values[arg.0 as usize]);
-                    let state = &mut accum[accum_index[idx]];
+                Step::Op { op, args, out } => {
+                    let (before, rest) = values.split_at_mut(out as usize);
+                    let [a, b, c] = args.map(|s| &before[s as usize]);
+                    let dst = &mut rest[0];
+                    dst.pred = all & a.pred & b.pred & c.pred;
+                    d.apply_lanes(op, [&a.vals, &b.vals, &c.vals], dst.pred, width, &mut dst.vals);
+                }
+                Step::ReduceAdd { arg, out } => {
+                    let sum = sum_valid(d, &values[arg as usize]);
+                    let dst = &mut values[out as usize];
+                    dst.vals[..width].fill(sum);
+                    dst.pred = all;
+                }
+                Step::Accum { arg, acc, out } => {
+                    let sum = sum_valid(d, &values[arg as usize]);
+                    let state = &mut accum[acc as usize];
                     state.sum = add(d, state.sum, sum);
                     state.remaining -= 1;
-                    let mut out = VecVal::invalid(width);
+                    let dst = &mut values[out as usize];
                     if state.remaining <= 0 {
-                        out.vals[0] = state.sum;
-                        out.pred = 1;
+                        dst.vals[0] = state.sum;
+                        dst.pred = 1;
                         state.sum = D::Value::default();
                         state.j += 1;
-                        state.remaining = len.count_at(state.j);
+                        state.remaining = accum_len_override.unwrap_or(state.len).count_at(state.j);
+                    } else {
+                        dst.vals[0] = D::Value::default();
+                        dst.pred = 0;
                     }
-                    out
                 }
-                Node::AccumVec { arg, len } => {
-                    let len = accum_len_override.unwrap_or(*len);
-                    let input = values[arg.0 as usize];
-                    let state = &mut accum[accum_index[idx]];
-                    for (k, v) in input.iter_valid() {
-                        state.lanes[k] = add(d, state.lanes[k], v);
+                Step::AccumVec { arg, acc, out } => {
+                    let (before, rest) = values.split_at_mut(out as usize);
+                    let input = &before[arg as usize];
+                    let state = &mut accum[acc as usize];
+                    for (k, x) in input.iter_valid() {
+                        state.lanes[k] = add(d, state.lanes[k], x);
                     }
                     state.pred |= input.pred();
                     state.remaining -= 1;
+                    let dst = &mut rest[0];
                     if state.remaining <= 0 {
-                        let out =
-                            VecVal { vals: state.lanes, pred: state.pred, width: width as u8 };
-                        state.lanes = [D::Value::default(); MAX_VEC_WIDTH];
-                        state.pred = 0;
+                        dst.vals = std::mem::take(&mut state.lanes);
+                        dst.pred = std::mem::take(&mut state.pred);
                         state.j += 1;
-                        state.remaining = len.count_at(state.j);
-                        out
+                        state.remaining = accum_len_override.unwrap_or(state.len).count_at(state.j);
                     } else {
-                        VecVal::invalid(width)
+                        dst.vals[..width].fill(D::Value::default());
+                        dst.pred = 0;
                     }
                 }
-                Node::Output { arg, port } => {
-                    let v = values[arg.0 as usize];
-                    outputs.push((*port, v));
-                    v
-                }
-            };
-            values[idx] = v;
+            }
         }
-        outputs
     }
 }
 
@@ -491,6 +677,11 @@ impl DfgEvaluator {
     /// Panics if `inputs.len()` differs from [`DfgEvaluator::num_inputs`].
     pub fn fire(&mut self, inputs: &[VecVal]) -> &[(OutPortId, VecVal)] {
         self.fire_in(&mut Concrete, inputs)
+    }
+
+    /// [`DfgEvaluator::fire_set_in`] the concrete domain.
+    pub fn fire_set(&mut self) -> impl ExactSizeIterator<Item = (OutPortId, VecVal)> + '_ {
+        self.fire_set_in(&mut Concrete)
     }
 }
 
@@ -505,46 +696,250 @@ fn sum_valid<D: Domain>(d: &mut D, v: &VecVal<D::Value>) -> D::Value {
     sum
 }
 
-/// One op node over the values computed so far. A result lane is valid iff
-/// every argument lane is valid.
-fn eval_op<D: Domain>(
-    d: &mut D,
-    op: OpCode,
-    args: &[NodeId],
-    values: &[VecVal<D::Value>],
-    width: usize,
-) -> VecVal<D::Value> {
-    if op == OpCode::ReduceAdd {
-        return VecVal::splat(sum_valid(d, &values[args[0].0 as usize]), width);
+/// The node-walking interpreter the compiled fire replaced, kept as the
+/// reference the compiled evaluator must reproduce bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone)]
+    pub(crate) struct Interpreter<D: Domain = Concrete> {
+        dfg: Dfg,
+        width: usize,
+        /// Per-accum-node state, indexed densely by accum order.
+        accum: Vec<InterpAccum<D::Value>>,
+        /// Map node index → accum state index (usize::MAX when not an accum).
+        accum_index: Vec<usize>,
+        /// Runtime-configured emission length (overrides the DFG's rate).
+        accum_len_override: Option<RateFsm>,
+        input_nodes: Vec<NodeId>,
+        /// Scratch: the value of every node in the fire in progress.
+        values: Vec<VecVal<D::Value>>,
+        /// Scratch: the last fire's output vectors, in output-node order.
+        outputs: Vec<(OutPortId, VecVal<D::Value>)>,
     }
-    // An op reads at most `MAX_ARITY` arguments.
-    let args = &args[..args.len().min(MAX_ARITY)];
-    let mut out = VecVal {
-        vals: [D::Value::default(); MAX_VEC_WIDTH],
-        pred: mask_all(width),
-        width: width as u8,
-    };
-    for a in args {
-        out.pred &= values[a.0 as usize].pred;
+
+    #[derive(Debug, Clone)]
+    struct InterpAccum<V> {
+        sum: V,
+        /// Per-lane sums (AccumVec only).
+        lanes: [V; MAX_VEC_WIDTH],
+        /// Union of predicates seen this accumulation window (AccumVec only).
+        pred: u8,
+        remaining: i64,
+        j: i64,
     }
-    let mut scalars = [D::Value::default(); MAX_ARITY];
-    for k in 0..width {
-        if !D::DENSE && out.pred & (1 << k) == 0 {
-            continue;
+
+    impl<V: Copy + Default> InterpAccum<V> {
+        fn fresh(remaining: i64) -> Self {
+            InterpAccum {
+                sum: V::default(),
+                lanes: [V::default(); MAX_VEC_WIDTH],
+                pred: 0,
+                remaining,
+                j: 0,
+            }
         }
-        for (s, a) in scalars.iter_mut().zip(args) {
-            *s = values[a.0 as usize].vals[k];
-        }
-        out.vals[k] = d.apply(op, scalars);
     }
-    out
+
+    impl<D: Domain> Interpreter<D> {
+        /// Builds an evaluator; prefer [`Dfg::evaluator`] for a concrete one.
+        ///
+        /// # Panics
+        /// Panics if `width` is 0 or exceeds [`MAX_VEC_WIDTH`].
+        pub(crate) fn new(dfg: &Dfg, width: usize) -> Self {
+            assert!((1..=MAX_VEC_WIDTH).contains(&width), "bad vector width {width}");
+            let mut accum = Vec::new();
+            let mut accum_index = vec![usize::MAX; dfg.len()];
+            let mut input_nodes = Vec::new();
+            let mut num_outputs = 0;
+            for (id, node) in dfg.iter() {
+                match node {
+                    Node::Accum { len, .. } | Node::AccumVec { len, .. } => {
+                        accum_index[id.0 as usize] = accum.len();
+                        accum.push(InterpAccum::fresh(len.count_at(0)));
+                    }
+                    Node::Input { .. } => input_nodes.push(id),
+                    Node::Output { .. } => num_outputs += 1,
+                    _ => {}
+                }
+            }
+            Interpreter {
+                dfg: dfg.clone(),
+                width,
+                accum,
+                accum_index,
+                accum_len_override: None,
+                input_nodes,
+                values: vec![VecVal::invalid(width); dfg.len()],
+                outputs: Vec::with_capacity(num_outputs),
+            }
+        }
+
+        /// Reconfigures every accumulator's emission length and resets its
+        /// state (the `SetAccumLen` stream command).
+        pub(crate) fn set_accum_len(&mut self, len: RateFsm) {
+            for st in &mut self.accum {
+                *st = InterpAccum::fresh(len.count_at(0));
+            }
+            self.accum_len_override = Some(len);
+        }
+
+        /// Returns the evaluator to its freshly built state, as a
+        /// reconfiguration does: every accumulator restarts at its DFG length
+        /// and any [`Interpreter::set_accum_len`] override is dropped.
+        pub(crate) fn reset(&mut self) {
+            self.accum_len_override = None;
+            let mut k = 0;
+            for node in self.dfg.nodes() {
+                if let Node::Accum { len, .. } | Node::AccumVec { len, .. } = node {
+                    self.accum[k] = InterpAccum::fresh(len.count_at(0));
+                    k += 1;
+                }
+            }
+        }
+
+        /// Executes one firing of the region in domain `d`: consumes one vector
+        /// per input node (in input-node order) and returns the vectors
+        /// produced at each output port (in output-node order). The slice is
+        /// the evaluator's own buffer, overwritten by the next fire.
+        ///
+        /// Accumulator nodes emit a fully-predicated-off value on non-emitting
+        /// fires; callers (the simulator's output ports) drop values with no
+        /// valid lanes.
+        ///
+        /// # Panics
+        /// Panics if `inputs.len()` differs from [`Interpreter::num_inputs`].
+        pub(crate) fn fire_in(
+            &mut self,
+            d: &mut D,
+            inputs: &[VecVal<D::Value>],
+        ) -> &[(OutPortId, VecVal<D::Value>)] {
+            let Interpreter {
+                dfg,
+                width,
+                accum,
+                accum_index,
+                accum_len_override,
+                values,
+                outputs,
+                ..
+            } = self;
+            let width = *width;
+            assert_eq!(
+                inputs.len(),
+                self.input_nodes.len(),
+                "region {} expects {} inputs",
+                dfg.name(),
+                self.input_nodes.len()
+            );
+            let mut next_input = 0;
+            outputs.clear();
+            for (idx, node) in dfg.nodes().iter().enumerate() {
+                let v = match node {
+                    Node::Input { .. } => {
+                        let v = inputs[next_input];
+                        next_input += 1;
+                        assert_eq!(
+                            v.width(),
+                            width,
+                            "input width mismatch in region {}",
+                            dfg.name()
+                        );
+                        v
+                    }
+                    Node::Const { value } => VecVal::splat(d.constant(*value), width),
+                    Node::Op { op, args } => eval_op(d, *op, args, values, width),
+                    Node::Accum { arg, len } => {
+                        let len = accum_len_override.unwrap_or(*len);
+                        let sum = sum_valid(d, &values[arg.0 as usize]);
+                        let state = &mut accum[accum_index[idx]];
+                        state.sum = add(d, state.sum, sum);
+                        state.remaining -= 1;
+                        let mut out = VecVal::invalid(width);
+                        if state.remaining <= 0 {
+                            out.vals[0] = state.sum;
+                            out.pred = 1;
+                            state.sum = D::Value::default();
+                            state.j += 1;
+                            state.remaining = len.count_at(state.j);
+                        }
+                        out
+                    }
+                    Node::AccumVec { arg, len } => {
+                        let len = accum_len_override.unwrap_or(*len);
+                        let input = values[arg.0 as usize];
+                        let state = &mut accum[accum_index[idx]];
+                        for (k, v) in input.iter_valid() {
+                            state.lanes[k] = add(d, state.lanes[k], v);
+                        }
+                        state.pred |= input.pred();
+                        state.remaining -= 1;
+                        if state.remaining <= 0 {
+                            let out =
+                                VecVal { vals: state.lanes, pred: state.pred, width: width as u8 };
+                            state.lanes = [D::Value::default(); MAX_VEC_WIDTH];
+                            state.pred = 0;
+                            state.j += 1;
+                            state.remaining = len.count_at(state.j);
+                            out
+                        } else {
+                            VecVal::invalid(width)
+                        }
+                    }
+                    Node::Output { arg, port } => {
+                        let v = values[arg.0 as usize];
+                        outputs.push((*port, v));
+                        v
+                    }
+                };
+                values[idx] = v;
+            }
+            outputs
+        }
+    }
+
+    /// One op node over the values computed so far. A result lane is valid iff
+    /// every argument lane is valid.
+    fn eval_op<D: Domain>(
+        d: &mut D,
+        op: OpCode,
+        args: &[NodeId],
+        values: &[VecVal<D::Value>],
+        width: usize,
+    ) -> VecVal<D::Value> {
+        if op == OpCode::ReduceAdd {
+            return VecVal::splat(sum_valid(d, &values[args[0].0 as usize]), width);
+        }
+        // An op reads at most `MAX_ARITY` arguments.
+        let args = &args[..args.len().min(MAX_ARITY)];
+        let mut out = VecVal {
+            vals: [D::Value::default(); MAX_VEC_WIDTH],
+            pred: mask_all(width),
+            width: width as u8,
+        };
+        for a in args {
+            out.pred &= values[a.0 as usize].pred;
+        }
+        let mut scalars = [D::Value::default(); MAX_ARITY];
+        for k in 0..width {
+            if !D::DENSE && out.pred & (1 << k) == 0 {
+                continue;
+            }
+            for (s, a) in scalars.iter_mut().zip(args) {
+                *s = values[a.0 as usize].vals[k];
+            }
+            out.vals[k] = d.apply(op, scalars);
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Dfg;
-    use revel_isa::InPortId;
+    use revel_isa::{InPortId, Rng};
 
     #[test]
     fn vecval_basics() {
@@ -783,5 +1178,174 @@ mod tests {
         g.output(s, OutPortId(0));
         let mut ev = g.evaluator(1);
         let _ = ev.fire(&[VecVal::splat(1.0, 1)]);
+    }
+
+    /// Every opcode: the compiled-fire test's graphs cover each.
+    const ALL_OPS: [OpCode; 18] = [
+        OpCode::Add,
+        OpCode::Sub,
+        OpCode::Mul,
+        OpCode::Div,
+        OpCode::Sqrt,
+        OpCode::Rsqrt,
+        OpCode::Recip,
+        OpCode::Neg,
+        OpCode::Abs,
+        OpCode::Min,
+        OpCode::Max,
+        OpCode::CmpLt,
+        OpCode::Select,
+        OpCode::Mov,
+        OpCode::ReduceAdd,
+        OpCode::CAdd,
+        OpCode::CSub,
+        OpCode::CMul,
+    ];
+
+    /// A lane value, edge cases weighted in: both zeros, infinities, NaNs
+    /// with payloads (quiet and signalling, either sign), packed complex
+    /// words with a NaN half, and ordinary numbers.
+    fn edge_value(r: &mut Rng) -> f64 {
+        let payload = r.next_u64() & ((1 << 51) - 1);
+        let sign = r.next_u64() & (1 << 63);
+        match r.gen_index(9) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 | 4 => f64::from_bits(sign | 0x7ff8_0000_0000_0000 | payload),
+            5 => f64::from_bits(sign | 0x7ff0_0000_0000_0000 | payload.max(1)),
+            6 => crate::pack_complex(f32::from_bits(0x7fc0_0000 | payload as u32 >> 10), 1.5),
+            7 => crate::pack_complex(r.gen_f64() as f32, -(r.gen_f64() as f32)),
+            _ => r.gen_range_f64(-8.0, 8.0),
+        }
+    }
+
+    fn arb_len(r: &mut Rng) -> RateFsm {
+        if r.gen_bool() {
+            RateFsm::fixed(r.gen_range_i64(1, 4))
+        } else {
+            RateFsm::inductive(r.gen_range_i64(1, 5), r.gen_range_i64(-1, 2))
+        }
+    }
+
+    /// A graph of 1–3 inputs and 3–14 random constants, ops (each of
+    /// `first`'s opcode at least once over the cases), reductions and
+    /// accumulators of either kind over earlier nodes, with 1–3 outputs
+    /// (one of them on an input or an output's argument now and then).
+    fn arb_dfg(r: &mut Rng, first: OpCode) -> Dfg {
+        let mut g = Dfg::new("compiled");
+        let inputs = 1 + r.gen_index(3);
+        let mut nodes: Vec<NodeId> = (0..inputs).map(|p| g.input(InPortId(p as u8))).collect();
+        for k in 0..3 + r.gen_index(12) {
+            let arg = nodes[r.gen_index(nodes.len())];
+            let node = match r.gen_index(10) {
+                _ if k == 0 => {
+                    let args: Vec<NodeId> =
+                        (0..first.arity()).map(|_| nodes[r.gen_index(nodes.len())]).collect();
+                    g.op(first, &args)
+                }
+                0 => g.konst(edge_value(r)),
+                1 => g.accum(arg, arb_len(r)),
+                2 => g.accum_vec(arg, arb_len(r)),
+                _ => {
+                    let op = ALL_OPS[r.gen_index(ALL_OPS.len())];
+                    let args: Vec<NodeId> =
+                        (0..op.arity()).map(|_| nodes[r.gen_index(nodes.len())]).collect();
+                    g.op(op, &args)
+                }
+            };
+            nodes.push(node);
+        }
+        for port in 0..1 + r.gen_index(3) {
+            let out = g.output(nodes[r.gen_index(nodes.len())], OutPortId(port as u8));
+            if r.gen_index(4) == 0 {
+                // An op over an output node reads the output's argument.
+                let op = g.op(OpCode::Mul, &[out, nodes[0]]);
+                nodes.push(op);
+            }
+        }
+        g.output(*nodes.last().expect("nodes"), OutPortId(7));
+        g
+    }
+
+    /// Both evaluators' accumulators get the same `set_accum_len` and
+    /// `reset` calls, one fire in four.
+    fn reprogram<D: Domain>(
+        r: &mut Rng,
+        compiled: &mut DfgEvaluator<D>,
+        interp: &mut reference::Interpreter<D>,
+    ) {
+        match r.gen_index(8) {
+            0 => {
+                let len = arb_len(r);
+                compiled.set_accum_len(len);
+                interp.set_accum_len(len);
+            }
+            1 => {
+                compiled.reset();
+                interp.reset();
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn compiled_fires_reproduce_the_interpreter_bit_for_bit() {
+        let mut r = Rng::seed_from_u64(0xC0_3F1E);
+        let bits = |outs: &[(OutPortId, VecVal)]| -> Vec<(OutPortId, VecVal<u64>)> {
+            outs.iter().map(|(p, v)| (*p, v.map(f64::to_bits))).collect()
+        };
+        for case in 0..400 {
+            let g = arb_dfg(&mut r, ALL_OPS[case % ALL_OPS.len()]);
+            let width = 1 + r.gen_index(MAX_VEC_WIDTH);
+            let what = |fire| format!("case {case} fire {fire}, width {width}: {:?}", g.nodes());
+
+            // Concrete: every whole output vector, invalid lanes included.
+            let mut compiled = DfgEvaluator::<Concrete>::new(&g, width);
+            let mut interp = reference::Interpreter::<Concrete>::new(&g, width);
+            for fire in 0..12 {
+                reprogram(&mut r, &mut compiled, &mut interp);
+                let inputs: Vec<VecVal> = (0..compiled.num_inputs())
+                    .map(|_| {
+                        let lanes: Vec<f64> = (0..width).map(|_| edge_value(&mut r)).collect();
+                        VecVal::with_pred(&lanes, r.gen_index(1 << width) as u8)
+                    })
+                    .collect();
+                let want = bits(interp.fire_in(&mut Concrete, &inputs));
+                let got = if r.gen_bool() {
+                    bits(compiled.fire(&inputs))
+                } else {
+                    for (k, v) in inputs.iter().enumerate() {
+                        compiled.set_input(k, *v);
+                    }
+                    bits(&compiled.fire_set().collect::<Vec<_>>())
+                };
+                assert_eq!(got, want, "{}", what(fire));
+            }
+
+            // Symbolic: the same outputs, recorded ops, slots and constants.
+            let mut compiled = DfgEvaluator::<Symbolic>::new(&g, width);
+            let mut interp = reference::Interpreter::<Symbolic>::new(&g, width);
+            let (mut sym_c, mut sym_i) = (Symbolic::default(), Symbolic::default());
+            for fire in 0..12 {
+                reprogram(&mut r, &mut compiled, &mut interp);
+                let inputs: Vec<VecVal<u32>> = (0..compiled.num_inputs())
+                    .map(|_| {
+                        let lanes: Vec<u32> = (0..width).map(|_| sym_c.fresh()).collect();
+                        for _ in 0..width {
+                            sym_i.fresh();
+                        }
+                        VecVal::with_pred(&lanes, r.gen_index(1 << width) as u8)
+                    })
+                    .collect();
+                let want = interp.fire_in(&mut sym_i, &inputs).to_vec();
+                let got = compiled.fire_in(&mut sym_c, &inputs).to_vec();
+                assert_eq!(got, want, "{}", what(fire));
+                let ops: Vec<ScalarOp> = sym_c.drain_ops().collect();
+                assert_eq!(ops, sym_i.drain_ops().collect::<Vec<_>>(), "{}", what(fire));
+                assert_eq!(sym_c.slots(), sym_i.slots(), "{}", what(fire));
+                assert_eq!(sym_c.constants(), sym_i.constants(), "{}", what(fire));
+            }
+        }
     }
 }

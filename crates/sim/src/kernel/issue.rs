@@ -251,12 +251,14 @@ impl Machine {
                     MemTarget::Private => lane.spad.len(),
                     MemTarget::Shared => self.shared.len(),
                 };
+                let range = pattern.addr_range();
                 lane.streams.push(ActiveStream {
                     body: StreamBody::Store {
                         src: src.0,
                         target: *target,
                         walker: PatternWalker::new(*pattern),
-                        written: WrittenSet::spanning(pattern, spad_words),
+                        range,
+                        written: WrittenSet::spanning(range, spad_words),
                     },
                 });
                 true

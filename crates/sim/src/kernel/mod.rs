@@ -76,6 +76,13 @@
 //! its pass reached that budget's check. The reference stepper gates no
 //! lane; `wake_tests` steps a gated machine against it.
 //!
+//! Within an ungated pass, the port-tick phase retries only the input
+//! ports whose last vector's flush is deferred: each lane keeps them in
+//! `Lane::flush_owed`, which every stream that pushes into a port updates
+//! after its words move. A load moves a stride-1 row's words in runs
+//! (`Machine::run_source_streams`); `wake_tests` steps it against the
+//! word-at-a-time pass and checks the mask against the ports' own flags.
+//!
 //! # The differential oracle
 //!
 //! The naive stepper is retained behind
@@ -220,18 +227,26 @@ impl Machine {
         program: &RevelProgram,
         schedules: &[Vec<RegionSchedule>],
     ) -> bool {
-        self.step_with(now, program, schedules, Machine::issue_commands, Machine::retire_streams)
+        self.step_with(
+            now,
+            program,
+            schedules,
+            Machine::issue_commands,
+            Machine::run_source_streams,
+            Machine::retire_streams,
+        )
     }
 
-    /// [`Machine::step`] with its command-issue and retirement phases
-    /// passed in, so a test can run the full-scan references through the
-    /// same pipeline.
+    /// [`Machine::step`] with its command-issue, source-stream and
+    /// retirement phases passed in, so a test can run the full-scan and
+    /// word-at-a-time references through the same pipeline.
     fn step_with(
         &mut self,
         now: u64,
         program: &RevelProgram,
         schedules: &[Vec<RegionSchedule>],
         issue: impl FnOnce(&mut Machine, u64, &RevelProgram, &[Vec<RegionSchedule>]) -> bool,
+        source: impl FnOnce(&mut Machine) -> bool,
         retire: impl FnOnce(&mut Machine) -> bool,
     ) -> bool {
         for lane in &mut self.lanes {
@@ -250,13 +265,19 @@ impl Machine {
             if lane.begin_data_pass(now, gate) {
                 continue;
             }
-            let mut ticked = false;
-            for p in &mut lane.in_ports {
-                ticked |= p.tick();
+            // Only a port that owes a flush can tick.
+            for (w, mut owed) in lane.flush_owed.words().into_iter().enumerate() {
+                while owed != 0 {
+                    let p = (w * 64) as u8 + owed.trailing_zeros() as u8;
+                    owed &= owed - 1;
+                    if lane.in_ports[p as usize].tick() {
+                        lane.flush_owed.remove(p);
+                        lane.data.moved = true;
+                    }
+                }
             }
-            lane.data.moved |= ticked;
         }
-        progress |= self.run_source_streams();
+        progress |= source(self);
         for (li, lane) in self.lanes.iter_mut().enumerate() {
             if !lane.data.gated {
                 lane.fire_regions(now, li, &mut self.recorder);
@@ -318,25 +339,52 @@ fn classify(lane: &crate::lane::Lane, program_done: bool) -> CycleClass {
 }
 
 /// A set of port indices (ports are `u8`-indexed), held on the stack.
-#[derive(Default)]
-struct PortSet([u64; 4]);
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PortSet([u64; 4]);
 
 impl PortSet {
-    fn insert(&mut self, port: u8) {
+    pub(crate) fn insert(&mut self, port: u8) {
         self.0[port as usize / 64] |= 1 << (port % 64);
     }
 
-    fn contains(&self, port: u8) -> bool {
+    pub(crate) fn remove(&mut self, port: u8) {
+        self.0[port as usize / 64] &= !(1 << (port % 64));
+    }
+
+    /// Inserts `port` if `member`, else removes it.
+    #[inline]
+    pub(crate) fn set(&mut self, port: u8, member: bool) {
+        let word = &mut self.0[port as usize / 64];
+        let bit = 1 << (port % 64);
+        *word = (*word & !bit) | (u64::from(member) * bit);
+    }
+
+    pub(crate) fn contains(&self, port: u8) -> bool {
         self.0[port as usize / 64] & (1 << (port % 64)) != 0
     }
 
-    fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.0 == [0; 4]
     }
 
+    /// The set as four words of bits, port `64 * w + b` at bit `b` of word
+    /// `w`.
+    #[inline]
+    pub(crate) fn words(self) -> [u64; 4] {
+        self.0
+    }
+
     /// The ports in the set, in increasing order.
-    fn ports(&self) -> impl Iterator<Item = u8> + '_ {
-        (0..=u8::MAX).filter(|&p| self.contains(p))
+    pub(crate) fn ports(self) -> impl Iterator<Item = u8> {
+        self.0.into_iter().enumerate().flat_map(|(w, mut bits)| {
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    (w * 64) as u8 + bit as u8
+                })
+            })
+        })
     }
 }
 
@@ -382,5 +430,9 @@ mod tests {
         }
         assert!(!set.is_empty() && set.contains(63) && !set.contains(1));
         assert_eq!(set.ports().collect::<Vec<_>>(), [0, 63, 64, 200, 255]);
+        set.set(64, false);
+        set.remove(0);
+        set.set(1, true);
+        assert_eq!(set.ports().collect::<Vec<_>>(), [1, 63, 200, 255]);
     }
 }

@@ -2,6 +2,12 @@
 //! bandwidth budgets; drains (stores, XFERs) empty output ports; completed
 //! streams retire and free their ports.
 //!
+//! A load fills its port by the run: the rest of a stride-1 row, as much of
+//! it as the budget and the port's staged vector take, is one bounds-checked
+//! read, one staging copy and at most one flush. The store→load guard is
+//! asked once per run — by address range — and a run it may hold moves
+//! word by word, each word asking the guard as before.
+//!
 //! Progress tracking caveat: [`OutPort::pop_kept`] can mutate the port and
 //! still return `None` — a spent head vector (trailing predicated-off
 //! lanes, or values consumed by the discard FSM) is popped while scanning,
@@ -38,7 +44,7 @@ impl Machine {
             }
             let mut priv_budget = lane.cfg.spad_bw_words;
             let mut const_budget = lane.cfg.xfer_bw_words;
-            let Lane { streams, in_ports, spad, events, retire_due, .. } = lane;
+            let Lane { streams, in_ports, flush_owed, spad, events, retire_due, .. } = lane;
             let mut moved = false;
             let mut starved = false;
             let mut sync_blocked = false;
@@ -57,11 +63,63 @@ impl Machine {
                         };
                         let port = &mut in_ports[*dst as usize];
                         shared |= *target == MemTarget::Shared && !walker.exhausted();
+                        // Once per stream per pass: whether its rows move
+                        // as runs.
+                        let runs = walker.rows_are_runs();
+                        // Words of a run the guard may hold, still to move
+                        // one by one.
+                        let mut by_word = 0usize;
                         while let Some(elem) = walker.peek() {
                             if *budget == 0 {
                                 starved = true;
                                 break;
                             }
+                            if runs && by_word == 0 {
+                                // A run: the rest of a stride-1 row, as far
+                                // as the budget and the staged vector allow,
+                                // moved at once when no older store to its
+                                // memory spans any of its addresses (so the
+                                // guard below would release each word).
+                                let room = port.staging_room();
+                                if room == 0 {
+                                    break;
+                                }
+                                let row_left = walker.row_left();
+                                let n = row_left.min(room as i64).min(*budget as i64);
+                                let (lo, hi) = (elem.offset, elem.offset + n - 1);
+                                if !older.iter().any(|s| s.store_meets(*target, lo, hi)) {
+                                    let spad = match target {
+                                        MemTarget::Private => &*spad,
+                                        MemTarget::Shared => &self.shared,
+                                    };
+                                    let recorder = &mut self.recorder;
+                                    let pushed =
+                                        port.push_run_with(n as usize, n == row_left, |words| {
+                                            match recorder {
+                                                Some(rec) => {
+                                                    for (w, addr) in words.iter_mut().zip(lo..) {
+                                                        *w = rec.load(*target, li, spad, addr);
+                                                    }
+                                                }
+                                                None => spad.read_f64_run(lo, words),
+                                            }
+                                        });
+                                    debug_assert!(pushed, "the staging room admits the run");
+                                    walker.advance_by(n);
+                                    *budget -= n as usize;
+                                    moved = true;
+                                    events.port_words += n as u64;
+                                    match target {
+                                        MemTarget::Private => events.spad_words += n as u64,
+                                        MemTarget::Shared => {
+                                            events.shared_spad_words += n as u64;
+                                        }
+                                    }
+                                    continue;
+                                }
+                                by_word = n as usize;
+                            }
+                            by_word = by_word.saturating_sub(1);
                             if !port.can_accept() {
                                 break;
                             }
@@ -122,6 +180,7 @@ impl Machine {
                             moved |= *flushed;
                             *retire_due |= *flushed;
                         }
+                        flush_owed.set(*dst, port.owes_flush());
                     }
                     StreamBody::Const { dst, values } => {
                         let port = &mut in_ports[*dst as usize];
@@ -142,6 +201,7 @@ impl Machine {
                             events.port_words += 1;
                         }
                         *retire_due |= values.is_empty();
+                        flush_owed.set(*dst, port.owes_flush());
                     }
                     _ => {}
                 }
@@ -175,13 +235,14 @@ impl Machine {
             }
             let mut priv_budget = lane.cfg.spad_bw_words;
             let mut xfer_budget = lane.cfg.xfer_bw_words;
-            let Lane { streams, in_ports, out_ports, spad, events, retire_due, .. } = lane;
+            let Lane { streams, in_ports, flush_owed, out_ports, spad, events, retire_due, .. } =
+                lane;
             let mut moved = false;
             let mut starved = false;
             let mut shared = false;
             for stream in streams.iter_mut() {
                 match &mut stream.body {
-                    StreamBody::Store { src, target, walker, written } => {
+                    StreamBody::Store { src, target, walker, written, .. } => {
                         let budget: &mut usize = match target {
                             MemTarget::Private => &mut priv_budget,
                             MemTarget::Shared => &mut shared_budget,
@@ -245,6 +306,7 @@ impl Machine {
                             events.bus_words += 2; // bus out + bus in
                         }
                         *retire_due |= *remaining <= 0;
+                        flush_owed.set(*dst, in_ports[dp].owes_flush());
                     }
                     _ => {}
                 }
@@ -307,6 +369,7 @@ impl Machine {
                         a.events.bus_words += 2;
                     }
                     a.retire_due |= *remaining <= 0;
+                    b.flush_owed.set(*dst, b.in_ports[dp].owes_flush());
                 }
             }
             if pushed {

@@ -28,11 +28,22 @@
 //! serializing commands. Every cycle both must make the same progress
 //! and hold the same ports, streams, region timers, event counts and
 //! per-cycle flags.
+//!
+//! Row-run loads are checked against [`Machine::run_source_streams_by_word`],
+//! the pass that moved every load word by word and asked the store→load
+//! guard for each: the two step in lockstep on seeded programs whose rows
+//! are shorter and longer than their ports, triangular and strided, with
+//! budgets below a port's width, shared-budget starvation, deferred
+//! flushes, older stores whose ranges meet or miss a run, and tag-mode
+//! runs. Every cycle both must hold the same ports (every lane's bits),
+//! walkers, flags and event counts, and each lane's tick mask must name
+//! exactly the ports that owe a flush.
 
-use super::NextEvent;
+use super::{NextEvent, PortSet};
 use crate::fault::{FaultPlan, FAULT_DROP_PORT};
 use crate::lane::{Lane, StreamBody, WakeTally};
 use crate::machine::{Machine, SimOptions};
+use crate::trace::Recorder;
 use revel_dfg::{Dfg, OpCode, Region};
 use revel_fabric::{LaneConfig, RevelConfig};
 use revel_isa::{
@@ -394,6 +405,7 @@ fn lockstep(program: &RevelProgram, cfg: RevelConfig, opts: SimOptions, seen: &m
                 issued.0 = m.issue_commands(now, p, s);
                 issued.0
             },
+            Machine::run_source_streams,
             |m| {
                 retired.0 = m.retire_streams();
                 retired.0
@@ -407,6 +419,7 @@ fn lockstep(program: &RevelProgram, cfg: RevelConfig, opts: SimOptions, seen: &m
                 issued.1 = m.issue_commands_full(now, p, s);
                 issued.1
             },
+            Machine::run_source_streams,
             |m| {
                 retired.1 = m.retire_streams_swept();
                 retired.1
@@ -760,4 +773,425 @@ fn a_serializing_release_that_empties_the_queue_wakes_the_pass() {
         let tally = lockstep_data(&prog, RevelConfig::single_lane(), SimOptions::default());
         assert!(tally.gated > 0, "{name}: {tally:?}");
     }
+}
+
+impl Machine {
+    /// The source pass before row runs: every load moves one word per
+    /// iteration and asks the store→load guard for each. Besides the
+    /// woken pass's port-flush mask, it is the pass the row runs replaced.
+    pub(crate) fn run_source_streams_by_word(&mut self) -> bool {
+        let mut progress = false;
+        let mut shared_budget = self.cfg.shared_spad_bw_words;
+        let num_lanes = self.lanes.len();
+        for li in 0..num_lanes {
+            let lane = &mut self.lanes[li];
+            if lane.data.gated && (shared_budget > 0 || !lane.data.shared) {
+                continue;
+            }
+            lane.data.tally.run_for_shared_budget += u64::from(lane.data.gated);
+            let mut priv_budget = lane.cfg.spad_bw_words;
+            let mut const_budget = lane.cfg.xfer_bw_words;
+            let Lane { streams, in_ports, flush_owed, spad, events, retire_due, .. } = lane;
+            let mut moved = false;
+            let mut starved = false;
+            let mut sync_blocked = false;
+            let mut shared = false;
+            for si in 0..streams.len() {
+                let (older, rest) = streams.split_at_mut(si);
+                match &mut rest[0].body {
+                    StreamBody::Load { target, walker, dst, flushed } => {
+                        let budget: &mut usize = match target {
+                            MemTarget::Private => &mut priv_budget,
+                            MemTarget::Shared => &mut shared_budget,
+                        };
+                        let port = &mut in_ports[*dst as usize];
+                        shared |= *target == MemTarget::Shared && !walker.exhausted();
+                        while let Some(elem) = walker.peek() {
+                            if *budget == 0 {
+                                starved = true;
+                                break;
+                            }
+                            if !port.can_accept() {
+                                break;
+                            }
+                            let blocked = older.iter().any(|s| match &s.body {
+                                StreamBody::Store {
+                                    target: starget, walker: sw, written, ..
+                                } => {
+                                    *starget == *target
+                                        && sw.remaining_contains(elem.offset)
+                                        && (!written.contains(elem.offset)
+                                            || sw.current_row() <= elem.j)
+                                }
+                                _ => false,
+                            });
+                            if blocked {
+                                sync_blocked = true;
+                                break;
+                            }
+                            let spad = match target {
+                                MemTarget::Private => &*spad,
+                                MemTarget::Shared => &self.shared,
+                            };
+                            let val = match &mut self.recorder {
+                                Some(rec) => rec.load(*target, li, spad, elem.offset),
+                                None => spad.read_f64(elem.offset),
+                            };
+                            if !port.push_word(val, elem.last_in_row) {
+                                break;
+                            }
+                            walker.advance();
+                            *budget -= 1;
+                            moved = true;
+                            events.port_words += 1;
+                            match target {
+                                MemTarget::Private => events.spad_words += 1,
+                                MemTarget::Shared => events.shared_spad_words += 1,
+                            }
+                        }
+                        if walker.exhausted() && !*flushed {
+                            *flushed = port.flush_at_stream_end();
+                            moved |= *flushed;
+                            *retire_due |= *flushed;
+                        }
+                        flush_owed.set(*dst, port.owes_flush());
+                    }
+                    StreamBody::Const { dst, values } => {
+                        let port = &mut in_ports[*dst as usize];
+                        while const_budget > 0 {
+                            let Some(&v) = values.front() else { break };
+                            if !port.can_accept() {
+                                break;
+                            }
+                            let v = self.recorder.as_mut().map_or(v, |rec| rec.constant(v));
+                            if !port.push_word(v, values.len() == 1) {
+                                break;
+                            }
+                            values.pop_front();
+                            const_budget -= 1;
+                            moved = true;
+                            events.port_words += 1;
+                        }
+                        *retire_due |= values.is_empty();
+                        flush_owed.set(*dst, port.owes_flush());
+                    }
+                    _ => {}
+                }
+            }
+            lane.bw_starved |= starved;
+            lane.barrier_blocked |= sync_blocked;
+            lane.data.guard = sync_blocked;
+            lane.data.shared |= shared;
+            lane.data.moved |= moved;
+            progress |= moved;
+        }
+        progress
+    }
+}
+
+/// Regions of the row-run programs, one per port of each hardware width:
+/// chains at widths 8, 4, 2 and 1, a second width-4 chain for local XFERs,
+/// and a scalar one for `XferRight`s into the right lane.
+fn run_regions() -> Vec<Region> {
+    let chain = |name: &str, port: u8, width: usize, op: OpCode| {
+        let mut g = Dfg::new(name);
+        let x = g.input(InPortId(port));
+        let y = match op {
+            OpCode::Mov | OpCode::Neg => g.op(op, &[x]),
+            _ => g.op(op, &[x, x]),
+        };
+        g.output(y, OutPortId(port));
+        Region::systolic(name, g, width)
+    };
+    vec![
+        chain("w8", 0, 8, OpCode::Mul),
+        chain("w4", 2, 4, OpCode::Add),
+        chain("x4", 3, 4, OpCode::Neg),
+        chain("w2", 4, 2, OpCode::Neg),
+        chain("s6", 6, 1, OpCode::Mov),
+        chain("s7", 7, 1, OpCode::Neg),
+    ]
+}
+
+/// Ports of [`run_regions`]' loads: `(port, width)`.
+const RUN_CHAINS: [(u8, i64); 4] = [(0, 8), (2, 4), (4, 2), (6, 1)];
+
+/// What a row-run program's generator put in it.
+#[derive(Debug, Default)]
+struct RunMix {
+    stretched: u64,
+    strided: u64,
+    read_back: u64,
+}
+
+/// A seeded random program of loads whose rows are shorter and longer
+/// than their ports, triangular, strided, read back from an older store's
+/// addresses or from elsewhere, beside constants and local and right
+/// XFERs.
+fn run_program(seed: u64, lanes: usize, mix: &mut RunMix) -> RevelProgram {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut prog = RevelProgram::new(format!("runs-{lanes}-{seed}"));
+    prog.add_config(run_regions());
+    let all = LaneMask::all(lanes as u8);
+    let push = |prog: &mut RevelProgram, mask, cmds: &[StreamCommand]| {
+        for cmd in cmds {
+            prog.push(VectorCommand::broadcast(mask, cmd.clone()));
+        }
+    };
+    push(&mut prog, all, &[StreamCommand::Configure { config: ConfigId(0) }]);
+    let once = RateFsm::ONCE;
+    for _ in 0..6 + rng.gen_index(10) {
+        let mask = if lanes == 1 || rng.gen_bool() {
+            all
+        } else {
+            LaneMask::single(LaneId(rng.gen_index(lanes) as u8))
+        };
+        let target = if rng.gen_index(3) == 0 { MemTarget::Shared } else { MemTarget::Private };
+        let (port, width) = RUN_CHAINS[rng.gen_index(RUN_CHAINS.len())];
+        let at = rng.gen_range_i64(0, 300);
+        let pattern = match rng.gen_index(5) {
+            0 => AffinePattern::linear(at, rng.gen_range_i64(1, 3 * width + 6)),
+            1 | 2 => {
+                // Rows shorter or longer than the port, possibly
+                // triangular.
+                let len_i = rng.gen_range_i64(1, 2 * width + 4);
+                let len_j = rng.gen_range_i64(1, 6);
+                let stretch = [0, 0, -1, 1, -2][rng.gen_index(5)];
+                mix.stretched += u64::from(stretch != 0);
+                let stride_j = len_i + rng.gen_range_i64(0, 9);
+                AffinePattern::two_d(at, 1, stride_j, len_i, len_j, stretch)
+            }
+            3 => {
+                mix.strided += 1;
+                let stride_i = [0, 2, 3][rng.gen_index(3)];
+                AffinePattern::two_d(at, stride_i, 40, rng.gen_range_i64(1, 12), 2, 0)
+            }
+            _ => {
+                // Written by the store just before it, then read back: the
+                // older store's range meets the load's runs.
+                mix.read_back += 1;
+                let n = rng.gen_range_i64(2, 3 * width + 4);
+                let (src, _) = RUN_CHAINS[rng.gen_index(RUN_CHAINS.len())];
+                let cmds = [
+                    StreamCommand::load(target, AffinePattern::linear(500, n), InPortId(src), once),
+                    StreamCommand::store(
+                        OutPortId(src),
+                        target,
+                        AffinePattern::linear(at, n),
+                        once,
+                    ),
+                ];
+                push(&mut prog, mask, &cmds);
+                AffinePattern::linear(at, n)
+            }
+        };
+        let n = pattern.total_elems();
+        match rng.gen_index(6) {
+            0 if port == 2 => {
+                // A local XFER into the second width-4 chain.
+                let cmds = [
+                    StreamCommand::load(target, pattern, InPortId(2), once),
+                    StreamCommand::xfer(OutPortId(2), InPortId(3), n, once, once),
+                    StreamCommand::store(OutPortId(3), target, AffinePattern::linear(560, n), once),
+                ];
+                push(&mut prog, mask, &cmds);
+            }
+            1 => {
+                // Constants in place of the load: their last vector's flush
+                // is deferred behind a full FIFO as a load's can be.
+                let n = rng.gen_range_i64(1, 3 * width + 2);
+                let konst = ConstPattern::repeat(1.25f64.to_bits(), n);
+                let out = AffinePattern::linear(rng.gen_range_i64(560, 740), n);
+                let cmds = [
+                    StreamCommand::konst(InPortId(port), konst),
+                    StreamCommand::store(OutPortId(port), target, out, once),
+                ];
+                push(&mut prog, mask, &cmds);
+            }
+            2 if port == 6 => {
+                // Every lane hands its words to the right neighbour.
+                let cmds = [
+                    StreamCommand::load(target, pattern, InPortId(6), once),
+                    StreamCommand::xfer_right(OutPortId(6), InPortId(7), n, once, once),
+                    StreamCommand::store(OutPortId(7), target, AffinePattern::linear(600, n), once),
+                ];
+                push(&mut prog, all, &cmds);
+            }
+            _ => {
+                let uses = [1, 1, 2][rng.gen_index(3)];
+                let load =
+                    StreamCommand::load(target, pattern, InPortId(port), RateFsm::fixed(uses));
+                let out = AffinePattern::linear(rng.gen_range_i64(560, 740), n * uses);
+                let store = StreamCommand::store(OutPortId(port), target, out, once);
+                push(&mut prog, mask, &[load, store]);
+            }
+        }
+    }
+    push(&mut prog, all, &[StreamCommand::Wait]);
+    prog
+}
+
+/// Coverage of the situations row runs have to get right, summed over the
+/// lane-cycles of every program.
+#[derive(Debug, Default)]
+struct RunSeen {
+    /// A stride-1 load with more than one word left in its row.
+    runnable: u64,
+    /// ... whose row is shorter than its port's width, or longer.
+    short_rows: u64,
+    long_rows: u64,
+    /// ... whose port still owes the flush of a vector.
+    deferred_flush: u64,
+    /// ... with an older store whose range meets the rest of its row, or
+    /// only older stores whose ranges miss it.
+    store_meets: u64,
+    store_misses: u64,
+    /// ... on a lane its pass then left bandwidth-starved.
+    starved: u64,
+    tag_mode_cycles: u64,
+}
+
+impl RunSeen {
+    /// The runnable loads `m` is about to step, with their lanes.
+    fn runnable(m: &Machine) -> Vec<(usize, usize)> {
+        let mut found = Vec::new();
+        for (li, lane) in m.lanes.iter().enumerate() {
+            for (si, s) in lane.streams.iter().enumerate() {
+                if let StreamBody::Load { walker, .. } = &s.body {
+                    if walker.rows_are_runs() && walker.peek().is_some() && walker.row_left() > 1 {
+                        found.push((li, si));
+                    }
+                }
+            }
+        }
+        found
+    }
+
+    fn note(&mut self, m: &Machine, runnable: &[(usize, usize)]) {
+        for &(li, si) in runnable {
+            let lane = &m.lanes[li];
+            let StreamBody::Load { target, walker, dst, .. } = &lane.streams[si].body else {
+                unreachable!("a load")
+            };
+            let port = &lane.in_ports[*dst as usize];
+            let row_len = walker.row_left() + walker.peek().map_or(0, |e| e.i);
+            self.runnable += 1;
+            self.short_rows += u64::from(row_len < port.width() as i64);
+            self.long_rows += u64::from(row_len > port.width() as i64);
+            self.deferred_flush += u64::from(port.owes_flush());
+            let lo = walker.peek().map_or(0, |e| e.offset);
+            let hi = lo + walker.row_left() - 1;
+            let older = &lane.streams[..si];
+            if older.iter().any(|s| s.store_meets(*target, lo, hi)) {
+                self.store_meets += 1;
+            } else if older.iter().any(|s| s.is_store()) {
+                self.store_misses += 1;
+            }
+        }
+        self.tag_mode_cycles += u64::from(m.recorder.is_some());
+    }
+}
+
+/// Each lane's source-side state: every input port's contents bit for bit,
+/// every load's walker, and the ports owing a flush.
+fn source_state(lane: &Lane) -> impl PartialEq + std::fmt::Debug + '_ {
+    let ports: Vec<_> = lane.in_ports.iter().map(|p| p.state_bits()).collect();
+    let walkers: Vec<String> = lane
+        .streams
+        .iter()
+        .filter_map(|s| match &s.body {
+            StreamBody::Load { walker, flushed, .. } => Some(format!("{walker:?} {flushed}")),
+            _ => None,
+        })
+        .collect();
+    (ports, walkers, lane.flush_owed)
+}
+
+/// The ports of `lane` whose own flag says they owe a flush.
+fn owing(lane: &Lane) -> PortSet {
+    let mut set = PortSet::default();
+    for (p, port) in lane.in_ports.iter().enumerate() {
+        set.set(p as u8, port.owes_flush());
+    }
+    set
+}
+
+/// Runs `program` on `cfg` twice in lockstep, one machine moving row runs
+/// and the other every load word by word, in tag mode if `tag`, until it
+/// finishes or deadlocks (at most 4 000 cycles).
+fn lockstep_runs(program: &RevelProgram, cfg: RevelConfig, tag: bool, seen: &mut RunSeen) {
+    program.validate(&cfg.lane).expect("a valid program");
+    let mut runs = Machine::new(cfg, SimOptions::default());
+    let schedules = runs.compiled_schedules(program).expect("the configurations fit");
+    runs.reset_faults();
+    for (li, lane) in runs.lanes.iter_mut().enumerate() {
+        let data: Vec<f64> = (0..lane.spad.len()).map(|a| (a * 7 + li) as f64 * 0.25).collect();
+        lane.spad.write_f64_slice(0, &data);
+    }
+    if tag {
+        runs.recorder = Some(Recorder::new(runs.lanes.len()));
+    }
+    let mut words = runs.clone();
+    for now in 0..4_000 {
+        let finished = runs.program_finished(program);
+        assert_eq!(finished, words.program_finished(program), "{}: cycle {now}", program.name);
+        if finished {
+            break;
+        }
+        let runnable = RunSeen::runnable(&runs);
+        seen.note(&runs, &runnable);
+        let run_progress = runs.step(now, program, &schedules);
+        let word_progress = words.step_with(
+            now,
+            program,
+            &schedules,
+            Machine::issue_commands,
+            Machine::run_source_streams_by_word,
+            Machine::retire_streams,
+        );
+        seen.starved += runnable.iter().filter(|(li, _)| runs.lanes[*li].bw_starved).count() as u64;
+        let what = format!("{}: cycle {now}", program.name);
+        assert_eq!(run_progress, word_progress, "{what}: progress");
+        for (li, (r, w)) in runs.lanes.iter().zip(&words.lanes).enumerate() {
+            assert_eq!(lane_state(r), lane_state(w), "{what}, lane {li}");
+            assert_eq!(data_state(r), data_state(w), "{what}, lane {li}");
+            assert_eq!(source_state(r), source_state(w), "{what}, lane {li}");
+            assert_eq!(r.flush_owed, owing(r), "{what}, lane {li}: the tick mask");
+            assert_eq!(w.flush_owed, owing(w), "{what}, lane {li}: the tick mask");
+        }
+        if !run_progress && runs.next_event(now).is_none() {
+            break; // deadlocked: no later cycle can differ from this one
+        }
+    }
+    for (r, w) in runs.lanes.iter().zip(&words.lanes) {
+        assert_eq!(r.spad, w.spad, "{}: scratchpads diverged", program.name);
+    }
+    assert_eq!(runs.shared, words.shared, "{}: shared scratchpads diverged", program.name);
+}
+
+#[test]
+fn row_run_loads_match_the_word_at_a_time_pass() {
+    let (mut seen, mut mix) = (RunSeen::default(), RunMix::default());
+    for seed in 0..48u64 {
+        let pick = |of: usize, every: u64| (seed / every) as usize % of;
+        let lanes = [1, 2, 8][pick(3, 1)];
+        let lane = LaneConfig {
+            port_fifo_depth: [1, 2, 4][pick(3, 3)],
+            spad_bw_words: [8, 3, 1][pick(3, 9)],
+            ..LaneConfig::paper_default()
+        };
+        let cfg = RevelConfig {
+            num_lanes: lanes,
+            lane,
+            shared_spad_bw_words: [8, 5, 2][pick(3, 2)],
+            ..RevelConfig::paper_default()
+        };
+        let program = run_program(seed, lanes, &mut mix);
+        lockstep_runs(&program, cfg, seed % 3 == 2, &mut seen);
+    }
+    let RunSeen { runnable, short_rows, long_rows, deferred_flush, store_meets, .. } = seen;
+    let covered = [runnable, short_rows, long_rows, deferred_flush, store_meets];
+    assert!(covered.iter().all(|n| *n > 0), "{seen:?}");
+    assert!(seen.store_misses > 0 && seen.starved > 0 && seen.tag_mode_cycles > 0, "{seen:?}");
+    assert!(mix.stretched > 0 && mix.strided > 0 && mix.read_back > 0, "{mix:?}");
 }

@@ -2,7 +2,7 @@
 //! triggered-instruction temporal executor.
 
 use crate::fault::FaultKind;
-use crate::kernel::NextEvent;
+use crate::kernel::{NextEvent, PortSet};
 use crate::memory::Scratchpad;
 use crate::port::{InPort, OutPort};
 use crate::stats::{CycleBreakdown, CycleClass};
@@ -61,13 +61,33 @@ impl PatternWalker {
 
     /// Steps past the current element; the walker must not be exhausted.
     pub(crate) fn advance(&mut self) {
+        self.advance_by(1);
+    }
+
+    /// Steps past `n` elements of the current row, at most the
+    /// [`PatternWalker::row_left`] of a walker that is not exhausted.
+    #[inline]
+    pub(crate) fn advance_by(&mut self, n: i64) {
         debug_assert!(!self.exhausted(), "advancing an exhausted walker");
-        self.i += 1;
+        debug_assert!((1..=self.row_left()).contains(&n), "advancing past the row");
+        self.i += n;
         if self.i < self.row_len {
-            self.offset += self.pattern.stride_i;
+            self.offset += n * self.pattern.stride_i;
         } else {
             self.enter_row(self.j + 1);
         }
+    }
+
+    /// Elements left in the current row, the current one included.
+    #[inline]
+    pub(crate) fn row_left(&self) -> i64 {
+        self.row_len - self.i
+    }
+
+    /// True if each row's elements are consecutive words, so the rest of
+    /// a row is one run of addresses from the current element's.
+    pub(crate) fn rows_are_runs(&self) -> bool {
+        self.pattern.stride_i == 1
     }
 
     pub(crate) fn exhausted(&self) -> bool {
@@ -95,31 +115,57 @@ impl PatternWalker {
 /// The set of word addresses a store stream has written so far: a dense
 /// bitset over the addresses its pattern spans (within its scratchpad), so
 /// the store→load guard's membership test is one subtract, shift and mask.
+/// A span of at most [`WrittenSet::INLINE_WORDS`] × 64 addresses is held
+/// inline, so binding such a store does not allocate.
 #[derive(Debug, Clone)]
 pub(crate) struct WrittenSet {
     /// The lowest address the set covers.
     base: i64,
-    bits: Vec<u64>,
+    /// Words of the bitset: `inline[..words]` up to `INLINE_WORDS`, else
+    /// `heap`.
+    words: usize,
+    inline: [u64; WrittenSet::INLINE_WORDS],
+    heap: Vec<u64>,
 }
 
 impl WrittenSet {
-    /// An empty set over the addresses `pattern` touches in a scratchpad of
-    /// `spad_words` words.
-    pub(crate) fn spanning(pattern: &AffinePattern, spad_words: usize) -> Self {
+    const INLINE_WORDS: usize = 2;
+
+    /// An empty set over the addresses in `range` (a pattern's
+    /// [`AffinePattern::addr_range`]) in a scratchpad of `spad_words` words.
+    pub(crate) fn spanning(range: Option<(i64, i64)>, spad_words: usize) -> Self {
         let last = spad_words as i64 - 1;
-        match pattern.addr_range() {
+        let (base, words) = match range {
             Some((lo, hi)) if lo <= last && hi >= 0 => {
                 let (lo, hi) = (lo.max(0), hi.min(last));
-                WrittenSet { base: lo, bits: vec![0; (hi - lo) as usize / 64 + 1] }
+                (lo, (hi - lo) as usize / 64 + 1)
             }
-            _ => WrittenSet { base: 0, bits: Vec::new() },
+            _ => (0, 0),
+        };
+        let heap = if words > Self::INLINE_WORDS { vec![0; words] } else { Vec::new() };
+        WrittenSet { base, words, inline: [0; Self::INLINE_WORDS], heap }
+    }
+
+    fn bits(&self) -> &[u64] {
+        if self.words <= Self::INLINE_WORDS {
+            &self.inline[..self.words]
+        } else {
+            &self.heap
+        }
+    }
+
+    fn bits_mut(&mut self) -> &mut [u64] {
+        if self.words <= Self::INLINE_WORDS {
+            &mut self.inline[..self.words]
+        } else {
+            &mut self.heap
         }
     }
 
     /// Word index and bit of `addr`, or `None` outside the span.
     fn slot(&self, addr: i64) -> Option<(usize, u64)> {
         let at = usize::try_from(addr.checked_sub(self.base)?).ok()?;
-        (at / 64 < self.bits.len()).then_some((at / 64, 1 << (at % 64)))
+        (at / 64 < self.words).then_some((at / 64, 1 << (at % 64)))
     }
 
     /// Records a written address. One outside the span is not recorded:
@@ -127,17 +173,17 @@ impl WrittenSet {
     /// itself panics on one outside the scratchpad).
     pub(crate) fn insert(&mut self, addr: i64) {
         if let Some((word, bit)) = self.slot(addr) {
-            self.bits[word] |= bit;
+            self.bits_mut()[word] |= bit;
         }
     }
 
     pub(crate) fn contains(&self, addr: i64) -> bool {
-        self.slot(addr).is_some_and(|(word, bit)| self.bits[word] & bit != 0)
+        self.slot(addr).is_some_and(|(word, bit)| self.bits()[word] & bit != 0)
     }
 
     /// Number of distinct addresses written.
     pub(crate) fn len(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+        self.bits().iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -182,6 +228,9 @@ pub(crate) enum StreamBody {
         src: u8,
         target: MemTarget,
         walker: PatternWalker,
+        /// The inclusive range of addresses the pattern touches, if any:
+        /// a load run outside it cannot meet this store.
+        range: Option<(i64, i64)>,
         /// Addresses written so far (distinguishes write-once
         /// producer→consumer streams from in-place multi-version rewrites
         /// in the store→load ordering guard).
@@ -226,6 +275,19 @@ impl ActiveStream {
 
     pub(crate) fn is_store(&self) -> bool {
         matches!(self.body, StreamBody::Store { .. })
+    }
+
+    /// True if this is a store to `target` whose pattern may touch an
+    /// address in `lo..=hi`: the store→load guard may hold a load word
+    /// there.
+    #[inline]
+    pub(crate) fn store_meets(&self, target: MemTarget, lo: i64, hi: i64) -> bool {
+        match &self.body {
+            StreamBody::Store { target: t, range, .. } => {
+                *t == target && range.is_some_and(|(a, b)| a <= hi && lo <= b)
+            }
+            _ => false,
+        }
     }
 }
 
@@ -479,8 +541,6 @@ pub(crate) struct RegionState {
     /// demand times the unroll), for event accounting.
     fu_ops: Vec<(FuClass, u64)>,
     next_fire: u64,
-    /// Scratch: the input vectors of the fire in progress.
-    inputs: Vec<VecVal>,
     /// One entry per fired result set not yet delivered, oldest first: the
     /// cycle a systolic result matures. (Temporal fires wait in
     /// `Lane::instances` instead.)
@@ -617,6 +677,9 @@ pub(crate) struct Lane {
     pub cfg: LaneConfig,
     pub spad: Scratchpad,
     pub in_ports: Vec<InPort>,
+    /// The input ports whose last vector's flush is deferred
+    /// ([`InPort::owes_flush`]): the ones the port-tick phase retries.
+    pub flush_owed: PortSet,
     pub out_ports: Vec<OutPort>,
     pub in_busy: Vec<bool>,
     pub out_busy: Vec<bool>,
@@ -682,6 +745,7 @@ impl Lane {
             in_busy: vec![false; in_ports.len()],
             out_busy: vec![false; out_ports.len()],
             in_ports,
+            flush_owed: PortSet::default(),
             out_ports,
             cmd_queue: VecDeque::new(),
             streams: Vec::new(),
@@ -808,7 +872,6 @@ impl Lane {
                 eval: region.dfg.evaluator(region.unroll),
                 region: region.clone(),
                 sched: *sched,
-                inputs: Vec::with_capacity(in_ports.len()),
                 in_ports,
                 out_ports: region.output_ports().iter().map(|p| p.0).collect(),
                 fu_ops: region
@@ -839,6 +902,7 @@ impl Lane {
         for (i, p) in self.in_ports.iter_mut().enumerate() {
             *p = InPort::new(logical[i], self.cfg.port_fifo_depth);
         }
+        self.flush_owed = PortSet::default();
         for (i, p) in self.out_ports.iter_mut().enumerate() {
             *p = OutPort::new(self.cfg.out_port_widths[i], self.cfg.port_fifo_depth);
         }
@@ -910,17 +974,13 @@ impl Lane {
         if rs.instances >= MAX_TEMPORAL_INSTANCES {
             return ReadyState::Blocked;
         }
-        let mut any_data = false;
-        for p in &rs.in_ports {
-            match self.in_ports[*p as usize].peek() {
-                Some(_) => any_data = true,
-                None => {
-                    return if any_data || self.in_ports_have_any_data(rs) {
-                        ReadyState::MissingInput
-                    } else {
-                        ReadyState::NoData
-                    };
-                }
+        for (k, p) in rs.in_ports.iter().enumerate() {
+            if !self.in_ports[*p as usize].has_data() {
+                return if k > 0 || self.in_ports_have_any_data(rs) {
+                    ReadyState::MissingInput
+                } else {
+                    ReadyState::NoData
+                };
             }
         }
         for p in &rs.out_ports {
@@ -932,7 +992,7 @@ impl Lane {
     }
 
     fn in_ports_have_any_data(&self, rs: &RegionState) -> bool {
-        rs.in_ports.iter().any(|p| self.in_ports[*p as usize].peek().is_some())
+        rs.in_ports.iter().any(|p| self.in_ports[*p as usize].has_data())
     }
 
     /// The valid-lane count a fire of region `r` would cover right now:
@@ -945,8 +1005,8 @@ impl Lane {
         for p in &self.regions[r].in_ports {
             let port = &self.in_ports[*p as usize];
             if port.width() == unroll && unroll > 1 {
-                if let Some(head) = port.peek() {
-                    fire_valid = fire_valid.min(head.valid_count());
+                if let Some(valid) = port.head_valid_count() {
+                    fire_valid = fire_valid.min(valid);
                 }
             }
         }
@@ -969,12 +1029,12 @@ impl Lane {
         let Lane { regions, in_ports, in_busy, events, wake, .. } = self;
         let rs = &mut regions[r];
         let unroll = rs.region.unroll;
-        // Gather inputs. Scalar-broadcast ports burn `fire_valid` reuse
-        // elements per fire (reuse counts are in element units); vector
-        // ports consume one presentation per fire.
-        rs.inputs.clear();
+        // Gather inputs straight into the evaluator's input slots.
+        // Scalar-broadcast ports burn `fire_valid` reuse elements per fire
+        // (reuse counts are in element units); vector ports consume one
+        // presentation per fire.
         let mut min_valid = unroll as u32;
-        for p in &rs.in_ports {
+        for (k, p) in rs.in_ports.iter().enumerate() {
             let port = &mut in_ports[*p as usize];
             let v = if port.width() < unroll {
                 port.take_elems(fire_valid as i64)
@@ -988,11 +1048,11 @@ impl Lane {
             events.port_words += v.width() as u64;
             let adapted = adapt_width(v, unroll);
             min_valid = min_valid.min(adapted.valid_count());
-            rs.inputs.push(adapted);
+            rs.eval.set_input(k, adapted);
         }
         match recorder {
-            Some(rec) => rs.results.extend(rec.fire(li, r, &rs.inputs)),
-            None => rs.results.extend(rs.eval.fire(&rs.inputs)),
+            Some(rec) => rs.results.extend(rec.fire(li, r, rs.eval.inputs())),
+            None => rs.results.extend(rs.eval.fire_set()),
         }
         min_valid
     }
@@ -1379,7 +1439,7 @@ mod tests {
 
     #[test]
     fn written_set_counts_distinct_words_of_its_scratchpad() {
-        let mut w = WrittenSet::spanning(&AffinePattern::linear(0, 100), 100);
+        let mut w = WrittenSet::spanning(AffinePattern::linear(0, 100).addr_range(), 100);
         assert!(!w.contains(7));
         for addr in [7, 64, 99, 7] {
             w.insert(addr);
@@ -1398,8 +1458,8 @@ mod tests {
     fn a_written_set_spans_its_pattern_not_the_scratchpad() {
         // Column 3 of a 16-row, 64-word-stride layout: words 195..=1155.
         let column = AffinePattern::strided(195, 64, 16);
-        let mut w = WrittenSet::spanning(&column, 4096);
-        assert_eq!(w.bits.len(), (1155 - 195) / 64 + 1);
+        let mut w = WrittenSet::spanning(column.addr_range(), 4096);
+        assert_eq!(w.bits().len(), (1155 - 195) / 64 + 1);
         for e in column.iter() {
             assert!(!w.contains(e.offset));
             w.insert(e.offset);
@@ -1407,11 +1467,23 @@ mod tests {
         }
         assert_eq!(w.len(), 16);
         assert!(!w.contains(194) && !w.contains(196) && !w.contains(1156));
+        // A span of at most 128 words is held inline.
+        let inline = WrittenSet::spanning(AffinePattern::linear(3, 128).addr_range(), 4096);
+        assert_eq!((inline.bits().len(), inline.heap.capacity()), (2, 0));
+        let heap = WrittenSet::spanning(AffinePattern::linear(3, 129).addr_range(), 4096);
+        assert_eq!((heap.bits().len(), heap.heap.len()), (3, 3));
         // Clipped to the scratchpad; an empty or wholly outside pattern
         // spans nothing.
-        assert_eq!(WrittenSet::spanning(&AffinePattern::linear(90, 20), 100).bits.len(), 1);
-        assert!(WrittenSet::spanning(&AffinePattern::linear(0, 0), 100).bits.is_empty());
-        assert!(WrittenSet::spanning(&AffinePattern::linear(100, 4), 100).bits.is_empty());
+        assert_eq!(
+            WrittenSet::spanning(AffinePattern::linear(90, 20).addr_range(), 100).bits().len(),
+            1
+        );
+        assert!(WrittenSet::spanning(AffinePattern::linear(0, 0).addr_range(), 100)
+            .bits()
+            .is_empty());
+        assert!(WrittenSet::spanning(AffinePattern::linear(100, 4).addr_range(), 100)
+            .bits()
+            .is_empty());
     }
 
     #[test]

@@ -68,6 +68,26 @@ impl Scratchpad {
         self.write(addr, value.to_bits());
     }
 
+    /// Reads the `f64`s at `addr..addr + out.len()` into `out`: one bounds
+    /// check for the run.
+    ///
+    /// # Panics
+    /// Panics as [`Scratchpad::read`] on the run's first address out of
+    /// bounds.
+    #[inline]
+    pub fn read_f64_run(&self, addr: i64, out: &mut [f64]) {
+        let run = usize::try_from(addr)
+            .ok()
+            .and_then(|at| self.words.get(at..at.checked_add(out.len())?));
+        let Some(run) = run else {
+            let first_bad = if addr < 0 { addr } else { addr.max(self.words.len() as i64) };
+            panic!("scratchpad read out of bounds: {first_bad} (size {})", self.words.len());
+        };
+        for (o, w) in out.iter_mut().zip(run) {
+            *o = f64::from_bits(*w);
+        }
+    }
+
     /// Bulk-writes a slice of `f64` starting at `addr`.
     ///
     /// # Panics
@@ -114,6 +134,22 @@ mod tests {
         let s = Scratchpad::new(4);
         assert!(s.in_bounds(0) && s.in_bounds(3));
         assert!(!s.in_bounds(-1) && !s.in_bounds(4) && !s.in_bounds(i64::MIN));
+    }
+
+    #[test]
+    fn a_run_reads_what_its_words_read() {
+        let mut s = Scratchpad::new(8);
+        s.write_f64_slice(2, &[1.5, -0.0, f64::INFINITY]);
+        let mut run = [9.0; 4];
+        s.read_f64_run(1, &mut run);
+        let words: Vec<u64> = (1..5).map(|a| s.read_f64(a).to_bits()).collect();
+        assert_eq!(run.map(f64::to_bits).to_vec(), words);
+    }
+
+    #[test]
+    #[should_panic(expected = "scratchpad read out of bounds: 8 (size 8)")]
+    fn a_run_past_the_end_panics_at_its_first_bad_word() {
+        Scratchpad::new(8).read_f64_run(6, &mut [0.0; 3]);
     }
 
     #[test]

@@ -103,16 +103,49 @@ impl InPort {
     /// Returns `false` (and consumes nothing) if the port cannot accept the
     /// word this cycle; the caller (a stream engine) retries next cycle.
     pub fn push_word(&mut self, value: f64, row_end: bool) -> bool {
+        self.push_run_with(1, row_end, |slot| slot[0] = value)
+    }
+
+    /// Words the port can take this cycle before its staged vector is
+    /// full: 0 iff it cannot accept a word ([`InPort::can_accept`]).
+    #[inline]
+    pub fn staging_room(&self) -> usize {
+        if self.pending_flush {
+            if self.fifo_has_space() {
+                self.width
+            } else {
+                0
+            }
+        } else {
+            self.width - self.staged
+        }
+    }
+
+    /// Pushes a run of `n` words as [`InPort::push_word`] would one by
+    /// one, `row_end` marking the last: `fill` writes them straight into
+    /// the staged vector's next `n` lanes, and at most one flush follows.
+    /// The run must fit the [`InPort::staging_room`].
+    ///
+    /// Returns `false` (and consumes nothing) if the port cannot accept a
+    /// word this cycle.
+    #[inline]
+    pub fn push_run_with(
+        &mut self,
+        n: usize,
+        row_end: bool,
+        fill: impl FnOnce(&mut [f64]),
+    ) -> bool {
         // Resolve any deferred flush before staging new data.
         if !self.resolve_pending() {
             return false;
         }
-        debug_assert!(self.staged < self.width);
-        self.staging[self.staged] = value;
-        self.staged += 1;
-        self.words_in += 1;
+        let end = self.staged + n;
+        debug_assert!(n > 0 && end <= self.width, "a run past the staged vector");
+        fill(&mut self.staging[self.staged..end]);
+        self.staged = end;
+        self.words_in += n as u64;
         if (self.staged == self.width || row_end) && !self.flush_staged() {
-            // FIFO full: the word is consumed but the vector flush is
+            // FIFO full: the words are consumed but the vector flush is
             // deferred to a later cycle.
             self.pending_flush = true;
         }
@@ -139,8 +172,9 @@ impl InPort {
             return false;
         }
         let pred = ((1u16 << self.staged) - 1) as u8;
-        self.fifo.push_back(VecVal::with_pred(&self.staging[..self.width], pred));
-        self.staging = [0.0; MAX_VEC_WIDTH];
+        // Lanes at and past `staged` hold 0.0, the padded lanes' value.
+        let staged = std::mem::replace(&mut self.staging, [0.0; MAX_VEC_WIDTH]);
+        self.fifo.push_back(VecVal::from_array(staged, self.width, pred));
         self.staged = 0;
         true
     }
@@ -154,9 +188,18 @@ impl InPort {
         self.flush_staged()
     }
 
-    /// Retries any deferred staging flush; called once per cycle by the
-    /// lane so stalled producers cannot strand staged data. Returns `true`
-    /// iff the flush landed this call (i.e. port state changed).
+    /// True while a staged vector's flush is deferred: the port owes the
+    /// FIFO a vector, which [`InPort::tick`] retries.
+    #[inline]
+    pub fn owes_flush(&self) -> bool {
+        self.pending_flush
+    }
+
+    /// Retries any deferred staging flush; called each cycle by the lane
+    /// on the ports that [`InPort::owes_flush`], so stalled producers
+    /// cannot strand staged data. Returns `true` iff the flush landed this
+    /// call (i.e. port state changed).
+    #[inline]
     pub fn tick(&mut self) -> bool {
         if self.pending_flush && self.flush_staged() {
             self.pending_flush = false;
@@ -178,9 +221,26 @@ impl InPort {
         self.pending_flush && self.words_in == 0
     }
 
-    /// Value available for the fabric to consume this cycle, if any.
-    pub fn peek(&self) -> Option<VecVal> {
-        self.fifo.front().copied()
+    /// Every field, the vectors' lanes as bits, for the kernel's lockstep
+    /// tests.
+    #[cfg(test)]
+    pub(crate) fn state_bits(&self) -> impl PartialEq + std::fmt::Debug {
+        let fifo: Vec<_> = self.fifo.iter().map(|v| v.map(f64::to_bits)).collect();
+        let staging = self.staging.map(f64::to_bits);
+        let fsm = (self.head_uses_left, self.head_index, self.pending_flush, self.words_in);
+        (self.width, fifo, staging, self.staged, fsm)
+    }
+
+    /// True if a value is available for the fabric to consume this cycle.
+    #[inline]
+    pub fn has_data(&self) -> bool {
+        !self.fifo.is_empty()
+    }
+
+    /// The valid-lane count of the value available this cycle, if any.
+    #[inline]
+    pub fn head_valid_count(&self) -> Option<u32> {
+        self.fifo.front().map(VecVal::valid_count)
     }
 
     /// Number of buffered vectors.
@@ -413,7 +473,8 @@ mod tests {
         for i in 0..4 {
             assert!(p.push_word(i as f64, false));
         }
-        let v = p.peek().unwrap();
+        assert_eq!(p.head_valid_count(), Some(4));
+        let v = p.take();
         assert_eq!(v.valid_count(), 4);
         assert_eq!(v.get(2), Some(2.0));
     }
@@ -444,12 +505,37 @@ mod tests {
     }
 
     #[test]
+    fn a_run_stages_as_its_words_do() {
+        // Three words then a row-ending two, on a width-4 port with a
+        // one-vector FIFO: the second vector's flush is deferred either way.
+        let (mut runs, mut words) = (InPort::new(4, 1), InPort::new(4, 1));
+        for p in [&mut runs, &mut words] {
+            p.bind_stream(RateFsm::ONCE);
+        }
+        assert_eq!(runs.staging_room(), 4);
+        let mut push = |words: &[f64], row_end| {
+            runs.push_run_with(words.len(), row_end, |slots| slots.copy_from_slice(words))
+        };
+        assert!(push(&[1.0, 2.0, 3.0], false));
+        assert!(push(&[4.0], false));
+        assert!(push(&[5.0, 6.0], true));
+        for (w, end) in [(1.0, false), (2.0, false), (3.0, false), (4.0, false)] {
+            assert!(words.push_word(w, end));
+        }
+        assert!(words.push_word(5.0, false) && words.push_word(6.0, true));
+        assert!(runs.owes_flush() && runs.staging_room() == 0);
+        assert_eq!(runs.state_bits(), words.state_bits());
+        runs.take();
+        assert_eq!(runs.staging_room(), 4, "the deferred flush lands before the next word");
+    }
+
+    #[test]
     fn inport_predication_padding() {
         let mut p = InPort::new(4, 4);
         p.bind_stream(RateFsm::ONCE);
         assert!(p.push_word(1.0, false));
         assert!(p.push_word(2.0, true)); // inner row ends after 2 of 4
-        let v = p.peek().unwrap();
+        let v = p.take();
         assert_eq!(v.valid_count(), 2);
         assert_eq!(v.pred(), 0b0011);
         assert_eq!(v.get(3), None);
@@ -543,8 +629,8 @@ mod tests {
         let mut p = InPort::new(4, 4);
         p.bind_stream(RateFsm::ONCE);
         p.push_word(5.0, false);
-        assert!(p.peek().is_none());
+        assert!(!p.has_data());
         assert!(p.flush_at_stream_end());
-        assert_eq!(p.peek().unwrap().valid_count(), 1);
+        assert_eq!(p.head_valid_count(), Some(1));
     }
 }

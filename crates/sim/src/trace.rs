@@ -311,7 +311,7 @@ pub(crate) struct Recorder {
 }
 
 impl Recorder {
-    fn new(lanes: usize) -> Self {
+    pub(crate) fn new(lanes: usize) -> Self {
         Recorder {
             evals: vec![Vec::new(); lanes],
             sym: Symbolic::default(),
