@@ -552,6 +552,18 @@ impl<D: Domain> DfgEvaluator<D> {
         self.values[k + 1] = v;
     }
 
+    /// Input `k`'s slot (in input-node order), to be written in place
+    /// before a [`DfgEvaluator::fire_set_in`]; it must stay at the
+    /// evaluator's width.
+    ///
+    /// # Panics
+    /// Panics if `k` is not an input.
+    #[inline]
+    pub fn input_mut(&mut self, k: usize) -> &mut VecVal<D::Value> {
+        assert!(k < self.num_inputs, "region {} has {} inputs", self.name, self.num_inputs);
+        &mut self.values[k + 1]
+    }
+
     /// The inputs as last set, in input-node order.
     pub fn inputs(&self) -> &[VecVal<D::Value>] {
         &self.values[1..=self.num_inputs]

@@ -1036,19 +1036,15 @@ impl Lane {
         let mut min_valid = unroll as u32;
         for (k, p) in rs.in_ports.iter().enumerate() {
             let port = &mut in_ports[*p as usize];
-            let v = if port.width() < unroll {
-                port.take_elems(fire_valid as i64)
-            } else {
-                port.take()
-            };
+            let elems = if port.width() < unroll { fire_valid as i64 } else { 1 };
+            let slot = rs.eval.input_mut(k);
+            port.take_into(elems, slot);
+            min_valid = min_valid.min(slot.valid_count());
             // A free port that drains can bind the next stream queued for it.
             if !in_busy[*p as usize] && port.is_drained() {
                 *wake += 1;
             }
-            events.port_words += v.width() as u64;
-            let adapted = adapt_width(v, unroll);
-            min_valid = min_valid.min(adapted.valid_count());
-            rs.eval.set_input(k, adapted);
+            events.port_words += port.width() as u64;
         }
         match recorder {
             Some(rec) => rs.results.extend(rec.fire(li, r, rs.eval.inputs())),
@@ -1303,26 +1299,6 @@ fn push_results(
             events.port_words += v.valid_count() as u64;
             out_ports[p.0 as usize].push(v);
         }
-    }
-}
-
-/// Widens or narrows a port vector to the region's unroll width:
-/// a scalar port value is broadcast; same-width passes through.
-fn adapt_width(v: VecVal, unroll: usize) -> VecVal {
-    if v.width() == unroll {
-        v
-    } else if v.width() == 1 {
-        match v.get(0) {
-            Some(x) => VecVal::splat(x, unroll),
-            None => VecVal::invalid(unroll),
-        }
-    } else {
-        // Unreachable for validated programs: `RevelProgram::validate`
-        // rejects any binding whose port width cannot serve the region's
-        // unroll (ProgramError::PortWidthMismatch), and `Machine::run`
-        // validates before simulating. Reaching this means a caller fed
-        // the lane model directly with an unvalidated program.
-        panic!("port width {} incompatible with region unroll {unroll}", v.width());
     }
 }
 

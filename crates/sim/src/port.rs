@@ -280,26 +280,39 @@ impl InPort {
         true
     }
 
-    /// Consumes one presentation of the head value, honouring the reuse
-    /// FSM: the head is popped only after its programmed number of uses.
+    /// Consumes one presentation of the head value covering `elems` logical
+    /// inner-loop elements, writing it into `slot` at the slot's width: a
+    /// copy when the port is as wide, a broadcast of a one-word port's
+    /// value (or a vector with no valid lane, if that word is predicated
+    /// off). The head is popped only after its programmed number of uses.
+    /// Reuse counts are in *element* units: the port FSM compares remaining
+    /// iterations against the consumer's vector progress (§IV-B), so a
+    /// scalar value broadcast to a W-wide region with E valid lanes burns E
+    /// uses per fire.
     ///
     /// # Panics
-    /// Panics if the port is empty.
-    pub fn take(&mut self) -> VecVal {
-        self.take_elems(1)
-    }
-
-    /// Consumes one presentation covering `elems` logical inner-loop
-    /// elements. Reuse counts are in *element* units: the port FSM compares
-    /// remaining iterations against the consumer's vector progress (§IV-B),
-    /// so a scalar value broadcast to a W-wide region with E valid lanes
-    /// burns E uses per fire.
-    ///
-    /// # Panics
-    /// Panics if the port is empty or `elems < 1`.
-    pub fn take_elems(&mut self, elems: i64) -> VecVal {
+    /// Panics if the port is empty, `elems < 1`, or the port's width can
+    /// serve neither way.
+    #[inline]
+    pub fn take_into(&mut self, elems: i64, slot: &mut VecVal) {
         assert!(elems >= 1, "must consume at least one element");
-        let head = *self.fifo.front().expect("take from empty port");
+        let head = self.fifo.front().expect("take from empty port");
+        let width = slot.width();
+        if head.width() == width {
+            *slot = *head;
+        } else if head.width() == 1 {
+            *slot = match head.get(0) {
+                Some(x) => VecVal::splat(x, width),
+                None => VecVal::invalid(width),
+            };
+        } else {
+            // Unreachable for validated programs: `RevelProgram::validate`
+            // rejects any binding whose port width cannot serve the region's
+            // unroll (ProgramError::PortWidthMismatch), and `Machine::run`
+            // validates before simulating. Reaching this means a caller fed
+            // the lane model directly with an unvalidated program.
+            panic!("port width {} incompatible with region unroll {width}", head.width());
+        }
         if self.head_uses_left == 0 {
             self.head_uses_left = self.reuse.count_at(self.head_index);
             self.head_index += 1;
@@ -309,7 +322,6 @@ impl InPort {
             self.head_uses_left = 0;
             self.fifo.pop_front();
         }
-        head
     }
 }
 
@@ -401,62 +413,42 @@ impl OutPort {
     /// applying the production FSM: of every `discard(j)` valid values,
     /// the first is returned, the rest are dropped. Returns `None` when no
     /// value can be produced this call.
+    ///
+    /// The head is popped when the lane just taken is its last, or when a
+    /// call finds no valid lane left in it — never earlier: until then
+    /// [`OutPort::has_space`] counts it, and region delivery waits on that.
     pub fn pop_kept(&mut self) -> Option<f64> {
         loop {
-            let (value, exhausted) = {
-                let head = self.fifo.front()?;
-                let mut lane = self.head_lane;
-                let mut found = None;
-                while lane < head.width() {
-                    if let Some(v) = head.get(lane) {
-                        found = Some((v, lane));
-                        break;
-                    }
-                    lane += 1;
-                }
-                match found {
-                    Some((v, l)) => (Some(v), l + 1 >= head.width()),
-                    None => (None, true),
-                }
+            let head = self.fifo.front()?;
+            // The head's valid lanes at and past the cursor.
+            let rest = u32::from(head.pred()) >> self.head_lane;
+            if rest == 0 {
+                self.fifo.pop_front();
+                self.head_lane = 0;
+                continue;
+            }
+            let lane = self.head_lane + rest.trailing_zeros() as usize;
+            let v = head.raw(lane);
+            if lane + 1 >= head.width() {
+                self.fifo.pop_front();
+                self.head_lane = 0;
+            } else {
+                self.head_lane = lane + 1;
+            }
+            // Production FSM: phase selection within each group.
+            let group_len = self.discard.count_at(self.group_index);
+            let keep = match self.mode {
+                ProdMode::KeepFirst => self.group_pos == 0,
+                ProdMode::DropFirst => self.group_pos != 0,
             };
-            match value {
-                None => {
-                    // Head had no remaining valid lanes.
-                    self.fifo.pop_front();
-                    self.head_lane = 0;
-                    continue;
-                }
-                Some(v) => {
-                    // Advance the lane cursor past the lane we just used.
-                    let head = self.fifo.front().expect("head exists");
-                    let mut lane = self.head_lane;
-                    while lane < head.width() && head.get(lane).is_none() {
-                        lane += 1;
-                    }
-                    self.head_lane = lane + 1;
-                    if exhausted || self.head_lane >= head.width() {
-                        self.fifo.pop_front();
-                        self.head_lane = 0;
-                    }
-                    // Production FSM: phase selection within each group.
-                    let group_len = self.discard.count_at(self.group_index);
-                    let keep = match self.mode {
-                        ProdMode::KeepFirst => self.group_pos == 0,
-                        ProdMode::DropFirst => self.group_pos != 0,
-                    };
-                    self.group_pos += 1;
-                    if self.group_pos >= group_len {
-                        self.group_pos = 0;
-                        self.group_index += 1;
-                    }
-                    if keep {
-                        return Some(v);
-                    }
-                    // Dropped: loop to find the next kept value? No — one
-                    // value consumed per call; dropped values cost no
-                    // bandwidth downstream, so keep scanning.
-                    continue;
-                }
+            self.group_pos += 1;
+            if self.group_pos >= group_len {
+                self.group_pos = 0;
+                self.group_index += 1;
+            }
+            // A dropped value costs no bandwidth downstream: keep scanning.
+            if keep {
+                return Some(v);
             }
         }
     }
@@ -466,6 +458,13 @@ impl OutPort {
 mod tests {
     use super::*;
 
+    /// One presentation of the head, at the port's own width.
+    fn take(p: &mut InPort) -> VecVal {
+        let mut v = VecVal::invalid(p.width());
+        p.take_into(1, &mut v);
+        v
+    }
+
     #[test]
     fn inport_assembles_vectors() {
         let mut p = InPort::new(4, 4);
@@ -474,7 +473,7 @@ mod tests {
             assert!(p.push_word(i as f64, false));
         }
         assert_eq!(p.head_valid_count(), Some(4));
-        let v = p.take();
+        let v = take(&mut p);
         assert_eq!(v.valid_count(), 4);
         assert_eq!(v.get(2), Some(2.0));
     }
@@ -494,12 +493,12 @@ mod tests {
         assert!(p.reuse_is_trivial() && !p.is_drained(), "in_port_rebindable admits it");
         p.bind_stream(RateFsm::ONCE);
         assert!(!p.push_word(5.0, false), "no word enters before the deferred flush");
-        assert_eq!(p.take().get(0), Some(1.0));
+        assert_eq!(take(&mut p).get(0), Some(1.0));
         assert!(p.push_word(5.0, false));
         assert!(p.push_word(6.0, false));
-        assert_eq!(p.take().get(0), Some(3.0));
+        assert_eq!(take(&mut p).get(0), Some(3.0));
         assert!(p.tick(), "the new stream's vector flushes once there is space");
-        let v = p.take();
+        let v = take(&mut p);
         assert_eq!((v.get(0), v.get(1)), (Some(5.0), Some(6.0)));
         assert!(p.is_drained());
     }
@@ -525,7 +524,7 @@ mod tests {
         assert!(words.push_word(5.0, false) && words.push_word(6.0, true));
         assert!(runs.owes_flush() && runs.staging_room() == 0);
         assert_eq!(runs.state_bits(), words.state_bits());
-        runs.take();
+        take(&mut runs);
         assert_eq!(runs.staging_room(), 4, "the deferred flush lands before the next word");
     }
 
@@ -535,7 +534,7 @@ mod tests {
         p.bind_stream(RateFsm::ONCE);
         assert!(p.push_word(1.0, false));
         assert!(p.push_word(2.0, true)); // inner row ends after 2 of 4
-        let v = p.take();
+        let v = take(&mut p);
         assert_eq!(v.valid_count(), 2);
         assert_eq!(v.pred(), 0b0011);
         assert_eq!(v.get(3), None);
@@ -561,9 +560,9 @@ mod tests {
         p.push_word(7.0, false);
         p.push_word(8.0, false);
         for _ in 0..3 {
-            assert_eq!(p.take().get(0), Some(7.0));
+            assert_eq!(take(&mut p).get(0), Some(7.0));
         }
-        assert_eq!(p.take().get(0), Some(8.0));
+        assert_eq!(take(&mut p).get(0), Some(8.0));
     }
 
     #[test]
@@ -574,7 +573,7 @@ mod tests {
         for v in [1.0, 2.0, 3.0] {
             p.push_word(v, false);
         }
-        let taken: Vec<f64> = (0..6).map(|_| p.take().get(0).unwrap()).collect();
+        let taken: Vec<f64> = (0..6).map(|_| take(&mut p).get(0).unwrap()).collect();
         assert_eq!(taken, [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]);
         assert!(p.is_drained());
     }
@@ -632,5 +631,58 @@ mod tests {
         assert!(!p.has_data());
         assert!(p.flush_at_stream_end());
         assert_eq!(p.head_valid_count(), Some(1));
+    }
+
+    #[test]
+    fn a_spent_head_stays_queued_until_the_next_pop() {
+        // Lanes 2 and 3 of the first head are predicated off, so taking
+        // lane 1 leaves nothing valid past the cursor; the head is popped
+        // only by the next call, which then reads the second head.
+        let mut p = OutPort::new(4, 2);
+        p.bind_stream(RateFsm::ONCE);
+        p.push(VecVal::with_pred(&[1.0, 2.0, 0.0, 0.0], 0b0011));
+        p.push(VecVal::with_pred(&[5.0, 0.0, 0.0, 0.0], 0b0001));
+        assert_eq!(p.pop_kept(), Some(1.0));
+        assert_eq!(p.pop_kept(), Some(2.0));
+        assert_eq!(p.occupancy(), 2, "the spent head is still queued");
+        assert!(!p.has_space(), "so region delivery still waits on it");
+        assert_eq!(p.pop_kept(), Some(5.0));
+        assert_eq!(p.occupancy(), 1);
+        assert!(p.has_space());
+        assert_eq!(p.pop_kept(), None);
+        assert!(p.is_drained());
+        // A value on a head's last lane pops it at once.
+        p.push(VecVal::with_pred(&[0.0, 0.0, 0.0, 9.0], 0b1000));
+        assert_eq!(p.pop_kept(), Some(9.0));
+        assert!(p.is_drained());
+    }
+
+    #[test]
+    fn take_into_broadcasts_a_scalar_port_in_element_units() {
+        // A width-1 port reused for 5 elements feeds a width-4 slot: the
+        // first fire covers 4 elements, the second the last one, and only
+        // then is the head popped.
+        let mut p = InPort::new(1, 4);
+        p.bind_stream(RateFsm::fixed(5));
+        assert!(p.push_word(3.0, false));
+        assert!(p.push_word(4.0, true));
+        let mut slot = VecVal::invalid(4);
+        p.take_into(4, &mut slot);
+        assert_eq!(slot, VecVal::splat(3.0, 4));
+        assert_eq!(p.occupancy(), 2, "one element of the head's reuse is left");
+        p.take_into(1, &mut slot);
+        assert_eq!(slot, VecVal::splat(3.0, 4));
+        assert_eq!(p.occupancy(), 1);
+        p.take_into(4, &mut slot);
+        assert_eq!(slot, VecVal::splat(4.0, 4));
+
+        // A predicated-off word broadcasts as a vector with no valid lane.
+        // Staging never flushes one, so it is queued by hand.
+        let mut p = InPort::new(1, 4);
+        p.bind_stream(RateFsm::ONCE);
+        p.fifo.push_back(VecVal::invalid(1));
+        p.take_into(4, &mut slot);
+        assert_eq!(slot, VecVal::invalid(4));
+        assert!(p.is_drained());
     }
 }
