@@ -480,9 +480,8 @@ impl Engine {
 
 /// The 128-bit, process-independent fingerprint of one run-cache key —
 /// the same key shape the run cache uses, rendered stably and hashed
-/// with the disk tier's FNV-1a pair. The serving fleet routes requests by
-/// this fingerprint (consistent hashing keeps each shard's LRU disjoint),
-/// and the disk tier files results under it.
+/// with the disk tier's FNV-1a pair. The disk tier files results under
+/// it.
 pub fn key_fingerprint(bench: Bench, cfg: &BuildCfg, batch: bool) -> (u64, u64) {
     let batch = batch && bench.batch_build_differs();
     persist::fingerprint(&format!("{bench:?}|{cfg:?}|batch={batch}"))
@@ -591,7 +590,7 @@ pub enum Served {
 
 /// The cached-run lookup with the disk tier layered in: memory first,
 /// then disk ([`CacheStats::disk_hits`]), then simulation. A disk hit
-/// costs one index lookup — a restarted shard answers its first repeat
+/// costs one index lookup — a restarted server answers its first repeat
 /// requests from disk *before* its first simulation completes.
 ///
 /// # Errors

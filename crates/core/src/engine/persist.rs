@@ -6,7 +6,7 @@
 //! of its `(Bench, BuildCfg)` fingerprint, and its serveable surface
 //! (cycles, commands issued, verification verdict, canonical report text)
 //! is tiny. This module persists exactly that surface so a restarted
-//! shard warm-starts from disk instead of re-simulating.
+//! server warm-starts from disk instead of re-simulating.
 //!
 //! ## On-disk layout
 //!
@@ -126,7 +126,7 @@ impl From<&WorkloadRun> for PersistedRun {
 }
 
 /// One file the loader had to give up on, surfaced as data (never a
-/// panic): the affected shard cold-starts for the lost suffix and
+/// panic): the restarted server cold-starts for the lost suffix and
 /// re-simulates on demand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColdStart {
@@ -223,9 +223,9 @@ impl PersistentTier {
     /// snapshot compaction restores anyway.
     ///
     /// The record is written in two halves around the
-    /// `persist.append.mid-write` failpoint, so a torture schedule can
-    /// abort the process with a genuinely torn record on disk — a
-    /// crash between two `write_all` calls is the real-world shape an
+    /// `persist.append.mid-write` failpoint, so a crash test can abort
+    /// the process with a genuinely torn record on disk — a crash
+    /// between two `write_all` calls is the real-world shape an
     /// in-kernel buffer cannot paper over. `persist.append.before-write`
     /// and `persist.append.before-flush` bracket the other two
     /// crash-critical instants.
@@ -289,7 +289,7 @@ impl PersistentTier {
     /// `persist.snapshot.pre-sync` (data written, not yet durable),
     /// `persist.snapshot.pre-rename` (durable under the temporary name),
     /// and `persist.snapshot.post-rename` (renamed, segment not yet
-    /// truncated) — so torture schedules can crash at each and prove a
+    /// truncated) — so a crash test can abort at each and prove a
     /// reader still sees a whole snapshot, old or new.
     ///
     /// # Errors

@@ -234,7 +234,7 @@ impl Bench {
     /// deadline cut short is returned as `timed_out` (with
     /// `deadline_expired` set) but never cached. A disk hit returns the
     /// persisted result surface of a previous process's run without
-    /// simulating — the serving fleet's warm-restart path.
+    /// simulating — a restarted server's warm-start path.
     ///
     /// # Errors
     /// Propagates simulator errors.

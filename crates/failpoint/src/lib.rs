@@ -1,12 +1,12 @@
-//! Process-wide failpoint registry for crash-consistency torture.
+//! Process-wide failpoint registry for crash-consistency and chaos tests.
 //!
 //! A *failpoint* is a named site in crash-critical code — a segment
 //! append about to hit the disk, a snapshot about to rename over its
 //! predecessor, a reply about to be written to a socket. Production
 //! code calls [`hit`] at the site; when nothing is armed that call is a
 //! single relaxed atomic load and a never-taken branch, so the
-//! instrumented binary is the shipped binary. A torture harness arms
-//! sites with an [`Action`] — return an injected [`std::io::Error`],
+//! instrumented binary is the shipped binary. A test arms sites with an
+//! [`Action`] — return an injected [`std::io::Error`],
 //! sleep, panic, or hard-abort the process at that exact instruction —
 //! and the same binary now fails exactly where the schedule says it must.
 //!
@@ -21,28 +21,23 @@
 //!   unique temp dir or port.
 //! * **by hit count** — `@N` fires on exactly the Nth hit, `@N+` on
 //!   every hit from the Nth on, `@%N` on every Nth hit. The trigger is
-//!   how a schedule says "crash on the *third* append", the `+` form is
-//!   how a flapping shard keeps crashing after every respawn, and the
-//!   `%` form is how a drill says "fail one job in ten".
+//!   how a test says "crash on the *second* append", the `+` form keeps
+//!   an error firing from then on, and the `%` form is how a drill says
+//!   "fail one job in ten".
 //!
 //! Cross-process arming uses the [`ENV_VAR`] environment variable: a
-//! supervisor sets `REVEL_FAILPOINTS=persist.append.mid-write=abort@2`
-//! on a spawned shard and the shard's [`init_from_env`] arms it at
+//! test sets `REVEL_FAILPOINTS=persist.append.mid-write=abort@2` on a
+//! `revel_serve` it spawns and the server's [`init_from_env`] arms it at
 //! startup. The spec grammar is
 //! `site[#filter]=action[@N[+]|@%N] [; more]` with actions `err`,
 //! `panic`, `abort`, and `delay:MS`.
-//!
-//! [`FailPlan::from_seed`] derives a deterministic crash schedule from a
-//! seed — same seed, same site, same action, same trigger — which is
-//! what makes torture-harness reports reproducible.
 
-use revel_isa::Rng;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable read by [`init_from_env`]; a supervisor sets it
-/// on a spawned shard to arm failpoints in that process.
+/// Environment variable read by [`init_from_env`]; set it on a spawned
+/// process to arm failpoints in that process.
 pub const ENV_VAR: &str = "REVEL_FAILPOINTS";
 
 /// What an armed failpoint does when its trigger fires.
@@ -58,17 +53,6 @@ pub enum Action {
     /// Hard-abort the process at the site — no destructors, no flush;
     /// the closest safe stand-in for power loss at that instruction.
     Abort,
-}
-
-impl std::fmt::Display for Action {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Action::InjectError => write!(f, "err"),
-            Action::Delay(ms) => write!(f, "delay:{ms}"),
-            Action::Panic => write!(f, "panic"),
-            Action::Abort => write!(f, "abort"),
-        }
-    }
 }
 
 /// Which of an arm's (1-based) hits fire its action.
@@ -268,71 +252,6 @@ pub fn init_from_env() -> Result<usize, String> {
     }
 }
 
-/// A deterministic, seed-derived crash schedule: which site to arm,
-/// with what action, at which hit. Same seed ⇒ same plan, which is what
-/// makes a torture run's per-seed report reproducible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailPlan {
-    /// Failpoint site to arm.
-    pub site: String,
-    /// Action the site performs when triggered.
-    pub action: Action,
-    /// 1-based hit index at which the action fires.
-    pub trigger: u64,
-    /// `true`: the action fires on every hit from `trigger` on (a
-    /// *flapping* plan — the victim keeps failing after every respawn).
-    pub every_hit: bool,
-}
-
-impl FailPlan {
-    /// Derive a plan from `seed`. Roughly one seed in four is a
-    /// *flapping* plan (repeat-abort on `flap_site`, the shape that must
-    /// drive a supervisor's restart circuit to permanent eviction); one
-    /// in four injects a transient `io::Error` at an `error_site` (the
-    /// victim must survive it); the rest hard-abort once at a
-    /// `crash_site` on hit 1–3 (the victim must respawn and recover).
-    pub fn from_seed(
-        seed: u64,
-        crash_sites: &[&str],
-        error_sites: &[&str],
-        flap_site: &str,
-    ) -> FailPlan {
-        let mut rng = Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut draw = |n: usize| rng.next_u64() % n as u64;
-        match draw(4) {
-            0 => FailPlan {
-                site: flap_site.to_string(),
-                action: Action::Abort,
-                trigger: 1,
-                every_hit: true,
-            },
-            1 => FailPlan {
-                site: error_sites[draw(error_sites.len()) as usize].to_string(),
-                action: Action::InjectError,
-                trigger: 1 + draw(2),
-                every_hit: false,
-            },
-            _ => FailPlan {
-                site: crash_sites[draw(crash_sites.len()) as usize].to_string(),
-                action: Action::Abort,
-                trigger: 1 + draw(3),
-                every_hit: false,
-            },
-        }
-    }
-
-    /// Render the plan as an [`arm_spec`] string (round-trips exactly).
-    pub fn spec(&self) -> String {
-        format!(
-            "{}={}@{}{}",
-            self.site,
-            self.action,
-            self.trigger,
-            if self.every_hit { "+" } else { "" }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,71 +368,5 @@ mod tests {
         ] {
             assert!(arm_spec(bad).is_err(), "spec '{bad}' must be rejected");
         }
-    }
-
-    #[test]
-    fn fail_plans_are_deterministic_and_round_trip_through_specs() {
-        let crash = ["c.one", "c.two", "c.three"];
-        let eio = ["e.one", "e.two"];
-        let mut saw_flap = false;
-        let mut saw_err = false;
-        let mut saw_crash = false;
-        for seed in 0..64u64 {
-            let a = FailPlan::from_seed(seed, &crash, &eio, "flap.site");
-            let b = FailPlan::from_seed(seed, &crash, &eio, "flap.site");
-            assert_eq!(a, b, "same seed, same plan");
-            assert!(a.trigger >= 1);
-            match a.action {
-                Action::Abort if a.every_hit => {
-                    assert_eq!(a.site, "flap.site");
-                    saw_flap = true;
-                }
-                Action::Abort => {
-                    assert!(crash.contains(&a.site.as_str()));
-                    saw_crash = true;
-                }
-                Action::InjectError => {
-                    assert!(eio.contains(&a.site.as_str()));
-                    saw_err = true;
-                }
-                Action::Delay(_) | Action::Panic => panic!("from_seed never emits {}", a.action),
-            }
-            // spec() round-trips through the grammar.
-            let spec = a.spec();
-            let (lhs, _) = spec.split_once('=').expect("spec has an action");
-            assert_eq!(lhs, a.site);
-        }
-        assert!(saw_flap && saw_err && saw_crash, "64 seeds cover all three plan shapes");
-    }
-
-    /// The seed → plan mapping is a published fact: CI diffs torture
-    /// summaries that embed these strings, so the generator behind
-    /// `from_seed` may change only if this table changes with it. Site
-    /// lists as the torture harness passes them.
-    #[test]
-    fn seeds_one_to_eight_derive_the_pinned_plans() {
-        let crash = [
-            "persist.append.mid-write",
-            "persist.append.before-flush",
-            "serve.reply.pre-write",
-            "engine.serve.disk-lookup",
-        ];
-        let eio = ["persist.append.before-write", "persist.append.before-flush"];
-        let specs: Vec<String> = (1..=8)
-            .map(|seed| FailPlan::from_seed(seed, &crash, &eio, "serve.reply.pre-write").spec())
-            .collect();
-        assert_eq!(
-            specs,
-            [
-                "persist.append.before-flush=err@1",
-                "engine.serve.disk-lookup=abort@1",
-                "serve.reply.pre-write=abort@3",
-                "persist.append.before-flush=err@2",
-                "serve.reply.pre-write=abort@1+",
-                "persist.append.before-flush=err@2",
-                "persist.append.before-flush=err@1",
-                "persist.append.before-flush=err@1",
-            ]
-        );
     }
 }

@@ -22,9 +22,9 @@ start)
   done
   shift
   rm -f server.exit
-  # `env` execs the server, so $! is the server's own pid — a fleet's frontend,
-  # never a shard it spawned. The wrapper records the exit status because
-  # `stop` runs in another shell, where `wait` cannot reach the pid.
+  # `env` execs the server, so $! is the server's own pid. The wrapper records
+  # the exit status because `stop` runs in another shell, where `wait` cannot
+  # reach the pid.
   (
     env ${envs[@]+"${envs[@]}"} "$bin" --port "$port" "$@" 2>server.log &
     echo $! >server.pid

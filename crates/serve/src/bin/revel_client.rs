@@ -10,8 +10,8 @@
 //!
 //! A scenario file (`revel_traffic::scenario`, DESIGN.md §11) names the
 //! connections, the workload mix (grid cells, `"batch": N` lanes, or the
-//! whole grid), the phased arrival processes, the retry budget, scripted
-//! shard kills and the SLOs. The runner prints one JSON line per phase
+//! whole grid), the phased arrival processes, the retry budget and the
+//! SLOs. The runner prints one JSON line per phase
 //! plus a human table — offered/ok/retries/late sends, p50/p90/p99
 //! measured from each request's *intended* send time
 //! (coordinated-omission correct), and the server-side cache window of
@@ -72,9 +72,6 @@ fn main() {
         report.total.offered,
     );
     print!("{}", human_table(&report.phases, &report.total));
-    for note in &report.event_notes {
-        println!("  event: {note}");
-    }
     for v in &report.violations {
         eprintln!("revel-client: GATE FAILED: {v}");
     }

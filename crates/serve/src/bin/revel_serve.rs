@@ -4,7 +4,6 @@
 //! revel_serve                          # 127.0.0.1:7411, one worker/core
 //! revel_serve --port 7500 --workers 2 --queue 16 --cache-capacity 256
 //! revel_serve --snapshot-dir /var/cache/revel   # persistent result cache
-//! revel_serve --shards 3 --snapshot-dir dir    # scale-out fleet frontend
 //! REVEL_FAILPOINTS='serve.worker.pre-run=err@%10' revel_serve   # fail 1 job in 10
 //! ```
 //!
@@ -22,16 +21,11 @@
 //! error a real bug would, `abort` kills the process. `@%N` fires on every Nth job, so
 //! client retry logic can be drilled at a chosen rate.
 //!
-//! `--shards N` turns this process into a fleet frontend (DESIGN.md §11,
-//! "Shard fleet"), booted by `harness::attach_fleet` like every test fleet:
-//! it spawns N single-shard copies of itself on the next N ports, routes
-//! work to them by cache-key fingerprint, respawns any that die, and
-//! drains them on shutdown. With `--snapshot-dir`, each shard keeps a
-//! disk-backed result cache under `<dir>/shard-<i>` and warm-starts from
-//! it after a crash.
+//! With `--snapshot-dir`, every simulated result is appended to a
+//! disk-backed cache in that directory, and a restarted process (after a
+//! clean exit or a crash) warm-starts from it: a repeat request is
+//! answered from disk instead of re-simulating.
 
-use revel_serve::fleet::FleetConfig;
-use revel_serve::harness::attach_fleet;
 use revel_serve::server::{Server, ServerConfig};
 use revel_serve::signal;
 use std::path::PathBuf;
@@ -39,7 +33,7 @@ use std::time::Duration;
 
 fn main() {
     // Fault-injection sites arm from the environment before anything
-    // else runs, so a supervisor can target a shard it is about to
+    // else runs, so a harness can target the process it is about to
     // spawn.
     match revel_failpoint::init_from_env() {
         Ok(0) => {}
@@ -54,9 +48,7 @@ fn main() {
     let mut cfg = ServerConfig::default();
     let mut host = "127.0.0.1".to_string();
     let mut port = 7411u16;
-    let mut shards = 0usize;
     let mut snapshot_dir: Option<PathBuf> = None;
-    let mut cache_capacity: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut val =
@@ -66,54 +58,43 @@ fn main() {
             "--port" => port = parse(&val("--port"), "--port"),
             "--workers" => cfg.workers = parse(&val("--workers"), "--workers"),
             "--queue" => cfg.queue_capacity = parse(&val("--queue"), "--queue"),
-            "--cache-capacity" => {
-                cache_capacity = Some(parse(&val("--cache-capacity"), "--cache-capacity"));
-            }
+            "--cache-capacity" => revel_core::engine::set_cache_capacity(parse(
+                &val("--cache-capacity"),
+                "--cache-capacity",
+            )),
             "--conn-timeout" => {
                 cfg.conn_timeout =
                     Duration::from_secs(parse(&val("--conn-timeout"), "--conn-timeout"));
             }
-            "--shards" => shards = parse(&val("--shards"), "--shards"),
-            "--shard-id" => cfg.shard_id = Some(parse(&val("--shard-id"), "--shard-id")),
             "--snapshot-dir" => snapshot_dir = Some(PathBuf::from(val("--snapshot-dir"))),
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag '{other}'")),
         }
     }
     cfg.addr = format!("{host}:{port}");
-    if shards > 0 && cfg.shard_id.is_some() {
-        usage("--shards (frontend) and --shard-id (worker) are mutually exclusive");
-    }
-    if let Some(cap) = cache_capacity {
-        revel_core::engine::set_cache_capacity(cap);
-    }
-    // The frontend of a fleet never simulates; the disk tier belongs to
-    // the shards (each gets its own subdirectory via the supervisor).
-    if shards == 0 {
-        if let Some(dir) = &snapshot_dir {
-            match revel_core::engine::enable_persistence(dir) {
-                Ok(warm) => {
-                    eprintln!(
-                        "revel-serve: persistent cache at {} ({} entr{} warm, {} cold start(s))",
-                        dir.display(),
-                        warm.entries,
-                        if warm.entries == 1 { "y" } else { "ies" },
-                        warm.cold_starts.len(),
-                    );
-                    for cold in &warm.cold_starts {
-                        eprintln!("revel-serve: cold start: {cold}");
-                    }
+    if let Some(dir) = &snapshot_dir {
+        match revel_core::engine::enable_persistence(dir) {
+            Ok(warm) => {
+                eprintln!(
+                    "revel-serve: persistent cache at {} ({} entr{} warm, {} cold start(s))",
+                    dir.display(),
+                    warm.entries,
+                    if warm.entries == 1 { "y" } else { "ies" },
+                    warm.cold_starts.len(),
+                );
+                for cold in &warm.cold_starts {
+                    eprintln!("revel-serve: cold start: {cold}");
                 }
-                Err(e) => {
-                    eprintln!("revel-serve: cannot open snapshot dir {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
+            }
+            Err(e) => {
+                eprintln!("revel-serve: cannot open snapshot dir {}: {e}", dir.display());
+                std::process::exit(1);
             }
         }
     }
 
     signal::install();
-    let mut server = match Server::bind(&cfg) {
+    let server = match Server::bind(&cfg) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("revel-serve: cannot bind {}: {e}", cfg.addr);
@@ -121,44 +102,14 @@ fn main() {
         }
     };
     let addr = server.local_addr().map(|a| a.to_string()).unwrap_or(cfg.addr.clone());
-    let bound_port = server.local_addr().map(|a| a.port()).unwrap_or(port);
 
-    // Fleet mode: spawn the shards and route instead of executing.
-    let supervisor = (shards > 0).then(|| {
-        let binary = std::env::current_exe().unwrap_or_else(|e| {
-            eprintln!("revel-serve: cannot locate own binary: {e}");
-            std::process::exit(1);
-        });
-        let fleet_cfg = FleetConfig {
-            host,
-            workers: cfg.workers,
-            queue_capacity: cfg.queue_capacity,
-            snapshot_dir,
-            cache_capacity,
-            ..FleetConfig::new(shards, bound_port, binary)
-        };
-        attach_fleet(&mut server, fleet_cfg).unwrap_or_else(|e| {
-            eprintln!("revel-serve: cannot spawn shards: {e}");
-            std::process::exit(1);
-        })
-    });
-
-    let role = match (shards, cfg.shard_id) {
-        (n, _) if n > 0 => format!(", fleet frontend over {n} shard(s)"),
-        (_, Some(id)) => format!(", shard {id}"),
-        _ => String::new(),
-    };
     eprintln!(
-        "revel-serve: listening on {addr} ({} worker(s), queue capacity {}, cache capacity {}{role})",
+        "revel-serve: listening on {addr} ({} worker(s), queue capacity {}, cache capacity {})",
         if cfg.workers == 0 { revel_core::engine::jobs() } else { cfg.workers },
         cfg.queue_capacity,
         revel_core::engine::cache_capacity(),
     );
-    let result = server.serve();
-    if let Some(sup) = supervisor {
-        sup.shutdown();
-    }
-    match result {
+    match server.serve() {
         Ok(stats) => {
             // Fold the segment log into a compact snapshot while the exit
             // is clean; a crashed process just replays the log instead.
@@ -185,7 +136,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: revel_serve [--host H] [--port P] [--workers N] [--queue N] [--cache-capacity N] \
-         [--conn-timeout SECS] [--shards N] [--shard-id I] [--snapshot-dir DIR]"
+         [--conn-timeout SECS] [--snapshot-dir DIR]"
     );
     std::process::exit(2);
 }

@@ -169,12 +169,11 @@ impl Client {
 
     /// [`request_raw`](Client::request_raw), repeated until the answer is
     /// terminal: a retryable reply (`overloaded`, `injected_fault`,
-    /// `shutting_down`, `fleet_unavailable` during a kill window) is
-    /// re-sent after the server's `retry_after_ms` hint (10 ms without
-    /// one). After 200 sends the last reply is returned as it is, so the
-    /// caller sees what the server kept saying. The blocking
-    /// counterpart of the scenario lanes' retry state machine, for
-    /// harnesses that replay a frame file and compare answers.
+    /// `shutting_down`) is re-sent after the server's `retry_after_ms`
+    /// hint (10 ms without one). After 200 sends the last reply is
+    /// returned as it is, so the caller sees what the server kept saying.
+    /// The blocking counterpart of the scenario lanes' retry state
+    /// machine, for tests that replay a frame file and compare answers.
     ///
     /// # Errors
     /// Transport failures, a closed connection, or a protocol violation —

@@ -29,9 +29,8 @@
 //! latency plus the server-side cache window. Faults are injected one
 //! way: `REVEL_FAILPOINTS` arms named sites (`revel_failpoint`), the work
 //! path's being `serve.worker.pre-run` inside the worker's unwind fence.
-//! Servers and fleets are booted, driven and torn down one way: the
-//! [`harness`] guards, which every test, the `torture` binary and the
-//! `--shards` frontend go through.
+//! In-process servers for tests are booted and torn down one way: the
+//! [`harness`] guard.
 //!
 //! [`SimOptions::wall_deadline`]: revel_core::sim::SimOptions
 
@@ -39,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod fleet;
 pub mod harness;
 pub mod probe;
 pub mod protocol;

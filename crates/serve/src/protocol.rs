@@ -24,9 +24,6 @@ pub enum Request {
     Health,
     /// Counter snapshot (engine cache, schedule cache, server); inline.
     Stats,
-    /// Per-shard fleet topology and routing counters; inline. A
-    /// single-shard server answers with a one-entry roster for itself.
-    FleetStats,
     /// Begin graceful shutdown: drain in-flight work, then exit; inline.
     Shutdown,
     /// Diagnostic: hold a worker for `ms` milliseconds (deterministic
@@ -96,25 +93,6 @@ pub enum Request {
         /// Parameter string.
         params: String,
     },
-    /// Scripted chaos for scenario runs: SIGKILL one shard of the fleet
-    /// this frontend supervises (the supervisor respawns it). Inline, like
-    /// the other control-plane ops; a standalone server answers with a
-    /// structured `no_fleet` error. The victim is an explicit shard id or
-    /// the ring owner of a cell (`bench`/`params`/`arch`).
-    KillShard {
-        /// Explicit victim shard id; takes precedence over the cell.
-        shard: Option<u64>,
-        /// Victim-by-ownership: kernel name of the cell whose ring owner
-        /// dies. Meaningful only when `shard` is unset.
-        bench: Option<String>,
-        /// Parameter string of the ownership cell.
-        params: Option<String>,
-        /// Architecture of the ownership cell.
-        arch: Option<String>,
-        /// Also wipe the victim's snapshot directory before it respawns,
-        /// turning the warm restart into a cache-cold one.
-        wipe_snapshot: bool,
-    },
 }
 
 impl Request {
@@ -134,45 +112,6 @@ impl Request {
             fault_window: None,
         }
     }
-
-    /// True for ops that go through the bounded queue to a worker, whose
-    /// answers are pure functions of the request — and so must be
-    /// byte-identical between a standalone server and a fleet.
-    /// Control-plane answers (depth, roster, aggregated counters)
-    /// legitimately differ.
-    pub fn is_work_plane(&self) -> bool {
-        matches!(
-            self,
-            Request::Simulate { .. }
-                | Request::SimulateBatch { .. }
-                | Request::Lint { .. }
-                | Request::Compare { .. }
-                | Request::Sleep { .. }
-        )
-    }
-}
-
-/// One shard's row in a `fleet_stats` response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardStatsWire {
-    /// Shard id (stable across respawns; also reported by the shard's
-    /// own `health` op).
-    pub shard: u64,
-    /// TCP port the shard listens on.
-    pub port: u64,
-    /// True while the shard is routable (process alive and answering).
-    pub alive: bool,
-    /// Requests the router forwarded to this shard.
-    pub routed: u64,
-    /// Forward attempts that failed over to another shard.
-    pub failed: u64,
-    /// Times the supervisor respawned this shard's process. Decoded as
-    /// 0 from legacy frames.
-    pub restarts: u64,
-    /// True once the supervisor's restart circuit permanently evicted
-    /// the shard (it flapped through `max_restarts` respawns without
-    /// ever probing healthy). Decoded as false from legacy frames.
-    pub evicted: bool,
 }
 
 /// A response, minus its envelope `id`.
@@ -191,10 +130,6 @@ pub enum Response {
         /// Connections currently held by the event loop. Decoded as 0
         /// from legacy frames.
         active_connections: u64,
-        /// This process's shard id, when it runs as a fleet shard
-        /// (`--shard-id`); absent (and omitted from the wire) for a
-        /// standalone server or the fleet frontend.
-        shard_id: Option<u64>,
     },
     /// Counter snapshot: each record travels as itself (its wire names
     /// are listed once, in this module's `counters!` invocations).
@@ -208,12 +143,6 @@ pub enum Response {
     },
     /// Shutdown acknowledged; the server drains and exits.
     ShuttingDown,
-    /// The fleet roster: one row per shard (single-shard servers answer
-    /// for themselves).
-    FleetStats {
-        /// Per-shard topology and routing counters.
-        shards: Vec<ShardStatsWire>,
-    },
     /// Sleep diagnostic completed.
     Slept {
         /// Milliseconds held.
@@ -295,13 +224,6 @@ pub enum Response {
         /// the pre-hint protocol.
         retry_after_ms: Option<u64>,
     },
-    /// A scripted shard kill was delivered.
-    ShardKilled {
-        /// The shard that was killed.
-        shard: u64,
-        /// True when its snapshot directory was wiped before respawn.
-        wiped: bool,
-    },
     /// A structured failure.
     Error {
         /// Stable machine-readable kind (`bad_request`, `unknown_bench`,
@@ -328,9 +250,7 @@ impl Response {
     pub fn is_retryable(&self) -> bool {
         match self {
             Response::Overloaded { .. } => true,
-            Response::Error { kind, .. } => {
-                kind == "injected_fault" || kind == "shutting_down" || kind == "fleet_unavailable"
-            }
+            Response::Error { kind, .. } => kind == "injected_fault" || kind == "shutting_down",
             _ => false,
         }
     }
@@ -399,8 +319,8 @@ fn req_bool(v: &Value, key: &str) -> Result<bool, ProtoError> {
 /// a fixed, append-only wire order. The first `V1` names were in the v1
 /// frame and are required on decode; the later ones default to 0, so a
 /// legacy frame stays decodable. The `counters!` invocations below are the
-/// only place a record's wire names are listed: encode, decode, the fleet
-/// frontend's summation and the server's shutdown line all walk them.
+/// only place a record's wire names are listed: encode, decode and the
+/// server's shutdown line all walk them.
 pub(crate) trait Counters: Sized {
     /// Wire names, in wire order.
     const NAMES: &'static [&'static str];
@@ -412,12 +332,6 @@ pub(crate) trait Counters: Sized {
 
     /// Inverse of [`Counters::counts`].
     fn from_counts(counts: &[u64]) -> Self;
-
-    /// The field-wise sum of two records.
-    fn sum(&self, other: &Self) -> Self {
-        let sums: Vec<u64> = self.counts().iter().zip(other.counts()).map(|(a, b)| a + b).collect();
-        Self::from_counts(&sums)
-    }
 
     /// Writes the record as comma-separated `name N` pairs.
     fn fmt_pairs(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -469,7 +383,6 @@ pub fn encode_request(id: u64, req: &Request) -> String {
     match req {
         Request::Health => op("health"),
         Request::Stats => op("stats"),
-        Request::FleetStats => op("fleet_stats"),
         Request::Shutdown => op("shutdown"),
         Request::Sleep { ms } => {
             op("sleep");
@@ -532,24 +445,6 @@ pub fn encode_request(id: u64, req: &Request) -> String {
             fields.push(("bench".to_string(), Value::str(bench)));
             fields.push(("params".to_string(), Value::str(params)));
         }
-        Request::KillShard { shard, bench, params, arch, wipe_snapshot } => {
-            op("kill_shard");
-            if let Some(s) = shard {
-                fields.push(("shard".to_string(), Value::u64(*s)));
-            }
-            if let Some(b) = bench {
-                fields.push(("bench".to_string(), Value::str(b)));
-            }
-            if let Some(p) = params {
-                fields.push(("params".to_string(), Value::str(p)));
-            }
-            if let Some(a) = arch {
-                fields.push(("arch".to_string(), Value::str(a)));
-            }
-            if *wipe_snapshot {
-                fields.push(("wipe_snapshot".to_string(), Value::Bool(true)));
-            }
-        }
     }
     let mut line = Value::Obj(fields).render();
     line.push('\n');
@@ -570,7 +465,6 @@ pub fn decode_request(line: &str) -> Result<(u64, Request), ProtoError> {
     let req = match op.as_str() {
         "health" => Request::Health,
         "stats" => Request::Stats,
-        "fleet_stats" => Request::FleetStats,
         "shutdown" => Request::Shutdown,
         "sleep" => Request::Sleep { ms: req_u64(&v, "ms")? },
         "simulate" => Request::Simulate {
@@ -604,19 +498,6 @@ pub fn decode_request(line: &str) -> Result<(u64, Request), ProtoError> {
         "compare" => {
             Request::Compare { bench: req_str(&v, "bench")?, params: req_str(&v, "params")? }
         }
-        "kill_shard" => {
-            let req = Request::KillShard {
-                shard: opt_u64(&v, "shard")?,
-                bench: v.get("bench").and_then(Value::as_str).map(str::to_string),
-                params: v.get("params").and_then(Value::as_str).map(str::to_string),
-                arch: v.get("arch").and_then(Value::as_str).map(str::to_string),
-                wipe_snapshot: opt_bool(&v, "wipe_snapshot")?,
-            };
-            if let Request::KillShard { shard: None, bench: None, .. } = &req {
-                return Err(bad("kill_shard needs a 'shard' id or a 'bench' cell"));
-            }
-            req
-        }
         other => return Err(bad(format!("unknown op '{other}'"))),
     };
     Ok((id, req))
@@ -632,17 +513,12 @@ pub fn encode_response(id: u64, resp: &Response) -> String {
     let mut fields = vec![("id".to_string(), Value::u64(id))];
     let mut kind = |name: &str| fields.push(("type".to_string(), Value::str(name)));
     match resp {
-        Response::Health { workers, queue_capacity, queue_depth, active_connections, shard_id } => {
+        Response::Health { workers, queue_capacity, queue_depth, active_connections } => {
             kind("health");
             fields.push(("workers".to_string(), Value::u64(*workers)));
             fields.push(("queue_capacity".to_string(), Value::u64(*queue_capacity)));
             fields.push(("queue_depth".to_string(), Value::u64(*queue_depth)));
             fields.push(("active_connections".to_string(), Value::u64(*active_connections)));
-            // Omitted when absent, so standalone servers and the fleet
-            // frontend stay shard-free on the wire.
-            if let Some(s) = shard_id {
-                fields.push(("shard_id".to_string(), Value::u64(*s)));
-            }
         }
         Response::Stats { engine, schedule, server } => {
             kind("stats");
@@ -651,28 +527,6 @@ pub fn encode_response(id: u64, resp: &Response) -> String {
             fields.push(("server".to_string(), counters_obj(server)));
         }
         Response::ShuttingDown => kind("shutting_down"),
-        Response::FleetStats { shards } => {
-            kind("fleet_stats");
-            fields.push((
-                "shards".to_string(),
-                Value::Arr(
-                    shards
-                        .iter()
-                        .map(|s| {
-                            Value::Obj(vec![
-                                ("shard".to_string(), Value::u64(s.shard)),
-                                ("port".to_string(), Value::u64(s.port)),
-                                ("alive".to_string(), Value::Bool(s.alive)),
-                                ("routed".to_string(), Value::u64(s.routed)),
-                                ("failed".to_string(), Value::u64(s.failed)),
-                                ("restarts".to_string(), Value::u64(s.restarts)),
-                                ("evicted".to_string(), Value::Bool(s.evicted)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
         Response::Slept { ms } => {
             kind("slept");
             fields.push(("ms".to_string(), Value::u64(*ms)));
@@ -733,13 +587,6 @@ pub fn encode_response(id: u64, resp: &Response) -> String {
                 fields.push(("retry_after_ms".to_string(), Value::u64(*ms)));
             }
         }
-        Response::ShardKilled { shard, wiped } => {
-            kind("shard_killed");
-            fields.push(("shard".to_string(), Value::u64(*shard)));
-            if *wiped {
-                fields.push(("wiped".to_string(), Value::Bool(true)));
-            }
-        }
         Response::Error { kind: k, message, retry_after_ms } => {
             kind("error");
             fields.push(("kind".to_string(), Value::str(k)));
@@ -778,11 +625,10 @@ pub fn decode_response(line: &str) -> Result<(u64, Response), ProtoError> {
         "health" => Response::Health {
             workers: req_u64(&v, "workers")?,
             queue_capacity: req_u64(&v, "queue_capacity")?,
-            // Fleet-era fields: optional on decode so legacy health
-            // frames stay decodable.
+            // Later fields: optional on decode so legacy health frames
+            // stay decodable.
             queue_depth: opt_u64(&v, "queue_depth")?.unwrap_or(0),
             active_connections: opt_u64(&v, "active_connections")?.unwrap_or(0),
-            shard_id: opt_u64(&v, "shard_id")?,
         },
         "stats" => Response::Stats {
             engine: wire_counters(&v, "engine")?,
@@ -790,27 +636,6 @@ pub fn decode_response(line: &str) -> Result<(u64, Response), ProtoError> {
             server: wire_counters(&v, "server")?,
         },
         "shutting_down" => Response::ShuttingDown,
-        "fleet_stats" => Response::FleetStats {
-            shards: v
-                .get("shards")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| bad("missing array field 'shards'"))?
-                .iter()
-                .map(|s| {
-                    Ok(ShardStatsWire {
-                        shard: req_u64(s, "shard")?,
-                        port: req_u64(s, "port")?,
-                        alive: req_bool(s, "alive")?,
-                        routed: req_u64(s, "routed")?,
-                        failed: req_u64(s, "failed")?,
-                        // Post-v1 roster columns: optional on decode so
-                        // legacy frames stay decodable.
-                        restarts: opt_u64(s, "restarts")?.unwrap_or(0),
-                        evicted: opt_bool(s, "evicted")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, ProtoError>>()?,
-        },
         "slept" => Response::Slept { ms: req_u64(&v, "ms")? },
         "result" => Response::Result {
             cycles: req_u64(&v, "cycles")?,
@@ -852,9 +677,6 @@ pub fn decode_response(line: &str) -> Result<(u64, Response), ProtoError> {
             pending: req_u64(&v, "pending")?,
             first_divergence: opt_u64(&v, "first_divergence")?,
         },
-        "shard_killed" => {
-            Response::ShardKilled { shard: req_u64(&v, "shard")?, wiped: opt_bool(&v, "wiped")? }
-        }
         "overloaded" => Response::Overloaded {
             capacity: req_u64(&v, "capacity")?,
             retry_after_ms: opt_u64(&v, "retry_after_ms")?,

@@ -1,6 +1,5 @@
 //! The scenario runner: drives a [`revel_traffic`] scenario plan
-//! against a live `revel_serve` (standalone or fleet frontend) over the
-//! JSON-lines protocol.
+//! against a live `revel_serve` over the JSON-lines protocol.
 //!
 //! The split of responsibilities (DESIGN.md §11, "Scenarios"):
 //!
@@ -9,12 +8,11 @@
 //! * This module owns everything that touches the wire: materializing mix
 //!   entries into protocol [`Request`]s, pumping each lane's
 //!   [`Action`]s through a pipelined
-//!   [`Client`], bracketing each phase with server-side stats snapshots,
-//!   and firing scripted fleet events (`kill_shard`) at their offsets.
+//!   [`Client`], and bracketing each phase with server-side stats
+//!   snapshots.
 //!
-//! One OS thread per lane (connection), plus one event thread per phase
-//! when the phase scripts kills. Lanes never share a connection; replies
-//! correlate FIFO per lane, which the protocol guarantees.
+//! One OS thread per lane (connection). Lanes never share a connection;
+//! replies correlate FIFO per lane, which the protocol guarantees.
 
 use crate::client::{Client, ClientError};
 use crate::protocol::{encode_request, Request, Response};
@@ -22,7 +20,7 @@ use revel_bench::grid;
 use revel_core::engine::CacheStats;
 use revel_traffic::lane::{Action, Completion, Lane, LaneCfg, Outcome, ReplyClass};
 use revel_traffic::report::{evaluate_slos, PhaseSummary, SloViolation, StatsWindow};
-use revel_traffic::scenario::{FleetEvent, MixCell, Scenario, Victim};
+use revel_traffic::scenario::{MixCell, Scenario};
 use revel_traffic::stream_seed;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -39,7 +37,7 @@ const RECONNECT_PAUSE: Duration = Duration::from_millis(50);
 /// draining replies: a server silent for this long counts as dead.
 const RECV_BACKSTOP: Duration = Duration::from_secs(10);
 
-/// Read timeout on the control connection (stats snapshots, kill events).
+/// Read timeout on the control connection (stats snapshots).
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How the runner connects and reports.
@@ -64,8 +62,6 @@ pub struct RunReport {
     pub total: PhaseSummary,
     /// Every broken SLO gate (empty = pass).
     pub violations: Vec<SloViolation>,
-    /// Notes from scripted fleet events, in firing order.
-    pub event_notes: Vec<String>,
     /// When [`RunOptions::dump_requests`] is set: every frame sent,
     /// grouped `# phase <name> lane <i>` then frames in send order — a
     /// deterministic layout (phase, then lane, then sequence), independent
@@ -101,7 +97,6 @@ pub fn run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
     let mut control: Option<Client> = None;
     let mut conns: Vec<Option<Client>> = (0..scenario.connections).map(|_| None).collect();
     let mut phases_out: Vec<(String, PhaseSummary)> = Vec::with_capacity(plan.phases.len());
-    let mut event_notes = Vec::new();
     let mut dump = Vec::new();
 
     for (pi, phase) in plan.phases.iter().enumerate() {
@@ -123,11 +118,6 @@ pub fn run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
         let phase_start = Instant::now();
 
         let lane_results: Vec<(Option<Client>, LaneTally)> = std::thread::scope(|s| {
-            let events_handle = (!phase.events.is_empty()).then(|| {
-                let events = &phase.events;
-                let addr = &opts.addr;
-                s.spawn(move || run_events(addr, phase_start, events))
-            });
             let mut handles = Vec::with_capacity(slices.len());
             for (li, slice) in slices.iter().enumerate() {
                 let client = conns[li].take();
@@ -148,11 +138,7 @@ pub fn run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
                     )
                 }));
             }
-            let results = handles.into_iter().map(|h| h.join().expect("lane thread")).collect();
-            if let Some(h) = events_handle {
-                event_notes.extend(h.join().expect("event thread"));
-            }
-            results
+            handles.into_iter().map(|h| h.join().expect("lane thread")).collect()
         });
 
         let mut summary = PhaseSummary::default();
@@ -187,7 +173,7 @@ pub fn run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
     }
     total.seal();
     let violations = evaluate_slos(&scenario.slos, &phases_out, &total);
-    Ok(RunReport { seed: plan.seed, phases: phases_out, total, violations, event_notes, dump })
+    Ok(RunReport { seed: plan.seed, phases: phases_out, total, violations, dump })
 }
 
 /// Lane RNG stream: decorrelated per (run seed, phase, lane) so retry
@@ -368,64 +354,6 @@ fn run_lane(
         frames,
     };
     (client, tally)
-}
-
-/// Fire a phase's scripted fleet events at their offsets over a dedicated
-/// control connection. Failures are reported as notes, never fatal — a
-/// kill that misses (shard already down) is a scenario outcome, not a
-/// runner crash.
-fn run_events(addr: &str, phase_start: Instant, events: &[FleetEvent]) -> Vec<String> {
-    let mut notes = Vec::new();
-    let mut client: Option<Client> = None;
-    for ev in events {
-        let due = Duration::from_millis(ev.at_ms);
-        let elapsed = phase_start.elapsed();
-        if due > elapsed {
-            std::thread::sleep(due - elapsed);
-        }
-        let req = match &ev.victim {
-            Victim::Shard(id) => Request::KillShard {
-                shard: Some(*id),
-                bench: None,
-                params: None,
-                arch: None,
-                wipe_snapshot: ev.wipe_snapshot,
-            },
-            Victim::OwnerOf { bench, params, arch } => Request::KillShard {
-                shard: None,
-                bench: Some(bench.clone()),
-                params: Some(params.clone()),
-                arch: Some(arch.clone()),
-                wipe_snapshot: ev.wipe_snapshot,
-            },
-        };
-        if client.is_none() {
-            client = Client::connect(addr).ok();
-            if let Some(c) = &client {
-                let _ = c.set_read_timeout(Some(CONTROL_TIMEOUT));
-            }
-        }
-        let resp = match client.as_mut() {
-            Some(c) => c.request(&req),
-            None => Err(ClientError::Closed),
-        };
-        match resp {
-            Ok(Response::ShardKilled { shard, wiped }) => notes.push(format!(
-                "t+{}ms killed shard {shard}{}",
-                ev.at_ms,
-                if wiped { " (snapshot wiped)" } else { "" }
-            )),
-            Ok(Response::Error { kind, message, .. }) => {
-                notes.push(format!("t+{}ms kill_shard failed: {kind}: {message}", ev.at_ms));
-            }
-            Ok(other) => notes.push(format!("t+{}ms kill_shard got {other:?}", ev.at_ms)),
-            Err(e) => {
-                client = None;
-                notes.push(format!("t+{}ms kill_shard transport error: {e}", ev.at_ms));
-            }
-        }
-    }
-    notes
 }
 
 /// Fetch an engine-stats snapshot over the (lazily re-dialed) control

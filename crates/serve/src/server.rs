@@ -13,18 +13,16 @@
 //!   at ~620 µs of a resident request's ~636 µs round trip
 //!   (`serve.server.worker_handoff_us`), and at ~8 ms after 50 ms of
 //!   silence (`serve.server.idle_hit_rtt_us`);
-//! * control-plane ops (`health`, `stats`, `shutdown`, `fleet_stats`)
-//!   are answered inline on the loop — they work even when the work
-//!   queue is saturated (you can always ask a drowning server for its
-//!   stats) — while work-plane ops go through the bounded queue, a full
-//!   queue answering `overloaded` immediately;
+//! * control-plane ops (`health`, `stats`, `shutdown`) are answered
+//!   inline on the loop — they work even when the work queue is
+//!   saturated (you can always ask a drowning server for its stats) —
+//!   while work-plane ops go through the bounded queue, a full queue
+//!   answering `overloaded` immediately;
 //! * a **worker pool** (built on the evaluation engine's `par_map_jobs`
 //!   primitive, one long-lived loop per worker slot) pops jobs and
-//!   executes them through the process-wide engine cache — or, when a
-//!   [`Fleet`](crate::fleet::Fleet) is attached, forwards them to the
-//!   shard that owns the request's cache key — with a `catch_unwind`
-//!   fence so a panicking request becomes a structured `internal` error
-//!   instead of a dead worker. The `serve.worker.pre-run` failpoint sits
+//!   executes them through the process-wide engine cache, with a
+//!   `catch_unwind` fence so a panicking request becomes a structured
+//!   `internal` error instead of a dead worker. The `serve.worker.pre-run` failpoint sits
 //!   inside that fence, so an armed `panic` tests the fence itself.
 //!
 //! Replies stay in request order per connection: each admitted frame
@@ -36,11 +34,8 @@
 //! until every pending reply is flushed, then closes the queue and
 //! joins the workers. Nothing admitted is ever dropped.
 
-use crate::fleet::Supervisor;
 use crate::probe;
-use crate::protocol::{
-    encode_response, Counters, Frame, FrameReader, Request, Response, ShardStatsWire,
-};
+use crate::protocol::{encode_response, Counters, Frame, FrameReader, Request, Response};
 use crate::queue::{Bounded, PushError};
 use crate::signal;
 use revel_bench::grid;
@@ -52,7 +47,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Ceiling of the event loop's idle backoff: the longest a fully idle
@@ -81,9 +76,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded-queue capacity (admitted-but-unserved requests).
     pub queue_capacity: usize,
-    /// Shard id reported by the `health` op when this process runs as a
-    /// fleet shard; `None` for a standalone server or the fleet frontend.
-    pub shard_id: Option<u64>,
     /// Slow-loris armor: a connection that has not completed a frame
     /// within this window — while owing no replies — is closed and
     /// counted. `Duration::ZERO` disables the deadline. In-flight work
@@ -103,7 +95,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7411".to_string(),
             workers: 0,
             queue_capacity: 64,
-            shard_id: None,
             conn_timeout: DEFAULT_CONN_TIMEOUT,
             wbuf_limit: DEFAULT_WBUF_LIMIT,
         }
@@ -154,16 +145,9 @@ struct Shared {
     queue: Bounded<Job>,
     shutdown: AtomicBool,
     workers: usize,
-    shard_id: Option<u64>,
-    /// Local port (resolved after bind), reported by `fleet_stats` when
-    /// a standalone server answers for itself and given to failpoint
-    /// sites as their context.
+    /// Local port (resolved after bind), given to failpoint sites as
+    /// their context.
     port: u16,
-    /// The supervisor of the shard fleet this server fronts, when routing
-    /// instead of executing locally: work is forwarded through its
-    /// [`Fleet`](crate::fleet::Fleet), a scripted `kill_shard` is
-    /// delivered to it. Absent on standalone servers and shards.
-    supervisor: Option<Arc<Supervisor>>,
     /// Slow-loris deadline (`Duration::ZERO` disables it).
     conn_timeout: Duration,
     /// Per-connection unread-reply byte cap.
@@ -229,9 +213,7 @@ impl Server {
                 queue: Bounded::new(cfg.queue_capacity),
                 shutdown: AtomicBool::new(false),
                 workers,
-                shard_id: cfg.shard_id,
                 port,
-                supervisor: None,
                 conn_timeout: cfg.conn_timeout,
                 wbuf_limit: cfg.wbuf_limit.max(1),
                 active_connections: AtomicU64::new(0),
@@ -245,16 +227,6 @@ impl Server {
                 write_overflows: AtomicU64::new(0),
             },
         })
-    }
-
-    /// Attaches a shard fleet by its supervisor: work-plane requests are
-    /// routed to shards by cache-key fingerprint instead of executed
-    /// in-process, the `stats`/`fleet_stats` ops aggregate over the fleet,
-    /// and a `kill_shard` request SIGKILLs the victim's process (wiping
-    /// its snapshot directory first when asked). Must be called before
-    /// [`Server::serve`].
-    pub fn set_fleet(&mut self, supervisor: Arc<Supervisor>) {
-        self.shared.supervisor = Some(supervisor);
     }
 
     /// The bound address (resolves port 0).
@@ -527,23 +499,15 @@ impl Conn {
                 queue_capacity: shared.queue.capacity() as u64,
                 queue_depth: shared.queue.len() as u64,
                 active_connections: shared.active_connections.load(Ordering::Relaxed),
-                shard_id: shared.shard_id,
             }),
-            Request::Stats => Some(stats_response(shared)),
-            Request::FleetStats => Some(fleet_stats_response(shared)),
+            Request::Stats => Some(Response::Stats {
+                engine: engine::stats(),
+                schedule: revel_core::sim::schedule_cache_stats(),
+                server: shared.final_stats(),
+            }),
             Request::Shutdown => {
                 shared.shutdown.store(true, Ordering::SeqCst);
                 Some(Response::ShuttingDown)
-            }
-            Request::KillShard { shard, bench, params, arch, wipe_snapshot } => {
-                Some(kill_shard_response(
-                    shared,
-                    *shard,
-                    bench.as_deref(),
-                    params.as_deref(),
-                    arch.as_deref(),
-                    *wipe_snapshot,
-                ))
             }
             _ => None,
         };
@@ -655,15 +619,6 @@ fn event_loop(listener: &TcpListener, shared: &Shared) -> std::io::Result<()> {
     }
 }
 
-/// Serves one popped job: forwarded to the owning shard when a fleet is
-/// attached, executed through the local engine otherwise.
-fn dispatch(shared: &Shared, job: &Job) -> Response {
-    match &shared.supervisor {
-        Some(sup) => sup.fleet().forward(&job.req),
-        None => execute(&job.req, job.deadline),
-    }
-}
-
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -673,7 +628,7 @@ fn worker_loop(shared: &Shared) {
             // holds the worker and then serves the job correctly, and
             // `panic` comes back as the `internal` error below.
             match revel_failpoint::hit_with("serve.worker.pre-run", || shared.port.to_string()) {
-                Ok(()) => dispatch(shared, &job),
+                Ok(()) => execute(&job.req, job.deadline),
                 Err(e) => {
                     shared.injected.fetch_add(1, Ordering::Relaxed);
                     Response::Error {
@@ -700,81 +655,6 @@ fn worker_loop(shared: &Shared) {
         shared.completed.fetch_add(1, Ordering::Relaxed);
         // A vanished connection is not a server error; drop the reply.
         let _ = job.reply.send(resp);
-    }
-}
-
-/// A scripted `kill_shard`: resolve the victim (explicit id, or the ring
-/// owner of a cell) and have the supervisor SIGKILL it. Standalone servers
-/// and bare shards answer with a structured `no_fleet` error — the op only
-/// means something on a fleet frontend.
-fn kill_shard_response(
-    shared: &Shared,
-    shard: Option<u64>,
-    bench: Option<&str>,
-    params: Option<&str>,
-    arch: Option<&str>,
-    wipe_snapshot: bool,
-) -> Response {
-    let Some(sup) = &shared.supervisor else {
-        return Response::error(
-            "no_fleet",
-            "kill_shard needs a fleet frontend (--shards N); this server supervises no shards",
-        );
-    };
-    let victim = match shard {
-        Some(id) => id as usize,
-        None => {
-            let bench = bench.unwrap_or("");
-            match sup.fleet().owner_of_cell(bench, params.unwrap_or(""), arch.unwrap_or("")) {
-                Some(id) => id,
-                None => {
-                    return Response::error("kill_failed", "no alive shard owns the cell");
-                }
-            }
-        }
-    };
-    if sup.kill_shard(victim, wipe_snapshot) {
-        Response::ShardKilled { shard: victim as u64, wiped: wipe_snapshot }
-    } else {
-        Response::error("kill_failed", format!("shard {victim} has no live process"))
-    }
-}
-
-/// The `fleet_stats` roster: the fleet's when one is attached, a
-/// single-row answer for a standalone server (it is its own shard 0).
-fn fleet_stats_response(shared: &Shared) -> Response {
-    match &shared.supervisor {
-        Some(sup) => Response::FleetStats { shards: sup.fleet().roster() },
-        None => Response::FleetStats {
-            shards: vec![ShardStatsWire {
-                shard: shared.shard_id.unwrap_or(0),
-                port: u64::from(shared.port),
-                alive: true,
-                routed: shared.completed.load(Ordering::Relaxed),
-                failed: 0,
-                restarts: 0,
-                evicted: false,
-            }],
-        },
-    }
-}
-
-fn stats_response(shared: &Shared) -> Response {
-    let server = shared.final_stats();
-    if let Some(sup) = &shared.supervisor {
-        // The frontend's own engine is idle; the counters that matter
-        // live on the shards. Summing keeps client-side hit-rate windows
-        // working unchanged against a fleet.
-        if let Some((engine, schedule)) = sup.fleet().aggregate_stats() {
-            return Response::Stats { engine, schedule, server };
-        }
-        // No shard reachable: fall through to the (idle) local counters
-        // rather than turning a stats probe into an error.
-    }
-    Response::Stats {
-        engine: engine::stats(),
-        schedule: revel_core::sim::schedule_cache_stats(),
-        server,
     }
 }
 
@@ -833,11 +713,7 @@ fn execute(req: &Request, deadline: Option<Instant>) -> Response {
             None => unknown_bench(bench, params, "-"),
         },
         // Control-plane ops never reach the queue.
-        Request::Health
-        | Request::Stats
-        | Request::Shutdown
-        | Request::FleetStats
-        | Request::KillShard { .. } => {
+        Request::Health | Request::Stats | Request::Shutdown => {
             Response::error("internal", "control-plane request routed to a worker")
         }
     }
@@ -945,7 +821,7 @@ fn simulate(
         engine::run_uncached(b, &cfg, opts).map(|run| response_for_run(&run))
     } else {
         // The layered lookup: memory cache, then the persistent disk
-        // tier (a warm-started shard answers before its first
+        // tier (a restarted server answers before its first
         // simulation), then a real run.
         b.run_served(&cfg, deadline).map(|served| match served {
             Served::Run(run) => response_for_run(&run),

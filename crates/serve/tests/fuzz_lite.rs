@@ -32,13 +32,6 @@ fn valid_frames() -> Vec<String> {
             arch: "systolic".into(),
         },
         Request::Compare { bench: "gemm".into(), params: "12x16x64".into() },
-        Request::KillShard {
-            shard: None,
-            bench: Some("solver".into()),
-            params: Some("n=12".into()),
-            arch: Some("revel".into()),
-            wipe_snapshot: true,
-        },
     ];
     let resps = [
         Response::ShuttingDown,

@@ -7,7 +7,7 @@ use revel_core::engine::CacheStats;
 use revel_core::sim::ScheduleCacheStats;
 use revel_serve::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_all_frames, Frame,
-    FrameReader, Request, Response, ShardStatsWire, MAX_FRAME_BYTES,
+    FrameReader, Request, Response, MAX_FRAME_BYTES,
 };
 use revel_serve::server::FinalStats;
 
@@ -16,7 +16,6 @@ fn every_request() -> Vec<Request> {
         Request::Health,
         Request::Stats,
         Request::Shutdown,
-        Request::FleetStats,
         Request::Sleep { ms: 250 },
         Request::simulate("qr", "n=12", "revel"),
         Request::Simulate {
@@ -59,62 +58,12 @@ fn every_request() -> Vec<Request> {
             arch: "systolic".into(),
         },
         Request::Compare { bench: "gemm".into(), params: "12x16x64".into() },
-        Request::KillShard {
-            shard: Some(2),
-            bench: None,
-            params: None,
-            arch: None,
-            wipe_snapshot: true,
-        },
-        Request::KillShard {
-            shard: None,
-            bench: Some("solver".into()),
-            params: Some("n=12".into()),
-            arch: Some("revel".into()),
-            wipe_snapshot: false,
-        },
     ]
 }
 
 fn every_response() -> Vec<Response> {
     vec![
-        Response::Health {
-            workers: 8,
-            queue_capacity: 64,
-            queue_depth: 3,
-            active_connections: 2,
-            shard_id: None,
-        },
-        Response::Health {
-            workers: 1,
-            queue_capacity: 8,
-            queue_depth: 0,
-            active_connections: 1,
-            shard_id: Some(2),
-        },
-        Response::FleetStats {
-            shards: vec![
-                ShardStatsWire {
-                    shard: 0,
-                    port: 7412,
-                    alive: true,
-                    routed: 120,
-                    failed: 0,
-                    restarts: 0,
-                    evicted: false,
-                },
-                ShardStatsWire {
-                    shard: 1,
-                    port: 7413,
-                    alive: false,
-                    routed: 33,
-                    failed: 2,
-                    restarts: 3,
-                    evicted: true,
-                },
-            ],
-        },
-        Response::FleetStats { shards: vec![] },
+        Response::Health { workers: 8, queue_capacity: 64, queue_depth: 3, active_connections: 2 },
         Response::Stats {
             engine: CacheStats {
                 hits: 10,
@@ -181,8 +130,6 @@ fn every_response() -> Vec<Response> {
             clean: false,
             diagnostics: vec!["W001: unused port".into(), "E002: deadlock".into()],
         },
-        Response::ShardKilled { shard: 1, wiped: true },
-        Response::ShardKilled { shard: 0, wiped: false },
         Response::Overloaded { capacity: 64, retry_after_ms: None },
         Response::Overloaded { capacity: 1, retry_after_ms: Some(30) },
         Response::Error {
@@ -312,11 +259,11 @@ fn a_full_stats_frame_encodes_to_the_pinned_bytes() {
     assert_eq!(decode_response(golden).expect("decodes"), (5, stats));
 }
 
-/// A health frame from a pre-fleet server (no `queue_depth`,
-/// `active_connections`, or `shard_id`) must still decode, with the new
-/// fields defaulted — and a standalone server's own health frame omits
-/// `shard_id` entirely (the byte-stability convention for optional
-/// fields).
+/// A health frame from an early server (no `queue_depth` or
+/// `active_connections`) must still decode, with the new fields
+/// defaulted. A health frame from a shard of the retired fleet carries a
+/// `shard_id`: it still decodes (unknown fields are ignored), and the
+/// server's own health frame never carries one.
 #[test]
 fn legacy_health_frames_decode_and_shard_id_is_omitted_when_absent() {
     let legacy = "{\"id\":4,\"type\":\"health\",\"workers\":8,\"queue_capacity\":64}";
@@ -324,26 +271,19 @@ fn legacy_health_frames_decode_and_shard_id_is_omitted_when_absent() {
     assert_eq!(id, 4);
     assert_eq!(
         resp,
-        Response::Health {
-            workers: 8,
-            queue_capacity: 64,
-            queue_depth: 0,
-            active_connections: 0,
-            shard_id: None,
-        }
+        Response::Health { workers: 8, queue_capacity: 64, queue_depth: 0, active_connections: 0 }
+    );
+    let sharded = "{\"id\":4,\"type\":\"health\",\"workers\":8,\"queue_capacity\":64,\
+                   \"queue_depth\":0,\"active_connections\":0,\"shard_id\":2}";
+    assert_eq!(
+        decode_response(sharded).expect("a shard's health frame decodes"),
+        (4, resp.clone())
     );
     let frame = encode_response(4, &resp);
-    assert!(!frame.contains("shard_id"), "absent shard_id stays off the wire: {frame}");
-    let sharded = Response::Health {
-        workers: 8,
-        queue_capacity: 64,
-        queue_depth: 0,
-        active_connections: 0,
-        shard_id: Some(0),
-    };
-    assert!(
-        encode_response(4, &sharded).contains("\"shard_id\":0"),
-        "a shard reports its id on the wire"
+    assert_eq!(
+        frame,
+        "{\"id\":4,\"type\":\"health\",\"workers\":8,\"queue_capacity\":64,\
+         \"queue_depth\":0,\"active_connections\":0}\n"
     );
 }
 
@@ -394,13 +334,18 @@ fn malformed_frames_are_rejected_not_panics() {
     ] {
         assert!(decode_request(bad).is_err(), "must reject {bad:?}");
     }
+    // The retired fleet's `fleet_stats` and `kill_shard` are unknown ops
+    // like any op the server never had.
+    for op in ["conquer", "fleet_stats", "kill_shard"] {
+        let err = decode_request(&format!("{{\"id\":1,\"op\":\"{op}\"}}")).unwrap_err();
+        assert_eq!(err.message, format!("unknown op '{op}'"));
+    }
     for bad in [
         "{}",
         "{\"id\":1}",
         "{\"id\":1,\"type\":\"victory\"}",
         "{\"id\":1,\"type\":\"result\"}",
         "{\"id\":1,\"type\":\"result\",\"cycles\":5,\"commands_issued\":2,\"verified\":1}",
-        "{\"id\":1,\"type\":\"fleet_stats\",\"shards\":[{\"shard\":0,\"port\":7412,\"alive\":true,\"routed\":1,\"failed\":0,\"evicted\":7}]}",
     ] {
         assert!(decode_response(bad).is_err(), "must reject {bad:?}");
     }

@@ -1,10 +1,8 @@
 //! Scenario-runner integration tests over a loopback server: catalog
-//! validity, seed-pinned determinism of the request stream, SLO gating,
-//! and the standalone server's structured answer to `kill_shard`.
+//! validity, seed-pinned determinism of the request stream, and SLO
+//! gating.
 
-use revel_serve::client::Client;
 use revel_serve::harness::{loopback, ServerGuard};
-use revel_serve::protocol::{Request, Response};
 use revel_serve::scenario::{run, RunOptions};
 use revel_traffic::scenario::Scenario;
 
@@ -62,7 +60,7 @@ fn every_catalog_scenario_parses_and_plans() {
         // Catalog scenarios must pin at least one SLO — they are gates.
         assert!(!scenario.slos.is_empty(), "{} pins no SLOs", path.display());
     }
-    assert!(seen >= 6, "expected the six catalog scenarios, found {seen}");
+    assert!(seen >= 4, "expected the four catalog scenarios, found {seen}");
 }
 
 #[test]
@@ -127,30 +125,6 @@ fn violated_slos_are_reported_not_panicked() {
         "expected the impossible p99 gate to trip, got {:?}",
         report.violations
     );
-    server.shutdown();
-}
-
-#[test]
-fn kill_shard_on_a_standalone_server_is_a_structured_error() {
-    let server = ServerGuard::start(&loopback(1, 8)).expect("bind ephemeral port");
-    let addr = server.addr();
-    let mut c = Client::connect(addr).expect("connect");
-    let resp = c
-        .request(&Request::KillShard {
-            shard: Some(0),
-            bench: None,
-            params: None,
-            arch: None,
-            wipe_snapshot: false,
-        })
-        .expect("kill_shard answered");
-    match resp {
-        Response::Error { kind, message, .. } => {
-            assert_eq!(kind, "no_fleet");
-            assert!(message.contains("fleet"), "unhelpful message: {message}");
-        }
-        other => panic!("expected a structured no_fleet error, got {other:?}"),
-    }
     server.shutdown();
 }
 

@@ -103,8 +103,8 @@ pub enum Outcome {
 pub enum ReplyClass {
     /// Terminal reply — record the outcome.
     Final(Outcome),
-    /// Retryable failure (overloaded / injected fault / shutting down /
-    /// fleet unavailable), with the server's optional backoff hint.
+    /// Retryable failure (overloaded / injected fault / shutting down),
+    /// with the server's optional backoff hint.
     Retryable {
         /// Outcome to record if retries are exhausted.
         outcome: Outcome,

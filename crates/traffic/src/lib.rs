@@ -22,8 +22,7 @@
 //!   accounting (latency is measured from the *intended* send time on the
 //!   arrival grid, and sends that slip behind the grid are counted).
 //! * [`scenario`] — the versioned `scenario.json` file format: phased
-//!   timelines, workload mixes, scripted fleet events (`kill_shard`), and
-//!   named SLO assertions; [`scenario::Scenario::plan`] expands a scenario
+//!   timelines, workload mixes, and named SLO assertions; [`scenario::Scenario::plan`] expands a scenario
 //!   into a fully materialized, seed-deterministic arrival plan.
 //! * [`report`] — per-phase summaries, nearest-rank percentiles, SLO
 //!   evaluation, and the stable JSON report line.

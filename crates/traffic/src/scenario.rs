@@ -6,7 +6,10 @@
 //! versions, and malformed fields come back as structured
 //! [`ScenarioError`]s — never a panic. Unknown *fields* are ignored (the
 //! same forward-compatibility posture the protocol takes), unknown
-//! *enumerations* (pattern kinds, event actions) are errors.
+//! *enumerations* (pattern kinds) are errors. One retired field is an
+//! error rather than ignored: a phase's `events` (scripted shard kills)
+//! left with the shard fleet, and a file that still scripts them would
+//! otherwise run without them and pass.
 //!
 //! ## File shape (version 1)
 //!
@@ -29,8 +32,7 @@
 //!     {"name": "warm", "duration_ms": 2000, "pattern": {"kind": "constant", "rps": 40}},
 //!     {"name": "drain", "duration_ms": 500, "pattern": {"kind": "silence"}},
 //!     {"name": "stampede", "duration_ms": 2000, "reconnect": true,
-//!      "pattern": {"kind": "burst", "count": 40, "every_ms": 400, "spread_ms": 10},
-//!      "events": [{"at_ms": 700, "kill_shard": {"shard": 0}, "wipe_snapshot": true}]}
+//!      "pattern": {"kind": "burst", "count": 40, "every_ms": 400, "spread_ms": 10}}
 //!   ],
 //!   "slos": [
 //!     {"name": "tail", "phase": "stampede", "max_p99_ms": 1500},
@@ -41,9 +43,7 @@
 //!
 //! `mix` entries name an explicit grid cell (optionally a batch lane via
 //! `"batch": N`) or `{"grid": true}`, which walks the whole 42-cell
-//! evaluation grid round-robin. A phase may override `mix`, and an event's
-//! victim may be `{"shard": N}` or `{"owner_of": {"bench", "params",
-//! "arch"}}` (the ring owner of that cell, resolved server-side).
+//! evaluation grid round-robin. A phase may override `mix`.
 
 use crate::json::{self, Value};
 use crate::pattern::{PatternEngine, PatternKind};
@@ -105,36 +105,6 @@ pub enum MixCell {
     },
 }
 
-/// A scripted fleet event inside a phase.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetEvent {
-    /// Offset from phase start, milliseconds.
-    pub at_ms: u64,
-    /// Which shard dies.
-    pub victim: Victim,
-    /// Also wipe the victim's snapshot directory before it respawns
-    /// (turns a warm restart into a cache-cold stampede).
-    pub wipe_snapshot: bool,
-}
-
-/// Victim selector for a kill event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Victim {
-    /// An explicit shard id.
-    Shard(u64),
-    /// The ring owner of a cell, resolved by the fleet frontend at event
-    /// time — this is how `shard_kill_ramp` guarantees it kills a shard
-    /// that is actually serving traffic.
-    OwnerOf {
-        /// Workload name.
-        bench: String,
-        /// Parameter string.
-        params: String,
-        /// Architecture.
-        arch: String,
-    },
-}
-
 /// One phase of the timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
@@ -149,8 +119,6 @@ pub struct Phase {
     pub reconnect: bool,
     /// Phase-local mix override; `None` uses the scenario-level mix.
     pub mix: Option<Vec<MixEntry>>,
-    /// Scripted fleet events, sorted by `at_ms`.
-    pub events: Vec<FleetEvent>,
 }
 
 /// A named SLO assertion over one phase (or `"all"` for the whole run).
@@ -334,41 +302,6 @@ fn parse_mix(v: &Value, at: &str) -> Result<Vec<MixEntry>, ScenarioError> {
     Ok(out)
 }
 
-fn parse_events(v: &Value, at: &str) -> Result<Vec<FleetEvent>, ScenarioError> {
-    let arr = want_arr(v, at)?;
-    if arr.len() > 16 {
-        return Err(serr(at, "events are capped at 16 per phase"));
-    }
-    let mut out = Vec::with_capacity(arr.len());
-    for (i, ev) in arr.iter().enumerate() {
-        let eat = format!("{at}[{i}]");
-        want_obj(ev, &eat)?;
-        let at_ms =
-            opt_u64(ev, "at_ms", &eat)?.ok_or_else(|| serr(format!("{eat}.at_ms"), "missing"))?;
-        let kill = ev
-            .get("kill_shard")
-            .ok_or_else(|| serr(&eat, "unknown event: only kill_shard is supported"))?;
-        let kat = format!("{eat}.kill_shard");
-        want_obj(kill, &kat)?;
-        let victim = if let Some(shard) = opt_u64(kill, "shard", &kat)? {
-            Victim::Shard(shard)
-        } else if let Some(owner) = kill.get("owner_of") {
-            let oat = format!("{kat}.owner_of");
-            want_obj(owner, &oat)?;
-            Victim::OwnerOf {
-                bench: req_str(owner, "bench", &oat)?,
-                params: owner.get("params").and_then(Value::as_str).unwrap_or("").to_string(),
-                arch: owner.get("arch").and_then(Value::as_str).unwrap_or("").to_string(),
-            }
-        } else {
-            return Err(serr(kat, "kill_shard needs a shard id or an owner_of cell"));
-        };
-        out.push(FleetEvent { at_ms, victim, wipe_snapshot: opt_bool(ev, "wipe_snapshot", &eat)? });
-    }
-    out.sort_by_key(|e| e.at_ms);
-    Ok(out)
-}
-
 fn parse_slos(v: &Value, at: &str) -> Result<Vec<Slo>, ScenarioError> {
     let arr = want_arr(v, at)?;
     if arr.len() > 64 {
@@ -453,6 +386,9 @@ impl Scenario {
         for (i, phase) in phases_v.iter().enumerate() {
             let pat = format!("$.phases[{i}]");
             want_obj(phase, &pat)?;
+            if phase.get("events").is_some() {
+                return Err(serr(format!("{pat}.events"), "scripted events left with the fleet"));
+            }
             let duration_ms = opt_u64(phase, "duration_ms", &pat)?
                 .ok_or_else(|| serr(format!("{pat}.duration_ms"), "missing"))?;
             if duration_ms == 0 || duration_ms > 3_600_000 {
@@ -479,20 +415,7 @@ impl Scenario {
                     None | Some(Value::Null) => None,
                     Some(m) => Some(parse_mix(m, &format!("{pat}.mix"))?),
                 },
-                events: match phase.get("events") {
-                    None | Some(Value::Null) => Vec::new(),
-                    Some(e) => parse_events(e, &format!("{pat}.events"))?,
-                },
             });
-            let phase_ref = phases.last().expect("just pushed");
-            for (j, ev) in phase_ref.events.iter().enumerate() {
-                if ev.at_ms > phase_ref.duration_ms {
-                    return Err(serr(
-                        format!("{pat}.events[{j}].at_ms"),
-                        "event fires after the phase ends",
-                    ));
-                }
-            }
         }
         let slos = match root.get("slos") {
             None | Some(Value::Null) => Vec::new(),
@@ -575,7 +498,6 @@ impl Scenario {
                 duration_us: phase.duration_ms * 1000,
                 reconnect: phase.reconnect,
                 arrivals,
-                events: phase.events.clone(),
             });
         }
         Ok(ScenarioPlan { seed, phases })
@@ -605,8 +527,6 @@ pub struct PhasePlan {
     pub reconnect: bool,
     /// Sorted arrivals.
     pub arrivals: Vec<PlannedArrival>,
-    /// Scripted fleet events (sorted by `at_ms`).
-    pub events: Vec<FleetEvent>,
 }
 
 impl PhasePlan {
