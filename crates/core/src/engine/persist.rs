@@ -173,7 +173,9 @@ impl PersistentTier {
     /// every valid record: the snapshot first, then the segment written
     /// since it. Corrupt files degrade to [`ColdStart`] entries in the
     /// returned [`WarmStart`]; only real I/O failures (permissions, a
-    /// vanished directory) are `Err`.
+    /// vanished directory) are `Err`. A segment is cut back to its last
+    /// whole record before anything is appended, so a torn tail a crash
+    /// left cannot hide the records written after the restart.
     ///
     /// # Errors
     /// Propagates directory-creation and file-open failures.
@@ -181,20 +183,28 @@ impl PersistentTier {
         fs::create_dir_all(dir)?;
         let mut index = HashMap::new();
         let mut cold_starts = Vec::new();
+        let mut segment_whole = None;
         for file in [SNAPSHOT, SEGMENT] {
             let path = dir.join(file);
             if !path.exists() {
                 continue;
             }
             let bytes = fs::read(&path)?;
-            if let Err(reason) = load_records(&bytes, file, &mut index) {
+            let (whole, loaded) = load_records(&bytes, file, &mut index);
+            if let Err(reason) = loaded {
                 cold_starts.push(ColdStart { file: file.to_string(), reason });
+                if file == SEGMENT {
+                    segment_whole = Some(whole);
+                }
             }
         }
         let segment_path = dir.join(SEGMENT);
-        let fresh = !segment_path.exists();
         let mut segment = OpenOptions::new().create(true).append(true).open(&segment_path)?;
-        if fresh {
+        if let Some(whole) = segment_whole {
+            segment.set_len(whole as u64)?;
+        }
+        // A new segment, or one whose header was bad and is cut to nothing.
+        if segment.metadata()?.len() == 0 {
             segment.write_all(&header())?;
             segment.flush()?;
         }
@@ -394,14 +404,27 @@ impl<'a> Cursor<'a> {
 
 /// Loads every valid record of one file into `index` (later records win,
 /// which is how segment entries shadow snapshot entries on reload).
-/// Returns `Err(reason)` at the first invalid byte; everything decoded
+/// Returns the end of the last whole record (0 if the header is bad), and
+/// `Err(reason)` if loading stopped at an invalid byte; everything decoded
 /// before it stays in `index`.
 fn load_records(
     bytes: &[u8],
     file: &str,
     index: &mut HashMap<(u64, u64), PersistedRun>,
+) -> (usize, Result<(), String>) {
+    let mut whole = 0;
+    let loaded = read_records(&mut Cursor { bytes, pos: 0 }, file, index, &mut whole);
+    (whole, loaded)
+}
+
+/// `load_records`' decoder: advances `whole` past each record it keeps.
+fn read_records(
+    c: &mut Cursor<'_>,
+    file: &str,
+    index: &mut HashMap<(u64, u64), PersistedRun>,
+    whole: &mut usize,
 ) -> Result<(), String> {
-    let mut c = Cursor { bytes, pos: 0 };
+    let bytes = c.bytes;
     if c.take(MAGIC.len()).map_err(|_| "missing file header".to_string())? != MAGIC {
         return Err(format!("{file}: bad magic (not a tier file)"));
     }
@@ -411,6 +434,7 @@ fn load_records(
             "{file}: format version {version} does not match this build's {FORMAT_VERSION}"
         ));
     }
+    *whole = c.pos;
     while c.pos < bytes.len() {
         let start = c.pos;
         let fp = (c.u64()?, c.u64()?);
@@ -432,6 +456,7 @@ fn load_records(
         }
         let verified = if verified_byte == 1 { Ok(()) } else { Err(err) };
         index.insert(fp, PersistedRun { cycles, commands_issued, verified, canonical_text });
+        *whole = c.pos;
     }
     Ok(())
 }
@@ -547,6 +572,32 @@ mod tests {
         );
         assert_eq!(tier.lookup(fp1), Some(&run1));
         assert_eq!(tier.lookup(fp2), None, "the torn record must not be served");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_after_a_torn_tail_survive_the_next_restart() {
+        let dir = tmp_dir("torn-then-append");
+        let (mut tier, _) = PersistentTier::open(&dir).expect("open");
+        for i in [1, 2] {
+            let (fp, run) = sample(i);
+            tier.append(fp, &run).expect("append");
+        }
+        drop(tier);
+        // Half a third record, as a crash mid-append leaves it.
+        let (fp3, run3) = sample(3);
+        let record = encode_record(fp3, &run3);
+        let mut segment = OpenOptions::new().append(true).open(dir.join(SEGMENT)).expect("open");
+        segment.write_all(&record[..record.len() / 2]).expect("torn write");
+        drop(segment);
+        let (mut tier, warm) = PersistentTier::open(&dir).expect("reopen after the crash");
+        assert_eq!((warm.entries, warm.cold_starts.len()), (2, 1), "{:?}", warm.cold_starts);
+        tier.append(fp3, &run3).expect("append after the restart");
+        drop(tier);
+        let (tier, warm) = PersistentTier::open(&dir).expect("reopen after a second restart");
+        assert_eq!(warm.entries, 3);
+        assert!(warm.cold_starts.is_empty(), "the torn tail was cut: {:?}", warm.cold_starts);
+        assert_eq!(tier.lookup(fp3), Some(&run3));
         let _ = fs::remove_dir_all(&dir);
     }
 

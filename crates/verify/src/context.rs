@@ -161,7 +161,9 @@ pub enum AddrSet {
     /// Every distinct address (patterns up to `EXACT_ADDR_LIMIT` elems),
     /// strictly ascending: [`AddrSet::overlaps`] merges and bisects it.
     Exact(Vec<i64>),
-    /// Conservative `[lo, hi]` bounding range.
+    /// Every word of `[lo, hi]`: exact for a pattern that visits them all
+    /// (contiguous rows that abut), conservative above `EXACT_ADDR_LIMIT`
+    /// elements.
     Range(i64, i64),
 }
 
@@ -179,10 +181,21 @@ impl AddrSet {
     /// Builds the address set of an affine pattern.
     pub fn of(pattern: &revel_isa::AffinePattern) -> Option<AddrSet> {
         let (lo, hi) = pattern.addr_range()?;
-        if pattern.total_elems() <= EXACT_ADDR_LIMIT {
+        let p = pattern;
+        let dense = p.stride_i.abs() == 1
+            && p.stretch == 0
+            && (p.len_j <= 1 || p.stride_j.abs() == p.len_i);
+        let elems = p.total_elems();
+        if !dense && elems <= EXACT_ADDR_LIMIT {
+            // Row by row: the words `AffinePattern::iter` yields, without its
+            // per-element bookkeeping.
+            let mut addrs: Vec<i64> = Vec::with_capacity(elems as usize);
+            for j in 0..p.len_j {
+                let row = p.start + j * p.stride_j;
+                addrs.extend((0..p.row_len(j)).map(|i| row + i * p.stride_i));
+            }
             // Stream order is not address order (negative strides, rows
             // that interleave or revisit), so sort and drop repeats.
-            let mut addrs: Vec<i64> = pattern.iter().map(|e| e.offset).collect();
             addrs.sort_unstable();
             addrs.dedup();
             Some(AddrSet::Exact(addrs))
@@ -212,7 +225,10 @@ impl AddrSet {
         EXACT_OVERLAP_TESTS.with(|n| n.set(n.get() + 1));
         match (self, other) {
             (AddrSet::Exact(a), AddrSet::Exact(b)) => {
-                let (mut i, mut j) = (0, 0);
+                // Neither set has a common word below the other's lowest.
+                let lo = a0.max(b0);
+                let (mut i, mut j) =
+                    (a.partition_point(|x| *x < lo), b.partition_point(|x| *x < lo));
                 while i < a.len() && j < b.len() {
                     match a[i].cmp(&b[j]) {
                         std::cmp::Ordering::Less => i += 1,
@@ -346,8 +362,29 @@ mod tests {
     }
 
     #[test]
+    fn dense_patterns_are_ranges() {
+        // One contiguous row, either direction, and rows that abut.
+        assert_eq!(AddrSet::of(&AffinePattern::linear(3, 4)), Some(AddrSet::Range(3, 6)));
+        assert_eq!(AddrSet::of(&AffinePattern::strided(9, -1, 4)), Some(AddrSet::Range(6, 9)));
+        let block = AffinePattern::two_d(0, 1, 4, 4, 3, 0);
+        assert_eq!(AddrSet::of(&block), Some(AddrSet::Range(0, 11)));
+        let upward = AffinePattern::two_d(11, -1, -4, 4, 3, 0);
+        assert_eq!(AddrSet::of(&upward), Some(AddrSet::Range(0, 11)));
+        // Gaps between rows, overlapping rows, or a triangle stay exact.
+        assert_eq!(exact(&AffinePattern::two_d(0, 1, 5, 4, 2, 0)), [0, 1, 2, 3, 5, 6, 7, 8]);
+        assert!(matches!(
+            AddrSet::of(&AffinePattern::two_d(0, 1, 2, 4, 3, 0)),
+            Some(AddrSet::Exact(_))
+        ));
+        assert!(matches!(
+            AddrSet::of(&AffinePattern::two_d(0, 1, 4, 4, 4, -1)),
+            Some(AddrSet::Exact(_))
+        ));
+    }
+
+    #[test]
     fn patterns_above_the_limit_become_ranges() {
-        let at = AffinePattern::linear(0, EXACT_ADDR_LIMIT);
+        let at = AffinePattern::strided(0, 2, EXACT_ADDR_LIMIT);
         let above = AffinePattern::strided(0, 2, EXACT_ADDR_LIMIT + 1);
         assert!(matches!(AddrSet::of(&at), Some(AddrSet::Exact(_))));
         assert_eq!(AddrSet::of(&above), Some(AddrSet::Range(0, 2 * EXACT_ADDR_LIMIT)));

@@ -7,6 +7,8 @@ use crate::diag::{Code, Diagnostic, Location};
 use crate::Lint;
 use revel_isa::{AffinePattern, LaneHop, MemTarget, StreamCommand};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 #[cfg(test)]
 mod differential;
@@ -64,11 +66,14 @@ impl Lint for AddressBounds {
 
 /// V006 + V007: races between concurrent streams of one barrier epoch.
 ///
-/// Overlap-driven: per segment index the accesses of all lanes are laid
-/// out once, equal address sets share one id, the overlap relation is
-/// computed between *distinct* sets, and only access pairs whose sets
-/// collide are examined — in the ascending (i, j) order an all-pairs scan
-/// would reach them, so the findings and their order are those of the
+/// Decided per stream class: per segment index the accesses of all lanes
+/// are laid out once, equal address sets share one id, the overlap
+/// relation is computed between *distinct* sets, and the accesses of an
+/// epoch that share lane, scratchpad, set, port and direction form one
+/// class. An epoch whose classes cannot race is cleared without looking
+/// at an access pair; any other epoch is walked pair by pair — only pairs
+/// whose sets collide, in the ascending (i, j) order an all-pairs scan
+/// would reach them — so the findings and their order are those of the
 /// pairwise reference (`oracle`, tests only).
 pub struct ScratchHazards;
 
@@ -109,6 +114,39 @@ struct Access {
     set: u32,
 }
 
+impl Access {
+    /// What makes two accesses interchangeable to the rules — epoch, set,
+    /// lane, scratchpad, port, direction — packed so that integer order is
+    /// that tuple's order, with the low 32 bits left clear.
+    fn class_key(&self) -> u128 {
+        let shared = self.target == MemTarget::Shared;
+        u128::from(self.epoch) << 96
+            | u128::from(self.set) << 64
+            | u128::from(self.lane) << 56
+            | u128::from(shared) << 48
+            | u128::from(self.port) << 40
+            | u128::from(self.is_store) << 32
+    }
+}
+
+/// The accesses of one epoch that share lane, scratchpad, address set,
+/// port and direction: every rule of `check_segment` reads only these
+/// fields and the command indices, so a class stands for all its accesses.
+struct StreamClass {
+    epoch: u32,
+    set: u32,
+    lane: u8,
+    target: MemTarget,
+    port: u8,
+    is_store: bool,
+    /// First and last command index.
+    first: usize,
+    last: usize,
+    /// Its accesses' positions, in program order: a range of
+    /// `SegmentAccesses::members`.
+    members: Range<usize>,
+}
+
 /// The scratchpad accesses of every lane's segment `s`, with the overlap
 /// relation of their address sets.
 struct SegmentAccesses {
@@ -121,6 +159,11 @@ struct SegmentAccesses {
     /// Per distinct address set, the positions in `accesses` that touch it,
     /// ascending.
     by_set: Vec<Vec<u32>>,
+    /// Ordered by (epoch, set, lane, scratchpad, port, direction): an
+    /// epoch's classes are contiguous, and within one epoch a set's.
+    classes: Vec<StreamClass>,
+    /// Positions in `accesses`, grouped by class.
+    members: Vec<u32>,
 }
 
 impl SegmentAccesses {
@@ -183,7 +226,8 @@ impl SegmentAccesses {
         for ids in &mut overlapping {
             ids.sort_unstable();
         }
-        SegmentAccesses { accesses, overlapping, by_set }
+        let (classes, members) = stream_classes(&accesses);
+        SegmentAccesses { accesses, overlapping, by_set, classes, members }
     }
 
     /// Appends the positions after `i`, in `i`'s epoch, of the accesses
@@ -203,14 +247,87 @@ impl SegmentAccesses {
     }
 }
 
+/// The stream classes of `accesses` and their members: one integer sort of
+/// class key and position lays each class's accesses out together, in
+/// program order.
+fn stream_classes(accesses: &[Access]) -> (Vec<StreamClass>, Vec<u32>) {
+    let mut keyed: Vec<u128> =
+        accesses.iter().enumerate().map(|(p, a)| a.class_key() | p as u128).collect();
+    keyed.sort_unstable();
+    let mut classes: Vec<StreamClass> = Vec::new();
+    for (k, &key) in keyed.iter().enumerate() {
+        let a = &accesses[key as u32 as usize];
+        match classes.last_mut() {
+            Some(c) if keyed[k - 1] >> 32 == key >> 32 => {
+                c.last = a.index;
+                c.members.end = k + 1;
+            }
+            _ => classes.push(StreamClass {
+                epoch: a.epoch,
+                set: a.set,
+                lane: a.lane,
+                target: a.target,
+                port: a.port,
+                is_store: a.is_store,
+                first: a.index,
+                last: a.index,
+                members: k..k + 1,
+            }),
+        }
+    }
+    (classes, keyed.iter().map(|&key| key as u32).collect())
+}
+
+/// FxHash's multiply-rotate hash, one multiply per 64-bit word. The
+/// interner's maps key every access's pattern and every distinct address
+/// set, so their hash is on the lint's hot path, and a program is not
+/// adversarial input.
+#[derive(Default, Clone, Copy)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(w));
+        }
+    }
+
+    // Patterns hash as `i64` fields, sets as a discriminant, a length and
+    // a slice of `i64`: the signed writers forward to these two.
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.word(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
 /// Gives equal address sets one id, so overlap is decided between the
 /// distinct sets of a segment instead of between its accesses.
 #[derive(Default)]
 struct Interner {
     /// A pattern seen before needs no set built (`None`: it is empty).
-    by_pattern: HashMap<AffinePattern, Option<u32>>,
+    by_pattern: WordMap<AffinePattern, Option<u32>>,
     /// Different patterns can touch the same words.
-    by_contents: HashMap<AddrSet, u32>,
+    by_contents: WordMap<AddrSet, u32>,
 }
 
 impl Interner {
@@ -237,6 +354,11 @@ impl Interner {
 thread_local! {
     /// Access pairs `check_segment` has examined on this thread.
     static PAIRS_VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Stream-class pairs `epoch_may_race` has compared on this thread.
+    static CLASS_PAIRS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Epochs `check_segment` cleared by class / walked pair by pair.
+    static EPOCHS_CLEARED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static EPOCHS_WALKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 fn check_segment(seg: &SegmentAccesses, flow: &DataflowOrder, out: &mut Vec<Diagnostic>) {
@@ -247,11 +369,24 @@ fn check_segment(seg: &SegmentAccesses, flow: &DataflowOrder, out: &mut Vec<Diag
     // orders behind it (loads on the store's lane, later in program
     // order, overlapping its addresses). Computed lazily: only stores
     // that actually participate in an overlapping WW pair need it.
-    let mut guard_ports: Vec<Option<Vec<u8>>> = vec![None; accesses.len()];
+    let mut guard_ports: Vec<Option<Vec<u8>>> = Vec::new();
     let mut later: Vec<u32> = Vec::new();
+    let (mut classes, mut walk) = (&seg.classes[..], false);
     for (i, a) in accesses.iter().enumerate() {
-        if i > 0 && accesses[i - 1].epoch != a.epoch {
+        if i == 0 || accesses[i - 1].epoch != a.epoch {
+            // A new epoch: walk it only if its stream classes may race.
+            let (epoch, rest) = classes.split_at(classes.partition_point(|c| c.epoch == a.epoch));
+            classes = rest;
+            walk = epoch_may_race(seg, epoch, flow);
+            #[cfg(test)]
+            (if walk { &EPOCHS_WALKED } else { &EPOCHS_CLEARED }).with(|n| n.set(n.get() + 1));
+            if walk {
+                guard_ports.resize(accesses.len(), None);
+            }
             reported.clear();
+        }
+        if !walk {
+            continue;
         }
         // Ascending positions: the order an all-pairs scan meets them in,
         // which fixes both the order of the findings and which pair of a
@@ -365,6 +500,74 @@ fn check_segment(seg: &SegmentAccesses, flow: &DataflowOrder, out: &mut Vec<Diag
             }
         }
     }
+}
+
+/// False only if no access pair of one epoch, whose stream classes are
+/// `classes`, can raise V006 or V007 — decided without looking at an
+/// access pair. Sound, not exact: a `true` only means the epoch is walked
+/// pair by pair.
+///
+/// - WAR needs a load before a store of overlapping classes: some load of
+///   the load class precedes some store of the store class iff the load
+///   class's first index is below the store class's last, and whether the
+///   store's data flows from the load is a property of the two classes.
+/// - WAW, with class `c` holding the older store: the later a store of `c`,
+///   the fewer guarded loads follow it, so testing the latest store of `c`
+///   that still has a newer store in the other class covers every older
+///   store of `c`. A tie (one command broadcast to two lanes) counts as
+///   newer, which only shrinks the guard set tested.
+fn epoch_may_race(seg: &SegmentAccesses, classes: &[StreamClass], flow: &DataflowOrder) -> bool {
+    // `(store class, last index, in-port)` of the same-lane load classes
+    // overlapping a store class, by store class: its guard candidates.
+    let mut guards: Vec<(usize, usize, u8)> = Vec::new();
+    let mut store_pairs: Vec<(usize, usize)> = Vec::new();
+    // Every race has a store on one side: start from the store classes.
+    for (x, c) in classes.iter().enumerate().filter(|(_, c)| c.is_store) {
+        for &set in &seg.overlapping[c.set as usize] {
+            // An epoch's classes are sorted by set.
+            let from = classes.partition_point(|d| d.set < set);
+            for (y, d) in classes.iter().enumerate().skip(from) {
+                if d.set != set {
+                    break;
+                }
+                if d.is_store && y <= x {
+                    continue; // each pair of store classes once
+                }
+                #[cfg(test)]
+                CLASS_PAIRS.with(|n| n.set(n.get() + 1));
+                if c.target != d.target || (c.target == MemTarget::Private && c.lane != d.lane) {
+                    continue;
+                }
+                if d.is_store {
+                    if c.lane != d.lane || c.port != d.port {
+                        store_pairs.push((x, y));
+                    }
+                    continue;
+                }
+                if d.first < c.last && !flow.store_depends_on_load(c.lane, c.port, d.lane, d.port) {
+                    return true;
+                }
+                if d.lane == c.lane {
+                    guards.push((x, d.last, d.port));
+                }
+            }
+        }
+    }
+
+    let unguarded = |older: usize, newer: usize| {
+        let (c, d) = (&classes[older], &classes[newer]);
+        let stores = &seg.members[c.members.clone()];
+        let before = stores.partition_point(|&p| seg.accesses[p as usize].index <= d.last);
+        let Some(&latest) = stores[..before].last() else {
+            return false; // no store of `c` is older than one of `d`
+        };
+        let latest = seg.accesses[latest as usize].index;
+        let from = guards.partition_point(|g| g.0 < older);
+        !guards[from..].iter().take_while(|g| g.0 == older).any(|&(_, last, port)| {
+            last > latest && flow.store_depends_on_load(d.lane, d.port, c.lane, port)
+        })
+    };
+    store_pairs.iter().any(|&(x, y)| unguarded(x, y) || unguarded(y, x))
 }
 
 /// A `(lane, port)` node of the ordering graph.
@@ -498,17 +701,18 @@ impl DataflowOrder {
 fn guard_edges(seg: &SegmentAccesses, out_to_in: &mut Vec<(Node, Node)>) {
     // An edge needs only *some* store of (port, set) older than *some*
     // overlapping load of (port, set): keep the oldest such store and the
-    // newest such load of each lane and scratchpad, and pair those that
-    // the overlap relation joins.
+    // newest such load of each lane and scratchpad (from the stream
+    // classes of every epoch), and pair those that the overlap relation
+    // joins.
     type Stream = (u8, bool, u32, u8); // lane, shared, set, port
-    let stream = |a: &Access| (a.lane, a.target == MemTarget::Shared, a.set, a.port);
+    let stream = |c: &StreamClass| (c.lane, c.target == MemTarget::Shared, c.set, c.port);
     let mut stores: Vec<(Stream, usize)> = Vec::new();
     let mut loads: Vec<(Stream, std::cmp::Reverse<usize>)> = Vec::new();
-    for a in &seg.accesses {
-        if a.is_store {
-            stores.push((stream(a), a.index));
+    for c in &seg.classes {
+        if c.is_store {
+            stores.push((stream(c), c.first));
         } else {
-            loads.push((stream(a), std::cmp::Reverse(a.index)));
+            loads.push((stream(c), std::cmp::Reverse(c.last)));
         }
     }
     stores.sort_unstable();

@@ -1,9 +1,12 @@
-//! The overlap-driven hazard lint against its pairwise reference: equal
+//! The class-decided hazard lint against its pairwise reference: equal
 //! findings in equal order on the evaluation grid and on seeded random
 //! programs that plant every rule, plus a deterministic bound on how much
 //! comparing the lint may do.
 
-use super::{oracle, ScratchHazards, SegmentAccesses, PAIRS_VISITED};
+use super::{
+    oracle, ScratchHazards, SegmentAccesses, CLASS_PAIRS, EPOCHS_CLEARED, EPOCHS_WALKED,
+    PAIRS_VISITED,
+};
 use crate::context::{Context, EXACT_ADDR_LIMIT, EXACT_OVERLAP_TESTS};
 use crate::test_util::codes;
 use crate::{run_lint, Code, Diagnostic, Lint};
@@ -17,6 +20,7 @@ use revel_isa::{
     Rng, StreamCommand, VectorCommand,
 };
 use revel_prog::RevelProgram;
+use std::collections::BTreeSet;
 use MemTarget::{Private, Shared};
 
 fn lint(program: &RevelProgram, cfg: &RevelConfig) -> Vec<Diagnostic> {
@@ -191,6 +195,37 @@ fn each_planted_rule_raises_its_codes() {
 }
 
 #[test]
+fn a_long_rotation_is_cleared_by_class_or_walked_whole() {
+    // Sixteen rounds of config 1's in-place rotation in one epoch: four
+    // stream classes, 64 accesses. Under config 1 it is clean and no access
+    // pair is visited; under config 0 in 1 does not reach out 9, so the
+    // same run races and its epoch is walked pair by pair.
+    for (config, clean) in [(1, true), (0, false)] {
+        let mut p = two_config_program(1);
+        p.push(VectorCommand::broadcast(
+            LaneMask::all(1),
+            StreamCommand::Configure { config: ConfigId(config) },
+        ));
+        let words = AffinePattern::linear(0, 8);
+        for _ in 0..16 {
+            for cmd in [store(7, Private, words), load(Private, words, 1)] {
+                p.push(VectorCommand::broadcast(LaneMask::all(1), cmd));
+            }
+            for cmd in [store(9, Private, words), load(Private, words, 1)] {
+                p.push(VectorCommand::broadcast(LaneMask::all(1), cmd));
+            }
+        }
+        PAIRS_VISITED.with(|n| n.set(0));
+        EPOCHS_WALKED.with(|n| n.set(0));
+        let got = lint(&p, &machine(1));
+        assert_eq!(got, reference(&p, &machine(1)), "config {config}");
+        assert_eq!(got.is_empty(), clean, "config {config}: {got:?}");
+        let (visited, walked) = (PAIRS_VISITED.with(|n| n.get()), EPOCHS_WALKED.with(|n| n.get()));
+        assert_eq!((visited == 0, walked), (clean, u64::from(!clean)), "config {config}");
+    }
+}
+
+#[test]
 fn v006_names_the_lane_that_ran_the_newer_store() {
     // Lane 1 stores first (command 1), lane 0 second (command 2): in
     // lane-major order the newer command's access comes first.
@@ -221,7 +256,7 @@ fn random_mask(rng: &mut Rng, lanes: u8) -> LaneMask {
 fn random_pattern(rng: &mut Rng) -> AffinePattern {
     let b = rng.gen_range_i64(0, 40);
     let n = rng.gen_range_i64(1, 10);
-    match rng.gen_index(12) {
+    match rng.gen_index(14) {
         0..=3 => AffinePattern::linear(b, n),
         4 => AffinePattern::strided(b, 2, n),
         5 => AffinePattern::strided(b + 2 * n, -2, n),
@@ -235,8 +270,50 @@ fn random_pattern(rng: &mut Rng) -> AffinePattern {
             2 => AffinePattern::linear(b, 300),
             _ => AffinePattern::linear(b, 0),
         },
+        // Rows that abut: a dense block, walked either way.
+        11 => AffinePattern::two_d(b, 1, 4, 4, 3, 0),
+        12 => AffinePattern::two_d(b + 11, -1, -4, 4, 3, 0),
         _ => AffinePattern::scalar(b),
     }
+}
+
+/// A long run in an epoch of its own, so that whether the epoch races is
+/// decided by the run alone:
+/// - one stream class repeated (clean);
+/// - the in-place rotation of config 1 (store, guarded reload into in 1,
+///   store of the reloaded data on in 1's other out-port) repeated and cut
+///   at a random step: clean under config 1, V006 and V007 under config 0,
+///   where in 1 does not reach out 9;
+/// - the same rotation with the reload before its last store dropped: a
+///   V006 that only the latest older store shows;
+/// - loads on both sides of one store: a V007 unless the store's port
+///   flows from the loads' in the active config.
+fn push_run(p: &mut RevelProgram, rng: &mut Rng, lanes: u8, mask: LaneMask, target: MemTarget) {
+    let pattern = random_pattern(rng);
+    let reps = 16 + rng.gen_index(48);
+    let reload = load(target, pattern, 1);
+    let rotation = [store(7, target, pattern), reload.clone(), store(9, target, pattern), reload];
+    let (in_port, out_port) = (rng.gen_index(4) as u8, 6 + rng.gen_index(4) as u8);
+    let cmds: Vec<StreamCommand> = match rng.gen_index(5) {
+        0 => vec![load(target, pattern, in_port); reps],
+        1 => vec![store(out_port, target, pattern); reps],
+        2 => rotation.into_iter().cycle().take(reps).collect(),
+        3 => {
+            let mut cmds: Vec<_> = rotation.into_iter().cycle().take(4 * reps).collect();
+            cmds.extend([store(7, target, pattern), store(9, target, pattern)]);
+            cmds
+        }
+        _ => {
+            let loads = vec![load(target, pattern, in_port); reps / 2];
+            [loads.clone(), vec![store(out_port, target, pattern)], loads].concat()
+        }
+    };
+    let barrier = VectorCommand::broadcast(LaneMask::all(lanes), StreamCommand::BarrierScratch);
+    p.push(barrier.clone());
+    for cmd in cmds {
+        p.push(VectorCommand::broadcast(mask, cmd));
+    }
+    p.push(barrier);
 }
 
 fn random_program(seed: u64) -> (RevelProgram, RevelConfig) {
@@ -267,6 +344,10 @@ fn random_program(seed: u64) -> (RevelProgram, RevelConfig) {
                 RateFsm::ONCE,
                 RateFsm::ONCE,
             ),
+            27 => {
+                push_run(&mut p, &mut rng, lanes, mask, target);
+                continue;
+            }
             _ => {
                 let (l0, l1) = (rng.gen_index(lanes as usize), rng.gen_index(lanes as usize));
                 let mut planted = plants(rng.gen_range_i64(0, 40), l0 as u8, l1 as u8);
@@ -287,6 +368,8 @@ fn random_program(seed: u64) -> (RevelProgram, RevelConfig) {
 #[test]
 fn random_programs_match_the_pairwise_oracle_in_order() {
     let (mut v006, mut v007, mut clean) = (0, 0, 0);
+    EPOCHS_CLEARED.with(|n| n.set(0));
+    EPOCHS_WALKED.with(|n| n.set(0));
     for seed in 0..256 {
         let (p, cfg) = random_program(seed);
         let got = lint(&p, &cfg);
@@ -295,14 +378,33 @@ fn random_programs_match_the_pairwise_oracle_in_order() {
         v007 += got.iter().filter(|d| d.code == Code::V007).count();
         clean += got.is_empty() as usize;
     }
-    // The corpus is not vacuous: both codes fire and some programs pass.
+    // The corpus is not vacuous: both codes fire and some programs pass,
+    // and the class pass both clears epochs and sends some to the walk.
     assert!(v006 > 100 && v007 > 100 && clean > 0, "V006 {v006}, V007 {v007}, clean {clean}");
+    let cleared = EPOCHS_CLEARED.with(|n| n.get());
+    let walked = EPOCHS_WALKED.with(|n| n.get());
+    assert!(cleared > 100 && walked > 100, "{cleared} epochs cleared by class, {walked} walked");
+}
+
+/// Per segment, the sum over its epochs of (stream classes in the epoch)².
+fn classes_squared(seg: &SegmentAccesses) -> u64 {
+    let classes: BTreeSet<_> = seg
+        .accesses
+        .iter()
+        .map(|a| (a.epoch, a.set, a.lane, a.target == Shared, a.port, a.is_store))
+        .collect();
+    let mut per_epoch = vec![0u64; seg.accesses.last().map_or(0, |a| a.epoch as usize + 1)];
+    for c in &classes {
+        per_epoch[c.0 as usize] += 1;
+    }
+    per_epoch.iter().map(|k| k * k).sum()
 }
 
 /// The `alloc_guard` idea, for comparisons: the lint may compare *sets*,
-/// each distinct pair at most once, and may look only at access pairs that
-/// collide — so an all-pairs loop that creeps back in fails here, exactly,
-/// instead of on a stopwatch.
+/// each distinct pair at most once, and stream classes, each pair of an
+/// epoch at most once — and on a clean program it visits no access pair at
+/// all, so a pairwise loop that creeps back in fails here, exactly, instead
+/// of on a stopwatch.
 #[test]
 fn svd_32_compares_sets_not_accesses() {
     let cfg = BuildCfg::revel(1);
@@ -311,20 +413,23 @@ fn svd_32_compares_sets_not_accesses() {
     let ctx = Context::new(&built.program, &machine);
 
     let segments = ctx.lanes.iter().map(|v| v.segments.len()).max().unwrap();
-    let (mut accesses, mut sets_squared) = (0u64, 0u64);
+    let (mut accesses, mut sets_squared, mut classes_sq) = (0u64, 0u64, 0u64);
     for s in 0..segments {
         let seg = SegmentAccesses::build(&ctx, s);
         accesses += seg.accesses.len() as u64;
         sets_squared += (seg.by_set.len() as u64).pow(2);
+        classes_sq += classes_squared(&seg);
     }
     assert!(accesses > 9_000, "the long cell: {accesses} accesses");
 
     EXACT_OVERLAP_TESTS.with(|n| n.set(0));
     PAIRS_VISITED.with(|n| n.set(0));
+    CLASS_PAIRS.with(|n| n.set(0));
     let mut got = Vec::new();
     ScratchHazards.check(&ctx, &mut got);
     let exact = EXACT_OVERLAP_TESTS.with(|n| n.get());
     let visited = PAIRS_VISITED.with(|n| n.get());
+    let class_pairs = CLASS_PAIRS.with(|n| n.get());
 
     oracle::OVERLAPPING_PAIRS.with(|n| n.set(0));
     let mut want = Vec::new();
@@ -333,6 +438,26 @@ fn svd_32_compares_sets_not_accesses() {
 
     assert_eq!(got, want);
     assert!(exact <= sets_squared, "{exact} exact set comparisons for Σ sets² = {sets_squared}");
-    assert!(visited <= overlapping, "{visited} pairs visited, {overlapping} overlap");
+    assert!(class_pairs <= classes_sq, "{class_pairs} class pairs for Σ classes² = {classes_sq}");
+    assert_eq!(visited, 0, "a clean epoch is cleared by class ({overlapping} pairs overlap)");
     assert!(overlapping * 20 < accesses * accesses / 2, "the bound is far below all pairs");
+
+    // Every grid program is clean, so no grid cell walks an access pair.
+    for cell in evaluation_grid() {
+        let built = cell.bench.workload().build(&cell.cfg);
+        let machine = cell.cfg.machine_config();
+        let ctx = Context::new(&built.program, &machine);
+        let label = format!("{} {} [{}]", cell.bench.name(), cell.bench.params(), cell.arch);
+        let classes_sq: u64 = (0..ctx.lanes.iter().map(|v| v.segments.len()).max().unwrap_or(0))
+            .map(|s| classes_squared(&SegmentAccesses::build(&ctx, s)))
+            .sum();
+        PAIRS_VISITED.with(|n| n.set(0));
+        CLASS_PAIRS.with(|n| n.set(0));
+        let mut got = Vec::new();
+        ScratchHazards.check(&ctx, &mut got);
+        assert!(got.is_empty(), "{label}: {got:?}");
+        assert_eq!(PAIRS_VISITED.with(|n| n.get()), 0, "{label}");
+        let class_pairs = CLASS_PAIRS.with(|n| n.get());
+        assert!(class_pairs <= classes_sq, "{label}: {class_pairs} class pairs, Σ {classes_sq}");
+    }
 }
