@@ -252,7 +252,8 @@ pub struct NestProgram {
 }
 
 impl LoopNest {
-    /// Writes the command program for `cfg`.
+    /// Writes the command program for `cfg`, its instances placed as
+    /// [`LoopNest::placement`] places them.
     ///
     /// # Panics
     /// Panics if the nest stores to the carried matrix more than once and
@@ -262,18 +263,41 @@ impl LoopNest {
         // Only the ring and host-outer lowerings use the update, but every
         // lowering rejects a nest that leaves it ambiguous.
         self.update();
-        // Baselines cannot pipeline inductive dependences across lanes
-        // (statically scheduled fabrics need static dependence distances,
-        // §III-B): a pipelined nest runs as one problem on one lane there.
-        let ring = cfg.num_lanes > 1 && cfg.outer_on_fabric() && cfg.arch != Arch::Dataflow;
-        let lanes = if self.pipelined { 1 } else { cfg.num_lanes };
-        if self.pipelined && ring {
-            self.ring(cfg)
+        let (carried, result) = self.placement(cfg);
+        let program = if self.rings(cfg) {
+            self.ring(cfg, carried[0].1)
         } else if cfg.outer_on_fabric() {
-            self.hybrid(cfg, lanes)
+            self.hybrid(cfg, result.len())
         } else {
-            self.host_outer(cfg, lanes)
+            self.host_outer(cfg, result.len())
+        };
+        NestProgram { program, carried, result }
+    }
+
+    /// Where [`LoopNest::lower`]'s program for `cfg` expects each problem
+    /// instance's data, without writing the program: per instance, where
+    /// its carried matrix starts (`(lane, address)`, lane `None` for the
+    /// shared scratchpad), and the shared-scratchpad address of its result.
+    pub fn placement(&self, cfg: &BuildCfg) -> (Vec<(Option<u8>, i64)>, Vec<i64>) {
+        let result = self.footprint(Operand::Result);
+        if self.rings(cfg) {
+            // One problem; round 0 reads the first of the ring's two
+            // buffers, right after the result.
+            return (vec![(None, result)], vec![0]);
         }
+        // One problem per lane (one in all for a pipelined nest), placed as
+        // [`per_lane`] places its streams.
+        let lanes = if self.pipelined { 1 } else { cfg.num_lanes };
+        let carried = (0..lanes as u8).map(|l| (Some(l), 0)).collect();
+        (carried, (0..lanes as i64).map(|l| l * result).collect())
+    }
+
+    /// Whether `cfg` pipelines the nest's iterations around the lane ring.
+    /// Baselines cannot pipeline inductive dependences across lanes
+    /// (statically scheduled fabrics need static dependence distances,
+    /// §III-B): a pipelined nest runs as one problem on one lane there.
+    fn rings(&self, cfg: &BuildCfg) -> bool {
+        self.pipelined && cfg.num_lanes > 1 && cfg.outer_on_fabric() && cfg.arch != Arch::Dataflow
     }
 
     /// Words `of` spans: one past the highest address a stream touches.
@@ -319,7 +343,7 @@ impl LoopNest {
         prog
     }
 
-    fn hybrid(&self, cfg: &BuildCfg, lanes: usize) -> NestProgram {
+    fn hybrid(&self, cfg: &BuildCfg, lanes: usize) -> RevelProgram {
         let all = LaneMask::all(lanes as u8);
         let result = self.footprint(Operand::Result);
         let mut prog = self.program("", cfg, all, &self.datapaths);
@@ -341,10 +365,10 @@ impl LoopNest {
             prog.push(VectorCommand::broadcast(all, StreamCommand::BarrierScratch));
         }
         prog.push(VectorCommand::broadcast(all, StreamCommand::Wait));
-        NestProgram::per_lane(prog, lanes, result)
+        prog
     }
 
-    fn host_outer(&self, cfg: &BuildCfg, lanes: usize) -> NestProgram {
+    fn host_outer(&self, cfg: &BuildCfg, lanes: usize) -> RevelProgram {
         let all = LaneMask::all(lanes as u8);
         let result = self.footprint(Operand::Result);
         let (outer, mut inner): (Vec<_>, Vec<_>) =
@@ -452,21 +476,21 @@ impl LoopNest {
             cmds.into_iter().for_each(|cmd| prog.push(cmd));
             prog.push(VectorCommand::broadcast(all, StreamCommand::Wait));
         }
-        NestProgram::per_lane(prog, lanes, result)
+        prog
     }
 
-    fn ring(&self, cfg: &BuildCfg) -> NestProgram {
+    /// The lane ring, its carried matrix read in round 0 from `first`.
+    fn ring(&self, cfg: &BuildCfg, first: i64) -> RevelProgram {
         use {
             MemTarget::{Private, Shared},
             Operand::Carried,
         };
         let lanes = cfg.num_lanes as i64;
         let all = LaneMask::all(lanes as u8);
-        let result = self.footprint(Operand::Result);
         let carried = self.footprint(Operand::Carried);
         // Round `r` reads buffer `r mod 2` and writes the other, both after
         // the result in shared scratchpad.
-        let buf = |round: i64| result + carried * (round % 2);
+        let buf = |round: i64| first + carried * (round % 2);
         let (update_src, update) = self.update();
         let reread = |s: &&Stream| matches!(s, Stream::Load(Carried, pat, ..) if *pat == update);
         let reread = self.streams.iter().find(reread).and_then(Stream::dst).expect("re-read");
@@ -531,15 +555,7 @@ impl LoopNest {
                 prog.push(VectorCommand::broadcast(all, StreamCommand::Wait));
             }
         }
-        NestProgram { program: prog, carried: vec![(None, buf(0))], result: vec![0] }
-    }
-}
-
-impl NestProgram {
-    /// One problem per lane, placed as [`per_lane`] places its streams.
-    fn per_lane(program: RevelProgram, lanes: usize, result: i64) -> Self {
-        let carried = (0..lanes as u8).map(|l| (Some(l), 0)).collect();
-        NestProgram { program, carried, result: (0..lanes as i64).map(|l| l * result).collect() }
+        prog
     }
 }
 
@@ -727,6 +743,149 @@ mod tests {
             pipelined: false,
             update: None,
         }
+    }
+
+    /// A trailing-update nest of size `n`: per `k`, `is = rsqrt(a[k,k])`
+    /// scales the pivot row into the result, and the trailing rows take the
+    /// pivot row's segments away in place (Cholesky's shape, without its
+    /// scale datapath).
+    fn trailing_nest(n: i64, pipelined: bool) -> LoopNest {
+        use Operand::{Carried, Result};
+        let mut point = Dfg::new("point");
+        let akk = point.input(InPortId(6));
+        let is = point.op(OpCode::Rsqrt, &[akk]);
+        point.output(is, OutPortId(7));
+        let mut row = Dfg::new("row");
+        let a = row.input(InPortId(0));
+        let s = row.input_scalar(InPortId(4));
+        let scaled = row.op(OpCode::Mul, &[a, s]);
+        row.output(scaled, OutPortId(0));
+        let mut matrix = Dfg::new("matrix");
+        let aki = matrix.input(InPortId(2));
+        let aji = matrix.input(InPortId(3));
+        let upd = matrix.op(OpCode::Sub, &[aji, aki]);
+        matrix.output(upd, OutPortId(1));
+        let (diag, rem, trail) = (Ind::new(0, n + 1), Ind::new(n, -1), Ind::new(n - 1, -1));
+        let (one, next) = (Ind::konst(1), Ind::new(1, n + 1));
+        let trailing = Pattern::triangle(Ind::new(n + 1, n + 1), n + 1, trail);
+        LoopNest {
+            kernel: "trailing",
+            n,
+            trips: n,
+            datapaths: vec![
+                Datapath { dfg: point, deps: 1, vector: None },
+                Datapath { dfg: row, deps: 1, vector: Some(4) },
+                Datapath { dfg: matrix, deps: 2, vector: Some(4) },
+            ],
+            streams: vec![
+                Stream::Load(Carried, Pattern::linear(diag, one), InPortId(6), Rate::ONCE),
+                Stream::Xfer(OutPortId(7), InPortId(4), one, Rate::fixed(rem)),
+                Stream::Load(Carried, Pattern::linear(diag, rem), InPortId(0), Rate::ONCE),
+                Stream::Store(OutPortId(0), Result, Pattern::strided(diag, n, rem)),
+                Stream::Load(Carried, Pattern::triangle(next, 1, trail), InPortId(2), Rate::ONCE),
+                Stream::Load(Carried, trailing, InPortId(3), Rate::ONCE),
+                Stream::Store(OutPortId(1), Carried, trailing),
+            ],
+            pipelined,
+            update: None,
+        }
+    }
+
+    /// Where iteration 0 reads each instance's pivot (its carried matrix's
+    /// first word) and stores its result's first word, read off the lowered
+    /// program: the commands as each lane of their mask sees them, or the
+    /// host op that reads the pivot.
+    fn first_words(built: &NestProgram) -> (Vec<(Option<u8>, i64)>, Vec<i64>) {
+        struct Reads(std::cell::RefCell<Vec<(Option<u8>, i64)>>);
+        impl HostMem for Reads {
+            fn read(&self, lane: Option<u8>, addr: i64) -> f64 {
+                self.0.borrow_mut().push((lane, addr));
+                4.0
+            }
+            fn write(&mut self, _: Option<u8>, _: i64, _: f64) {}
+        }
+        let on_lanes = |c: &VectorCommand| {
+            let lanes = (0..32).filter(|&l| c.lanes.contains(LaneId(l)));
+            lanes.map(|l| (l, c.specialize(LaneId(l)))).collect::<Vec<_>>()
+        };
+        let commands = built.program.control.iter().filter_map(|s| match s {
+            ControlStep::Command(c) => Some(c),
+            ControlStep::Host(_) => None,
+        });
+        let pivot = commands
+            .clone()
+            .find(|c| matches!(c.cmd, StreamCommand::Load { dst, .. } if dst == InPortId(6)));
+        let carried = match pivot {
+            Some(c) => on_lanes(c)
+                .into_iter()
+                .map(|(l, cmd)| match cmd {
+                    StreamCommand::Load { target: MemTarget::Private, pattern, .. } => {
+                        (Some(l), pattern.start)
+                    }
+                    StreamCommand::Load { pattern, .. } => (None, pattern.start),
+                    _ => unreachable!(),
+                })
+                .collect(),
+            None => {
+                let mut reads = Reads(Default::default());
+                let host = built.program.control.iter().find_map(|s| match s {
+                    ControlStep::Host(op) => Some(op),
+                    ControlStep::Command(_) => None,
+                });
+                (host.expect("the host reads the pivot").func)(&mut reads);
+                reads.0.into_inner()
+            }
+        };
+        let store = commands
+            .clone()
+            .find(|c| matches!(c.cmd, StreamCommand::Store { src, .. } if src == OutPortId(0)))
+            .expect("the result is stored");
+        let result = on_lanes(store)
+            .into_iter()
+            .map(|(_, cmd)| match cmd {
+                StreamCommand::Store { target: MemTarget::Shared, pattern, .. } => pattern.start,
+                _ => unreachable!(),
+            })
+            .collect();
+        (carried, result)
+    }
+
+    #[test]
+    fn placement_is_where_the_lowering_puts_each_instance() {
+        use crate::AblationStep;
+        let mut rings = 0;
+        for lanes in [1, 2, 4, 8] {
+            let mut cfgs = vec![
+                BuildCfg::revel(lanes),
+                BuildCfg::systolic_baseline(lanes),
+                BuildCfg::dataflow_baseline(lanes),
+            ];
+            cfgs.extend(AblationStep::LADDER.map(|step| BuildCfg::ablation(step, lanes)));
+            for cfg in cfgs {
+                for n in [12, 16, 24, 32] {
+                    for pipelined in [false, true] {
+                        let nest = trailing_nest(n, pipelined);
+                        let built = nest.lower(&cfg);
+                        let what = format!("{cfg:?} n={n} pipelined={pipelined}");
+                        let placement = nest.placement(&cfg);
+                        assert_eq!(placement, first_words(&built), "{what}: the program's words");
+                        // A carried matrix in shared scratchpad lies apart
+                        // from every result.
+                        let (fc, fr) =
+                            (nest.footprint(Operand::Carried), nest.footprint(Operand::Result));
+                        for at in placement.0.iter().filter(|c| c.0.is_none()).map(|c| c.1) {
+                            let apart = placement.1.iter().all(|&r| at >= r + fr || at + fc <= r);
+                            assert!(apart, "{what}: a carried matrix overlaps a result");
+                        }
+                        assert_eq!(placement, (built.carried, built.result), "{what}");
+                        rings += usize::from(built.program.name.contains("-ring"));
+                    }
+                }
+            }
+        }
+        // Every lane count above one rings on REVEL and the +hybrid and
+        // +stream-pred rungs.
+        assert_eq!(rings, 3 * 4 * 3, "ring lowerings covered");
     }
 
     #[test]

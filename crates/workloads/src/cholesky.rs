@@ -14,8 +14,10 @@
 
 use crate::data;
 use crate::reference;
-use crate::suite::{BuiltKernel, MemInit, Workload};
-use revel_compiler::{BuildCfg, Datapath, Ind, LoopNest, Operand, Pattern, Rate, Stream};
+use crate::suite::{BuiltKernel, Dataset, MemInit, Workload};
+use revel_compiler::{
+    BuildCfg, Datapath, Ind, LoopNest, NestProgram, Operand, Pattern, Rate, Stream,
+};
 use revel_dfg::{Dfg, OpCode};
 use revel_isa::{InPortId, OutPortId};
 use std::sync::Arc;
@@ -136,21 +138,26 @@ impl Cholesky {
         }
     }
 
-    /// Instance `i`'s `A` where the build placed its carried matrix.
-    fn init(&self, carried: &[(Option<u8>, i64)]) -> Vec<MemInit> {
-        let place = |(i, &(lane, addr)): (usize, &(Option<u8>, i64))| match lane {
-            Some(lane) => MemInit::Private { lane, addr, data: self.a(i) },
-            None => MemInit::Shared { addr, data: self.a(i) },
-        };
-        carried.iter().enumerate().map(place).collect()
+    /// One dataset: instance `i`'s `A`, drawn once, where the build places
+    /// its carried matrix, and the check of its `L` at its result address.
+    fn placed(&self, carried: &[(Option<u8>, i64)], result: Vec<i64>) -> Dataset {
+        let a: Vec<Vec<f64>> = (0..carried.len()).map(|i| self.a(i)).collect();
+        let init = carried
+            .iter()
+            .zip(&a)
+            .map(|(&(lane, addr), a)| match lane {
+                Some(lane) => MemInit::Private { lane, addr, data: a.clone() },
+                None => MemInit::Shared { addr, data: a.clone() },
+            })
+            .collect();
+        Dataset { init, check: self.check(a, result) }
     }
 
-    fn check(&self, result: Vec<i64>) -> crate::suite::CheckFn {
-        let me = *self;
+    fn check(&self, a: Vec<Vec<f64>>, result: Vec<i64>) -> crate::suite::CheckFn {
+        let n = self.n;
         Arc::new(move |machine| {
-            let n = me.n;
-            for (l, &base) in result.iter().enumerate() {
-                let expect = reference::cholesky(&me.a(l), n);
+            for (l, (&base, a)) in result.iter().zip(&a).enumerate() {
+                let expect = reference::cholesky(a, n);
                 let got = machine.read_shared(base, n * n);
                 for (j, i) in (0..n).flat_map(|j| (0..=j).map(move |i| (j, i))) {
                     let (g, e) = (got[j * n + i], expect[j * n + i]);
@@ -178,12 +185,13 @@ impl Workload for Cholesky {
     }
 
     fn build(&self, cfg: &BuildCfg) -> BuiltKernel {
-        let built = self.nest().lower(cfg);
-        BuiltKernel {
-            init: self.init(&built.carried),
-            check: self.check(built.result),
-            program: built.program,
-        }
+        let NestProgram { program, carried, result } = self.nest().lower(cfg);
+        BuiltKernel::new(program, self.placed(&carried, result))
+    }
+
+    fn dataset(&self, cfg: &BuildCfg) -> Dataset {
+        let (carried, result) = self.nest().placement(cfg);
+        self.placed(&carried, result)
     }
 }
 

@@ -6,6 +6,7 @@
 //! kernel's numerical requirements (SPD matrices for Cholesky, diagonally
 //! dominant triangular systems for the solver, …).
 
+use crate::reference;
 use revel_isa::Rng;
 
 fn rng(seed: u64) -> Rng {
@@ -23,17 +24,20 @@ pub fn matrix(rows: usize, cols: usize, seed: u64) -> Vec<f64> {
     vector(rows * cols, seed ^ 0x9E37)
 }
 
-/// A symmetric positive-definite `n × n` matrix (`M·Mᵀ + n·I`).
+/// A symmetric positive-definite `n × n` matrix (`M·Mᵀ + n·I`). Each entry
+/// is [`reference::gemm`]'s sum over `M` and `Mᵀ`, then `n` or `0.0` added.
 pub fn spd_matrix(n: usize, seed: u64) -> Vec<f64> {
     let m = matrix(n, n, seed);
-    let mut a = vec![0.0; n * n];
+    let mut mt = vec![0.0; n * n];
+    for t in 0..n {
+        for j in 0..n {
+            mt[t * n + j] = m[j * n + t];
+        }
+    }
+    let mut a = reference::gemm(&m, &mt, n, n, n);
     for i in 0..n {
         for j in 0..n {
-            let mut acc = 0.0;
-            for t in 0..n {
-                acc += m[i * n + t] * m[j * n + t];
-            }
-            a[i * n + j] = acc + if i == j { n as f64 } else { 0.0 };
+            a[i * n + j] += if i == j { n as f64 } else { 0.0 };
         }
     }
     a

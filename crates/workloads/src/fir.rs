@@ -79,9 +79,8 @@ impl CentroFir {
         self.c_base(lanes) + self.pairs() as i64
     }
 
-    fn init(&self, lanes: usize) -> Vec<MemInit> {
-        let x = self.signal();
-        let cp = reference::centro_pairs(&self.filter());
+    fn init(&self, x: &[f64], c: &[f64], lanes: usize) -> Vec<MemInit> {
+        let cp = reference::centro_pairs(c);
         let opl = self.out_per_lane(lanes);
         let mut init = Vec::new();
         for l in 0..lanes {
@@ -97,9 +96,8 @@ impl CentroFir {
         init
     }
 
-    fn check(&self, lanes: usize) -> crate::suite::CheckFn {
+    fn check(&self, expect: Vec<f64>, lanes: usize) -> crate::suite::CheckFn {
         let me = *self;
-        let expect = reference::centro_fir(&self.signal(), &self.filter(), self.n_out);
         Arc::new(move |machine| {
             let opl = me.out_per_lane(lanes);
             for l in 0..lanes {
@@ -203,7 +201,9 @@ impl Workload for CentroFir {
     }
 
     fn dataset(&self, cfg: &BuildCfg) -> Dataset {
-        Dataset { init: self.init(cfg.num_lanes), check: self.check(cfg.num_lanes) }
+        let (x, c) = (self.signal(), self.filter());
+        let expect = reference::centro_fir(&x, &c, self.n_out);
+        Dataset { init: self.init(&x, &c, cfg.num_lanes), check: self.check(expect, cfg.num_lanes) }
     }
 }
 

@@ -88,9 +88,7 @@ impl Gemm {
         (self.m * TILE * self.tiles_per_lane(lanes)) as i64
     }
 
-    fn init(&self, lanes: usize) -> Vec<MemInit> {
-        let a = self.a();
-        let b = self.b();
+    fn init(&self, a: Vec<f64>, b: &[f64], lanes: usize) -> Vec<MemInit> {
         let tpl = self.tiles_per_lane(lanes);
         let mut init = vec![MemInit::Shared { addr: self.a_base(), data: a }];
         for l in 0..lanes {
@@ -109,9 +107,8 @@ impl Gemm {
         init
     }
 
-    fn check(&self, lanes: usize) -> crate::suite::CheckFn {
+    fn check(&self, expect: Vec<f64>, lanes: usize) -> crate::suite::CheckFn {
         let me = *self;
-        let expect = reference::gemm(&self.a(), &self.b(), self.m, self.k, self.p);
         Arc::new(move |machine| {
             let tpl = me.tiles_per_lane(lanes);
             for l in 0..lanes {
@@ -215,7 +212,9 @@ impl Workload for Gemm {
     }
 
     fn dataset(&self, cfg: &BuildCfg) -> Dataset {
-        Dataset { init: self.init(cfg.num_lanes), check: self.check(cfg.num_lanes) }
+        let (a, b) = (self.a(), self.b());
+        let expect = reference::gemm(&a, &b, self.m, self.k, self.p);
+        Dataset { init: self.init(a, &b, cfg.num_lanes), check: self.check(expect, cfg.num_lanes) }
     }
 }
 

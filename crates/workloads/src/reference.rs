@@ -227,16 +227,18 @@ pub fn fft_flops(n: usize) -> u64 {
     (n as u64 / 2) * (n as u64).trailing_zeros() as u64 * 10
 }
 
-/// Row-major GEMM: `C[m×p] = A[m×k] · B[k×p]`.
+/// Row-major GEMM: `C[m×p] = A[m×k] · B[k×p]`. Each output sums
+/// `t = 0..k` from `0.0` in order; the loops run i, t, j so the inner loop
+/// walks a row of independent outputs instead of one dependent add chain.
 pub fn gemm(a: &[f64], b: &[f64], m: usize, k: usize, p: usize) -> Vec<f64> {
     let mut c = vec![0.0; m * p];
     for i in 0..m {
-        for j in 0..p {
-            let mut acc = 0.0;
-            for t in 0..k {
-                acc += a[i * k + t] * b[t * p + j];
+        let ci = &mut c[i * p..(i + 1) * p];
+        for t in 0..k {
+            let ait = a[i * k + t];
+            for (cij, &btj) in ci.iter_mut().zip(&b[t * p..(t + 1) * p]) {
+                *cij += ait * btj;
             }
-            c[i * p + j] = acc;
         }
     }
     c
@@ -247,19 +249,16 @@ pub fn gemm_flops(m: usize, k: usize, p: usize) -> u64 {
     2 * (m * k * p) as u64
 }
 
-/// Centro-symmetric FIR: `y[i] = Σ_t c[t]·x[i+t]` with `c` symmetric
-/// (`c[t] == c[m-1-t]`), exploited as
-/// `y[i] = Σ_{t<(m+1)/2} c'[t]·(x[i+t] + x[i+m-1-t])` with the middle
-/// coefficient halved for odd `m`.
+/// Centro-symmetric FIR, as the direct sum `y[i] = Σ_t c[t]·x[i+t]`: each
+/// output sums its taps from `0.0` in order, with the taps outermost so the
+/// inner loop runs across independent outputs. [`centro_pairs`] folds `c`
+/// for the paired form the fabric computes.
 pub fn centro_fir(x: &[f64], c: &[f64], n_out: usize) -> Vec<f64> {
-    let _m = c.len();
     let mut y = vec![0.0; n_out];
-    for (i, yi) in y.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (t, ct) in c.iter().enumerate() {
-            acc += ct * x[i + t];
+    for (t, &ct) in c.iter().enumerate() {
+        for (yi, &xi) in y.iter_mut().zip(&x[t..t + n_out]) {
+            *yi += ct * xi;
         }
-        *yi = acc;
     }
     y
 }
@@ -286,6 +285,148 @@ pub fn fir_flops(n_out: usize, m: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::data;
+    use revel_isa::Rng;
+
+    /// The dot-order GEMM the row-order [`gemm`] must reproduce: each
+    /// output down one add chain.
+    fn gemm_dot(a: &[f64], b: &[f64], m: usize, k: usize, p: usize) -> Vec<f64> {
+        let mut c = vec![0.0; m * p];
+        for i in 0..m {
+            for j in 0..p {
+                let mut acc = 0.0;
+                for t in 0..k {
+                    acc += a[i * k + t] * b[t * p + j];
+                }
+                c[i * p + j] = acc;
+            }
+        }
+        c
+    }
+
+    /// The output-outer FIR the tap-outer [`centro_fir`] must reproduce.
+    fn centro_fir_dot(x: &[f64], c: &[f64], n_out: usize) -> Vec<f64> {
+        let mut y = vec![0.0; n_out];
+        for (i, yi) in y.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (t, ct) in c.iter().enumerate() {
+                acc += ct * x[i + t];
+            }
+            *yi = acc;
+        }
+        y
+    }
+
+    /// The dot-order `M·Mᵀ + n·I` [`data::spd_matrix`] must reproduce.
+    fn spd_matrix_dot(n: usize, seed: u64) -> Vec<f64> {
+        let m = data::matrix(n, n, seed);
+        let mut a = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let mut acc = 0.0;
+                for t in 0..n {
+                    acc += m[i * n + t] * m[j * n + t];
+                }
+                a[i * n + j] = acc + if i == j { n as f64 } else { 0.0 };
+            }
+        }
+        a
+    }
+
+    /// Every word's bits equal, except that a NaN matches any NaN: Rust
+    /// leaves the sign and payload of a NaN result unspecified, so the
+    /// compiler may pick either operand's NaN in either loop order.
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(
+                same,
+                "{what}: word {i}: {g:e} ({:#x}) != {w:e} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    const EDGES: [f64; 11] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 4.0,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        1e300,
+        -1e300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1.0,
+    ];
+
+    /// `n` seeded values, each an edge value of `pool` with probability
+    /// `share` (else uniform in (-1, 1)).
+    fn edgy(n: usize, seed: u64, pool: &[f64], share: f64) -> Vec<f64> {
+        let mut r = Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let v = r.gen_range_f64(-1.0, 1.0);
+                if r.gen_f64() < share {
+                    pool[r.gen_index(pool.len())]
+                } else {
+                    v
+                }
+            })
+            .collect()
+    }
+
+    /// Value pools: seeded data only; signed zeros and subnormals (sums
+    /// that stay zero or tiny); every edge value sparsely, and densely.
+    fn inputs(n: usize, seed: u64) -> [Vec<f64>; 4] {
+        [
+            data::vector(n, seed),
+            edgy(n, seed, &EDGES[..4], 0.9),
+            edgy(n, seed, &EDGES, 0.05),
+            edgy(n, seed, &EDGES, 0.5),
+        ]
+    }
+
+    #[test]
+    fn row_order_gemm_is_the_dot_order_bit_for_bit() {
+        let shapes =
+            [(12, 16, 64), (48, 16, 64), (3, 5, 7), (1, 1, 1), (7, 1, 9), (5, 0, 3), (0, 4, 8)];
+        for (m, k, p) in shapes {
+            for seed in 0..16 {
+                let [a, b] = [(m * k, seed), (k * p, seed + 100)].map(|(n, s)| inputs(n, s));
+                for (pool, (a, b)) in a.iter().zip(&b).enumerate() {
+                    let what = format!("gemm {m}x{k}x{p} seed {seed} pool {pool}");
+                    assert_bits(&gemm(a, b, m, k, p), &gemm_dot(a, b, m, k, p), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tap_outer_fir_is_the_output_outer_sum_bit_for_bit() {
+        for (taps, n_out) in [(37, 1024), (199, 1024), (5, 64), (8, 32), (1, 3), (13, 0)] {
+            for seed in 0..8 {
+                let [x, c] =
+                    [(n_out + taps - 1, seed), (taps, seed + 100)].map(|(n, s)| inputs(n, s));
+                for (pool, (x, c)) in x.iter().zip(&c).enumerate() {
+                    let what = format!("fir m={taps} n={n_out} seed {seed} pool {pool}");
+                    assert_bits(&centro_fir(x, c, n_out), &centro_fir_dot(x, c, n_out), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_order_spd_matrix_is_the_dot_order_bit_for_bit() {
+        for n in [12, 16, 24, 32, 1, 3, 5] {
+            for seed in 0..40 {
+                let what = format!("spd n={n} seed {seed}");
+                assert_bits(&data::spd_matrix(n, seed), &spd_matrix_dot(n, seed), &what);
+            }
+        }
+    }
 
     #[test]
     fn solver_reduces_residual() {

@@ -89,14 +89,11 @@ pub trait Workload {
     /// [`Workload::dataset`].
     fn build(&self, cfg: &BuildCfg) -> BuiltKernel;
     /// Builds only the dataset half of [`Workload::build`], for callers
-    /// that already hold the program (a batched replay of many seeds).
-    /// The default builds the whole kernel and drops its program, for a
-    /// kernel whose dataset is placed by its program's lowering
-    /// (Cholesky's carried matrix).
-    fn dataset(&self, cfg: &BuildCfg) -> Dataset {
-        let BuiltKernel { init, check, .. } = self.build(cfg);
-        Dataset { init, check }
-    }
+    /// that already hold the program (a batched replay of many seeds). It
+    /// costs the dataset's data: it writes no program (Cholesky places its
+    /// carried matrix by [`revel_compiler::LoopNest::placement`], not by
+    /// lowering its nest).
+    fn dataset(&self, cfg: &BuildCfg) -> Dataset;
 }
 
 /// The outcome of running a workload on the simulator.
